@@ -200,8 +200,8 @@ fn main() {
         );
     }
 
-    // The retained full-scan oracle (`full-scan-de` feature): re-ranks the
-    // world every epoch. Kept benched so the curves stay comparable.
+    // The retained full-scan reference engine: re-ranks the world every
+    // epoch. Kept benched so the curves stay comparable.
     for &n in &[100usize, 1_000, 10_000, 100_000] {
         let d = demands(n);
         let de = DecisionEngine::new(DeConfig::paper());

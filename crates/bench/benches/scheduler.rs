@@ -1,7 +1,6 @@
 //! Scheduler micro-benches: the timing wheel against the binary-heap oracle,
-//! head-to-head through the shared `Scheduler` trait (both implementations
-//! are always compiled; the `heap-sched` feature only selects which one the
-//! kernel uses).
+//! head-to-head through the shared `Scheduler` trait (the kernel runs on
+//! the wheel; the heap is the reference model).
 //!
 //! Four workload shapes bracket the kernel's real usage:
 //!

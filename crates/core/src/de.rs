@@ -105,8 +105,8 @@ pub struct Scored {
 
 /// The full-scan decision engine: re-ranks the world every round. Retained
 /// as the differential oracle for [`crate::de_inc::IncrementalDecisionEngine`]
-/// (and selected for the controller by the `full-scan-de` feature, mirroring
-/// the scheduler's `heap-sched` pattern).
+/// (`tests/de_differential.rs` runs both side by side) and as the reference
+/// side of the `controller` benches; the controller never runs on it.
 #[derive(Debug)]
 pub struct DecisionEngine {
     /// Configuration.

@@ -22,7 +22,7 @@
 //!
 //! Both decision engines run the identical cap logic in the identical
 //! order, so decisions stay bit-equal between the incremental engine and
-//! the `full-scan-de` oracle (asserted by the `de_differential` suite). For
+//! the full-scan reference (asserted by the `de_differential` suite). For
 //! `WeightedScore` that requires care with floating point: per-tenant score
 //! mass is accumulated in **rank order** (the full-scan engine iterates its
 //! sorted ranking, the incremental engine its score-ordered index — the

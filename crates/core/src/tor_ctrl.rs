@@ -26,10 +26,7 @@ use fastrak_telemetry::recorder::{DecisionKind, Severity};
 use fastrak_telemetry::span::SpanId;
 use fastrak_telemetry::{CounterId, Registry};
 
-use crate::de::{DeConfig, DecisionEngine};
-#[cfg(feature = "full-scan-de")]
-use crate::de_inc::DeEpochStats;
-#[cfg(not(feature = "full-scan-de"))]
+use crate::de::DeConfig;
 use crate::de_inc::IncrementalDecisionEngine;
 use crate::me::AggDemand;
 use crate::meter::{self, RateWindow};
@@ -327,11 +324,8 @@ struct InstallTxn {
 /// The TOR controller node.
 pub struct TorController {
     cfg: TorControllerConfig,
-    de: DecisionEngine,
-    /// The production decision engine: incremental top-k. The retained
-    /// full-scan `de` doubles as the differential oracle; building with
-    /// `--features full-scan-de` routes epochs through it instead.
-    #[cfg(not(feature = "full-scan-de"))]
+    /// The decision engine: incremental top-k (`tests/de_differential.rs`
+    /// holds it to the full-scan [`crate::de::DecisionEngine`] reference).
     inc: IncrementalDecisionEngine,
     /// Latest report per local controller.
     reports: HashMap<Ip, DemandReport>,
@@ -408,8 +402,6 @@ impl TorController {
     pub fn new(cfg: TorControllerConfig) -> TorController {
         let hist_cap = (cfg.timing.epochs_per_interval * cfg.timing.history_intervals) as usize;
         TorController {
-            de: DecisionEngine::new(cfg.de.clone()),
-            #[cfg(not(feature = "full-scan-de"))]
             inc: IncrementalDecisionEngine::new(cfg.de.clone()),
             reports: HashMap::new(),
             offloaded: HashSet::new(),
@@ -582,27 +574,10 @@ impl TorController {
         // any decision, so determinism is preserved (the fingerprint used by
         // the determinism suite excludes the registry).
         let t0 = std::time::Instant::now();
-        #[cfg(not(feature = "full-scan-de"))]
-        let (decision, de_stats) = {
-            let d = self
-                .inc
-                .decide_snapshot(&demands, &self.offloaded, self.cfg.budget);
-            (d, self.inc.last_stats())
-        };
-        #[cfg(feature = "full-scan-de")]
-        let (decision, de_stats) = {
-            let d = self.de.decide(&demands, &self.offloaded, self.cfg.budget);
-            // The oracle has no delta pipeline; synthesize the equivalents so
-            // the metric names stay meaningful under either engine.
-            let s = DeEpochStats {
-                deltas_ingested: demands.len() as u64,
-                entries_indexed: demands.len() as u64,
-                scanned: demands.len() as u64,
-                band_crossers: (d.offload.len() + d.demote.len()) as u64,
-                churn_suppressed: 0,
-            };
-            (d, s)
-        };
+        let decision = self
+            .inc
+            .decide_snapshot(&demands, &self.offloaded, self.cfg.budget);
+        let de_stats = self.inc.last_stats();
         let epoch_ns = t0.elapsed().as_nanos() as u64;
 
         {
@@ -711,7 +686,7 @@ impl TorController {
                 demands.iter().map(|d| (d.agg, d)).collect();
             let hw_bps: HashMap<FlowAggregate, f64> = hw_agg_bps.iter().copied().collect();
             let now_ns = api.now.as_nanos();
-            let (de, entries_used, budget) = (&self.de, self.entries_used, self.cfg.budget);
+            let (de, entries_used, budget) = (&self.cfg.de, self.entries_used, self.cfg.budget);
             let audit = &mut api.ctx.telemetry.audit;
             let decided = decision
                 .demote

@@ -1,6 +1,5 @@
 //! Differential suite: the incremental decision engine versus the retained
-//! full-scan oracle (the `full-scan-de` feature routes the controller onto
-//! the oracle; here both run side by side in-process).
+//! full-scan oracle, both run side by side in-process.
 //!
 //! A seeded xorshift demand stream drives thousands of epochs through three
 //! engines at once — the full-scan `DecisionEngine`, a snapshot-fed

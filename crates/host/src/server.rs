@@ -1190,12 +1190,6 @@ impl Node<Event, NetCtx> for Server {
     }
 
     fn on_burst(&mut self, evs: &mut Vec<Event>, api: &mut Api<'_, Event, NetCtx>) {
-        if cfg!(feature = "scalar-datapath") {
-            for ev in evs.drain(..) {
-                self.on_event(ev, api);
-            }
-            return;
-        }
         let mut burst = fastrak_net::PacketBurst::from_events(evs);
         self.stats.dp_bursts += 1;
         while !burst.is_empty() {

@@ -211,13 +211,9 @@ impl Vswitch {
     /// [`Self::process_tx`] — it alone may take the slow path, and it
     /// installs the cache entry the rest of the run then hits via one
     /// [`ExactMatchTable::lookup_run`] probe. Verdicts, hit/miss counters,
-    /// and per-flow stats come out bit-identical to the per-packet loop,
-    /// which is also what the `scalar-datapath` oracle build runs here.
+    /// and per-flow stats come out bit-identical to the per-packet loop
+    /// (`tests/datapath_differential.rs` drives both side by side).
     pub fn process_tx_burst(&mut self, pkts: &[(FlowKey, u64)], out: &mut Vec<TxResult>) {
-        if cfg!(feature = "scalar-datapath") {
-            out.extend(pkts.iter().map(|&(ref k, b)| self.process_tx(k, b)));
-            return;
-        }
         out.reserve(pkts.len());
         let mut i = 0;
         while i < pkts.len() {
@@ -246,10 +242,6 @@ impl Vswitch {
     /// packet to `out`, run-amortizing the datapath probe exactly like
     /// [`Self::process_tx_burst`].
     pub fn process_rx_burst(&mut self, pkts: &[(FlowKey, u64)], out: &mut Vec<Option<usize>>) {
-        if cfg!(feature = "scalar-datapath") {
-            out.extend(pkts.iter().map(|&(ref k, b)| self.process_rx(k, b)));
-            return;
-        }
         out.reserve(pkts.len());
         let mut i = 0;
         while i < pkts.len() {

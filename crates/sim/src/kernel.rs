@@ -12,17 +12,16 @@
 //! runs replay identically.
 //!
 //! Event storage is delegated to [`crate::sched`]: a hierarchical
-//! [`crate::sched::TimingWheel`] by default (O(1) amortized schedule/expire,
-//! O(1) in-place cancel), or the retained
-//! [`crate::sched::BinaryHeapSched`] oracle when the crate is built with
-//! `--features heap-sched`. Both deliver the identical total order, which
-//! `tests/sched_differential.rs` and `tests/determinism.rs` pin down.
+//! [`crate::sched::TimingWheel`] (O(1) amortized schedule/expire, O(1)
+//! in-place cancel). The retained [`crate::sched::BinaryHeapSched`] is the
+//! reference it is compared against: both deliver the identical total
+//! order, which `tests/sched_differential.rs` pins down.
 
 use std::any::Any;
 
 use crate::fault::{FaultDecision, FaultLayer};
 use crate::rng::Rng;
-use crate::sched::Scheduler;
+use crate::sched::{Scheduler, TimingWheel};
 use crate::time::{SimDuration, SimTime};
 
 pub use crate::sched::EventHandle;
@@ -34,15 +33,6 @@ pub type NodeId = usize;
 /// Bounding it keeps a pathological same-instant pileup from starving the
 /// rest of the slot and caps the reusable buffer's working set.
 pub const MAX_BURST: usize = 64;
-
-/// The scheduler the kernel runs on. The timing wheel is the default; the
-/// `heap-sched` feature swaps in the binary-heap oracle so the whole
-/// simulation (tests, experiments) can be replayed on it for differential
-/// validation.
-#[cfg(not(feature = "heap-sched"))]
-type SchedImpl<E> = crate::sched::TimingWheel<E>;
-#[cfg(feature = "heap-sched")]
-type SchedImpl<E> = crate::sched::BinaryHeapSched<E>;
 
 /// A simulated entity that receives timestamped events.
 pub trait Node<E, C>: Any {
@@ -65,7 +55,8 @@ pub trait Node<E, C>: Any {
     /// order. The default drains the burst through [`Node::on_event`] —
     /// semantically, batching is only ever an amortization of the scalar
     /// path, so any override must produce bit-identical behavior to this
-    /// default (the `scalar-datapath` differential builds enforce it).
+    /// default (`host/tests/datapath_differential.rs` and the burst-toggle
+    /// tests in `tests/determinism.rs` enforce it).
     fn on_burst(&mut self, evs: &mut Vec<E>, api: &mut Api<'_, E, C>) {
         for ev in evs.drain(..) {
             self.on_event(ev, api);
@@ -94,7 +85,7 @@ pub trait Node<E, C>: Any {
 #[inline]
 #[allow(clippy::too_many_arguments)] // the kernel's single scheduling funnel
 fn schedule_event<E>(
-    sched: &mut SchedImpl<E>,
+    sched: &mut TimingWheel<E>,
     next_seq: &mut u64,
     fault: &mut Option<FaultLayer<E>>,
     now: SimTime,
@@ -151,7 +142,7 @@ pub struct Api<'a, E, C> {
     pub ctx: &'a mut C,
     /// Deterministic RNG (one shared stream; fork per node for isolation).
     pub rng: &'a mut Rng,
-    sched: &'a mut SchedImpl<E>,
+    sched: &'a mut TimingWheel<E>,
     next_seq: &'a mut u64,
     fault: &'a mut Option<FaultLayer<E>>,
     cancels_requested: &'a mut u64,
@@ -234,8 +225,8 @@ impl<'a, E, C> Api<'a, E, C> {
     }
 
     /// Cancel a previously scheduled event in O(1). Cancelling an event that
-    /// already fired is a harmless no-op (the wheel's generation stamp — or
-    /// the oracle's delivery watermark — proves the event is gone).
+    /// already fired is a harmless no-op (the wheel's generation stamp
+    /// proves the event is gone).
     pub fn cancel(&mut self, h: EventHandle) {
         *self.cancels_requested += 1;
         self.sched.cancel(h);
@@ -246,15 +237,14 @@ impl<'a, E, C> Api<'a, E, C> {
 pub struct Kernel<E, C> {
     nodes: Vec<Option<Box<dyn NodeObj<E, C>>>>,
     names: Vec<String>,
-    sched: SchedImpl<E>,
+    sched: TimingWheel<E>,
     now: SimTime,
     next_seq: u64,
     events_processed: u64,
     cancels_requested: u64,
     /// Deliver same-instant eligible event runs as bursts (see
-    /// [`Node::on_burst`]). Defaults on; the `scalar-datapath` oracle build
-    /// defaults off, and [`Kernel::set_burst_delivery`] flips it at runtime
-    /// for same-binary differential tests.
+    /// [`Node::on_burst`]). Defaults on; [`Kernel::set_burst_delivery`]
+    /// flips it at runtime for the differential tests.
     burst_enabled: bool,
     /// Reusable burst collection buffer (allocation-free steady state).
     burst_buf: Vec<E>,
@@ -302,20 +292,17 @@ thread_local! {
 }
 
 /// Override the burst-delivery default for kernels subsequently constructed
-/// on this thread; `None` restores the build default (on, unless the
-/// `scalar-datapath` oracle feature is active). Differential tests use this
-/// to drive whole experiment worlds — which build their kernels internally —
-/// through both delivery modes in one binary. Thread-local, so parallel
-/// tests cannot race each other.
+/// on this thread; `None` restores the default (on). Differential tests use
+/// this to drive whole experiment worlds — which build their kernels
+/// internally — through both delivery modes in one binary. Thread-local, so
+/// parallel tests cannot race each other.
 pub fn set_burst_delivery_default(v: Option<bool>) {
     BURST_DELIVERY_DEFAULT.with(|c| c.set(v));
 }
 
 /// The burst-delivery setting newly constructed kernels start with.
 pub fn default_burst_delivery() -> bool {
-    BURST_DELIVERY_DEFAULT
-        .with(|c| c.get())
-        .unwrap_or(cfg!(not(feature = "scalar-datapath")))
+    BURST_DELIVERY_DEFAULT.with(|c| c.get()).unwrap_or(true)
 }
 
 impl<E, C> Kernel<E, C> {
@@ -324,7 +311,7 @@ impl<E, C> Kernel<E, C> {
         Kernel {
             nodes: Vec::new(),
             names: Vec::new(),
-            sched: SchedImpl::default(),
+            sched: TimingWheel::default(),
             now: SimTime::ZERO,
             next_seq: 0,
             events_processed: 0,
@@ -582,9 +569,8 @@ impl<E, C> Kernel<E, C> {
 
     /// Timestamp of the next pending (non-cancelled) event, if any.
     ///
-    /// Borrowing `&self` only: the wheel peeks through its occupancy bitmaps
-    /// (and the heap oracle scans past tombstoned heads), so inspection
-    /// never perturbs scheduler state.
+    /// Borrowing `&self` only: the wheel peeks through its occupancy
+    /// bitmaps, so inspection never perturbs scheduler state.
     pub fn next_event_time(&self) -> Option<SimTime> {
         self.sched.next_time()
     }
@@ -770,8 +756,7 @@ mod tests {
         // The classic transport idiom: arm a retransmit timer, then cancel
         // it after it (logically) completed — i.e. cancel handles of events
         // that already fired. The seed kernel leaked one tombstone per such
-        // cancel; the generation stamp (wheel) / watermark (heap oracle)
-        // makes them no-ops.
+        // cancel; the wheel's generation stamp makes them no-ops.
         let (mut k, a, _) = two_node_kernel();
         let mut fired: Vec<EventHandle> = Vec::new();
         for round in 0..10_000u64 {
@@ -832,9 +817,6 @@ mod tests {
 
     fn burst_kernel() -> (Kernel<Ev, Ctx>, NodeId) {
         let mut k = Kernel::new(Ctx::default(), 1);
-        // Forced on so these tests exercise burst formation even in the
-        // `scalar-datapath` oracle build (whose default is off).
-        k.set_burst_delivery(true);
         let a = k.add_node(BurstSink {
             got: vec![],
             bursts: vec![],
@@ -843,13 +825,9 @@ mod tests {
     }
 
     #[test]
-    fn burst_delivery_default_follows_the_oracle_feature() {
+    fn burst_delivery_defaults_on() {
         let k = Kernel::<Ev, Ctx>::new(Ctx::default(), 1);
-        assert_eq!(
-            k.burst_delivery(),
-            cfg!(not(feature = "scalar-datapath")),
-            "scalar-datapath must flip the kernel to per-event delivery"
-        );
+        assert!(k.burst_delivery());
     }
 
     #[test]

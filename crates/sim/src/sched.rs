@@ -1,21 +1,19 @@
 //! Event scheduler implementations for the DES kernel.
 //!
-//! Two interchangeable schedulers stand behind [`crate::kernel::Kernel`],
-//! both delivering events in the same total order — time, then schedule
-//! sequence — so a simulation replays bit-identically on either:
+//! Two schedulers implement the [`Scheduler`] contract, both delivering
+//! events in the same total order — time, then schedule sequence:
 //!
-//! * [`TimingWheel`] (the default): a hierarchical timing wheel in the
-//!   Varghese/Lauck style (as in Kafka, Netty, and tokio-timer). Seven
-//!   levels of 64 slots cover a ~73-minute horizon at exact-nanosecond
-//!   granularity; schedule and expire are O(1) amortized, and cancellation
-//!   is O(1) in place via generation-stamped handles — no tombstone set on
-//!   the pop path at all.
-//! * [`BinaryHeapSched`] (behind the `heap-sched` cargo feature, but always
-//!   compiled): the previous `BinaryHeap` + lazy-tombstone scheduler,
-//!   retained as the differential-testing oracle and the reference side of
-//!   the `scheduler` micro-bench suite.
+//! * [`TimingWheel`] (what [`crate::kernel::Kernel`] runs on): a
+//!   hierarchical timing wheel in the Varghese/Lauck style (as in Kafka,
+//!   Netty, and tokio-timer). Seven levels of 64 slots cover a ~73-minute
+//!   horizon at exact-nanosecond granularity; schedule and expire are O(1)
+//!   amortized, and cancellation is O(1) in place via generation-stamped
+//!   handles — no tombstone set on the pop path at all.
+//! * [`BinaryHeapSched`]: the previous `BinaryHeap` + lazy-tombstone
+//!   scheduler, retained as the reference model — the other side of
+//!   `tests/sched_differential.rs` and of the `scheduler` micro-bench suite.
+//!   The kernel never runs on it.
 //!
-//! The shared [`Scheduler`] trait is what the kernel's hot loop calls;
 //! `tests/sched_differential.rs` replays large mixed operation streams
 //! through both implementations and asserts identical behavior.
 
@@ -662,9 +660,9 @@ impl<E> Ord for Scheduled<E> {
 /// watermark that turns cancels of already-fired events into no-ops.
 ///
 /// O(log n) schedule/pop and O(1)-amortized (hashing) cancel. Kept as the
-/// differential-testing oracle for [`TimingWheel`] and as the reference side
-/// of the scheduler benches; `--features heap-sched` makes the kernel run on
-/// it wholesale.
+/// differential-testing oracle for [`TimingWheel`]
+/// (`tests/sched_differential.rs`) and as the reference side of the
+/// scheduler benches.
 pub struct BinaryHeapSched<E> {
     heap: BinaryHeap<Scheduled<E>>,
     /// Tombstones for cancelled-but-not-yet-popped events, keyed by sequence

@@ -7,8 +7,8 @@
 //! [`BinaryHeapSched`] in lockstep. Every delivery must match exactly:
 //! time, destination node, payload, and the relative order. The observable
 //! counters (`len`, backlog at quiescent points, final drain) must agree
-//! too. This is the property that lets `--features heap-sched` serve as a
-//! bit-identical oracle build for the whole simulation.
+//! too. The kernel drives its scheduler only through these operations, so
+//! equality here is equality of every simulation run on either.
 
 use fastrak_sim::sched::{BinaryHeapSched, Scheduler, TimingWheel};
 use fastrak_sim::time::{SimDuration, SimTime};

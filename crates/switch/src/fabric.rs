@@ -103,12 +103,6 @@ impl Node<Event, NetCtx> for Fabric {
     }
 
     fn on_burst(&mut self, evs: &mut Vec<Event>, api: &mut Api<'_, Event, NetCtx>) {
-        if cfg!(feature = "scalar-datapath") {
-            for ev in evs.drain(..) {
-                self.on_event(ev, api);
-            }
-            return;
-        }
         // Memoize the route per consecutive same-destination run; sends stay
         // in arrival order (the crossbar adds a fixed latency, so ordering
         // only matters for kernel seq assignment).

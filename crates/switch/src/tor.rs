@@ -959,12 +959,6 @@ impl Node<Event, NetCtx> for Tor {
     }
 
     fn on_burst(&mut self, evs: &mut Vec<Event>, api: &mut Api<'_, Event, NetCtx>) {
-        if cfg!(feature = "scalar-datapath") {
-            for ev in evs.drain(..) {
-                self.on_event(ev, api);
-            }
-            return;
-        }
         self.maybe_reboot(api);
         let mut burst = fastrak_net::PacketBurst::from_events(evs);
         while !burst.is_empty() {

@@ -16,10 +16,10 @@
 //! | `on_ecn_ack`          | every cumulative ACK on an ECN-negotiated conn    |
 //!
 //! Three algorithms are provided. [`RenoCc`] is the pre-existing
-//! Reno/NewReno arithmetic extracted verbatim — under the `reno-cc`
-//! differential feature (the `heap-sched` / `full-scan-de` /
-//! `scalar-datapath` mold) it carries a shadow copy of the original
-//! inline expressions and asserts bit-for-bit agreement after every hook.
+//! Reno/NewReno arithmetic extracted verbatim — the test module keeps a
+//! copy of the original inline expressions (`LegacyReno`) and
+//! `reno_matches_legacy_inline_arithmetic_in_lockstep` asserts bit-for-bit
+//! agreement after every hook of a seeded 20 k-call stream.
 //! [`CubicCc`] is RFC 8312 CUBIC (concave/convex window curve, TCP-friendly
 //! region, fast convergence). [`DctcpCc`] is RFC 8257 DCTCP: the receiver
 //! echoes CE marks per segment and the sender estimates the marked-byte
@@ -98,51 +98,6 @@ pub trait CongestionControl {
     ) -> bool;
 }
 
-/// Shadow copy of the pre-extraction inline Reno/NewReno arithmetic from
-/// `tcp.rs`, kept verbatim. Compiled only under the `reno-cc` feature;
-/// [`RenoCc`] drives it in lockstep and asserts bit-identical windows
-/// after every hook, so any drift in the extraction aborts loudly in the
-/// oracle CI build.
-#[cfg(feature = "reno-cc")]
-#[derive(Debug, Clone, Copy)]
-struct LegacyReno {
-    cwnd: f64,
-    ssthresh: f64,
-}
-
-#[cfg(feature = "reno-cc")]
-impl LegacyReno {
-    fn ack_growth(&mut self, acked: u64, mss: u32) {
-        if self.cwnd < self.ssthresh {
-            self.cwnd += acked as f64;
-        } else {
-            self.cwnd += (mss as f64 * mss as f64) / self.cwnd;
-        }
-    }
-
-    fn enter_recovery(&mut self, flight: u64, mss: u32) {
-        self.ssthresh = (flight as f64 / 2.0).max((2 * mss) as f64);
-        self.cwnd = self.ssthresh + (3 * mss) as f64;
-    }
-
-    fn dup_ack_inflate(&mut self, mss: u32) {
-        self.cwnd += mss as f64;
-    }
-
-    fn partial_ack(&mut self, acked: u64, mss: u32) {
-        self.cwnd = (self.cwnd - acked as f64 + mss as f64).max(mss as f64);
-    }
-
-    fn exit_recovery(&mut self) {
-        self.cwnd = self.ssthresh;
-    }
-
-    fn rto(&mut self, flight: u64, mss: u32) {
-        self.ssthresh = (flight as f64 / 2.0).max((2 * mss) as f64);
-        self.cwnd = mss as f64;
-    }
-}
-
 /// Reno/NewReno: the original transport behavior, extracted.
 #[derive(Debug, Clone)]
 pub struct RenoCc {
@@ -150,8 +105,6 @@ pub struct RenoCc {
     ssthresh: f64,
     /// Classic-ECN CWR latch: at most one reduction per window of data.
     cwr_end: u64,
-    #[cfg(feature = "reno-cc")]
-    shadow: LegacyReno,
 }
 
 impl RenoCc {
@@ -160,42 +113,8 @@ impl RenoCc {
             cwnd: initial_cwnd,
             ssthresh: f64::MAX,
             cwr_end: 0,
-            #[cfg(feature = "reno-cc")]
-            shadow: LegacyReno {
-                cwnd: initial_cwnd,
-                ssthresh: f64::MAX,
-            },
         }
     }
-
-    #[cfg(feature = "reno-cc")]
-    fn check(&self) {
-        assert!(
-            self.cwnd.to_bits() == self.shadow.cwnd.to_bits()
-                && self.ssthresh.to_bits() == self.shadow.ssthresh.to_bits(),
-            "reno-cc oracle divergence: extracted cwnd={}/ssthresh={} vs legacy {}/{}",
-            self.cwnd,
-            self.ssthresh,
-            self.shadow.cwnd,
-            self.shadow.ssthresh,
-        );
-    }
-
-    #[cfg(not(feature = "reno-cc"))]
-    #[inline(always)]
-    fn check(&self) {}
-
-    /// ECN reductions post-date the legacy code; mirror them into the
-    /// shadow so the lockstep comparison keeps running afterwards.
-    #[cfg(feature = "reno-cc")]
-    fn sync_shadow(&mut self) {
-        self.shadow.cwnd = self.cwnd;
-        self.shadow.ssthresh = self.ssthresh;
-    }
-
-    #[cfg(not(feature = "reno-cc"))]
-    #[inline(always)]
-    fn sync_shadow(&mut self) {}
 }
 
 impl CongestionControl for RenoCc {
@@ -215,46 +134,28 @@ impl CongestionControl for RenoCc {
             // Congestion avoidance: ~1 MSS per RTT.
             self.cwnd += (mss as f64 * mss as f64) / self.cwnd;
         }
-        #[cfg(feature = "reno-cc")]
-        self.shadow.ack_growth(acked, mss);
-        self.check();
     }
 
     fn on_loss(&mut self, flight: u64, mss: u32) {
         self.ssthresh = (flight as f64 / 2.0).max((2 * mss) as f64);
         self.cwnd = self.ssthresh + (3 * mss) as f64;
-        #[cfg(feature = "reno-cc")]
-        self.shadow.enter_recovery(flight, mss);
-        self.check();
     }
 
     fn on_recovery_dup_ack(&mut self, mss: u32) {
         self.cwnd += mss as f64;
-        #[cfg(feature = "reno-cc")]
-        self.shadow.dup_ack_inflate(mss);
-        self.check();
     }
 
     fn on_partial_ack(&mut self, acked: u64, mss: u32) {
         self.cwnd = (self.cwnd - acked as f64 + mss as f64).max(mss as f64);
-        #[cfg(feature = "reno-cc")]
-        self.shadow.partial_ack(acked, mss);
-        self.check();
     }
 
     fn on_recovery_exit(&mut self, _mss: u32) {
         self.cwnd = self.ssthresh;
-        #[cfg(feature = "reno-cc")]
-        self.shadow.exit_recovery();
-        self.check();
     }
 
     fn on_rto(&mut self, flight: u64, mss: u32) {
         self.ssthresh = (flight as f64 / 2.0).max((2 * mss) as f64);
         self.cwnd = mss as f64;
-        #[cfg(feature = "reno-cc")]
-        self.shadow.rto(flight, mss);
-        self.check();
     }
 
     fn on_ecn_ack(
@@ -273,7 +174,6 @@ impl CongestionControl for RenoCc {
             self.cwr_end = snd_nxt;
             self.ssthresh = (flight as f64 / 2.0).max((2 * mss) as f64);
             self.cwnd = self.ssthresh;
-            self.sync_shadow();
             return true;
         }
         false
@@ -631,6 +531,117 @@ mod tests {
 
     fn t(us: u64) -> SimTime {
         SimTime::from_micros(us)
+    }
+
+    /// The pre-extraction inline Reno/NewReno arithmetic from `tcp.rs`, kept
+    /// verbatim as the reference [`RenoCc`] is compared against.
+    #[derive(Debug, Clone, Copy)]
+    struct LegacyReno {
+        cwnd: f64,
+        ssthresh: f64,
+    }
+
+    impl LegacyReno {
+        fn ack_growth(&mut self, acked: u64, mss: u32) {
+            if self.cwnd < self.ssthresh {
+                self.cwnd += acked as f64;
+            } else {
+                self.cwnd += (mss as f64 * mss as f64) / self.cwnd;
+            }
+        }
+
+        fn enter_recovery(&mut self, flight: u64, mss: u32) {
+            self.ssthresh = (flight as f64 / 2.0).max((2 * mss) as f64);
+            self.cwnd = self.ssthresh + (3 * mss) as f64;
+        }
+
+        fn dup_ack_inflate(&mut self, mss: u32) {
+            self.cwnd += mss as f64;
+        }
+
+        fn partial_ack(&mut self, acked: u64, mss: u32) {
+            self.cwnd = (self.cwnd - acked as f64 + mss as f64).max(mss as f64);
+        }
+
+        fn exit_recovery(&mut self) {
+            self.cwnd = self.ssthresh;
+        }
+
+        fn rto(&mut self, flight: u64, mss: u32) {
+            self.ssthresh = (flight as f64 / 2.0).max((2 * mss) as f64);
+            self.cwnd = mss as f64;
+        }
+    }
+
+    #[test]
+    fn reno_matches_legacy_inline_arithmetic_in_lockstep() {
+        let mut rng = fastrak_sim::Rng::new(0x4E57_00CC);
+        let init = (10 * MSS) as f64;
+        let mut cc = RenoCc::new(init);
+        let mut legacy = LegacyReno {
+            cwnd: init,
+            ssthresh: f64::MAX,
+        };
+        let mut snd_una = 0u64;
+        let mut hooks = [0u32; 7];
+        let mut ecn_cuts = 0u32;
+        for step in 0..20_000u64 {
+            let acked = rng.range(1, 10 * MSS as u64);
+            let flight = rng.range(MSS as u64, 200 * MSS as u64);
+            let hook = rng.below(7) as usize;
+            hooks[hook] += 1;
+            match hook {
+                0 => {
+                    cc.on_ack(t(step), acked, None, MSS);
+                    legacy.ack_growth(acked, MSS);
+                }
+                1 => {
+                    cc.on_loss(flight, MSS);
+                    legacy.enter_recovery(flight, MSS);
+                }
+                2 => {
+                    cc.on_recovery_dup_ack(MSS);
+                    legacy.dup_ack_inflate(MSS);
+                }
+                3 => {
+                    cc.on_partial_ack(acked, MSS);
+                    legacy.partial_ack(acked, MSS);
+                }
+                4 => {
+                    cc.on_recovery_exit(MSS);
+                    legacy.exit_recovery();
+                }
+                5 => {
+                    cc.on_rto(flight, MSS);
+                    legacy.rto(flight, MSS);
+                }
+                _ => {
+                    // ECN reductions post-date the legacy code: mirror them
+                    // so the comparison keeps running afterwards.
+                    snd_una += acked;
+                    let ece = rng.chance(0.5);
+                    if cc.on_ecn_ack(t(step), acked, ece, flight, snd_una, snd_una + flight, MSS) {
+                        ecn_cuts += 1;
+                        legacy.cwnd = cc.cwnd();
+                        legacy.ssthresh = cc.ssthresh();
+                    }
+                }
+            }
+            assert!(
+                cc.cwnd().to_bits() == legacy.cwnd.to_bits()
+                    && cc.ssthresh().to_bits() == legacy.ssthresh.to_bits(),
+                "step {step} hook {hook}: extracted cwnd={}/ssthresh={} vs legacy {}/{}",
+                cc.cwnd(),
+                cc.ssthresh(),
+                legacy.cwnd,
+                legacy.ssthresh,
+            );
+        }
+        assert!(hooks.iter().all(|&n| n > 1_000), "hook mix {hooks:?}");
+        assert!(
+            ecn_cuts > 0,
+            "no ECN reduction taken — mirror path untested"
+        );
     }
 
     #[test]

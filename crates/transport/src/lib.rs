@@ -18,9 +18,9 @@
 //!   open), both close paths (including simultaneous close), RST teardown,
 //!   and TIME_WAIT with 2·MSL expiry ([`tcp`] module);
 //! * pluggable congestion control ([`cc`] module): Reno/NewReno (the
-//!   default, bit-identical to the pre-refactor inline arithmetic — the
-//!   `reno-cc` feature builds a lockstep differential oracle), RFC 8312
-//!   CUBIC, and RFC 8257 DCTCP with per-window ECN-fraction estimation;
+//!   default, bit-identical to the pre-refactor inline arithmetic — a
+//!   seeded lockstep test in [`cc`] compares the two), RFC 8312 CUBIC, and
+//!   RFC 8257 DCTCP with per-window ECN-fraction estimation;
 //! * slow start / congestion avoidance, initial window 10 MSS;
 //! * duplicate-ACK counting, fast retransmit on the 3rd dup-ACK, NewReno
 //!   partial-ACK retransmission during recovery — or SACK scoreboard-

@@ -10,8 +10,8 @@
 //! Everything beyond the original simplified lifecycle is opt-in through
 //! [`TcpConfig`]: with the defaults (`cc = Reno`, `ecn = false`,
 //! `sack = false`, no `close()` call) the connection behaves bit-for-bit
-//! like the pre-refactor implementation — the `reno-cc` feature builds a
-//! lockstep oracle asserting exactly that.
+//! like the pre-refactor implementation — the lockstep test in
+//! [`crate::cc`] asserts exactly that for the window arithmetic.
 
 use std::collections::{BTreeMap, VecDeque};
 

@@ -40,7 +40,7 @@ impl Channel {
 /// when `drops` contains n, and swaps adjacent deliveries when `swaps`
 /// contains the delivery index. Returns bytes delivered in order at the
 /// receiver.
-fn run_transfer(writes: Vec<u16>, drops: Vec<u8>, swaps: Vec<u8>) -> (u64, u64) {
+fn run_transfer(writes: &[u16], drops: &[u8], swaps: &[u8]) -> (u64, u64) {
     let cfg = TcpConfig::default();
     let mut a = TcpConn::client(flow(), cfg);
     let mut b = TcpConn::server(flow().reverse(), cfg);
@@ -55,7 +55,7 @@ fn run_transfer(writes: Vec<u16>, drops: Vec<u8>, swaps: Vec<u8>) -> (u64, u64) 
     b.on_segment(now, ack.seq, ack.ack, ack.flags, 0);
 
     let total: u64 = writes.iter().map(|&w| w as u64 + 1).sum();
-    for w in &writes {
+    for w in writes {
         assert!(a.app_send(*w as u64 + 1));
     }
 
@@ -115,14 +115,8 @@ fn run_transfer(writes: Vec<u16>, drops: Vec<u8>, swaps: Vec<u8>) -> (u64, u64) 
 
 #[test]
 fn all_bytes_delivered_in_order_under_loss_and_reorder() {
-    let mut r = Rng::new(0x7C9_1055);
-    for _ in 0..48 {
-        let writes: Vec<u16> = (0..r.range(1, 19))
-            .map(|_| r.range(1, 2999) as u16)
-            .collect();
-        let drops: Vec<u8> = (0..r.below(6)).map(|_| r.below(37) as u8).collect();
-        let swaps: Vec<u8> = (0..r.below(6)).map(|_| r.below(17) as u8).collect();
-        let (delivered, total) = run_transfer(writes.clone(), drops.clone(), swaps.clone());
+    let check = |writes: &[u16], drops: &[u8], swaps: &[u8]| {
+        let (delivered, total) = run_transfer(writes, drops, swaps);
         // Delivery is cumulative/in-order by construction of bytes_delivered:
         // equality means no byte was lost, duplicated, or reordered past the
         // reassembly queue.
@@ -130,6 +124,20 @@ fn all_bytes_delivered_in_order_under_loss_and_reorder() {
             delivered, total,
             "writes={writes:?} drops={drops:?} swaps={swaps:?}"
         );
+    };
+    // A shrunk case that once stalled the transfer, pinned ahead of the
+    // random sweep.
+    let mut pinned = vec![1u16; 13];
+    pinned.extend([247, 979, 1666]);
+    check(&pinned, &[19, 17, 16, 13], &[4]);
+    let mut r = Rng::new(0x7C9_1055);
+    for _ in 0..48 {
+        let writes: Vec<u16> = (0..r.range(1, 19))
+            .map(|_| r.range(1, 2999) as u16)
+            .collect();
+        let drops: Vec<u8> = (0..r.below(6)).map(|_| r.below(37) as u8).collect();
+        let swaps: Vec<u8> = (0..r.below(6)).map(|_| r.below(17) as u8).collect();
+        check(&writes, &drops, &swaps);
     }
 }
 

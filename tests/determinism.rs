@@ -65,6 +65,12 @@ fn run_scenario(seed: u64) -> Fingerprint {
 /// also report how many bursts the kernel formed so the differential test
 /// can prove it is not vacuous.
 fn run_scenario_burst(seed: u64, burst: bool) -> (Fingerprint, u64) {
+    with_burst_default(burst, || run_scenario_core(seed, None, false))
+}
+
+/// Run `f` with this thread's kernels defaulting to `burst` delivery; the
+/// default is restored on the way out, panic or not.
+fn with_burst_default<T>(burst: bool, f: impl FnOnce() -> T) -> T {
     struct Reset;
     impl Drop for Reset {
         fn drop(&mut self) {
@@ -73,7 +79,7 @@ fn run_scenario_burst(seed: u64, burst: bool) -> (Fingerprint, u64) {
     }
     let _reset = Reset;
     fastrak_sim::kernel::set_burst_delivery_default(Some(burst));
-    run_scenario_core(seed, None, false)
+    f()
 }
 
 fn run_scenario_with(seed: u64, faults: Option<FaultConfig>) -> Fingerprint {
@@ -388,9 +394,7 @@ fn idle_chaos_plane_is_invisible() {
 fn scripted_chaos_replays_bit_identically() {
     // Component failures — ToR reboot, VF death, link flap, controller
     // restart — are pure functions of the script: same config, same run,
-    // bit for bit. This also runs under the `heap-sched`/`scalar-datapath`
-    // oracle feature builds in CI, pinning the chaos plane to both
-    // scheduler and datapath implementations.
+    // bit for bit.
     let a = run_scenario_chaos(42, false);
     let b = run_scenario_chaos(42, false);
     assert_eq!(a, b, "scripted chaos must replay bit-identically");
@@ -476,33 +480,36 @@ fn burst_delivery_toggle_is_bit_identical() {
 /// and Rust's `Debug` for f64 is shortest-roundtrip, so two runs digest
 /// equal iff every metric is bit-identical.
 fn experiment_digest(id: &str, burst: bool) -> String {
-    struct Reset;
-    impl Drop for Reset {
-        fn drop(&mut self) {
-            fastrak_sim::kernel::set_burst_delivery_default(None);
-        }
-    }
-    let _reset = Reset;
-    fastrak_sim::kernel::set_burst_delivery_default(Some(burst));
-    let arts = fastrak_bench::experiments::run(id, false)
-        .unwrap_or_else(|| panic!("unknown experiment id {id}"));
-    format!("{arts:?}")
+    with_burst_default(burst, || {
+        let arts = fastrak_bench::experiments::run(id, false)
+            .unwrap_or_else(|| panic!("unknown experiment id {id}"));
+        format!("{arts:?}")
+    })
 }
 
 #[test]
 fn experiment_artifacts_bit_identical_across_burst_modes() {
     // Acceptance criterion for the vector datapath: experiment artifacts
     // must be bit-identical with burst delivery on and off. fig12 runs in
-    // ~1s even in debug; set FASTRAK_DIFF_ALL_EXPERIMENTS=1 to sweep the
-    // full `experiments all` suite (minutes in debug, CI runs it nightly).
-    let ids: Vec<&str> = if std::env::var("FASTRAK_DIFF_ALL_EXPERIMENTS").is_ok() {
-        fastrak_bench::experiments::all_ids().to_vec()
-    } else {
-        vec!["fig12"]
-    };
-    for id in ids {
-        let on = experiment_digest(id, true);
-        let off = experiment_digest(id, false);
+    // ~1s even in debug; the `#[ignore]`d sibling below sweeps every id.
+    let on = experiment_digest("fig12", true);
+    let off = experiment_digest("fig12", false);
+    assert_eq!(on, off, "fig12: artifacts diverged across burst modes");
+}
+
+#[test]
+#[ignore = "slow: run with cargo test --release --test determinism -- --ignored"]
+fn all_experiment_artifacts_bit_identical_across_burst_modes() {
+    // The artifact-level check of the batched pipelines against scalar
+    // delivery: every paper artifact, both modes. The two modes of an id
+    // run side by side — the burst default is thread-local, so they cannot
+    // see each other's setting.
+    for id in fastrak_bench::experiments::all_ids() {
+        let (on, off) = std::thread::scope(|s| {
+            let off = s.spawn(|| experiment_digest(id, false));
+            let on = experiment_digest(id, true);
+            (on, off.join().expect("scalar-delivery run panicked"))
+        });
         assert_eq!(on, off, "{id}: artifacts diverged across burst modes");
     }
 }
@@ -523,9 +530,6 @@ fn different_seeds_diverge() {
 /// ToR + NIC queues, SACK enabled, and a full FIN/TIME_WAIT teardown at
 /// the end (the aggregator closes every connection once its rounds are
 /// done). Exercises the complete new transport subsystem end to end.
-/// Under `--features reno-cc` the rest of this suite additionally
-/// shadow-checks every Reno connection against the pre-refactor
-/// implementation on every CC hook.
 fn run_transport_scenario(seed: u64) -> (u64, u64, u64, u64, u64) {
     use fastrak_transport::cc::CcAlgo;
     use fastrak_transport::tcp::TcpConfig;
