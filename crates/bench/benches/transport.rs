@@ -1,6 +1,8 @@
 //! Benchmarks for the transport subsystem's hot paths: the established
-//! ACK-clocked send/receive cycle, SACK scoreboard maintenance under a
-//! lossy window, and ECN mark-or-drop admission on the drop-tail queue.
+//! ACK-clocked send/receive cycle (on a bare connection pair, and through
+//! two per-VM stacks holding one busy connection among many idle ones),
+//! SACK scoreboard maintenance under a lossy window, and ECN mark-or-drop
+//! admission on the drop-tail queue.
 //!
 //! Run with `cargo bench -p fastrak-bench --bench transport` (add
 //! `-- --quick` for a fast smoke pass). Set `FASTRAK_BENCH_JSON=<path>` to
@@ -9,10 +11,11 @@
 use fastrak_bench::harness::{black_box, Suite};
 use fastrak_net::addr::{Ip, TenantId};
 use fastrak_net::flow::{FlowKey, Proto};
-use fastrak_net::packet::SackBlocks;
+use fastrak_net::packet::{L4Meta, Packet, SackBlocks};
 use fastrak_sim::time::SimTime;
 use fastrak_transport::sack::Scoreboard;
-use fastrak_transport::tcp::{TcpConfig, TcpConn};
+use fastrak_transport::tcp::{TcpConfig, TcpConn, TSO_LIMIT};
+use fastrak_transport::{ConnId, TcpStack};
 
 fn flow() -> FlowKey {
     FlowKey {
@@ -45,6 +48,47 @@ fn established_pair() -> (TcpConn, TcpConn) {
     (c, s)
 }
 
+/// What the host's `pump_vm` does to a VM's stack, with `to` standing in
+/// for the wire and the peer's receive path: drain every segment `from`
+/// wants to send, deliver each, then ask for the next timer to arm.
+fn pump_stack(from: &mut TcpStack, to: &mut TcpStack, now: SimTime) {
+    while let Some((id, plan)) = from.poll_transmit(now, TSO_LIMIT) {
+        let l4 = L4Meta::Tcp {
+            seq: plan.seq,
+            ack: plan.ack,
+            flags: plan.flags,
+        };
+        let mut pkt = Packet::new(0, from.conn(id).flow, l4, plan.len, now);
+        pkt.sack = plan.sack;
+        to.on_packet(now, &pkt);
+    }
+    black_box(from.next_timer());
+}
+
+/// Client and server stacks with `conns` established connections; returns
+/// them with the id of the one connection the bench keeps busy.
+fn established_stacks(conns: usize) -> (TcpStack, TcpStack, ConnId) {
+    let mut c = TcpStack::new(TcpConfig::default());
+    let mut s = TcpStack::new(TcpConfig::default());
+    s.listen(flow().dst_port);
+    let ids: Vec<_> = (0..conns)
+        .map(|i| {
+            c.connect(FlowKey {
+                src_port: 20_000 + i as u16,
+                ..flow()
+            })
+        })
+        .collect();
+    for _ in 0..2 {
+        pump_stack(&mut c, &mut s, SimTime::ZERO); // SYNs, then ACKs
+        pump_stack(&mut s, &mut c, SimTime::ZERO); // SYN|ACKs
+    }
+    assert!(ids.iter().all(|&id| c.conn(id).is_established()));
+    c.drain_events();
+    s.drain_events();
+    (c, s, ids[conns / 2])
+}
+
 fn main() {
     let quick = std::env::args().any(|a| a == "--quick");
     let mut su = Suite::new("transport");
@@ -71,6 +115,29 @@ fn main() {
             black_box(c.flight());
         });
         assert_eq!(c.flight(), 0, "ack clock must keep the pipe drained");
+    }
+
+    // The same transaction through two per-VM stacks, pumped the way the
+    // host pumps them, with one busy connection among `conns` established
+    // ones. The idle connections must cost nothing: the 512 point is held
+    // near the 1 point by a perf_gate ceiling, so a per-connection scan on
+    // the pump path cannot come back unnoticed.
+    for conns in [1usize, 512] {
+        let (mut c, mut s, active) = established_stacks(conns);
+        let mut now = SimTime::ZERO;
+        su.bench(&format!("tcp_stack_pump/conns/{conns}"), || {
+            now = SimTime(now.as_nanos() + 10_000);
+            c.app_send(active, 1448);
+            pump_stack(&mut c, &mut s, now);
+            pump_stack(&mut s, &mut c, now);
+            // Flush the delayed ACK when it is what the window waits for.
+            if s.next_timer().is_some_and(|t| t <= now) {
+                s.on_timer(now);
+                pump_stack(&mut s, &mut c, now);
+            }
+            black_box((c.drain_events(), s.drain_events()));
+        });
+        assert!(c.conn(active).flight() <= 1448, "the pipe stays drained");
     }
 
     // Scoreboard maintenance under a lossy window: fold three-block SACK

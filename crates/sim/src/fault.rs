@@ -25,11 +25,11 @@
 //! [`crate::kernel::Kernel::post`] calls are never faulted.
 
 use crate::chaos::{ChaosConfig, ChaosPlane};
-use crate::fxhash::FxHashMap;
 use crate::kernel::NodeId;
 use crate::rng::Rng;
 use crate::stats::FaultCounters;
 use crate::time::{SimDuration, SimTime};
+use crate::FxHashMap;
 
 /// Fault probabilities for one directed link (message stream src → dst).
 #[derive(Debug, Clone, Copy, PartialEq)]

@@ -39,15 +39,13 @@ pub mod tbf;
 pub mod time;
 pub mod trace;
 
-/// The fast deterministic hasher now lives in `fastrak-telemetry` (the
-/// bottom of the dependency stack); re-exported so `fastrak_sim::fxhash::*`
-/// paths keep working.
-pub use fastrak_telemetry::fxhash;
-
 pub use chaos::{ChaosConfig, ChaosCounters, ChaosPlane};
 pub use cpu::CpuPool;
 pub use fault::{FaultConfig, FaultDecision, FaultLayer, FaultPlane, LinkFaults};
-pub use fxhash::{FxBuildHasher, FxHashMap, FxHashSet, FxHasher};
+// The fast deterministic hasher is defined in `fastrak-telemetry` (the
+// bottom of the dependency stack); this is the one path simulator crates
+// import it by.
+pub use fastrak_telemetry::fxhash::{FxBuildHasher, FxHashMap, FxHashSet, FxHasher};
 pub use kernel::{Api, EventHandle, Kernel, Node, NodeId};
 pub use queue::{DropTailQueue, QueueDropStats};
 pub use rng::Rng;

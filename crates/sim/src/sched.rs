@@ -20,9 +20,9 @@
 use std::collections::BinaryHeap;
 use std::mem;
 
-use crate::fxhash::FxHashSet;
 use crate::kernel::NodeId;
 use crate::time::SimTime;
+use crate::FxHashSet;
 
 /// Handle to a scheduled event; used to cancel timers.
 ///

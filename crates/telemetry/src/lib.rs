@@ -45,7 +45,6 @@ pub mod recorder;
 pub mod registry;
 pub mod span;
 
-pub use fxhash::{FxBuildHasher, FxHashMap, FxHashSet, FxHasher};
 pub use hist::Histogram;
 pub use intern::{Interner, Istr};
 pub use recorder::{

@@ -2,14 +2,31 @@
 //! accepts incoming connections on listening ports, and multiplexes
 //! transmissions fairly (round-robin) across connections — the guest-kernel
 //! role in the simulated VM.
+//!
+//! A VM holds many connections and almost all of them are idle, so the
+//! stack never walks them. It keeps two indexes over `conns`, both
+//! maintained by [`TcpStack::touch`] after every mutation of a connection:
+//!
+//! * the **tx-ready set**, one bit per connection. Invariant: a connection
+//!   outside the set polls to `None` without changing. Readiness depends on
+//!   the connection's state and the poll's `seg_limit` — never on `now`,
+//!   which [`TcpConn::poll_transmit`] only stamps into deadlines — so a bit
+//!   can stay clear for as long as nothing is fed to the connection. (A
+//!   pacing feature that makes a connection sendable by the passage of time
+//!   would have to wake it through the timer index.)
+//! * the **timer index**, an ordered set of `(deadline, connection)`.
+//!   Invariant: it holds exactly `conn.next_timer()` for every connection.
+//!
+//! Every path that changes a connection goes through the stack (there is no
+//! `&mut TcpConn` accessor), which is what keeps both invariants.
 
+use fastrak_sim::time::SimTime;
 use fastrak_sim::{FxHashMap, FxHashSet};
-use std::collections::VecDeque;
+use std::collections::{BTreeSet, VecDeque};
 
 use fastrak_net::flow::FlowKey;
 use fastrak_net::headers::{ecn, tcp_flags};
 use fastrak_net::packet::{L4Meta, Packet};
-use fastrak_sim::time::SimTime;
 
 use crate::tcp::{SegmentPlan, TcpConfig, TcpConn, TcpState};
 
@@ -55,6 +72,16 @@ pub struct TcpStack {
     listeners: FxHashSet<u16>,
     events: VecDeque<SockEvent>,
     rr_cursor: usize,
+    /// Tx-ready set: bit `i` of word `i / 64` is connection `i`.
+    ready: Vec<u64>,
+    /// `seg_limit` of the latest poll: a connection blocked on a whole
+    /// chunk fitting its window may be sendable under a different limit.
+    seg_limit: u32,
+    /// Timer index, and per connection the deadline it is indexed under.
+    timers: BTreeSet<(SimTime, u32)>,
+    indexed: Vec<Option<SimTime>>,
+    /// Scratch for [`TcpStack::on_timer`]'s due list.
+    due: Vec<u32>,
 }
 
 impl TcpStack {
@@ -67,6 +94,11 @@ impl TcpStack {
             listeners: FxHashSet::default(),
             events: VecDeque::new(),
             rr_cursor: 0,
+            ready: Vec::new(),
+            seg_limit: 0,
+            timers: BTreeSet::new(),
+            indexed: Vec::new(),
+            due: Vec::new(),
         }
     }
 
@@ -82,27 +114,69 @@ impl TcpStack {
             !self.by_flow.contains_key(&flow),
             "duplicate connection for {flow:?}"
         );
-        let id = self.conns.len();
-        self.conns.push(TcpConn::client(flow, self.cfg));
-        self.by_flow.insert(flow, id);
-        ConnId(id as u32)
+        ConnId(self.push_conn(TcpConn::client(flow, self.cfg)) as u32)
+    }
+
+    /// Append a connection and index it.
+    fn push_conn(&mut self, conn: TcpConn) -> usize {
+        let idx = self.conns.len();
+        self.by_flow.insert(conn.flow, idx);
+        self.conns.push(conn);
+        self.indexed.push(None);
+        if idx / 64 == self.ready.len() {
+            self.ready.push(0);
+        }
+        self.touch(idx);
+        idx
+    }
+
+    /// Connection `idx` was (or may have been) mutated: it re-enters the
+    /// ready set and the timer index follows its deadline.
+    fn touch(&mut self, idx: usize) {
+        self.mark_ready(idx);
+        self.sync_timer(idx);
+    }
+
+    fn mark_ready(&mut self, idx: usize) {
+        self.ready[idx / 64] |= 1 << (idx % 64);
+    }
+
+    fn sync_timer(&mut self, idx: usize) {
+        let want = self.conns[idx].next_timer().map(|(t, _)| t);
+        let have = self.indexed[idx];
+        if have != want {
+            if let Some(t) = have {
+                self.timers.remove(&(t, idx as u32));
+            }
+            if let Some(t) = want {
+                self.timers.insert((t, idx as u32));
+            }
+            self.indexed[idx] = want;
+        }
     }
 
     /// Queue an application write on `conn`; false when the send buffer is
     /// full.
     pub fn app_send(&mut self, conn: ConnId, bytes: u64) -> bool {
-        self.conns[conn.0 as usize].app_send(bytes)
+        let idx = conn.0 as usize;
+        let accepted = self.conns[idx].app_send(bytes);
+        if accepted {
+            self.touch(idx);
+        }
+        accepted
     }
 
     /// Graceful close: a FIN follows any queued data. The connection keeps
     /// receiving until the peer closes too (half-close semantics).
     pub fn close(&mut self, conn: ConnId) {
         self.conns[conn.0 as usize].close();
+        self.touch(conn.0 as usize);
     }
 
     /// Abortive close: emit an RST and discard all state immediately.
     pub fn abort(&mut self, conn: ConnId) {
         self.conns[conn.0 as usize].abort();
+        self.touch(conn.0 as usize);
     }
 
     /// Access a connection (stats, state).
@@ -110,17 +184,14 @@ impl TcpStack {
         &self.conns[id.0 as usize]
     }
 
-    /// Mutable access (tests, fault injection).
-    pub fn conn_mut(&mut self, id: ConnId) -> &mut TcpConn {
-        &mut self.conns[id.0 as usize]
-    }
-
     /// All connection ids.
     pub fn conn_ids(&self) -> impl Iterator<Item = ConnId> {
         (0..self.conns.len() as u32).map(ConnId)
     }
 
-    /// Number of connections (open forever; no teardown in this model).
+    /// Number of connection slots. A slot outlives its connection: a
+    /// closed one stays (and is counted) until a fresh SYN on the same flow
+    /// key reuses it.
     pub fn len(&self) -> usize {
         self.conns.len()
     }
@@ -149,11 +220,9 @@ impl TcpStack {
             None => {
                 // New inbound connection?
                 if is_bare_syn && self.listeners.contains(&pkt.flow.dst_port) {
-                    let id = self.conns.len();
                     let mut conn = TcpConn::server(ours, self.cfg);
                     conn.set_peer_ecn_request(ecn_requested);
-                    self.conns.push(conn);
-                    self.by_flow.insert(ours, id);
+                    let id = self.push_conn(conn);
                     self.events.push_back(SockEvent::Accepted {
                         conn: ConnId(id as u32),
                         port: pkt.flow.dst_port,
@@ -176,6 +245,8 @@ impl TcpStack {
             let mut conn = TcpConn::server(ours, self.cfg);
             conn.set_peer_ecn_request(ecn_requested);
             self.conns[idx] = conn;
+            // Drops the old incarnation's TIME_WAIT deadline from the index.
+            self.touch(idx);
             self.events.push_back(SockEvent::Accepted {
                 conn: ConnId(idx as u32),
                 port: pkt.flow.dst_port,
@@ -191,6 +262,7 @@ impl TcpStack {
             pkt.ecn == ecn::CE,
             pkt.sack,
         );
+        self.touch(idx);
         if out.connected {
             self.events
                 .push_back(SockEvent::Connected(ConnId(idx as u32)));
@@ -213,15 +285,42 @@ impl TcpStack {
         }
     }
 
+    /// The first ready connection in `from..`, if any.
+    fn next_ready(&self, from: usize) -> Option<usize> {
+        let mut w = from / 64;
+        let mut word = *self.ready.get(w)? & (!0 << (from % 64));
+        while word == 0 {
+            w += 1;
+            word = *self.ready.get(w)?;
+        }
+        Some(w * 64 + word.trailing_zeros() as usize)
+    }
+
     /// Produce the next segment any connection wants to send, round-robin
     /// across connections for fairness (netperf's threads share the link).
     pub fn poll_transmit(&mut self, now: SimTime, seg_limit: u32) -> Option<(ConnId, SegmentPlan)> {
         let n = self.conns.len();
-        for off in 0..n {
-            let idx = (self.rr_cursor + off) % n;
-            if let Some(plan) = self.conns[idx].poll_transmit(now, seg_limit) {
-                self.rr_cursor = (idx + 1) % n;
-                return Some((ConnId(idx as u32), plan));
+        if seg_limit != self.seg_limit {
+            self.seg_limit = seg_limit;
+            (0..n).for_each(|idx| self.mark_ready(idx));
+        }
+        // The order a scan of every connection from the cursor would poll
+        // in — `rr_cursor..n`, then `0..rr_cursor` — visiting only the ready.
+        let start = self.rr_cursor;
+        for (lo, hi) in [(start, n), (0, start)] {
+            let mut from = lo;
+            while let Some(idx) = self.next_ready(from).filter(|&i| i < hi) {
+                let plan = self.conns[idx].poll_transmit(now, seg_limit);
+                if plan.is_none() && self.conns[idx].poll_is_settled() {
+                    self.ready[idx / 64] &= !(1 << (idx % 64));
+                }
+                // A transmission arms the RTO and clears the delayed ACK.
+                self.sync_timer(idx);
+                if let Some(plan) = plan {
+                    self.rr_cursor = (idx + 1) % n;
+                    return Some((ConnId(idx as u32), plan));
+                }
+                from = idx + 1;
             }
         }
         None
@@ -229,15 +328,23 @@ impl TcpStack {
 
     /// Earliest timer deadline across all connections.
     pub fn next_timer(&self) -> Option<SimTime> {
-        self.conns
-            .iter()
-            .filter_map(|c| c.next_timer().map(|(t, _)| t))
-            .min()
+        self.timers.first().map(|&(t, _)| t)
     }
 
     /// Fire all timers due at `now`. Follow with [`TcpStack::poll_transmit`].
     pub fn on_timer(&mut self, now: SimTime) {
-        for (idx, c) in self.conns.iter_mut().enumerate() {
+        let mut due = std::mem::take(&mut self.due);
+        due.extend(
+            self.timers
+                .iter()
+                .take_while(|&&(t, _)| t <= now)
+                .map(|&(_, idx)| idx),
+        );
+        // Connection order, not deadline order: it is the order `Closed`
+        // events are queued in.
+        due.sort_unstable();
+        for &idx in &due {
+            let c = &mut self.conns[idx as usize];
             let was_closed = c.is_closed();
             while let Some((deadline, which)) = c.next_timer() {
                 if deadline > now {
@@ -252,9 +359,12 @@ impl TcpStack {
             }
             if !was_closed && c.is_closed() {
                 // TIME_WAIT expiry (2·MSL) released the connection.
-                self.events.push_back(SockEvent::Closed(ConnId(idx as u32)));
+                self.events.push_back(SockEvent::Closed(ConnId(idx)));
             }
+            self.touch(idx as usize);
         }
+        due.clear();
+        self.due = due;
     }
 
     /// Drain pending socket events.
@@ -289,8 +399,29 @@ mod tests {
         SimTime::from_micros(us)
     }
 
+    /// The two index invariants of the module docs, checked against every
+    /// connection.
+    fn assert_indexed(s: &TcpStack) {
+        for (idx, conn) in s.conns.iter().enumerate() {
+            let deadline = conn.next_timer().map(|(t, _)| t);
+            assert_eq!(s.indexed[idx], deadline, "conn {idx}");
+            if s.ready[idx / 64] & (1 << (idx % 64)) == 0 {
+                let mut polled = conn.clone();
+                assert_eq!(polled.poll_transmit(t(0), s.seg_limit), None);
+                assert_eq!(format!("{polled:?}"), format!("{conn:?}"), "conn {idx}");
+            }
+        }
+        let indexed = s.indexed.iter().enumerate();
+        let timers: BTreeSet<_> = indexed
+            .filter_map(|(idx, d)| d.map(|t| (t, idx as u32)))
+            .collect();
+        assert_eq!(s.timers, timers);
+    }
+
     /// Shuttle packets between two stacks until quiescent.
     fn pump(a: &mut TcpStack, b: &mut TcpStack, now_us: &mut u64) {
+        assert_indexed(a);
+        assert_indexed(b);
         loop {
             let mut moved = false;
             while let Some((id, plan)) = a.poll_transmit(t(*now_us), 65_000) {
@@ -309,6 +440,8 @@ mod tests {
                 break;
             }
         }
+        assert_indexed(a);
+        assert_indexed(b);
     }
 
     fn mk_pkt(flow: FlowKey, plan: SegmentPlan) -> Packet {

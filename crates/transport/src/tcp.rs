@@ -1137,6 +1137,17 @@ impl TcpConn {
         None
     }
 
+    /// Right after [`TcpConn::poll_transmit`] returned `None`: is polling
+    /// again, with nothing fed in between, certain to be a no-op?
+    /// Everything that `None` ruled out (window room, a FIN to send, an ACK
+    /// owed) is a pure read of state the poll left alone. The exception is
+    /// the retransmit queue: each poll pops at most one hole, and a stale
+    /// (already acked) one falls through to `None` with the next still
+    /// queued.
+    pub(crate) fn poll_is_settled(&self) -> bool {
+        self.rtx_q.is_empty()
+    }
+
     fn clear_ack_state(&mut self) {
         self.need_ack_now = false;
         self.segs_since_ack = 0;
