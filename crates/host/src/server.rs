@@ -176,8 +176,12 @@ pub struct Server {
     /// Uplink wiring: (ToR node, ingress port index at the ToR) per local port.
     uplinks: [Option<(NodeId, usize)>; 2],
     link_free: [SimTime; 2],
-    pending: FxHashMap<u64, Pending>,
-    next_token: u64,
+    /// Stage table: packets parked between pipeline stages, indexed by the
+    /// token their `tags::PENDING` timer carries. A slot is filled by
+    /// [`Server::stash`], emptied when its timer fires, and its index
+    /// reused, so the table stays as long as the most stages ever in flight.
+    pending: Vec<Option<Pending>>,
+    free_slots: Vec<usize>,
     /// Shared pool when `cfg.pinned_cpus` is set.
     pin_pool: Option<CpuPool>,
     /// Per-flow monotonic completion clamps (per direction): real stacks
@@ -209,8 +213,8 @@ impl Server {
             irq_pool: CpuPool::new(cfg.irq_threads),
             uplinks: [None, None],
             link_free: [SimTime::ZERO; 2],
-            pending: FxHashMap::default(),
-            next_token: 0,
+            pending: Vec::new(),
+            free_slots: Vec::new(),
             pin_pool: cfg.pinned_cpus.map(CpuPool::new),
             flow_clock: FxHashMap::default(),
             stats: ServerStats::default(),
@@ -503,11 +507,34 @@ impl Server {
         t
     }
 
+    /// Park a stage in a free slot; the slot index is the timer token.
     fn stash(&mut self, p: Pending) -> u64 {
-        let tok = self.next_token;
-        self.next_token += 1;
-        self.pending.insert(tok, p);
-        tok
+        let slot = match self.free_slots.pop() {
+            Some(slot) => {
+                self.pending[slot] = Some(p);
+                slot
+            }
+            None => {
+                self.pending.push(Some(p));
+                self.pending.len() - 1
+            }
+        };
+        slot as u64
+    }
+
+    /// Take the stage a fired timer names and free its slot. A token naming
+    /// a vacant or out-of-range slot yields `None` and frees nothing.
+    fn unstash(&mut self, tok: u64) -> Option<Pending> {
+        let slot = usize::try_from(tok).ok()?;
+        let p = self.pending.get_mut(slot)?.take()?;
+        self.free_slots.push(slot);
+        Some(p)
+    }
+
+    /// Pipeline stages currently parked waiting for their completion timer
+    /// (one per packet inside this server). Zero once a run has drained.
+    pub fn stages_in_flight(&self) -> usize {
+        self.pending.len() - self.free_slots.len()
     }
 
     // ---------------------------------------------------------------- tx --
@@ -1137,7 +1164,7 @@ impl Node<Event, NetCtx> for Server {
             Event::Frame { port, pkt } => self.on_frame(api, port, pkt),
             Event::Timer { tag, a, b } => match tag {
                 tags::PENDING => {
-                    let Some(p) = self.pending.remove(&a) else {
+                    let Some(p) = self.unstash(a) else {
                         return;
                     };
                     match p {
@@ -1213,5 +1240,126 @@ impl Node<Event, NetCtx> for Server {
 
     fn name(&self) -> &str {
         &self.cfg.name
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::vm::VmSpec;
+    use fastrak_net::flow::{FlowKey, Proto};
+    use fastrak_sim::kernel::Kernel;
+    use fastrak_transport::stack::SockEvent;
+
+    const TENANT: TenantId = TenantId(7);
+
+    struct NullApp;
+
+    impl crate::app::GuestApp for NullApp {
+        fn on_start(&mut self, _api: &mut GuestApi<'_>) {}
+        fn on_event(&mut self, _ev: SockEvent, _api: &mut GuestApi<'_>) {}
+        fn on_timer(&mut self, _tag: u64, _api: &mut GuestApi<'_>) {}
+    }
+
+    fn server() -> Server {
+        let mut srv = Server::new(ServerConfig::testbed("s0", Ip::new(192, 168, 0, 1)));
+        let spec = VmSpec::medium("vm0", TENANT, Ip::new(10, 0, 0, 2));
+        srv.add_vm(Vm::new(spec, Box::new(NullApp)), Some(VlanId::new(100)));
+        srv
+    }
+
+    fn packet(id: u64) -> Packet {
+        let flow = FlowKey {
+            tenant: TENANT,
+            src_ip: Ip::new(10, 0, 0, 1),
+            dst_ip: Ip::new(10, 0, 0, 2),
+            proto: Proto::Udp,
+            src_port: 40_000,
+            dst_port: 1000,
+        };
+        Packet::new(id, flow, L4Meta::Udp, 100, SimTime::ZERO)
+    }
+
+    fn stage(id: u64) -> Pending {
+        Pending::GuestRxDone {
+            vm: 0,
+            pkt: packet(id),
+        }
+    }
+
+    fn packet_id(p: Pending) -> u64 {
+        match p {
+            Pending::GuestRxDone { pkt, .. } => pkt.id,
+            _ => panic!("only guest-rx stages are stashed here"),
+        }
+    }
+
+    #[test]
+    fn stage_tokens_are_slot_indices_reused_after_their_timer_fired() {
+        let mut srv = server();
+        let toks: Vec<u64> = (0..3).map(|i| srv.stash(stage(i))).collect();
+        assert_eq!(toks, [0, 1, 2]);
+        assert_eq!(srv.stages_in_flight(), 3);
+        assert_eq!(srv.unstash(1).map(packet_id), Some(1));
+        assert_eq!(srv.stages_in_flight(), 2);
+        // The freed slot is the next token; the table did not grow.
+        assert_eq!(srv.stash(stage(3)), 1);
+        assert_eq!(srv.pending.len(), 3);
+        assert_eq!(srv.unstash(1).map(packet_id), Some(3));
+        assert_eq!(srv.unstash(0).map(packet_id), Some(0));
+        assert_eq!(srv.unstash(2).map(packet_id), Some(2));
+        assert_eq!(srv.stages_in_flight(), 0);
+    }
+
+    #[test]
+    fn vacant_or_out_of_range_token_frees_nothing() {
+        let mut srv = server();
+        let a = srv.stash(stage(0));
+        let b = srv.stash(stage(1));
+        assert!(srv.unstash(a).is_some());
+        // A second fire of the same token, a token past the table and the
+        // largest token there is: all ignored.
+        assert!(srv.unstash(a).is_none());
+        assert!(srv.unstash(99).is_none());
+        assert!(srv.unstash(u64::MAX).is_none());
+        assert_eq!(srv.free_slots, [a as usize], "slot freed exactly once");
+        assert_eq!(srv.stages_in_flight(), 1);
+        // A double free would hand slot `a` out twice and overwrite a stage.
+        let c = srv.stash(stage(2));
+        let d = srv.stash(stage(3));
+        assert_eq!(c, a);
+        assert!(d != a && d != b);
+        assert_eq!(srv.stages_in_flight(), 3);
+    }
+
+    #[test]
+    fn stray_pending_timers_are_ignored_and_the_table_drains() {
+        let mut k: Kernel<Event, NetCtx> = Kernel::new(NetCtx::new(), 1);
+        let sid = k.add_node(server());
+        let at = SimTime::from_micros(10);
+        for tok in [0, 5, u64::MAX] {
+            let stray = Event::Timer {
+                tag: tags::PENDING,
+                a: tok,
+                b: 0,
+            };
+            k.post(sid, at, stray);
+        }
+        for id in 0..8 {
+            let mut pkt = packet(id);
+            pkt.encap(Encap::Vlan(100));
+            k.post(sid, at, Event::Frame { port: PORT_HW, pkt });
+        }
+        // The strays fired first, on an empty table; every frame is now
+        // parked in the guest-rx stage.
+        k.run_until(at);
+        assert_eq!(k.node::<Server>(sid).stages_in_flight(), 8);
+        k.run_to_completion();
+        let srv = k.node::<Server>(sid);
+        assert_eq!(srv.stats.rx_frames, 8);
+        assert_eq!(srv.stats.rx_drops, 0);
+        assert_eq!(srv.nic().vfs()[0].rx_packets, 8);
+        assert_eq!(srv.stages_in_flight(), 0);
+        assert!(srv.pending.len() <= 8);
     }
 }

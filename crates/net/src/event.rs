@@ -225,6 +225,14 @@ mod tests {
     }
 
     #[test]
+    fn event_moves_in_five_words() {
+        // A frame is a port and a packet handle; the widest variant is the
+        // control message. The kernel moves an `Event` at every hop, so a
+        // field that grows it past this is paid per event.
+        assert!(std::mem::size_of::<Event>() <= 40);
+    }
+
+    #[test]
     fn packet_ids_unique() {
         let mut ctx = NetCtx::new();
         let a = ctx.alloc_packet_id();

@@ -68,10 +68,10 @@ pub const ENCAP_MAX_DEPTH: usize = 2;
 
 /// Inline fixed-capacity encapsulation stack (innermost first).
 ///
-/// Replaces `Vec<Encap>` on [`Packet`]: the stack lives inside the packet
-/// struct, so pushing a tunnel header or cloning a packet at a hop does not
-/// touch the heap. Pushing beyond [`ENCAP_MAX_DEPTH`] panics — depth > 2
-/// would mean a topology bug, not a bigger stack.
+/// The stack lives inside the [`PacketBody`], so a packet is one allocation
+/// and pushing a tunnel header at a hop does not touch the heap. Pushing
+/// beyond [`ENCAP_MAX_DEPTH`] panics — depth > 2 would mean a topology bug,
+/// not a bigger stack.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct EncapStack {
     len: u8,
@@ -211,9 +211,22 @@ pub enum PathTag {
     SrIov,
 }
 
-/// A packet in flight through the simulation.
+/// A packet in flight through the simulation: an owning, pointer-sized
+/// handle to a heap [`PacketBody`].
+///
+/// The body is written once where the packet is born ([`Packet::new`]) and
+/// freed once where it dies (dropped at delivery or at a drop point); every
+/// hop in between — event, scheduler entry, burst buffer, stage table —
+/// moves the 8-byte handle. Fields are reached through `Deref`, so
+/// `pkt.flow`, `pkt.ecn = ..` and `&pkt` read as they would on a plain
+/// struct. `Clone` copies the body (the clone is independent), `==` and
+/// `Debug` go by body.
 #[derive(Debug, Clone, PartialEq)]
-pub struct Packet {
+pub struct Packet(Box<PacketBody>);
+
+/// The fields of a [`Packet`], reached through its `Deref`.
+#[derive(Debug, Clone, PartialEq)]
+pub struct PacketBody {
     /// Unique id for tracing.
     pub id: u64,
     /// The (inner, tenant-space) flow this packet belongs to.
@@ -223,7 +236,7 @@ pub struct Packet {
     /// Application payload bytes in this packet (≤ MSS on the wire; larger
     /// values represent a TSO super-segment until segmentation).
     pub payload: u32,
-    /// Encapsulation stack, innermost first (inline, no heap).
+    /// Encapsulation stack, innermost first (inline in the body).
     pub encaps: EncapStack,
     /// Path taken out of the source server.
     pub path: PathTag,
@@ -240,10 +253,27 @@ pub struct Packet {
     pub sack: SackBlocks,
 }
 
+impl std::ops::Deref for Packet {
+    type Target = PacketBody;
+
+    #[inline]
+    fn deref(&self) -> &PacketBody {
+        &self.0
+    }
+}
+
+impl std::ops::DerefMut for Packet {
+    #[inline]
+    fn deref_mut(&mut self) -> &mut PacketBody {
+        &mut self.0
+    }
+}
+
 impl Packet {
-    /// A payload-bearing packet with no encapsulation.
+    /// A payload-bearing packet with no encapsulation. The one place a
+    /// packet body is allocated (besides `clone`).
     pub fn new(id: u64, flow: FlowKey, l4: L4Meta, payload: u32, sent_at: SimTime) -> Packet {
-        Packet {
+        Packet(Box::new(PacketBody {
             id,
             flow,
             l4,
@@ -254,7 +284,7 @@ impl Packet {
             qos_class: 0,
             ecn: 0,
             sack: SackBlocks::EMPTY,
-        }
+        }))
     }
 
     /// Inner (pre-encap) wire length: Ethernet + IP + L4 + payload.
@@ -568,6 +598,37 @@ mod tests {
         assert_eq!(p.wire_bytes_total(), 2 * 1448 + 2 * 54);
         // Pure-ack packets still occupy one header's worth of wire.
         assert_eq!(pkt(0).wire_bytes_total(), 54);
+    }
+
+    #[test]
+    fn packet_is_a_pointer_sized_handle() {
+        use std::mem::size_of;
+        assert_eq!(size_of::<Packet>(), 8);
+        assert_eq!(size_of::<Option<Packet>>(), 8);
+    }
+
+    #[test]
+    fn clone_is_deep_and_eq_and_debug_go_by_body() {
+        let mut a = pkt(100);
+        a.encap(Encap::Vlan(5));
+        let mut b = a.clone();
+        assert_eq!(a, b);
+        b.encap(Encap::Gre {
+            key: 3,
+            src: Ip::UNSPECIFIED,
+            dst: Ip::UNSPECIFIED,
+        });
+        b.ecn = crate::headers::ecn::CE;
+        assert_ne!(a, b);
+        assert_eq!(a.encaps.len(), 1);
+        assert_eq!(a.ecn, 0);
+        // Two separately born packets with equal bodies are equal.
+        assert_eq!(pkt(7), pkt(7));
+        assert_ne!(pkt(7), pkt(8));
+        let dbg = format!("{a:?}");
+        for field in ["id: 1", "payload: 100", "Vlan(5)", "src_port: 40000"] {
+            assert!(dbg.contains(field), "{field} missing from {dbg}");
+        }
     }
 
     #[test]

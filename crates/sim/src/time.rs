@@ -216,9 +216,14 @@ impl fmt::Display for SimDuration {
 /// whole nanoseconds so that back-to-back packets never occupy zero time.
 pub fn serialization_delay(bytes: u64, bits_per_sec: u64) -> SimDuration {
     debug_assert!(bits_per_sec > 0);
-    let bits = bytes as u128 * 8;
-    let ns = (bits * 1_000_000_000).div_ceil(bits_per_sec as u128);
-    SimDuration(ns as u64)
+    // Called twice per segment: one `u64` division whenever the bit-ns
+    // product fits (any `bytes` below ~2.3 GB), the `u128` form (a
+    // `__udivti3` call) only beyond.
+    let ns = match bytes.checked_mul(8_000_000_000) {
+        Some(bit_ns) => bit_ns.div_ceil(bits_per_sec),
+        None => (bytes as u128 * 8_000_000_000).div_ceil(bits_per_sec as u128) as u64,
+    };
+    SimDuration(ns)
 }
 
 #[cfg(test)]
@@ -258,6 +263,34 @@ mod tests {
         assert_eq!(serialization_delay(64, 1_000_000_000), SimDuration(512));
         // Rounds up: 1 byte at 10 Gbps = 0.8ns -> 1ns.
         assert_eq!(serialization_delay(1, 10_000_000_000), SimDuration(1));
+    }
+
+    #[test]
+    fn serialization_delay_equals_the_u128_form_across_the_u64_boundary() {
+        let wide = |bytes: u64, bps: u64| {
+            SimDuration((bytes as u128 * 8_000_000_000).div_ceil(bps as u128) as u64)
+        };
+        // The last `bytes` whose bit-ns product fits a u64, and its neighbours.
+        let edge = u64::MAX / 8_000_000_000;
+        assert!(edge.checked_mul(8_000_000_000).is_some());
+        assert!((edge + 1).checked_mul(8_000_000_000).is_none());
+        let mut rng = crate::rng::Rng::new(0x5E81A1);
+        for i in 0..20_000u64 {
+            let bytes = match i % 3 {
+                0 => rng.range(1, 65_536),
+                1 => edge - 2 + i % 5,
+                _ => rng.range(edge / 2, edge * 2),
+            };
+            let bps = match i % 2 {
+                0 => 10_000_000_000,
+                _ => rng.range(1, 400_000_000_000),
+            };
+            assert_eq!(
+                serialization_delay(bytes, bps),
+                wide(bytes, bps),
+                "{bytes} B at {bps} b/s"
+            );
+        }
     }
 
     #[test]

@@ -636,6 +636,13 @@ impl TcpConn {
 
         // --- ACK processing (send side) ---
         if flags & tcp_flags::ACK != 0 {
+            if ack > self.snd_nxt {
+                // An ACK for data never sent (another incarnation's
+                // straggler): taking it would put `snd_una` past `snd_nxt`.
+                // RFC 793 §3.9: send an ACK, drop the segment, return.
+                self.need_ack_now = true;
+                return out;
+            }
             if self.cfg.sack {
                 self.scoreboard.on_ack(ack.max(self.snd_una), &sack);
             }
@@ -1225,6 +1232,28 @@ mod tests {
     #[test]
     fn handshake_establishes() {
         establish();
+    }
+
+    #[test]
+    fn ack_for_unsent_data_is_dropped_and_answered() {
+        let (mut c, _s) = establish();
+        assert!(c.app_send(1000));
+        let seg = c.poll_transmit(t(100), TSO_LIMIT).unwrap();
+        assert_eq!(c.flight(), 1000);
+        // A straggler acknowledging (and carrying) bytes this incarnation
+        // never exchanged: neither its ACK field nor its data is taken.
+        let beyond = seg.seq + 1000 + 5000;
+        let out = c.on_segment(t(110), 1, beyond, tcp_flags::ACK, 100);
+        assert_eq!(out.delivered, 0);
+        assert_eq!(c.flight(), 1000);
+        assert_eq!(c.stats.bytes_acked, 0);
+        let reply = c.poll_transmit(t(110), TSO_LIMIT).unwrap();
+        assert_eq!((reply.len, reply.flags), (0, tcp_flags::ACK));
+        assert_eq!(reply.ack, 1, "nothing was received");
+        // The real ACK still lands.
+        c.on_segment(t(200), 1, 1001, tcp_flags::ACK, 0);
+        assert_eq!(c.flight(), 0);
+        assert_eq!(c.stats.bytes_acked, 1000);
     }
 
     #[test]

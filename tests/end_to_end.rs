@@ -355,10 +355,12 @@ fn hw_and_sw_paths_give_identical_application_results() {
         }
         bed.start();
         bed.run_until(SimTime::from_secs(10));
-        bed.app::<MemslapClient>(cli).completed()
+        // The run has drained: no packet is parked between pipeline stages.
+        let parked = bed.server(0).stages_in_flight() + bed.server(1).stages_in_flight();
+        (bed.app::<MemslapClient>(cli).completed(), parked)
     };
-    assert_eq!(run(false), 5_000);
-    assert_eq!(run(true), 5_000);
+    assert_eq!(run(false), (5_000, 0));
+    assert_eq!(run(true), (5_000, 0));
 }
 
 #[test]
