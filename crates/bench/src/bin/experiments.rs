@@ -6,8 +6,8 @@
 //! experiments all --full     # paper-duration runs (slow)
 //! experiments fig12 --csv    # also dump the Fig.12 seq trace as CSV
 //! experiments all --json out.json
-//! experiments all --serial   # disable the thread fan-out
-//! experiments all --threads 4  # explicit fan-out width
+//! experiments all --serial   # one worker: no thread is spawned
+//! experiments ablations --threads 4  # at most 4 worlds at a time
 //! experiments all --telemetry out/  # also export metrics/trace artifacts
 //! ```
 //!
@@ -17,22 +17,28 @@
 //! Telemetry is pull-model and never perturbs the event stream, so report
 //! numbers are bit-identical with and without the flag.
 //!
-//! Each experiment is an independent single-threaded DES world, so the
-//! suite fans out across cores with `std::thread::scope`. Results are
-//! printed in request order regardless of completion order, and the summary
-//! reports per-experiment wall-clock plus the fan-out speedup (sum of
-//! per-experiment times vs. elapsed wall time).
+//! The unit of fan-out is the world, not the experiment: every row comes
+//! from one freshly built single-threaded DES world (own kernel, RNG and
+//! `NetCtx`), and `fastrak_bench::cells::map` runs those worlds — this
+//! binary's list of experiments and each experiment's grid of cells alike —
+//! under one process-wide worker budget. `--threads N` sets the budget
+//! (default: the host's available parallelism) and `--serial` sets it to 1,
+//! where no thread is spawned at all. Results are placed by index and
+//! printed in request order, so the artifacts are the same bytes at any
+//! width; only the `== timing ==` block (per-experiment elapsed, overall
+//! wall, the budget) differs between runs.
 
 use std::io::Write;
 use std::time::Instant;
 
-use fastrak_bench::experiments;
-use fastrak_bench::json;
+use fastrak_bench::experiments::{self, fig12};
 use fastrak_bench::report::Artifact;
+use fastrak_bench::{cells, json};
 
 struct Done {
-    id: String,
     artifacts: Vec<Artifact>,
+    /// The Fig. 12 sequence trace, when `--csv` asked for it.
+    trace: Option<Vec<fig12::TracePoint>>,
     secs: f64,
 }
 
@@ -85,65 +91,55 @@ fn main() {
         }
     }
 
-    let threads = if serial {
-        1
-    } else {
-        threads_override
-            .unwrap_or_else(|| {
-                std::thread::available_parallelism()
-                    .map(|n| n.get())
-                    .unwrap_or(1)
-            })
-            .clamp(1, ids.len().max(1))
-    };
+    if serial {
+        cells::set_width(1);
+    } else if let Some(n) = threads_override {
+        cells::set_width(n);
+    }
+    let threads = cells::width();
     eprintln!(
-        "running {} experiment(s){} on {threads} thread(s) ...",
+        "running {} experiment(s){} on up to {threads} thread(s) ...",
         ids.len(),
         if full { " (full)" } else { "" },
     );
 
     let suite_start = Instant::now();
-    // Fan out: a shared atomic index hands experiments to worker threads;
-    // results land in their request-order slot so output stays stable.
-    let next = std::sync::atomic::AtomicUsize::new(0);
-    let mut slots: Vec<Option<Done>> = Vec::new();
-    slots.resize_with(ids.len(), || None);
-    let slot_refs: Vec<std::sync::Mutex<&mut Option<Done>>> =
-        slots.iter_mut().map(std::sync::Mutex::new).collect();
-    std::thread::scope(|scope| {
-        for _ in 0..threads {
-            scope.spawn(|| loop {
-                let i = next.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-                let Some(id) = ids.get(i) else { break };
-                let t0 = Instant::now();
-                let artifacts = match &telemetry_dir {
-                    Some(dir) => experiments::run_with_telemetry(id, full, dir),
-                    None => experiments::run(id, full),
-                }
-                .expect("id validated above");
-                let secs = t0.elapsed().as_secs_f64();
-                eprintln!("  {id} done in {secs:.1}s");
-                **slot_refs[i].lock().expect("slot lock") = Some(Done {
-                    id: id.clone(),
-                    artifacts,
-                    secs,
-                });
-            });
+    let done: Vec<Done> = cells::map(&ids, |id| {
+        let t0 = Instant::now();
+        let mut trace = None;
+        let artifacts = match &telemetry_dir {
+            // `--csv`: the Fig. 12 run that builds the report also hands
+            // over its sequence trace.
+            Some(dir) if csv && id == "fig12" => {
+                let (artifact, points, chrome) = fig12::run_traced(full);
+                experiments::write_export(dir, "fig12.trace.json", chrome);
+                trace = Some(points);
+                Some(vec![artifact])
+            }
+            None if csv && id == "fig12" => {
+                let (artifact, points) = fig12::run_with_trace(full);
+                trace = Some(points);
+                Some(vec![artifact])
+            }
+            Some(dir) => experiments::run_with_telemetry(id, full, dir),
+            None => experiments::run(id, full),
+        };
+        let secs = t0.elapsed().as_secs_f64();
+        eprintln!("  {id} done in {secs:.1}s");
+        Done {
+            artifacts: artifacts.expect("id validated above"),
+            trace,
+            secs,
         }
     });
     let wall = suite_start.elapsed().as_secs_f64();
-    let done: Vec<Done> = slots
-        .into_iter()
-        .map(|s| s.expect("every slot filled"))
-        .collect();
 
     let mut artifacts: Vec<Artifact> = Vec::new();
     for d in &done {
         for a in &d.artifacts {
             print!("{}", a.render());
         }
-        if d.id == "fig12" && csv {
-            let (_, points) = experiments::fig12::run_with_trace(full);
+        if let Some(points) = &d.trace {
             println!("\n# fig12 trace (seconds,seq)");
             for (t, s) in points {
                 println!("{t:.6},{s}");
@@ -152,23 +148,13 @@ fn main() {
         artifacts.extend(d.artifacts.iter().cloned());
     }
 
-    // Timing summary: the fan-out win is (sum of per-experiment time) / wall.
-    let cpu_sum: f64 = done.iter().map(|d| d.secs).sum();
+    // Experiments overlap and share cores, so their elapsed times do not
+    // add up to anything: report each one, the wall and the budget.
     println!("\n== timing ==");
-    for d in &done {
-        println!("{:10}  {:>8.2}s", d.id, d.secs);
+    for (id, d) in ids.iter().zip(&done) {
+        println!("{id:10}  {:>8.2}s", d.secs);
     }
-    println!(
-        "{:10}  {:>8.2}s  (sum of experiment times)",
-        "total", cpu_sum
-    );
-    println!(
-        "{:10}  {:>8.2}s  ({} thread(s), {:.2}x speedup)",
-        "wall",
-        wall,
-        threads,
-        cpu_sum / wall.max(1e-9)
-    );
+    println!("{:10}  {wall:>8.2}s  (up to {threads} thread(s))", "wall");
 
     if let Some(path) = json_path {
         let doc = json::object([
@@ -181,12 +167,12 @@ fn main() {
                 json::object([
                     ("threads", json::num(threads as f64)),
                     ("wall_seconds", json::num(wall)),
-                    ("experiment_seconds_sum", json::num(cpu_sum)),
                     (
                         "per_experiment",
                         json::object(
-                            done.iter()
-                                .map(|d| (d.id.as_str(), json::num(d.secs)))
+                            ids.iter()
+                                .zip(&done)
+                                .map(|(id, d)| (id.as_str(), json::num(d.secs)))
                                 .collect::<Vec<_>>(),
                         ),
                     ),

@@ -17,6 +17,7 @@ use fastrak_workload::{
     memcached_server, MemslapClient, MemslapConfig, Testbed, TestbedConfig, VmRef,
 };
 
+use crate::cells;
 use crate::report::{Artifact, Row};
 
 const T: TenantId = TenantId(1);
@@ -94,49 +95,52 @@ fn run_cfg(de: DeConfig, timing: Timing, budget: usize, horizon_s: u64) -> (f64,
 
 /// Regenerate the ablation report.
 pub fn run(_full: bool) -> Vec<Artifact> {
-    let mut a = Artifact::new(
-        "ablation-scoring",
-        "Scoring-function ablation (8 skewed services, budget = 6 rules)",
-        "the paper's MFU×median-pps score should capture at least as much traffic as pps-only or frequency-only scoring",
-    );
-    // Paper score: S = n × m_pps (the DecisionEngine's native function).
-    let paper_cfg = DeConfig::paper();
-    let (frac, tps) = run_cfg(paper_cfg, Timing::fine(), 6, 6);
-    a.push(Row::new(
-        "hw traffic fraction",
-        "S = n × m_pps (paper)",
-        None,
-        frac,
-        "fraction",
-    ));
-    a.push(Row::new(
-        "aggregate TPS",
-        "S = n × m_pps (paper)",
-        None,
-        tps,
-        "tps",
-    ));
     // pps-only: ignore the frequency term by zeroing history influence —
     // approximated with hysteresis off and a one-epoch memory via fine
     // timing and min_median 0 (the m_pps median over a short history is
     // close to instantaneous pps).
     let mut pps_only = DeConfig::paper();
     pps_only.hysteresis = 1.0;
-    let (frac2, tps2) = run_cfg(pps_only, Timing::fine(), 6, 6);
-    a.push(Row::new(
-        "hw traffic fraction",
-        "pps-only (no hysteresis)",
-        None,
-        frac2,
-        "fraction",
-    ));
-    a.push(Row::new(
-        "aggregate TPS",
-        "pps-only (no hysteresis)",
-        None,
-        tps2,
-        "tps",
-    ));
+    let budgets = [1usize, 2, 4, 8, 16, 32];
+    let intervals = [
+        ("T=0.5s (fine)", Timing::fine()),
+        ("T=5s (coarse)", Timing::coarse()),
+    ];
+
+    // Every world of the three reports: (decision engine, timing, fast-path
+    // budget, horizon seconds). The two 12 s interval worlds go first: they
+    // are the longest cells, and started last they would be the tail no
+    // freed-up worker can share.
+    let scoring = [
+        // Paper score: S = n × m_pps (the DecisionEngine's native function).
+        ("S = n × m_pps (paper)", DeConfig::paper()),
+        ("pps-only (no hysteresis)", pps_only),
+    ];
+    let mut grid = Vec::new();
+    grid.extend(intervals.map(|(_, timing)| (DeConfig::paper(), timing, 8, 12)));
+    grid.extend(scoring.clone().map(|(_, de)| (de, Timing::fine(), 6, 6)));
+    grid.extend(budgets.map(|budget| (DeConfig::paper(), Timing::fine(), budget, 6)));
+    let measured = cells::map(&grid, |(de, timing, budget, horizon_s)| {
+        run_cfg(de.clone(), *timing, *budget, *horizon_s)
+    });
+    let (by_interval, rest) = measured.split_at(intervals.len());
+    let (by_scoring, by_budget) = rest.split_at(scoring.len());
+
+    let mut a = Artifact::new(
+        "ablation-scoring",
+        "Scoring-function ablation (8 skewed services, budget = 6 rules)",
+        "the paper's MFU×median-pps score should capture at least as much traffic as pps-only or frequency-only scoring",
+    );
+    for (&(label, _), &(frac, tps)) in scoring.iter().zip(by_scoring) {
+        a.push(Row::new(
+            "hw traffic fraction",
+            label,
+            None,
+            frac,
+            "fraction",
+        ));
+        a.push(Row::new("aggregate TPS", label, None, tps, "tps"));
+    }
     a.note("ablation beyond the paper; both selectors converge on the hot services in steady state — the hysteresis/median terms matter under churn");
 
     let mut b = Artifact::new(
@@ -144,8 +148,7 @@ pub fn run(_full: bool) -> Vec<Artifact> {
         "Fast-path capacity sweep (8 skewed services)",
         "hardware-carried traffic grows with fast-path entries and saturates once the hot aggregates fit (§1: the hardware/server rule gap is inherent, so selection quality is what matters)",
     );
-    for budget in [1usize, 2, 4, 8, 16, 32] {
-        let (frac, tps) = run_cfg(DeConfig::paper(), Timing::fine(), budget, 6);
+    for (budget, &(frac, tps)) in budgets.iter().zip(by_budget) {
         b.push(Row::new(
             "hw traffic fraction",
             format!("{budget} entries"),
@@ -167,11 +170,7 @@ pub fn run(_full: bool) -> Vec<Artifact> {
         "Control-interval sensitivity",
         "finer control intervals react faster (the paper runs T = 5 s and T = 0.5 s, §5.2); steady-state selection is the same",
     );
-    for (label, timing) in [
-        ("T=0.5s (fine)", Timing::fine()),
-        ("T=5s (coarse)", Timing::coarse()),
-    ] {
-        let (frac, tps) = run_cfg(DeConfig::paper(), timing, 8, 12);
+    for (&(label, _), &(frac, tps)) in intervals.iter().zip(by_interval) {
         c.push(Row::new(
             "hw traffic fraction @12s",
             label,

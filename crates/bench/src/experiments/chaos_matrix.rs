@@ -38,6 +38,7 @@ use fastrak_workload::{
     TestbedConfig, VmRef,
 };
 
+use crate::cells;
 use crate::report::{Artifact, Row};
 
 const T: TenantId = TenantId(1);
@@ -310,8 +311,22 @@ pub fn run_with_export(full: bool) -> (Vec<Artifact>, fastrak_telemetry::Registr
         "scripted ToR reboots, SR-IOV VF death, link flaps, and controller restarts: offloaded flows fall back to the software path (nothing is lost), bookkeeping drift stays zero, and the offloaded set re-converges to the fault-free one after recovery",
     );
     let mut export_reg = None;
+    // Per policy: the fault-free baseline world, then one world per scenario.
+    let grid: Vec<(Scenario, &FastPathPolicy)> = policies
+        .iter()
+        .flat_map(|policy| {
+            std::iter::once(Scenario::Baseline)
+                .chain(scenarios)
+                .map(move |scenario| (scenario, policy))
+        })
+        .collect();
+    let mut outcomes = cells::map(&grid, |&(scenario, policy)| {
+        run_one(scenario, policy.clone(), horizon)
+    })
+    .into_iter();
+    let mut next = || outcomes.next().expect("one world per grid cell");
     for policy in &policies {
-        let base = run_one(Scenario::Baseline, policy.clone(), horizon);
+        let base = next();
         a.push(Row::new(
             "offloaded aggregates",
             format!("baseline/{}", policy_label(policy)),
@@ -320,7 +335,7 @@ pub fn run_with_export(full: bool) -> (Vec<Artifact>, fastrak_telemetry::Registr
             "rules",
         ));
         for &scenario in &scenarios {
-            let got = run_one(scenario, policy.clone(), horizon);
+            let got = next();
             let cfg = format!("{}/{}", scenario.label(), policy_label(policy));
             a.push(Row::new(
                 "matches fault-free offloaded set",

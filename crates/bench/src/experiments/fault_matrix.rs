@@ -25,6 +25,7 @@ use fastrak_workload::{
     TestbedConfig,
 };
 
+use crate::cells;
 use crate::report::{Artifact, Row};
 
 const T: TenantId = TenantId(1);
@@ -148,7 +149,25 @@ pub fn run_with_export(full: bool) -> (Vec<Artifact>, fastrak_telemetry::Registr
     } else {
         SimTime::from_millis(6_300)
     };
-    let clean = run_one(None, horizon);
+    // Five worlds: fault-free, three control-loss rates, one scripted
+    // install-failure window.
+    let loss_pcts = [1u32, 5, 10];
+    let mut grid = vec![None];
+    grid.extend(loss_pcts.map(|loss_pct| {
+        Some(FaultConfig {
+            seed: 0xFA57 + loss_pct as u64,
+            default_link: LinkFaults::loss(loss_pct as f64 / 100.0),
+            ..Default::default()
+        })
+    }));
+    grid.push(Some(FaultConfig {
+        seed: 0xFA11,
+        install_fail_windows: vec![(SimTime::from_millis(400), SimTime::from_millis(1_700))],
+        ..Default::default()
+    }));
+    let mut outcomes = cells::map(&grid, |faults| run_one(faults.clone(), horizon)).into_iter();
+    let mut next = || outcomes.next().expect("one world per configuration");
+    let clean = next();
 
     let mut a = Artifact::new(
         "fault-matrix-loss",
@@ -162,15 +181,8 @@ pub fn run_with_export(full: bool) -> (Vec<Artifact>, fastrak_telemetry::Registr
         clean.offloaded.len() as f64,
         "rules",
     ));
-    for loss_pct in [1u32, 5, 10] {
-        let got = run_one(
-            Some(FaultConfig {
-                seed: 0xFA57 + loss_pct as u64,
-                default_link: LinkFaults::loss(loss_pct as f64 / 100.0),
-                ..Default::default()
-            }),
-            horizon,
-        );
+    for loss_pct in loss_pcts {
+        let got = next();
         let cfg = format!("loss={loss_pct}%");
         a.push(Row::new(
             "matches fault-free offloaded set",
@@ -219,14 +231,7 @@ pub fn run_with_export(full: bool) -> (Vec<Artifact>, fastrak_telemetry::Registr
         "Recovery from a scripted rule-install failure window (0.4s-1.7s)",
         "every install inside the window fails; the controller rolls each batch back, suspends the hardware path after repeated failures, and re-converges once the window lifts",
     );
-    let got = run_one(
-        Some(FaultConfig {
-            seed: 0xFA11,
-            install_fail_windows: vec![(SimTime::from_millis(400), SimTime::from_millis(1_700))],
-            ..Default::default()
-        }),
-        horizon,
-    );
+    let got = next();
     b.push(Row::new(
         "matches fault-free offloaded set",
         "fail window 0.4s-1.7s",

@@ -14,6 +14,7 @@ use std::mem::discriminant;
 use fastrak_sim::time::SimTime;
 use fastrak_workload::{RrClient, RrClientConfig, StreamConfig, StreamSender, StreamSink};
 
+use crate::cells;
 use crate::report::{Artifact, Row};
 use crate::scenarios::{micro_bed, PathSetup, SERVER_IP};
 
@@ -168,24 +169,26 @@ pub fn run(full: bool) -> Vec<Artifact> {
     let mut e = Artifact::new("fig3e", "Pipelined (burst) average latency",
         "latency improvement of SR-IOV over baseline grows as data size shrinks: 30% @32000B → 49% @64B (32%→56% vs rate limiting)");
 
-    let mut cells: Vec<(PathSetup, u64, Cell)> = Vec::new();
-    for setup in configs() {
-        for &size in &SIZES {
-            let cell = measure_cell(setup, size, !full);
-            let cfg = format!("{} @{}B", setup.label(), size);
-            a.push(Row::new(
-                "throughput",
-                &cfg,
-                None,
-                cell.throughput_bps,
-                "bps",
-            ));
-            b.push(Row::new("rr avg", &cfg, None, cell.rr_mean_us, "us"));
-            c.push(Row::new("rr p99", &cfg, None, cell.rr_p99_us, "us"));
-            d.push(Row::new("burst tps", &cfg, None, cell.burst_tps, "tps"));
-            e.push(Row::new("burst avg", &cfg, None, cell.burst_mean_us, "us"));
-            cells.push((setup, size, cell));
-        }
+    let grid: Vec<(PathSetup, u64)> = configs()
+        .into_iter()
+        .flat_map(|setup| SIZES.map(|size| (setup, size)))
+        .collect();
+    let cells: Vec<(PathSetup, u64, Cell)> = cells::map(&grid, |&(setup, size)| {
+        (setup, size, measure_cell(setup, size, !full))
+    });
+    for &(setup, size, cell) in &cells {
+        let cfg = format!("{} @{}B", setup.label(), size);
+        a.push(Row::new(
+            "throughput",
+            &cfg,
+            None,
+            cell.throughput_bps,
+            "bps",
+        ));
+        b.push(Row::new("rr avg", &cfg, None, cell.rr_mean_us, "us"));
+        c.push(Row::new("rr p99", &cfg, None, cell.rr_p99_us, "us"));
+        d.push(Row::new("burst tps", &cfg, None, cell.burst_tps, "tps"));
+        e.push(Row::new("burst avg", &cfg, None, cell.burst_mean_us, "us"));
     }
 
     // The quantitative anchors the paper's text states (§3.2.4, Fig. 3(d)):

@@ -18,6 +18,7 @@ use fastrak_net::packet::PathTag;
 use fastrak_sim::time::SimTime;
 use fastrak_workload::{StreamConfig, StreamSender, StreamSink, Testbed, TestbedConfig};
 
+use crate::cells;
 use crate::report::{Artifact, Row};
 use crate::scenarios::{PathSetup, TENANT};
 
@@ -102,31 +103,47 @@ pub fn run(full: bool) -> Vec<Artifact> {
         "CPU to sustain a given throughput grows as app data size shrinks; SR-IOV uses 0.4-0.7× the CPU of baseline OVS; rate limiting cannot reach line rate yet burns as much CPU as baseline",
     );
     let sizes = [64u64, 600, 1448, 32_000];
-    let mut base_cpu = std::collections::HashMap::new();
-    for setup in [
+    let setups_a = [
         PathSetup::BaselineOvs,
         PathSetup::OvsTunnel,
         PathSetup::OvsRateLimit(5_000_000_000),
         PathSetup::Sriov,
-    ] {
-        for &size in &sizes {
-            let (cpus, goodput) = measure_cpu(setup, size, !full);
-            let cfg = format!("{} @{}B", setup.label(), size);
-            a.push(Row::new("cpus", &cfg, None, cpus, "logical CPUs"));
-            a.push(Row::new("goodput", &cfg, None, goodput, "bps"));
-            if matches!(setup, PathSetup::BaselineOvs) {
-                base_cpu.insert(size, cpus);
-            }
-            if matches!(setup, PathSetup::Sriov) {
-                let ratio = cpus / base_cpu[&size];
-                a.push(Row::new(
-                    "sriov/baseline cpu ratio",
-                    format!("@{size}B"),
-                    None,
-                    ratio,
-                    "x (paper: 0.4-0.7)",
-                ));
-            }
+    ];
+    let setups_b = [
+        PathSetup::OvsTunnelRateLimit(1_000_000_000),
+        PathSetup::SriovHwLimit(1_000_000_000),
+    ];
+    // Every world of both panels in one list: (a) setup-major, then (b)
+    // size-major.
+    let grid: Vec<(PathSetup, u64)> = setups_a
+        .into_iter()
+        .flat_map(|setup| sizes.map(|size| (setup, size)))
+        .chain(
+            sizes
+                .into_iter()
+                .flat_map(|size| setups_b.map(|setup| (setup, size))),
+        )
+        .collect();
+    let measured = cells::map(&grid, |&(setup, size)| measure_cpu(setup, size, !full));
+    let (measured_a, measured_b) = measured.split_at(setups_a.len() * sizes.len());
+
+    let mut base_cpu = std::collections::HashMap::new();
+    for (&(setup, size), &(cpus, goodput)) in grid.iter().zip(measured_a) {
+        let cfg = format!("{} @{}B", setup.label(), size);
+        a.push(Row::new("cpus", &cfg, None, cpus, "logical CPUs"));
+        a.push(Row::new("goodput", &cfg, None, goodput, "bps"));
+        if matches!(setup, PathSetup::BaselineOvs) {
+            base_cpu.insert(size, cpus);
+        }
+        if matches!(setup, PathSetup::Sriov) {
+            let ratio = cpus / base_cpu[&size];
+            a.push(Row::new(
+                "sriov/baseline cpu ratio",
+                format!("@{size}B"),
+                None,
+                ratio,
+                "x (paper: 0.4-0.7)",
+            ));
         }
     }
 
@@ -135,10 +152,8 @@ pub fn run(full: bool) -> Vec<Artifact> {
         "Combined CPU overhead (tunnel+rate limit @1G vs SR-IOV hw-limited)",
         "the combined software path consumes 1.6-3× the CPU of SR-IOV",
     );
-    for &size in &sizes {
-        let (sw_cpu, sw_good) =
-            measure_cpu(PathSetup::OvsTunnelRateLimit(1_000_000_000), size, !full);
-        let (hw_cpu, hw_good) = measure_cpu(PathSetup::SriovHwLimit(1_000_000_000), size, !full);
+    for (&size, pair) in sizes.iter().zip(measured_b.chunks_exact(2)) {
+        let ((sw_cpu, sw_good), (hw_cpu, hw_good)) = (pair[0], pair[1]);
         b.push(Row::new(
             "cpus",
             format!("OVS+Tun+RL @{size}B"),

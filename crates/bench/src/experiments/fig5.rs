@@ -6,6 +6,7 @@
 //! 1.8-2.1× SR-IOV, consistently better SR-IOV throughput, and combined
 //! performance close to OVS+Tunneling alone.
 
+use crate::cells;
 use crate::experiments::fig3::{measure_cell, SIZES};
 use crate::report::{Artifact, Row};
 use crate::scenarios::PathSetup;
@@ -36,9 +37,19 @@ pub fn run(full: bool) -> Vec<Artifact> {
     );
 
     let limit = 1_000_000_000u64;
-    for &size in &SIZES {
-        let sw = measure_cell(PathSetup::OvsTunnelRateLimit(limit), size, !full);
-        let hw = measure_cell(PathSetup::SriovHwLimit(limit), size, !full);
+    let grid: Vec<(PathSetup, u64)> = SIZES
+        .into_iter()
+        .flat_map(|size| {
+            [
+                PathSetup::OvsTunnelRateLimit(limit),
+                PathSetup::SriovHwLimit(limit),
+            ]
+            .map(|setup| (setup, size))
+        })
+        .collect();
+    let cells = cells::map(&grid, |&(setup, size)| measure_cell(setup, size, !full));
+    for (&size, pair) in SIZES.iter().zip(cells.chunks_exact(2)) {
+        let (sw, hw) = (pair[0], pair[1]);
         for (setup, cell) in [("OVS+Tun+RL", sw), ("SR-IOV (hw RL)", hw)] {
             let cfg = format!("{setup} @{size}B");
             a.push(Row::new(

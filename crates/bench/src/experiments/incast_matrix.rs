@@ -32,6 +32,7 @@ use fastrak_transport::cc::CcAlgo;
 use fastrak_transport::tcp::{TcpConfig, TcpStats};
 use fastrak_workload::{incast_worker, IncastAggregator, IncastConfig, Testbed, TestbedConfig};
 
+use crate::cells;
 use crate::report::{Artifact, Row};
 
 const TENANT: TenantId = TenantId(1);
@@ -221,71 +222,77 @@ pub fn run_with_export(full: bool) -> (Vec<Artifact>, fastrak_telemetry::Registr
         "partition-aggregate fan-in stresses the aggregator downlink; DCTCP's ECN feedback keeps queues short (marks instead of drops, lower FCT tails), SR-IOV placement cuts per-hop latency, and a mid-run response-path migration shows the Fig.-12 transient (retransmits, no collapse) under every variant",
     );
     let mut export: Option<fastrak_telemetry::Registry> = None;
+    let mut grid: Vec<(&str, CcAlgo, Path, usize)> = Vec::new();
     for (cc_name, cc) in cc_grid() {
         for path in [Path::Sw, Path::Hw, Path::Migrate] {
             for &fanout in fanouts {
-                let got = run_one(cc, path, fanout, horizon);
-                let cfg = format!("cc={cc_name}, path={}, fanout={fanout}", path.name());
-                a.push(Row::new(
-                    "round FCT p50",
-                    cfg.clone(),
-                    None,
-                    got.fct_p50_ns as f64 / 1_000.0,
-                    "us",
-                ));
-                a.push(Row::new(
-                    "round FCT p99",
-                    cfg.clone(),
-                    None,
-                    got.fct_p99_ns as f64 / 1_000.0,
-                    "us",
-                ));
-                a.push(Row::new(
-                    "rounds completed",
-                    cfg.clone(),
-                    None,
-                    got.rounds as f64,
-                    "count",
-                ));
-                a.push(Row::new(
-                    "retransmitted segments",
-                    cfg.clone(),
-                    None,
-                    got.rtx_segs as f64,
-                    "segs",
-                ));
-                a.push(Row::new(
-                    "RTO timeouts",
-                    cfg.clone(),
-                    None,
-                    got.timeouts as f64,
-                    "events",
-                ));
-                a.push(Row::new(
-                    "ECN CE marks (fabric)",
-                    cfg.clone(),
-                    None,
-                    got.ce_marks as f64,
-                    "pkts",
-                ));
-                a.push(Row::new(
-                    "ECE echoes received",
-                    cfg.clone(),
-                    None,
-                    got.ece_rx as f64,
-                    "acks",
-                ));
-                a.push(Row::new(
-                    "rtx after path shift",
-                    cfg,
-                    None,
-                    got.rtx_after_shift as f64,
-                    "segs",
-                ));
-                if cc == CcAlgo::Dctcp && path == Path::Migrate && fanout == 12 {
-                    export = Some(got.registry);
-                }
+                grid.push((cc_name, cc, path, fanout));
             }
+        }
+    }
+    let outcomes = cells::map(&grid, |&(_, cc, path, fanout)| {
+        run_one(cc, path, fanout, horizon)
+    });
+    for ((cc_name, cc, path, fanout), got) in grid.into_iter().zip(outcomes) {
+        let cfg = format!("cc={cc_name}, path={}, fanout={fanout}", path.name());
+        a.push(Row::new(
+            "round FCT p50",
+            cfg.clone(),
+            None,
+            got.fct_p50_ns as f64 / 1_000.0,
+            "us",
+        ));
+        a.push(Row::new(
+            "round FCT p99",
+            cfg.clone(),
+            None,
+            got.fct_p99_ns as f64 / 1_000.0,
+            "us",
+        ));
+        a.push(Row::new(
+            "rounds completed",
+            cfg.clone(),
+            None,
+            got.rounds as f64,
+            "count",
+        ));
+        a.push(Row::new(
+            "retransmitted segments",
+            cfg.clone(),
+            None,
+            got.rtx_segs as f64,
+            "segs",
+        ));
+        a.push(Row::new(
+            "RTO timeouts",
+            cfg.clone(),
+            None,
+            got.timeouts as f64,
+            "events",
+        ));
+        a.push(Row::new(
+            "ECN CE marks (fabric)",
+            cfg.clone(),
+            None,
+            got.ce_marks as f64,
+            "pkts",
+        ));
+        a.push(Row::new(
+            "ECE echoes received",
+            cfg.clone(),
+            None,
+            got.ece_rx as f64,
+            "acks",
+        ));
+        a.push(Row::new(
+            "rtx after path shift",
+            cfg,
+            None,
+            got.rtx_after_shift as f64,
+            "segs",
+        ));
+        if cc == CcAlgo::Dctcp && path == Path::Migrate && fanout == 12 {
+            export = Some(got.registry);
         }
     }
     a.note("no 'paper' column: the paper migrates one bulk flow (Fig. 12); the grid extends it with incast fan-in and the transport variants");

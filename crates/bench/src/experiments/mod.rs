@@ -56,6 +56,13 @@ pub fn run(id: &str, full: bool) -> Option<Vec<Artifact>> {
     }
 }
 
+/// Write one `--telemetry` export file into `dir`.
+pub fn write_export(dir: &std::path::Path, name: &str, content: String) {
+    let path = dir.join(name);
+    std::fs::write(&path, content).unwrap_or_else(|e| panic!("write {}: {e}", path.display()));
+    eprintln!("  wrote {}", path.display());
+}
+
 /// Run one experiment by id and drop its telemetry artifacts into `dir`
 /// (`experiments --telemetry <dir>`). Exports per experiment:
 ///
@@ -74,11 +81,7 @@ pub fn run(id: &str, full: bool) -> Option<Vec<Artifact>> {
 ///   migration (load in Perfetto / `chrome://tracing`);
 /// * everything else runs unchanged (telemetry stays zero-config).
 pub fn run_with_telemetry(id: &str, full: bool, dir: &std::path::Path) -> Option<Vec<Artifact>> {
-    let write = |name: &str, content: String| {
-        let path = dir.join(name);
-        std::fs::write(&path, content).unwrap_or_else(|e| panic!("write {}: {e}", path.display()));
-        eprintln!("  wrote {}", path.display());
-    };
+    let write = |name: &str, content: String| write_export(dir, name, content);
     match id {
         "fault_matrix" => {
             let (arts, reg) = fault_matrix::run_with_export(full);
@@ -129,9 +132,9 @@ pub fn run_with_telemetry(id: &str, full: bool, dir: &std::path::Path) -> Option
             Some(arts)
         }
         "fig12" => {
-            let (arts, trace) = fig12::run_traced(full);
+            let (artifact, _, trace) = fig12::run_traced(full);
             write("fig12.trace.json", trace);
-            Some(arts)
+            Some(vec![artifact])
         }
         _ => run(id, full),
     }

@@ -15,6 +15,7 @@ use fastrak_net::packet::PathTag;
 use fastrak_sim::time::SimTime;
 use fastrak_workload::{memcached_server, IoZone, MemslapClient, MemslapConfig, VmRef};
 
+use crate::cells;
 use crate::report::{Artifact, Row};
 use crate::scenarios::{rack, TENANT};
 
@@ -104,20 +105,18 @@ pub fn run(full: bool) -> Vec<Artifact> {
         "Memcached TPS, with IOzone background",
         "background load does not change the SR-IOV advantage",
     );
-    for (art, background, paper) in [
-        (
-            &mut a,
-            false,
-            [(106_574.0, 373.0, 3.3), (215_288.0, 192.0, 3.2)],
-        ),
-        (
-            &mut b,
-            true,
-            [(96_093.0, 414.0, 4.1), (177_559.0, 231.0, 4.1)],
-        ),
+    // Four worlds: (background?, SR-IOV?) in the order the rows print.
+    let grid = [(false, false), (false, true), (true, false), (true, true)];
+    let mut measured = cells::map(&grid, |&(background, sriov)| {
+        measure(sriov, background, !full)
+    })
+    .into_iter();
+    for (art, paper) in [
+        (&mut a, [(106_574.0, 373.0, 3.3), (215_288.0, 192.0, 3.2)]),
+        (&mut b, [(96_093.0, 414.0, 4.1), (177_559.0, 231.0, 4.1)]),
     ] {
         for (sriov, (p_tps, p_lat, p_cpu)) in [(false, paper[0]), (true, paper[1])] {
-            let (tps, lat, cpus) = measure(sriov, background, !full);
+            let (tps, lat, cpus) = measured.next().expect("one world per row group");
             let cfg = if sriov { "SR-IOV VF" } else { "VIF" };
             art.push(Row::new("TPS", cfg, Some(p_tps), tps, "tps"));
             art.push(Row::new("mean latency", cfg, Some(p_lat), lat, "us"));

@@ -18,6 +18,7 @@ use fastrak_workload::{
     VmRef,
 };
 
+use crate::cells;
 use crate::experiments::table2::{mc_ips, offload_servers};
 use crate::report::{Artifact, Row};
 use crate::scenarios::{rack, TENANT};
@@ -124,10 +125,14 @@ pub fn run(full: bool) -> Vec<Artifact> {
         ("VIF", 118.4, 16_896.2, 455.6, 7.6, 0usize),
         ("SR-IOV VF", 69.0, 29_334.6, 249.0, 6.3, 4usize),
     ];
-    for (cfg, p_fin, p_tps, p_lat, p_cpu, n_fast) in paper {
+    let measured = cells::map(&paper, |&(.., n_fast)| {
         let (mut bed, servers, clients) = build(requests, transfer, 41);
         offload_servers(&mut bed, &servers, &clients, n_fast);
-        let (fin, tps, lat, cpus) = measure_with(&mut bed, &clients, horizon);
+        measure_with(&mut bed, &clients, horizon)
+    });
+    for ((cfg, p_fin, p_tps, p_lat, p_cpu, _), (fin, tps, lat, cpus)) in
+        paper.into_iter().zip(measured)
+    {
         t.push(Row::new(
             "mean finish",
             cfg,

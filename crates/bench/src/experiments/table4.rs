@@ -13,6 +13,7 @@
 
 use fastrak::{attach, DeConfig, FasTrakConfig, Timing};
 
+use crate::cells;
 use crate::experiments::table3::{build, measure_with};
 use crate::report::{Artifact, Row};
 
@@ -28,39 +29,15 @@ pub fn run(full: bool) -> Vec<Artifact> {
         "FasTrak detects memcached's high pps within one control interval and offloads it (never the ~100 pps scp flows); finish time and latency improve ≈2×, CPU drops ≈21%",
     );
 
-    // Row 1: VIF only (no controller, nothing offloaded).
-    {
-        let (mut bed, _servers, clients) = build(requests, transfer, 43);
-        let (fin, tps, lat, cpus) = measure_with(&mut bed, &clients, horizon);
-        t.push(Row::new(
-            "mean finish",
-            "VIF only",
-            Some(110.9 * scale),
-            fin,
-            "s (paper scaled)",
-        ));
-        t.push(Row::new(
-            "mean TPS/client",
-            "VIF only",
-            Some(18_044.2),
-            tps,
-            "tps",
-        ));
-        t.push(Row::new("mean latency", "VIF only", Some(440.2), lat, "us"));
-        t.push(Row::new(
-            "# CPUs",
-            "VIF only",
-            Some(7.6),
-            cpus,
-            "logical CPUs",
-        ));
-    }
-
-    // Row 2: FasTrak manages the rack. The paper modifies FasTrak to
+    // Two worlds on the same rack: VIF only (no controller, nothing
+    // offloaded), and FasTrak managing it. The paper modifies FasTrak to
     // offload only one application; memcached has 4 server VMs × 2
     // directions = 8 aggregates.
-    let managed = {
+    let mut rows = cells::map(&[false, true], |&managed| {
         let (mut bed, _servers, clients) = build(requests, transfer, 43);
+        if !managed {
+            return (measure_with(&mut bed, &clients, horizon), 0, false);
+        }
         let ft = attach(
             &mut bed,
             FasTrakConfig {
@@ -91,8 +68,34 @@ pub fn run(full: bool) -> Vec<Artifact> {
         let all_memcached =
             !ports.is_empty() && ports.iter().all(|&p| p == fastrak_workload::MEMCACHED_PORT);
         (r, offloaded.len(), all_memcached)
-    };
-    let ((fin, tps, lat, cpus), n_offloaded, all_mc) = managed;
+    })
+    .into_iter();
+
+    let ((fin, tps, lat, cpus), ..) = rows.next().expect("the VIF-only world");
+    t.push(Row::new(
+        "mean finish",
+        "VIF only",
+        Some(110.9 * scale),
+        fin,
+        "s (paper scaled)",
+    ));
+    t.push(Row::new(
+        "mean TPS/client",
+        "VIF only",
+        Some(18_044.2),
+        tps,
+        "tps",
+    ));
+    t.push(Row::new("mean latency", "VIF only", Some(440.2), lat, "us"));
+    t.push(Row::new(
+        "# CPUs",
+        "VIF only",
+        Some(7.6),
+        cpus,
+        "logical CPUs",
+    ));
+
+    let ((fin, tps, lat, cpus), n_offloaded, all_mc) = rows.next().expect("the managed world");
     let label = "VIF(start)+SR-IOV(rest)";
     t.push(Row::new(
         "mean finish",

@@ -28,6 +28,7 @@ use fastrak_workload::{
 };
 use std::collections::HashMap;
 
+use crate::cells;
 use crate::report::{Artifact, Row};
 
 /// The adversary's tenant id (victims are 1..=N_VICTIMS).
@@ -220,55 +221,59 @@ pub fn run_with_export(full: bool) -> (Vec<Artifact>, fastrak_telemetry::Registr
         "an adversarial tenant that rotates hot aggregates monopolizes and thrashes the bounded fast path under the paper's unrestricted policy; per-tenant quota and weighted-share policies keep the victims' rules installed (fewer victim demotes, stable occupancy) and their tail latency flat",
     );
     let mut export: Option<fastrak_telemetry::Registry> = None;
-    for (name, policy) in policy_grid() {
-        for churner in [false, true] {
-            let got = run_one(policy.clone(), churner, horizon);
-            let cfg = format!("{name}, churner={}", if churner { "on" } else { "off" });
-            a.push(Row::new(
-                "worst victim p99 latency",
-                cfg.clone(),
-                None,
-                got.victim_p99_ns as f64 / 1_000.0,
-                "us",
-            ));
-            a.push(Row::new(
-                "worst victim p50 latency",
-                cfg.clone(),
-                None,
-                got.victim_p50_ns as f64 / 1_000.0,
-                "us",
-            ));
-            a.push(Row::new(
-                "victim rule demotions",
-                cfg.clone(),
-                None,
-                got.victim_demotes as f64,
-                "count",
-            ));
-            a.push(Row::new(
-                "victim offload transitions",
-                cfg.clone(),
-                None,
-                got.victim_offloads as f64,
-                "count",
-            ));
-            a.push(Row::new(
-                "victim fast-path entries (end)",
-                cfg.clone(),
-                None,
-                got.victim_entries,
-                "rules",
-            ));
-            a.push(Row::new(
-                "churner fast-path entries (end)",
-                cfg,
-                None,
-                got.churner_entries,
-                "rules",
-            ));
-            if name == "unrestricted" && churner {
-                export = Some(got.registry);
-            }
+    let grid: Vec<(&str, FastPathPolicy, bool)> = policy_grid()
+        .into_iter()
+        .flat_map(|(name, policy)| [false, true].map(|churner| (name, policy.clone(), churner)))
+        .collect();
+    let outcomes = cells::map(&grid, |(_, policy, churner)| {
+        run_one(policy.clone(), *churner, horizon)
+    });
+    for ((name, _, churner), got) in grid.into_iter().zip(outcomes) {
+        let cfg = format!("{name}, churner={}", if churner { "on" } else { "off" });
+        a.push(Row::new(
+            "worst victim p99 latency",
+            cfg.clone(),
+            None,
+            got.victim_p99_ns as f64 / 1_000.0,
+            "us",
+        ));
+        a.push(Row::new(
+            "worst victim p50 latency",
+            cfg.clone(),
+            None,
+            got.victim_p50_ns as f64 / 1_000.0,
+            "us",
+        ));
+        a.push(Row::new(
+            "victim rule demotions",
+            cfg.clone(),
+            None,
+            got.victim_demotes as f64,
+            "count",
+        ));
+        a.push(Row::new(
+            "victim offload transitions",
+            cfg.clone(),
+            None,
+            got.victim_offloads as f64,
+            "count",
+        ));
+        a.push(Row::new(
+            "victim fast-path entries (end)",
+            cfg.clone(),
+            None,
+            got.victim_entries,
+            "rules",
+        ));
+        a.push(Row::new(
+            "churner fast-path entries (end)",
+            cfg,
+            None,
+            got.churner_entries,
+            "rules",
+        ));
+        if name == "unrestricted" && churner {
+            export = Some(got.registry);
         }
     }
     a.note("no 'paper' column: the paper evaluates cooperative tenants only (unrestricted, churner=off is its behaviour); the grid extends it with the adversarial profile and the fairness policies");

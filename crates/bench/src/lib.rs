@@ -17,8 +17,10 @@
 //!
 //! The `report` module defines the comparison-row machinery; `scenarios`
 //! builds the shared testbed configurations (§3.1's microbenchmark pair and
-//! §6's memcached rack).
+//! §6's memcached rack); `cells` fans independent worlds out over the
+//! host's cores, which is how every multi-cell experiment runs its grid.
 
+pub mod cells;
 pub mod experiments;
 pub mod harness;
 pub mod json;

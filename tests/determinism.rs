@@ -497,20 +497,56 @@ fn experiment_artifacts_bit_identical_across_burst_modes() {
     assert_eq!(on, off, "fig12: artifacts diverged across burst modes");
 }
 
+/// Run `f` with the harness's process-wide worker budget
+/// (`fastrak_bench::cells`) set to `width`. The budget is process state, so
+/// the tests that set it take turns; it is put back on the way out.
+fn with_width<T>(width: usize, f: impl FnOnce() -> T) -> T {
+    static TURN: std::sync::Mutex<()> = std::sync::Mutex::new(());
+    struct Reset(usize);
+    impl Drop for Reset {
+        fn drop(&mut self) {
+            fastrak_bench::cells::set_width(self.0);
+        }
+    }
+    let _turn = TURN.lock().unwrap_or_else(|poisoned| poisoned.into_inner());
+    let _reset = Reset(fastrak_bench::cells::width());
+    fastrak_bench::cells::set_width(width);
+    f()
+}
+
+#[test]
+fn experiment_artifacts_bit_identical_across_widths() {
+    // The fan-out contract: every cell is a world of its own and results
+    // are placed by index, so the artifacts cannot depend on how many
+    // workers ran the cells. incast_matrix has the most cells (18) and is
+    // the cheapest grid in a debug build; the `#[ignore]`d sibling below
+    // sweeps every id.
+    let serial = with_width(1, || experiment_digest("incast_matrix", true));
+    let wide = with_width(4, || experiment_digest("incast_matrix", true));
+    assert_eq!(serial, wide, "incast_matrix: artifacts depend on the width");
+}
+
 #[test]
 #[ignore = "slow: run with cargo test --release --test determinism -- --ignored"]
-fn all_experiment_artifacts_bit_identical_across_burst_modes() {
+fn all_experiment_artifacts_bit_identical_across_burst_modes_and_widths() {
     // The artifact-level check of the batched pipelines against scalar
-    // delivery: every paper artifact, both modes. The two modes of an id
-    // run side by side — the burst default is thread-local, so they cannot
-    // see each other's setting.
+    // delivery, and of the harness fan-out against a serial run: every
+    // paper artifact, both delivery modes with one worker each, then scalar
+    // delivery again with up to four workers per experiment (whose helper
+    // threads must inherit the scalar default). The two serial runs of an
+    // id go side by side — the burst default is thread-local, so they
+    // cannot see each other's setting.
     for id in fastrak_bench::experiments::all_ids() {
-        let (on, off) = std::thread::scope(|s| {
-            let off = s.spawn(|| experiment_digest(id, false));
-            let on = experiment_digest(id, true);
-            (on, off.join().expect("scalar-delivery run panicked"))
+        let (on, off) = with_width(1, || {
+            std::thread::scope(|s| {
+                let off = s.spawn(|| experiment_digest(id, false));
+                let on = experiment_digest(id, true);
+                (on, off.join().expect("scalar-delivery run panicked"))
+            })
         });
         assert_eq!(on, off, "{id}: artifacts diverged across burst modes");
+        let wide = with_width(4, || experiment_digest(id, false));
+        assert_eq!(off, wide, "{id}: artifacts depend on the width");
     }
 }
 
