@@ -8,7 +8,7 @@
 use std::collections::{HashMap, HashSet};
 
 use fastrak::de::{DeConfig, DecisionEngine};
-use fastrak::de_inc::{IncrementalDecisionEngine, ShardEpoch, ShardedDecisionEngine};
+use fastrak::de_inc::IncrementalDecisionEngine;
 use fastrak::fps::{fps_split, FpsConfig, FpsInput};
 use fastrak::me::{AggDemand, MeasurementEngine};
 use fastrak::rules::RuleManager;
@@ -100,47 +100,6 @@ fn bench_incremental(s: &mut Suite, cfg: DeConfig, n: usize, churn_pct: usize, n
     });
 }
 
-/// One fleet control epoch: every rack ingests its 1% churn batch and
-/// decides, fanned out across scoped threads.
-fn bench_sharded(s: &mut Suite, shards: usize, total_aggs: usize) {
-    let per_shard = total_aggs / shards;
-    let churn = (per_shard / 100).max(1);
-    let mut fleet = ShardedDecisionEngine::new(&DeConfig::paper(), shards);
-    let mut offloaded: Vec<HashSet<FlowAggregate>> = Vec::with_capacity(shards);
-    let mut batches: Vec<Vec<Vec<AggDemand>>> = Vec::with_capacity(shards);
-    for sh in 0..shards {
-        // Disjoint per-rack aggregate spaces (offset into the flow space).
-        let d: Vec<AggDemand> = ((sh * per_shard) as u32..((sh + 1) * per_shard) as u32)
-            .map(|i| AggDemand {
-                agg: FlowAggregate::dst_of(&flow(i)),
-                pps: (i as f64 * 17.0) % 50_000.0,
-                bps: 1e6,
-                n_active: 1 + i % 6,
-                m_pps: (i as f64 * 13.0) % 40_000.0,
-                m_bps: 1e6,
-            })
-            .collect();
-        fleet.shard_mut(sh).ingest_snapshot(&d);
-        let target = fleet.shard_mut(sh).decide(&HashSet::new(), 256).target;
-        offloaded.push(target.into_iter().collect());
-        batches.push(delta_batches(&d, churn));
-    }
-    let mut epoch = 0usize;
-    let name = format!("decision_engine_sharded/shards/{shards}/aggregates/{total_aggs}");
-    s.bench(&name, || {
-        let epochs: Vec<ShardEpoch<'_>> = (0..shards)
-            .map(|sh| ShardEpoch {
-                changed: &batches[sh][epoch % batches[sh].len()],
-                removed: &[],
-                offloaded: &offloaded[sh],
-                budget: 256,
-            })
-            .collect();
-        epoch += 1;
-        black_box(fleet.decide_all(black_box(&epochs)));
-    });
-}
-
 fn main() {
     let quick = std::env::args().any(|a| a == "--quick");
     let mut s = Suite::new("controller");
@@ -210,9 +169,6 @@ fn main() {
             black_box(de.decide(black_box(&d), &offloaded, 256));
         });
     }
-
-    // Per-ToR sharded fleet epoch: 8 racks scored in parallel.
-    bench_sharded(&mut s, 8, 100_000);
 
     {
         let rm = RuleManager::new();

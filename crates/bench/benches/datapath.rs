@@ -124,52 +124,6 @@ fn main() {
         });
     }
 
-    // Batched TX: one iteration pushes a whole burst through
-    // `process_tx_burst`, so ns/pkt = ns/iter ÷ burst size. The perf gate
-    // holds burst/32 under the scalar `vswitch_fast_path_tx` baseline
-    // (12 ns/pkt × 32 = 384 ns/iter); the acceptance target is ≤ 6 ns/pkt.
-    {
-        use fastrak_host::vswitch::{Vswitch, VswitchConfig};
-        for burst in [1usize, 8, 32, 64] {
-            let mut vs = Vswitch::new(VswitchConfig::default());
-            vs.attach_vif(TenantId(3), Ip::new(10, 0, 0, 1));
-            let k = flow();
-            vs.process_tx(&k, 1500); // warm the datapath cache
-            let pkts: Vec<(FlowKey, u64)> = vec![(k, 1500); burst];
-            let mut out = Vec::with_capacity(burst);
-            s.bench(&format!("vswitch_batch_tx/burst/{burst}"), || {
-                out.clear();
-                vs.process_tx_burst(&pkts, &mut out);
-                black_box(&out);
-            });
-        }
-    }
-
-    // Per-stage batch primitives at burst 32 (the EXPERIMENTS.md per-stage
-    // ns/pkt rows divide these by 32).
-    {
-        use fastrak_sim::{DropTailQueue, TokenBucket};
-        let sizes = [1500u64; 32];
-        // 10 Gbit/s with a deep bucket; advancing the clock 1 ms per
-        // iteration refills more than the 48 KB each burst consumes, so
-        // every acquire stays on the conforming path.
-        let mut tb = TokenBucket::new(10_000_000_000, 1 << 20);
-        let mut out = Vec::with_capacity(32);
-        let mut tick = 0u64;
-        s.bench("tbf_acquire_burst/32", || {
-            tick += 1;
-            out.clear();
-            tb.acquire_burst(SimTime::from_micros(1_000 * tick), &sizes, &mut out);
-            black_box(&out);
-        });
-        let mut q: DropTailQueue<u64> = DropTailQueue::new(64, 1 << 20);
-        s.bench("queue_push_burst/32", || {
-            let n = q.push_burst((0..32u64).map(|i| (i, 1500)), |_, _, _| {});
-            while q.pop().is_some() {}
-            black_box(n);
-        });
-    }
-
     s.bench("des_kernel_100k_events", || {
         let mut k = Kernel::new((), 1);
         let a = k.add_node(Ping {

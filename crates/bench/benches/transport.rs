@@ -1,8 +1,7 @@
 //! Benchmarks for the transport subsystem's hot paths: the established
 //! ACK-clocked send/receive cycle (on a bare connection pair, and through
-//! two per-VM stacks holding one busy connection among many idle ones),
-//! SACK scoreboard maintenance under a lossy window, and ECN mark-or-drop
-//! admission on the drop-tail queue.
+//! two per-VM stacks holding one busy connection among many idle ones) and
+//! SACK scoreboard maintenance under a lossy window.
 //!
 //! Run with `cargo bench -p fastrak-bench --bench transport` (add
 //! `-- --quick` for a fast smoke pass). Set `FASTRAK_BENCH_JSON=<path>` to
@@ -160,27 +159,6 @@ fn main() {
             if i.is_multiple_of(1024) {
                 sb.clear();
             }
-        });
-    }
-
-    // ECN admission at burst width 32: the mark-or-drop decision the NIC
-    // and ToR queues make per packet when a marking threshold is armed
-    // (ns/pkt = ns/iter ÷ 32).
-    {
-        use fastrak_sim::DropTailQueue;
-        let mut q: DropTailQueue<u64> = DropTailQueue::new(64, 96_000);
-        q.set_ecn_threshold(Some(24_000));
-        let burst: Vec<(u64, u64, bool)> = (0..32u64).map(|i| (i, 1500, true)).collect();
-        su.bench("ecn_mark_burst/32", || {
-            let n = q.push_burst_ecn(
-                burst.iter().copied(),
-                |_, _, _| {},
-                |p| {
-                    black_box(&p);
-                },
-            );
-            black_box(n);
-            while q.pop().is_some() {}
         });
     }
 

@@ -25,8 +25,6 @@ use std::sync::atomic::{AtomicUsize, Ordering::SeqCst};
 use std::sync::Mutex;
 use std::thread::Scope;
 
-use fastrak_sim::kernel::{default_burst_delivery, set_burst_delivery_default};
-
 /// How many threads may run cells at once, and how many are.
 struct Budget {
     /// 0 until first asked for or set: then `available_parallelism()`.
@@ -116,11 +114,8 @@ pub fn width() -> usize {
 /// Run `f` over every item and return the results in input order.
 ///
 /// Cells must be independent: `f` may run on another thread and cells run
-/// in no particular order. Helper threads start with the caller's
-/// burst-delivery default (`fastrak_sim::kernel::default_burst_delivery`),
-/// which is thread-local, so worlds built in a cell get the delivery mode
-/// the caller asked for. If a cell panics, no further cells are started and
-/// the first panic resumes on the caller once every helper has joined.
+/// in no particular order. If a cell panics, no further cells are started
+/// and the first panic resumes on the caller once every helper has joined.
 pub fn map<T: Sync, R: Send>(items: &[T], f: impl Fn(&T) -> R + Sync) -> Vec<R> {
     map_in(&PROCESS, items, f)
 }
@@ -131,7 +126,6 @@ fn map_in<T: Sync, R: Send>(budget: &Budget, items: &[T], f: impl Fn(&T) -> R + 
         budget,
         items,
         f,
-        burst: default_burst_delivery(),
         next: AtomicUsize::new(0),
         out: items.iter().map(|_| Mutex::new(None)).collect(),
         panic: Mutex::new(None),
@@ -160,8 +154,6 @@ struct Run<'a, T, R, F> {
     budget: &'a Budget,
     items: &'a [T],
     f: F,
-    /// The caller's burst-delivery default, for the helpers.
-    burst: bool,
     /// Index of the next cell nobody has taken.
     next: AtomicUsize,
     /// One slot per cell: results land by index, whoever ran the cell.
@@ -181,7 +173,6 @@ impl<T: Sync, R: Send, F: Fn(&T) -> R + Sync> Run<'_, T, R, F> {
                     s.spawn(move || {
                         let _seat = seat;
                         SEATED.set(true);
-                        set_burst_delivery_default(Some(self.burst));
                         self.work(s);
                     });
                 }
@@ -337,59 +328,5 @@ mod tests {
         assert!(!SEATED.get(), "the caller is no longer seated");
         // ... and the budget still works.
         assert_eq!(map_in(&budget, &[1, 2, 3], |&i| i + 1), vec![2, 3, 4]);
-    }
-
-    #[test]
-    fn helpers_inherit_the_callers_burst_default() {
-        use fastrak_host::vm::VmSpec;
-        use fastrak_net::addr::Ip;
-        use fastrak_sim::time::SimTime;
-        use fastrak_workload::{memcached_server, MemslapClient, MemslapConfig};
-
-        use crate::scenarios::{rack, TENANT};
-
-        // Bursts the kernel formed in a small memcached rack built in a cell
-        // (five symmetric clients: their frames meet at the ToR in the same
-        // nanosecond), and whether that cell ran on a helper thread.
-        let budget = Budget::new(2);
-        let both_in = Barrier::new(2);
-        let me = std::thread::current().id();
-        let cell = |_: &()| {
-            both_in.wait(); // one cell each: one of them is on a helper
-            let mut bed = rack(3);
-            let mc = Ip::tenant_vm(1);
-            bed.add_vm(
-                0,
-                VmSpec::large("mc", TENANT, mc),
-                Box::new(memcached_server()),
-            );
-            for c in 0..5u16 {
-                let mut cfg = MemslapConfig::paper(vec![mc], None);
-                cfg.src_port_base = 43_000 + c * 64;
-                bed.add_vm(
-                    1 + c as usize,
-                    VmSpec::large(format!("slap{c}"), TENANT, Ip::tenant_vm(10 + c)),
-                    Box::new(MemslapClient::new(cfg)),
-                );
-            }
-            bed.start();
-            bed.run_until(SimTime::from_millis(50));
-            let on_helper = std::thread::current().id() != me;
-            (on_helper, bed.kernel.bursts_formed())
-        };
-
-        set_burst_delivery_default(Some(false));
-        let scalar = map_in(&budget, &[(); 2], cell);
-        set_burst_delivery_default(None);
-        let burst = map_in(&budget, &[(); 2], cell);
-
-        assert!(scalar.iter().any(|&(on_helper, _)| on_helper));
-        for (on_helper, bursts) in scalar {
-            assert_eq!(bursts, 0, "scalar-mode caller, helper={on_helper}");
-        }
-        // Not vacuous: the same world does form bursts when allowed to.
-        for (on_helper, bursts) in burst {
-            assert!(bursts > 0, "burst-mode caller, helper={on_helper}");
-        }
     }
 }

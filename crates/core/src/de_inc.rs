@@ -33,11 +33,6 @@
 //! loop-invariant), with one documented refinement shared by both engines:
 //! score ties between displaced incumbents break toward the smaller
 //! aggregate, where the old code left ties to `HashSet` iteration order.
-//!
-//! [`ShardedDecisionEngine`] runs one independent engine per ToR: rack
-//! decisions share no state (each rack has its own budget and offloaded
-//! set), so a fleet controller scores racks in parallel with scoped threads
-//! and still gets deterministic, shard-ordered results.
 
 use std::collections::{BTreeSet, HashSet};
 
@@ -342,84 +337,6 @@ impl IncrementalDecisionEngine {
     }
 }
 
-/// One rack's epoch input for [`ShardedDecisionEngine::decide_all`].
-pub struct ShardEpoch<'a> {
-    /// Changed/new demand rows for this rack.
-    pub changed: &'a [AggDemand],
-    /// Aggregates expired from this rack's measurement.
-    pub removed: &'a [FlowAggregate],
-    /// The rack's currently offloaded set.
-    pub offloaded: &'a HashSet<FlowAggregate>,
-    /// The rack ToR's fast-path budget.
-    pub budget: usize,
-}
-
-/// Per-ToR sharded controller state: one [`IncrementalDecisionEngine`] per
-/// rack, scored in parallel. Rack decisions are independent by construction
-/// (per-ToR budget, per-ToR offloaded set), so the fan-out is deterministic:
-/// results are returned in shard order no matter how threads interleave.
-#[derive(Debug)]
-pub struct ShardedDecisionEngine {
-    shards: Vec<IncrementalDecisionEngine>,
-}
-
-impl ShardedDecisionEngine {
-    /// One engine per ToR, all sharing the same policy config.
-    pub fn new(cfg: &DeConfig, n_shards: usize) -> ShardedDecisionEngine {
-        assert!(n_shards > 0, "a fleet has at least one rack");
-        ShardedDecisionEngine {
-            shards: (0..n_shards)
-                .map(|_| IncrementalDecisionEngine::new(cfg.clone()))
-                .collect(),
-        }
-    }
-
-    /// Number of shards (racks).
-    pub fn n_shards(&self) -> usize {
-        self.shards.len()
-    }
-
-    /// One shard's engine (e.g. to pre-seed or inspect it).
-    pub fn shard(&self, i: usize) -> &IncrementalDecisionEngine {
-        &self.shards[i]
-    }
-
-    /// Mutable access to one shard's engine.
-    pub fn shard_mut(&mut self, i: usize) -> &mut IncrementalDecisionEngine {
-        &mut self.shards[i]
-    }
-
-    /// Run one control epoch across every rack: ingest each shard's deltas
-    /// and decide its hardware set, fanning out across OS threads when more
-    /// than one shard exists. Returns decisions in shard order.
-    pub fn decide_all(&mut self, epochs: &[ShardEpoch<'_>]) -> Vec<Decision> {
-        assert_eq!(epochs.len(), self.shards.len(), "one epoch input per shard");
-        if self.shards.len() == 1 {
-            let ep = &epochs[0];
-            let sh = &mut self.shards[0];
-            sh.ingest(ep.changed, ep.removed);
-            return vec![sh.decide(ep.offloaded, ep.budget)];
-        }
-        std::thread::scope(|scope| {
-            let handles: Vec<_> = self
-                .shards
-                .iter_mut()
-                .zip(epochs)
-                .map(|(sh, ep)| {
-                    scope.spawn(move || {
-                        sh.ingest(ep.changed, ep.removed);
-                        sh.decide(ep.offloaded, ep.budget)
-                    })
-                })
-                .collect();
-            handles
-                .into_iter()
-                .map(|h| h.join().expect("shard scoring thread panicked"))
-                .collect()
-        })
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -593,42 +510,5 @@ mod tests {
             "walk must touch only the top-k fringe, scanned {}",
             st.scanned
         );
-    }
-
-    #[test]
-    fn sharded_fleet_matches_per_shard_serial_decides() {
-        let cfg = DeConfig::paper();
-        let n_shards = 4;
-        let mut fleet = ShardedDecisionEngine::new(&cfg, n_shards);
-        let mut solo: Vec<IncrementalDecisionEngine> = (0..n_shards)
-            .map(|_| IncrementalDecisionEngine::new(cfg.clone()))
-            .collect();
-        let offloaded: Vec<HashSet<FlowAggregate>> =
-            (0..n_shards).map(|_| HashSet::new()).collect();
-        for round in 0..5u16 {
-            let changed: Vec<Vec<AggDemand>> = (0..n_shards)
-                .map(|s| {
-                    (0..50u16)
-                        .map(|i| {
-                            demand(i, (1 + s as u16 + i + round) as f64 * 7.0, 1 + round as u32)
-                        })
-                        .collect()
-                })
-                .collect();
-            let epochs: Vec<ShardEpoch<'_>> = (0..n_shards)
-                .map(|s| ShardEpoch {
-                    changed: &changed[s],
-                    removed: &[],
-                    offloaded: &offloaded[s],
-                    budget: 8,
-                })
-                .collect();
-            let fleet_out = fleet.decide_all(&epochs);
-            for s in 0..n_shards {
-                solo[s].ingest(&changed[s], &[]);
-                let want = solo[s].decide(&offloaded[s], 8);
-                assert_eq!(fleet_out[s], want, "shard {s} round {round}");
-            }
-        }
     }
 }

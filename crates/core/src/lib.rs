@@ -31,7 +31,7 @@ pub mod rules;
 pub mod tor_ctrl;
 
 pub use de::{DeConfig, Decision, DecisionEngine};
-pub use de_inc::{DeEpochStats, IncrementalDecisionEngine, ShardEpoch, ShardedDecisionEngine};
+pub use de_inc::{DeEpochStats, IncrementalDecisionEngine};
 pub use fps::{fps_split, FpsConfig, FpsInput, FpsSplit};
 pub use local::{LocalController, LocalControllerConfig, Timing};
 pub use me::{AggDemand, DemandDelta, MeasurementEngine, VmDemandProfile};

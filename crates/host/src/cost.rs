@@ -44,8 +44,8 @@ pub struct CostModel {
     pub vhost_fixed: SimDuration,
     /// Host CPU per (super-)segment through the OVS kernel datapath,
     /// excluding dispatch: flow-table probe, action execution, checksum
-    /// fixups. The dispatch share is modelled separately (below) so the
-    /// vector datapath's amortization is visible in the cost structure.
+    /// fixups. The dispatch share is modelled separately (below): a real
+    /// kernel amortizes it over a poll batch.
     pub vswitch_fixed: SimDuration,
     /// Per-packet cost of scalar datapath dispatch (NAPI poll, per-packet
     /// function-call chain, cache-cold descriptor touch). Modern kernels

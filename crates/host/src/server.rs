@@ -130,13 +130,6 @@ pub struct ServerStats {
     pub tx_hw_frames: u64,
     /// Frames received (both ports).
     pub rx_frames: u64,
-    /// Same-instant frame bursts (≥2 frames) delivered by the kernel and
-    /// processed through the vector datapath.
-    pub dp_bursts: u64,
-    /// Frames processed through a run-amortized batch (run length ≥2).
-    pub dp_batch_pkts: u64,
-    /// Frames processed through the scalar per-packet path.
-    pub dp_scalar_pkts: u64,
     /// ECT packets CE-marked at the NIC tx ring (never also counted as
     /// drops: marking is instead-of-dropping).
     pub ecn_marked: u64,
@@ -313,9 +306,6 @@ impl Server {
             ("host.rx_frames", self.stats.rx_frames),
             ("host.vswitch.fast_path_hits", self.vswitch.fast_path_hits()),
             ("host.vswitch.slow_path_hits", self.vswitch.slow_path_hits()),
-            ("host.dp.bursts", self.stats.dp_bursts),
-            ("host.dp.batch_pkts", self.stats.dp_batch_pkts),
-            ("host.dp.scalar_pkts", self.stats.dp_scalar_pkts),
             ("host.ecn_marked", self.stats.ecn_marked),
         ] {
             let id = reg.counter(name, server);
@@ -869,7 +859,6 @@ impl Server {
     // ---------------------------------------------------------------- rx --
 
     fn on_frame(&mut self, api: &mut Api<'_, Event, NetCtx>, port: usize, mut pkt: Packet) {
-        self.stats.dp_scalar_pkts += 1;
         self.stats.rx_frames += 1;
         match port {
             PORT_HW => {
@@ -939,94 +928,6 @@ impl Server {
                 );
             }
             other => panic!("server {} has no port {other}", self.cfg.name),
-        }
-    }
-
-    /// Process a run of ≥2 same-instant SR-IOV frames sharing (VLAN, flow):
-    /// one VF demux classifies the whole run, then each frame goes through
-    /// the per-packet continuation (irq cost, RNG draw, guest delivery) in
-    /// arrival order — bit-identical to `run.len()` scalar [`Self::on_frame`]
-    /// calls.
-    fn rx_run_hw(&mut self, api: &mut Api<'_, Event, NetCtx>, run: Vec<Packet>) {
-        let n = run.len() as u64;
-        self.stats.rx_frames += n;
-        if api.chaos_vf_down_at(api.self_id) {
-            self.hw_path_up = false;
-            self.stats.hw_path_drops += n;
-            return;
-        }
-        self.hw_path_up = true;
-        let Some(vlan) = run[0].outer_vlan() else {
-            self.stats.rx_drops += n;
-            return;
-        };
-        let Some((_vf, vm_idx)) = self.nic.demux_vlan_run(vlan, run[0].flow.dst_ip, n) else {
-            self.stats.rx_drops += n;
-            return;
-        };
-        for mut pkt in run {
-            pkt.decap(); // NIC strips the VLAN tag (§4.2.2)
-            let c = self.cfg.cost.sriov_host(&pkt);
-            self.submit_irq(api.now, c);
-            self.deliver_to_guest(api, vm_idx, pkt, api.now, false);
-        }
-    }
-
-    /// Process a run of ≥2 same-instant vswitch-port frames sharing (outer
-    /// header, flow): decap/validation is decided once (the outer header is
-    /// part of the run key), the datapath probe is amortized via
-    /// [`Vswitch::process_rx_burst`], and admission/clamp/stash stay
-    /// per-packet in arrival order.
-    fn rx_run_sw(&mut self, api: &mut Api<'_, Event, NetCtx>, mut run: Vec<Packet>) {
-        let n = run.len() as u64;
-        self.stats.rx_frames += n;
-        let tunneled = matches!(run[0].outer(), Some(Encap::Vxlan { .. }));
-        if tunneled {
-            for pkt in &mut run {
-                let Some(Encap::Vxlan { dst, vni, .. }) = pkt.decap() else {
-                    unreachable!()
-                };
-                if dst != self.cfg.provider_ip || vni != pkt.flow.tenant.vni() {
-                    // Uniform across the run (outer + flow are the run key):
-                    // the whole run is mis-delivered, exactly as n scalar
-                    // drops would be.
-                    self.stats.rx_drops += n;
-                    return;
-                }
-            }
-        }
-        let keyed: Vec<(fastrak_net::flow::FlowKey, u64)> =
-            run.iter().map(|p| (p.flow, p.wire_bytes_total())).collect();
-        let mut decisions = Vec::with_capacity(run.len());
-        self.vswitch.process_rx_burst(&keyed, &mut decisions);
-        for (pkt, decision) in run.into_iter().zip(decisions) {
-            let Some(vm_idx) = decision else {
-                self.stats.rx_drops += 1;
-                continue;
-            };
-            let rate_limited = self.vswitch.ingress_limited(vm_idx);
-            let cost = if tunneled {
-                self.cfg.cost.vswitch_tunneled(&pkt, rate_limited)
-            } else {
-                self.cfg.cost.vswitch_fast(&pkt, rate_limited)
-            };
-            let Some(done) =
-                self.try_submit_vswitch(vm_idx, api.now, cost, tunneled, self.cfg.max_rx_backlog)
-            else {
-                self.stats.rx_drops += 1;
-                continue;
-            };
-            let done = self.seq_clamp(&pkt.flow, 2, done);
-            let tok = self.stash(Pending::VswitchRxDone { vm: vm_idx, pkt });
-            api.send_at(
-                api.self_id,
-                done,
-                Event::Timer {
-                    tag: tags::PENDING,
-                    a: tok,
-                    b: 0,
-                },
-            );
         }
     }
 
@@ -1207,34 +1108,6 @@ impl Node<Event, NetCtx> for Server {
                 Ok((from, req)) => self.on_ctrl(api, from, req),
                 Err(_) => { /* unknown control message: ignore */ }
             },
-        }
-    }
-
-    fn burst_eligible(&self, ev: &Event) -> bool {
-        // Only frames: timers/control messages can be logically cancelled or
-        // reordered against pending state, so they stay scalar.
-        matches!(ev, Event::Frame { .. })
-    }
-
-    fn on_burst(&mut self, evs: &mut Vec<Event>, api: &mut Api<'_, Event, NetCtx>) {
-        let mut burst = fastrak_net::PacketBurst::from_events(evs);
-        self.stats.dp_bursts += 1;
-        while !burst.is_empty() {
-            let n = burst.run_len(|port, p| (port, p.outer().copied(), p.flow));
-            let port = burst.frames[0].0;
-            if n == 1 {
-                // Singleton run: the scalar handler IS the batch semantics.
-                let (port, pkt) = burst.frames.remove(0);
-                self.on_frame(api, port, pkt);
-                continue;
-            }
-            self.stats.dp_batch_pkts += n as u64;
-            let run: Vec<Packet> = burst.frames.drain(..n).map(|(_, p)| p).collect();
-            match port {
-                PORT_HW => self.rx_run_hw(api, run),
-                PORT_SW => self.rx_run_sw(api, run),
-                other => panic!("server {} has no port {other}", self.cfg.name),
-            }
         }
     }
 

@@ -122,18 +122,11 @@ impl SriovNic {
     /// in for the VF MAC: the paper's VLAN identifies the tenant, the MAC
     /// the VM.
     pub fn demux_vlan(&mut self, vlan: u16, dst_ip: Ip) -> Option<(usize, usize)> {
-        self.demux_vlan_run(vlan, dst_ip, 1)
-    }
-
-    /// Run-amortized [`Self::demux_vlan`]: one VF table scan classifies a
-    /// run of `n` frames sharing the same (VLAN, destination IP), accounting
-    /// all `n` on the matched VF. Equivalent to `n` scalar calls.
-    pub fn demux_vlan_run(&mut self, vlan: u16, dst_ip: Ip, n: u64) -> Option<(usize, usize)> {
         let i = self
             .vfs
             .iter()
             .position(|vf| vf.vlan.0 == vlan && vf.vm_ip == dst_ip)?;
-        self.vfs[i].rx_packets += n;
+        self.vfs[i].rx_packets += 1;
         Some((i, self.vfs[i].vm_idx))
     }
 

@@ -203,63 +203,12 @@ impl Vswitch {
         }
     }
 
-    /// Process a same-instant burst of transmitted packets, appending one
-    /// [`TxResult`] per packet to `out` in order.
-    ///
-    /// Run-amortized: consecutive packets sharing a flow key pay one hash
-    /// dispatch. The run's head packet goes through scalar
-    /// [`Self::process_tx`] — it alone may take the slow path, and it
-    /// installs the cache entry the rest of the run then hits via one
-    /// [`ExactMatchTable::lookup_run`] probe. Verdicts, hit/miss counters,
-    /// and per-flow stats come out bit-identical to the per-packet loop
-    /// (`tests/datapath_differential.rs` drives both side by side).
+    /// [`Self::process_tx`] over a slice, one [`TxResult`] per packet appended
+    /// to `out` in order. Nothing in the simulator calls it: it stays only
+    /// because the benchmark's `host.probe.vswitch_tx_ns_per_pkt` probe
+    /// (`benchmark/src/probes.rs`, which this repo's PRs may not edit) does.
     pub fn process_tx_burst(&mut self, pkts: &[(FlowKey, u64)], out: &mut Vec<TxResult>) {
-        out.reserve(pkts.len());
-        let mut i = 0;
-        while i < pkts.len() {
-            let n = fastrak_net::burst::run_len(&pkts[i..], |&(k, _)| k);
-            let (key, head_bytes) = pkts[i];
-            let head = self.process_tx(&key, head_bytes);
-            out.push(head);
-            if n > 1 {
-                let rest_bytes: u64 = pkts[i + 1..i + n].iter().map(|&(_, b)| b).sum();
-                self.fast_path_hits += (n - 1) as u64;
-                let act = self
-                    .datapath
-                    .lookup_run(&key, (n - 1) as u64, rest_bytes)
-                    .expect("run head installed the datapath entry");
-                let rest = TxResult {
-                    verdict: act.verdict,
-                    slow_path: false,
-                };
-                out.extend(std::iter::repeat_n(rest, n - 1));
-            }
-            i += n;
-        }
-    }
-
-    /// Burst form of [`Self::process_rx`]: appends one delivery decision per
-    /// packet to `out`, run-amortizing the datapath probe exactly like
-    /// [`Self::process_tx_burst`].
-    pub fn process_rx_burst(&mut self, pkts: &[(FlowKey, u64)], out: &mut Vec<Option<usize>>) {
-        out.reserve(pkts.len());
-        let mut i = 0;
-        while i < pkts.len() {
-            let n = fastrak_net::burst::run_len(&pkts[i..], |&(k, _)| k);
-            let (key, head_bytes) = pkts[i];
-            let head = self.process_rx(&key, head_bytes);
-            out.push(head);
-            if n > 1 {
-                // Same key ⇒ same cached verdict ⇒ same decision as the
-                // head; only the accounting needs the real probe.
-                let rest_bytes: u64 = pkts[i + 1..i + n].iter().map(|&(_, b)| b).sum();
-                self.fast_path_hits += (n - 1) as u64;
-                let probed = self.datapath.lookup_run(&key, (n - 1) as u64, rest_bytes);
-                debug_assert!(probed.is_some(), "run head installed the entry");
-                out.extend(std::iter::repeat_n(head, n - 1));
-            }
-            i += n;
-        }
+        out.extend(pkts.iter().map(|(key, bytes)| self.process_tx(key, *bytes)));
     }
 
     /// Process one received packet (post-decap) destined to a local VM.

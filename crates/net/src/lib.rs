@@ -20,7 +20,6 @@
 //! integration tests to prove the encap stack is wire-faithful.
 
 pub mod addr;
-pub mod burst;
 pub mod checksum;
 pub mod ctrl;
 pub mod event;
@@ -33,7 +32,6 @@ pub mod tunnel;
 pub mod wire;
 
 pub use addr::{Ip, Mac, TenantId, VlanId};
-pub use burst::PacketBurst;
 pub use ctrl::{CtrlReply, CtrlRequest, Dir, FlowStatEntry, TorRule, TorStatEntry};
 pub use event::{CtlMsg, Event, NetCtx};
 pub use flow::{FlowAggregate, FlowKey, FlowSpec, Proto};

@@ -216,11 +216,10 @@ pub enum PathTag {
 ///
 /// The body is written once where the packet is born ([`Packet::new`]) and
 /// freed once where it dies (dropped at delivery or at a drop point); every
-/// hop in between — event, scheduler entry, burst buffer, stage table —
-/// moves the 8-byte handle. Fields are reached through `Deref`, so
-/// `pkt.flow`, `pkt.ecn = ..` and `&pkt` read as they would on a plain
-/// struct. `Clone` copies the body (the clone is independent), `==` and
-/// `Debug` go by body.
+/// hop in between — event, scheduler entry, stage table — moves the 8-byte
+/// handle. Fields are reached through `Deref`, so `pkt.flow`,
+/// `pkt.ecn = ..` and `&pkt` read as they would on a plain struct. `Clone`
+/// copies the body (the clone is independent), `==` and `Debug` go by body.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Packet(Box<PacketBody>);
 

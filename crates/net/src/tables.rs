@@ -81,26 +81,6 @@ impl<V> ExactMatchTable<V> {
         }
     }
 
-    /// Batched probe for a *run* of `count` same-key packets carrying
-    /// `total_bytes` between them: one hash dispatch where the scalar path
-    /// pays one per packet. Accounting is n-fold and exactly equals `count`
-    /// calls to [`Self::lookup`] with byte arguments summing to
-    /// `total_bytes` — including the miss counter, which charges the whole
-    /// run (every scalar probe of an absent key misses).
-    pub fn lookup_run(&mut self, key: &FlowKey, count: u64, total_bytes: u64) -> Option<&V> {
-        self.lookups += count;
-        match self.entries.get_mut(key) {
-            Some(e) => {
-                e.stats.add_n(count, total_bytes);
-                Some(&e.value)
-            }
-            None => {
-                self.misses += count;
-                None
-            }
-        }
-    }
-
     /// Peek without stats accounting.
     pub fn get(&self, key: &FlowKey) -> Option<&V> {
         self.entries.get(key).map(|e| &e.value)
@@ -280,23 +260,6 @@ impl<V> WildcardTable<V> {
         None
     }
 
-    /// Batched probe for a run of `count` same-key packets carrying
-    /// `total_bytes` between them: one linear scan instead of `count`.
-    /// Accounting equals `count` scalar [`Self::lookup`] calls whose byte
-    /// arguments sum to `total_bytes` (same winning rule every time — the
-    /// table cannot change mid-run).
-    pub fn lookup_run(&mut self, key: &FlowKey, count: u64, total_bytes: u64) -> Option<&V> {
-        self.lookups += count;
-        for e in &mut self.entries {
-            if e.spec.matches(key) {
-                e.stats.add_n(count, total_bytes);
-                return Some(&e.value);
-            }
-        }
-        self.misses += count;
-        None
-    }
-
     /// Match without stats accounting.
     pub fn find(&self, key: &FlowKey) -> Option<&WildcardEntry<V>> {
         self.entries.iter().find(|e| e.spec.matches(key))
@@ -351,30 +314,6 @@ mod tests {
         let s = t.stats(&key(80)).unwrap();
         assert_eq!(s.count, 1);
         assert_eq!(s.bytes, 100);
-    }
-
-    #[test]
-    fn exact_run_probe_matches_scalar_accounting() {
-        let mut scalar = ExactMatchTable::new();
-        let mut batched = ExactMatchTable::new();
-        for t in [&mut scalar, &mut batched] {
-            t.insert(key(80), "a");
-        }
-        let sizes = [100u64, 200, 300];
-        for &b in &sizes {
-            scalar.lookup(&key(80), b);
-            scalar.lookup(&key(81), b);
-        }
-        let total: u64 = sizes.iter().sum();
-        assert_eq!(batched.lookup_run(&key(80), 3, total), Some(&"a"));
-        assert_eq!(batched.lookup_run(&key(81), 3, total), None);
-        assert_eq!(scalar.lookups(), batched.lookups());
-        assert_eq!(scalar.misses(), batched.misses());
-        let (s, b) = (
-            scalar.stats(&key(80)).unwrap(),
-            batched.stats(&key(80)).unwrap(),
-        );
-        assert_eq!((s.count, s.bytes), (b.count, b.bytes));
     }
 
     #[test]
@@ -453,32 +392,6 @@ mod tests {
         t.install(FlowSpec::tenant(TenantId(9)), 1, 0).unwrap();
         assert_eq!(t.lookup(&key(80), 1), None);
         assert_eq!(t.misses(), 1);
-    }
-
-    #[test]
-    fn wildcard_run_probe_matches_scalar_accounting() {
-        let mut scalar = WildcardTable::new(4);
-        let mut batched = WildcardTable::new(4);
-        let spec = FlowSpec::tenant(TenantId(1));
-        for t in [&mut scalar, &mut batched] {
-            t.install(spec, 1, "r").unwrap();
-        }
-        scalar.lookup(&key(80), 100);
-        scalar.lookup(&key(80), 250);
-        assert_eq!(batched.lookup_run(&key(80), 2, 350), Some(&"r"));
-        let (s, b) = (
-            scalar.iter().next().unwrap().stats,
-            batched.iter().next().unwrap().stats,
-        );
-        assert_eq!((s.count, s.bytes), (b.count, b.bytes));
-        assert_eq!(scalar.lookups(), batched.lookups());
-        // Miss runs charge the whole run.
-        let miss = FlowKey {
-            tenant: TenantId(9),
-            ..key(80)
-        };
-        assert_eq!(batched.lookup_run(&miss, 5, 500), None);
-        assert_eq!(batched.misses(), 5);
     }
 
     #[test]

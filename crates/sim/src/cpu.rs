@@ -68,28 +68,6 @@ impl CpuPool {
         done
     }
 
-    /// Batch [`CpuPool::submit`]: dispatch a same-instant run of work items
-    /// in order, appending each completion time to `out`. The heap pops and
-    /// pushes are inherent (each item's start depends on the previous
-    /// dispatches), but the busy/window/completed accounting is folded into
-    /// one update per burst. Completion times are identical, item for item,
-    /// to the scalar loop.
-    pub fn submit_batch(&mut self, now: SimTime, costs: &[SimDuration], out: &mut Vec<SimTime>) {
-        out.reserve(costs.len());
-        let mut total = SimDuration::ZERO;
-        for &cost in costs {
-            let Reverse(free) = self.free_at.pop().expect("pool always has slots");
-            let start = free.max(now);
-            let done = start + cost;
-            self.free_at.push(Reverse(done));
-            total += cost;
-            out.push(done);
-        }
-        self.busy += total;
-        self.window_busy += total;
-        self.completed += costs.len() as u64;
-    }
-
     /// Like [`CpuPool::submit`] but refuses work that could not *start*
     /// within `max_queue_delay`; returns `None` in that case (models a
     /// bounded softirq backlog that drops instead of queueing unboundedly).
@@ -104,12 +82,6 @@ impl CpuPool {
             return None;
         }
         Some(self.submit(now, cost))
-    }
-
-    /// Earliest time at which a newly submitted item would start executing.
-    pub fn earliest_start(&self, now: SimTime) -> SimTime {
-        let Reverse(free) = *self.free_at.peek().expect("pool always has slots");
-        free.max(now)
     }
 
     /// Total CPU time consumed since construction.
@@ -214,23 +186,6 @@ mod tests {
         assert!(p.try_submit(SimTime::ZERO, US, US * 10).is_none());
         // Accepted with a big enough budget.
         assert!(p.try_submit(SimTime::ZERO, US, US * 100).is_some());
-    }
-
-    #[test]
-    fn batch_submit_matches_scalar_loop() {
-        let costs: Vec<SimDuration> = (1..20).map(|i| US * i).collect();
-        let mut scalar = CpuPool::new(3);
-        let mut batched = CpuPool::new(3);
-        let now = SimTime::from_micros(5);
-        let want: Vec<SimTime> = costs.iter().map(|&c| scalar.submit(now, c)).collect();
-        let mut got = Vec::new();
-        batched.submit_batch(now, &costs, &mut got);
-        assert_eq!(want, got);
-        assert_eq!(scalar.total_busy(), batched.total_busy());
-        assert_eq!(scalar.completed(), batched.completed());
-        assert_eq!(scalar.window_busy(), batched.window_busy());
-        // Follow-up scalar work sees the same pool state.
-        assert_eq!(scalar.submit(now, US), batched.submit(now, US));
     }
 
     #[test]

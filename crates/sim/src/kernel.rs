@@ -29,39 +29,11 @@ pub use crate::sched::EventHandle;
 /// Index of a node registered with the kernel.
 pub type NodeId = usize;
 
-/// Maximum events collected into one burst — the VPP-style vector size.
-/// Bounding it keeps a pathological same-instant pileup from starving the
-/// rest of the slot and caps the reusable buffer's working set.
-pub const MAX_BURST: usize = 64;
-
 /// A simulated entity that receives timestamped events.
 pub trait Node<E, C>: Any {
     /// Handle one event addressed to this node. `api` gives access to the
     /// clock, shared context, RNG, and event scheduling.
     fn on_event(&mut self, ev: E, api: &mut Api<'_, E, C>);
-
-    /// May `ev` be collected into a same-instant burst for this node?
-    ///
-    /// The kernel asks *before* extracting an event from the scheduler, so
-    /// an ineligible event keeps its queue position and stays cancellable.
-    /// Only opt in event kinds that are never cancelled after being sent
-    /// (data-plane frames); timers and control messages must stay out.
-    /// Default: nothing is burst-eligible.
-    fn burst_eligible(&self, _ev: &E) -> bool {
-        false
-    }
-
-    /// Handle a burst of ≥ 2 events that share one timestamp, in schedule
-    /// order. The default drains the burst through [`Node::on_event`] —
-    /// semantically, batching is only ever an amortization of the scalar
-    /// path, so any override must produce bit-identical behavior to this
-    /// default (`host/tests/datapath_differential.rs` and the burst-toggle
-    /// tests in `tests/determinism.rs` enforce it).
-    fn on_burst(&mut self, evs: &mut Vec<E>, api: &mut Api<'_, E, C>) {
-        for ev in evs.drain(..) {
-            self.on_event(ev, api);
-        }
-    }
 
     /// Human-readable name for traces and panics. Borrowed, not allocated:
     /// callers that need an owned copy (the kernel's name registry, trace
@@ -242,14 +214,6 @@ pub struct Kernel<E, C> {
     next_seq: u64,
     events_processed: u64,
     cancels_requested: u64,
-    /// Deliver same-instant eligible event runs as bursts (see
-    /// [`Node::on_burst`]). Defaults on; [`Kernel::set_burst_delivery`]
-    /// flips it at runtime for the differential tests.
-    burst_enabled: bool,
-    /// Reusable burst collection buffer (allocation-free steady state).
-    burst_buf: Vec<E>,
-    bursts_formed: u64,
-    burst_events: u64,
     fault: Option<FaultLayer<E>>,
     /// Shared context available to every node during event handling.
     pub ctx: C,
@@ -260,8 +224,6 @@ pub struct Kernel<E, C> {
 /// Object-safe shim adding `Any`-based downcasting on top of [`Node`].
 trait NodeObj<E, C> {
     fn on_event_obj(&mut self, ev: E, api: &mut Api<'_, E, C>);
-    fn burst_eligible_obj(&self, ev: &E) -> bool;
-    fn on_burst_obj(&mut self, evs: &mut Vec<E>, api: &mut Api<'_, E, C>);
     fn as_any_mut(&mut self) -> &mut dyn Any;
     fn as_any(&self) -> &dyn Any;
 }
@@ -270,39 +232,12 @@ impl<E, C, T: Node<E, C>> NodeObj<E, C> for T {
     fn on_event_obj(&mut self, ev: E, api: &mut Api<'_, E, C>) {
         self.on_event(ev, api)
     }
-    fn burst_eligible_obj(&self, ev: &E) -> bool {
-        self.burst_eligible(ev)
-    }
-    fn on_burst_obj(&mut self, evs: &mut Vec<E>, api: &mut Api<'_, E, C>) {
-        self.on_burst(evs, api)
-    }
     fn as_any_mut(&mut self) -> &mut dyn Any {
         self
     }
     fn as_any(&self) -> &dyn Any {
         self
     }
-}
-
-thread_local! {
-    /// Per-thread override for the burst-delivery default of newly built
-    /// kernels (see [`set_burst_delivery_default`]).
-    static BURST_DELIVERY_DEFAULT: std::cell::Cell<Option<bool>> =
-        const { std::cell::Cell::new(None) };
-}
-
-/// Override the burst-delivery default for kernels subsequently constructed
-/// on this thread; `None` restores the default (on). Differential tests use
-/// this to drive whole experiment worlds — which build their kernels
-/// internally — through both delivery modes in one binary. Thread-local, so
-/// parallel tests cannot race each other.
-pub fn set_burst_delivery_default(v: Option<bool>) {
-    BURST_DELIVERY_DEFAULT.with(|c| c.set(v));
-}
-
-/// The burst-delivery setting newly constructed kernels start with.
-pub fn default_burst_delivery() -> bool {
-    BURST_DELIVERY_DEFAULT.with(|c| c.get()).unwrap_or(true)
 }
 
 impl<E, C> Kernel<E, C> {
@@ -316,10 +251,6 @@ impl<E, C> Kernel<E, C> {
             next_seq: 0,
             events_processed: 0,
             cancels_requested: 0,
-            burst_enabled: default_burst_delivery(),
-            burst_buf: Vec::new(),
-            bursts_formed: 0,
-            burst_events: 0,
             fault: None,
             ctx,
             rng: Rng::new(seed),
@@ -401,28 +332,6 @@ impl<E, C> Kernel<E, C> {
         self.cancels_requested
     }
 
-    /// Turn same-instant burst delivery on or off at runtime. Both settings
-    /// produce bit-identical runs (the differential suites pin this); the
-    /// toggle exists so one binary can compare them.
-    pub fn set_burst_delivery(&mut self, on: bool) {
-        self.burst_enabled = on;
-    }
-
-    /// Is burst delivery currently enabled?
-    pub fn burst_delivery(&self) -> bool {
-        self.burst_enabled
-    }
-
-    /// Bursts (≥ 2 events) delivered via [`Node::on_burst`].
-    pub fn bursts_formed(&self) -> u64 {
-        self.bursts_formed
-    }
-
-    /// Events delivered inside those bursts.
-    pub fn burst_events(&self) -> u64 {
-        self.burst_events
-    }
-
     /// Immutable typed access to a node (harness inspection between events).
     ///
     /// # Panics
@@ -480,14 +389,6 @@ impl<E, C> Kernel<E, C> {
 
     /// Deliver the next event if it is due at or before `deadline`.
     /// Returns `false` when nothing (live) is due.
-    ///
-    /// When burst delivery is on and the popped event is burst-eligible for
-    /// its node, the scheduler is probed for same-instant eligible peers
-    /// addressed to the same node (a seq-order prefix, up to [`MAX_BURST`])
-    /// and the run is handed to [`Node::on_burst`] in one call. Collection
-    /// happens before the node runs, so anything the node schedules —
-    /// including zero-delay self-sends — carries a higher seq and sorts
-    /// after the collected run, exactly as it would under scalar delivery.
     fn step_due(&mut self, deadline: SimTime) -> bool {
         let Some((time, dst, ev)) = self.sched.pop_due(deadline) else {
             return false;
@@ -498,57 +399,17 @@ impl<E, C> Kernel<E, C> {
         let mut node = self.nodes[dst]
             .take()
             .unwrap_or_else(|| panic!("node {dst} delivered to recursively"));
-        if self.burst_enabled && node.burst_eligible_obj(&ev) {
-            let mut buf = std::mem::take(&mut self.burst_buf);
-            debug_assert!(buf.is_empty());
-            buf.push(ev);
-            while buf.len() < MAX_BURST {
-                let Some(peer) = self
-                    .sched
-                    .pop_due_matching(time, dst, &mut |e| node.burst_eligible_obj(e))
-                else {
-                    break;
-                };
-                buf.push(peer);
-            }
-            self.events_processed += buf.len() as u64 - 1;
-            {
-                let mut api = Api {
-                    now: self.now,
-                    self_id: dst,
-                    ctx: &mut self.ctx,
-                    rng: &mut self.rng,
-                    sched: &mut self.sched,
-                    next_seq: &mut self.next_seq,
-                    fault: &mut self.fault,
-                    cancels_requested: &mut self.cancels_requested,
-                };
-                if buf.len() >= 2 {
-                    self.bursts_formed += 1;
-                    self.burst_events += buf.len() as u64;
-                    node.on_burst_obj(&mut buf, &mut api);
-                } else {
-                    // A burst of one IS the scalar path — by construction,
-                    // not by convention.
-                    let ev = buf.pop().expect("holds the popped event");
-                    node.on_event_obj(ev, &mut api);
-                }
-            }
-            buf.clear();
-            self.burst_buf = buf;
-        } else {
-            let mut api = Api {
-                now: self.now,
-                self_id: dst,
-                ctx: &mut self.ctx,
-                rng: &mut self.rng,
-                sched: &mut self.sched,
-                next_seq: &mut self.next_seq,
-                fault: &mut self.fault,
-                cancels_requested: &mut self.cancels_requested,
-            };
-            node.on_event_obj(ev, &mut api);
-        }
+        let mut api = Api {
+            now: self.now,
+            self_id: dst,
+            ctx: &mut self.ctx,
+            rng: &mut self.rng,
+            sched: &mut self.sched,
+            next_seq: &mut self.next_seq,
+            fault: &mut self.fault,
+            cancels_requested: &mut self.cancels_requested,
+        };
+        node.on_event_obj(ev, &mut api);
         self.nodes[dst] = Some(node);
         true
     }
@@ -598,10 +459,6 @@ impl<E, C> Kernel<E, C> {
         reg.set_counter(c, self.events_processed);
         let c = reg.counter("sim.kernel.cancels_requested", &[]);
         reg.set_counter(c, self.cancels_requested);
-        let c = reg.counter("sim.kernel.bursts_formed", &[]);
-        reg.set_counter(c, self.bursts_formed);
-        let c = reg.counter("sim.kernel.burst_events", &[]);
-        reg.set_counter(c, self.burst_events);
         let g = reg.gauge("sim.kernel.pending_events", &[]);
         reg.gauge_set(g, self.pending_events() as f64);
         let g = reg.gauge("sim.kernel.cancelled_backlog", &[]);
@@ -786,119 +643,6 @@ mod tests {
         k.run_to_completion();
         assert_eq!(k.cancelled_backlog(), 0, "popped tombstones must be pruned");
         assert_eq!(k.pending_events(), 0);
-    }
-
-    /// Collects pings; opts into burst delivery and records burst sizes.
-    struct BurstSink {
-        got: Vec<u32>,
-        bursts: Vec<usize>,
-    }
-
-    impl Node<Ev, Ctx> for BurstSink {
-        fn on_event(&mut self, ev: Ev, api: &mut Api<'_, Ev, Ctx>) {
-            if let Ev::Ping(n) = ev {
-                self.got.push(n);
-                api.ctx.log.push((api.now.as_nanos(), api.self_id, n));
-            }
-        }
-        fn burst_eligible(&self, ev: &Ev) -> bool {
-            matches!(ev, Ev::Ping(_))
-        }
-        fn on_burst(&mut self, evs: &mut Vec<Ev>, api: &mut Api<'_, Ev, Ctx>) {
-            self.bursts.push(evs.len());
-            for ev in evs.drain(..) {
-                self.on_event(ev, api);
-            }
-        }
-        fn name(&self) -> &str {
-            "burst-sink"
-        }
-    }
-
-    fn burst_kernel() -> (Kernel<Ev, Ctx>, NodeId) {
-        let mut k = Kernel::new(Ctx::default(), 1);
-        let a = k.add_node(BurstSink {
-            got: vec![],
-            bursts: vec![],
-        });
-        (k, a)
-    }
-
-    #[test]
-    fn burst_delivery_defaults_on() {
-        let k = Kernel::<Ev, Ctx>::new(Ctx::default(), 1);
-        assert!(k.burst_delivery());
-    }
-
-    #[test]
-    fn same_instant_eligible_events_form_a_burst() {
-        let (mut k, a) = burst_kernel();
-        for n in 0..5 {
-            k.post(a, SimTime::from_micros(10), Ev::Ping(n));
-        }
-        k.post(a, SimTime::from_micros(20), Ev::Ping(99));
-        k.run_to_completion();
-        let sink = k.node::<BurstSink>(a);
-        assert_eq!(sink.got, vec![0, 1, 2, 3, 4, 99]);
-        assert_eq!(sink.bursts, vec![5], "lone trailing event stays scalar");
-        assert_eq!(k.events_processed(), 6);
-        assert_eq!(k.bursts_formed(), 1);
-        assert_eq!(k.burst_events(), 5);
-    }
-
-    #[test]
-    fn ineligible_event_splits_the_burst_in_seq_order() {
-        let (mut k, a) = burst_kernel();
-        let t = SimTime::from_micros(10);
-        k.post(a, t, Ev::Ping(0));
-        k.post(a, t, Ev::Ping(1));
-        k.post(a, t, Ev::Tick); // not burst-eligible: delivered scalar
-        k.post(a, t, Ev::Ping(2));
-        k.run_to_completion();
-        let sink = k.node::<BurstSink>(a);
-        assert_eq!(sink.got, vec![0, 1, 2]);
-        assert_eq!(sink.bursts, vec![2], "collection must stop at the timer");
-        assert_eq!(k.events_processed(), 4);
-    }
-
-    #[test]
-    fn bursts_are_capped_at_max_burst() {
-        let (mut k, a) = burst_kernel();
-        for n in 0..(MAX_BURST as u32 + 10) {
-            k.post(a, SimTime::from_micros(1), Ev::Ping(n));
-        }
-        k.run_to_completion();
-        let sink = k.node::<BurstSink>(a);
-        assert_eq!(sink.got.len(), MAX_BURST + 10);
-        assert!(sink.got.windows(2).all(|w| w[0] < w[1]), "order preserved");
-        assert_eq!(sink.bursts, vec![MAX_BURST, 10]);
-    }
-
-    #[test]
-    fn burst_delivery_toggle_is_invisible_to_results() {
-        let run = |burst: bool| {
-            let (mut k, a) = burst_kernel();
-            k.set_burst_delivery(burst);
-            for n in 0..7 {
-                k.post(a, SimTime::from_micros(3), Ev::Ping(n));
-                k.post(a, SimTime::from_micros(5), Ev::Ping(100 + n));
-            }
-            k.run_to_completion();
-            let sink = k.node::<BurstSink>(a);
-            (
-                sink.got.clone(),
-                k.ctx.log.clone(),
-                k.events_processed(),
-                k.bursts_formed(),
-            )
-        };
-        let (got_b, log_b, n_b, bursts_b) = run(true);
-        let (got_s, log_s, n_s, bursts_s) = run(false);
-        assert_eq!(got_b, got_s);
-        assert_eq!(log_b, log_s);
-        assert_eq!(n_b, n_s, "per-event accounting must not depend on bursts");
-        assert_eq!(bursts_b, 2);
-        assert_eq!(bursts_s, 0, "disabled delivery must never call on_burst");
     }
 
     #[test]

@@ -31,7 +31,6 @@ pub mod chaos;
 pub mod cpu;
 pub mod fault;
 pub mod kernel;
-pub mod queue;
 pub mod rng;
 pub mod sched;
 pub mod stats;
@@ -47,7 +46,6 @@ pub use fault::{FaultConfig, FaultDecision, FaultLayer, FaultPlane, LinkFaults};
 // import it by.
 pub use fastrak_telemetry::fxhash::{FxBuildHasher, FxHashMap, FxHashSet, FxHasher};
 pub use kernel::{Api, EventHandle, Kernel, Node, NodeId};
-pub use queue::{DropTailQueue, QueueDropStats};
 pub use rng::Rng;
 pub use sched::{BinaryHeapSched, Scheduler, TimingWheel};
 pub use stats::{Counter, FaultCounters, Histogram, HistogramDurationExt, MeterRate, TimeWeighted};

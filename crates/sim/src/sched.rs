@@ -77,25 +77,6 @@ pub trait Scheduler<E>: Default {
     /// `None`. Cancelled entries encountered on the way are reclaimed.
     fn pop_due(&mut self, deadline: SimTime) -> Option<(SimTime, NodeId, E)>;
 
-    /// Burst-formation pop: remove and return the next live event *only*
-    /// when it is timestamped exactly `time`, addressed to `dst`, and
-    /// accepted by `eligible` — otherwise leave the queue untouched and
-    /// return `None`.
-    ///
-    /// Callers must pass the time of the event most recently returned by
-    /// [`Self::pop_due`] (i.e. the kernel clock): both implementations rely
-    /// on that to find same-instant peers cheaply, and it keeps the heap
-    /// oracle's delivery watermark safe. The eligibility check runs *before*
-    /// extraction, so a rejected event keeps its queue position (and stays
-    /// cancellable). Dead entries at the head are reclaimed on the way, the
-    /// same as `pop_due`.
-    fn pop_due_matching(
-        &mut self,
-        time: SimTime,
-        dst: NodeId,
-        eligible: &mut dyn FnMut(&E) -> bool,
-    ) -> Option<E>;
-
     /// Timestamp of the earliest live (non-cancelled) event, without
     /// mutating anything.
     fn next_time(&self) -> Option<SimTime>;
@@ -515,63 +496,6 @@ impl<E> Scheduler<E> for TimingWheel<E> {
         }
     }
 
-    fn pop_due_matching(
-        &mut self,
-        time: SimTime,
-        dst: NodeId,
-        eligible: &mut dyn FnMut(&E) -> bool,
-    ) -> Option<E> {
-        let t = time.as_nanos();
-        // Same-timestamp peers always share a level-0 slot once the first
-        // event at `t` has been delivered: delivery advanced the wheel clock
-        // to `t` (XOR distance 0 ⇒ level 0), cascades and overflow promotion
-        // land same-time entries in that slot in seq order, and the
-        // single-entry fast path only fires when no peers exist. So the
-        // whole probe is: look at the level-0 slot for `t`, past its drain
-        // cursor.
-        if self.wheel_now != t {
-            return None;
-        }
-        let slot = (t & (SLOTS as u64 - 1)) as usize;
-        let bit = 1u64 << slot;
-        if self.occupied[0] & bit == 0 {
-            return None;
-        }
-        loop {
-            let s = &self.slots[slot];
-            if s.head >= s.entries.len() {
-                let s = self.slot_at(0, slot);
-                s.entries.clear();
-                s.head = 0;
-                self.occupied[0] &= !bit;
-                return None;
-            }
-            let idx = s.entries[s.head];
-            if self.arena[idx as usize].ev.is_none() {
-                self.slot_at(0, slot).head += 1;
-                self.dead_pending -= 1;
-                self.release(idx);
-                continue;
-            }
-            let e = &self.arena[idx as usize];
-            debug_assert_eq!((e.key >> 64) as u64, t, "level-0 slot holds a foreign time");
-            if e.dst != dst || !eligible(e.ev.as_ref().expect("liveness checked above")) {
-                return None;
-            }
-            let e = &mut self.arena[idx as usize];
-            let ev = e.ev.take().expect("liveness checked above");
-            self.release(idx);
-            let s = self.slot_at(0, slot);
-            s.head += 1;
-            if s.head == s.entries.len() {
-                s.entries.clear();
-                s.head = 0;
-                self.occupied[0] &= !bit;
-            }
-            return Some(ev);
-        }
-    }
-
     fn next_time(&self) -> Option<SimTime> {
         for level in 0..LEVELS {
             let mut bits = self.occupied[level];
@@ -717,35 +641,6 @@ impl<E> Scheduler<E> for BinaryHeapSched<E> {
                 continue;
             }
             return Some((item.time(), item.dst, item.ev));
-        }
-    }
-
-    fn pop_due_matching(
-        &mut self,
-        time: SimTime,
-        dst: NodeId,
-        eligible: &mut dyn FnMut(&E) -> bool,
-    ) -> Option<E> {
-        loop {
-            let head = self.heap.peek()?;
-            if head.time() != time {
-                return None;
-            }
-            // Purging a tombstoned head here is watermark-safe: `time` is
-            // the kernel clock (the last `pop_due` timestamp), so the purged
-            // key stays at or below any key a future schedule can produce.
-            if !self.cancelled.is_empty() && self.cancelled.contains(&head.seq()) {
-                let item = self.heap.pop().expect("peeked head exists");
-                self.last_popped = item.key;
-                self.cancelled.remove(&item.seq());
-                continue;
-            }
-            if head.dst != dst || !eligible(&head.ev) {
-                return None;
-            }
-            let item = self.heap.pop().expect("peeked head exists");
-            self.last_popped = item.key;
-            return Some(item.ev);
         }
     }
 
@@ -939,81 +834,6 @@ mod tests {
     fn both_schedulers_order_saturated_max_time_ties() {
         max_time_ties_case::<TimingWheel<u64>>();
         max_time_ties_case::<BinaryHeapSched<u64>>();
-    }
-
-    fn matching_case<S: Scheduler<u64>>() {
-        let mut s = S::default();
-        // Three same-time events to node 0, a same-time event to node 1
-        // wedged between them in seq order, and a later event.
-        s.schedule(SimTime(100), 0, 0, 10);
-        s.schedule(SimTime(100), 1, 0, 11);
-        s.schedule(SimTime(100), 2, 1, 20);
-        s.schedule(SimTime(100), 3, 0, 12);
-        s.schedule(SimTime(200), 4, 0, 13);
-        assert_eq!(s.pop_due(SimTime::MAX), Some((SimTime(100), 0, 10)));
-        // Collect the same-instant run for node 0: stops at the node-1
-        // event even though a later node-0 event is also due at t=100.
-        assert_eq!(s.pop_due_matching(SimTime(100), 0, &mut |_| true), Some(11));
-        assert_eq!(s.pop_due_matching(SimTime(100), 0, &mut |_| true), None);
-        // An ineligible head stays queued and still delivers via pop_due.
-        assert_eq!(s.pop_due_matching(SimTime(100), 1, &mut |_| false), None);
-        assert_eq!(s.pop_due(SimTime::MAX), Some((SimTime(100), 1, 20)));
-        assert_eq!(s.pop_due(SimTime::MAX), Some((SimTime(100), 0, 12)));
-        // Never crosses a timestamp boundary.
-        assert_eq!(s.pop_due_matching(SimTime(100), 0, &mut |_| true), None);
-        assert_eq!(s.pop_due(SimTime::MAX), Some((SimTime(200), 0, 13)));
-        assert!(s.pop_due(SimTime::MAX).is_none());
-        assert_eq!(s.len(), 0);
-    }
-
-    #[test]
-    fn both_schedulers_pop_matching_identically() {
-        matching_case::<TimingWheel<u64>>();
-        matching_case::<BinaryHeapSched<u64>>();
-    }
-
-    fn matching_reclaims_dead_case<S: Scheduler<u64>>() {
-        let mut s = S::default();
-        s.schedule(SimTime(50), 0, 0, 0);
-        let h = s.schedule(SimTime(50), 1, 0, 1);
-        s.schedule(SimTime(50), 2, 0, 2);
-        s.cancel(h);
-        assert_eq!(s.pop_due(SimTime::MAX), Some((SimTime(50), 0, 0)));
-        // The cancelled peer is reclaimed on the way to the live one.
-        assert_eq!(s.pop_due_matching(SimTime(50), 0, &mut |_| true), Some(2));
-        assert_eq!(s.pop_due_matching(SimTime(50), 0, &mut |_| true), None);
-        assert_eq!(s.cancelled_backlog(), 0);
-        assert_eq!(s.len(), 0);
-    }
-
-    #[test]
-    fn both_schedulers_pop_matching_reclaims_dead_peers() {
-        matching_reclaims_dead_case::<TimingWheel<u64>>();
-        matching_reclaims_dead_case::<BinaryHeapSched<u64>>();
-    }
-
-    fn matching_after_overflow_case<S: Scheduler<u64>>() {
-        // Same-time peers that arrived via the far-future overflow path
-        // must be burst-collectable after the first pop, in seq order.
-        let mut s = S::default();
-        let far = 1u64 << 50;
-        for seq in 0..4 {
-            s.schedule(SimTime(far), seq, 0, seq);
-        }
-        assert_eq!(s.pop_due(SimTime::MAX), Some((SimTime(far), 0, 0)));
-        for want in 1..4 {
-            assert_eq!(
-                s.pop_due_matching(SimTime(far), 0, &mut |_| true),
-                Some(want)
-            );
-        }
-        assert_eq!(s.pop_due_matching(SimTime(far), 0, &mut |_| true), None);
-    }
-
-    #[test]
-    fn both_schedulers_pop_matching_after_overflow_promotion() {
-        matching_after_overflow_case::<TimingWheel<u64>>();
-        matching_after_overflow_case::<BinaryHeapSched<u64>>();
     }
 
     #[test]

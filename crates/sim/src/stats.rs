@@ -31,14 +31,6 @@ impl Counter {
         self.bytes += bytes;
     }
 
-    /// Record `n` events carrying `bytes` together — the batch-path form of
-    /// [`Counter::add`]: equal to `n` scalar adds whose byte arguments sum
-    /// to `bytes`.
-    pub fn add_n(&mut self, n: u64, bytes: u64) {
-        self.count += n;
-        self.bytes += bytes;
-    }
-
     /// Merge another counter into this one.
     pub fn merge(&mut self, other: Counter) {
         self.count += other.count;

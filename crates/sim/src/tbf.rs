@@ -102,37 +102,6 @@ impl TokenBucket {
         at
     }
 
-    /// Batch [`TokenBucket::acquire`] for a same-instant burst: refill once
-    /// up front, then reserve per-packet departure slots in order, appending
-    /// each departure time to `out`.
-    ///
-    /// Equivalent to the scalar loop *by construction*, not approximation:
-    /// `refill` only acts when the clock advances, so the per-packet
-    /// `refill(now)` calls the scalar path makes for packets 2..n are
-    /// already no-ops (a delayed departure moves `last_refill` forward via
-    /// `commit`, past `now`, which keeps them no-ops too). Hoisting the one
-    /// real refill out of the loop therefore changes nothing but the number
-    /// of clock comparisons — the admit sequence, token balance, and
-    /// conforming/delayed counters come out bit-identical, which the seeded
-    /// equivalence test pins down.
-    pub fn acquire_burst(&mut self, now: SimTime, sizes: &[u64], out: &mut Vec<SimTime>) {
-        self.refill(now);
-        out.reserve(sizes.len());
-        for &bytes in sizes {
-            let need = bytes as f64;
-            let at = if self.tokens >= need {
-                now
-            } else {
-                let deficit = need - self.tokens;
-                let wait = deficit * 8.0 / self.rate_bps as f64;
-                now + SimDuration::from_secs_f64(wait)
-            };
-            let at = at.max(self.fifo_free);
-            self.commit(at, bytes);
-            out.push(at);
-        }
-    }
-
     /// Packets that departed without waiting.
     pub fn conforming(&self) -> u64 {
         self.conforming
@@ -239,46 +208,5 @@ mod tests {
     #[should_panic(expected = "positive rate")]
     fn zero_rate_rejected() {
         let _ = TokenBucket::new(0, 1);
-    }
-
-    /// The burst-refill drift test: random bursts of random sizes at random
-    /// (monotone) instants must produce the exact same departure sequence
-    /// and counters whether tokens are refilled per packet or once per
-    /// burst. Bit-exact equality, not tolerance — `f64` token arithmetic
-    /// must follow the identical operation sequence on both paths.
-    #[test]
-    fn seeded_burst_refill_matches_scalar_exactly() {
-        let mut rng = crate::rng::Rng::new(0xB0057);
-        for case in 0..50u64 {
-            let rate = rng.range(1_000_000, 10_000_000_000);
-            let depth = rng.range(1_500, 100_000);
-            let mut scalar = TokenBucket::new(rate, depth);
-            let mut batched = TokenBucket::new(rate, depth);
-            let mut now = SimTime::ZERO;
-            for _ in 0..40 {
-                now += SimDuration(rng.below(2_000_000)); // 0..2ms, may be 0
-                let n = rng.range(1, 65) as usize;
-                let sizes: Vec<u64> = (0..n).map(|_| rng.range(64, 9_001)).collect();
-                let want: Vec<SimTime> = sizes.iter().map(|&b| scalar.acquire(now, b)).collect();
-                let mut got = Vec::new();
-                batched.acquire_burst(now, &sizes, &mut got);
-                assert_eq!(want, got, "departure sequence diverged (case {case})");
-                assert_eq!(scalar.tokens.to_bits(), batched.tokens.to_bits());
-                assert_eq!(scalar.last_refill, batched.last_refill);
-                assert_eq!(scalar.fifo_free, batched.fifo_free);
-                assert_eq!(scalar.conforming, batched.conforming);
-                assert_eq!(scalar.delayed, batched.delayed);
-            }
-        }
-    }
-
-    #[test]
-    fn acquire_burst_of_one_equals_acquire() {
-        let mut a = bucket();
-        let mut b = bucket();
-        let now = SimTime::from_micros(7);
-        let mut out = Vec::new();
-        b.acquire_burst(now, &[1500], &mut out);
-        assert_eq!(out, vec![a.acquire(now, 1500)]);
     }
 }

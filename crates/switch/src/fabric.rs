@@ -98,40 +98,6 @@ impl Node<Event, NetCtx> for Fabric {
         }
     }
 
-    fn burst_eligible(&self, ev: &Event) -> bool {
-        matches!(ev, Event::Frame { .. })
-    }
-
-    fn on_burst(&mut self, evs: &mut Vec<Event>, api: &mut Api<'_, Event, NetCtx>) {
-        // Memoize the route per consecutive same-destination run; sends stay
-        // in arrival order (the crossbar adds a fixed latency, so ordering
-        // only matters for kernel seq assignment).
-        let mut burst = fastrak_net::PacketBurst::from_events(evs);
-        while !burst.is_empty() {
-            let n = burst.run_len(|_, p| Self::dst_of(p));
-            let dst = Self::dst_of(&burst.frames[0].1);
-            let run = burst.frames.drain(..n).map(|(_, p)| p);
-            match dst {
-                None => {
-                    self.stats.no_route += n as u64;
-                    run.for_each(drop);
-                }
-                Some(ip) => match self.route(ip) {
-                    Some((node, port)) => {
-                        self.stats.forwarded += n as u64;
-                        for pkt in run {
-                            api.send(node, self.latency, Event::Frame { port, pkt });
-                        }
-                    }
-                    None => {
-                        self.stats.no_route += n as u64;
-                        run.for_each(drop);
-                    }
-                },
-            }
-        }
-    }
-
     fn name(&self) -> &str {
         &self.name
     }

@@ -567,81 +567,6 @@ impl Tor {
         }
     }
 
-    /// Run-amortized [`Self::on_hw_frame`] for ≥2 same-instant frames
-    /// sharing (outer VLAN, flow): the VLAN→VRF demux, spoof check, and ACL
-    /// probe classify the whole run (one [`WildcardTable::lookup_run`] with
-    /// n-fold accounting), then shaping and destination delivery run
-    /// per-packet in arrival order — bit-identical to n scalar calls.
-    fn on_hw_run(&mut self, api: &mut Api<'_, Event, NetCtx>, mut run: Vec<Packet>) {
-        let n = run.len() as u64;
-        let Some(vlan) = run[0].outer_vlan() else {
-            self.stats.acl_drops += n;
-            return;
-        };
-        let Some(&tenant) = self.vlan_tenant.get(&vlan) else {
-            self.stats.acl_drops += n;
-            return;
-        };
-        if tenant != run[0].flow.tenant {
-            self.stats.acl_drops += n;
-            return;
-        }
-        let mut total_wire = 0u64;
-        for pkt in &mut run {
-            pkt.decap(); // ToR removes the VLAN tag (§4.2.1)
-            total_wire += pkt.wire_bytes_total();
-        }
-        let action = {
-            let Some(vrf) = self.vrfs.get_mut(&tenant) else {
-                self.stats.acl_drops += n;
-                return;
-            };
-            match vrf.lookup_run(&run[0].flow, n, total_wire) {
-                Some(a) if a.action == Action::Allow => *a,
-                _ => {
-                    self.stats.acl_drops += n;
-                    return;
-                }
-            }
-        };
-        self.stats.hw_frames += n;
-        for mut pkt in run {
-            if let Some(QosClass(c)) = action.qos {
-                pkt.qos_class = c;
-                *self.qos_counters.entry(c).or_insert(0) += 1;
-            }
-            let wire = pkt.wire_bytes_total();
-            let at = self.hw_shape(tenant, pkt.flow.src_ip, Dir::Egress, api.now, wire);
-            if self.hw_dests.contains_key(&(tenant, pkt.flow.dst_ip)) {
-                self.deliver_hw_local(api, tenant, at, pkt);
-                continue;
-            }
-            let mapping = self
-                .tunnel_dir
-                .get(&(tenant, pkt.flow.dst_ip))
-                .copied()
-                .or(action.tunnel);
-            match mapping {
-                Some(m) if m.tor_ip != self.cfg.provider_ip => {
-                    pkt.encap(Encap::Gre {
-                        key: tenant.0,
-                        src: self.cfg.provider_ip,
-                        dst: m.tor_ip,
-                    });
-                    self.stats.gre_encaps += 1;
-                    let port = self.ip_ports.get(&m.tor_ip).copied().or(self.fabric_port);
-                    match port {
-                        Some(p) => self.send_out(api, p, at, pkt),
-                        None => self.stats.fwd_drops += 1,
-                    }
-                }
-                _ => {
-                    self.stats.fwd_drops += 1;
-                }
-            }
-        }
-    }
-
     /// Deliver to a locally attached VM's VF: tag the tenant VLAN and send
     /// out the server's SR-IOV port (§4.2.2), applying the ingress hw limit.
     fn deliver_hw_local(
@@ -714,78 +639,6 @@ impl Tor {
                 match self.l2_ports.get(&(pkt.flow.tenant, pkt.flow.dst_ip)) {
                     Some(&p) => self.send_out(api, p, api.now, pkt),
                     None => self.stats.fwd_drops += 1,
-                }
-            }
-        }
-    }
-
-    /// Run-amortized [`Self::on_sw_frame`]: the outer header and flow key
-    /// are the run key, so GRE termination/transit, VXLAN routing, or L2
-    /// switching is decided once; route probes are memoized for the run and
-    /// frames leave per-packet in arrival order.
-    fn on_sw_run(&mut self, api: &mut Api<'_, Event, NetCtx>, mut run: Vec<Packet>) {
-        let n = run.len() as u64;
-        match run[0].outer().copied() {
-            Some(Encap::Gre { key, dst, .. }) => {
-                if dst == self.cfg.provider_ip {
-                    let mut total_wire = 0u64;
-                    for pkt in &mut run {
-                        pkt.decap();
-                        total_wire += pkt.wire_bytes_total();
-                    }
-                    self.stats.gre_decaps += n;
-                    let tenant = TenantId(key);
-                    if tenant != run[0].flow.tenant {
-                        self.stats.acl_drops += n;
-                        return;
-                    }
-                    let allowed = match self.vrfs.get_mut(&tenant) {
-                        Some(vrf) => matches!(
-                            vrf.lookup_run(&run[0].flow, n, total_wire),
-                            Some(a) if a.action == Action::Allow
-                        ),
-                        None => false,
-                    };
-                    if !allowed {
-                        self.stats.acl_drops += n;
-                        return;
-                    }
-                    self.stats.hw_frames += n;
-                    for pkt in run {
-                        self.deliver_hw_local(api, tenant, api.now, pkt);
-                    }
-                } else {
-                    // Transit GRE: one route probe covers the run.
-                    let port = self.ip_ports.get(&dst).copied().or(self.fabric_port);
-                    for pkt in run {
-                        match port {
-                            Some(p) => self.send_out(api, p, api.now, pkt),
-                            None => self.stats.fwd_drops += 1,
-                        }
-                    }
-                }
-            }
-            Some(Encap::Vxlan { dst, .. }) => {
-                self.stats.sw_frames += n;
-                let port = self.ip_ports.get(&dst).copied().or(self.fabric_port);
-                for pkt in run {
-                    match port {
-                        Some(p) => self.send_out(api, p, api.now, pkt),
-                        None => self.stats.fwd_drops += 1,
-                    }
-                }
-            }
-            _ => {
-                self.stats.sw_frames += n;
-                let port = self
-                    .l2_ports
-                    .get(&(run[0].flow.tenant, run[0].flow.dst_ip))
-                    .copied();
-                for pkt in run {
-                    match port {
-                        Some(p) => self.send_out(api, p, api.now, pkt),
-                        None => self.stats.fwd_drops += 1,
-                    }
                 }
             }
         }
@@ -950,36 +803,6 @@ impl Node<Event, NetCtx> for Tor {
                 }
             }
             Event::Timer { tag, .. } => panic!("{}: unexpected timer {tag}", self.cfg.name),
-        }
-    }
-
-    fn burst_eligible(&self, ev: &Event) -> bool {
-        // Control messages mutate the VRFs mid-instant, so only frames batch.
-        matches!(ev, Event::Frame { .. })
-    }
-
-    fn on_burst(&mut self, evs: &mut Vec<Event>, api: &mut Api<'_, Event, NetCtx>) {
-        self.maybe_reboot(api);
-        let mut burst = fastrak_net::PacketBurst::from_events(evs);
-        while !burst.is_empty() {
-            // The ToR ignores the ingress port; frames classify purely on
-            // (outer header, flow).
-            let n = burst.run_len(|_, p| (p.outer().copied(), p.flow));
-            if n == 1 {
-                let (_, pkt) = burst.frames.remove(0);
-                if pkt.outer_vlan().is_some() {
-                    self.on_hw_frame(api, pkt);
-                } else {
-                    self.on_sw_frame(api, pkt);
-                }
-                continue;
-            }
-            let run: Vec<Packet> = burst.frames.drain(..n).map(|(_, p)| p).collect();
-            if run[0].outer_vlan().is_some() {
-                self.on_hw_run(api, run);
-            } else {
-                self.on_sw_run(api, run);
-            }
         }
     }
 

@@ -1,8 +1,8 @@
-//! Differential test for the ToR and fabric burst pipelines: a ToR feeding
-//! a fabric core must produce the identical frame stream, counters and
-//! per-rule statistics with kernel burst delivery on (run-amortized
-//! `on_burst`) and off (scalar `on_event`), on seeded same-instant frame
-//! waves that cover every forwarding class and contain multi-packet runs.
+//! Component-level driver for the ToR and fabric frame paths: seeded
+//! same-instant frame waves covering every forwarding class go into a ToR
+//! feeding a fabric core, and every injected frame must be accounted for —
+//! recorded at a sink or counted as exactly one drop — with CE marks only
+//! ever on delivered frames, and the whole run a pure function of the seed.
 
 use fastrak_net::addr::{Ip, TenantId, VlanId};
 use fastrak_net::ctrl::{Dir, TorRule};
@@ -15,6 +15,7 @@ use fastrak_net::tunnel::TunnelMapping;
 use fastrak_sim::kernel::{Api, Kernel, Node};
 use fastrak_sim::time::{SimDuration, SimTime};
 use fastrak_sim::Rng;
+use fastrak_switch::fabric::FabricStats;
 use fastrak_switch::{Fabric, HwDest, Tor, TorConfig, TorStats};
 
 const TENANT: TenantId = TenantId(1);
@@ -100,24 +101,44 @@ fn frame(class: u64, id: u64, payload: u32, at: SimTime) -> Packet {
 }
 
 const CLASSES: u64 = 11;
+/// Sink port of the core's route to the other ToR.
+const PORT_CORE: usize = 7;
+
+/// The sink port a frame of `class` must leave on when the ToR (or, for
+/// `at_core`, the fabric) receives it and no port overflows; `None` for the
+/// classes that must be dropped.
+fn exit_of(class: u64, at_core: bool) -> Option<usize> {
+    match (class, at_core) {
+        (7, true) => Some(PORT_CORE),
+        (_, true) => None,
+        (0 | 5, false) => Some(PORT_HW),
+        (1 | 7, false) => Some(PORT_CORE),
+        (8 | 9, false) => Some(PORT_SW),
+        _ => None,
+    }
+}
 
 /// Everything observable about one run, as comparable values.
 #[derive(Debug, PartialEq)]
 struct Outcome {
     end_ns: u64,
     events: u64,
+    /// Expected exit ([`exit_of`]) of every frame the wave generator posted
+    /// to the ToR and to the fabric, indexed by packet id.
+    exits: Vec<Option<usize>>,
     frames: Vec<(u64, usize, Packet)>,
     tor_stats: String,
     rule_stats: String,
     fabric_stats: String,
 }
 
-fn run(burst_delivery: bool, seed: u64) -> (Outcome, TorStats, u64) {
+fn run(seed: u64) -> (Outcome, TorStats, FabricStats) {
     let mut kernel: Kernel<Event, NetCtx> = Kernel::new(NetCtx::new(), seed);
-    kernel.set_burst_delivery(burst_delivery);
     let mut cfg = TorConfig::testbed("tor0", 0);
-    // Low enough that the larger waves back a port up past it.
-    cfg.ecn_mark_threshold = Some(SimDuration::from_micros(5));
+    // Low enough that the larger waves back a port up past the marking
+    // threshold, and the largest past the drop bound too.
+    cfg.ecn_mark_threshold = Some(SimDuration::from_micros(3));
+    cfg.max_port_backlog = SimDuration::from_micros(6);
     let tor = kernel.add_node(Tor::new(cfg));
     let fabric = kernel.add_node(Fabric::new("core", SimDuration::from_micros(2)));
     let sink = kernel.add_node(Sink::default());
@@ -163,76 +184,118 @@ fn run(burst_delivery: bool, seed: u64) -> (Outcome, TorStats, u64) {
             })
             .expect("fast path has room");
         }
-        // A binding hardware limit: shaping is per-packet state the runs
-        // must thread in arrival order.
+        // A binding hardware limit: shaped frames leave late, not never.
         t.set_hw_rate(TENANT, Ip::tenant_vm(LOCAL_VM), Dir::Ingress, 2_000_000_000);
     }
     kernel
         .node_mut::<Fabric>(fabric)
-        .add_route(Ip::provider_tor(1), sink, 7);
+        .add_route(Ip::provider_tor(1), sink, PORT_CORE);
 
     let mut rng = Rng::new(seed);
-    let mut id = 0u64;
+    let mut exits = Vec::new();
     for wave in 0..60u64 {
         let at = SimTime::from_micros(40 * (wave + 1));
         let mut class = rng.below(CLASSES);
         for _ in 0..(2 + rng.below(30)) {
-            // Mostly repeat the previous class so same-key runs form.
+            // Mostly repeat the previous class so one port backs up.
             if rng.chance(0.35) {
                 class = rng.below(CLASSES);
             }
+            let id = exits.len() as u64;
             let pkt = frame(class, id, rng.range(64, 1400) as u32, at);
-            id += 1;
+            exits.push(exit_of(class, false));
             kernel.post(tor, at, Event::Frame { port: 0, pkt });
         }
-        // The ToR's uplink serializes, so the core only sees same-instant
-        // frames when they are injected directly: routed transit GRE,
-        // unrouted VXLAN, and untunneled frames.
+        // Straight into the core: routed transit GRE, and the two kinds it
+        // has no route for (VXLAN to a server, untunneled).
         for _ in 0..rng.below(6) {
-            let pkt = frame(7 + rng.below(3), id, 200, at);
-            id += 1;
+            let class = 7 + rng.below(3);
+            let pkt = frame(class, exits.len() as u64, 200, at);
+            exits.push(exit_of(class, true));
             kernel.post(fabric, at, Event::Frame { port: 0, pkt });
         }
     }
     kernel.run_to_completion();
 
     let t = kernel.node::<Tor>(tor);
+    let f = kernel.node::<Fabric>(fabric);
     let outcome = Outcome {
         end_ns: kernel.now().as_nanos(),
         events: kernel.events_processed(),
+        exits,
         frames: kernel.node::<Sink>(sink).got.clone(),
         tor_stats: format!("{:?}", t.stats),
         rule_stats: format!("{:?}", t.dump_rule_stats()),
-        fabric_stats: format!("{:?}", kernel.node::<Fabric>(fabric).stats),
+        fabric_stats: format!("{:?}", f.stats),
     };
-    (outcome, t.stats, kernel.bursts_formed())
+    (outcome, t.stats, f.stats)
 }
 
 #[test]
-fn tor_and_fabric_burst_delivery_is_bit_identical_to_scalar() {
+fn tor_and_fabric_conserve_frames_and_replay_per_seed() {
     for seed in [1u64, 0xFA57] {
-        let (on, stats, bursts_on) = run(true, seed);
-        let (off, _, bursts_off) = run(false, seed);
-        assert!(bursts_on > 0, "no bursts formed — test is vacuous");
-        assert_eq!(bursts_off, 0, "scalar run must not form bursts");
-        assert_eq!(on, off, "burst delivery changed the run (seed {seed})");
+        let (out, tor, fabric) = run(seed);
 
         // Every forwarding class was taken: frames left on all three exits
         // and each drop/encap/mark counter moved.
-        for port in [PORT_SW, PORT_HW, 7] {
+        for port in [PORT_SW, PORT_HW, PORT_CORE] {
             assert!(
-                on.frames.iter().any(|&(_, p, _)| p == port),
+                out.frames.iter().any(|&(_, p, _)| p == port),
                 "nothing reached sink port {port}"
             );
         }
         for (counter, n) in [
-            ("acl_drops", stats.acl_drops),
-            ("fwd_drops", stats.fwd_drops),
-            ("gre_encaps", stats.gre_encaps),
-            ("gre_decaps", stats.gre_decaps),
-            ("ecn_marked", stats.ecn_marked),
+            ("acl_drops", tor.acl_drops),
+            ("fwd_drops", tor.fwd_drops),
+            ("gre_encaps", tor.gre_encaps),
+            ("gre_decaps", tor.gre_decaps),
+            ("ecn_marked", tor.ecn_marked),
+            ("fabric no_route", fabric.no_route),
         ] {
             assert!(n > 0, "{counter} never moved (seed {seed})");
         }
+
+        // Each arrival is one distinct frame on the exit its class routes to
+        // (so a denied frame never reaches a sink), and some forwardable
+        // frames did not arrive: a port overflowed its backlog bound.
+        let delivered = out.frames.len() as u64;
+        let mut ids: Vec<u64> = out.frames.iter().map(|(_, _, p)| p.id).collect();
+        ids.sort_unstable();
+        ids.dedup();
+        assert_eq!(ids.len() as u64, delivered, "a frame arrived twice");
+        for (_, port, pkt) in &out.frames {
+            assert_eq!(
+                out.exits[pkt.id as usize],
+                Some(*port),
+                "misrouted: {pkt:?}"
+            );
+        }
+        let forwardable = out.exits.iter().flatten().count() as u64;
+        assert!(delivered < forwardable, "no port overflowed (seed {seed})");
+
+        // Conservation: a frame ends at a sink or in exactly one drop counter.
+        assert_eq!(
+            out.exits.len() as u64,
+            delivered + tor.acl_drops + tor.fwd_drops + fabric.no_route,
+            "frames lost or double-counted (seed {seed}): {tor:?} {fabric:?}"
+        );
+        let via_core = out.frames.iter().filter(|f| f.1 == PORT_CORE).count() as u64;
+        assert_eq!(fabric.forwarded, via_core, "core forwards == core arrivals");
+
+        // Every frame went in ECT(0), so CE at a sink is a ToR mark — and a
+        // marked frame is a delivered one (here every uplink frame the ToR
+        // can mark has a core route).
+        let ce = out
+            .frames
+            .iter()
+            .filter(|(_, _, p)| p.ecn == ecn::CE)
+            .count() as u64;
+        assert_eq!(
+            tor.ecn_marked, ce,
+            "a marked frame was dropped (seed {seed})"
+        );
+
+        let (again, ..) = run(seed);
+        assert_eq!(out, again, "same seed, different run (seed {seed})");
     }
 }

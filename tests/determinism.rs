@@ -60,41 +60,11 @@ fn run_scenario(seed: u64) -> Fingerprint {
     run_scenario_full(seed, None, false)
 }
 
-/// Run the scenario with kernel burst delivery forced on or off via the
-/// thread-local default (the testbed builds its kernel internally), and
-/// also report how many bursts the kernel formed so the differential test
-/// can prove it is not vacuous.
-fn run_scenario_burst(seed: u64, burst: bool) -> (Fingerprint, u64) {
-    with_burst_default(burst, || run_scenario_core(seed, None, false))
-}
-
-/// Run `f` with this thread's kernels defaulting to `burst` delivery; the
-/// default is restored on the way out, panic or not.
-fn with_burst_default<T>(burst: bool, f: impl FnOnce() -> T) -> T {
-    struct Reset;
-    impl Drop for Reset {
-        fn drop(&mut self) {
-            fastrak_sim::kernel::set_burst_delivery_default(None);
-        }
-    }
-    let _reset = Reset;
-    fastrak_sim::kernel::set_burst_delivery_default(Some(burst));
-    f()
-}
-
 fn run_scenario_with(seed: u64, faults: Option<FaultConfig>) -> Fingerprint {
     run_scenario_full(seed, faults, false)
 }
 
 fn run_scenario_full(seed: u64, faults: Option<FaultConfig>, telemetry: bool) -> Fingerprint {
-    run_scenario_core(seed, faults, telemetry).0
-}
-
-fn run_scenario_core(
-    seed: u64,
-    faults: Option<FaultConfig>,
-    telemetry: bool,
-) -> (Fingerprint, u64) {
     let mut bed = Testbed::build(TestbedConfig {
         n_servers: 3,
         seed,
@@ -177,21 +147,17 @@ fn run_scenario_core(
     let latency_samples = mc.latency.count();
     let final_time_ns = bed.now().as_nanos();
     let events_processed = bed.kernel.events_processed();
-    let bursts_formed = bed.kernel.bursts_formed();
     let records = bed.kernel.ctx.trace.drain();
-    (
-        Fingerprint {
-            events_processed,
-            final_time_ns,
-            completed_transactions: completed,
-            latency_samples,
-            tor_stats,
-            server_stats,
-            trace_len: records.len(),
-            trace_digest: digest_trace(&records),
-        },
-        bursts_formed,
-    )
+    Fingerprint {
+        events_processed,
+        final_time_ns,
+        completed_transactions: completed,
+        latency_samples,
+        tor_stats,
+        server_stats,
+        trace_len: records.len(),
+        trace_digest: digest_trace(&records),
+    }
 }
 
 #[test]
@@ -438,63 +404,22 @@ fn telemetry_fully_enabled_is_invisible_to_the_event_stream() {
         !bed.kernel.ctx.telemetry.spans.spans().is_empty(),
         "enabled span log must record flow path residency"
     );
-    // The vector-datapath counters publish through the same pull-model
-    // registry, and they reconcile: every received frame was accounted
-    // exactly once, either scalar or as part of a batched run.
-    bed.publish_telemetry();
-    let reg = &bed.kernel.ctx.telemetry.registry;
-    let sum = |name: &str| -> u64 {
-        (0..2)
-            .map(|i| {
-                reg.counter_by_name(&format!("{name}{{server=s{i}}}"))
-                    .unwrap_or_else(|| panic!("{name} not published for s{i}"))
-            })
-            .sum()
-    };
-    let rx = sum("host.rx_frames");
-    assert!(rx > 0, "stream moved no frames");
-    assert_eq!(
-        sum("host.dp.scalar_pkts") + sum("host.dp.batch_pkts"),
-        rx,
-        "dp accounting must cover every received frame exactly once"
-    );
-}
-
-#[test]
-fn burst_delivery_toggle_is_bit_identical() {
-    // The vector-datapath contract: same-instant burst delivery through the
-    // batched node pipelines must be invisible to every observable — event
-    // count, timings, counters, and the full trace digest. The scalar path
-    // is the semantic definition; batching only amortizes it.
-    let (on, bursts_on) = run_scenario_burst(42, true);
-    let (off, bursts_off) = run_scenario_burst(42, false);
-    assert!(
-        bursts_on > 0,
-        "no bursts formed with delivery on — differential test is vacuous"
-    );
-    assert_eq!(bursts_off, 0, "scalar delivery must not form bursts");
-    assert_eq!(on, off, "burst delivery changed the observable run");
 }
 
 /// Digest an experiment's artifacts losslessly: `Row` carries f64 measures,
 /// and Rust's `Debug` for f64 is shortest-roundtrip, so two runs digest
 /// equal iff every metric is bit-identical.
-fn experiment_digest(id: &str, burst: bool) -> String {
-    with_burst_default(burst, || {
-        let arts = fastrak_bench::experiments::run(id, false)
-            .unwrap_or_else(|| panic!("unknown experiment id {id}"));
-        format!("{arts:?}")
-    })
+fn experiment_digest(id: &str) -> String {
+    let arts = fastrak_bench::experiments::run(id, false)
+        .unwrap_or_else(|| panic!("unknown experiment id {id}"));
+    format!("{arts:?}")
 }
 
-#[test]
-fn experiment_artifacts_bit_identical_across_burst_modes() {
-    // Acceptance criterion for the vector datapath: experiment artifacts
-    // must be bit-identical with burst delivery on and off. fig12 runs in
-    // ~1s even in debug; the `#[ignore]`d sibling below sweeps every id.
-    let on = experiment_digest("fig12", true);
-    let off = experiment_digest("fig12", false);
-    assert_eq!(on, off, "fig12: artifacts diverged across burst modes");
+/// One worker against up to four must produce the same artifacts for `id`.
+fn assert_artifacts_independent_of_width(id: &str) {
+    let serial = with_width(1, || experiment_digest(id));
+    let wide = with_width(4, || experiment_digest(id));
+    assert_eq!(serial, wide, "{id}: artifacts depend on the width");
 }
 
 /// Run `f` with the harness's process-wide worker budget
@@ -521,32 +446,16 @@ fn experiment_artifacts_bit_identical_across_widths() {
     // workers ran the cells. incast_matrix has the most cells (18) and is
     // the cheapest grid in a debug build; the `#[ignore]`d sibling below
     // sweeps every id.
-    let serial = with_width(1, || experiment_digest("incast_matrix", true));
-    let wide = with_width(4, || experiment_digest("incast_matrix", true));
-    assert_eq!(serial, wide, "incast_matrix: artifacts depend on the width");
+    assert_artifacts_independent_of_width("incast_matrix");
 }
 
 #[test]
 #[ignore = "slow: run with cargo test --release --test determinism -- --ignored"]
-fn all_experiment_artifacts_bit_identical_across_burst_modes_and_widths() {
-    // The artifact-level check of the batched pipelines against scalar
-    // delivery, and of the harness fan-out against a serial run: every
-    // paper artifact, both delivery modes with one worker each, then scalar
-    // delivery again with up to four workers per experiment (whose helper
-    // threads must inherit the scalar default). The two serial runs of an
-    // id go side by side — the burst default is thread-local, so they
-    // cannot see each other's setting.
+fn all_experiment_artifacts_bit_identical_across_widths() {
+    // The artifact-level check of the harness fan-out against a serial run,
+    // for every paper artifact.
     for id in fastrak_bench::experiments::all_ids() {
-        let (on, off) = with_width(1, || {
-            std::thread::scope(|s| {
-                let off = s.spawn(|| experiment_digest(id, false));
-                let on = experiment_digest(id, true);
-                (on, off.join().expect("scalar-delivery run panicked"))
-            })
-        });
-        assert_eq!(on, off, "{id}: artifacts diverged across burst modes");
-        let wide = with_width(4, || experiment_digest(id, false));
-        assert_eq!(off, wide, "{id}: artifacts depend on the width");
+        assert_artifacts_independent_of_width(id);
     }
 }
 
