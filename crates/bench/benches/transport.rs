@@ -1,7 +1,8 @@
 //! Benchmarks for the transport subsystem's hot paths: the established
 //! ACK-clocked send/receive cycle (on a bare connection pair, and through
-//! two per-VM stacks holding one busy connection among many idle ones) and
-//! SACK scoreboard maintenance under a lossy window.
+//! two per-VM stacks holding one busy connection among many idle ones), one
+//! guest receive turn as the host runs it, and SACK scoreboard maintenance
+//! under a lossy window.
 //!
 //! Run with `cargo bench -p fastrak-bench --bench transport` (add
 //! `-- --quick` for a fast smoke pass). Set `FASTRAK_BENCH_JSON=<path>` to
@@ -14,7 +15,7 @@ use fastrak_net::packet::{L4Meta, Packet, SackBlocks};
 use fastrak_sim::time::SimTime;
 use fastrak_transport::sack::Scoreboard;
 use fastrak_transport::tcp::{TcpConfig, TcpConn, TSO_LIMIT};
-use fastrak_transport::{ConnId, TcpStack};
+use fastrak_transport::{ConnId, SockEvent, TcpStack};
 
 fn flow() -> FlowKey {
     FlowKey {
@@ -137,6 +138,59 @@ fn main() {
             black_box((c.drain_events(), s.drain_events()));
         });
         assert!(c.conn(active).flight() <= 1448, "the pipe stays drained");
+    }
+
+    // One receive turn of a guest as `Server` runs it, on the server side of
+    // a request/response exchange: the request is fed to `on_packet`, its one
+    // `Delivered` event is popped and answered with `app_send`, the reply is
+    // polled out, and the re-arm question is put to the timer index (O(1)
+    // floor check first, the exact minimum only when that cannot say no).
+    // One connection of `conns` is active; the 512 point is held by a
+    // perf_gate ceiling, so the question cannot turn into a per-turn scan.
+    for conns in [8usize, 512] {
+        let (c, mut s, active) = established_stacks(conns);
+        let request = c.conn(active).flow;
+        let reply = s.conn_by_flow(&request.reverse()).expect("accepted");
+        let ack = fastrak_net::headers::tcp_flags::ACK;
+        let l4 = |done: u64| L4Meta::Tcp {
+            seq: 1 + 100 * done,
+            ack: 1 + 100 * done,
+            flags: ack,
+        };
+        let mut pkt = Packet::new(0, request, l4(0), 100, SimTime::ZERO);
+        let mut turns = 0u64;
+        let mut armed: Option<SimTime> = None;
+        su.bench(&format!("guest_turn/conns/{conns}"), || {
+            let now = SimTime(10_000 * (turns + 1));
+            if armed.is_some_and(|at| at <= now) {
+                armed = None;
+                s.on_timer(now);
+            }
+            // The request acknowledges every earlier reply.
+            pkt.l4 = l4(turns);
+            turns += 1;
+            s.on_packet(now, &pkt);
+            while let Some(ev) = s.pop_event() {
+                if let SockEvent::Delivered { conn, bytes } = ev {
+                    s.app_send(conn, bytes);
+                }
+            }
+            while let Some(seg) = s.poll_transmit(now, TSO_LIMIT) {
+                black_box(seg);
+            }
+            if !s.has_timers() {
+                armed = None;
+            } else if armed.is_none_or(|at| at > s.timer_floor()) {
+                let earliest = s.next_timer().expect("a connection holds a timer");
+                if armed.is_none_or(|at| at > earliest) {
+                    armed = Some(earliest);
+                }
+            }
+            black_box(armed);
+        });
+        let stats = s.conn(reply).stats;
+        assert_eq!(stats.bytes_delivered, 100 * turns, "every request landed");
+        assert_eq!(stats.rtx_segs + stats.timeouts, 0, "and every reply");
     }
 
     // Scoreboard maintenance under a lossy window: fold three-block SACK

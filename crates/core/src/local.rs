@@ -104,8 +104,8 @@ pub struct LocalController {
     pending: HashMap<u64, Phase>,
     /// Latest hardware rates per aggregate from the TOR controller.
     hw_rates: HashMap<FlowAggregate, f64>,
-    /// Last configured splits per (vm, dir): (sw_bps, hw_bps).
-    last_split: HashMap<(Ip, u8), (u64, u64)>,
+    /// Last configured splits per (tenant, vm, dir): (sw_bps, hw_bps).
+    last_split: HashMap<(TenantId, Ip, u8), (u64, u64)>,
     /// Placer rules currently installed: aggregate → installed on which VMs.
     installed: HashMap<FlowAggregate, Vec<(TenantId, Ip)>>,
     /// Last observed liveness of the server's SR-IOV hardware path (polled
@@ -363,7 +363,7 @@ impl LocalController {
             ] {
                 let Some(total) = total else { continue };
                 let (sw_demand, hw_demand) = self.vm_demand(l.tenant, l.vm_ip, dir);
-                let prev = self.last_split.get(&(l.vm_ip, dtag)).copied();
+                let prev = self.last_split.get(&(l.tenant, l.vm_ip, dtag)).copied();
                 let (sw_maxed, hw_maxed) = match prev {
                     Some((ps, ph)) => {
                         (is_maxed(sw_demand, ps, 0.95), is_maxed(hw_demand, ph, 0.95))
@@ -381,13 +381,14 @@ impl LocalController {
                     },
                 );
                 self.last_split
-                    .insert((l.vm_ip, dtag), (split.sw_bps, split.hw_bps));
+                    .insert((l.tenant, l.vm_ip, dtag), (split.sw_bps, split.hw_bps));
                 api.send(
                     self.cfg.server,
                     SimDuration::from_micros(20),
                     Event::Ctl(CtlMsg::new(
                         api.self_id,
                         CtrlRequest::SetVifRate {
+                            tenant: l.tenant,
                             vm_ip: l.vm_ip,
                             dir,
                             bps: split.sw_bps,
@@ -421,7 +422,7 @@ impl LocalController {
             std::collections::BTreeMap::new();
         for l in &self.cfg.limits {
             for d in [0u8, 1u8] {
-                if let Some(&(sw, hw)) = self.last_split.get(&(l.vm_ip, d)) {
+                if let Some(&(sw, hw)) = self.last_split.get(&(l.tenant, l.vm_ip, d)) {
                     let e = per.entry(l.tenant).or_default();
                     e.0 += sw;
                     e.1 += hw;
@@ -431,13 +432,13 @@ impl LocalController {
         per
     }
 
-    /// Current split for a (vm, dir) — test/inspection hook.
-    pub fn split_of(&self, vm_ip: Ip, dir: Dir) -> Option<(u64, u64)> {
+    /// Current split for a (tenant, vm, dir) — test/inspection hook.
+    pub fn split_of(&self, tenant: TenantId, vm_ip: Ip, dir: Dir) -> Option<(u64, u64)> {
         let d = match dir {
             Dir::Egress => 0,
             Dir::Ingress => 1,
         };
-        self.last_split.get(&(vm_ip, d)).copied()
+        self.last_split.get(&(tenant, vm_ip, d)).copied()
     }
 }
 

@@ -171,7 +171,7 @@ fn fps_splits_rate_limits_across_paths() {
         .kernel
         .node::<fastrak::LocalController>(ft.locals[mc.server]);
     let (sw, hw) = lc
-        .split_of(mc.ip, Dir::Egress)
+        .split_of(T, mc.ip, Dir::Egress)
         .expect("a split must have been configured");
     let bound = (limit as f64 * 1.12) as u64;
     assert!(sw + hw <= bound, "sw {sw} + hw {hw} exceeds {bound}");

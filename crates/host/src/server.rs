@@ -20,6 +20,7 @@
 use fastrak_net::addr::{Ip, TenantId, VlanId};
 use fastrak_net::ctrl::{CtrlReply, CtrlRequest, Dir};
 use fastrak_net::event::{CtlMsg, Event, NetCtx};
+use fastrak_net::flow::FlowKey;
 use fastrak_net::packet::{Encap, L4Meta, Packet, PathTag};
 use fastrak_net::tunnel::{TunnelKey, TunnelMapping};
 use fastrak_sim::cpu::CpuPool;
@@ -27,6 +28,7 @@ use fastrak_sim::kernel::{Api, Node, NodeId};
 use fastrak_sim::tbf::TokenBucket;
 use fastrak_sim::time::{serialization_delay, SimDuration, SimTime};
 use fastrak_sim::FxHashMap;
+use fastrak_transport::stack::ConnId;
 use fastrak_transport::tcp::TSO_LIMIT;
 
 use crate::app::GuestApi;
@@ -45,6 +47,13 @@ pub mod tags {
     /// Start all guest applications.
     pub const START: u64 = 4;
 }
+
+/// Indices into a flow's clamp pair: the guest and vswitch stages of the
+/// transmit pipeline (`Vm::tx_clock`) and of the receive pipeline.
+const TX_GUEST: usize = 0;
+const TX_VSWITCH: usize = 1;
+const RX_VSWITCH: usize = 0;
+const RX_GUEST: usize = 1;
 
 /// Index of the vswitch-side NIC port.
 pub const PORT_SW: usize = 0;
@@ -139,6 +148,7 @@ pub struct ServerStats {
 enum Pending {
     GuestTxDone {
         vm: usize,
+        conn: ConnId,
         pkt: Packet,
     },
     VswitchTxDone {
@@ -148,12 +158,43 @@ enum Pending {
     },
     VswitchRxDone {
         vm: usize,
+        /// The flow's receive clamp slot ([`Server::rx_slot`]).
+        slot: u32,
         pkt: Packet,
     },
     GuestRxDone {
         vm: usize,
         pkt: Packet,
     },
+}
+
+/// What [`Server::rearm_tcp_timer`] does about a VM's kernel timer.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Rearm {
+    /// No connection holds a deadline: forget the armed timer.
+    Clear,
+    /// The armed timer fires first (or at the same time): keep it.
+    Keep,
+    /// Send a new timer for this deadline.
+    Arm(SimTime),
+}
+
+impl Rearm {
+    /// The decision, given the stack's earliest deadline and the time the
+    /// kernel timer is armed for.
+    fn decide(earliest: Option<SimTime>, armed: Option<SimTime>) -> Rearm {
+        match (earliest, armed) {
+            (None, _) => Rearm::Clear,
+            (Some(deadline), Some(at)) if at <= deadline => Rearm::Keep,
+            (Some(deadline), _) => Rearm::Arm(deadline),
+        }
+    }
+}
+
+/// Clamp a stage completion to its flow's clock and advance the clock.
+fn clamp(clock: &mut SimTime, done: SimTime) -> SimTime {
+    *clock = done.max(*clock);
+    *clock
 }
 
 /// The server node.
@@ -177,12 +218,21 @@ pub struct Server {
     free_slots: Vec<usize>,
     /// Shared pool when `cfg.pinned_cpus` is set.
     pin_pool: Option<CpuPool>,
-    /// Per-flow monotonic completion clamps (per direction): real stacks
-    /// preserve per-flow ordering via RSS/queue affinity even across
+    /// Per-flow monotonic completion clamps, one per pipeline stage: real
+    /// stacks preserve per-flow ordering via RSS/queue affinity even across
     /// parallel CPUs; without this, differing service times across a CPU
     /// pool would reorder a connection's segments and trigger spurious
-    /// fast retransmits.
-    flow_clock: FxHashMap<(u64, u8), SimTime>,
+    /// fast retransmits. A transmitted flow is a local connection, so its
+    /// two clamps (guest, vswitch) live in [`Vm::tx_clock`] under its
+    /// `ConnId`. A received flow gets a slot here the first time it is
+    /// seen — [`FlowKey::trace_hash`] → index into `rx_clock` (vswitch,
+    /// guest) — which the frame carries from stage to stage.
+    rx_slots: FxHashMap<u64, u32>,
+    rx_clock: Vec<[SimTime; 2]>,
+    /// Scratch the guest app's timer and cpu-burn requests are collected in
+    /// ([`Server::with_app`] takes both and puts them back empty).
+    timer_reqs: Vec<(SimDuration, u64)>,
+    cpu_burn: Vec<SimDuration>,
     /// Public counters.
     pub stats: ServerStats,
     /// Last observed SR-IOV path liveness (updated on the hw datapath,
@@ -209,7 +259,10 @@ impl Server {
             pending: Vec::new(),
             free_slots: Vec::new(),
             pin_pool: cfg.pinned_cpus.map(CpuPool::new),
-            flow_clock: FxHashMap::default(),
+            rx_slots: FxHashMap::default(),
+            rx_clock: Vec::new(),
+            timer_reqs: Vec::new(),
+            cpu_burn: Vec::new(),
             stats: ServerStats::default(),
             hw_path_up: true,
             window_start: SimTime::ZERO,
@@ -488,13 +541,14 @@ impl Server {
         }
     }
 
-    /// Clamp a completion time to be monotone per (flow, direction).
-    fn seq_clamp(&mut self, flow: &fastrak_net::flow::FlowKey, dir: u8, t: SimTime) -> SimTime {
-        let key = (flow.trace_hash(), dir);
-        let e = self.flow_clock.entry(key).or_insert(SimTime::ZERO);
-        let t = t.max(*e);
-        *e = t;
-        t
+    /// The receive clamp slot of `flow`, allotted on first sight.
+    fn rx_slot(&mut self, flow: &FlowKey) -> u32 {
+        let next = self.rx_clock.len() as u32;
+        let slot = *self.rx_slots.entry(flow.trace_hash()).or_insert(next);
+        if slot == next {
+            self.rx_clock.push([SimTime::ZERO; 2]);
+        }
+        slot
     }
 
     /// Park a stage in a free slot; the slot index is the timer token.
@@ -555,9 +609,14 @@ impl Server {
             pkt.sack = plan.sack;
             let cost = self.cfg.cost.guest_tx(&pkt);
             let done = self.submit_guest(vm_idx, api.now, cost);
-            let done = self.seq_clamp(&flow, 0, done);
-            self.vms[vm_idx].tx_inflight += 1;
-            let tok = self.stash(Pending::GuestTxDone { vm: vm_idx, pkt });
+            let vm = &mut self.vms[vm_idx];
+            let done = clamp(vm.tx_clock_mut(conn, TX_GUEST), done);
+            vm.tx_inflight += 1;
+            let tok = self.stash(Pending::GuestTxDone {
+                vm: vm_idx,
+                conn,
+                pkt,
+            });
             api.send_at(
                 api.self_id,
                 done,
@@ -589,8 +648,8 @@ impl Server {
         let Some(mut app) = vm.app.take() else {
             return; // reentrant dispatch: events will be drained by caller
         };
-        let mut timer_reqs = Vec::new();
-        let mut cpu_burn = Vec::new();
+        let mut timer_reqs = std::mem::take(&mut self.timer_reqs);
+        let mut cpu_burn = std::mem::take(&mut self.cpu_burn);
         {
             let mut g = GuestApi {
                 now: api.now,
@@ -604,7 +663,7 @@ impl Server {
             f(app.as_mut(), &mut g);
         }
         self.vms[vm_idx].app = Some(app);
-        for (delay, tag) in timer_reqs {
+        for (delay, tag) in timer_reqs.drain(..) {
             api.send(
                 api.self_id,
                 delay,
@@ -615,25 +674,34 @@ impl Server {
                 },
             );
         }
-        for work in cpu_burn {
+        for work in cpu_burn.drain(..) {
             self.submit_guest(vm_idx, api.now, work);
         }
+        // Back before the nested drain: its handlers collect into them too.
+        self.timer_reqs = timer_reqs;
+        self.cpu_burn = cpu_burn;
         self.drain_stack_events(api, vm_idx);
     }
 
     /// Deliver queued socket events to the app (which may generate more).
     fn drain_stack_events(&mut self, api: &mut Api<'_, Event, NetCtx>, vm_idx: usize) {
         for _round in 0..64 {
-            let events = self.vms[vm_idx].stack.drain_events();
-            if events.is_empty() {
-                return;
-            }
-            for ev in events {
+            let stack = &mut self.vms[vm_idx].stack;
+            // A handler's own events are delivered (by `with_app`) before
+            // the next one of this round: e1, what e1 raised, e2. One queued
+            // event — nearly every round — needs no batch to keep that order.
+            if stack.events_len() > 1 {
+                for ev in stack.drain_events() {
+                    self.with_app(api, vm_idx, |app, g| app.on_event(ev, g));
+                }
+            } else if let Some(ev) = stack.pop_event() {
                 self.with_app(api, vm_idx, |app, g| app.on_event(ev, g));
+            } else {
+                return;
             }
         }
         debug_assert!(
-            !self.vms[vm_idx].stack.has_events(),
+            self.vms[vm_idx].stack.events_len() == 0,
             "app/stack event loop did not quiesce"
         );
     }
@@ -645,17 +713,34 @@ impl Server {
     // the delivered event stream (and thus every seeded artifact), so it is
     // deliberately left as-is. New timer-heavy nodes should prefer
     // `Api::cancel`.
+    //
+    // The question asked after every pump is "is any deadline earlier than
+    // the timer already armed?", and nearly always the stack can say no in
+    // O(1): nobody holds a timer, or the armed one is no later than the
+    // stack's floor. Only otherwise is the exact earliest deadline needed.
     fn rearm_tcp_timer(&mut self, api: &mut Api<'_, Event, NetCtx>, vm_idx: usize) {
         let vm = &mut self.vms[vm_idx];
-        let next = vm.stack.next_timer();
-        match (next, vm.tcp_timer) {
-            (None, _) => {
-                vm.tcp_timer = None;
-            }
-            (Some(deadline), Some((armed, _))) if armed <= deadline => {
-                // Existing timer fires first (or at the same time): keep it.
-            }
-            (Some(deadline), _) => {
+        let armed = vm.tcp_timer.map(|(at, _)| at);
+        let rearm = if !vm.stack.has_timers() {
+            Rearm::Clear
+        } else if armed.is_some_and(|at| at <= vm.stack.timer_floor()) {
+            Rearm::Keep
+        } else {
+            Rearm::decide(vm.stack.next_timer(), armed)
+        };
+        #[cfg(debug_assertions)]
+        {
+            // The same decision from the earliest deadline alone, found by a
+            // scan that neither reads nor tightens the index.
+            let stack = &vm.stack;
+            let deadlines = stack.conn_ids().filter_map(|c| stack.conn(c).next_timer());
+            let earliest = deadlines.map(|(t, _)| t).min();
+            debug_assert_eq!(rearm, Rearm::decide(earliest, armed), "vm {vm_idx}");
+        }
+        match rearm {
+            Rearm::Clear => vm.tcp_timer = None,
+            Rearm::Keep => {}
+            Rearm::Arm(deadline) => {
                 vm.tcp_timer_gen += 1;
                 vm.tcp_timer = Some((deadline, vm.tcp_timer_gen));
                 let gen = vm.tcp_timer_gen;
@@ -676,6 +761,7 @@ impl Server {
         &mut self,
         api: &mut Api<'_, Event, NetCtx>,
         vm_idx: usize,
+        conn: ConnId,
         mut pkt: Packet,
     ) {
         self.vms[vm_idx].tx_inflight -= 1;
@@ -707,7 +793,7 @@ impl Server {
                     cost += self.cfg.cost.vswitch_slow_path(self.vswitch.n_rules());
                 }
                 let done = self.submit_vswitch(vm_idx, api.now, cost, tunneled);
-                let done = self.seq_clamp(&pkt.flow, 1, done);
+                let done = clamp(self.vms[vm_idx].tx_clock_mut(conn, TX_VSWITCH), done);
                 let tok = self.stash(Pending::VswitchTxDone {
                     vm: vm_idx,
                     pkt,
@@ -780,7 +866,8 @@ impl Server {
             TxVerdict::Local(dst_vm) => {
                 let wire = pkt.wire_bytes_total();
                 let at = self.vswitch.shape_ingress(dst_vm, api.now, wire);
-                self.deliver_to_guest(api, dst_vm, pkt, at, true);
+                let slot = self.rx_slot(&pkt.flow);
+                self.deliver_to_guest(api, dst_vm, slot, pkt, at, true);
             }
             TxVerdict::UplinkPlain => {
                 let wire = pkt.wire_bytes_total();
@@ -879,7 +966,8 @@ impl Server {
                 pkt.decap(); // NIC strips the VLAN tag (§4.2.2)
                 let c = self.cfg.cost.sriov_host(&pkt);
                 self.submit_irq(api.now, c);
-                self.deliver_to_guest(api, vm_idx, pkt, api.now, false);
+                let slot = self.rx_slot(&pkt.flow);
+                self.deliver_to_guest(api, vm_idx, slot, pkt, api.now, false);
             }
             PORT_SW => {
                 // Outer VXLAN?
@@ -915,8 +1003,13 @@ impl Server {
                     self.stats.rx_drops += 1;
                     return;
                 };
-                let done = self.seq_clamp(&pkt.flow, 2, done);
-                let tok = self.stash(Pending::VswitchRxDone { vm: vm_idx, pkt });
+                let slot = self.rx_slot(&pkt.flow);
+                let done = clamp(&mut self.rx_clock[slot as usize][RX_VSWITCH], done);
+                let tok = self.stash(Pending::VswitchRxDone {
+                    vm: vm_idx,
+                    slot,
+                    pkt,
+                });
                 api.send_at(
                     api.self_id,
                     done,
@@ -931,10 +1024,16 @@ impl Server {
         }
     }
 
-    fn on_vswitch_rx_done(&mut self, api: &mut Api<'_, Event, NetCtx>, vm_idx: usize, pkt: Packet) {
+    fn on_vswitch_rx_done(
+        &mut self,
+        api: &mut Api<'_, Event, NetCtx>,
+        vm_idx: usize,
+        slot: u32,
+        pkt: Packet,
+    ) {
         let wire = pkt.wire_bytes_total();
         let at = self.vswitch.shape_ingress(vm_idx, api.now, wire);
-        self.deliver_to_guest(api, vm_idx, pkt, at, true);
+        self.deliver_to_guest(api, vm_idx, slot, pkt, at, true);
     }
 
     /// Charge guest rx CPU + notification latency, then hand to the stack.
@@ -942,6 +1041,7 @@ impl Server {
         &mut self,
         api: &mut Api<'_, Event, NetCtx>,
         vm_idx: usize,
+        slot: u32,
         pkt: Packet,
         at: SimTime,
         via_vif: bool,
@@ -953,7 +1053,7 @@ impl Server {
         };
         let cost = self.cfg.cost.guest_rx(&pkt);
         let done = self.submit_guest(vm_idx, at.max(api.now), cost) + notify;
-        let done = self.seq_clamp(&pkt.flow, 3, done);
+        let done = clamp(&mut self.rx_clock[slot as usize][RX_GUEST], done);
         let tok = self.stash(Pending::GuestRxDone { vm: vm_idx, pkt });
         api.send_at(
             api.self_id,
@@ -1019,8 +1119,13 @@ impl Server {
                     self.vms[idx].placer.remove_rule(&spec);
                 }
             }
-            CtrlRequest::SetVifRate { vm_ip, dir, bps } => {
-                if let Some(idx) = self.vms.iter().position(|v| v.spec.ip == vm_ip) {
+            CtrlRequest::SetVifRate {
+                tenant,
+                vm_ip,
+                dir,
+                bps,
+            } => {
+                if let Some(idx) = self.vm_by_ip(tenant, vm_ip) {
                     let burst = (bps / 8 / 100).max(64_000); // ~10ms of rate
                     let tb = Some(TokenBucket::new(bps.max(1), burst));
                     match dir {
@@ -1030,10 +1135,13 @@ impl Server {
                 }
             }
             CtrlRequest::SetHwRate {
-                vm_ip, dir, bps, ..
+                tenant,
+                vm_ip,
+                dir,
+                bps,
             } => {
                 // NIC-side hw shaping (the ToR also supports SetHwRate).
-                if let Some(idx) = self.vms.iter().position(|v| v.spec.ip == vm_ip) {
+                if let Some(idx) = self.vm_by_ip(tenant, vm_ip) {
                     if matches!(dir, Dir::Egress) {
                         let burst = (bps / 8 / 100).max(64_000);
                         self.hw_rate_tx
@@ -1069,11 +1177,15 @@ impl Node<Event, NetCtx> for Server {
                         return;
                     };
                     match p {
-                        Pending::GuestTxDone { vm, pkt } => self.on_guest_tx_done(api, vm, pkt),
+                        Pending::GuestTxDone { vm, conn, pkt } => {
+                            self.on_guest_tx_done(api, vm, conn, pkt)
+                        }
                         Pending::VswitchTxDone { vm, pkt, verdict } => {
                             self.on_vswitch_tx_done(api, vm, pkt, verdict)
                         }
-                        Pending::VswitchRxDone { vm, pkt } => self.on_vswitch_rx_done(api, vm, pkt),
+                        Pending::VswitchRxDone { vm, slot, pkt } => {
+                            self.on_vswitch_rx_done(api, vm, slot, pkt)
+                        }
                         Pending::GuestRxDone { vm, pkt } => self.on_guest_rx_done(api, vm, pkt),
                     }
                 }
@@ -1120,7 +1232,8 @@ impl Node<Event, NetCtx> for Server {
 mod tests {
     use super::*;
     use crate::vm::VmSpec;
-    use fastrak_net::flow::{FlowKey, Proto};
+    use fastrak_net::flow::Proto;
+    use fastrak_net::headers::tcp_flags;
     use fastrak_sim::kernel::Kernel;
     use fastrak_transport::stack::SockEvent;
 
@@ -1234,5 +1347,276 @@ mod tests {
         assert_eq!(srv.nic().vfs()[0].rx_packets, 8);
         assert_eq!(srv.stages_in_flight(), 0);
         assert!(srv.pending.len() <= 8);
+    }
+
+    // ------------------------------------------------- guest turn tests --
+
+    const VM_IP: Ip = Ip::new(10, 0, 0, 2);
+
+    /// A TCP segment from the remote peer `10.0.0.1:src_port` to the VM's
+    /// port 7000.
+    fn segment(id: u64, src_port: u16, seq: u64, flags: u8, payload: u32) -> Packet {
+        let flow = FlowKey {
+            tenant: TENANT,
+            src_ip: Ip::new(10, 0, 0, 1),
+            dst_ip: VM_IP,
+            proto: Proto::Tcp,
+            src_port,
+            dst_port: 7000,
+        };
+        let l4 = L4Meta::Tcp { seq, ack: 1, flags };
+        Packet::new(id, flow, l4, payload, SimTime::ZERO)
+    }
+
+    fn syn(src_port: u16) -> Packet {
+        segment(0, src_port, 0, tcp_flags::SYN, 0)
+    }
+
+    fn timer(tag: u64) -> Event {
+        Event::Timer { tag, a: 0, b: 0 }
+    }
+
+    /// Records the socket events it is handed. Its app timer queues two
+    /// accepts at once; the first event it sees queues a third from inside
+    /// the handler.
+    #[derive(Default)]
+    struct Nesting {
+        seen: Vec<SockEvent>,
+    }
+
+    impl crate::app::GuestApp for Nesting {
+        fn on_start(&mut self, api: &mut GuestApi<'_>) {
+            api.listen(7000);
+        }
+        fn on_event(&mut self, ev: SockEvent, api: &mut GuestApi<'_>) {
+            if self.seen.is_empty() {
+                api.stack.on_packet(api.now, &syn(40_002));
+            }
+            self.seen.push(ev);
+        }
+        fn on_timer(&mut self, _tag: u64, api: &mut GuestApi<'_>) {
+            api.stack.on_packet(api.now, &syn(40_000));
+            api.stack.on_packet(api.now, &syn(40_001));
+        }
+    }
+
+    #[test]
+    fn events_a_handler_raises_are_delivered_before_the_rest_of_its_batch() {
+        let mut k: Kernel<Event, NetCtx> = Kernel::new(NetCtx::new(), 1);
+        let mut srv = Server::new(ServerConfig::testbed("s0", Ip::new(192, 168, 0, 1)));
+        let spec = VmSpec::medium("vm0", TENANT, VM_IP);
+        srv.add_vm(Vm::new(spec, Box::<Nesting>::default()), None);
+        let sid = k.add_node(srv);
+        k.post(sid, SimTime::from_micros(1), timer(tags::START));
+        k.post(sid, SimTime::from_micros(2), timer(tags::APP));
+        // (Not to completion: the unanswered SYN|ACKs retransmit for good.)
+        k.run_until(SimTime::from_micros(100));
+        let accepted = |conn| SockEvent::Accepted {
+            conn: ConnId(conn),
+            port: 7000,
+        };
+        // e1, what e1's handler raised, e2 — not e1, e2, nested.
+        let seen = &k.node::<Server>(sid).vm(0).app_as::<Nesting>().seen;
+        assert_eq!(seen[..], [accepted(0), accepted(2), accepted(1)]);
+    }
+
+    /// Frames in arrival order: (TCP seq, payload).
+    #[derive(Default)]
+    struct Sink {
+        frames: Vec<(u64, u32)>,
+    }
+
+    impl Node<Event, NetCtx> for Sink {
+        fn on_event(&mut self, ev: Event, _api: &mut Api<'_, Event, NetCtx>) {
+            if let Event::Frame { pkt, .. } = ev {
+                let L4Meta::Tcp { seq, .. } = pkt.l4 else {
+                    panic!("TCP only")
+                };
+                self.frames.push((seq, pkt.payload));
+            }
+        }
+        fn name(&self) -> &str {
+            "sink"
+        }
+    }
+
+    /// Answers every accept with a large write and a small one.
+    struct TwoWrites;
+
+    impl crate::app::GuestApp for TwoWrites {
+        fn on_start(&mut self, api: &mut GuestApi<'_>) {
+            api.listen(7000);
+        }
+        fn on_event(&mut self, ev: SockEvent, api: &mut GuestApi<'_>) {
+            if let SockEvent::Accepted { conn, .. } = ev {
+                assert!(api.send(conn, 14_000) && api.send(conn, 100));
+            }
+        }
+        fn on_timer(&mut self, _tag: u64, _api: &mut GuestApi<'_>) {}
+    }
+
+    /// One 4-vCPU VM on the SR-IOV path whose per-byte guest cost dwarfs
+    /// everything else, wired to a sink: of two segments submitted at one
+    /// instant the smaller finishes its guest stage first, on another vCPU.
+    fn clamp_world() -> (Kernel<Event, NetCtx>, NodeId, NodeId) {
+        let mut k: Kernel<Event, NetCtx> = Kernel::new(NetCtx::new(), 1);
+        k.ctx.trace.set_enabled(true);
+        let sink = k.add_node(Sink::default());
+        let mut cfg = ServerConfig::testbed("s0", Ip::new(192, 168, 0, 1));
+        cfg.cost.guest_per_byte_ns = 2.0;
+        cfg.cost.sriov_notify_jitter = SimDuration::ZERO;
+        let mut srv = Server::new(cfg);
+        let spec = VmSpec::large("vm0", TENANT, VM_IP);
+        let vm = srv.add_vm(Vm::new(spec, Box::new(TwoWrites)), Some(VlanId::new(100)));
+        let placer = &mut srv.vm_mut(vm).placer;
+        placer.install_rule(fastrak_net::flow::FlowSpec::ANY, 1, PathTag::SrIov);
+        srv.attach_uplink(PORT_HW, sink, 0);
+        let sid = k.add_node(srv);
+        k.post(sid, SimTime::from_micros(1), timer(tags::START));
+        (k, sid, sink)
+    }
+
+    /// Post `pkt` as a VLAN-tagged frame on the SR-IOV port.
+    fn post_hw(k: &mut Kernel<Event, NetCtx>, sid: NodeId, at_us: u64, mut pkt: Packet) {
+        pkt.encap(Encap::Vlan(100));
+        let port = PORT_HW;
+        k.post(sid, SimTime::from_micros(at_us), Event::Frame { port, pkt });
+    }
+
+    #[test]
+    fn one_flows_segments_leave_the_guest_tx_stage_in_order() {
+        let (mut k, sid, sink) = clamp_world();
+        // Handshake; the ACK releases both writes into one pump.
+        post_hw(&mut k, sid, 10, syn(40_000));
+        post_hw(&mut k, sid, 200, segment(1, 40_000, 1, tcp_flags::ACK, 0));
+        k.run_until(SimTime::from_micros(400));
+        // The 100-byte segment's vCPU was done 27.8 us before the other's.
+        let frames = &k.node::<Sink>(sink).frames;
+        assert_eq!(frames[..], [(0, 0), (1, 14_000), (14_001, 100)]);
+        let clock = k.node::<Server>(sid).vm(0).tx_clock.clone();
+        assert_eq!(clock.len(), 1);
+        assert!(clock[0][TX_GUEST] > SimTime::from_micros(228));
+
+        // The peer resets; a fresh SYN on the flow key reuses connection 0,
+        // and with it the clamp slot and the clock in it.
+        post_hw(&mut k, sid, 400, segment(2, 40_000, 1, tcp_flags::RST, 0));
+        post_hw(&mut k, sid, 500, syn(40_000));
+        k.run_until(SimTime::from_micros(700));
+        let srv = k.node::<Server>(sid);
+        assert_eq!(srv.vm(0).stack.len(), 1);
+        assert_eq!(srv.vm(0).tx_clock.len(), 1);
+        assert!(srv.vm(0).tx_clock[0][TX_GUEST] > clock[0][TX_GUEST]);
+        assert_eq!(k.node::<Sink>(sink).frames.last(), Some(&(0, 0)));
+    }
+
+    #[test]
+    fn one_flows_segments_leave_the_guest_rx_stage_in_order() {
+        let (mut k, sid, _sink) = clamp_world();
+        post_hw(&mut k, sid, 10, syn(40_000));
+        // A 30 000-byte super-segment and a 64-byte one in the same instant.
+        post_hw(
+            &mut k,
+            sid,
+            200,
+            segment(1, 40_000, 1, tcp_flags::ACK, 30_000),
+        );
+        post_hw(
+            &mut k,
+            sid,
+            200,
+            segment(2, 40_000, 30_001, tcp_flags::ACK, 64),
+        );
+        // Another flow's small segment is not held back by them.
+        post_hw(&mut k, sid, 200, segment(3, 40_001, 1, tcp_flags::ACK, 64));
+        k.run_until(SimTime::from_micros(400));
+        let rx: Vec<(SimTime, u64)> = (k.ctx.trace.drain().iter())
+            .filter(|r| r.kind == "rx")
+            .map(|r| (r.at, r.vals[0]))
+            .collect();
+        let ids: Vec<u64> = rx.iter().map(|r| r.1).collect();
+        assert_eq!(ids, [0, 3, 1, 2]);
+        // The small one waited for the large one's completion time.
+        assert_eq!(rx[2].0, rx[3].0);
+        assert!(rx[1].0 + SimDuration::from_micros(50) < rx[2].0);
+        let srv = k.node::<Server>(sid);
+        assert_eq!(srv.rx_clock.len(), 2, "one slot per received flow");
+        assert_eq!(srv.vm(0).stack.conn(ConnId(0)).stats.ooo_segs_rx, 0);
+    }
+    #[test]
+    fn rate_requests_reach_the_named_tenants_vm_when_two_tenants_share_an_ip() {
+        let mut k: Kernel<Event, NetCtx> = Kernel::new(NetCtx::new(), 1);
+        let mut srv = Server::new(ServerConfig::testbed("s0", Ip::new(192, 168, 0, 1)));
+        let tenants = [TenantId(1), TenantId(2)];
+        for (i, tenant) in tenants.into_iter().enumerate() {
+            let spec = VmSpec::medium(format!("vm{i}"), tenant, VM_IP);
+            srv.add_vm(Vm::new(spec, Box::new(NullApp)), None);
+        }
+        let sid = k.add_node(srv);
+        // (software egress, software ingress, NIC egress) limit of each VM.
+        let rates = |k: &mut Kernel<Event, NetCtx>| {
+            let srv = k.node_mut::<Server>(sid);
+            [0, 1].map(|vm| {
+                let hw = srv.hw_rate_tx.get(&vm).map(TokenBucket::rate_bps);
+                let sw = srv.vswitch.vif_rates_mut(vm);
+                let bps = |tb: &Option<TokenBucket>| tb.as_ref().map(TokenBucket::rate_bps);
+                (bps(&sw.egress), bps(&sw.ingress), hw)
+            })
+        };
+        let mut at = 0;
+        let mut request = |k: &mut Kernel<Event, NetCtx>, req: CtrlRequest| {
+            at += 1;
+            let msg = CtlMsg::new(sid, req);
+            k.post(sid, SimTime::from_micros(at), Event::Ctl(msg));
+            k.run_until(SimTime::from_micros(at));
+        };
+        let (vm_ip, dir) = (VM_IP, Dir::Egress);
+        // The second tenant's limits land on the second VM, not on the
+        // first VM that happens to have the address.
+        let (tenant, bps) = (tenants[1], 2_000_000_000);
+        request(
+            &mut k,
+            CtrlRequest::SetVifRate {
+                tenant,
+                vm_ip,
+                dir,
+                bps,
+            },
+        );
+        assert_eq!(rates(&mut k), [(None, None, None), (Some(bps), None, None)]);
+        request(
+            &mut k,
+            CtrlRequest::SetHwRate {
+                tenant,
+                vm_ip,
+                dir,
+                bps,
+            },
+        );
+        let second = (Some(bps), None, Some(bps));
+        assert_eq!(rates(&mut k), [(None, None, None), second]);
+        // ... and the first tenant's on the first.
+        let (tenant, dir, bps) = (tenants[0], Dir::Ingress, 1_000_000_000);
+        request(
+            &mut k,
+            CtrlRequest::SetVifRate {
+                tenant,
+                vm_ip,
+                dir,
+                bps,
+            },
+        );
+        assert_eq!(rates(&mut k), [(None, Some(bps), None), second]);
+        // A tenant with no VM at that address changes nothing.
+        let tenant = TenantId(3);
+        request(
+            &mut k,
+            CtrlRequest::SetVifRate {
+                tenant,
+                vm_ip,
+                dir,
+                bps,
+            },
+        );
+        assert_eq!(rates(&mut k), [(None, Some(bps), None), second]);
     }
 }

@@ -4,7 +4,7 @@
 use fastrak_net::addr::{Ip, TenantId};
 use fastrak_sim::cpu::CpuPool;
 use fastrak_sim::time::SimTime;
-use fastrak_transport::stack::TcpStack;
+use fastrak_transport::stack::{ConnId, TcpStack};
 use fastrak_transport::tcp::TcpConfig;
 
 use crate::app::GuestApp;
@@ -68,6 +68,10 @@ pub struct Vm {
     pub(crate) app: Option<Box<dyn GuestApp>>,
     /// Segments currently in guest-CPU transmit service.
     pub(crate) tx_inflight: usize,
+    /// Per-connection transmit ordering clamps, indexed by `ConnId` (see
+    /// `Server::rx_slots` for why stages are clamped per flow). A slot
+    /// belongs to its flow key for good, as the stack's does.
+    pub(crate) tx_clock: Vec<[SimTime; 2]>,
     /// Armed TCP timer (deadline, generation).
     pub(crate) tcp_timer: Option<(SimTime, u64)>,
     pub(crate) tcp_timer_gen: u64,
@@ -89,10 +93,20 @@ impl Vm {
             placer: FlowPlacer::new(),
             app: Some(app),
             tx_inflight: 0,
+            tx_clock: Vec::new(),
             tcp_timer: None,
             tcp_timer_gen: 0,
             spec,
         }
+    }
+
+    /// Stage `stage`'s transmit clamp of connection `conn`.
+    pub(crate) fn tx_clock_mut(&mut self, conn: ConnId, stage: usize) -> &mut SimTime {
+        let idx = conn.0 as usize;
+        if idx >= self.tx_clock.len() {
+            self.tx_clock.resize(idx + 1, [SimTime::ZERO; 2]);
+        }
+        &mut self.tx_clock[idx][stage]
     }
 
     /// Downcast the guest app to its concrete type (harness result readout).

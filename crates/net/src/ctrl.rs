@@ -87,7 +87,10 @@ pub enum CtrlRequest {
     },
     /// Set the software (VIF) rate limit for a VM in one direction.
     SetVifRate {
-        /// Target VM.
+        /// Owning tenant (tenant address spaces overlap: the IP alone does
+        /// not name a VM).
+        tenant: TenantId,
+        /// Target VM tenant IP.
         vm_ip: Ip,
         /// Direction.
         dir: Dir,

@@ -326,7 +326,8 @@ impl Packet {
     /// Number of wire packets this (possibly TSO super-segment) packet
     /// occupies when segmented to the MSS.
     pub fn wire_segments(&self) -> u32 {
-        if self.payload == 0 {
+        // Most packets are one segment: skip the division for them.
+        if self.payload <= MSS {
             1
         } else {
             self.payload.div_ceil(MSS)

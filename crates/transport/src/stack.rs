@@ -4,8 +4,8 @@
 //! role in the simulated VM.
 //!
 //! A VM holds many connections and almost all of them are idle, so the
-//! stack never walks them. It keeps two indexes over `conns`, both
-//! maintained by [`TcpStack::touch`] after every mutation of a connection:
+//! stack never walks them. It keeps two indexes over `conns`;
+//! [`TcpStack::touch`] after every mutation of a connection feeds both:
 //!
 //! * the **tx-ready set**, one bit per connection. Invariant: a connection
 //!   outside the set polls to `None` without changing. Readiness depends on
@@ -14,15 +14,29 @@
 //!   can stay clear for as long as nothing is fed to the connection. (A
 //!   pacing feature that makes a connection sendable by the passage of time
 //!   would have to wake it through the timer index.)
-//! * the **timer index**, an ordered set of `(deadline, connection)`.
-//!   Invariant: it holds exactly `conn.next_timer()` for every connection.
+//! * the **timer index**, which is *lazy*: a mutation only marks its
+//!   connection timer-dirty. The dirty set is settled when somebody asks
+//!   about timers ([`TcpStack::has_timers`], [`TcpStack::timer_floor`],
+//!   [`TcpStack::next_timer`], [`TcpStack::on_timer`]), from each dirty
+//!   connection's `next_timer()` *at that moment*. Invariant, once settled:
+//!   the has-timer bit and `deadline` of every connection equal its
+//!   `next_timer()`, `n_timers` counts the bits, and `floor` is no later
+//!   than any deadline. `floor` is a bound, not the minimum: a deadline
+//!   that moves later (every segment pushes its connection's RTO out)
+//!   leaves it alone, a settled deadline below it lowers it, and only the
+//!   exact [`TcpStack::next_timer`] raises it, to the minimum it just
+//!   found. Settling at the question rather than at the mutation matters:
+//!   a delayed-ACK deadline armed by `on_packet` and cleared by the reply
+//!   later in the same guest turn never existed as far as the index is
+//!   concerned, so it cannot drag `floor` below the armed RTO and force the
+//!   exact scan on every turn.
 //!
 //! Every path that changes a connection goes through the stack (there is no
 //! `&mut TcpConn` accessor), which is what keeps both invariants.
 
 use fastrak_sim::time::SimTime;
 use fastrak_sim::{FxHashMap, FxHashSet};
-use std::collections::{BTreeSet, VecDeque};
+use std::collections::VecDeque;
 
 use fastrak_net::flow::FlowKey;
 use fastrak_net::headers::{ecn, tcp_flags};
@@ -77,11 +91,33 @@ pub struct TcpStack {
     /// `seg_limit` of the latest poll: a connection blocked on a whole
     /// chunk fitting its window may be sendable under a different limit.
     seg_limit: u32,
-    /// Timer index, and per connection the deadline it is indexed under.
-    timers: BTreeSet<(SimTime, u32)>,
-    indexed: Vec<Option<SimTime>>,
+    /// Timer-dirty set: the connections mutated since the index was last
+    /// settled, as a list and (so that each is listed once) a bitset.
+    dirty: Vec<u32>,
+    dirty_bits: Vec<u64>,
+    /// The settled timer index: which connections hold a deadline, how many
+    /// do, each one's deadline (meaningful under a set bit only), and a
+    /// lower bound on all of them.
+    has_timer: Vec<u64>,
+    n_timers: usize,
+    deadline: Vec<SimTime>,
+    floor: SimTime,
     /// Scratch for [`TcpStack::on_timer`]'s due list.
     due: Vec<u32>,
+}
+
+/// The indices of the set bits of `words`, ascending.
+fn set_bits(words: &[u64]) -> impl Iterator<Item = usize> + '_ {
+    words.iter().enumerate().flat_map(|(w, &word)| {
+        let mut rest = word;
+        std::iter::from_fn(move || {
+            (rest != 0).then(|| {
+                let bit = rest.trailing_zeros() as usize;
+                rest &= rest - 1;
+                w * 64 + bit
+            })
+        })
+    })
 }
 
 impl TcpStack {
@@ -96,8 +132,12 @@ impl TcpStack {
             rr_cursor: 0,
             ready: Vec::new(),
             seg_limit: 0,
-            timers: BTreeSet::new(),
-            indexed: Vec::new(),
+            dirty: Vec::new(),
+            dirty_bits: Vec::new(),
+            has_timer: Vec::new(),
+            n_timers: 0,
+            deadline: Vec::new(),
+            floor: SimTime::ZERO,
             due: Vec::new(),
         }
     }
@@ -122,36 +162,58 @@ impl TcpStack {
         let idx = self.conns.len();
         self.by_flow.insert(conn.flow, idx);
         self.conns.push(conn);
-        self.indexed.push(None);
+        self.deadline.push(SimTime::ZERO);
         if idx / 64 == self.ready.len() {
             self.ready.push(0);
+            self.dirty_bits.push(0);
+            self.has_timer.push(0);
         }
         self.touch(idx);
         idx
     }
 
     /// Connection `idx` was (or may have been) mutated: it re-enters the
-    /// ready set and the timer index follows its deadline.
+    /// ready set and its deadline is looked at again at the next question.
     fn touch(&mut self, idx: usize) {
         self.mark_ready(idx);
-        self.sync_timer(idx);
+        self.mark_timer_dirty(idx);
     }
 
     fn mark_ready(&mut self, idx: usize) {
         self.ready[idx / 64] |= 1 << (idx % 64);
     }
 
-    fn sync_timer(&mut self, idx: usize) {
-        let want = self.conns[idx].next_timer().map(|(t, _)| t);
-        let have = self.indexed[idx];
-        if have != want {
-            if let Some(t) = have {
-                self.timers.remove(&(t, idx as u32));
+    fn mark_timer_dirty(&mut self, idx: usize) {
+        let (w, bit) = (idx / 64, 1 << (idx % 64));
+        if self.dirty_bits[w] & bit == 0 {
+            self.dirty_bits[w] |= bit;
+            self.dirty.push(idx as u32);
+        }
+    }
+
+    /// Bring the timer index up to date with every dirty connection's
+    /// deadline as it stands now.
+    fn settle_timers(&mut self) {
+        while let Some(idx) = self.dirty.pop() {
+            let idx = idx as usize;
+            let (w, bit) = (idx / 64, 1 << (idx % 64));
+            self.dirty_bits[w] &= !bit;
+            let had = self.has_timer[w] & bit != 0;
+            match self.conns[idx].next_timer() {
+                Some((t, _)) => {
+                    self.deadline[idx] = t;
+                    self.floor = self.floor.min(t);
+                    if !had {
+                        self.has_timer[w] |= bit;
+                        self.n_timers += 1;
+                    }
+                }
+                None if had => {
+                    self.has_timer[w] &= !bit;
+                    self.n_timers -= 1;
+                }
+                None => {}
             }
-            if let Some(t) = want {
-                self.timers.insert((t, idx as u32));
-            }
-            self.indexed[idx] = want;
         }
     }
 
@@ -315,7 +377,7 @@ impl TcpStack {
                     self.ready[idx / 64] &= !(1 << (idx % 64));
                 }
                 // A transmission arms the RTO and clears the delayed ACK.
-                self.sync_timer(idx);
+                self.mark_timer_dirty(idx);
                 if let Some(plan) = plan {
                     self.rr_cursor = (idx + 1) % n;
                     return Some((ConnId(idx as u32), plan));
@@ -326,23 +388,43 @@ impl TcpStack {
         None
     }
 
-    /// Earliest timer deadline across all connections.
-    pub fn next_timer(&self) -> Option<SimTime> {
-        self.timers.first().map(|&(t, _)| t)
+    /// Does any connection hold a timer deadline? O(1) once settled.
+    pub fn has_timers(&mut self) -> bool {
+        self.settle_timers();
+        self.n_timers > 0
+    }
+
+    /// A time no connection's deadline is earlier than — O(1) once settled,
+    /// and enough to know that a timer armed at or before it still fires
+    /// first. It may be well below the earliest deadline; ask
+    /// [`TcpStack::next_timer`] for that.
+    pub fn timer_floor(&mut self) -> SimTime {
+        self.settle_timers();
+        self.floor
+    }
+
+    /// Earliest timer deadline across all connections, exactly: a walk over
+    /// the connections that hold one. Tightens the floor to what it found.
+    pub fn next_timer(&mut self) -> Option<SimTime> {
+        self.settle_timers();
+        let earliest = set_bits(&self.has_timer)
+            .map(|idx| self.deadline[idx])
+            .min()?;
+        self.floor = earliest;
+        Some(earliest)
     }
 
     /// Fire all timers due at `now`. Follow with [`TcpStack::poll_transmit`].
     pub fn on_timer(&mut self, now: SimTime) {
+        self.settle_timers();
         let mut due = std::mem::take(&mut self.due);
-        due.extend(
-            self.timers
-                .iter()
-                .take_while(|&&(t, _)| t <= now)
-                .map(|&(_, idx)| idx),
-        );
         // Connection order, not deadline order: it is the order `Closed`
         // events are queued in.
-        due.sort_unstable();
+        due.extend(
+            set_bits(&self.has_timer)
+                .filter(|&idx| self.deadline[idx] <= now)
+                .map(|idx| idx as u32),
+        );
         for &idx in &due {
             let c = &mut self.conns[idx as usize];
             let was_closed = c.is_closed();
@@ -372,9 +454,14 @@ impl TcpStack {
         self.events.drain(..).collect()
     }
 
-    /// Are there pending socket events?
-    pub fn has_events(&self) -> bool {
-        !self.events.is_empty()
+    /// Take the oldest pending socket event.
+    pub fn pop_event(&mut self) -> Option<SockEvent> {
+        self.events.pop_front()
+    }
+
+    /// Number of pending socket events.
+    pub fn events_len(&self) -> usize {
+        self.events.len()
     }
 }
 
@@ -399,23 +486,30 @@ mod tests {
         SimTime::from_micros(us)
     }
 
-    /// The two index invariants of the module docs, checked against every
-    /// connection.
-    fn assert_indexed(s: &TcpStack) {
+    /// The index invariants of the module docs, checked against every
+    /// connection once the dirty set is settled.
+    fn assert_indexed(s: &mut TcpStack) {
+        s.settle_timers();
+        assert!(s.dirty.is_empty() && s.dirty_bits.iter().all(|&w| w == 0));
+        let mut deadlines = Vec::new();
         for (idx, conn) in s.conns.iter().enumerate() {
             let deadline = conn.next_timer().map(|(t, _)| t);
-            assert_eq!(s.indexed[idx], deadline, "conn {idx}");
+            let has = s.has_timer[idx / 64] & (1 << (idx % 64)) != 0;
+            assert_eq!(has.then(|| s.deadline[idx]), deadline, "conn {idx}");
+            deadlines.extend(deadline);
             if s.ready[idx / 64] & (1 << (idx % 64)) == 0 {
                 let mut polled = conn.clone();
                 assert_eq!(polled.poll_transmit(t(0), s.seg_limit), None);
                 assert_eq!(format!("{polled:?}"), format!("{conn:?}"), "conn {idx}");
             }
         }
-        let indexed = s.indexed.iter().enumerate();
-        let timers: BTreeSet<_> = indexed
-            .filter_map(|(idx, d)| d.map(|t| (t, idx as u32)))
-            .collect();
-        assert_eq!(s.timers, timers);
+        assert_eq!(s.n_timers, deadlines.len());
+        assert_eq!(s.has_timers(), !deadlines.is_empty());
+        assert!(deadlines.iter().all(|&t| s.timer_floor() <= t), "floor");
+        // The exact answer is the brute-force minimum, and becomes the floor.
+        let earliest = deadlines.iter().copied().min();
+        assert_eq!(s.next_timer(), earliest);
+        assert!(earliest.is_none_or(|t| s.floor == t));
     }
 
     /// Shuttle packets between two stacks until quiescent.
@@ -641,5 +735,44 @@ mod tests {
         assert!(client.next_timer().is_none());
         let _ = client.poll_transmit(t(0), 65_000).unwrap(); // SYN out
         assert!(client.next_timer().is_some());
+    }
+    /// The sender's segments, carried to `to` at `now`.
+    fn carry(from: &mut TcpStack, to: &mut TcpStack, now: SimTime) {
+        while let Some((id, plan)) = from.poll_transmit(now, 65_000) {
+            to.on_packet(now, &mk_pkt(from.conn(id).flow, plan));
+        }
+    }
+
+    #[test]
+    fn a_deadline_armed_and_cleared_between_two_questions_never_reaches_the_floor() {
+        let cfg = TcpConfig::default();
+        let mut client = TcpStack::new(cfg);
+        let mut server = TcpStack::new(cfg);
+        server.listen(7000);
+        let c = client.connect(flow(40_020));
+        let mut now = 0;
+        pump(&mut client, &mut server, &mut now);
+        let s = ConnId(0);
+        // Request and reply; the reply's RTO is the server's only deadline.
+        client.app_send(c, 100);
+        carry(&mut client, &mut server, t(1_000));
+        server.app_send(s, 100);
+        carry(&mut server, &mut client, t(1_010));
+        let rto = server.next_timer().expect("reply in flight");
+        assert_eq!(server.timer_floor(), rto);
+        // The next request acknowledges the reply and, being data, arms the
+        // server's delayed ACK — 5 ms out, far earlier than the old RTO...
+        client.app_send(c, 100);
+        carry(&mut client, &mut server, t(2_000));
+        let mut asked_mid_turn = server.clone();
+        assert_eq!(asked_mid_turn.timer_floor(), t(2_000) + cfg.delack);
+        // ... which the reply, later in the same turn, clears: a stack not
+        // asked in between never saw it.
+        server.app_send(s, 100);
+        carry(&mut server, &mut client, t(2_010));
+        assert_eq!(server.timer_floor(), rto);
+        assert!(server.next_timer().unwrap() > rto);
+        assert_indexed(&mut server);
+        assert_indexed(&mut asked_mid_turn);
     }
 }

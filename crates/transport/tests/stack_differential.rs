@@ -8,7 +8,11 @@
 //! walking every connection. Both are driven with one seeded stream of
 //! operations and must produce, step for step, the same `(ConnId,
 //! SegmentPlan)` sequence, the same `next_timer()` and the same `SockEvent`
-//! order — and end with every connection in the same state.
+//! order — and end with every connection in the same state. The lazy timer
+//! index's O(1) answers are held to the reference at every step too:
+//! `has_timers()` says whether the scan finds a deadline, `timer_floor()` is
+//! never later than the scan's minimum, and the exact `next_timer()` leaves
+//! the floor at the minimum it returned.
 
 use std::collections::{HashMap, HashSet};
 
@@ -226,7 +230,16 @@ impl Both {
 
     /// Compare the timer and the queued socket events; returns the events.
     fn check(&mut self) -> Vec<SockEvent> {
-        assert_eq!(self.new.next_timer(), self.old.next_timer());
+        let earliest = self.old.next_timer();
+        assert_eq!(self.new.has_timers(), earliest.is_some());
+        // The floor as the mutations since the last exact answer left it.
+        let floor = self.new.timer_floor();
+        assert!(
+            earliest.is_none_or(|t| floor <= t),
+            "{floor:?} {earliest:?}"
+        );
+        assert_eq!(self.new.next_timer(), earliest);
+        assert!(earliest.is_none_or(|t| self.new.timer_floor() == t));
         let events = self.new.drain_events();
         assert_eq!(events, std::mem::take(&mut self.old.events));
         events
@@ -473,7 +486,7 @@ impl World {
             .net
             .iter()
             .map(|e| e.0)
-            .chain(self.sides.iter().filter_map(|s| s.new.next_timer()))
+            .chain(self.sides.iter_mut().filter_map(|s| s.new.next_timer()))
             .min();
         self.now = match next_due {
             Some(t) if self.rng.chance(0.6) => t.max(self.now),

@@ -126,7 +126,7 @@ fn main() {
     let lc = bed
         .kernel
         .node::<fastrak::LocalController>(ft.locals[mc.server]);
-    if let Some((sw, hw)) = lc.split_of(shared_a, fastrak_net::ctrl::Dir::Egress) {
+    if let Some((sw, hw)) = lc.split_of(t1, shared_a, fastrak_net::ctrl::Dir::Egress) {
         println!(
             "\nFPS split of the 1 Gbps limit: software {:.0} Mbps + hardware {:.0} Mbps (≤ L+2O)",
             sw as f64 / 1e6,
