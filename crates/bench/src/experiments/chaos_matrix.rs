@@ -188,7 +188,6 @@ fn run_one(scenario: Scenario, policy: FastPathPolicy, horizon: SimTime) -> Outc
             ctrl: CtrlPlaneConfig {
                 probe_interval: SimDuration::from_millis(100),
                 blackhole_epochs: 2,
-                ..CtrlPlaneConfig::default()
             },
             ..Default::default()
         },

@@ -16,6 +16,7 @@ pub mod table4;
 pub mod tenant_matrix;
 
 use crate::report::Artifact;
+use fastrak_telemetry::{export, Registry};
 
 /// Every experiment by id, in paper order.
 pub fn all_ids() -> &'static [&'static str] {
@@ -56,6 +57,9 @@ pub fn run(id: &str, full: bool) -> Option<Vec<Artifact>> {
     }
 }
 
+/// An experiment that also hands back the registry of its exported cell.
+type RunWithExport = fn(bool) -> (Vec<Artifact>, Registry);
+
 /// Write one `--telemetry` export file into `dir`.
 pub fn write_export(dir: &std::path::Path, name: &str, content: String) {
     let path = dir.join(name);
@@ -82,60 +86,23 @@ pub fn write_export(dir: &std::path::Path, name: &str, content: String) {
 /// * everything else runs unchanged (telemetry stays zero-config).
 pub fn run_with_telemetry(id: &str, full: bool, dir: &std::path::Path) -> Option<Vec<Artifact>> {
     let write = |name: &str, content: String| write_export(dir, name, content);
-    match id {
-        "fault_matrix" => {
-            let (arts, reg) = fault_matrix::run_with_export(full);
-            write(
-                "fault_matrix.metrics.jsonl",
-                fastrak_telemetry::export::metrics_jsonl(&reg),
-            );
-            write(
-                "fault_matrix.prom",
-                fastrak_telemetry::export::prometheus_text(&reg),
-            );
-            Some(arts)
-        }
-        "tenant_matrix" => {
-            let (arts, reg) = tenant_matrix::run_with_export(full);
-            write(
-                "tenant_matrix.metrics.jsonl",
-                fastrak_telemetry::export::metrics_jsonl(&reg),
-            );
-            write(
-                "tenant_matrix.prom",
-                fastrak_telemetry::export::prometheus_text(&reg),
-            );
-            Some(arts)
-        }
-        "chaos_matrix" => {
-            let (arts, reg) = chaos_matrix::run_with_export(full);
-            write(
-                "chaos_matrix.metrics.jsonl",
-                fastrak_telemetry::export::metrics_jsonl(&reg),
-            );
-            write(
-                "chaos_matrix.prom",
-                fastrak_telemetry::export::prometheus_text(&reg),
-            );
-            Some(arts)
-        }
-        "incast_matrix" => {
-            let (arts, reg) = incast_matrix::run_with_export(full);
-            write(
-                "incast_matrix.metrics.jsonl",
-                fastrak_telemetry::export::metrics_jsonl(&reg),
-            );
-            write(
-                "incast_matrix.prom",
-                fastrak_telemetry::export::prometheus_text(&reg),
-            );
-            Some(arts)
-        }
-        "fig12" => {
-            let (artifact, _, trace) = fig12::run_traced(full);
-            write("fig12.trace.json", trace);
-            Some(vec![artifact])
-        }
-        _ => run(id, full),
+    let matrix: Option<RunWithExport> = match id {
+        "fault_matrix" => Some(fault_matrix::run_with_export),
+        "tenant_matrix" => Some(tenant_matrix::run_with_export),
+        "chaos_matrix" => Some(chaos_matrix::run_with_export),
+        "incast_matrix" => Some(incast_matrix::run_with_export),
+        _ => None,
+    };
+    if let Some(run_with_export) = matrix {
+        let (arts, reg) = run_with_export(full);
+        write(&format!("{id}.metrics.jsonl"), export::metrics_jsonl(&reg));
+        write(&format!("{id}.prom"), export::prometheus_text(&reg));
+        return Some(arts);
     }
+    if id == "fig12" {
+        let (artifact, _, trace) = fig12::run_traced(full);
+        write("fig12.trace.json", trace);
+        return Some(vec![artifact]);
+    }
+    run(id, full)
 }

@@ -60,8 +60,7 @@ pub struct FasTrakConfig {
     pub budget: usize,
     /// Tenant policies for rule synthesis.
     pub rule_manager: RuleManager,
-    /// Control-plane failure handling (install retry/backoff, periodic
-    /// reconciliation, hardware-suspension cooldown).
+    /// Liveness probing and blackhole detection (both default off).
     pub ctrl: CtrlPlaneConfig,
 }
 
@@ -112,7 +111,6 @@ pub fn attach(bed: &mut Testbed, cfg: FasTrakConfig) -> FasTrak {
         timing: cfg.timing,
         de: cfg.de,
         budget: cfg.budget,
-        demote_grace: fastrak_sim::time::SimDuration::from_millis(50),
         rule_manager: cfg.rule_manager,
         ctrl: cfg.ctrl,
         counters,

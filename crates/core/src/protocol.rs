@@ -21,7 +21,7 @@ pub struct DemandReport {
 }
 
 /// The TOR controller's decision broadcast (§4.3.2).
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct OffloadDecision {
     /// Control interval this decision was computed in.
     pub interval: u64,

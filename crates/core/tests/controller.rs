@@ -499,22 +499,20 @@ fn forced_install_failures_degrade_then_recover() {
         &mut bed,
         FasTrakConfig {
             timing: Timing::fine(),
-            ctrl: CtrlPlaneConfig {
-                hw_failure_threshold: 2,
-                hw_cooldown: SimDuration::from_millis(700),
-                ..Default::default()
-            },
             ..Default::default()
         },
     );
+    // Decision rounds land at ~0.61 s, 1.61 s, 2.61 s, ...: three fall in
+    // the window (the suspension threshold), the 2 s cooldown then skips
+    // the rounds at 3.61 s and 4.61 s, and the one at 5.61 s re-offloads.
     bed.kernel.set_fault_layer(ctl_fault_layer(FaultConfig {
         seed: 5,
-        install_fail_windows: vec![(SimTime::from_millis(400), SimTime::from_millis(1_700))],
+        install_fail_windows: vec![(SimTime::from_millis(400), SimTime::from_millis(2_700))],
         ..Default::default()
     }));
     ft.start(&mut bed);
     bed.start();
-    bed.run_until(SimTime::from_millis(5_300));
+    bed.run_until(SimTime::from_millis(6_300));
 
     let reg = &bed.kernel.ctx.telemetry.registry;
     let failures = reg.counter_by_name("ctrl.install_failures").unwrap_or(0);
@@ -850,7 +848,6 @@ fn post_recovery_state_agrees_across_all_failure_classes() {
                 ctrl: CtrlPlaneConfig {
                     probe_interval: SimDuration::from_millis(100),
                     blackhole_epochs: 2,
-                    ..Default::default()
                 },
                 ..Default::default()
             },
