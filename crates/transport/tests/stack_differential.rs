@@ -13,17 +13,26 @@
 //! `has_timers()` says whether the scan finds a deadline, `timer_floor()` is
 //! never later than the scan's minimum, and the exact `next_timer()` leaves
 //! the floor at the minimum it returned.
+//!
+//! Both stacks share [`TcpConn`], so agreeing with each other says nothing
+//! about the connection itself. The stream's own output does: every emitted
+//! `(ConnId, SegmentPlan)`, every `SockEvent`, the `next_timer()` of each
+//! check and the final per-connection `TcpStats` are folded into one hash per
+//! scenario, pinned below. A change to `TcpConn` that moves any segment,
+//! event, deadline or counter of any seeded scenario moves a pinned value.
 
 use std::collections::{HashMap, HashSet};
+use std::hash::Hasher;
 
 use fastrak_net::addr::{Ip, TenantId};
 use fastrak_net::flow::{FlowKey, Proto};
 use fastrak_net::headers::{ecn, tcp_flags};
 use fastrak_net::packet::{L4Meta, Packet, MSS};
 use fastrak_sim::time::{SimDuration, SimTime};
-use fastrak_sim::Rng;
+use fastrak_sim::{FxHasher, Rng};
 use fastrak_transport::{
-    CcAlgo, ConnId, SegmentPlan, SockEvent, TcpConfig, TcpConn, TcpStack, TcpState, TSO_LIMIT,
+    CcAlgo, ConnId, SegmentPlan, SockEvent, TcpConfig, TcpConn, TcpStack, TcpState, TcpStats,
+    TSO_LIMIT,
 };
 
 // ------------------------------------------------------------ reference --
@@ -170,6 +179,12 @@ impl ScanStack {
 struct Both {
     new: TcpStack,
     old: ScanStack,
+    /// Everything this side emitted, folded as it was compared.
+    digest: FxHasher,
+}
+
+fn fold(h: &mut FxHasher, words: &[u64]) {
+    words.iter().for_each(|&w| h.write_u64(w));
 }
 
 impl Both {
@@ -177,6 +192,7 @@ impl Both {
         Both {
             new: TcpStack::new(cfg),
             old: ScanStack::new(cfg),
+            digest: FxHasher::default(),
         }
     }
 
@@ -220,6 +236,22 @@ impl Both {
     fn poll(&mut self, now: SimTime, seg_limit: u32) -> Option<Packet> {
         let got = self.new.poll_transmit(now, seg_limit);
         assert_eq!(got, self.old.poll_transmit(now, seg_limit), "at {now:?}");
+        if let Some((id, p)) = got {
+            let (rtx, nsack) = (p.is_rtx as u64, p.sack.len() as u64);
+            let plan = [
+                p.seq,
+                p.len as u64,
+                p.flags as u64,
+                p.ack,
+                rtx,
+                p.ecn as u64,
+            ];
+            fold(&mut self.digest, &[id.0 as u64, nsack]);
+            fold(&mut self.digest, &plan);
+            p.sack
+                .iter()
+                .for_each(|(s, e)| fold(&mut self.digest, &[s, e]));
+        }
         got.map(|(id, plan)| packet(self.new.conn(id).flow, plan))
     }
 
@@ -242,6 +274,21 @@ impl Both {
         assert!(earliest.is_none_or(|t| self.new.timer_floor() == t));
         let events = self.new.drain_events();
         assert_eq!(events, std::mem::take(&mut self.old.events));
+        fold(
+            &mut self.digest,
+            &[earliest.map_or(u64::MAX, |t| t.as_nanos())],
+        );
+        for ev in &events {
+            let (tag, conn, arg) = match *ev {
+                SockEvent::Connected(c) => (0, c, 0),
+                SockEvent::Accepted { conn, port } => (1, conn, port as u64),
+                SockEvent::Delivered { conn, bytes } => (2, conn, bytes),
+                SockEvent::PeerClosed(c) => (3, c, 0),
+                SockEvent::Closed(c) => (4, c, 0),
+                SockEvent::Reset(c) => (5, c, 0),
+            };
+            fold(&mut self.digest, &[tag, conn.0 as u64, arg]);
+        }
         events
     }
 
@@ -338,6 +385,8 @@ struct Coverage {
     timeouts: u64,
     rtx_segs: u64,
     delayed_acks: u64,
+    /// Every side's digest and every connection's final `TcpStats`.
+    digest: u64,
 }
 
 struct World {
@@ -585,15 +634,55 @@ impl World {
     }
 
     fn finish(mut self) -> Coverage {
+        let mut h = FxHasher::default();
         for side in &self.sides {
             side.assert_same_conns();
+            fold(&mut h, &[side.digest.finish()]);
             for id in side.new.conn_ids() {
-                let stats = &side.new.conn(id).stats;
-                self.cov.timeouts += stats.timeouts;
-                self.cov.rtx_segs += stats.rtx_segs;
-                self.cov.delayed_acks += stats.delayed_acks;
+                // Destructured in full: a new counter has to be folded too.
+                let TcpStats {
+                    segs_tx,
+                    segs_rx,
+                    acks_tx,
+                    dup_acks_rx,
+                    fast_retransmits,
+                    timeouts,
+                    ooo_segs_rx,
+                    bytes_acked,
+                    bytes_delivered,
+                    delayed_acks,
+                    rtx_segs,
+                    ecn_ce_rx,
+                    ecn_ece_rx,
+                    ecn_ece_tx,
+                    ecn_cwr_tx,
+                } = side.new.conn(id).stats;
+                self.cov.timeouts += timeouts;
+                self.cov.rtx_segs += rtx_segs;
+                self.cov.delayed_acks += delayed_acks;
+                fold(
+                    &mut h,
+                    &[
+                        segs_tx,
+                        segs_rx,
+                        acks_tx,
+                        dup_acks_rx,
+                        fast_retransmits,
+                        timeouts,
+                        ooo_segs_rx,
+                        bytes_acked,
+                        bytes_delivered,
+                        delayed_acks,
+                        rtx_segs,
+                        ecn_ce_rx,
+                        ecn_ece_rx,
+                        ecn_ece_tx,
+                        ecn_cwr_tx,
+                    ],
+                );
             }
         }
+        self.cov.digest = h.finish();
         self.cov
     }
 }
@@ -609,12 +698,21 @@ fn run(sc: Scenario) -> Coverage {
     w.finish()
 }
 
+/// The digests of a test's runs, in run order, against the values recorded
+/// at the commit that introduced them (before `TcpConn` was restructured).
+/// A mismatch prints the whole list; re-record only with the change that
+/// moved a simulated outcome named beside it.
+fn assert_pinned(got: &[u64], pinned: &[u64]) {
+    assert!(got == pinned, "digests moved, now {got:#018x?}");
+}
+
 #[test]
 fn indexed_stack_matches_full_scan_across_sizes() {
+    let mut digests = Vec::new();
     // 63/64/65/128/129 straddle the ready set's word boundaries.
     for (n, conns) in [1, 2, 3, 63, 64, 65, 128, 129, 300].into_iter().enumerate() {
         for sack in [false, true] {
-            run(Scenario {
+            let cov = run(Scenario {
                 seed: 100 + n as u64,
                 cfg: cfg(sack, [CcAlgo::Reno, CcAlgo::Cubic, CcAlgo::Dctcp][n % 3]),
                 conns,
@@ -623,12 +721,38 @@ fn indexed_stack_matches_full_scan_across_sizes() {
                 seg_limit: if n % 2 == 0 { TSO_LIMIT } else { MSS },
                 teardown: 1.0,
             });
+            digests.push(cov.digest);
         }
     }
+    // Reno, CUBIC, DCTCP+ECN in turn; without and with SACK each.
+    assert_pinned(
+        &digests,
+        &[
+            0xc446ce54ef49362c,
+            0xc446ce54ef49362c,
+            0x0164679c1e78b37a,
+            0x52353fb99762ab9d,
+            0x096b8285e4997f75,
+            0x1275834066b896c3,
+            0xe5b148c30e7f298f,
+            0x617cd67d515e5dbf,
+            0xd11da675527a1c48,
+            0x88d5dcf7f945b75b,
+            0x53d2ff36feabe005,
+            0xf487c400c736b2f1,
+            0x52e0221fa7f32776,
+            0xd1c0be565d56b455,
+            0x1e6044618f81e0e8,
+            0x142d0446e9e28c6d,
+            0x215969b5399e6831,
+            0x1bd8bc4e243cdcf9,
+        ],
+    );
 }
 
 #[test]
 fn indexed_stack_matches_full_scan_at_600_connections() {
+    let mut digests = Vec::new();
     for sack in [false, true] {
         let cov = run(Scenario {
             seed: 7,
@@ -648,11 +772,14 @@ fn indexed_stack_matches_full_scan_at_600_connections() {
         assert!(cov.closed > 100, "closes: {}", cov.closed);
         assert!(cov.resets > 20, "resets: {}", cov.resets);
         assert!(cov.slot_reuses > 10, "slot reuses: {}", cov.slot_reuses);
+        digests.push(cov.digest);
     }
+    assert_pinned(&digests, &[0xb3da4f51ac2fde67, 0x178c7638c3a2a324]);
 }
 
 #[test]
 fn few_long_lived_connections_in_deep_recoveries() {
+    let mut digests = Vec::new();
     for sack in [false, true] {
         let cov = run(Scenario {
             seed: 21,
@@ -665,13 +792,15 @@ fn few_long_lived_connections_in_deep_recoveries() {
         });
         // Duplicate ACKs, not timeouts, repair most losses here.
         assert!(cov.rtx_segs > 3 * cov.timeouts, "fast retransmits");
+        digests.push(cov.digest);
     }
+    assert_pinned(&digests, &[0xe4d211d610b3a99a, 0x9f99060329dec8e6]);
 }
 
 #[test]
 fn lossless_stream_matches_too() {
     // No loss: long ack-clocked runs, window-limited senders, idle timers.
-    run(Scenario {
+    let cov = run(Scenario {
         seed: 11,
         cfg: cfg(false, CcAlgo::Reno),
         conns: 40,
@@ -680,6 +809,7 @@ fn lossless_stream_matches_too() {
         seg_limit: MSS,
         teardown: 1.0,
     });
+    assert_pinned(&[cov.digest], &[0x679cba9133ac0841]);
 }
 
 // ------------------------------------------------------- targeted cases --
