@@ -14,7 +14,7 @@ use fastrak_net::flow::{FlowKey, Proto};
 use fastrak_net::packet::{L4Meta, Packet, SackBlocks};
 use fastrak_sim::time::SimTime;
 use fastrak_transport::sack::Scoreboard;
-use fastrak_transport::tcp::{TcpConfig, TcpConn, TSO_LIMIT};
+use fastrak_transport::tcp::{Segment, TcpConfig, TcpConn, TSO_LIMIT};
 use fastrak_transport::{ConnId, SockEvent, TcpStack};
 
 fn flow() -> FlowKey {
@@ -31,7 +31,15 @@ fn flow() -> FlowKey {
 /// Drain every pending segment from `from` into `to` at `now`.
 fn pump(from: &mut TcpConn, to: &mut TcpConn, now: SimTime) {
     while let Some(p) = from.poll_transmit(now, 64) {
-        to.on_segment_full(now, p.seq, p.ack, p.flags, p.len as u64, false, p.sack);
+        let seg = Segment {
+            seq: p.seq,
+            ack: p.ack,
+            flags: p.flags,
+            len: p.len as u64,
+            ce: false,
+            sack: p.sack,
+        };
+        to.on_segment(now, seg);
     }
 }
 
@@ -208,7 +216,7 @@ fn main() {
             blocks.push(base + 5 * mss, base + 9 * mss);
             blocks.push(base + 10 * mss, base + 15 * mss);
             sb.on_ack(base, &blocks);
-            black_box(sb.next_hole(base, base + 16 * mss, mss as u32));
+            black_box(sb.next_hole(base, base + 16 * mss));
             i += 1;
             if i.is_multiple_of(1024) {
                 sb.clear();

@@ -29,7 +29,12 @@
 //! All arithmetic is plain `f64` on simulated time — no wall clock, no
 //! randomness — so every algorithm is deterministic and replayable.
 
+use std::ops::{Deref, DerefMut};
+
+use fastrak_net::packet::MSS;
 use fastrak_sim::time::SimTime;
+
+const MSS_F: f64 = MSS as f64;
 
 /// Which congestion-control algorithm a connection runs. Carried by
 /// `TcpConfig`; the default is the pre-existing Reno/NewReno behavior, so
@@ -57,8 +62,8 @@ impl CcAlgo {
 }
 
 /// The congestion-control contract. All window values are in **bytes**
-/// (`f64`, matching the original inline arithmetic); `mss` is the
-/// configured segment size; `flight` is bytes outstanding at the event.
+/// (`f64`, matching the original inline arithmetic); the segment size is the
+/// wire's [`MSS`]; `flight` is bytes outstanding at the event.
 pub trait CongestionControl {
     /// Current congestion window in bytes.
     fn cwnd(&self) -> f64;
@@ -68,24 +73,23 @@ pub trait CongestionControl {
     /// when the sender is actually window-limited (cwnd validation) and
     /// below the configured cwnd cap — those gates live in the state
     /// machine so every algorithm sees identical policy.
-    fn on_ack(&mut self, now: SimTime, acked: u64, srtt: Option<f64>, mss: u32);
+    fn on_ack(&mut self, now: SimTime, acked: u64, srtt: Option<f64>);
     /// Third duplicate ACK: fast retransmit, enter recovery.
-    fn on_loss(&mut self, flight: u64, mss: u32);
+    fn on_loss(&mut self, flight: u64);
     /// Duplicate ACK while already in recovery: inflate by one MSS.
-    fn on_recovery_dup_ack(&mut self, mss: u32);
+    fn on_recovery_dup_ack(&mut self);
     /// NewReno partial ACK during recovery: deflate by the acked amount,
     /// add back one MSS.
-    fn on_partial_ack(&mut self, acked: u64, mss: u32);
+    fn on_partial_ack(&mut self, acked: u64);
     /// Cumulative ACK covering the whole recovery window: leave recovery.
-    fn on_recovery_exit(&mut self, mss: u32);
+    fn on_recovery_exit(&mut self);
     /// Retransmission timeout. `flight` is already floored at one MSS by
     /// the caller (matching the original inline code).
-    fn on_rto(&mut self, flight: u64, mss: u32);
+    fn on_rto(&mut self, flight: u64);
     /// Every cumulative ACK on an ECN-negotiated connection, with `ece`
     /// reporting whether the peer echoed congestion. Returns `true` when
     /// the algorithm began a new window reduction and the sender should
     /// set CWR on its next data segment.
-    #[allow(clippy::too_many_arguments)]
     fn on_ecn_ack(
         &mut self,
         now: SimTime,
@@ -94,7 +98,6 @@ pub trait CongestionControl {
         flight: u64,
         snd_una: u64,
         snd_nxt: u64,
-        mss: u32,
     ) -> bool;
 }
 
@@ -126,36 +129,36 @@ impl CongestionControl for RenoCc {
         self.ssthresh
     }
 
-    fn on_ack(&mut self, _now: SimTime, acked: u64, _srtt: Option<f64>, mss: u32) {
+    fn on_ack(&mut self, _now: SimTime, acked: u64, _srtt: Option<f64>) {
         if self.cwnd < self.ssthresh {
             // Slow start: one cwnd of growth per RTT of acked data.
             self.cwnd += acked as f64;
         } else {
             // Congestion avoidance: ~1 MSS per RTT.
-            self.cwnd += (mss as f64 * mss as f64) / self.cwnd;
+            self.cwnd += (MSS_F * MSS_F) / self.cwnd;
         }
     }
 
-    fn on_loss(&mut self, flight: u64, mss: u32) {
-        self.ssthresh = (flight as f64 / 2.0).max((2 * mss) as f64);
-        self.cwnd = self.ssthresh + (3 * mss) as f64;
+    fn on_loss(&mut self, flight: u64) {
+        self.ssthresh = (flight as f64 / 2.0).max(2.0 * MSS_F);
+        self.cwnd = self.ssthresh + 3.0 * MSS_F;
     }
 
-    fn on_recovery_dup_ack(&mut self, mss: u32) {
-        self.cwnd += mss as f64;
+    fn on_recovery_dup_ack(&mut self) {
+        self.cwnd += MSS_F;
     }
 
-    fn on_partial_ack(&mut self, acked: u64, mss: u32) {
-        self.cwnd = (self.cwnd - acked as f64 + mss as f64).max(mss as f64);
+    fn on_partial_ack(&mut self, acked: u64) {
+        self.cwnd = (self.cwnd - acked as f64 + MSS_F).max(MSS_F);
     }
 
-    fn on_recovery_exit(&mut self, _mss: u32) {
+    fn on_recovery_exit(&mut self) {
         self.cwnd = self.ssthresh;
     }
 
-    fn on_rto(&mut self, flight: u64, mss: u32) {
-        self.ssthresh = (flight as f64 / 2.0).max((2 * mss) as f64);
-        self.cwnd = mss as f64;
+    fn on_rto(&mut self, flight: u64) {
+        self.ssthresh = (flight as f64 / 2.0).max(2.0 * MSS_F);
+        self.cwnd = MSS_F;
     }
 
     fn on_ecn_ack(
@@ -166,13 +169,12 @@ impl CongestionControl for RenoCc {
         flight: u64,
         snd_una: u64,
         snd_nxt: u64,
-        mss: u32,
     ) -> bool {
         // RFC 3168: react to ECE like fast retransmit (halve once per
         // window) but without retransmitting anything.
         if ece && snd_una >= self.cwr_end {
             self.cwr_end = snd_nxt;
-            self.ssthresh = (flight as f64 / 2.0).max((2 * mss) as f64);
+            self.ssthresh = (flight as f64 / 2.0).max(2.0 * MSS_F);
             self.cwnd = self.ssthresh;
             return true;
         }
@@ -215,8 +217,8 @@ impl CubicCc {
     /// Multiplicative decrease shared by loss, RTO, and ECN reductions:
     /// record the loss point (with fast convergence), restart the epoch,
     /// and set ssthresh to `β·cwnd`.
-    fn reduce(&mut self, mss: u32) {
-        let cwnd_segs = self.cwnd / mss as f64;
+    fn reduce(&mut self) {
+        let cwnd_segs = self.cwnd / MSS_F;
         // Fast convergence: a loss below the previous plateau means
         // capacity shrank — release the extra share to the newcomer.
         self.w_max = if cwnd_segs < self.w_max {
@@ -226,7 +228,7 @@ impl CubicCc {
         };
         self.k = (self.w_max * (1.0 - CUBIC_BETA) / CUBIC_C).cbrt();
         self.epoch_start = None;
-        self.ssthresh = (self.cwnd * CUBIC_BETA).max((2 * mss) as f64);
+        self.ssthresh = (self.cwnd * CUBIC_BETA).max(2.0 * MSS_F);
     }
 }
 
@@ -239,13 +241,12 @@ impl CongestionControl for CubicCc {
         self.ssthresh
     }
 
-    fn on_ack(&mut self, now: SimTime, acked: u64, srtt: Option<f64>, mss: u32) {
+    fn on_ack(&mut self, now: SimTime, acked: u64, srtt: Option<f64>) {
         if self.cwnd < self.ssthresh {
             self.cwnd += acked as f64;
             return;
         }
-        let mss_f = mss as f64;
-        let cwnd_segs = self.cwnd / mss_f;
+        let cwnd_segs = self.cwnd / MSS_F;
         let epoch = match self.epoch_start {
             Some(e) => e,
             None => {
@@ -274,34 +275,34 @@ impl CongestionControl for CubicCc {
         if target > cwnd_segs {
             // Spread the climb to `target` over the next window of ACKs,
             // never faster than slow start.
-            let inc = ((target - cwnd_segs) / cwnd_segs) * mss_f;
+            let inc = ((target - cwnd_segs) / cwnd_segs) * MSS_F;
             self.cwnd += inc.min(acked as f64);
         }
     }
 
-    fn on_loss(&mut self, _flight: u64, mss: u32) {
-        self.reduce(mss);
+    fn on_loss(&mut self, _flight: u64) {
+        self.reduce();
         // NewReno-style inflation so the shared recovery machinery
         // (deflate-on-partial-ack, collapse-to-ssthresh on exit) behaves
         // identically across algorithms.
-        self.cwnd = self.ssthresh + (3 * mss) as f64;
+        self.cwnd = self.ssthresh + 3.0 * MSS_F;
     }
 
-    fn on_recovery_dup_ack(&mut self, mss: u32) {
-        self.cwnd += mss as f64;
+    fn on_recovery_dup_ack(&mut self) {
+        self.cwnd += MSS_F;
     }
 
-    fn on_partial_ack(&mut self, acked: u64, mss: u32) {
-        self.cwnd = (self.cwnd - acked as f64 + mss as f64).max(mss as f64);
+    fn on_partial_ack(&mut self, acked: u64) {
+        self.cwnd = (self.cwnd - acked as f64 + MSS_F).max(MSS_F);
     }
 
-    fn on_recovery_exit(&mut self, _mss: u32) {
+    fn on_recovery_exit(&mut self) {
         self.cwnd = self.ssthresh;
     }
 
-    fn on_rto(&mut self, _flight: u64, mss: u32) {
-        self.reduce(mss);
-        self.cwnd = mss as f64;
+    fn on_rto(&mut self, _flight: u64) {
+        self.reduce();
+        self.cwnd = MSS_F;
     }
 
     fn on_ecn_ack(
@@ -312,12 +313,11 @@ impl CongestionControl for CubicCc {
         _flight: u64,
         snd_una: u64,
         snd_nxt: u64,
-        mss: u32,
     ) -> bool {
         // Classic ECN: one cubic reduction per window of data.
         if ece && snd_una >= self.cwr_end {
             self.cwr_end = snd_nxt;
-            self.reduce(mss);
+            self.reduce();
             self.cwnd = self.ssthresh;
             return true;
         }
@@ -375,35 +375,35 @@ impl CongestionControl for DctcpCc {
         self.ssthresh
     }
 
-    fn on_ack(&mut self, _now: SimTime, acked: u64, _srtt: Option<f64>, mss: u32) {
+    fn on_ack(&mut self, _now: SimTime, acked: u64, _srtt: Option<f64>) {
         // DCTCP keeps Reno's slow start and congestion avoidance.
         if self.cwnd < self.ssthresh {
             self.cwnd += acked as f64;
         } else {
-            self.cwnd += (mss as f64 * mss as f64) / self.cwnd;
+            self.cwnd += (MSS_F * MSS_F) / self.cwnd;
         }
     }
 
-    fn on_loss(&mut self, flight: u64, mss: u32) {
-        self.ssthresh = (flight as f64 / 2.0).max((2 * mss) as f64);
-        self.cwnd = self.ssthresh + (3 * mss) as f64;
+    fn on_loss(&mut self, flight: u64) {
+        self.ssthresh = (flight as f64 / 2.0).max(2.0 * MSS_F);
+        self.cwnd = self.ssthresh + 3.0 * MSS_F;
     }
 
-    fn on_recovery_dup_ack(&mut self, mss: u32) {
-        self.cwnd += mss as f64;
+    fn on_recovery_dup_ack(&mut self) {
+        self.cwnd += MSS_F;
     }
 
-    fn on_partial_ack(&mut self, acked: u64, mss: u32) {
-        self.cwnd = (self.cwnd - acked as f64 + mss as f64).max(mss as f64);
+    fn on_partial_ack(&mut self, acked: u64) {
+        self.cwnd = (self.cwnd - acked as f64 + MSS_F).max(MSS_F);
     }
 
-    fn on_recovery_exit(&mut self, _mss: u32) {
+    fn on_recovery_exit(&mut self) {
         self.cwnd = self.ssthresh;
     }
 
-    fn on_rto(&mut self, flight: u64, mss: u32) {
-        self.ssthresh = (flight as f64 / 2.0).max((2 * mss) as f64);
-        self.cwnd = mss as f64;
+    fn on_rto(&mut self, flight: u64) {
+        self.ssthresh = (flight as f64 / 2.0).max(2.0 * MSS_F);
+        self.cwnd = MSS_F;
     }
 
     fn on_ecn_ack(
@@ -414,7 +414,6 @@ impl CongestionControl for DctcpCc {
         _flight: u64,
         snd_una: u64,
         snd_nxt: u64,
-        mss: u32,
     ) -> bool {
         self.acked_bytes += acked;
         if ece {
@@ -427,7 +426,7 @@ impl CongestionControl for DctcpCc {
                 let f = self.marked_bytes as f64 / self.acked_bytes as f64;
                 self.alpha = (1.0 - DCTCP_G) * self.alpha + DCTCP_G * f;
                 if self.marked_bytes > 0 {
-                    self.cwnd = (self.cwnd * (1.0 - self.alpha / 2.0)).max((2 * mss) as f64);
+                    self.cwnd = (self.cwnd * (1.0 - self.alpha / 2.0)).max(2.0 * MSS_F);
                     self.ssthresh = self.cwnd;
                     cwr = true;
                 }
@@ -457,16 +456,14 @@ impl Cc {
             CcAlgo::Dctcp => Cc::Dctcp(DctcpCc::new(initial_cwnd)),
         }
     }
+}
 
-    fn inner(&self) -> &dyn CongestionControl {
-        match self {
-            Cc::Reno(c) => c,
-            Cc::Cubic(c) => c,
-            Cc::Dctcp(c) => c,
-        }
-    }
+/// A `Cc` is used as the algorithm it holds: every [`CongestionControl`]
+/// hook is called on it directly.
+impl Deref for Cc {
+    type Target = dyn CongestionControl;
 
-    fn inner_mut(&mut self) -> &mut dyn CongestionControl {
+    fn deref(&self) -> &Self::Target {
         match self {
             Cc::Reno(c) => c,
             Cc::Cubic(c) => c,
@@ -475,59 +472,19 @@ impl Cc {
     }
 }
 
-impl CongestionControl for Cc {
-    fn cwnd(&self) -> f64 {
-        self.inner().cwnd()
-    }
-
-    fn ssthresh(&self) -> f64 {
-        self.inner().ssthresh()
-    }
-
-    fn on_ack(&mut self, now: SimTime, acked: u64, srtt: Option<f64>, mss: u32) {
-        self.inner_mut().on_ack(now, acked, srtt, mss)
-    }
-
-    fn on_loss(&mut self, flight: u64, mss: u32) {
-        self.inner_mut().on_loss(flight, mss)
-    }
-
-    fn on_recovery_dup_ack(&mut self, mss: u32) {
-        self.inner_mut().on_recovery_dup_ack(mss)
-    }
-
-    fn on_partial_ack(&mut self, acked: u64, mss: u32) {
-        self.inner_mut().on_partial_ack(acked, mss)
-    }
-
-    fn on_recovery_exit(&mut self, mss: u32) {
-        self.inner_mut().on_recovery_exit(mss)
-    }
-
-    fn on_rto(&mut self, flight: u64, mss: u32) {
-        self.inner_mut().on_rto(flight, mss)
-    }
-
-    fn on_ecn_ack(
-        &mut self,
-        now: SimTime,
-        acked: u64,
-        ece: bool,
-        flight: u64,
-        snd_una: u64,
-        snd_nxt: u64,
-        mss: u32,
-    ) -> bool {
-        self.inner_mut()
-            .on_ecn_ack(now, acked, ece, flight, snd_una, snd_nxt, mss)
+impl DerefMut for Cc {
+    fn deref_mut(&mut self) -> &mut Self::Target {
+        match self {
+            Cc::Reno(c) => c,
+            Cc::Cubic(c) => c,
+            Cc::Dctcp(c) => c,
+        }
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    const MSS: u32 = 1448;
 
     fn t(us: u64) -> SimTime {
         SimTime::from_micros(us)
@@ -592,27 +549,27 @@ mod tests {
             hooks[hook] += 1;
             match hook {
                 0 => {
-                    cc.on_ack(t(step), acked, None, MSS);
+                    cc.on_ack(t(step), acked, None);
                     legacy.ack_growth(acked, MSS);
                 }
                 1 => {
-                    cc.on_loss(flight, MSS);
+                    cc.on_loss(flight);
                     legacy.enter_recovery(flight, MSS);
                 }
                 2 => {
-                    cc.on_recovery_dup_ack(MSS);
+                    cc.on_recovery_dup_ack();
                     legacy.dup_ack_inflate(MSS);
                 }
                 3 => {
-                    cc.on_partial_ack(acked, MSS);
+                    cc.on_partial_ack(acked);
                     legacy.partial_ack(acked, MSS);
                 }
                 4 => {
-                    cc.on_recovery_exit(MSS);
+                    cc.on_recovery_exit();
                     legacy.exit_recovery();
                 }
                 5 => {
-                    cc.on_rto(flight, MSS);
+                    cc.on_rto(flight);
                     legacy.rto(flight, MSS);
                 }
                 _ => {
@@ -620,7 +577,7 @@ mod tests {
                     // so the comparison keeps running afterwards.
                     snd_una += acked;
                     let ece = rng.chance(0.5);
-                    if cc.on_ecn_ack(t(step), acked, ece, flight, snd_una, snd_una + flight, MSS) {
+                    if cc.on_ecn_ack(t(step), acked, ece, flight, snd_una, snd_una + flight) {
                         ecn_cuts += 1;
                         legacy.cwnd = cc.cwnd();
                         legacy.ssthresh = cc.ssthresh();
@@ -647,20 +604,20 @@ mod tests {
     #[test]
     fn reno_slow_start_doubles_per_rtt_of_acks() {
         let mut cc = RenoCc::new((10 * MSS) as f64);
-        cc.on_ack(t(0), (10 * MSS) as u64, None, MSS);
+        cc.on_ack(t(0), (10 * MSS) as u64, None);
         assert_eq!(cc.cwnd(), (20 * MSS) as f64);
     }
 
     #[test]
     fn reno_congestion_avoidance_adds_one_mss_per_window() {
         let mut cc = RenoCc::new((10 * MSS) as f64);
-        cc.on_loss((10 * MSS) as u64, MSS); // ssthresh = 5 MSS
-        cc.on_recovery_exit(MSS); // cwnd = ssthresh
+        cc.on_loss((10 * MSS) as u64); // ssthresh = 5 MSS
+        cc.on_recovery_exit(); // cwnd = ssthresh
         let start = cc.cwnd();
         // One full window of ACKs in CA grows cwnd by ~1 MSS.
         let mut acked = 0u64;
         while acked < start as u64 {
-            cc.on_ack(t(acked), MSS as u64, None, MSS);
+            cc.on_ack(t(acked), MSS as u64, None);
             acked += MSS as u64;
         }
         let grown = cc.cwnd() - start;
@@ -673,10 +630,10 @@ mod tests {
     #[test]
     fn reno_loss_halves_flight_with_two_mss_floor() {
         let mut cc = RenoCc::new((10 * MSS) as f64);
-        cc.on_loss((10 * MSS) as u64, MSS);
+        cc.on_loss((10 * MSS) as u64);
         assert_eq!(cc.ssthresh(), (5 * MSS) as f64);
         assert_eq!(cc.cwnd(), (8 * MSS) as f64); // ssthresh + 3 MSS
-        cc.on_loss(MSS as u64, MSS);
+        cc.on_loss(MSS as u64);
         assert_eq!(cc.ssthresh(), (2 * MSS) as f64); // floor
     }
 
@@ -685,15 +642,15 @@ mod tests {
         let mut cc = RenoCc::new((10 * MSS) as f64);
         let flight = (10 * MSS) as u64;
         // First ECE at snd_una=1000, window runs to snd_nxt=50_000.
-        assert!(cc.on_ecn_ack(t(0), 1448, true, flight, 1_000, 50_000, MSS));
+        assert!(cc.on_ecn_ack(t(0), 1448, true, flight, 1_000, 50_000));
         let after_first = cc.cwnd();
         assert_eq!(after_first, (5 * MSS) as f64);
         // More ECE inside the same window: latched, no further cut.
-        assert!(!cc.on_ecn_ack(t(10), 1448, true, flight, 10_000, 55_000, MSS));
+        assert!(!cc.on_ecn_ack(t(10), 1448, true, flight, 10_000, 55_000));
         assert_eq!(cc.cwnd(), after_first);
         // Past the window end (with the now-smaller flight): cuts again.
         let flight2 = (5 * MSS) as u64;
-        assert!(cc.on_ecn_ack(t(20), 1448, true, flight2, 50_000, 90_000, MSS));
+        assert!(cc.on_ecn_ack(t(20), 1448, true, flight2, 50_000, 90_000));
         assert!(cc.cwnd() < after_first);
     }
 
@@ -701,8 +658,8 @@ mod tests {
     fn cubic_is_concave_below_plateau_then_convex_beyond() {
         // Loss at w_max = 1000 segments: K = cbrt(1000·0.3/0.4) ≈ 9.1 s.
         let mut cc = CubicCc::new((1000 * MSS) as f64);
-        cc.on_loss((1000 * MSS) as u64, MSS);
-        cc.on_recovery_exit(MSS);
+        cc.on_loss((1000 * MSS) as u64);
+        cc.on_recovery_exit();
         // Ack-clocked drive: each 100 ms RTT round delivers one window of
         // ACKs, so cwnd tracks the cubic target closely.
         let rtt = 0.1;
@@ -711,7 +668,7 @@ mod tests {
         for _round in 0..180 {
             let segs = (cc.cwnd() / MSS as f64) as u64;
             for _ in 0..segs {
-                cc.on_ack(t(now_us), MSS as u64, Some(rtt), MSS);
+                cc.on_ack(t(now_us), MSS as u64, Some(rtt));
             }
             now_us += 100_000;
             samples.push(cc.cwnd() / MSS as f64);
@@ -735,12 +692,12 @@ mod tests {
     #[test]
     fn cubic_fast_convergence_lowers_plateau_on_repeat_loss() {
         let mut cc = CubicCc::new((100 * MSS) as f64);
-        cc.on_loss((100 * MSS) as u64, MSS);
+        cc.on_loss((100 * MSS) as u64);
         let w_max_1 = cc.w_max;
         assert_eq!(w_max_1, 100.0);
         // Lose again before regaining the plateau.
-        cc.on_recovery_exit(MSS);
-        cc.on_loss(cc.cwnd() as u64, MSS);
+        cc.on_recovery_exit();
+        cc.on_loss(cc.cwnd() as u64);
         assert!(
             cc.w_max < w_max_1 * CUBIC_BETA + 1.0,
             "fast convergence should shrink w_max: {} vs {}",
@@ -752,7 +709,7 @@ mod tests {
     #[test]
     fn cubic_beta_reduction_on_loss() {
         let mut cc = CubicCc::new((100 * MSS) as f64);
-        cc.on_loss(0, MSS);
+        cc.on_loss(0);
         assert_eq!(cc.ssthresh(), 100.0 * MSS as f64 * CUBIC_BETA);
     }
 
@@ -764,15 +721,7 @@ mod tests {
         for w in 0..60u64 {
             let acked = (10 * MSS) as u64;
             snd_una += acked;
-            cc.on_ecn_ack(
-                t(w * 100),
-                acked,
-                false,
-                acked,
-                snd_una,
-                snd_una + acked,
-                MSS,
-            );
+            cc.on_ecn_ack(t(w * 100), acked, false, acked, snd_una, snd_una + acked);
         }
         assert!(cc.alpha() < 0.05, "alpha should decay: {}", cc.alpha());
         let cwnd_before = cc.cwnd();
@@ -780,7 +729,7 @@ mod tests {
         // proportional to the *current* (small) alpha — gentle.
         let acked = (10 * MSS) as u64;
         snd_una += acked;
-        assert!(cc.on_ecn_ack(t(10_000), acked, true, acked, snd_una, snd_una + acked, MSS));
+        assert!(cc.on_ecn_ack(t(10_000), acked, true, acked, snd_una, snd_una + acked));
         let cut = 1.0 - cc.cwnd() / cwnd_before;
         assert!(cut < 0.05, "low-alpha cut should be gentle, was {cut}");
         // Sustained full marking converges alpha → 1 and the cut → 1/2.
@@ -793,7 +742,6 @@ mod tests {
                 acked,
                 snd_una,
                 snd_una + acked,
-                MSS,
             );
         }
         assert!(cc.alpha() > 0.95, "alpha should converge: {}", cc.alpha());
@@ -804,7 +752,7 @@ mod tests {
         let mut cc = DctcpCc::new((10 * MSS) as f64);
         let cwnd = cc.cwnd();
         let acked = (10 * MSS) as u64;
-        assert!(!cc.on_ecn_ack(t(0), acked, false, acked, acked, 2 * acked, MSS));
+        assert!(!cc.on_ecn_ack(t(0), acked, false, acked, acked, 2 * acked));
         assert_eq!(cc.cwnd(), cwnd);
     }
 
@@ -812,7 +760,7 @@ mod tests {
     fn dispatch_enum_routes_to_algorithm() {
         let mut cc = Cc::new(CcAlgo::Cubic, (10 * MSS) as f64);
         assert!(matches!(cc, Cc::Cubic(_)));
-        cc.on_loss((10 * MSS) as u64, MSS);
+        cc.on_loss((10 * MSS) as u64);
         assert_eq!(cc.ssthresh(), 10.0 * MSS as f64 * CUBIC_BETA);
         let reno = Cc::new(CcAlgo::Reno, (10 * MSS) as f64);
         assert!(matches!(reno, Cc::Reno(_)));

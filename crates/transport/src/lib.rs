@@ -38,6 +38,8 @@
 //!   path cost models, not by the transport.
 
 pub mod cc;
+mod receiver;
+mod recovery;
 pub mod rtt;
 pub mod sack;
 pub mod stack;
@@ -48,5 +50,5 @@ pub use rtt::RttEstimator;
 pub use sack::Scoreboard;
 pub use stack::{ConnId, SockEvent, TcpStack};
 pub use tcp::{
-    RxOutcome, SegmentPlan, TcpConfig, TcpConn, TcpState, TcpStats, TcpTimer, TSO_LIMIT,
+    RxOutcome, Segment, SegmentPlan, TcpConfig, TcpConn, TcpState, TcpStats, TcpTimer, TSO_LIMIT,
 };

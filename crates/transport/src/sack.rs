@@ -9,7 +9,7 @@
 //! retransmission has advanced within the current recovery episode so a
 //! burst of duplicate ACKs never retransmits the same hole twice.
 
-use fastrak_net::packet::SackBlocks;
+use fastrak_net::packet::{SackBlocks, MSS};
 use std::collections::BTreeMap;
 
 /// Sender-side SACK state: received blocks merged into maximal ranges.
@@ -87,7 +87,7 @@ impl Scoreboard {
     /// known lost (RFC 6675: everything above the last block is merely in
     /// flight), so the walk stops there. Advances `high_rtx` past the
     /// returned range.
-    pub fn next_hole(&mut self, snd_una: u64, snd_nxt: u64, mss: u32) -> Option<(u64, u32)> {
+    pub fn next_hole(&mut self, snd_una: u64, snd_nxt: u64) -> Option<(u64, u32)> {
         let limit = self
             .sacked
             .last_key_value()
@@ -112,7 +112,7 @@ impl Scoreboard {
                 .map(|(&s, _)| s)
                 .unwrap_or(limit)
                 .min(limit);
-            let len = (hole_end - seq).min(mss as u64) as u32;
+            let len = (hole_end - seq).min(MSS as u64) as u32;
             self.high_rtx = seq + len as u64;
             return Some((seq, len));
         }
@@ -163,9 +163,9 @@ mod tests {
         sb.start_recovery(0);
         // Known-lost holes: [0,1000) and [2000,3000). [4000,5000) is above
         // the highest SACKed byte — merely in flight, not repairable.
-        assert_eq!(sb.next_hole(0, 5000, 1448), Some((0, 1000)));
-        assert_eq!(sb.next_hole(0, 5000, 1448), Some((2000, 1000)));
-        assert_eq!(sb.next_hole(0, 5000, 1448), None);
+        assert_eq!(sb.next_hole(0, 5000), Some((0, 1000)));
+        assert_eq!(sb.next_hole(0, 5000), Some((2000, 1000)));
+        assert_eq!(sb.next_hole(0, 5000), None);
     }
 
     #[test]
@@ -173,8 +173,8 @@ mod tests {
         let mut sb = Scoreboard::default();
         sb.on_ack(0, &blocks(&[(5000, 6000)]));
         sb.start_recovery(0);
-        assert_eq!(sb.next_hole(0, 6000, 1448), Some((0, 1448)));
-        assert_eq!(sb.next_hole(0, 6000, 1448), Some((1448, 1448)));
+        assert_eq!(sb.next_hole(0, 6000), Some((0, 1448)));
+        assert_eq!(sb.next_hole(0, 6000), Some((1448, 1448)));
     }
 
     #[test]
@@ -182,15 +182,15 @@ mod tests {
         let mut sb = Scoreboard::default();
         sb.on_ack(0, &blocks(&[(2000, 3000)]));
         sb.start_recovery(0);
-        assert_eq!(sb.next_hole(0, 4000, 1448), Some((0, 1448)));
-        assert_eq!(sb.next_hole(0, 4000, 1448), Some((1448, 552)));
+        assert_eq!(sb.next_hole(0, 4000), Some((0, 1448)));
+        assert_eq!(sb.next_hole(0, 4000), Some((1448, 552)));
         // Partial ACK past the repaired hole: nothing above the highest
         // SACKed byte is known lost, so recovery pauses.
         sb.on_ack(2000, &SackBlocks::EMPTY);
-        assert_eq!(sb.next_hole(2000, 4000, 1448), None);
+        assert_eq!(sb.next_hole(2000, 4000), None);
         // A fresh SACK block above reveals the next hole.
         sb.on_ack(2000, &blocks(&[(3500, 4000)]));
-        assert_eq!(sb.next_hole(2000, 4000, 1448), Some((3000, 500)));
+        assert_eq!(sb.next_hole(2000, 4000), Some((3000, 500)));
     }
 
     #[test]
@@ -198,10 +198,10 @@ mod tests {
         let mut sb = Scoreboard::default();
         sb.on_ack(0, &blocks(&[(10, 20)]));
         sb.start_recovery(0);
-        sb.next_hole(0, 100, 1448);
+        sb.next_hole(0, 100);
         sb.clear();
         assert_eq!(sb.sacked_bytes(), 0);
         // No SACK information: nothing is known lost.
-        assert_eq!(sb.next_hole(0, 100, 1448), None);
+        assert_eq!(sb.next_hole(0, 100), None);
     }
 }

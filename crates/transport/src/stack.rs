@@ -42,7 +42,7 @@ use fastrak_net::flow::FlowKey;
 use fastrak_net::headers::{ecn, tcp_flags};
 use fastrak_net::packet::{L4Meta, Packet};
 
-use crate::tcp::{SegmentPlan, TcpConfig, TcpConn, TcpState};
+use crate::tcp::{Segment, SegmentPlan, TcpConfig, TcpConn, TcpState};
 
 /// Identifier of a connection within one stack.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -273,57 +273,46 @@ impl TcpStack {
         let L4Meta::Tcp { seq, ack, flags } = pkt.l4 else {
             return; // non-TCP is dropped by this stack
         };
-        let is_bare_syn = flags & tcp_flags::SYN != 0 && flags & tcp_flags::ACK == 0;
-        let ecn_requested = flags & tcp_flags::ECE != 0 && flags & tcp_flags::CWR != 0;
         // The sender's flow reversed is our outgoing flow key.
         let ours = pkt.flow.reverse();
-        let idx = match self.by_flow.get(&ours) {
-            Some(&i) => i,
-            None => {
-                // New inbound connection?
-                if is_bare_syn && self.listeners.contains(&pkt.flow.dst_port) {
-                    let mut conn = TcpConn::server(ours, self.cfg);
-                    conn.set_peer_ecn_request(ecn_requested);
-                    let id = self.push_conn(conn);
-                    self.events.push_back(SockEvent::Accepted {
-                        conn: ConnId(id as u32),
-                        port: pkt.flow.dst_port,
-                    });
-                    return; // the SYN itself carries no data
-                }
-                return; // no listener: drop (RST not modelled)
-            }
-        };
-        // TIME_WAIT / CLOSED reuse: a fresh SYN on a finished flow key
-        // replaces the stale incarnation with a new accepted connection
-        // (the simulated equivalent of SO_REUSEADDR + sequence validation).
-        if is_bare_syn
-            && matches!(
-                self.conns[idx].state(),
-                TcpState::TimeWait | TcpState::Closed
-            )
-            && self.listeners.contains(&pkt.flow.dst_port)
-        {
+        let slot = self.by_flow.get(&ours).copied();
+        // A bare SYN to a listening port opens a connection: in a new slot,
+        // or over the finished (TIME_WAIT / CLOSED) incarnation of its flow
+        // key — the simulated equivalent of SO_REUSEADDR + sequence
+        // validation.
+        let is_bare_syn = flags & tcp_flags::SYN != 0 && flags & tcp_flags::ACK == 0;
+        let finished =
+            |i: usize| matches!(self.conns[i].state(), TcpState::TimeWait | TcpState::Closed);
+        if is_bare_syn && self.listeners.contains(&pkt.flow.dst_port) && slot.is_none_or(finished) {
             let mut conn = TcpConn::server(ours, self.cfg);
-            conn.set_peer_ecn_request(ecn_requested);
-            self.conns[idx] = conn;
-            // Drops the old incarnation's TIME_WAIT deadline from the index.
-            self.touch(idx);
+            conn.set_peer_ecn_request(flags & tcp_flags::ECE != 0 && flags & tcp_flags::CWR != 0);
+            let idx = match slot {
+                Some(idx) => {
+                    self.conns[idx] = conn;
+                    // Drops the old incarnation's TIME_WAIT deadline from the index.
+                    self.touch(idx);
+                    idx
+                }
+                None => self.push_conn(conn),
+            };
             self.events.push_back(SockEvent::Accepted {
                 conn: ConnId(idx as u32),
                 port: pkt.flow.dst_port,
             });
-            return;
+            return; // the SYN itself carries no data
         }
-        let out = self.conns[idx].on_segment_full(
-            now,
+        let Some(idx) = slot else {
+            return; // no connection, no listener: drop (RST not modelled)
+        };
+        let seg = Segment {
             seq,
             ack,
             flags,
-            pkt.payload as u64,
-            pkt.ecn == ecn::CE,
-            pkt.sack,
-        );
+            len: pkt.payload as u64,
+            ce: pkt.ecn == ecn::CE,
+            sack: pkt.sack,
+        };
+        let out = self.conns[idx].on_segment(now, seg);
         self.touch(idx);
         if out.connected {
             self.events

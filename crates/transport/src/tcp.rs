@@ -7,25 +7,31 @@
 //! Sequence numbers are 64-bit internally so multi-gigabyte transfers
 //! never wrap.
 //!
-//! Everything beyond the original simplified lifecycle is opt-in through
-//! [`TcpConfig`]: with the defaults (`cc = Reno`, `ecn = false`,
-//! `sack = false`, no `close()` call) the connection behaves bit-for-bit
-//! like the pre-refactor implementation — the lockstep test in
-//! [`crate::cc`] asserts exactly that for the window arithmetic.
+//! [`TcpConn`] itself owns the lifecycle and the send sequence space; what
+//! is believed lost lives in [`crate::recovery`], what was received and is
+//! owed an ACK in [`crate::receiver`], the window in [`crate::cc`], the
+//! timeout in [`crate::rtt`]. [`TcpConn::on_segment`] runs a segment
+//! through a fixed order of phases (RST → lifecycle → ACK → data → peer
+//! FIN) and [`TcpConn::poll_transmit`] asks a fixed order of emitters (RST,
+//! handshake, retransmit, new data, FIN, pure ACK) for the next segment.
 
-use std::collections::{BTreeMap, VecDeque};
+use std::collections::VecDeque;
 
 use fastrak_net::flow::FlowKey;
 use fastrak_net::headers::{ecn, tcp_flags};
 use fastrak_net::packet::{SackBlocks, MSS};
 use fastrak_sim::time::{SimDuration, SimTime};
 
-use crate::cc::{Cc, CcAlgo, CongestionControl};
+use crate::cc::{Cc, CcAlgo};
+use crate::receiver::Receiver;
+use crate::recovery::{DupAck, NewAck, Recovery, SendSeq};
 use crate::rtt::RttEstimator;
-use crate::sack::Scoreboard;
 
 /// Maximum bytes one (TSO super-)segment may carry.
 pub const TSO_LIMIT: u32 = 65_535 - 54;
+
+/// Initial congestion window (Linux IW10).
+const INITIAL_CWND: u32 = 10 * MSS;
 
 /// Connection state (RFC 793 §3.2).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -54,6 +60,18 @@ pub enum TcpState {
     TimeWait,
 }
 
+impl TcpState {
+    /// Synchronized and not yet lingering: segments are processed for their
+    /// ACK, data and FIN, and data, FIN and ACKs may be sent.
+    pub fn carries_data(self) -> bool {
+        use TcpState::*;
+        matches!(
+            self,
+            Established | FinWait1 | FinWait2 | Closing | CloseWait | LastAck
+        )
+    }
+}
+
 /// Which of the connection's timers fired.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum TcpTimer {
@@ -66,21 +84,14 @@ pub enum TcpTimer {
 }
 
 /// Tuning knobs, defaulted to Linux-3.5-era behaviour (the paper's kernel).
+/// The segment size is the wire's [`MSS`], the initial window ten of them,
+/// and every second segment (or 2·MSS bytes) is acknowledged at once.
 #[derive(Debug, Clone, Copy)]
 pub struct TcpConfig {
-    /// Maximum segment size (1448 = MTU 1500 − 40 − 12B timestamps).
-    pub mss: u32,
-    /// Initial congestion window in segments (Linux IW10).
-    pub initial_cwnd_segs: u32,
     /// Minimum retransmission timeout (Linux: 200 ms).
     pub min_rto: SimDuration,
     /// Delayed-ACK flush timeout.
     pub delack: SimDuration,
-    /// Send a pure ACK after this many unacknowledged data segments.
-    pub ack_every: u32,
-    /// Send a pure ACK once this many bytes are unacknowledged (Linux acks
-    /// every other full-sized segment; LRO aggregates ack promptly).
-    pub ack_every_bytes: u64,
     /// Receive-window stand-in: the peer never has more than this in
     /// flight. Keeps slow start from overrunning drop-tail rings (Linux
     /// bounds this via rcv_wnd/tcp_rmem autotuning).
@@ -101,12 +112,8 @@ pub struct TcpConfig {
 impl Default for TcpConfig {
     fn default() -> Self {
         TcpConfig {
-            mss: MSS,
-            initial_cwnd_segs: 10,
             min_rto: SimDuration::from_millis(200),
             delack: SimDuration::from_millis(5),
-            ack_every: 2,
-            ack_every_bytes: 2 * MSS as u64,
             max_cwnd: 768 * 1024,
             send_buf: 4 * 1024 * 1024,
             cc: CcAlgo::Reno,
@@ -150,6 +157,23 @@ pub struct TcpStats {
     pub ecn_ece_tx: u64,
     /// Data segments we sent with CWR set (window-reduction signal).
     pub ecn_cwr_tx: u64,
+}
+
+/// One received segment, as [`TcpConn::on_segment`] takes it.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct Segment {
+    /// Sequence number of the first payload byte.
+    pub seq: u64,
+    /// Cumulative ACK carried (meaningful under the ACK flag).
+    pub ack: u64,
+    /// TCP flags.
+    pub flags: u8,
+    /// Payload length.
+    pub len: u64,
+    /// The IP layer marked it Congestion Experienced.
+    pub ce: bool,
+    /// SACK blocks carried.
+    pub sack: SackBlocks,
 }
 
 /// One segment the connection wants transmitted.
@@ -202,15 +226,11 @@ pub struct TcpConn {
     /// App writes not yet (fully) transmitted; front may be partially sent.
     write_q: VecDeque<u64>,
     queued_bytes: u64,
-    dup_acks: u32,
-    in_recovery: bool,
-    recover: u64,
-    /// Segments queued for retransmission: (seq, len).
-    rtx_q: VecDeque<(u64, u32)>,
+    recovery: Recovery,
+    rtt: RttEstimator,
+    rto_deadline: Option<SimTime>,
     /// SYN / SYN|ACK emitted (reset by the RTO to re-emit it).
     syn_sent: bool,
-    /// SACK scoreboard (maintained only when `cfg.sack`).
-    scoreboard: Scoreboard,
 
     // --- close machinery ---
     /// `close()` was called; emit a FIN once the send queue drains.
@@ -218,10 +238,6 @@ pub struct TcpConn {
     fin_sent: bool,
     /// Sequence number our FIN occupies (valid once `fin_sent`).
     fin_seq: u64,
-    /// Peer FIN seen but not yet consumable (data still missing).
-    rcv_fin_seq: Option<u64>,
-    /// Peer FIN consumed.
-    fin_rcvd: bool,
     /// `abort()` was called; emit a RST.
     rst_pending: bool,
     timewait_deadline: Option<SimTime>,
@@ -231,27 +247,23 @@ pub struct TcpConn {
     peer_ecn: bool,
     /// ECN negotiated on this connection.
     ecn_active: bool,
-    /// Classic ECN receiver: echo ECE until the sender's CWR.
-    ece_latched: bool,
-    /// DCTCP receiver: CE state of the most recent data segment.
-    rcv_ce_state: bool,
     /// Sender owes the peer a CWR on its next data segment.
     cwr_pending: bool,
 
-    // --- RTT estimation (RFC 6298) ---
-    rtt: RttEstimator,
-    rto_deadline: Option<SimTime>,
-
-    // --- receive side ---
-    rcv_nxt: u64,
-    ooo: BTreeMap<u64, u64>,
-    segs_since_ack: u32,
-    bytes_since_ack: u64,
-    delack_deadline: Option<SimTime>,
-    need_ack_now: bool,
+    rx: Receiver,
 
     /// Public counters.
     pub stats: TcpStats,
+}
+
+/// Clear `*deadline` if it is due at `now`; a timer that fires before its
+/// deadline is stale and leaves it armed.
+fn expire(deadline: &mut Option<SimTime>, now: SimTime) -> bool {
+    let due = deadline.is_some_and(|d| now >= d);
+    if due {
+        *deadline = None;
+    }
+    due
 }
 
 impl TcpConn {
@@ -266,8 +278,8 @@ impl TcpConn {
     /// [`TcpConn::set_peer_ecn_request`] first if the SYN carried ECE|CWR.
     pub fn server(flow: FlowKey, cfg: TcpConfig) -> TcpConn {
         let mut c = TcpConn::new(flow, cfg, TcpState::SynRcvd);
-        c.rcv_nxt = 1; // peer's SYN consumed
-        c.need_ack_now = true;
+        c.rx.rcv_nxt = 1; // peer's SYN consumed
+        c.rx.need_ack_now = true;
         c
     }
 
@@ -284,35 +296,22 @@ impl TcpConn {
             cfg,
             snd_una: 0,
             snd_nxt: 0,
-            cc: Cc::new(cfg.cc, (cfg.initial_cwnd_segs * cfg.mss) as f64),
+            cc: Cc::new(cfg.cc, INITIAL_CWND as f64),
             write_q: VecDeque::new(),
             queued_bytes: 0,
-            dup_acks: 0,
-            in_recovery: false,
-            recover: 0,
-            rtx_q: VecDeque::new(),
+            recovery: Recovery::new(cfg.sack),
+            rtt: RttEstimator::new(cfg.min_rto),
+            rto_deadline: None,
             syn_sent: false,
-            scoreboard: Scoreboard::default(),
             fin_pending: false,
             fin_sent: false,
             fin_seq: 0,
-            rcv_fin_seq: None,
-            fin_rcvd: false,
             rst_pending: false,
             timewait_deadline: None,
             peer_ecn: false,
             ecn_active: false,
-            ece_latched: false,
-            rcv_ce_state: false,
             cwr_pending: false,
-            rtt: RttEstimator::new(cfg.min_rto),
-            rto_deadline: None,
-            rcv_nxt: 0,
-            ooo: BTreeMap::new(),
-            segs_since_ack: 0,
-            bytes_since_ack: 0,
-            delack_deadline: None,
-            need_ack_now: false,
+            rx: Receiver::default(),
             stats: TcpStats::default(),
         }
     }
@@ -359,7 +358,7 @@ impl TcpConn {
 
     /// Effective send window: cwnd clamped by the receive-window stand-in.
     pub fn effective_wnd(&self) -> u64 {
-        (self.cc.cwnd() as u64).min(self.cfg.max_cwnd)
+        self.cwnd().min(self.cfg.max_cwnd)
     }
 
     /// Current smoothed RTT estimate, if sampled.
@@ -379,12 +378,17 @@ impl TcpConn {
             .saturating_sub(self.queued_bytes + self.flight())
     }
 
-    /// Highest sequence occupied by *data* (a sent FIN sits above this).
-    fn data_nxt(&self) -> u64 {
-        if self.fin_sent {
-            self.fin_seq
-        } else {
-            self.snd_nxt
+    /// The send sequence space, with the end of sent *data* (a sent FIN
+    /// sits above it).
+    fn send_seq(&self) -> SendSeq {
+        SendSeq {
+            una: self.snd_una,
+            nxt: self.snd_nxt,
+            data_nxt: if self.fin_sent {
+                self.fin_seq
+            } else {
+                self.snd_nxt
+            },
         }
     }
 
@@ -393,16 +397,8 @@ impl TcpConn {
     /// Returns false (rejecting the write) when the send buffer is full or
     /// the send side has already been closed.
     pub fn app_send(&mut self, bytes: u64) -> bool {
-        if matches!(
-            self.state,
-            TcpState::FinWait1
-                | TcpState::FinWait2
-                | TcpState::Closing
-                | TcpState::LastAck
-                | TcpState::TimeWait
-                | TcpState::Closed
-                | TcpState::Listen
-        ) {
+        use TcpState::*;
+        if !matches!(self.state, SynSent | SynRcvd | Established | CloseWait) {
             return false;
         }
         if bytes == 0 || bytes > self.send_buf_space() {
@@ -441,13 +437,11 @@ impl TcpConn {
     fn enter_closed(&mut self) {
         self.state = TcpState::Closed;
         self.rto_deadline = None;
-        self.delack_deadline = None;
+        self.rx.delack_deadline = None;
         self.timewait_deadline = None;
-        self.rtx_q.clear();
+        self.recovery = Recovery::new(self.cfg.sack);
         self.write_q.clear();
         self.queued_bytes = 0;
-        self.in_recovery = false;
-        self.dup_acks = 0;
     }
 
     fn enter_time_wait(&mut self, now: SimTime) {
@@ -461,7 +455,7 @@ impl TcpConn {
         let mut best: Option<(SimTime, TcpTimer)> = None;
         for (deadline, which) in [
             (self.rto_deadline, TcpTimer::Rto),
-            (self.delack_deadline, TcpTimer::DelAck),
+            (self.rx.delack_deadline, TcpTimer::DelAck),
             (self.timewait_deadline, TcpTimer::TimeWait),
         ] {
             if let Some(t) = deadline {
@@ -477,433 +471,190 @@ impl TcpConn {
     /// afterwards.
     pub fn on_timer(&mut self, now: SimTime, which: TcpTimer) {
         match which {
-            TcpTimer::Rto => {
-                let Some(deadline) = self.rto_deadline else {
-                    return;
-                };
-                if now < deadline {
-                    return; // stale timer
-                }
-                self.rto_deadline = None;
-                if self.flight() == 0
-                    && !matches!(self.state, TcpState::SynSent | TcpState::SynRcvd)
-                {
-                    return;
-                }
-                self.stats.timeouts += 1;
-                // RFC 5681: collapse to one segment, halve ssthresh.
-                let flight = self.flight().max(self.cfg.mss as u64);
-                self.cc.on_rto(flight, self.cfg.mss);
-                self.dup_acks = 0;
-                self.in_recovery = false;
-                self.rtt.backoff();
-                self.rtt.invalidate_probe();
-                self.rtx_q.clear();
-                if self.cfg.sack {
-                    self.scoreboard.clear();
-                }
-                if matches!(self.state, TcpState::SynSent | TcpState::SynRcvd) {
-                    self.syn_sent = false; // re-emit the SYN / SYN|ACK
-                } else {
-                    // Go-back: retransmit from snd_una.
-                    let len = (self.flight().min(self.cfg.mss as u64)) as u32;
-                    self.rtx_q.push_back((self.snd_una, len));
-                }
+            TcpTimer::Rto if expire(&mut self.rto_deadline, now) => self.on_rto(),
+            TcpTimer::DelAck if expire(&mut self.rx.delack_deadline, now) => {
+                self.stats.delayed_acks += self.rx.on_delack_timer() as u64;
             }
-            TcpTimer::DelAck => {
-                let Some(deadline) = self.delack_deadline else {
-                    return;
-                };
-                if now < deadline {
-                    return;
-                }
-                self.delack_deadline = None;
-                if self.segs_since_ack > 0 {
-                    self.need_ack_now = true;
-                    self.stats.delayed_acks += 1;
-                }
-            }
-            TcpTimer::TimeWait => {
-                let Some(deadline) = self.timewait_deadline else {
-                    return;
-                };
-                if now < deadline {
-                    return;
-                }
-                self.enter_closed();
-            }
+            TcpTimer::TimeWait if expire(&mut self.timewait_deadline, now) => self.enter_closed(),
+            _ => {} // stale timer
         }
     }
 
-    /// Process an incoming segment (no ECN/SACK metadata — legacy entry
-    /// point; equivalent to [`TcpConn::on_segment_full`] with a clean IP
-    /// codepoint and no SACK blocks).
-    pub fn on_segment(
-        &mut self,
-        now: SimTime,
-        seq: u64,
-        ack: u64,
-        flags: u8,
-        len: u64,
-    ) -> RxOutcome {
-        self.on_segment_full(now, seq, ack, flags, len, false, SackBlocks::EMPTY)
+    fn on_rto(&mut self) {
+        let handshake = matches!(self.state, TcpState::SynSent | TcpState::SynRcvd);
+        if self.flight() == 0 && !handshake {
+            return;
+        }
+        self.stats.timeouts += 1;
+        // RFC 5681: collapse to one segment, halve ssthresh.
+        let flight = self.flight().max(MSS as u64);
+        self.cc.on_rto(flight);
+        self.rtt.backoff();
+        self.rtt.invalidate_probe();
+        self.recovery.on_rto(self.send_seq(), !handshake);
+        if handshake {
+            self.syn_sent = false; // re-emit the SYN / SYN|ACK
+        }
     }
 
-    /// Process an incoming segment with its IP-layer CE mark and SACK
-    /// blocks. Returns what was delivered upward.
-    #[allow(clippy::too_many_arguments)]
-    pub fn on_segment_full(
-        &mut self,
-        now: SimTime,
-        seq: u64,
-        ack: u64,
-        flags: u8,
-        len: u64,
-        ce: bool,
-        sack: SackBlocks,
-    ) -> RxOutcome {
+    /// Process an incoming segment. Returns what was delivered upward.
+    pub fn on_segment(&mut self, now: SimTime, seg: Segment) -> RxOutcome {
         let mut out = RxOutcome::default();
-
-        // --- RST: unconditional teardown (RFC 793 §3.4, simplified) ---
-        if flags & tcp_flags::RST != 0 {
+        if seg.flags & tcp_flags::RST != 0 {
+            // Unconditional teardown (RFC 793 §3.4, simplified).
             if !matches!(self.state, TcpState::Closed | TcpState::Listen) {
                 self.enter_closed();
                 out.reset = true;
             }
             return out;
         }
-
-        // --- lifecycle transitions ---
-        match self.state {
-            TcpState::Closed => return out,
-            TcpState::Listen => {
-                if flags & tcp_flags::SYN != 0 && flags & tcp_flags::ACK == 0 {
-                    self.state = TcpState::SynRcvd;
-                    self.rcv_nxt = 1;
-                    self.need_ack_now = true;
-                    self.syn_sent = false;
-                    self.peer_ecn = flags & tcp_flags::ECE != 0 && flags & tcp_flags::CWR != 0;
-                }
-                return out;
-            }
-            TcpState::SynSent => {
-                if flags & tcp_flags::SYN != 0 && flags & tcp_flags::ACK != 0 && ack >= 1 {
-                    self.rcv_nxt = 1;
-                    self.snd_una = 1;
-                    self.state = TcpState::Established;
-                    self.rto_deadline = None;
-                    self.need_ack_now = true;
-                    out.connected = true;
-                    self.ecn_active = self.cfg.ecn && flags & tcp_flags::ECE != 0;
-                    self.rtt.on_ack(now, ack);
-                } else if flags & tcp_flags::SYN != 0 {
-                    // Simultaneous open: our SYN crossed the peer's.
-                    self.state = TcpState::SynRcvd;
-                    self.rcv_nxt = 1;
-                    self.need_ack_now = true;
-                    self.syn_sent = false; // re-emit as SYN|ACK
-                    self.peer_ecn = flags & tcp_flags::ECE != 0 && flags & tcp_flags::CWR != 0;
-                }
-                return out;
-            }
-            TcpState::SynRcvd => {
-                if flags & tcp_flags::ACK != 0 && ack >= 1 {
-                    self.snd_una = self.snd_una.max(1);
-                    self.state = TcpState::Established;
-                    self.rto_deadline = None;
-                    out.connected = true;
-                    // Fall through: the ACK may carry data.
-                } else {
-                    return out;
-                }
-            }
-            TcpState::TimeWait => {
-                if flags & tcp_flags::FIN != 0 {
-                    // Peer retransmitted its FIN: re-ACK, restart 2·MSL.
-                    self.need_ack_now = true;
-                    self.timewait_deadline = Some(now + self.cfg.msl * 2);
-                }
-                return out;
-            }
-            // Data-capable states fall through to ACK/data processing.
-            TcpState::Established
-            | TcpState::FinWait1
-            | TcpState::FinWait2
-            | TcpState::Closing
-            | TcpState::CloseWait
-            | TcpState::LastAck => {}
+        if !self.lifecycle(now, &seg, &mut out) {
+            return out;
         }
-
-        // --- ACK processing (send side) ---
-        if flags & tcp_flags::ACK != 0 {
-            if ack > self.snd_nxt {
-                // An ACK for data never sent (another incarnation's
-                // straggler): taking it would put `snd_una` past `snd_nxt`.
-                // RFC 793 §3.9: send an ACK, drop the segment, return.
-                self.need_ack_now = true;
-                return out;
-            }
-            if self.cfg.sack {
-                self.scoreboard.on_ack(ack.max(self.snd_una), &sack);
-            }
-            if ack > self.snd_una {
-                let acked = ack - self.snd_una;
-                // cwnd validation: only grow when we are actually using the
-                // window (RFC 2861 spirit); otherwise slow start inflates
-                // cwnd without bound while app- or rwnd-limited. Data still
-                // queued counts as window-limited: the chunked (GSO) sender
-                // holds back whole chunks that do not fit the window.
-                let cwnd_limited = (self.snd_nxt - self.snd_una) as f64 >= 0.9 * self.cc.cwnd()
-                    || self.queued_bytes > 0
-                    || self.cc.cwnd() as u64 >= self.cfg.max_cwnd;
-                self.stats.bytes_acked += acked;
-                self.snd_una = ack;
-                self.rtt.on_ack(now, ack);
-                self.dup_acks = 0;
-                // Our FIN is acknowledged once the ACK covers its sequence.
-                if self.fin_sent && ack > self.fin_seq {
-                    match self.state {
-                        TcpState::FinWait1 => self.state = TcpState::FinWait2,
-                        TcpState::Closing => self.enter_time_wait(now),
-                        TcpState::LastAck => {
-                            self.enter_closed();
-                            out.closed = true;
-                            return out;
-                        }
-                        _ => {}
-                    }
-                }
-                if self.in_recovery {
-                    if ack >= self.recover {
-                        // Full recovery.
-                        self.in_recovery = false;
-                        self.cc.on_recovery_exit(self.cfg.mss);
-                    } else {
-                        // Partial ACK: retransmit the next hole — the first
-                        // unSACKed gap when the scoreboard knows it, the
-                        // NewReno guess otherwise.
-                        if self.cfg.sack {
-                            if let Some((seq, len)) = self.scoreboard.next_hole(
-                                self.snd_una,
-                                self.data_nxt(),
-                                self.cfg.mss,
-                            ) {
-                                self.rtx_q.push_back((seq, len));
-                            }
-                        } else {
-                            let len = ((self.snd_nxt - ack).min(self.cfg.mss as u64)) as u32;
-                            self.rtx_q.push_back((ack, len));
-                        }
-                        self.cc.on_partial_ack(acked, self.cfg.mss);
-                    }
-                } else if self.cc.cwnd() as u64 >= self.cfg.max_cwnd {
-                    // rwnd-clamped: hold.
-                } else if !cwnd_limited {
-                    // Application-limited: hold (cwnd validation).
-                } else {
-                    self.cc.on_ack(now, acked, self.rtt.srtt(), self.cfg.mss);
-                }
-                if self.ecn_active {
-                    let ece = flags & tcp_flags::ECE != 0;
-                    if ece {
-                        self.stats.ecn_ece_rx += 1;
-                    }
-                    if self.cc.on_ecn_ack(
-                        now,
-                        acked,
-                        ece,
-                        self.flight(),
-                        self.snd_una,
-                        self.snd_nxt,
-                        self.cfg.mss,
-                    ) {
-                        self.cwr_pending = true;
-                    }
-                }
-                // Re-arm or clear RTO.
-                if self.flight() > 0 {
-                    self.rto_deadline = Some(now + self.rtt.rto());
-                } else {
-                    self.rto_deadline = None;
-                }
-            } else if ack == self.snd_una && len == 0 && self.flight() > 0 {
-                // Duplicate ACK.
-                self.stats.dup_acks_rx += 1;
-                self.dup_acks += 1;
-                if self.in_recovery {
-                    self.cc.on_recovery_dup_ack(self.cfg.mss); // inflate
-                    if self.cfg.sack {
-                        // Each dup ACK may have revealed a further hole.
-                        if let Some((seq, len)) =
-                            self.scoreboard
-                                .next_hole(self.snd_una, self.data_nxt(), self.cfg.mss)
-                        {
-                            self.rtx_q.push_back((seq, len));
-                        }
-                    }
-                } else if self.dup_acks == 3 {
-                    // Fast retransmit + enter recovery.
-                    self.stats.fast_retransmits += 1;
-                    self.in_recovery = true;
-                    self.recover = self.snd_nxt;
-                    self.cc.on_loss(self.flight(), self.cfg.mss);
-                    if self.cfg.sack {
-                        self.scoreboard.start_recovery(self.snd_una);
-                        if let Some((seq, len)) =
-                            self.scoreboard
-                                .next_hole(self.snd_una, self.data_nxt(), self.cfg.mss)
-                        {
-                            self.rtx_q.push_back((seq, len));
-                        } else {
-                            let len =
-                                ((self.snd_nxt - self.snd_una).min(self.cfg.mss as u64)) as u32;
-                            self.rtx_q.push_back((self.snd_una, len));
-                        }
-                    } else {
-                        let len = ((self.snd_nxt - self.snd_una).min(self.cfg.mss as u64)) as u32;
-                        self.rtx_q.push_back((self.snd_una, len));
-                    }
-                    self.rtt.invalidate_probe();
-                }
-            }
+        if seg.flags & tcp_flags::ACK != 0 && !self.on_ack(now, &seg, &mut out) {
+            return out;
         }
-
-        // CWR from the sender: stop echoing ECE (classic-ECN receiver).
-        if flags & tcp_flags::CWR != 0 {
-            self.ece_latched = false;
+        if seg.flags & tcp_flags::CWR != 0 {
+            self.rx.on_cwr();
         }
-
-        // --- data processing (receive side) ---
-        if len > 0 {
-            if ce {
-                self.stats.ecn_ce_rx += 1;
-            }
-            if self.ecn_active {
-                if matches!(self.cfg.cc, CcAlgo::Dctcp) {
-                    // DCTCP receiver (RFC 8257 §3.2): echo the exact CE
-                    // state; ack immediately when it changes.
-                    if ce != self.rcv_ce_state {
-                        self.rcv_ce_state = ce;
-                        self.need_ack_now = true;
-                    }
-                } else if ce {
-                    self.ece_latched = true;
-                }
-            }
-            let seg_end = seq + len;
-            if seg_end <= self.rcv_nxt {
-                // Entirely old: ack it again.
-                self.need_ack_now = true;
-            } else if seq <= self.rcv_nxt {
-                // In order (possibly partially old).
-                self.rcv_nxt = seg_end;
-                self.stats.segs_rx += 1;
-                // Merge any out-of-order data now contiguous.
-                while let Some((&s, &l)) = self.ooo.first_key_value() {
-                    if s > self.rcv_nxt {
-                        break;
-                    }
-                    self.ooo.remove(&s);
-                    self.rcv_nxt = self.rcv_nxt.max(s + l);
-                }
-                let delivered = self.rcv_nxt - self.stats.bytes_delivered - 1; // data starts at seq 1
-                self.stats.bytes_delivered += delivered;
-                out.delivered = delivered;
-                self.segs_since_ack += 1;
-                self.bytes_since_ack += delivered;
-                if self.segs_since_ack >= self.cfg.ack_every
-                    || self.bytes_since_ack >= self.cfg.ack_every_bytes
-                {
-                    self.need_ack_now = true;
-                } else if self.delack_deadline.is_none() {
-                    self.delack_deadline = Some(now + self.cfg.delack);
-                }
-            } else {
-                // Out of order: buffer and dup-ack immediately. A shorter
-                // retransmission at the same sequence must not shrink an
-                // already-buffered longer segment.
-                self.stats.ooo_segs_rx += 1;
-                let e = self.ooo.entry(seq).or_insert(0);
-                *e = (*e).max(len);
-                self.need_ack_now = true;
-            }
+        if seg.len > 0 {
+            out.delivered = self
+                .rx
+                .on_data(now, &seg, &self.cfg, self.ecn_active, &mut self.stats);
         }
-
-        // --- peer FIN ---
-        if flags & tcp_flags::FIN != 0 {
-            if self.fin_rcvd {
-                // FIN retransmission: re-ACK it.
-                self.need_ack_now = true;
-            } else if matches!(
-                self.state,
-                TcpState::Established
-                    | TcpState::FinWait1
-                    | TcpState::FinWait2
-                    | TcpState::CloseWait
-                    | TcpState::Closing
-            ) {
-                self.rcv_fin_seq = Some(seq + len);
-            }
-        }
-        if !self.fin_rcvd {
-            if let Some(fs) = self.rcv_fin_seq {
-                if self.rcv_nxt == fs {
-                    // All data before the FIN is in: consume it.
-                    self.fin_rcvd = true;
-                    self.rcv_nxt = fs + 1;
-                    self.need_ack_now = true;
-                    out.peer_fin = true;
-                    match self.state {
-                        TcpState::Established => self.state = TcpState::CloseWait,
-                        TcpState::FinWait1 => self.state = TcpState::Closing,
-                        TcpState::FinWait2 => self.enter_time_wait(now),
-                        _ => {}
-                    }
-                } else if flags & tcp_flags::FIN != 0 {
-                    // FIN ahead of missing data: dup-ack for the hole.
-                    self.need_ack_now = true;
-                }
+        let fin = (seg.flags & tcp_flags::FIN != 0).then_some(seg.seq + seg.len);
+        if self.rx.on_fin(fin) {
+            out.peer_fin = true;
+            match self.state {
+                TcpState::Established => self.state = TcpState::CloseWait,
+                TcpState::FinWait1 => self.state = TcpState::Closing,
+                TcpState::FinWait2 => self.enter_time_wait(now),
+                _ => {}
             }
         }
         out
     }
 
-    /// ECE to carry on outgoing segments (receiver-side congestion echo).
-    fn echo_flags(&self) -> u8 {
-        let echo = if matches!(self.cfg.cc, CcAlgo::Dctcp) {
-            self.rcv_ce_state
-        } else {
-            self.ece_latched
-        };
-        if self.ecn_active && echo {
-            tcp_flags::ECE
-        } else {
-            0
+    /// The states that carry no data, as a table of (state, segment) →
+    /// transition. Returns whether the segment goes on to ACK, data and FIN
+    /// processing: always in a data-carrying state, and for the ACK that
+    /// completes a passive open (it may carry data).
+    fn lifecycle(&mut self, now: SimTime, seg: &Segment, out: &mut RxOutcome) -> bool {
+        let has = |flag: u8| seg.flags & flag != 0;
+        let syn = has(tcp_flags::SYN);
+        let acks_syn = has(tcp_flags::ACK) && seg.ack >= 1;
+        match self.state {
+            TcpState::Listen if syn && !has(tcp_flags::ACK) => self.passive_open(seg.flags),
+            TcpState::SynSent if syn && acks_syn => {
+                self.rx.rcv_nxt = 1;
+                self.snd_una = 1;
+                self.state = TcpState::Established;
+                self.rto_deadline = None;
+                self.rx.need_ack_now = true;
+                out.connected = true;
+                self.ecn_active = self.cfg.ecn && has(tcp_flags::ECE);
+                self.rtt.on_ack(now, seg.ack);
+            }
+            // Simultaneous open: our SYN crossed the peer's; re-emit ours as
+            // a SYN|ACK.
+            TcpState::SynSent if syn => self.passive_open(seg.flags),
+            TcpState::SynRcvd if acks_syn => {
+                self.snd_una = self.snd_una.max(1);
+                self.state = TcpState::Established;
+                self.rto_deadline = None;
+                out.connected = true;
+                return true;
+            }
+            TcpState::TimeWait if has(tcp_flags::FIN) => {
+                // Peer retransmitted its FIN: re-ACK, restart 2·MSL.
+                self.rx.need_ack_now = true;
+                self.timewait_deadline = Some(now + self.cfg.msl * 2);
+            }
+            state => return state.carries_data(),
         }
+        false
     }
 
-    /// SACK blocks describing the out-of-order buffer (≤ 3, coalesced).
-    fn sack_blocks(&self) -> SackBlocks {
-        if !self.cfg.sack || self.ooo.is_empty() {
-            return SackBlocks::EMPTY;
+    /// A SYN arrived: the peer's SYN is consumed and a SYN|ACK is owed.
+    fn passive_open(&mut self, flags: u8) {
+        self.state = TcpState::SynRcvd;
+        self.rx.rcv_nxt = 1;
+        self.rx.need_ack_now = true;
+        self.syn_sent = false;
+        self.peer_ecn = flags & tcp_flags::ECE != 0 && flags & tcp_flags::CWR != 0;
+    }
+
+    /// The ACK field of a segment, send side. Returns false when processing
+    /// of the segment ends here.
+    fn on_ack(&mut self, now: SimTime, seg: &Segment, out: &mut RxOutcome) -> bool {
+        if seg.ack > self.snd_nxt {
+            // An ACK for data never sent (another incarnation's
+            // straggler): taking it would put `snd_una` past `snd_nxt`.
+            // RFC 793 §3.9: send an ACK, drop the segment, return.
+            self.rx.need_ack_now = true;
+            return false;
         }
-        let mut blocks = SackBlocks::EMPTY;
-        let mut cur: Option<(u64, u64)> = None;
-        for (&s, &l) in &self.ooo {
-            let e = s + l;
-            match cur {
-                Some((cs, ce)) if s <= ce => cur = Some((cs, ce.max(e))),
-                Some((cs, ce)) => {
-                    blocks.push(cs, ce);
-                    cur = Some((s, e));
+        self.recovery.on_sack(seg.ack.max(self.snd_una), &seg.sack);
+        if seg.ack > self.snd_una {
+            return self.on_new_ack(now, seg, out);
+        }
+        if seg.ack == self.snd_una && seg.len == 0 && self.flight() > 0 {
+            self.stats.dup_acks_rx += 1;
+            match self.recovery.on_dup_ack(self.send_seq()) {
+                DupAck::Counted => {}
+                DupAck::Inflate => self.cc.on_recovery_dup_ack(),
+                DupAck::Enter => {
+                    self.stats.fast_retransmits += 1;
+                    let flight = self.flight();
+                    self.cc.on_loss(flight);
+                    self.rtt.invalidate_probe();
                 }
-                None => cur = Some((s, e)),
             }
         }
-        if let Some((cs, ce)) = cur {
-            blocks.push(cs, ce);
+        true
+    }
+
+    /// A cumulative ACK that advances `snd_una`. Returns false when it was
+    /// the last thing this connection was waiting for.
+    fn on_new_ack(&mut self, now: SimTime, seg: &Segment, out: &mut RxOutcome) -> bool {
+        let acked = seg.ack - self.snd_una;
+        // cwnd validation: only grow when we are actually using the window
+        // (RFC 2861 spirit) and it is not already clamped by the receive
+        // window; otherwise slow start inflates cwnd without bound while
+        // app- or rwnd-limited. Data still queued counts as window-limited:
+        // the chunked (GSO) sender holds back whole chunks that do not fit.
+        let grow = self.cwnd() < self.cfg.max_cwnd
+            && (self.flight() as f64 >= 0.9 * self.cc.cwnd() || self.queued_bytes > 0);
+        self.stats.bytes_acked += acked;
+        self.snd_una = seg.ack;
+        self.rtt.on_ack(now, seg.ack);
+        // Our FIN is acknowledged once the ACK covers its sequence.
+        if self.fin_sent && seg.ack > self.fin_seq {
+            match self.state {
+                TcpState::FinWait1 => self.state = TcpState::FinWait2,
+                TcpState::Closing => self.enter_time_wait(now),
+                TcpState::LastAck => {
+                    self.enter_closed();
+                    out.closed = true;
+                    return false;
+                }
+                _ => {}
+            }
         }
-        blocks
+        match self.recovery.on_new_ack(self.send_seq()) {
+            NewAck::Exit => self.cc.on_recovery_exit(),
+            NewAck::Partial => self.cc.on_partial_ack(acked),
+            NewAck::Open if grow => self.cc.on_ack(now, acked, self.rtt.srtt()),
+            NewAck::Open => {}
+        }
+        if self.ecn_active {
+            let ece = seg.flags & tcp_flags::ECE != 0;
+            self.stats.ecn_ece_rx += ece as u64;
+            let (flight, una, nxt) = (self.flight(), self.snd_una, self.snd_nxt);
+            self.cwr_pending |= self.cc.on_ecn_ack(now, acked, ece, flight, una, nxt);
+        }
+        self.rto_deadline = (self.flight() > 0).then(|| now + self.rtt.rto());
+        true
     }
 
     /// Produce the next segment to transmit, if any. `seg_limit` caps the
@@ -913,235 +664,189 @@ impl TcpConn {
         // A pending RST preempts everything (abort() already closed us).
         if self.rst_pending {
             self.rst_pending = false;
-            return Some(SegmentPlan {
-                seq: self.snd_nxt,
-                len: 0,
-                flags: tcp_flags::RST | tcp_flags::ACK,
-                ack: self.rcv_nxt,
-                is_rtx: false,
-                ecn: 0,
-                sack: SackBlocks::EMPTY,
-            });
+            return Some(self.control(self.snd_nxt, tcp_flags::RST | tcp_flags::ACK));
         }
+        if !self.state.carries_data() {
+            return self.emit_handshake(now);
+        }
+        self.emit_retransmit(now)
+            .or_else(|| self.emit_data(now, seg_limit))
+            .or_else(|| self.emit_fin(now))
+            .or_else(|| self.emit_ack())
+    }
 
-        // Handshake segments first.
+    /// SYN, SYN|ACK, and the one thing that leaves TIME_WAIT: the re-ACK of
+    /// a retransmitted peer FIN.
+    fn emit_handshake(&mut self, now: SimTime) -> Option<SegmentPlan> {
         match self.state {
-            TcpState::Closed | TcpState::Listen => return None,
-            TcpState::SynSent => {
-                if self.syn_sent {
-                    return None;
-                }
+            TcpState::SynSent | TcpState::SynRcvd if !self.syn_sent => {
                 self.syn_sent = true;
                 self.snd_nxt = 1;
                 self.rto_deadline = Some(now + self.rtt.rto());
-                let mut flags = tcp_flags::SYN;
-                if self.cfg.ecn {
-                    // RFC 3168 §6.1.1: ECN-setup SYN carries ECE|CWR.
-                    flags |= tcp_flags::ECE | tcp_flags::CWR;
-                }
-                return Some(SegmentPlan {
-                    seq: 0,
-                    len: 0,
-                    flags,
-                    ack: 0,
-                    is_rtx: false,
-                    ecn: 0,
-                    sack: SackBlocks::EMPTY,
-                });
-            }
-            TcpState::SynRcvd => {
-                if self.syn_sent {
-                    return None;
-                }
-                self.syn_sent = true;
-                self.snd_nxt = 1;
-                self.rto_deadline = Some(now + self.rtt.rto());
-                self.clear_ack_state();
-                let mut flags = tcp_flags::SYN | tcp_flags::ACK;
-                if self.cfg.ecn && self.peer_ecn {
+                let flags = if self.state == TcpState::SynSent {
+                    // RFC 3168 §6.1.1: an ECN-setup SYN carries ECE|CWR.
+                    let setup = tcp_flags::ECE | tcp_flags::CWR;
+                    tcp_flags::SYN | if self.cfg.ecn { setup } else { 0 }
+                } else {
+                    self.rx.clear_ack_state();
                     // ECN-setup SYN|ACK: agree with ECE alone.
-                    flags |= tcp_flags::ECE;
-                    self.ecn_active = true;
-                }
-                return Some(SegmentPlan {
-                    seq: 0,
-                    len: 0,
-                    flags,
-                    ack: self.rcv_nxt,
-                    is_rtx: false,
-                    ecn: 0,
-                    sack: SackBlocks::EMPTY,
-                });
+                    let agree = self.cfg.ecn && self.peer_ecn;
+                    self.ecn_active |= agree;
+                    tcp_flags::SYN | tcp_flags::ACK | if agree { tcp_flags::ECE } else { 0 }
+                };
+                Some(self.control(0, flags))
             }
-            TcpState::TimeWait => {
-                // Only re-ACKs of a retransmitted peer FIN leave TIME_WAIT.
-                if self.need_ack_now {
-                    self.clear_ack_state();
-                    self.stats.acks_tx += 1;
-                    return Some(SegmentPlan {
-                        seq: self.snd_nxt,
-                        len: 0,
-                        flags: tcp_flags::ACK,
-                        ack: self.rcv_nxt,
-                        is_rtx: false,
-                        ecn: 0,
-                        sack: SackBlocks::EMPTY,
-                    });
-                }
-                return None;
+            TcpState::TimeWait if self.rx.need_ack_now => {
+                self.rx.clear_ack_state();
+                self.stats.acks_tx += 1;
+                Some(self.control(self.snd_nxt, tcp_flags::ACK))
             }
-            TcpState::Established
-            | TcpState::FinWait1
-            | TcpState::FinWait2
-            | TcpState::Closing
-            | TcpState::CloseWait
-            | TcpState::LastAck => {}
+            _ => None,
         }
+    }
 
-        // Retransmissions take priority.
-        if let Some((seq, len)) = self.rtx_q.pop_front() {
-            // The hole may already be acked.
-            if seq >= self.snd_una || seq + len as u64 > self.snd_una {
-                let seq = seq.max(self.snd_una);
-                if self.fin_sent && seq >= self.fin_seq {
-                    if seq < self.snd_nxt {
-                        // Only the FIN remains outstanding: retransmit it.
-                        self.stats.rtx_segs += 1;
-                        self.rto_deadline = Some(now + self.rtt.rto());
-                        self.rtt.invalidate_probe();
-                        self.clear_ack_state();
-                        return Some(SegmentPlan {
-                            seq: self.fin_seq,
-                            len: 0,
-                            flags: tcp_flags::FIN | tcp_flags::ACK,
-                            ack: self.rcv_nxt,
-                            is_rtx: true,
-                            ecn: 0,
-                            sack: self.sack_blocks(),
-                        });
-                    }
-                } else if seq < self.snd_nxt {
-                    let len = (len as u64).min(self.data_nxt() - seq) as u32;
-                    self.stats.segs_tx += 1;
-                    self.stats.rtx_segs += 1;
-                    self.rto_deadline = Some(now + self.rtt.rto());
-                    self.rtt.invalidate_probe();
-                    self.clear_ack_state();
-                    let mut flags = tcp_flags::ACK | tcp_flags::PSH | self.echo_flags();
-                    if self.cwr_pending {
-                        flags |= tcp_flags::CWR;
-                        self.cwr_pending = false;
-                        self.stats.ecn_cwr_tx += 1;
-                    }
-                    if flags & tcp_flags::ECE != 0 {
-                        self.stats.ecn_ece_tx += 1;
-                    }
-                    return Some(SegmentPlan {
-                        seq,
-                        len,
-                        flags,
-                        ack: self.rcv_nxt,
-                        is_rtx: true,
-                        ecn: if self.ecn_active { ecn::ECT0 } else { 0 },
-                        sack: self.sack_blocks(),
-                    });
-                }
-            }
+    /// The oldest queued retransmission, unless it went stale: each poll
+    /// pops one range, and a range the cumulative ACK has since covered
+    /// yields nothing.
+    fn emit_retransmit(&mut self, now: SimTime) -> Option<SegmentPlan> {
+        let (seq, len) = self.recovery.pop()?;
+        let s = self.send_seq();
+        if seq < s.una && seq + len as u64 <= s.una {
+            return None;
         }
-
-        // New data within the effective window. To model TSO/GSO
-        // accumulation (and avoid sliver segments when running right at the
-        // window), a chunk is only emitted once the window has room for the
-        // whole of it — unless nothing is in flight, where we send whatever
-        // fits to keep the connection moving. (CloseWait/FinWait1/Closing/
-        // LastAck still drain data queued before the close.)
-        if let Some(&front) = self.write_q.front() {
-            let wnd = self.effective_wnd();
-            let budget = wnd.saturating_sub(self.flight());
-            let chunk = front.min(seg_limit as u64);
-            if budget >= chunk || self.flight() == 0 {
-                let take = chunk
-                    .min(budget.max(self.cfg.mss as u64))
-                    .min(seg_limit as u64);
-                if take > 0 {
-                    if take == front {
-                        self.write_q.pop_front();
-                    } else {
-                        *self.write_q.front_mut().unwrap() -= take;
-                    }
-                    self.queued_bytes -= take;
-                    let seq = self.snd_nxt;
-                    self.snd_nxt += take;
-                    self.stats.segs_tx += 1;
-                    self.rtt.arm_probe(self.snd_nxt, now);
-                    self.rto_deadline.get_or_insert(now + self.rtt.rto());
-                    self.clear_ack_state();
-                    let mut flags = tcp_flags::ACK | tcp_flags::PSH | self.echo_flags();
-                    if self.cwr_pending {
-                        flags |= tcp_flags::CWR;
-                        self.cwr_pending = false;
-                        self.stats.ecn_cwr_tx += 1;
-                    }
-                    if flags & tcp_flags::ECE != 0 {
-                        self.stats.ecn_ece_tx += 1;
-                    }
-                    return Some(SegmentPlan {
-                        seq,
-                        len: take as u32,
-                        flags,
-                        ack: self.rcv_nxt,
-                        is_rtx: false,
-                        ecn: if self.ecn_active { ecn::ECT0 } else { 0 },
-                        sack: self.sack_blocks(),
-                    });
-                }
-            }
+        let seq = seq.max(s.una);
+        if seq >= s.nxt {
+            return None;
         }
+        self.stats.rtx_segs += 1;
+        self.rto_deadline = Some(now + self.rtt.rto());
+        self.rtt.invalidate_probe();
+        if seq >= s.data_nxt {
+            // Only the FIN remains outstanding: retransmit it.
+            return Some(self.segment(self.fin_seq, 0, tcp_flags::FIN | tcp_flags::ACK, true));
+        }
+        self.stats.segs_tx += 1;
+        let len = (len as u64).min(s.data_nxt - seq) as u32;
+        let flags = self.data_flags();
+        Some(self.segment(seq, len, flags, true))
+    }
 
-        // FIN once the send queue has drained.
-        if self.fin_pending
+    /// New data within the effective window. To model TSO/GSO accumulation
+    /// (and avoid sliver segments when running right at the window), a chunk
+    /// is only emitted once the window has room for the whole of it — unless
+    /// nothing is in flight, where we send whatever fits to keep the
+    /// connection moving. (CloseWait/FinWait1/Closing/LastAck still drain
+    /// data queued before the close.)
+    fn emit_data(&mut self, now: SimTime, seg_limit: u32) -> Option<SegmentPlan> {
+        let front = *self.write_q.front()?;
+        let budget = self.effective_wnd().saturating_sub(self.flight());
+        let chunk = front.min(seg_limit as u64);
+        if budget < chunk && self.flight() != 0 {
+            return None;
+        }
+        let take = chunk.min(budget.max(MSS as u64));
+        if take == 0 {
+            return None;
+        }
+        if take == front {
+            self.write_q.pop_front();
+        } else {
+            self.write_q[0] -= take;
+        }
+        self.queued_bytes -= take;
+        let seq = self.snd_nxt;
+        self.snd_nxt += take;
+        self.stats.segs_tx += 1;
+        self.rtt.arm_probe(self.snd_nxt, now);
+        self.rto_deadline.get_or_insert(now + self.rtt.rto());
+        let flags = self.data_flags();
+        Some(self.segment(seq, take as u32, flags, false))
+    }
+
+    /// Our FIN, once `close()` asked for it and the send queue has drained.
+    fn emit_fin(&mut self, now: SimTime) -> Option<SegmentPlan> {
+        use TcpState::*;
+        let due = self.fin_pending
             && !self.fin_sent
             && self.write_q.is_empty()
-            && matches!(
-                self.state,
-                TcpState::FinWait1 | TcpState::Closing | TcpState::LastAck
-            )
-        {
-            self.fin_sent = true;
-            self.fin_seq = self.snd_nxt;
-            self.snd_nxt += 1; // the FIN occupies one sequence number
-            self.rto_deadline.get_or_insert(now + self.rtt.rto());
-            self.clear_ack_state();
-            return Some(SegmentPlan {
-                seq: self.fin_seq,
-                len: 0,
-                flags: tcp_flags::FIN | tcp_flags::ACK,
-                ack: self.rcv_nxt,
-                is_rtx: false,
-                ecn: 0,
-                sack: self.sack_blocks(),
-            });
+            && matches!(self.state, FinWait1 | Closing | LastAck);
+        if !due {
+            return None;
         }
+        self.fin_sent = true;
+        self.fin_seq = self.snd_nxt;
+        self.snd_nxt += 1; // the FIN occupies one sequence number
+        self.rto_deadline.get_or_insert(now + self.rtt.rto());
+        Some(self.segment(self.fin_seq, 0, tcp_flags::FIN | tcp_flags::ACK, false))
+    }
 
-        // Pure ACK if one is owed.
-        if self.need_ack_now {
-            self.clear_ack_state();
-            self.stats.acks_tx += 1;
-            let flags = tcp_flags::ACK | self.echo_flags();
-            if flags & tcp_flags::ECE != 0 {
-                self.stats.ecn_ece_tx += 1;
-            }
-            return Some(SegmentPlan {
-                seq: self.snd_nxt,
-                len: 0,
-                flags,
-                ack: self.rcv_nxt,
-                is_rtx: false,
-                ecn: 0,
-                sack: self.sack_blocks(),
-            });
+    /// A pure ACK, if one is owed.
+    fn emit_ack(&mut self) -> Option<SegmentPlan> {
+        if !self.rx.need_ack_now {
+            return None;
         }
-        None
+        self.stats.acks_tx += 1;
+        let flags = tcp_flags::ACK | self.echo();
+        Some(self.segment(self.snd_nxt, 0, flags, false))
+    }
+
+    /// The receiver's ECE echo for an outgoing segment, counted.
+    fn echo(&mut self) -> u8 {
+        let ece = self.rx.echo_flags();
+        self.stats.ecn_ece_tx += (ece != 0) as u64;
+        ece
+    }
+
+    /// Flags of a payload segment: the receiver's echo, and the CWR the
+    /// sender owes — paid here.
+    fn data_flags(&mut self) -> u8 {
+        let mut flags = tcp_flags::ACK | tcp_flags::PSH | self.echo();
+        if self.cwr_pending {
+            flags |= tcp_flags::CWR;
+            self.cwr_pending = false;
+            self.stats.ecn_cwr_tx += 1;
+        }
+        flags
+    }
+
+    /// A bare control segment (RST, SYN, SYN|ACK, TIME_WAIT's re-ACK): no
+    /// payload, no SACK blocks, and the receiver's ACK debt is the caller's
+    /// business.
+    fn control(&self, seq: u64, flags: u8) -> SegmentPlan {
+        SegmentPlan {
+            seq,
+            len: 0,
+            flags,
+            ack: self.rx.rcv_nxt,
+            is_rtx: false,
+            ecn: 0,
+            sack: SackBlocks::EMPTY,
+        }
+    }
+
+    /// A segment of a data-carrying state. It carries the cumulative ACK,
+    /// which pays whatever the receiver owed, the SACK blocks if
+    /// advertised, and ECT(0) on payload of an ECN connection.
+    fn segment(&mut self, seq: u64, len: u32, flags: u8, is_rtx: bool) -> SegmentPlan {
+        self.rx.clear_ack_state();
+        let sack = if self.cfg.sack {
+            self.rx.sack_blocks()
+        } else {
+            SackBlocks::EMPTY
+        };
+        SegmentPlan {
+            seq,
+            len,
+            flags,
+            ack: self.rx.rcv_nxt,
+            is_rtx,
+            ecn: if len > 0 && self.ecn_active {
+                ecn::ECT0
+            } else {
+                0
+            },
+            sack,
+        }
     }
 
     /// Right after [`TcpConn::poll_transmit`] returned `None`: is polling
@@ -1152,14 +857,7 @@ impl TcpConn {
     /// (already acked) one falls through to `None` with the next still
     /// queued.
     pub(crate) fn poll_is_settled(&self) -> bool {
-        self.rtx_q.is_empty()
-    }
-
-    fn clear_ack_state(&mut self) {
-        self.need_ack_now = false;
-        self.segs_since_ack = 0;
-        self.bytes_since_ack = 0;
-        self.delack_deadline = None;
+        !self.recovery.pending()
     }
 }
 
@@ -1201,32 +899,40 @@ mod tests {
             synack.flags & (tcp_flags::SYN | tcp_flags::ACK),
             tcp_flags::SYN | tcp_flags::ACK
         );
-        let out = c.on_segment(t(20), synack.seq, synack.ack, synack.flags, 0);
+        let out = deliver(&mut c, t(20), synack);
         assert!(out.connected);
         let ack = c.poll_transmit(t(20), TSO_LIMIT).unwrap();
         assert_eq!(ack.len, 0);
-        let out = s.on_segment(t(30), ack.seq, ack.ack, ack.flags, 0);
+        let out = deliver(&mut s, t(30), ack);
         assert!(out.connected);
         assert!(c.is_established() && s.is_established());
         (c, s)
     }
 
-    /// Deliver a plan from `from` to `to`, returning the outcome.
-    fn deliver(to: &mut TcpConn, now: SimTime, plan: SegmentPlan) -> RxOutcome {
-        to.on_segment(now, plan.seq, plan.ack, plan.flags, plan.len as u64)
+    /// A segment without CE mark or SACK blocks.
+    fn bare(seq: u64, ack: u64, flags: u8, len: u64) -> Segment {
+        Segment {
+            seq,
+            ack,
+            flags,
+            len,
+            ..Segment::default()
+        }
     }
 
-    /// Deliver a plan carrying its ECN codepoint and SACK blocks.
+    /// Deliver a plan from `from` to `to`, returning the outcome.
+    fn deliver(to: &mut TcpConn, now: SimTime, plan: SegmentPlan) -> RxOutcome {
+        deliver_full(to, now, plan, false)
+    }
+
+    /// Deliver a plan, CE-marked on the way or not.
     fn deliver_full(to: &mut TcpConn, now: SimTime, plan: SegmentPlan, ce: bool) -> RxOutcome {
-        to.on_segment_full(
-            now,
-            plan.seq,
-            plan.ack,
-            plan.flags,
-            plan.len as u64,
+        let arrived = Segment {
             ce,
-            plan.sack,
-        )
+            sack: plan.sack,
+            ..bare(plan.seq, plan.ack, plan.flags, plan.len as u64)
+        };
+        to.on_segment(now, arrived)
     }
 
     #[test]
@@ -1243,7 +949,7 @@ mod tests {
         // A straggler acknowledging (and carrying) bytes this incarnation
         // never exchanged: neither its ACK field nor its data is taken.
         let beyond = seg.seq + 1000 + 5000;
-        let out = c.on_segment(t(110), 1, beyond, tcp_flags::ACK, 100);
+        let out = c.on_segment(t(110), bare(1, beyond, tcp_flags::ACK, 100));
         assert_eq!(out.delivered, 0);
         assert_eq!(c.flight(), 1000);
         assert_eq!(c.stats.bytes_acked, 0);
@@ -1251,7 +957,7 @@ mod tests {
         assert_eq!((reply.len, reply.flags), (0, tcp_flags::ACK));
         assert_eq!(reply.ack, 1, "nothing was received");
         // The real ACK still lands.
-        c.on_segment(t(200), 1, 1001, tcp_flags::ACK, 0);
+        c.on_segment(t(200), bare(1, 1001, tcp_flags::ACK, 0));
         assert_eq!(c.flight(), 0);
         assert_eq!(c.stats.bytes_acked, 1000);
     }
@@ -1312,7 +1018,7 @@ mod tests {
         }
         // Flight must stay within ~cwnd (10 MSS initial, one oversized tail
         // segment allowed by the implementation's first-segment rule).
-        assert!(sent <= (cfg.initial_cwnd_segs as u64 + 1) * cfg.mss as u64 + TSO_LIMIT as u64);
+        assert!(sent <= (INITIAL_CWND + MSS + TSO_LIMIT) as u64);
         assert!(c.flight() > 0);
     }
 
@@ -1455,6 +1161,23 @@ mod tests {
         assert_eq!(ack.len, 0);
         assert_eq!(ack.ack, 101);
         assert_eq!(s.stats.delayed_acks, 1);
+    }
+
+    #[test]
+    fn piggybacked_ack_disarms_the_delayed_ack() {
+        let (mut c, mut s) = establish();
+        c.app_send(100);
+        let seg = c.poll_transmit(t(100), 1448).unwrap();
+        deliver(&mut s, t(200), seg);
+        assert_eq!(s.next_timer().unwrap().1, TcpTimer::DelAck);
+        // The reply carries the ACK: no pure ACK follows it, and the only
+        // deadline left is the reply's own RTO.
+        s.app_send(100);
+        let reply = s.poll_transmit(t(210), 1448).unwrap();
+        assert_eq!((reply.len, reply.ack), (100, 101));
+        assert_eq!(s.poll_transmit(t(210), 1448), None);
+        assert_eq!(s.next_timer().unwrap().1, TcpTimer::Rto);
+        assert_eq!(s.stats.acks_tx, 0);
     }
 
     #[test]
@@ -1665,19 +1388,19 @@ mod tests {
     fn rst_tears_down_in_every_data_state() {
         // Established.
         let (mut c, _s) = establish();
-        let out = c.on_segment(t(100), 1, 1, tcp_flags::RST, 0);
+        let out = c.on_segment(t(100), bare(1, 1, tcp_flags::RST, 0));
         assert!(out.reset);
         assert_eq!(c.state(), TcpState::Closed);
         // SynSent.
         let mut c = TcpConn::client(flow(), TcpConfig::default());
         let _ = c.poll_transmit(t(0), TSO_LIMIT);
-        let out = c.on_segment(t(10), 0, 1, tcp_flags::RST, 0);
+        let out = c.on_segment(t(10), bare(0, 1, tcp_flags::RST, 0));
         assert!(out.reset);
         assert_eq!(c.state(), TcpState::Closed);
         // SynRcvd.
         let mut s = TcpConn::server(flow().reverse(), TcpConfig::default());
         let _ = s.poll_transmit(t(0), TSO_LIMIT);
-        let out = s.on_segment(t(10), 1, 1, tcp_flags::RST, 0);
+        let out = s.on_segment(t(10), bare(1, 1, tcp_flags::RST, 0));
         assert!(out.reset);
         assert_eq!(s.state(), TcpState::Closed);
         // FinWait1 and CloseWait.
@@ -1686,9 +1409,9 @@ mod tests {
         let fin = c.poll_transmit(t(100), TSO_LIMIT).unwrap();
         deliver(&mut s, t(110), fin);
         assert_eq!(s.state(), TcpState::CloseWait);
-        assert!(c.on_segment(t(120), 1, 1, tcp_flags::RST, 0).reset);
+        assert!(c.on_segment(t(120), bare(1, 1, tcp_flags::RST, 0)).reset);
         assert_eq!(c.state(), TcpState::Closed);
-        assert!(s.on_segment(t(120), 1, 1, tcp_flags::RST, 0).reset);
+        assert!(s.on_segment(t(120), bare(1, 1, tcp_flags::RST, 0)).reset);
         assert_eq!(s.state(), TcpState::Closed);
         // No pending timers survive a reset.
         assert!(c.next_timer().is_none());
@@ -1873,6 +1596,11 @@ mod tests {
             deliver(&mut c, t(now + 2), ack);
         }
         assert_eq!(c.stats.timeouts, 0, "ECN reacts without loss");
+        // The CWR was paid once: the next data segment does not repeat it.
+        c.app_send(1448);
+        let after = c.poll_transmit(t(now + 3), 1448).unwrap();
+        assert_eq!(after.flags & tcp_flags::CWR, 0);
+        assert_eq!(c.stats.ecn_cwr_tx, 1);
     }
 
     #[test]

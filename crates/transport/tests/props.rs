@@ -10,7 +10,7 @@ use fastrak_net::addr::{Ip, TenantId};
 use fastrak_net::flow::{FlowKey, Proto};
 use fastrak_sim::time::{SimDuration, SimTime};
 use fastrak_sim::Rng;
-use fastrak_transport::tcp::{SegmentPlan, TcpConfig, TcpConn, TcpTimer};
+use fastrak_transport::tcp::{Segment, SegmentPlan, TcpConfig, TcpConn, TcpTimer};
 
 fn flow() -> FlowKey {
     FlowKey {
@@ -21,6 +21,18 @@ fn flow() -> FlowKey {
         src_port: 40_000,
         dst_port: 5001,
     }
+}
+
+/// Hand `p` to `to` as the wire would: no CE mark, no SACK blocks (off here).
+fn deliver(to: &mut TcpConn, now: SimTime, p: SegmentPlan) {
+    let seg = Segment {
+        seq: p.seq,
+        ack: p.ack,
+        flags: p.flags,
+        len: p.len as u64,
+        ..Segment::default()
+    };
+    to.on_segment(now, seg);
 }
 
 /// A lossy, optionally reordering channel driven by a script of events.
@@ -48,11 +60,11 @@ fn run_transfer(writes: &[u16], drops: &[u8], swaps: &[u8]) -> (u64, u64) {
     // Handshake.
     let mut now = SimTime::ZERO;
     let syn = a.poll_transmit(now, 65_000).unwrap();
-    b.on_segment(now, syn.seq, syn.ack, syn.flags, 0);
+    deliver(&mut b, now, syn);
     let synack = b.poll_transmit(now, 65_000).unwrap();
-    a.on_segment(now, synack.seq, synack.ack, synack.flags, 0);
+    deliver(&mut a, now, synack);
     let ack = a.poll_transmit(now, 65_000).unwrap();
-    b.on_segment(now, ack.seq, ack.ack, ack.flags, 0);
+    deliver(&mut b, now, ack);
 
     let total: u64 = writes.iter().map(|&w| w as u64 + 1).sum();
     for w in writes {
@@ -85,10 +97,10 @@ fn run_transfer(writes: &[u16], drops: &[u8], swaps: &[u8]) -> (u64, u64) {
         // Deliver one from each direction per round.
         if let Some(p) = a2b.queue.pop_front() {
             deliver_count += 1;
-            b.on_segment(now, p.seq, p.ack, p.flags, p.len as u64);
+            deliver(&mut b, now, p);
         }
         if let Some(p) = b2a.queue.pop_front() {
-            a.on_segment(now, p.seq, p.ack, p.flags, p.len as u64);
+            deliver(&mut a, now, p);
         }
         // Fire due timers.
         for (c, _name) in [(&mut a, "a"), (&mut b, "b")] {
@@ -153,11 +165,11 @@ fn lossless_channel_needs_no_retransmits() {
         let mut b = TcpConn::server(flow().reverse(), cfg);
         let mut now = SimTime::ZERO;
         let syn = a.poll_transmit(now, 65_000).unwrap();
-        b.on_segment(now, syn.seq, syn.ack, syn.flags, 0);
+        deliver(&mut b, now, syn);
         let synack = b.poll_transmit(now, 65_000).unwrap();
-        a.on_segment(now, synack.seq, synack.ack, synack.flags, 0);
+        deliver(&mut a, now, synack);
         let ack = a.poll_transmit(now, 65_000).unwrap();
-        b.on_segment(now, ack.seq, ack.ack, ack.flags, 0);
+        deliver(&mut b, now, ack);
 
         let total: u64 = writes.iter().map(|&w| w as u64).sum();
         let mut all_accepted = true;
@@ -171,11 +183,11 @@ fn lossless_channel_needs_no_retransmits() {
             now += SimDuration::from_micros(20);
             let mut moved = false;
             while let Some(p) = a.poll_transmit(now, 65_000) {
-                b.on_segment(now, p.seq, p.ack, p.flags, p.len as u64);
+                deliver(&mut b, now, p);
                 moved = true;
             }
             while let Some(p) = b.poll_transmit(now, 65_000) {
-                a.on_segment(now, p.seq, p.ack, p.flags, p.len as u64);
+                deliver(&mut a, now, p);
                 moved = true;
             }
             if !moved {

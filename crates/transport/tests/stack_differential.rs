@@ -31,8 +31,8 @@ use fastrak_net::packet::{L4Meta, Packet, MSS};
 use fastrak_sim::time::{SimDuration, SimTime};
 use fastrak_sim::{FxHasher, Rng};
 use fastrak_transport::{
-    CcAlgo, ConnId, SegmentPlan, SockEvent, TcpConfig, TcpConn, TcpStack, TcpState, TcpStats,
-    TSO_LIMIT,
+    CcAlgo, ConnId, Segment, SegmentPlan, SockEvent, TcpConfig, TcpConn, TcpStack, TcpState,
+    TcpStats, TSO_LIMIT,
 };
 
 // ------------------------------------------------------------ reference --
@@ -105,15 +105,15 @@ impl ScanStack {
             });
             return;
         }
-        let out = self.conns[idx].on_segment_full(
-            now,
+        let seg = Segment {
             seq,
             ack,
             flags,
-            pkt.payload as u64,
-            pkt.ecn == ecn::CE,
-            pkt.sack,
-        );
+            len: pkt.payload as u64,
+            ce: pkt.ecn == ecn::CE,
+            sack: pkt.sack,
+        };
+        let out = self.conns[idx].on_segment(now, seg);
         if out.connected {
             self.events.push(SockEvent::Connected(conn));
         }
