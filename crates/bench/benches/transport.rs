@@ -215,7 +215,7 @@ fn main() {
             blocks.push(base + mss, base + 4 * mss);
             blocks.push(base + 5 * mss, base + 9 * mss);
             blocks.push(base + 10 * mss, base + 15 * mss);
-            sb.on_ack(base, &blocks);
+            sb.on_ack(base, base + 16 * mss, &blocks);
             black_box(sb.next_hole(base, base + 16 * mss));
             i += 1;
             if i.is_multiple_of(1024) {

@@ -77,9 +77,9 @@ impl Recovery {
     }
 
     /// Fold an acceptable ACK's SACK blocks into the scoreboard.
-    pub fn on_sack(&mut self, cum_ack: u64, blocks: &SackBlocks) {
+    pub fn on_sack(&mut self, cum_ack: u64, snd_nxt: u64, blocks: &SackBlocks) {
         if let Some(sb) = &mut self.scoreboard {
-            sb.on_ack(cum_ack, blocks);
+            sb.on_ack(cum_ack, snd_nxt, blocks);
         }
     }
 
@@ -241,7 +241,7 @@ mod tests {
         let mut r = Recovery::new(true);
         // Eight 1000-byte segments; 0 and 4 are missing, 1-3 and 5-6 arrived.
         let s = seq(1, 8_001);
-        r.on_sack(1, &blocks(&[(1_001, 4_001), (5_001, 7_001)]));
+        r.on_sack(1, s.nxt, &blocks(&[(1_001, 4_001), (5_001, 7_001)]));
         dup_acks(&mut r, s, 3);
         // The hole's extent, not the guess's full MSS.
         assert_eq!(drain(&mut r), [(1, 1_000)]);
@@ -252,7 +252,7 @@ mod tests {
         // The first repair lands: a partial ACK up to the second hole, which
         // is already on its way. Nothing else is known lost, so nothing goes.
         let s = seq(4_001, 8_001);
-        r.on_sack(s.una, &SackBlocks::EMPTY);
+        r.on_sack(s.una, s.nxt, &SackBlocks::EMPTY);
         assert_eq!(r.on_new_ack(s), NewAck::Partial);
         assert!(!r.pending());
     }
@@ -269,7 +269,7 @@ mod tests {
     fn rto_forgets_the_episode_and_goes_back_to_snd_una() {
         let mut r = Recovery::new(true);
         let s = seq(1, 1 + 10 * M);
-        r.on_sack(1, &blocks(&[(1 + 2 * M, 1 + 3 * M)]));
+        r.on_sack(1, s.nxt, &blocks(&[(1 + 2 * M, 1 + 3 * M)]));
         dup_acks(&mut r, s, 4);
         assert!(r.pending());
         r.on_rto(s, true);

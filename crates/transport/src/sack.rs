@@ -24,10 +24,13 @@ pub struct Scoreboard {
 
 impl Scoreboard {
     /// Fold a cumulative ACK plus its SACK blocks into the scoreboard.
-    /// Ranges at or below `cum_ack` are dropped — they are delivered.
-    pub fn on_ack(&mut self, cum_ack: u64, blocks: &SackBlocks) {
+    /// Ranges at or below `cum_ack` are dropped — they are delivered. A
+    /// block ending above `snd_nxt` reports data never sent (a straggler
+    /// from an earlier incarnation of the flow key) and is ignored, RFC
+    /// 2018 §5: kept, it would make every byte below it look lost.
+    pub fn on_ack(&mut self, cum_ack: u64, snd_nxt: u64, blocks: &SackBlocks) {
         for (s, e) in blocks.iter() {
-            if e > cum_ack {
+            if e > cum_ack && e <= snd_nxt {
                 self.insert(s.max(cum_ack), e);
             }
         }
@@ -134,24 +137,39 @@ mod tests {
     #[test]
     fn blocks_merge_into_maximal_ranges() {
         let mut sb = Scoreboard::default();
-        sb.on_ack(0, &blocks(&[(10, 20), (30, 40)]));
+        sb.on_ack(0, 10_000, &blocks(&[(10, 20), (30, 40)]));
         assert_eq!(sb.sacked_bytes(), 20);
         // Bridge the gap: one merged range.
-        sb.on_ack(0, &blocks(&[(20, 30)]));
+        sb.on_ack(0, 10_000, &blocks(&[(20, 30)]));
         assert_eq!(sb.sacked_bytes(), 30);
         assert!(sb.is_sacked(10) && sb.is_sacked(25) && sb.is_sacked(39));
         assert!(!sb.is_sacked(9) && !sb.is_sacked(40));
     }
 
     #[test]
+    fn a_block_above_snd_nxt_is_not_this_flights() {
+        let mut sb = Scoreboard::default();
+        sb.on_ack(
+            0,
+            5000,
+            &blocks(&[(1000, 2000), (4000, 5001), (7000, 8000)]),
+        );
+        assert_eq!(sb.sacked_bytes(), 1000);
+        sb.start_recovery(0);
+        // Only what lies below the one real block is known lost.
+        assert_eq!(sb.next_hole(0, 5000), Some((0, 1000)));
+        assert_eq!(sb.next_hole(0, 5000), None);
+    }
+
+    #[test]
     fn cumulative_ack_retires_ranges() {
         let mut sb = Scoreboard::default();
-        sb.on_ack(0, &blocks(&[(10, 20), (30, 40)]));
-        sb.on_ack(15, &SackBlocks::EMPTY);
+        sb.on_ack(0, 10_000, &blocks(&[(10, 20), (30, 40)]));
+        sb.on_ack(15, 10_000, &SackBlocks::EMPTY);
         assert!(!sb.is_sacked(12)); // below cum ack: gone
         assert!(sb.is_sacked(16));
         assert_eq!(sb.sacked_bytes(), 5 + 10); // [15,20) and [30,40)
-        sb.on_ack(40, &SackBlocks::EMPTY);
+        sb.on_ack(40, 10_000, &SackBlocks::EMPTY);
         assert_eq!(sb.sacked_bytes(), 0);
     }
 
@@ -159,7 +177,7 @@ mod tests {
     fn next_hole_walks_gaps_without_repeats() {
         let mut sb = Scoreboard::default();
         // Flight [0, 5000); receiver holds [1000,2000) and [3000,4000).
-        sb.on_ack(0, &blocks(&[(1000, 2000), (3000, 4000)]));
+        sb.on_ack(0, 10_000, &blocks(&[(1000, 2000), (3000, 4000)]));
         sb.start_recovery(0);
         // Known-lost holes: [0,1000) and [2000,3000). [4000,5000) is above
         // the highest SACKed byte — merely in flight, not repairable.
@@ -171,7 +189,7 @@ mod tests {
     #[test]
     fn next_hole_clamps_to_mss() {
         let mut sb = Scoreboard::default();
-        sb.on_ack(0, &blocks(&[(5000, 6000)]));
+        sb.on_ack(0, 10_000, &blocks(&[(5000, 6000)]));
         sb.start_recovery(0);
         assert_eq!(sb.next_hole(0, 6000), Some((0, 1448)));
         assert_eq!(sb.next_hole(0, 6000), Some((1448, 1448)));
@@ -180,23 +198,23 @@ mod tests {
     #[test]
     fn cumulative_ack_advances_past_high_rtx() {
         let mut sb = Scoreboard::default();
-        sb.on_ack(0, &blocks(&[(2000, 3000)]));
+        sb.on_ack(0, 10_000, &blocks(&[(2000, 3000)]));
         sb.start_recovery(0);
         assert_eq!(sb.next_hole(0, 4000), Some((0, 1448)));
         assert_eq!(sb.next_hole(0, 4000), Some((1448, 552)));
         // Partial ACK past the repaired hole: nothing above the highest
         // SACKed byte is known lost, so recovery pauses.
-        sb.on_ack(2000, &SackBlocks::EMPTY);
+        sb.on_ack(2000, 10_000, &SackBlocks::EMPTY);
         assert_eq!(sb.next_hole(2000, 4000), None);
         // A fresh SACK block above reveals the next hole.
-        sb.on_ack(2000, &blocks(&[(3500, 4000)]));
+        sb.on_ack(2000, 10_000, &blocks(&[(3500, 4000)]));
         assert_eq!(sb.next_hole(2000, 4000), Some((3000, 500)));
     }
 
     #[test]
     fn clear_resets_everything() {
         let mut sb = Scoreboard::default();
-        sb.on_ack(0, &blocks(&[(10, 20)]));
+        sb.on_ack(0, 10_000, &blocks(&[(10, 20)]));
         sb.start_recovery(0);
         sb.next_hole(0, 100);
         sb.clear();

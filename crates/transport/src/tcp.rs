@@ -594,7 +594,8 @@ impl TcpConn {
             self.rx.need_ack_now = true;
             return false;
         }
-        self.recovery.on_sack(seg.ack.max(self.snd_una), &seg.sack);
+        self.recovery
+            .on_sack(seg.ack.max(self.snd_una), self.snd_nxt, &seg.sack);
         if seg.ack > self.snd_una {
             return self.on_new_ack(now, seg, out);
         }
@@ -1732,5 +1733,33 @@ mod tests {
         // Both holes repaired, each exactly once, in order.
         assert_eq!(rtx_seqs, vec![1, 1 + 4 * 1448]);
         assert_eq!(s.stats.bytes_delivered, 10 * 1448);
+    }
+
+    #[test]
+    fn sack_blocks_above_snd_nxt_are_ignored() {
+        let (mut c, _s) = establish_cfg(sack_cfg(), sack_cfg());
+        (0..3).for_each(|_| assert!(c.app_send(1000)));
+        while c.poll_transmit(t(100), TSO_LIMIT).is_some() {}
+        assert_eq!(c.flight(), 3000);
+        // Stragglers of an earlier incarnation of the flow key: an
+        // acceptable ACK, SACK blocks for data this one never sent.
+        let mut phantom = SackBlocks::EMPTY;
+        phantom.push(50_001, 60_001);
+        let straggler = Segment {
+            sack: phantom,
+            ..bare(1, 1, tcp_flags::ACK, 0)
+        };
+        for _ in 0..5 {
+            c.on_segment(t(200), straggler);
+        }
+        // Three duplicate ACKs are three duplicate ACKs: one fast
+        // retransmit of `snd_una`. Nothing says the rest of the flight is
+        // lost — folded in, the phantom block would, and the fourth and
+        // fifth would resend all of it.
+        assert_eq!(c.stats.fast_retransmits, 1);
+        let rtx = c.poll_transmit(t(200), TSO_LIMIT).unwrap();
+        assert!(rtx.is_rtx && rtx.seq == 1);
+        assert_eq!(c.poll_transmit(t(200), TSO_LIMIT), None);
+        assert_eq!(c.stats.rtx_segs, 1);
     }
 }
