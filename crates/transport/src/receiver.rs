@@ -225,20 +225,4 @@ mod tests {
         assert_eq!(blocks, [(4_001, 5_001), (6_001, 8_001)]);
         assert_eq!((stats.ooo_segs_rx, stats.segs_rx), (5, 1));
     }
-
-    #[test]
-    fn paying_the_ack_debt_disarms_the_delayed_ack() {
-        let (mut rx, cfg, mut stats) = receiver();
-        let now = SimTime::ZERO;
-        rx.on_data(now, &data(1, 100), &cfg, false, &mut stats);
-        assert!(!rx.need_ack_now, "one small segment can wait");
-        assert_eq!(rx.delack_deadline, Some(now + cfg.delack));
-        rx.clear_ack_state();
-        assert_eq!(rx.delack_deadline, None);
-        // Nothing is owed any more: a late timer finds nothing to do, and
-        // the next segment is again the first, not the second.
-        assert!(!rx.on_delack_timer());
-        rx.on_data(now, &data(101, 100), &cfg, false, &mut stats);
-        assert!(!rx.need_ack_now);
-    }
 }

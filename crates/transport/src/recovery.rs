@@ -139,13 +139,13 @@ impl Recovery {
     /// scoreboard knows, else — when the caller is sure something is lost,
     /// or has nothing better to go on — the NewReno guess, one MSS at
     /// `snd_una`.
-    fn queue_next(&mut self, s: SendSeq, guess: bool) {
+    fn queue_next(&mut self, s: SendSeq, or_guess: bool) {
         let hole = self
             .scoreboard
             .as_mut()
             .and_then(|sb| sb.next_hole(s.una, s.data_nxt));
-        let guess = || guess.then(|| (s.una, (s.nxt - s.una).min(MSS as u64) as u32));
-        if let Some(range) = hole.or_else(guess) {
+        let guess = (s.una, (s.nxt - s.una).min(MSS as u64) as u32);
+        if let Some(range) = hole.or(or_guess.then_some(guess)) {
             self.rtx_q.push_back(range);
         }
     }

@@ -237,17 +237,10 @@ impl Both {
         let got = self.new.poll_transmit(now, seg_limit);
         assert_eq!(got, self.old.poll_transmit(now, seg_limit), "at {now:?}");
         if let Some((id, p)) = got {
-            let (rtx, nsack) = (p.is_rtx as u64, p.sack.len() as u64);
-            let plan = [
-                p.seq,
-                p.len as u64,
-                p.flags as u64,
-                p.ack,
-                rtx,
-                p.ecn as u64,
-            ];
-            fold(&mut self.digest, &[id.0 as u64, nsack]);
-            fold(&mut self.digest, &plan);
+            let head = [id.0 as u64, p.sack.len() as u64, p.seq, p.len as u64];
+            let tail = [p.flags as u64, p.ack, p.is_rtx as u64, p.ecn as u64];
+            fold(&mut self.digest, &head);
+            fold(&mut self.digest, &tail);
             p.sack
                 .iter()
                 .for_each(|(s, e)| fold(&mut self.digest, &[s, e]));
