@@ -125,7 +125,7 @@ pub struct ServerStats {
     pub tx_ring_drops: u64,
     /// Receive work dropped (host overload).
     pub rx_drops: u64,
-    /// Packets denied by the vswitch security policy.
+    /// Packets denied by the vswitch security policy, either direction.
     pub policy_drops: u64,
     /// Packets dropped because the SR-IOV hardware path was dark (chaos VF
     /// failure): tx attempts into the dead VF and hw-port rx during the
@@ -983,9 +983,16 @@ impl Server {
                     }
                 }
                 let wire = pkt.wire_bytes_total();
-                let Some(vm_idx) = self.vswitch.process_rx(&pkt.flow, wire) else {
-                    self.stats.rx_drops += 1;
-                    return;
+                let vm_idx = match self.vswitch.process_rx(&pkt.flow, wire) {
+                    Ok(vm_idx) => vm_idx,
+                    Err(TxVerdict::Denied) => {
+                        self.stats.policy_drops += 1;
+                        return;
+                    }
+                    Err(_) => {
+                        self.stats.rx_drops += 1;
+                        return;
+                    }
                 };
                 let rate_limited = self.vswitch.ingress_limited(vm_idx);
                 let cost = if tunneled {

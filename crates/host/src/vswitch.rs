@@ -212,15 +212,18 @@ impl Vswitch {
     }
 
     /// Process one received packet (post-decap) destined to a local VM.
-    /// Returns the local VM index, or `None` to drop.
-    pub fn process_rx(&mut self, key: &FlowKey, bytes: u64) -> Option<usize> {
+    /// Returns the local VM index, or the verdict the packet is dropped
+    /// under: [`TxVerdict::Denied`] by the tenant's security policy, anything
+    /// else because no such VM lives here.
+    pub fn process_rx(&mut self, key: &FlowKey, bytes: u64) -> Result<usize, TxVerdict> {
         // Receive side also caches (reverse-direction entries).
-        let r = self.process_tx(key, bytes);
-        match r.verdict {
-            TxVerdict::Local(i) => Some(i),
-            // A packet addressed to a non-local VM reaching us is a routing
-            // bug upstream or a stale mapping after VM migration: drop.
-            _ => self.local_index(key.tenant, key.dst_ip),
+        match self.process_tx(key, bytes).verdict {
+            TxVerdict::Local(i) => Ok(i),
+            TxVerdict::Denied => Err(TxVerdict::Denied),
+            // Cached before the VM attached. A packet for a VM that still is
+            // not here is a routing bug upstream or a stale mapping after VM
+            // migration: drop.
+            other => self.local_index(key.tenant, key.dst_ip).ok_or(other),
         }
     }
 
@@ -367,8 +370,29 @@ mod tests {
     fn rx_delivers_to_local_vm() {
         let mut vs = Vswitch::new(VswitchConfig::default());
         let idx = vs.attach_vif(TenantId(1), vm(1));
-        assert_eq!(vs.process_rx(&key(1, vm(9), vm(1)), 10), Some(idx));
-        assert_eq!(vs.process_rx(&key(1, vm(9), vm(42)), 10), None);
+        assert_eq!(vs.process_rx(&key(1, vm(9), vm(1)), 10), Ok(idx));
+        let not_here = vs.process_rx(&key(1, vm(9), vm(42)), 10);
+        assert_eq!(not_here, Err(TxVerdict::UplinkPlain));
+    }
+
+    #[test]
+    fn rx_drops_what_the_security_policy_denies() {
+        let mut vs = Vswitch::new(VswitchConfig::default());
+        vs.attach_vif(TenantId(1), vm(1));
+        vs.rules_mut().add_security(SecurityRule {
+            spec: FlowSpec {
+                dst_port: Some(2000),
+                ..FlowSpec::tenant(TenantId(1))
+            },
+            priority: 5,
+            action: Action::Deny,
+        });
+        // The same key, either direction through the vswitch: denied.
+        let k = key(1, vm(9), vm(1));
+        assert_eq!(vs.process_tx(&k, 10).verdict, TxVerdict::Denied);
+        assert_eq!(vs.process_rx(&k, 10), Err(TxVerdict::Denied));
+        let other_port = FlowKey { dst_port: 80, ..k };
+        assert_eq!(vs.process_rx(&other_port, 10), Ok(0));
     }
 
     #[test]

@@ -1,6 +1,7 @@
 //! Component-level driver for the server receive path: seeded same-instant
 //! frame waves arrive on both ports of one `Server` — deliverable, mis-tagged,
-//! mis-routed, over the rx backlog, and into a dark SR-IOV path — and every
+//! mis-routed, denied by the tenant's security policy, over the rx backlog,
+//! and into a dark SR-IOV path — and every
 //! received frame must end at a guest stack or in exactly one drop counter,
 //! with no pipeline stage left parked once the kernel has drained.
 
@@ -9,8 +10,9 @@ use fastrak_host::server::{Server, ServerConfig, ServerStats, PORT_HW, PORT_SW};
 use fastrak_host::vm::{Vm, VmSpec};
 use fastrak_net::addr::{Ip, TenantId, VlanId};
 use fastrak_net::event::{ctl_fault_layer, Event, NetCtx};
-use fastrak_net::flow::{FlowKey, Proto};
+use fastrak_net::flow::{FlowKey, FlowSpec, Proto};
 use fastrak_net::packet::{Encap, L4Meta, Packet};
+use fastrak_net::rules::{Action, SecurityRule};
 use fastrak_sim::chaos::ChaosConfig;
 use fastrak_sim::fault::FaultConfig;
 use fastrak_sim::kernel::Kernel;
@@ -20,6 +22,9 @@ use fastrak_transport::stack::SockEvent;
 
 const TENANT: TenantId = TenantId(7);
 const HERE: Ip = Ip::new(192, 168, 0, 1);
+
+/// The vswitch denies this destination port.
+const DENIED_PORT: u16 = 22;
 
 fn key(dst: u8) -> FlowKey {
     FlowKey {
@@ -61,10 +66,19 @@ fn test_server() -> Server {
             Some(VlanId::new(100 + i as u16)),
         );
     }
+    srv.vswitch_mut().rules_mut().add_security(SecurityRule {
+        spec: FlowSpec {
+            tenant: Some(TENANT),
+            dst_port: Some(DENIED_PORT),
+            ..FlowSpec::ANY
+        },
+        priority: 5,
+        action: Action::Deny,
+    });
     srv
 }
 
-const CLASSES: u64 = 8;
+const CLASSES: u64 = 9;
 
 /// What the frames of one receive class look like.
 struct Class {
@@ -98,7 +112,12 @@ fn class(c: u64) -> Class {
         // VXLAN addressed to another server.
         6 => (key(2), vxlan(Ip::new(192, 168, 0, 7)), PORT_SW, false),
         // VXLAN to this server for a VM that does not live here.
-        _ => (key(9), vxlan(HERE), PORT_SW, false),
+        7 => (key(9), vxlan(HERE), PORT_SW, false),
+        // To a local VM, on a port the tenant's policy denies.
+        _ => {
+            let dst_port = DENIED_PORT;
+            (FlowKey { dst_port, ..key(4) }, None, PORT_SW, false)
+        }
     };
     Class {
         flow,
@@ -193,6 +212,7 @@ fn server_rx_conserves_frames_on_both_ports() {
             );
         }
         assert!(s.rx_drops > 0, "rx_drops never moved (seed {seed})");
+        assert!(s.policy_drops > 0, "policy_drops never moved (seed {seed})");
         assert!(
             s.hw_path_drops > 0,
             "hw_path_drops never moved (seed {seed})"
@@ -216,7 +236,7 @@ fn server_rx_conserves_frames_on_both_ports() {
         assert_eq!(s.rx_frames, out.classes.len() as u64, "frames not seen");
         assert_eq!(
             s.rx_frames,
-            delivered + s.rx_drops + s.hw_path_drops,
+            delivered + s.rx_drops + s.policy_drops + s.hw_path_drops,
             "frames lost or double-counted (seed {seed}): {s:?}"
         );
         assert_eq!(out.stages_in_flight, 0, "a stage stayed parked");
