@@ -95,10 +95,7 @@ fn sum_tcp(bed: &Testbed) -> TcpStats {
     for v in bed.vms().to_vec() {
         let stack = &bed.server(v.server).vm(v.vm).stack;
         for id in stack.conn_ids() {
-            let s = &stack.conn(id).stats;
-            acc.rtx_segs += s.rtx_segs;
-            acc.timeouts += s.timeouts;
-            acc.ecn_ece_rx += s.ecn_ece_rx;
+            acc += &stack.conn(id).stats;
         }
     }
     acc
@@ -185,8 +182,7 @@ fn run_one(cc: CcAlgo, path: Path, fanout: usize, horizon: SimTime) -> Outcome {
     bed.publish_telemetry();
     let registry = std::mem::take(&mut bed.kernel.ctx.telemetry.registry);
     let end = sum_tcp(&bed);
-    let ce_marks =
-        bed.tor().stats.ecn_marked + (0..5).map(|i| bed.server(i).stats.ecn_marked).sum::<u64>();
+    let ce_marks = bed.tor().ecn_marked() + (0..5).map(|i| bed.server(i).ecn_marked()).sum::<u64>();
     let app = bed.app::<IncastAggregator>(agg);
     Outcome {
         fct_p50_ns: app.fct.quantile(0.5),

@@ -2,34 +2,37 @@
 //! and the two uplink ports to the ToR (the paper's testbed wires one
 //! 10 Gbps NIC port to OVS and the second port to the SR-IOV VFs, §5.1).
 //!
-//! Packet pipelines (each `→` is one kernel event, so service centers keep
-//! FIFO order and CPU contention emerges naturally):
+//! A packet crosses the server as a sequence of CPU *stages*, each one kernel
+//! event, so service centres keep FIFO order and CPU contention emerges
+//! naturally. All four run through `Server::stage`:
 //!
 //! ```text
-//! tx VIF:    app/TCP → [guest vCPU] → placer → [vswitch pool] → htb → NIC0 → ToR
-//! tx SR-IOV: app/TCP → [guest vCPU] → placer → VF(+VLAN) → NIC1 → ToR
-//! rx VIF:    NIC0 → [vswitch pool (decap)] → htb-in → [guest vCPU] → TCP/app
-//! rx SR-IOV: NIC1 → VLAN demux → [guest vCPU] → TCP/app
+//! stage     work, and its pool when not pinned   cost          clock      then
+//! guest tx  Guest(vm): the VM's vCPUs            guest_tx      tx, guest  placer: VIF tx | VF → NIC1
+//! VIF tx    Vif{vm, tunneled}: vhost | tunnel q  vswitch_*     tx, VIF    htb → NIC0 | local guest rx
+//! VIF rx    the same, within max_rx_backlog      vswitch_*     rx, VIF    htb-in → guest rx
+//! guest rx  Guest(vm), then the wakeup latency   guest_rx      rx, guest  TCP/app, pump guest tx
 //! ```
 //!
-//! Host CPU is accounted on three pools mirroring where Linux runs the
-//! work: the vswitch datapath softirq threads, the (single-queue) tunnel
-//! path, and interrupt handling for SR-IOV — see
-//! [`crate::cost::CostModel`] for the calibration rationale.
+//! The SR-IOV path skips both VIF stages (NIC1 ↔ VLAN demux ↔ guest) and
+//! costs the host only interrupt isolation, accounted on the IRQ pool without
+//! delaying the packet. Under `pinned_cpus` every kind of work shares one
+//! pool. See [`crate::cost::CostModel`] for the calibration rationale.
 
 use fastrak_net::addr::{Ip, TenantId, VlanId};
 use fastrak_net::ctrl::{CtrlReply, CtrlRequest, Dir};
 use fastrak_net::event::{CtlMsg, Event, NetCtx};
 use fastrak_net::flow::FlowKey;
 use fastrak_net::packet::{Encap, L4Meta, Packet, PathTag};
+use fastrak_net::port::EgressPort;
 use fastrak_net::tunnel::{TunnelKey, TunnelMapping};
 use fastrak_sim::cpu::CpuPool;
 use fastrak_sim::kernel::{Api, Node, NodeId};
 use fastrak_sim::tbf::TokenBucket;
-use fastrak_sim::time::{serialization_delay, SimDuration, SimTime};
+use fastrak_sim::time::{SimDuration, SimTime};
 use fastrak_sim::FxHashMap;
 use fastrak_transport::stack::ConnId;
-use fastrak_transport::tcp::TSO_LIMIT;
+use fastrak_transport::tcp::{TcpState, TcpStats, TSO_LIMIT};
 
 use crate::app::GuestApi;
 use crate::cost::CostModel;
@@ -48,17 +51,30 @@ pub mod tags {
     pub const START: u64 = 4;
 }
 
-/// Indices into a flow's clamp pair: the guest and vswitch stages of the
+/// Indices into a flow's clamp pair: the guest and VIF stages of the
 /// transmit pipeline (`Vm::tx_clock`) and of the receive pipeline.
 const TX_GUEST: usize = 0;
-const TX_VSWITCH: usize = 1;
-const RX_VSWITCH: usize = 0;
+const TX_VIF: usize = 1;
+const RX_VIF: usize = 0;
 const RX_GUEST: usize = 1;
 
 /// Index of the vswitch-side NIC port.
 pub const PORT_SW: usize = 0;
 /// Index of the SR-IOV-side NIC port.
 pub const PORT_HW: usize = 1;
+
+// What every world builds a server with. Each was a `ServerConfig` field
+// that nothing but `ServerConfig::testbed` ever set.
+/// Line rate of each NIC port, bits/sec: the testbed's dual-port 10 GbE.
+const NIC_RATE_BPS: u64 = 10_000_000_000;
+/// A packet that would wait longer than this in a NIC tx ring is dropped —
+/// the ToR's `max_port_backlog`, so neither end of a link outqueues the other.
+const MAX_LINK_BACKLOG: SimDuration = SimDuration::from_millis(12);
+/// Threads of the software tunnel path. One: VXLAN work of all VMs
+/// serialises on a single queue, the paper's ~2 Gbps bottleneck (§3.2.1).
+const TUNNEL_THREADS: usize = 1;
+/// Threads servicing SR-IOV interrupts (never the bottleneck: 0.15 µs each).
+const IRQ_THREADS: usize = 2;
 
 /// Static server configuration.
 #[derive(Debug, Clone)]
@@ -67,27 +83,18 @@ pub struct ServerConfig {
     pub name: String,
     /// Provider-space IP (VXLAN tunnel endpoint).
     pub provider_ip: Ip,
-    /// Datapath softirq threads for the vswitch fast path.
-    pub vswitch_threads: usize,
-    /// Threads for the software tunnel path (1 = the paper's bottleneck).
-    pub tunnel_threads: usize,
-    /// Threads servicing SR-IOV interrupts.
-    pub irq_threads: usize,
-    /// Line rate of each NIC port, bits/sec.
-    pub nic_rate_bps: u64,
     /// Maximum VFs on the SR-IOV port.
     pub max_vfs: usize,
     /// Cost model.
     pub cost: CostModel,
     /// vswitch configuration.
     pub vswitch: VswitchConfig,
-    /// Drop a packet when the NIC tx ring is backed up further than this.
-    pub max_link_backlog: SimDuration,
     /// Drop receive work the host cannot start within this budget.
     pub max_rx_backlog: SimDuration,
     /// When set, CE-mark (instead of queueing unmarked) any ECT packet that
     /// would wait longer than this in the NIC tx ring — RED-style marking
-    /// at the host egress, the DCTCP deployment model's K threshold.
+    /// at the host egress, the DCTCP deployment model's K threshold. Read
+    /// per packet: experiments set it on servers already built.
     pub ecn_mark_threshold: Option<SimDuration>,
     /// When set, *pin* this server: all guest vCPU work **and** all
     /// hypervisor network processing compete for this one pool of logical
@@ -103,14 +110,9 @@ impl ServerConfig {
         ServerConfig {
             name: name.into(),
             provider_ip,
-            vswitch_threads: 4,
-            tunnel_threads: 1,
-            irq_threads: 2,
-            nic_rate_bps: 10_000_000_000,
             max_vfs: 4,
             cost: CostModel::default(),
             vswitch: VswitchConfig::default(),
-            max_link_backlog: SimDuration::from_millis(12),
             max_rx_backlog: SimDuration::from_millis(5),
             ecn_mark_threshold: None,
             pinned_cpus: None,
@@ -139,11 +141,48 @@ pub struct ServerStats {
     pub tx_hw_frames: u64,
     /// Frames received (both ports).
     pub rx_frames: u64,
-    /// ECT packets CE-marked at the NIC tx ring (never also counted as
-    /// drops: marking is instead-of-dropping).
-    pub ecn_marked: u64,
 }
 
+/// Which service centre a stage's work queues on.
+#[derive(Clone, Copy)]
+enum Work {
+    /// A VM's vCPUs: the guest stack, and what its app burns.
+    Guest(usize),
+    /// A VM's VIF-path host work: its vhost thread, or — tunneled — the
+    /// single tunnel queue all VMs share.
+    Vif { vm: usize, tunneled: bool },
+    /// SR-IOV interrupt isolation.
+    Irq,
+}
+
+/// Which per-flow clock orders a stage's completions (see
+/// [`Server::rx_slots`]); `stage` indexes the flow's clamp pair.
+#[derive(Clone, Copy)]
+enum Clock {
+    /// A transmitted flow: connection `conn` of VM `vm`.
+    Tx {
+        vm: usize,
+        conn: ConnId,
+        stage: usize,
+    },
+    /// A received flow, by its [`Server::rx_slot`].
+    Rx { slot: u32, stage: usize },
+}
+
+/// One pipeline stage of one packet, as [`Server::stage`] runs it.
+struct Stage {
+    work: Work,
+    cost: SimDuration,
+    /// Earliest start (never before now).
+    start: SimTime,
+    /// Refuse the work when it could not start within this long.
+    budget: Option<SimDuration>,
+    /// Added to the completion time without occupying the CPU (wakeup).
+    latency: SimDuration,
+    clock: Clock,
+}
+
+/// What happens to a packet when the stage it is parked in completes.
 #[allow(clippy::enum_variant_names)] // stages are all completions
 enum Pending {
     GuestTxDone {
@@ -151,12 +190,12 @@ enum Pending {
         conn: ConnId,
         pkt: Packet,
     },
-    VswitchTxDone {
+    VifTxDone {
         vm: usize,
         pkt: Packet,
         verdict: TxVerdict,
     },
-    VswitchRxDone {
+    VifRxDone {
         vm: usize,
         /// The flow's receive clamp slot ([`Server::rx_slot`]).
         slot: u32,
@@ -191,12 +230,6 @@ impl Rearm {
     }
 }
 
-/// Clamp a stage completion to its flow's clock and advance the clock.
-fn clamp(clock: &mut SimTime, done: SimTime) -> SimTime {
-    *clock = done.max(*clock);
-    *clock
-}
-
 /// The server node.
 pub struct Server {
     /// Static configuration.
@@ -204,28 +237,28 @@ pub struct Server {
     vms: Vec<Vm>,
     vswitch: Vswitch,
     nic: crate::sriov::SriovNic,
-    vswitch_pool: CpuPool,
     tunnel_pool: CpuPool,
     irq_pool: CpuPool,
+    /// Shared pool when `cfg.pinned_cpus` is set.
+    pin_pool: Option<CpuPool>,
     /// Uplink wiring: (ToR node, ingress port index at the ToR) per local port.
     uplinks: [Option<(NodeId, usize)>; 2],
-    link_free: [SimTime; 2],
+    /// The tx ring of each local port.
+    rings: [EgressPort; 2],
     /// Stage table: packets parked between pipeline stages, indexed by the
     /// token their `tags::PENDING` timer carries. A slot is filled by
     /// [`Server::stash`], emptied when its timer fires, and its index
     /// reused, so the table stays as long as the most stages ever in flight.
     pending: Vec<Option<Pending>>,
     free_slots: Vec<usize>,
-    /// Shared pool when `cfg.pinned_cpus` is set.
-    pin_pool: Option<CpuPool>,
     /// Per-flow monotonic completion clamps, one per pipeline stage: real
     /// stacks preserve per-flow ordering via RSS/queue affinity even across
     /// parallel CPUs; without this, differing service times across a CPU
     /// pool would reorder a connection's segments and trigger spurious
     /// fast retransmits. A transmitted flow is a local connection, so its
-    /// two clamps (guest, vswitch) live in [`Vm::tx_clock`] under its
+    /// two clamps (guest, VIF) live in [`Vm::tx_clock`] under its
     /// `ConnId`. A received flow gets a slot here the first time it is
-    /// seen — [`FlowKey::trace_hash`] → index into `rx_clock` (vswitch,
+    /// seen — [`FlowKey::trace_hash`] → index into `rx_clock` (VIF,
     /// guest) — which the frame carries from stage to stage.
     rx_slots: FxHashMap<u64, u32>,
     rx_clock: Vec<[SimTime; 2]>,
@@ -238,8 +271,6 @@ pub struct Server {
     /// Last observed SR-IOV path liveness (updated on the hw datapath,
     /// published as the `host.hw_path_up` gauge).
     hw_path_up: bool,
-    window_start: SimTime,
-    hw_rate_tx: FxHashMap<usize, TokenBucket>,
     /// Cached "name/vmN" labels so enabled tracing allocates nothing per
     /// record (the trace ring interns, but `format!` itself would allocate).
     vm_labels: Vec<String>,
@@ -251,22 +282,19 @@ impl Server {
         Server {
             vswitch: Vswitch::new(cfg.vswitch),
             nic: crate::sriov::SriovNic::new(cfg.max_vfs),
-            vswitch_pool: CpuPool::new(cfg.vswitch_threads),
-            tunnel_pool: CpuPool::new(cfg.tunnel_threads),
-            irq_pool: CpuPool::new(cfg.irq_threads),
+            tunnel_pool: CpuPool::new(TUNNEL_THREADS),
+            irq_pool: CpuPool::new(IRQ_THREADS),
+            pin_pool: cfg.pinned_cpus.map(CpuPool::new),
             uplinks: [None, None],
-            link_free: [SimTime::ZERO; 2],
+            rings: [EgressPort::default(); 2],
             pending: Vec::new(),
             free_slots: Vec::new(),
-            pin_pool: cfg.pinned_cpus.map(CpuPool::new),
             rx_slots: FxHashMap::default(),
             rx_clock: Vec::new(),
             timer_reqs: Vec::new(),
             cpu_burn: Vec::new(),
             stats: ServerStats::default(),
             hw_path_up: true,
-            window_start: SimTime::ZERO,
-            hw_rate_tx: FxHashMap::default(),
             vms: Vec::new(),
             vm_labels: Vec::new(),
             cfg,
@@ -337,9 +365,10 @@ impl Server {
         &self.nic
     }
 
-    /// Mutable NIC access.
-    pub fn nic_mut(&mut self) -> &mut crate::sriov::SriovNic {
-        &mut self.nic
+    /// ECT packets CE-marked in the NIC tx rings (marking is
+    /// instead-of-dropping: none of them is also a `tx_ring_drops`).
+    pub fn ecn_marked(&self) -> u64 {
+        self.rings.iter().map(EgressPort::marked).sum()
     }
 
     /// Mirror this server's datapath state into the telemetry registry:
@@ -359,7 +388,7 @@ impl Server {
             ("host.rx_frames", self.stats.rx_frames),
             ("host.vswitch.fast_path_hits", self.vswitch.fast_path_hits()),
             ("host.vswitch.slow_path_hits", self.vswitch.slow_path_hits()),
-            ("host.ecn_marked", self.stats.ecn_marked),
+            ("host.ecn_marked", self.ecn_marked()),
         ] {
             let id = reg.counter(name, server);
             reg.set_counter(id, v);
@@ -378,87 +407,31 @@ impl Server {
             let rx = reg.counter("host.sriov.rx_packets", labels);
             reg.set_counter(rx, vf.rx_packets);
         }
-        let mut tcp = fastrak_transport::tcp::TcpStats::default();
-        let mut conn_states = [0u64; 11];
+        let mut tcp = TcpStats::default();
+        let mut conn_states = [0u64; TcpState::ALL.len()];
         let cwnd_id = reg.histogram("tcp.cwnd_bytes", server);
         for vm in &self.vms {
             for cid in vm.stack.conn_ids() {
                 let conn = vm.stack.conn(cid);
-                let s = &conn.stats;
-                tcp.segs_tx += s.segs_tx;
-                tcp.segs_rx += s.segs_rx;
-                tcp.acks_tx += s.acks_tx;
-                tcp.dup_acks_rx += s.dup_acks_rx;
-                tcp.fast_retransmits += s.fast_retransmits;
-                tcp.timeouts += s.timeouts;
-                tcp.ooo_segs_rx += s.ooo_segs_rx;
-                tcp.bytes_acked += s.bytes_acked;
-                tcp.bytes_delivered += s.bytes_delivered;
-                tcp.delayed_acks += s.delayed_acks;
-                tcp.rtx_segs += s.rtx_segs;
-                tcp.ecn_ce_rx += s.ecn_ce_rx;
-                tcp.ecn_ece_rx += s.ecn_ece_rx;
-                tcp.ecn_ece_tx += s.ecn_ece_tx;
-                tcp.ecn_cwr_tx += s.ecn_cwr_tx;
-                use fastrak_transport::tcp::TcpState as S;
-                let si = match conn.state() {
-                    S::Closed => 0,
-                    S::Listen => 1,
-                    S::SynSent => 2,
-                    S::SynRcvd => 3,
-                    S::Established => 4,
-                    S::FinWait1 => 5,
-                    S::FinWait2 => 6,
-                    S::Closing => 7,
-                    S::CloseWait => 8,
-                    S::LastAck => 9,
-                    S::TimeWait => 10,
-                };
-                conn_states[si] += 1;
+                tcp += &conn.stats;
+                conn_states[conn.state() as usize] += 1;
                 reg.observe(cwnd_id, conn.cwnd());
             }
         }
-        for (name, v) in [
-            ("tcp.segs_tx", tcp.segs_tx),
-            ("tcp.segs_rx", tcp.segs_rx),
-            ("tcp.acks_tx", tcp.acks_tx),
-            ("tcp.dup_acks_rx", tcp.dup_acks_rx),
-            ("tcp.fast_retransmits", tcp.fast_retransmits),
-            ("tcp.timeouts", tcp.timeouts),
-            ("tcp.ooo_segs_rx", tcp.ooo_segs_rx),
-            ("tcp.bytes_acked", tcp.bytes_acked),
-            ("tcp.bytes_delivered", tcp.bytes_delivered),
-            ("tcp.rtx_segs", tcp.rtx_segs),
-            ("tcp.ecn_ce_rx", tcp.ecn_ce_rx),
-            ("tcp.ecn_ece_rx", tcp.ecn_ece_rx),
-            ("tcp.ecn_ece_tx", tcp.ecn_ece_tx),
-            ("tcp.ecn_cwr_tx", tcp.ecn_cwr_tx),
-        ] {
-            let id = reg.counter(name, server);
+        // `delayed_acks` never was a series, and the set of series is pinned.
+        let published = tcp.fields().into_iter().filter(|f| f.0 != "delayed_acks");
+        for (name, v) in published {
+            let id = reg.counter(&format!("tcp.{name}"), server);
             reg.set_counter(id, v);
         }
-        for (name, si) in [
-            ("tcp.conns.closed", 0usize),
-            ("tcp.conns.listen", 1),
-            ("tcp.conns.syn_sent", 2),
-            ("tcp.conns.syn_rcvd", 3),
-            ("tcp.conns.established", 4),
-            ("tcp.conns.fin_wait_1", 5),
-            ("tcp.conns.fin_wait_2", 6),
-            ("tcp.conns.closing", 7),
-            ("tcp.conns.close_wait", 8),
-            ("tcp.conns.last_ack", 9),
-            ("tcp.conns.time_wait", 10),
-        ] {
-            let id = reg.gauge(name, server);
-            reg.gauge_set(id, conn_states[si] as f64);
+        for (state, n) in TcpState::ALL.into_iter().zip(conn_states) {
+            let id = reg.gauge(&format!("tcp.conns.{}", state.name()), server);
+            reg.gauge_set(id, n as f64);
         }
     }
 
     /// Begin a CPU measurement window (paper's "# of CPUs for test").
     pub fn begin_cpu_window(&mut self, now: SimTime) {
-        self.window_start = now;
-        self.vswitch_pool.begin_window(now);
         self.tunnel_pool.begin_window(now);
         self.irq_pool.begin_window(now);
         if let Some(p) = &mut self.pin_pool {
@@ -472,8 +445,7 @@ impl Server {
 
     /// Average host logical CPUs busy over the window.
     pub fn host_cpus_used(&self, now: SimTime) -> f64 {
-        self.vswitch_pool.cpus_used(now)
-            + self.tunnel_pool.cpus_used(now)
+        self.tunnel_pool.cpus_used(now)
             + self.irq_pool.cpus_used(now)
             + self.pin_pool.as_ref().map_or(0.0, |p| p.cpus_used(now))
             + self.vms.iter().map(|v| v.vhost.cpus_used(now)).sum::<f64>()
@@ -489,56 +461,47 @@ impl Server {
         self.host_cpus_used(now) + self.guest_cpus_used(now)
     }
 
-    /// Submit guest (vCPU) work for a VM; under pinning this competes with
-    /// hypervisor work in the shared pool.
-    fn submit_guest(&mut self, vm_idx: usize, now: SimTime, cost: SimDuration) -> SimTime {
-        match &mut self.pin_pool {
-            Some(p) => p.submit(now, cost),
-            None => self.vms[vm_idx].vcpus.submit(now, cost),
+    // ------------------------------------------------------------ stages --
+
+    /// The service centre `work` queues on: under pinning, guest and
+    /// hypervisor work compete in the one shared pool.
+    fn pool(&mut self, work: Work) -> &mut CpuPool {
+        match (&mut self.pin_pool, work) {
+            (Some(pinned), _) => pinned,
+            (None, Work::Guest(vm)) => &mut self.vms[vm].vcpus,
+            (None, Work::Vif { tunneled: true, .. }) => &mut self.tunnel_pool,
+            (None, Work::Vif { vm, .. }) => &mut self.vms[vm].vhost,
+            (None, Work::Irq) => &mut self.irq_pool,
         }
     }
 
-    /// Submit a VM's VIF-path host work: the per-VM vhost thread when not
-    /// pinned (tunneled work rides the single tunnel queue instead, which
-    /// is the paper's ~2 Gbps VXLAN bottleneck).
-    fn submit_vswitch(
-        &mut self,
-        vm_idx: usize,
-        now: SimTime,
-        cost: SimDuration,
-        tunneled: bool,
-    ) -> SimTime {
-        match &mut self.pin_pool {
-            Some(p) => p.submit(now, cost),
-            None if tunneled => self.tunnel_pool.submit(now, cost),
-            None => self.vms[vm_idx].vhost.submit(now, cost),
-        }
-    }
-
-    fn try_submit_vswitch(
-        &mut self,
-        vm_idx: usize,
-        now: SimTime,
-        cost: SimDuration,
-        tunneled: bool,
-        budget: SimDuration,
-    ) -> Option<SimTime> {
-        match &mut self.pin_pool {
-            Some(p) => p.try_submit(now, cost, budget),
-            None if tunneled => self.tunnel_pool.try_submit(now, cost, budget),
-            None => self.vms[vm_idx].vhost.try_submit(now, cost, budget),
-        }
-    }
-
-    fn submit_irq(&mut self, now: SimTime, cost: SimDuration) {
-        match &mut self.pin_pool {
-            Some(p) => {
-                p.submit(now, cost);
-            }
-            None => {
-                self.irq_pool.submit(now, cost);
-            }
-        }
+    /// Run one pipeline stage: queue its work, hold its completion to the
+    /// flow's clock, park `next` in the stage table and wake it then.
+    /// False — and `next` is gone — when the stage's backlog budget refused
+    /// the work.
+    fn stage(&mut self, api: &mut Api<'_, Event, NetCtx>, s: Stage, next: Pending) -> bool {
+        let start = s.start.max(api.now);
+        let pool = self.pool(s.work);
+        let done = match s.budget {
+            None => pool.submit(start, s.cost),
+            Some(budget) => match pool.try_submit(start, s.cost, budget) {
+                Some(done) => done,
+                None => return false,
+            },
+        };
+        let clock = match s.clock {
+            Clock::Tx { vm, conn, stage } => self.vms[vm].tx_clock_mut(conn, stage),
+            Clock::Rx { slot, stage } => &mut self.rx_clock[slot as usize][stage],
+        };
+        *clock = (done + s.latency).max(*clock);
+        let done = *clock;
+        let wake = Event::Timer {
+            tag: tags::PENDING,
+            a: self.stash(next),
+            b: 0,
+        };
+        api.send_at(api.self_id, done, wake);
+        true
     }
 
     /// The receive clamp slot of `flow`, allotted on first sight.
@@ -583,7 +546,7 @@ impl Server {
 
     // ---------------------------------------------------------------- tx --
 
-    /// Pull segments out of a VM's TCP stack into the guest-CPU stage.
+    /// Pull segments out of a VM's TCP stack into the guest-tx stage.
     fn pump_vm(&mut self, api: &mut Api<'_, Event, NetCtx>, vm_idx: usize) {
         loop {
             let vm = &mut self.vms[vm_idx];
@@ -593,6 +556,7 @@ impl Server {
             let Some((conn, plan)) = vm.stack.poll_transmit(api.now, TSO_LIMIT) else {
                 break;
             };
+            vm.tx_inflight += 1;
             let flow = vm.stack.conn(conn).flow;
             let mut pkt = Packet::new(
                 api.ctx.alloc_packet_id(),
@@ -607,25 +571,20 @@ impl Server {
             );
             pkt.ecn = plan.ecn;
             pkt.sack = plan.sack;
-            let cost = self.cfg.cost.guest_tx(&pkt);
-            let done = self.submit_guest(vm_idx, api.now, cost);
-            let vm = &mut self.vms[vm_idx];
-            let done = clamp(vm.tx_clock_mut(conn, TX_GUEST), done);
-            vm.tx_inflight += 1;
-            let tok = self.stash(Pending::GuestTxDone {
-                vm: vm_idx,
-                conn,
-                pkt,
-            });
-            api.send_at(
-                api.self_id,
-                done,
-                Event::Timer {
-                    tag: tags::PENDING,
-                    a: tok,
-                    b: 0,
+            let stage = Stage {
+                work: Work::Guest(vm_idx),
+                cost: self.cfg.cost.guest_tx(&pkt),
+                start: api.now,
+                budget: None,
+                latency: SimDuration::ZERO,
+                clock: Clock::Tx {
+                    vm: vm_idx,
+                    conn,
+                    stage: TX_GUEST,
                 },
-            );
+            };
+            let vm = vm_idx;
+            self.stage(api, stage, Pending::GuestTxDone { vm, conn, pkt });
         }
         self.rearm_tcp_timer(api, vm_idx);
         self.notify_tx_room(api, vm_idx);
@@ -675,7 +634,7 @@ impl Server {
             );
         }
         for work in cpu_burn.drain(..) {
-            self.submit_guest(vm_idx, api.now, work);
+            self.pool(Work::Guest(vm_idx)).submit(api.now, work);
         }
         // Back before the nested drain: its handlers collect into them too.
         self.timer_reqs = timer_reqs;
@@ -757,6 +716,8 @@ impl Server {
         }
     }
 
+    /// Guest-tx stage done: the flow placer picks the interface, then the
+    /// packet enters the VIF-tx stage or leaves through its VF.
     fn on_guest_tx_done(
         &mut self,
         api: &mut Api<'_, Event, NetCtx>,
@@ -792,64 +753,54 @@ impl Server {
                 if r.slow_path {
                     cost += self.cfg.cost.vswitch_slow_path(self.vswitch.n_rules());
                 }
-                let done = self.submit_vswitch(vm_idx, api.now, cost, tunneled);
-                let done = clamp(self.vms[vm_idx].tx_clock_mut(conn, TX_VSWITCH), done);
-                let tok = self.stash(Pending::VswitchTxDone {
-                    vm: vm_idx,
-                    pkt,
-                    verdict: r.verdict,
-                });
-                api.send_at(
-                    api.self_id,
-                    done,
-                    Event::Timer {
-                        tag: tags::PENDING,
-                        a: tok,
-                        b: 0,
+                let vm = vm_idx;
+                let stage = Stage {
+                    work: Work::Vif { vm, tunneled },
+                    cost,
+                    start: api.now,
+                    budget: None,
+                    latency: SimDuration::ZERO,
+                    clock: Clock::Tx {
+                        vm,
+                        conn,
+                        stage: TX_VIF,
                     },
-                );
+                };
+                let verdict = r.verdict;
+                self.stage(api, stage, Pending::VifTxDone { vm, pkt, verdict });
+            }
+            // Dead VF (chaos): the placer still steers into the hardware
+            // path — the NIC just eats the packet. Falling back to the
+            // vswitch here would mask the failure; recovery is the
+            // control plane's job (HwPathReport → force demote).
+            PathTag::SrIov if api.chaos_vf_down_at(api.self_id) => {
+                self.hw_path_up = false;
+                self.stats.hw_path_drops += 1;
             }
             PathTag::SrIov => {
-                // Dead VF (chaos): the placer still steers into the hardware
-                // path — the NIC just eats the packet. Falling back to the
-                // vswitch here would mask the failure; recovery is the
-                // control plane's job (HwPathReport → force demote).
-                if api.chaos_vf_down_at(api.self_id) {
-                    self.hw_path_up = false;
-                    self.stats.hw_path_drops += 1;
-                    self.pump_vm(api, vm_idx);
-                    return;
-                }
                 self.hw_path_up = true;
                 // Interrupt-isolation cost is asynchronous: account it on
-                // the irq pool without delaying the packet.
+                // the irq pool without delaying the packet. The hardware
+                // rate limit of the path is the ToR's (§4.1.3).
                 let c = self.cfg.cost.sriov_host(&pkt);
-                self.submit_irq(api.now, c);
-                // Optional ToR-independent hw shaper (FPS hardware split).
-                let at = match self.hw_rate_tx.get_mut(&vm_idx) {
-                    Some(tb) => tb.acquire(api.now, wire),
-                    None => api.now,
-                };
-                let at = match self.nic.tx_through_vf(vm_idx, at, wire) {
-                    Some(t) => t,
-                    None => {
-                        // No VF: misconfiguration; fall back to the vswitch
-                        // path would hide the bug — drop and count instead.
-                        self.stats.policy_drops += 1;
-                        self.pump_vm(api, vm_idx);
-                        return;
+                self.pool(Work::Irq).submit(api.now, c);
+                match self.nic.tx_through_vf(vm_idx) {
+                    Some(vlan) => {
+                        pkt.encap(Encap::Vlan(vlan.0));
+                        self.nic_tx(api, PORT_HW, api.now, pkt);
                     }
-                };
-                let vlan = self.nic.vlan_of_vm(vm_idx).expect("VF exists but no VLAN");
-                pkt.encap(Encap::Vlan(vlan.0));
-                self.nic_tx(api, PORT_HW, at, pkt);
+                    // No VF: misconfiguration; falling back to the vswitch
+                    // path would hide the bug — drop and count instead.
+                    None => self.stats.policy_drops += 1,
+                }
             }
         }
         // Keep the pipeline full.
         self.pump_vm(api, vm_idx);
     }
 
-    fn on_vswitch_tx_done(
+    /// VIF-tx stage done: act on the vswitch's verdict.
+    fn on_vif_tx_done(
         &mut self,
         api: &mut Api<'_, Event, NetCtx>,
         vm_idx: usize,
@@ -887,6 +838,7 @@ impl Server {
         }
     }
 
+    /// Queue a packet on a NIC tx ring from `at` (a shaper's release time).
     fn nic_tx(
         &mut self,
         api: &mut Api<'_, Event, NetCtx>,
@@ -899,24 +851,18 @@ impl Server {
             self.stats.tx_ring_drops += 1;
             return;
         };
-        let at = at.max(api.now);
-        let start = at.max(self.link_free[port]);
-        if start.since(at) > self.cfg.max_link_backlog {
+        let wire = pkt.wire_bytes_total();
+        let Some(end) = self.rings[port].admit(
+            at.max(api.now),
+            wire,
+            &mut pkt.ecn,
+            NIC_RATE_BPS,
+            MAX_LINK_BACKLOG,
+            self.cfg.ecn_mark_threshold,
+        ) else {
             self.stats.tx_ring_drops += 1;
             return;
-        }
-        if let Some(th) = self.cfg.ecn_mark_threshold {
-            // Admitted ECT packets over the marking threshold carry CE
-            // instead of waiting unmarked (drops above were already taken:
-            // a marked packet is never also a drop).
-            if fastrak_net::headers::ecn::is_ect(pkt.ecn) && start.since(at) > th {
-                pkt.ecn = fastrak_net::headers::ecn::CE;
-                self.stats.ecn_marked += 1;
-            }
-        }
-        let ser = serialization_delay(pkt.wire_bytes_total(), self.cfg.nic_rate_bps);
-        let end = start + ser;
-        self.link_free[port] = end;
+        };
         if port == PORT_SW {
             self.stats.tx_sw_frames += 1;
         } else {
@@ -965,7 +911,7 @@ impl Server {
                 };
                 pkt.decap(); // NIC strips the VLAN tag (§4.2.2)
                 let c = self.cfg.cost.sriov_host(&pkt);
-                self.submit_irq(api.now, c);
+                self.pool(Work::Irq).submit(api.now, c);
                 let slot = self.rx_slot(&pkt.flow);
                 self.deliver_to_guest(api, vm_idx, slot, pkt, api.now, false);
             }
@@ -983,8 +929,8 @@ impl Server {
                     }
                 }
                 let wire = pkt.wire_bytes_total();
-                let vm_idx = match self.vswitch.process_rx(&pkt.flow, wire) {
-                    Ok(vm_idx) => vm_idx,
+                let vm = match self.vswitch.process_rx(&pkt.flow, wire) {
+                    Ok(vm) => vm,
                     Err(TxVerdict::Denied) => {
                         self.stats.policy_drops += 1;
                         return;
@@ -994,44 +940,34 @@ impl Server {
                         return;
                     }
                 };
-                let rate_limited = self.vswitch.ingress_limited(vm_idx);
+                let rate_limited = self.vswitch.ingress_limited(vm);
                 let cost = if tunneled {
                     self.cfg.cost.vswitch_tunneled(&pkt, rate_limited)
                 } else {
                     self.cfg.cost.vswitch_fast(&pkt, rate_limited)
                 };
-                let Some(done) = self.try_submit_vswitch(
-                    vm_idx,
-                    api.now,
-                    cost,
-                    tunneled,
-                    self.cfg.max_rx_backlog,
-                ) else {
-                    self.stats.rx_drops += 1;
-                    return;
-                };
                 let slot = self.rx_slot(&pkt.flow);
-                let done = clamp(&mut self.rx_clock[slot as usize][RX_VSWITCH], done);
-                let tok = self.stash(Pending::VswitchRxDone {
-                    vm: vm_idx,
-                    slot,
-                    pkt,
-                });
-                api.send_at(
-                    api.self_id,
-                    done,
-                    Event::Timer {
-                        tag: tags::PENDING,
-                        a: tok,
-                        b: 0,
+                let stage = Stage {
+                    work: Work::Vif { vm, tunneled },
+                    cost,
+                    start: api.now,
+                    budget: Some(self.cfg.max_rx_backlog),
+                    latency: SimDuration::ZERO,
+                    clock: Clock::Rx {
+                        slot,
+                        stage: RX_VIF,
                     },
-                );
+                };
+                if !self.stage(api, stage, Pending::VifRxDone { vm, slot, pkt }) {
+                    self.stats.rx_drops += 1;
+                }
             }
             other => panic!("server {} has no port {other}", self.cfg.name),
         }
     }
 
-    fn on_vswitch_rx_done(
+    /// VIF-rx stage done: the ingress htb releases the packet to the guest.
+    fn on_vif_rx_done(
         &mut self,
         api: &mut Api<'_, Event, NetCtx>,
         vm_idx: usize,
@@ -1043,36 +979,36 @@ impl Server {
         self.deliver_to_guest(api, vm_idx, slot, pkt, at, true);
     }
 
-    /// Charge guest rx CPU + notification latency, then hand to the stack.
+    /// Enter the guest-rx stage from `at`: guest rx CPU, then the wakeup.
     fn deliver_to_guest(
         &mut self,
         api: &mut Api<'_, Event, NetCtx>,
-        vm_idx: usize,
+        vm: usize,
         slot: u32,
         pkt: Packet,
         at: SimTime,
         via_vif: bool,
     ) {
-        let notify = if via_vif {
+        let latency = if via_vif {
             self.cfg.cost.vif_notify(api.rng)
         } else {
             self.cfg.cost.sriov_notify(api.rng)
         };
-        let cost = self.cfg.cost.guest_rx(&pkt);
-        let done = self.submit_guest(vm_idx, at.max(api.now), cost) + notify;
-        let done = clamp(&mut self.rx_clock[slot as usize][RX_GUEST], done);
-        let tok = self.stash(Pending::GuestRxDone { vm: vm_idx, pkt });
-        api.send_at(
-            api.self_id,
-            done,
-            Event::Timer {
-                tag: tags::PENDING,
-                a: tok,
-                b: 0,
+        let stage = Stage {
+            work: Work::Guest(vm),
+            cost: self.cfg.cost.guest_rx(&pkt),
+            start: at,
+            budget: None,
+            latency,
+            clock: Clock::Rx {
+                slot,
+                stage: RX_GUEST,
             },
-        );
+        };
+        self.stage(api, stage, Pending::GuestRxDone { vm, pkt });
     }
 
+    /// Guest-rx stage done: the stack takes the segment, the app its events.
     fn on_guest_rx_done(&mut self, api: &mut Api<'_, Event, NetCtx>, vm_idx: usize, pkt: Packet) {
         if api.ctx.trace.enabled() {
             if let L4Meta::Tcp { seq, .. } = pkt.l4 {
@@ -1133,34 +1069,20 @@ impl Server {
                 bps,
             } => {
                 if let Some(idx) = self.vm_by_ip(tenant, vm_ip) {
-                    let burst = (bps / 8 / 100).max(64_000); // ~10ms of rate
-                    let tb = Some(TokenBucket::new(bps.max(1), burst));
+                    let tb = Some(TokenBucket::for_rate(bps));
                     match dir {
                         Dir::Egress => self.vswitch.vif_rates_mut(idx).egress = tb,
                         Dir::Ingress => self.vswitch.vif_rates_mut(idx).ingress = tb,
                     }
                 }
             }
-            CtrlRequest::SetHwRate {
-                tenant,
-                vm_ip,
-                dir,
-                bps,
-            } => {
-                // NIC-side hw shaping (the ToR also supports SetHwRate).
-                if let Some(idx) = self.vm_by_ip(tenant, vm_ip) {
-                    if matches!(dir, Dir::Egress) {
-                        let burst = (bps / 8 / 100).max(64_000);
-                        self.hw_rate_tx
-                            .insert(idx, TokenBucket::new(bps.max(1), burst));
-                    }
-                }
-            }
-            CtrlRequest::InstallTorRules { .. }
+            CtrlRequest::SetHwRate { .. }
+            | CtrlRequest::InstallTorRules { .. }
             | CtrlRequest::RemoveTorRules { .. }
             | CtrlRequest::DumpTorRules { .. }
             | CtrlRequest::Probe { .. } => {
-                // Not a server operation; ignore (a real switch agent would
+                // Not a server operation: the hardware path's rules and rate
+                // limits live in the ToR. Ignore (a real switch agent would
                 // NAK — the controller never sends these to servers).
             }
         }
@@ -1187,11 +1109,11 @@ impl Node<Event, NetCtx> for Server {
                         Pending::GuestTxDone { vm, conn, pkt } => {
                             self.on_guest_tx_done(api, vm, conn, pkt)
                         }
-                        Pending::VswitchTxDone { vm, pkt, verdict } => {
-                            self.on_vswitch_tx_done(api, vm, pkt, verdict)
+                        Pending::VifTxDone { vm, pkt, verdict } => {
+                            self.on_vif_tx_done(api, vm, pkt, verdict)
                         }
-                        Pending::VswitchRxDone { vm, slot, pkt } => {
-                            self.on_vswitch_rx_done(api, vm, slot, pkt)
+                        Pending::VifRxDone { vm, slot, pkt } => {
+                            self.on_vif_rx_done(api, vm, slot, pkt)
                         }
                         Pending::GuestRxDone { vm, pkt } => self.on_guest_rx_done(api, vm, pkt),
                     }
@@ -1273,7 +1195,7 @@ mod tests {
         Packet::new(id, flow, L4Meta::Udp, 100, SimTime::ZERO)
     }
 
-    fn stage(id: u64) -> Pending {
+    fn parked(id: u64) -> Pending {
         Pending::GuestRxDone {
             vm: 0,
             pkt: packet(id),
@@ -1290,13 +1212,13 @@ mod tests {
     #[test]
     fn stage_tokens_are_slot_indices_reused_after_their_timer_fired() {
         let mut srv = server();
-        let toks: Vec<u64> = (0..3).map(|i| srv.stash(stage(i))).collect();
+        let toks: Vec<u64> = (0..3).map(|i| srv.stash(parked(i))).collect();
         assert_eq!(toks, [0, 1, 2]);
         assert_eq!(srv.stages_in_flight(), 3);
         assert_eq!(srv.unstash(1).map(packet_id), Some(1));
         assert_eq!(srv.stages_in_flight(), 2);
         // The freed slot is the next token; the table did not grow.
-        assert_eq!(srv.stash(stage(3)), 1);
+        assert_eq!(srv.stash(parked(3)), 1);
         assert_eq!(srv.pending.len(), 3);
         assert_eq!(srv.unstash(1).map(packet_id), Some(3));
         assert_eq!(srv.unstash(0).map(packet_id), Some(0));
@@ -1307,8 +1229,8 @@ mod tests {
     #[test]
     fn vacant_or_out_of_range_token_frees_nothing() {
         let mut srv = server();
-        let a = srv.stash(stage(0));
-        let b = srv.stash(stage(1));
+        let a = srv.stash(parked(0));
+        let b = srv.stash(parked(1));
         assert!(srv.unstash(a).is_some());
         // A second fire of the same token, a token past the table and the
         // largest token there is: all ignored.
@@ -1318,8 +1240,8 @@ mod tests {
         assert_eq!(srv.free_slots, [a as usize], "slot freed exactly once");
         assert_eq!(srv.stages_in_flight(), 1);
         // A double free would hand slot `a` out twice and overwrite a stage.
-        let c = srv.stash(stage(2));
-        let d = srv.stash(stage(3));
+        let c = srv.stash(parked(2));
+        let d = srv.stash(parked(3));
         assert_eq!(c, a);
         assert!(d != a && d != b);
         assert_eq!(srv.stages_in_flight(), 3);
@@ -1559,71 +1481,42 @@ mod tests {
             srv.add_vm(Vm::new(spec, Box::new(NullApp)), None);
         }
         let sid = k.add_node(srv);
-        // (software egress, software ingress, NIC egress) limit of each VM.
+        // (egress, ingress) VIF limit of each VM.
         let rates = |k: &mut Kernel<Event, NetCtx>| {
             let srv = k.node_mut::<Server>(sid);
             [0, 1].map(|vm| {
-                let hw = srv.hw_rate_tx.get(&vm).map(TokenBucket::rate_bps);
                 let sw = srv.vswitch.vif_rates_mut(vm);
                 let bps = |tb: &Option<TokenBucket>| tb.as_ref().map(TokenBucket::rate_bps);
-                (bps(&sw.egress), bps(&sw.ingress), hw)
+                (bps(&sw.egress), bps(&sw.ingress))
             })
         };
         let mut at = 0;
-        let mut request = |k: &mut Kernel<Event, NetCtx>, req: CtrlRequest| {
+        let mut request = |k: &mut Kernel<Event, NetCtx>, tenant, dir, bps| {
             at += 1;
-            let msg = CtlMsg::new(sid, req);
-            k.post(sid, SimTime::from_micros(at), Event::Ctl(msg));
+            let req = CtrlRequest::SetVifRate {
+                tenant,
+                vm_ip: VM_IP,
+                dir,
+                bps,
+            };
+            k.post(
+                sid,
+                SimTime::from_micros(at),
+                Event::Ctl(CtlMsg::new(sid, req)),
+            );
             k.run_until(SimTime::from_micros(at));
         };
-        let (vm_ip, dir) = (VM_IP, Dir::Egress);
-        // The second tenant's limits land on the second VM, not on the
+        // The second tenant's limit lands on the second VM, not on the
         // first VM that happens to have the address.
-        let (tenant, bps) = (tenants[1], 2_000_000_000);
-        request(
-            &mut k,
-            CtrlRequest::SetVifRate {
-                tenant,
-                vm_ip,
-                dir,
-                bps,
-            },
-        );
-        assert_eq!(rates(&mut k), [(None, None, None), (Some(bps), None, None)]);
-        request(
-            &mut k,
-            CtrlRequest::SetHwRate {
-                tenant,
-                vm_ip,
-                dir,
-                bps,
-            },
-        );
-        let second = (Some(bps), None, Some(bps));
-        assert_eq!(rates(&mut k), [(None, None, None), second]);
+        let second = (Some(2_000_000_000), None);
+        request(&mut k, tenants[1], Dir::Egress, 2_000_000_000);
+        assert_eq!(rates(&mut k), [(None, None), second]);
         // ... and the first tenant's on the first.
-        let (tenant, dir, bps) = (tenants[0], Dir::Ingress, 1_000_000_000);
-        request(
-            &mut k,
-            CtrlRequest::SetVifRate {
-                tenant,
-                vm_ip,
-                dir,
-                bps,
-            },
-        );
-        assert_eq!(rates(&mut k), [(None, Some(bps), None), second]);
+        let first = (None, Some(1_000_000_000));
+        request(&mut k, tenants[0], Dir::Ingress, 1_000_000_000);
+        assert_eq!(rates(&mut k), [first, second]);
         // A tenant with no VM at that address changes nothing.
-        let tenant = TenantId(3);
-        request(
-            &mut k,
-            CtrlRequest::SetVifRate {
-                tenant,
-                vm_ip,
-                dir,
-                bps,
-            },
-        );
-        assert_eq!(rates(&mut k), [(None, Some(bps), None), second]);
+        request(&mut k, TenantId(3), Dir::Ingress, 1_000_000_000);
+        assert_eq!(rates(&mut k), [first, second]);
     }
 }

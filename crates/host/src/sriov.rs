@@ -6,13 +6,11 @@
 //! directly attached ToR identify the tenant (§4.2.1). Packets DMA directly
 //! between VM memory and the NIC; the hypervisor only isolates interrupts.
 //!
-//! The NIC can optionally enforce a per-VF transmit rate limit — the paper
-//! applies hardware-path limits "at the TOR (or if possible at the NIC)"
-//! (§4.1.4); both are implemented, the testbed default being the ToR.
+//! The NIC shapes nothing: the paper applies hardware-path rate limits "at
+//! the TOR (or if possible at the NIC)" (§4.1.4), and here, as on its
+//! testbed, the ToR is the one hardware shaper.
 
 use fastrak_net::addr::{Ip, TenantId, VlanId};
-use fastrak_sim::tbf::TokenBucket;
-use fastrak_sim::time::SimTime;
 
 /// Error allocating or using a VF.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -49,8 +47,6 @@ pub struct Vf {
     pub vm_ip: Ip,
     /// VLAN tag inserted on egress / matched on ingress.
     pub vlan: VlanId,
-    /// Optional NIC-enforced transmit shaper.
-    pub tx_limit: Option<TokenBucket>,
     /// Packets transmitted through this VF.
     pub tx_packets: u64,
     /// Packets delivered to the VM through this VF.
@@ -100,21 +96,10 @@ impl SriovNic {
             tenant,
             vm_ip,
             vlan,
-            tx_limit: None,
             tx_packets: 0,
             rx_packets: 0,
         });
         Ok(self.vfs.len() - 1)
-    }
-
-    /// The VF assigned to a VM, if any.
-    pub fn vf_of_vm(&self, vm_idx: usize) -> Option<usize> {
-        self.vfs.iter().position(|vf| vf.vm_idx == vm_idx)
-    }
-
-    /// VLAN tag for a VM's VF.
-    pub fn vlan_of_vm(&self, vm_idx: usize) -> Option<VlanId> {
-        self.vf_of_vm(vm_idx).map(|i| self.vfs[i].vlan)
     }
 
     /// Demultiplex an ingress frame by (VLAN tag, destination VM IP) to
@@ -130,26 +115,12 @@ impl SriovNic {
         Some((i, self.vfs[i].vm_idx))
     }
 
-    /// Account + shape a transmit through a VM's VF. Returns the conforming
-    /// departure time (now, unless a NIC tx limit is configured).
-    pub fn tx_through_vf(&mut self, vm_idx: usize, now: SimTime, bytes: u64) -> Option<SimTime> {
-        let i = self.vf_of_vm(vm_idx)?;
-        self.vfs[i].tx_packets += 1;
-        Some(match &mut self.vfs[i].tx_limit {
-            Some(tb) => tb.acquire(now, bytes),
-            None => now,
-        })
-    }
-
-    /// Configure (or clear) the NIC tx shaper for a VM's VF.
-    pub fn set_vf_tx_limit(&mut self, vm_idx: usize, limit: Option<TokenBucket>) -> bool {
-        match self.vf_of_vm(vm_idx) {
-            Some(i) => {
-                self.vfs[i].tx_limit = limit;
-                true
-            }
-            None => false,
-        }
+    /// Account a transmit through a VM's VF. Returns the VLAN tag the VF
+    /// inserts, or `None` when the VM has no VF.
+    pub fn tx_through_vf(&mut self, vm_idx: usize) -> Option<VlanId> {
+        let vf = self.vfs.iter_mut().find(|vf| vf.vm_idx == vm_idx)?;
+        vf.tx_packets += 1;
+        Some(vf.vlan)
     }
 
     /// VF table accessor.
@@ -215,29 +186,11 @@ mod tests {
     #[test]
     fn tx_requires_a_vf() {
         let mut nic = SriovNic::new(4);
-        assert_eq!(nic.tx_through_vf(0, SimTime::ZERO, 100), None);
+        assert_eq!(nic.tx_through_vf(0), None);
         nic.alloc_vf(0, TenantId(1), Ip::tenant_vm(0), VlanId::new(5))
             .unwrap();
-        assert_eq!(
-            nic.tx_through_vf(0, SimTime::ZERO, 100),
-            Some(SimTime::ZERO)
-        );
+        assert_eq!(nic.tx_through_vf(0), Some(VlanId::new(5)));
         assert_eq!(nic.vfs()[0].tx_packets, 1);
-    }
-
-    #[test]
-    fn nic_tx_limit_shapes() {
-        let mut nic = SriovNic::new(4);
-        nic.alloc_vf(0, TenantId(1), Ip::tenant_vm(0), VlanId::new(5))
-            .unwrap();
-        assert!(nic.set_vf_tx_limit(0, Some(TokenBucket::new(8_000, 1_000))));
-        let t0 = SimTime::ZERO;
-        assert_eq!(nic.tx_through_vf(0, t0, 1_000), Some(t0));
-        let t1 = nic.tx_through_vf(0, t0, 1_000).unwrap();
-        assert!(t1 > t0);
-        // Clearing the limit restores line-rate behaviour.
-        assert!(nic.set_vf_tx_limit(0, None));
-        assert!(!nic.set_vf_tx_limit(7, None));
     }
 
     #[test]
@@ -245,7 +198,12 @@ mod tests {
         let mut nic = SriovNic::new(4);
         nic.alloc_vf(2, TenantId(1), Ip::tenant_vm(2), VlanId::new(42))
             .unwrap();
-        assert_eq!(nic.vlan_of_vm(2), Some(VlanId::new(42)));
-        assert_eq!(nic.vlan_of_vm(0), None);
+        nic.alloc_vf(3, TenantId(1), Ip::tenant_vm(3), VlanId::new(43))
+            .unwrap();
+        // Each transmit is tagged with, and counted on, its own VM's VF.
+        assert_eq!(nic.tx_through_vf(3), Some(VlanId::new(43)));
+        assert_eq!(nic.tx_through_vf(2), Some(VlanId::new(42)));
+        assert_eq!(nic.tx_through_vf(0), None);
+        assert_eq!(nic.vfs().iter().map(|vf| vf.tx_packets).sum::<u64>(), 2);
     }
 }

@@ -227,12 +227,6 @@ impl Vswitch {
         }
     }
 
-    /// Flush datapath entries matching a predicate (rule revocation, VM
-    /// migration). Returns flushed keys.
-    pub fn flush_where(&mut self, mut pred: impl FnMut(&FlowKey) -> bool) -> Vec<FlowKey> {
-        self.datapath.retain(|k, _| !pred(k))
-    }
-
     /// Dump per-flow statistics (what the local controller's ME queries).
     pub fn dump_flow_stats(&self) -> Vec<FlowStatEntry> {
         self.datapath
@@ -406,19 +400,6 @@ mod tests {
         assert_eq!(dump.len(), 1);
         assert_eq!(dump[0].packets, 2);
         assert_eq!(dump[0].bytes, 300);
-    }
-
-    #[test]
-    fn flush_invalidates_cache() {
-        let mut vs = Vswitch::new(VswitchConfig::default());
-        vs.attach_vif(TenantId(1), vm(1));
-        let k = key(1, vm(1), vm(9));
-        vs.process_tx(&k, 100);
-        let flushed = vs.flush_where(|fk| fk.dst_ip == vm(9));
-        assert_eq!(flushed, vec![k]);
-        // Next packet takes the slow path again.
-        let r = vs.process_tx(&k, 100);
-        assert!(r.slow_path);
     }
 
     #[test]

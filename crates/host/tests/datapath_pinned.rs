@@ -391,7 +391,7 @@ fn run(cell: Cell) -> Outcome {
     }
     let srv = kernel.node::<Server>(sid);
     let s = srv.stats;
-    let ecn_marked = s.ecn_marked;
+    let ecn_marked = srv.ecn_marked();
     fold(
         &mut h,
         &[

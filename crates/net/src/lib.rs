@@ -13,6 +13,9 @@
 //! * [`tunnel::TunnelTable`] — tenant-IP → (provider IP, tenant key) mappings
 //!   for GRE/VXLAN encapsulation (paper §2.1 C1, §4.2).
 //!
+//! [`port::EgressPort`] is the one output-queue model (drop-tail bound, ECN
+//! marking, line-rate serialisation) that both the server NIC and the ToR use.
+//!
 //! [`headers`] implements real encode/decode for Ethernet/802.1Q, IPv4 (with
 //! the internet checksum), TCP, UDP, GRE (with key) and VXLAN. The simulator
 //! hot path carries structured [`packet::Packet`] metadata instead of bytes,
@@ -26,6 +29,7 @@ pub mod event;
 pub mod flow;
 pub mod headers;
 pub mod packet;
+pub mod port;
 pub mod rules;
 pub mod tables;
 pub mod tunnel;

@@ -42,6 +42,13 @@ impl TokenBucket {
         }
     }
 
+    /// The bucket of a configured interface limit of `rate_bps` (any value:
+    /// the rate is held to at least 1 bit/s): 10 ms of the rate as burst, and
+    /// no less than 64 kB, so one TSO super-segment always conforms.
+    pub fn for_rate(rate_bps: u64) -> Self {
+        TokenBucket::new(rate_bps.max(1), (rate_bps / 8 / 100).max(64_000))
+    }
+
     /// Configured rate in bits/sec.
     pub fn rate_bps(&self) -> u64 {
         self.rate_bps
@@ -120,6 +127,18 @@ mod tests {
     /// 1 Gbps bucket with a 12500-byte burst (100 us at line rate).
     fn bucket() -> TokenBucket {
         TokenBucket::new(1_000_000_000, 12_500)
+    }
+
+    #[test]
+    fn a_configured_limit_gets_ten_ms_of_burst_but_no_less_than_64_kb() {
+        let sized = |bps| {
+            let b = TokenBucket::for_rate(bps);
+            (b.rate_bps, b.burst_bytes)
+        };
+        assert_eq!(sized(10_000_000_000), (10_000_000_000, 12_500_000));
+        assert_eq!(sized(1_000_000), (1_000_000, 64_000));
+        // A zero limit is a bucket, not a panic.
+        assert_eq!(sized(0), (1, 64_000));
     }
 
     #[test]

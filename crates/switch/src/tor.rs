@@ -22,12 +22,13 @@ use fastrak_net::ctrl::{CtrlReply, CtrlRequest, Dir, TorRule, TorStatEntry};
 use fastrak_net::event::{CtlMsg, Event, NetCtx};
 use fastrak_net::flow::FlowSpec;
 use fastrak_net::packet::{Encap, Packet};
+use fastrak_net::port::EgressPort;
 use fastrak_net::rules::{Action, QosClass};
 use fastrak_net::tables::{TableError, WildcardTable};
 use fastrak_net::tunnel::TunnelMapping;
 use fastrak_sim::kernel::{Api, Node, NodeId};
 use fastrak_sim::tbf::TokenBucket;
-use fastrak_sim::time::{serialization_delay, SimDuration, SimTime};
+use fastrak_sim::time::{SimDuration, SimTime};
 use fastrak_sim::FxHashMap;
 
 /// Action attached to a VRF fast-path rule.
@@ -72,7 +73,8 @@ pub struct TorConfig {
     pub max_port_backlog: SimDuration,
     /// When set, CE-mark (RFC 3168 RED-style) any admitted ECT frame that
     /// would wait longer than this in a port's output queue — the switch
-    /// half of the DCTCP deployment model (threshold K).
+    /// half of the DCTCP deployment model (threshold K). Read per frame:
+    /// experiments set it on a ToR already built.
     pub ecn_mark_threshold: Option<SimDuration>,
 }
 
@@ -117,9 +119,6 @@ pub struct TorStats {
     pub rules_installed: u64,
     /// Individual ACL rules removed (controller demotes + rollbacks).
     pub rules_removed: u64,
-    /// ECT frames CE-marked in a port output queue (marked frames are
-    /// admitted, never also counted as drops).
-    pub ecn_marked: u64,
 }
 
 /// What a port is wired to.
@@ -134,7 +133,8 @@ pub struct Tor {
     /// Static configuration.
     pub cfg: TorConfig,
     wires: Vec<Option<PortWire>>,
-    port_free: Vec<SimTime>,
+    /// The output queue of each port.
+    ports: Vec<EgressPort>,
     /// Per-tenant VRF tables (share the global fast-path budget).
     vrfs: FxHashMap<TenantId, WildcardTable<VrfAction>>,
     /// VLAN → tenant mapping (VRF selection).
@@ -149,7 +149,7 @@ pub struct Tor {
     /// Default route to the fabric core (port index), for remote ToRs.
     fabric_port: Option<usize>,
     /// Hardware rate limiters: (tenant, vm ip, dir) → bucket.
-    hw_rates: FxHashMap<(TenantId, Ip, u8), TokenBucket>,
+    hw_rates: FxHashMap<(TenantId, Ip, Dir), TokenBucket>,
     /// GRE tunnel mappings held in the VRFs (paper §4.1.3): destination
     /// tenant VM → provider location. Counts against fast-path memory.
     tunnel_dir: FxHashMap<(TenantId, Ip), TunnelMapping>,
@@ -169,7 +169,7 @@ impl Tor {
     pub fn new(cfg: TorConfig) -> Tor {
         Tor {
             wires: vec![None; cfg.n_ports],
-            port_free: vec![SimTime::ZERO; cfg.n_ports],
+            ports: vec![EgressPort::default(); cfg.n_ports],
             vrfs: FxHashMap::default(),
             vlan_tenant: FxHashMap::default(),
             hw_dests: FxHashMap::default(),
@@ -210,9 +210,7 @@ impl Tor {
         self.hw_rates.clear();
         self.qos_counters.clear();
         self.fastpath_used = 0;
-        for t in &mut self.port_free {
-            *t = SimTime::ZERO;
-        }
+        self.ports.iter_mut().for_each(EgressPort::drain);
         self.boot_epoch = epoch;
         api.ctx.telemetry.flight.record(
             api.now.as_nanos(),
@@ -408,7 +406,7 @@ impl Tor {
             ),
             ("tor.rules_installed", self.stats.rules_installed),
             ("tor.rules_removed", self.stats.rules_removed),
-            ("tor.ecn_marked", self.stats.ecn_marked),
+            ("tor.ecn_marked", self.ecn_marked()),
         ] {
             let id = reg.counter(name, tor);
             reg.set_counter(id, v);
@@ -425,15 +423,16 @@ impl Tor {
         }
     }
 
+    /// ECT frames CE-marked in a port output queue (marked frames are
+    /// admitted, never also counted as drops).
+    pub fn ecn_marked(&self) -> u64 {
+        self.ports.iter().map(EgressPort::marked).sum()
+    }
+
     /// Configure a hardware rate limit.
     pub fn set_hw_rate(&mut self, tenant: TenantId, vm_ip: Ip, dir: Dir, bps: u64) {
-        let d = match dir {
-            Dir::Egress => 0,
-            Dir::Ingress => 1,
-        };
-        let burst = (bps / 8 / 100).max(64_000);
-        self.hw_rates
-            .insert((tenant, vm_ip, d), TokenBucket::new(bps.max(1), burst));
+        let tb = TokenBucket::for_rate(bps);
+        self.hw_rates.insert((tenant, vm_ip, dir), tb);
     }
 
     fn hw_shape(
@@ -444,11 +443,7 @@ impl Tor {
         now: SimTime,
         bytes: u64,
     ) -> SimTime {
-        let d = match dir {
-            Dir::Egress => 0,
-            Dir::Ingress => 1,
-        };
-        match self.hw_rates.get_mut(&(tenant, vm_ip, d)) {
+        match self.hw_rates.get_mut(&(tenant, vm_ip, dir)) {
             Some(tb) => tb.acquire(now, bytes),
             None => now,
         }
@@ -456,6 +451,8 @@ impl Tor {
 
     // ------------------------------------------------------- forwarding --
 
+    /// Queue a frame on `port`'s output queue from `at` (a shaper's release
+    /// time) plus the switching latency.
     fn send_out(
         &mut self,
         api: &mut Api<'_, Event, NetCtx>,
@@ -467,23 +464,18 @@ impl Tor {
             self.stats.fwd_drops += 1;
             return;
         };
-        let at = at.max(api.now) + self.cfg.latency;
-        let start = at.max(self.port_free[port]);
-        if start.since(at) > self.cfg.max_port_backlog {
+        let wire_bytes = pkt.wire_bytes_total();
+        let Some(end) = self.ports[port].admit(
+            at.max(api.now) + self.cfg.latency,
+            wire_bytes,
+            &mut pkt.ecn,
+            self.cfg.port_rate_bps,
+            self.cfg.max_port_backlog,
+            self.cfg.ecn_mark_threshold,
+        ) else {
             self.stats.fwd_drops += 1;
             return;
-        }
-        if let Some(th) = self.cfg.ecn_mark_threshold {
-            // Admitted ECT frames over the marking threshold carry CE; a
-            // marked frame is never also a drop (the drop test above ran
-            // first, against the larger backlog bound).
-            if fastrak_net::headers::ecn::is_ect(pkt.ecn) && start.since(at) > th {
-                pkt.ecn = fastrak_net::headers::ecn::CE;
-                self.stats.ecn_marked += 1;
-            }
-        }
-        let end = start + serialization_delay(pkt.wire_bytes_total(), self.cfg.port_rate_bps);
-        self.port_free[port] = end;
+        };
         api.send_at(
             wire.peer,
             end + self.cfg.wire_latency,

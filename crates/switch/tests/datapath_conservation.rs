@@ -245,7 +245,7 @@ fn run(seed: u64) -> (Outcome, TorStats, FabricStats) {
         events: kernel.events_processed(),
         exits,
         frames: kernel.node::<Sink>(sink).got.clone(),
-        ecn_marked: t.stats.ecn_marked,
+        ecn_marked: t.ecn_marked(),
         tor_stats: format!("{:?}", t.stats),
         rule_stats: format!("{:?}", t.dump_rule_stats()),
         fabric_stats: format!("{:?}", f.stats),

@@ -61,6 +61,41 @@ pub enum TcpState {
 }
 
 impl TcpState {
+    /// Every state, in declaration order: `ALL[s as usize] == s`.
+    pub const ALL: [TcpState; 11] = {
+        use TcpState::*;
+        [
+            Closed,
+            Listen,
+            SynSent,
+            SynRcvd,
+            Established,
+            FinWait1,
+            FinWait2,
+            Closing,
+            CloseWait,
+            LastAck,
+            TimeWait,
+        ]
+    };
+
+    /// The state's name as telemetry series spell it.
+    pub fn name(self) -> &'static str {
+        match self {
+            TcpState::Closed => "closed",
+            TcpState::Listen => "listen",
+            TcpState::SynSent => "syn_sent",
+            TcpState::SynRcvd => "syn_rcvd",
+            TcpState::Established => "established",
+            TcpState::FinWait1 => "fin_wait_1",
+            TcpState::FinWait2 => "fin_wait_2",
+            TcpState::Closing => "closing",
+            TcpState::CloseWait => "close_wait",
+            TcpState::LastAck => "last_ack",
+            TcpState::TimeWait => "time_wait",
+        }
+    }
+
     /// Synchronized and not yet lingering: segments are processed for their
     /// ACK, data and FIN, and data, FIN and ACKs may be sent.
     pub fn carries_data(self) -> bool {
@@ -157,6 +192,49 @@ pub struct TcpStats {
     pub ecn_ece_tx: u64,
     /// Data segments we sent with CWR set (window-reduction signal).
     pub ecn_cwr_tx: u64,
+}
+
+impl TcpStats {
+    /// Every counter under its field name, in declaration order.
+    pub fn fields(&self) -> [(&'static str, u64); 15] {
+        [
+            ("segs_tx", self.segs_tx),
+            ("segs_rx", self.segs_rx),
+            ("acks_tx", self.acks_tx),
+            ("dup_acks_rx", self.dup_acks_rx),
+            ("fast_retransmits", self.fast_retransmits),
+            ("timeouts", self.timeouts),
+            ("ooo_segs_rx", self.ooo_segs_rx),
+            ("bytes_acked", self.bytes_acked),
+            ("bytes_delivered", self.bytes_delivered),
+            ("delayed_acks", self.delayed_acks),
+            ("rtx_segs", self.rtx_segs),
+            ("ecn_ce_rx", self.ecn_ce_rx),
+            ("ecn_ece_rx", self.ecn_ece_rx),
+            ("ecn_ece_tx", self.ecn_ece_tx),
+            ("ecn_cwr_tx", self.ecn_cwr_tx),
+        ]
+    }
+}
+
+impl std::ops::AddAssign<&TcpStats> for TcpStats {
+    fn add_assign(&mut self, o: &TcpStats) {
+        self.segs_tx += o.segs_tx;
+        self.segs_rx += o.segs_rx;
+        self.acks_tx += o.acks_tx;
+        self.dup_acks_rx += o.dup_acks_rx;
+        self.fast_retransmits += o.fast_retransmits;
+        self.timeouts += o.timeouts;
+        self.ooo_segs_rx += o.ooo_segs_rx;
+        self.bytes_acked += o.bytes_acked;
+        self.bytes_delivered += o.bytes_delivered;
+        self.delayed_acks += o.delayed_acks;
+        self.rtx_segs += o.rtx_segs;
+        self.ecn_ce_rx += o.ecn_ce_rx;
+        self.ecn_ece_rx += o.ecn_ece_rx;
+        self.ecn_ece_tx += o.ecn_ece_tx;
+        self.ecn_cwr_tx += o.ecn_cwr_tx;
+    }
 }
 
 /// One received segment, as [`TcpConn::on_segment`] takes it.
@@ -881,6 +959,41 @@ mod tests {
 
     fn t(us: u64) -> SimTime {
         SimTime::from_micros(us)
+    }
+
+    #[test]
+    fn the_state_and_counter_lists_cover_their_types() {
+        for (i, s) in TcpState::ALL.into_iter().enumerate() {
+            assert_eq!(s as usize, i, "{s:?} out of declaration order");
+        }
+        assert_eq!(TcpState::TimeWait as usize + 1, TcpState::ALL.len());
+        // One u64 per listed counter, and a sum that reaches each of them.
+        let mut sum = TcpStats::default();
+        let fields = sum.fields().len();
+        assert_eq!(std::mem::size_of::<TcpStats>(), 8 * fields);
+        // Field i holds i + 1, so a cross-wired sum shows.
+        let addend = TcpStats {
+            segs_tx: 1,
+            segs_rx: 2,
+            acks_tx: 3,
+            dup_acks_rx: 4,
+            fast_retransmits: 5,
+            timeouts: 6,
+            ooo_segs_rx: 7,
+            bytes_acked: 8,
+            bytes_delivered: 9,
+            delayed_acks: 10,
+            rtx_segs: 11,
+            ecn_ce_rx: 12,
+            ecn_ece_rx: 13,
+            ecn_ece_tx: 14,
+            ecn_cwr_tx: 15,
+        };
+        sum += &addend;
+        sum += &addend;
+        for (i, (name, v)) in sum.fields().into_iter().enumerate() {
+            assert_eq!(v, 2 * (i as u64 + 1), "{name}");
+        }
     }
 
     /// Drive a full handshake between a client and server conn.

@@ -230,8 +230,7 @@ impl Testbed {
     /// Configure a software (VIF) rate limit on a VM.
     pub fn set_vif_rate(&mut self, v: VmRef, dir: Dir, bps: u64) {
         let srv = self.kernel.node_mut::<Server>(self.servers[v.server]);
-        let burst = (bps / 8 / 100).max(64_000);
-        let tb = Some(TokenBucket::new(bps.max(1), burst));
+        let tb = Some(TokenBucket::for_rate(bps));
         match dir {
             Dir::Egress => srv.vswitch_mut().vif_rates_mut(v.vm).egress = tb,
             Dir::Ingress => srv.vswitch_mut().vif_rates_mut(v.vm).ingress = tb,

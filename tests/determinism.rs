@@ -520,8 +520,7 @@ fn run_transport_scenario(seed: u64) -> (u64, u64, u64, u64, u64) {
     );
     bed.start();
     bed.run_until(SimTime::from_millis(1_500));
-    let marks =
-        bed.tor().stats.ecn_marked + (0..3).map(|i| bed.server(i).stats.ecn_marked).sum::<u64>();
+    let marks = bed.tor().ecn_marked() + (0..3).map(|i| bed.server(i).ecn_marked()).sum::<u64>();
     let (rounds, p99) = {
         let app = bed.app::<IncastAggregator>(agg);
         (app.completed_rounds, app.fct.quantile(0.99))

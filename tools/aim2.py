@@ -1,0 +1,132 @@
+#!/usr/bin/env python3
+"""Size report for ROADMAP's aim-2 tracker: what every simplicity PR counted by hand.
+
+    python3 tools/aim2.py [--root DIR] [--count LITERAL ...]
+
+Prints, for the Rust outside `benchmark/` and `target/`:
+  * per crate, the lines of `src/` that are code: outside `#[cfg(test)]`
+    items, not blank, not a `//` comment;
+  * the ten largest files (all lines; code lines beside them);
+  * the ten longest functions outside tests (`fn` line to closing brace);
+  * the field counts of the four configuration structs;
+  * for each `--count LITERAL`, how often it occurs in code lines.
+Nothing is gated: the numbers are for the tracker line and the CHANGES table.
+"""
+import argparse
+import re
+from pathlib import Path
+
+CONFIGS = ["ServerConfig", "TorConfig", "TcpConfig", "CtrlPlaneConfig"]
+FN = re.compile(r"^\s*(?:pub(?:\([a-z]+\))?\s+)?(?:const\s+)?(?:unsafe\s+)?fn\s+(\w+)")
+LITERALS = re.compile(r'"(?:\\.|[^"\\])*"|\'(?:\\.|[^\'\\])\'')
+
+
+def bare(line):
+    """The line without its `//` comment and with literals emptied."""
+    return LITERALS.sub('""', line.split("//")[0])
+
+
+def block_end(lines, i):
+    """Index of the line that ends the item starting at `lines[i]`."""
+    depth, opened = 0, False
+    for j in range(i, len(lines)):
+        b = bare(lines[j])
+        if not opened and ";" in b and "{" not in b:
+            return j  # a declaration without a body
+        depth += b.count("{") - b.count("}")
+        opened = opened or "{" in b
+        if opened and depth == 0:
+            return j
+    return len(lines) - 1
+
+
+def non_test(text):
+    """(line number, line) of every line outside `#[cfg(test)]` items."""
+    lines, out, i = text.splitlines(), [], 0
+    while i < len(lines):
+        if lines[i].strip().startswith("#[cfg(test)]"):
+            i = block_end(lines, i + 1) + 1
+            continue
+        out.append((i + 1, lines[i]))
+        i += 1
+    return out
+
+
+def code_lines(text):
+    """The non-test lines that are neither blank nor a `//` comment."""
+    keep = lambda l: l.strip() and not l.strip().startswith("//")
+    return [(no, l) for no, l in non_test(text) if keep(l)]
+
+
+def functions(text):
+    """(length, name, first line) of every function outside tests."""
+    kept = non_test(text)
+    lines = [l for _, l in kept]
+    found = []
+    for i, line in enumerate(lines):
+        m = FN.match(line)
+        end = block_end(lines, i) if m else i
+        if m and any("{" in bare(l) for l in lines[i : end + 1]):
+            found.append((end - i + 1, m.group(1), kept[i][0]))
+    return found
+
+
+def main():
+    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    ap.add_argument("--root", default=Path(__file__).resolve().parent.parent, type=Path)
+    ap.add_argument("--count", action="append", default=[], metavar="LITERAL")
+    args = ap.parse_args()
+    root = args.root
+    files = sorted(
+        p
+        for p in root.rglob("*.rs")
+        if not {"target", "benchmark", ".git"} & set(p.relative_to(root).parts)
+    )
+    texts = {p: p.read_text() for p in files}
+    code = {p: code_lines(t) for p, t in texts.items()}
+    rel = lambda p: str(p.relative_to(root))
+    in_src = lambda p: "src" in p.relative_to(root).parts[:3]
+
+    print("== code lines per crate (src/, outside tests, comments, blanks) ==")
+    crates = {}
+    for p in files:
+        parts = p.relative_to(root).parts
+        if in_src(p):
+            name = parts[1] if parts[0] == "crates" else "(root)"
+            crates.setdefault(name, []).append(p)
+    total = 0
+    for name, ps in sorted(crates.items()):
+        n = sum(len(code[p]) for p in ps)
+        total += n
+        top = sorted(ps, key=lambda p: -len(code[p]))[:4]
+        detail = ", ".join(f"{p.stem} {len(code[p])}" for p in top)
+        print(f"{name:12} {n:6}   ({detail})")
+    print(f"{'total':12} {total:6}   all .rs lines outside benchmark/: "
+          f"{sum(t.count(chr(10)) for t in texts.values())}")
+
+    print("\n== ten largest files (lines, of which code outside tests) ==")
+    for p in sorted(files, key=lambda p: -texts[p].count("\n"))[:10]:
+        print(f"{texts[p].count(chr(10)):6} {len(code[p]):6}  {rel(p)}")
+
+    print("\n== ten longest functions outside tests ==")
+    fns = [(n, name, rel(p), at) for p in files if in_src(p) for n, name, at in functions(texts[p])]
+    for n, name, path, at in sorted(fns, reverse=True)[:10]:
+        print(f"{n:6}  {name}  {path}:{at}")
+
+    print("\n== configuration struct fields ==")
+    for cfg in CONFIGS:
+        for p in files:
+            m = re.search(r"pub struct %s \{(.*?)\n\}" % cfg, texts[p], re.S)
+            if m:
+                fields = re.findall(r"^\s+pub \w+:", m.group(1), re.M)
+                print(f"{cfg:16} {len(fields):3}  {rel(p)}")
+
+    for lit in args.count:
+        hits = [(rel(p), no) for p in files if in_src(p) for no, l in code[p] if lit in l]
+        print(f"\n== {lit!r} in code lines: {len(hits)} ==")
+        for path, no in hits:
+            print(f"  {path}:{no}")
+
+
+if __name__ == "__main__":
+    main()
