@@ -28,7 +28,6 @@ use fastrak_net::port::EgressPort;
 use fastrak_net::tunnel::{TunnelKey, TunnelMapping};
 use fastrak_sim::cpu::CpuPool;
 use fastrak_sim::kernel::{Api, Node, NodeId};
-use fastrak_sim::tbf::TokenBucket;
 use fastrak_sim::time::{SimDuration, SimTime};
 use fastrak_sim::FxHashMap;
 use fastrak_transport::stack::ConnId;
@@ -156,30 +155,40 @@ enum Work {
 }
 
 /// Which per-flow clock orders a stage's completions (see
-/// [`Server::rx_slots`]); `stage` indexes the flow's clamp pair.
+/// [`Server::rx_slots`]); the last member indexes the flow's clamp pair.
 #[derive(Clone, Copy)]
 enum Clock {
-    /// A transmitted flow: connection `conn` of VM `vm`.
-    Tx {
-        vm: usize,
-        conn: ConnId,
-        stage: usize,
-    },
-    /// A received flow, by its [`Server::rx_slot`].
-    Rx { slot: u32, stage: usize },
+    /// A transmitted flow: (VM, connection, stage).
+    Tx(usize, ConnId, usize),
+    /// A received flow: ([`Server::rx_slot`], stage).
+    Rx(u32, usize),
 }
 
 /// One pipeline stage of one packet, as [`Server::stage`] runs it.
 struct Stage {
     work: Work,
     cost: SimDuration,
+    clock: Clock,
     /// Earliest start (never before now).
     start: SimTime,
     /// Refuse the work when it could not start within this long.
     budget: Option<SimDuration>,
     /// Added to the completion time without occupying the CPU (wakeup).
     latency: SimDuration,
-    clock: Clock,
+}
+
+impl Stage {
+    /// A stage that starts now, queues without bound and adds no latency.
+    fn new(work: Work, cost: SimDuration, clock: Clock) -> Stage {
+        Stage {
+            work,
+            cost,
+            clock,
+            start: SimTime::ZERO,
+            budget: None,
+            latency: SimDuration::ZERO,
+        }
+    }
 }
 
 /// What happens to a packet when the stage it is parked in completes.
@@ -227,6 +236,14 @@ impl Rearm {
             (Some(deadline), Some(at)) if at <= deadline => Rearm::Keep,
             (Some(deadline), _) => Rearm::Arm(deadline),
         }
+    }
+}
+
+/// Record a TCP segment `(id, seq, payload)` in the trace ring, when enabled.
+fn trace_segment(api: &mut Api<'_, Event, NetCtx>, who: &str, kind: &'static str, pkt: &Packet) {
+    if let (true, L4Meta::Tcp { seq, .. }) = (api.ctx.trace.enabled(), pkt.l4) {
+        let vals = [pkt.id, seq, pkt.payload as u64];
+        api.ctx.trace.push(api.now, who, kind, vals);
     }
 }
 
@@ -443,22 +460,20 @@ impl Server {
         }
     }
 
-    /// Average host logical CPUs busy over the window.
-    pub fn host_cpus_used(&self, now: SimTime) -> f64 {
-        self.tunnel_pool.cpus_used(now)
-            + self.irq_pool.cpus_used(now)
-            + self.pin_pool.as_ref().map_or(0.0, |p| p.cpus_used(now))
-            + self.vms.iter().map(|v| v.vhost.cpus_used(now)).sum::<f64>()
-    }
-
     /// Average guest logical CPUs busy over the window (all VMs).
     pub fn guest_cpus_used(&self, now: SimTime) -> f64 {
         self.vms.iter().map(|v| v.vcpus.cpus_used(now)).sum()
     }
 
-    /// Total logical CPUs busy (host + guest) — the paper's test metric.
+    /// Total logical CPUs busy over the window — the paper's test metric:
+    /// the host's (tunnel queue, interrupts, the pinned pool, every vhost
+    /// thread) plus the guests'.
     pub fn cpus_used(&self, now: SimTime) -> f64 {
-        self.host_cpus_used(now) + self.guest_cpus_used(now)
+        self.tunnel_pool.cpus_used(now)
+            + self.irq_pool.cpus_used(now)
+            + self.pin_pool.as_ref().map_or(0.0, |p| p.cpus_used(now))
+            + self.vms.iter().map(|v| v.vhost.cpus_used(now)).sum::<f64>()
+            + self.guest_cpus_used(now)
     }
 
     // ------------------------------------------------------------ stages --
@@ -490,8 +505,8 @@ impl Server {
             },
         };
         let clock = match s.clock {
-            Clock::Tx { vm, conn, stage } => self.vms[vm].tx_clock_mut(conn, stage),
-            Clock::Rx { slot, stage } => &mut self.rx_clock[slot as usize][stage],
+            Clock::Tx(vm, conn, stage) => self.vms[vm].tx_clock_mut(conn, stage),
+            Clock::Rx(slot, stage) => &mut self.rx_clock[slot as usize][stage],
         };
         *clock = (done + s.latency).max(*clock);
         let done = *clock;
@@ -502,6 +517,17 @@ impl Server {
         };
         api.send_at(api.self_id, done, wake);
         true
+    }
+
+    /// Host CPU of one VIF-stage traversal by `pkt`, VM `vm`'s htb in that
+    /// direction included when one is configured.
+    fn vif_cost(&self, vm: usize, dir: Dir, pkt: &Packet, tunneled: bool) -> SimDuration {
+        let rate_limited = self.vswitch.vif_rate(vm, dir).is_some();
+        if tunneled {
+            self.cfg.cost.vswitch_tunneled(pkt, rate_limited)
+        } else {
+            self.cfg.cost.vswitch_fast(pkt, rate_limited)
+        }
     }
 
     /// The receive clamp slot of `flow`, allotted on first sight.
@@ -571,26 +597,11 @@ impl Server {
             );
             pkt.ecn = plan.ecn;
             pkt.sack = plan.sack;
-            let stage = Stage {
-                work: Work::Guest(vm_idx),
-                cost: self.cfg.cost.guest_tx(&pkt),
-                start: api.now,
-                budget: None,
-                latency: SimDuration::ZERO,
-                clock: Clock::Tx {
-                    vm: vm_idx,
-                    conn,
-                    stage: TX_GUEST,
-                },
-            };
-            let vm = vm_idx;
+            let (vm, cost) = (vm_idx, self.cfg.cost.guest_tx(&pkt));
+            let stage = Stage::new(Work::Guest(vm), cost, Clock::Tx(vm, conn, TX_GUEST));
             self.stage(api, stage, Pending::GuestTxDone { vm, conn, pkt });
         }
         self.rearm_tcp_timer(api, vm_idx);
-        self.notify_tx_room(api, vm_idx);
-    }
-
-    fn notify_tx_room(&mut self, api: &mut Api<'_, Event, NetCtx>, vm_idx: usize) {
         // Give stream workloads a chance to top up their send buffers.
         self.with_app(api, vm_idx, |app, g| app.on_tx_room(g));
     }
@@ -744,59 +755,43 @@ impl Server {
             PathTag::Vif | PathTag::Unplaced => {
                 let r = self.vswitch.process_tx(&pkt.flow, wire);
                 let tunneled = matches!(r.verdict, TxVerdict::UplinkTunneled(_));
-                let rate_limited = self.vswitch.egress_limited(vm_idx);
-                let mut cost = if tunneled {
-                    self.cfg.cost.vswitch_tunneled(&pkt, rate_limited)
-                } else {
-                    self.cfg.cost.vswitch_fast(&pkt, rate_limited)
-                };
+                let mut cost = self.vif_cost(vm_idx, Dir::Egress, &pkt, tunneled);
                 if r.slow_path {
                     cost += self.cfg.cost.vswitch_slow_path(self.vswitch.n_rules());
                 }
-                let vm = vm_idx;
-                let stage = Stage {
-                    work: Work::Vif { vm, tunneled },
-                    cost,
-                    start: api.now,
-                    budget: None,
-                    latency: SimDuration::ZERO,
-                    clock: Clock::Tx {
-                        vm,
-                        conn,
-                        stage: TX_VIF,
-                    },
-                };
-                let verdict = r.verdict;
+                let (vm, verdict) = (vm_idx, r.verdict);
+                let work = Work::Vif { vm, tunneled };
+                let stage = Stage::new(work, cost, Clock::Tx(vm, conn, TX_VIF));
                 self.stage(api, stage, Pending::VifTxDone { vm, pkt, verdict });
             }
-            // Dead VF (chaos): the placer still steers into the hardware
-            // path — the NIC just eats the packet. Falling back to the
-            // vswitch here would mask the failure; recovery is the
-            // control plane's job (HwPathReport → force demote).
-            PathTag::SrIov if api.chaos_vf_down_at(api.self_id) => {
-                self.hw_path_up = false;
-                self.stats.hw_path_drops += 1;
-            }
-            PathTag::SrIov => {
-                self.hw_path_up = true;
-                // Interrupt-isolation cost is asynchronous: account it on
-                // the irq pool without delaying the packet. The hardware
-                // rate limit of the path is the ToR's (§4.1.3).
-                let c = self.cfg.cost.sriov_host(&pkt);
-                self.pool(Work::Irq).submit(api.now, c);
-                match self.nic.tx_through_vf(vm_idx) {
-                    Some(vlan) => {
-                        pkt.encap(Encap::Vlan(vlan.0));
-                        self.nic_tx(api, PORT_HW, api.now, pkt);
-                    }
-                    // No VF: misconfiguration; falling back to the vswitch
-                    // path would hide the bug — drop and count instead.
-                    None => self.stats.policy_drops += 1,
-                }
-            }
+            PathTag::SrIov => self.vf_tx(api, vm_idx, pkt),
         }
         // Keep the pipeline full.
         self.pump_vm(api, vm_idx);
+    }
+
+    /// Transmit through the VM's VF: no host stage, only interrupt isolation.
+    fn vf_tx(&mut self, api: &mut Api<'_, Event, NetCtx>, vm_idx: usize, mut pkt: Packet) {
+        // Dead VF (chaos): the placer still steers into the hardware path —
+        // the NIC just eats the packet. Falling back to the vswitch here
+        // would mask the failure; recovery is the control plane's job
+        // (HwPathReport → force demote).
+        if self.hw_path_dark(api) {
+            return;
+        }
+        // Interrupt-isolation cost is asynchronous: account it on the irq
+        // pool without delaying the packet. The path's hardware rate limit
+        // is the ToR's (§4.1.3).
+        let c = self.cfg.cost.sriov_host(&pkt);
+        self.pool(Work::Irq).submit(api.now, c);
+        let Some(vlan) = self.nic.tx_through_vf(vm_idx) else {
+            // No VF: misconfiguration; falling back to the vswitch path
+            // would hide the bug — drop and count instead.
+            self.stats.policy_drops += 1;
+            return;
+        };
+        pkt.encap(Encap::Vlan(vlan.0));
+        self.nic_tx(api, PORT_HW, api.now, pkt);
     }
 
     /// VIF-tx stage done: act on the vswitch's verdict.
@@ -815,27 +810,32 @@ impl Server {
                 self.stats.no_route_drops += 1;
             }
             TxVerdict::Local(dst_vm) => {
-                let wire = pkt.wire_bytes_total();
-                let at = self.vswitch.shape_ingress(dst_vm, api.now, wire);
                 let slot = self.rx_slot(&pkt.flow);
-                self.deliver_to_guest(api, dst_vm, slot, pkt, at, true);
+                self.deliver_to_guest(api, dst_vm, slot, pkt, true);
             }
-            TxVerdict::UplinkPlain => {
+            TxVerdict::UplinkPlain | TxVerdict::UplinkTunneled(_) => {
+                if let TxVerdict::UplinkTunneled(m) = verdict {
+                    pkt.encap(Encap::Vxlan {
+                        vni: pkt.flow.tenant.vni(),
+                        src: self.cfg.provider_ip,
+                        dst: m.server_ip,
+                    });
+                }
                 let wire = pkt.wire_bytes_total();
-                let at = self.vswitch.shape_egress(vm_idx, api.now, wire);
-                self.nic_tx(api, PORT_SW, at, pkt);
-            }
-            TxVerdict::UplinkTunneled(m) => {
-                pkt.encap(Encap::Vxlan {
-                    vni: pkt.flow.tenant.vni(),
-                    src: self.cfg.provider_ip,
-                    dst: m.server_ip,
-                });
-                let wire = pkt.wire_bytes_total();
-                let at = self.vswitch.shape_egress(vm_idx, api.now, wire);
+                let at = self.vswitch.shape(vm_idx, Dir::Egress, api.now, wire);
                 self.nic_tx(api, PORT_SW, at, pkt);
             }
         }
+    }
+
+    /// Observe the SR-IOV path's liveness for a packet about to cross it;
+    /// when it is dark (a chaos VF failure) the packet is one `hw_path_drops`.
+    fn hw_path_dark(&mut self, api: &Api<'_, Event, NetCtx>) -> bool {
+        self.hw_path_up = !api.chaos_vf_down_at(api.self_id);
+        if !self.hw_path_up {
+            self.stats.hw_path_drops += 1;
+        }
+        !self.hw_path_up
     }
 
     /// Queue a packet on a NIC tx ring from `at` (a shaper's release time).
@@ -868,16 +868,8 @@ impl Server {
         } else {
             self.stats.tx_hw_frames += 1;
         }
-        if api.ctx.trace.enabled() {
-            if let L4Meta::Tcp { seq, .. } = pkt.l4 {
-                api.ctx.trace.push(
-                    api.now,
-                    &self.cfg.name,
-                    if port == PORT_SW { "tx-sw" } else { "tx-hw" },
-                    [pkt.id, seq, pkt.payload as u64],
-                );
-            }
-        }
+        let kind = if port == PORT_SW { "tx-sw" } else { "tx-hw" };
+        trace_segment(api, &self.cfg.name, kind, &pkt);
         let arrive = end + self.cfg.cost.wire_latency;
         api.send_at(
             tor,
@@ -895,17 +887,13 @@ impl Server {
         self.stats.rx_frames += 1;
         match port {
             PORT_HW => {
-                if api.chaos_vf_down_at(api.self_id) {
-                    self.hw_path_up = false;
-                    self.stats.hw_path_drops += 1;
+                if self.hw_path_dark(api) {
                     return;
                 }
-                self.hw_path_up = true;
-                let Some(vlan) = pkt.outer_vlan() else {
-                    self.stats.rx_drops += 1;
-                    return;
-                };
-                let Some((_vf, vm_idx)) = self.nic.demux_vlan(vlan, pkt.flow.dst_ip) else {
+                // Untagged, or a tag and address no VF carries: drop.
+                let vlan = pkt.outer_vlan();
+                let vf = vlan.and_then(|vlan| self.nic.demux_vlan(vlan, pkt.flow.dst_ip));
+                let Some(vm_idx) = vf else {
                     self.stats.rx_drops += 1;
                     return;
                 };
@@ -913,7 +901,7 @@ impl Server {
                 let c = self.cfg.cost.sriov_host(&pkt);
                 self.pool(Work::Irq).submit(api.now, c);
                 let slot = self.rx_slot(&pkt.flow);
-                self.deliver_to_guest(api, vm_idx, slot, pkt, api.now, false);
+                self.deliver_to_guest(api, vm_idx, slot, pkt, false);
             }
             PORT_SW => {
                 // Outer VXLAN?
@@ -940,23 +928,11 @@ impl Server {
                         return;
                     }
                 };
-                let rate_limited = self.vswitch.ingress_limited(vm);
-                let cost = if tunneled {
-                    self.cfg.cost.vswitch_tunneled(&pkt, rate_limited)
-                } else {
-                    self.cfg.cost.vswitch_fast(&pkt, rate_limited)
-                };
+                let cost = self.vif_cost(vm, Dir::Ingress, &pkt, tunneled);
                 let slot = self.rx_slot(&pkt.flow);
                 let stage = Stage {
-                    work: Work::Vif { vm, tunneled },
-                    cost,
-                    start: api.now,
                     budget: Some(self.cfg.max_rx_backlog),
-                    latency: SimDuration::ZERO,
-                    clock: Clock::Rx {
-                        slot,
-                        stage: RX_VIF,
-                    },
+                    ..Stage::new(Work::Vif { vm, tunneled }, cost, Clock::Rx(slot, RX_VIF))
                 };
                 if !self.stage(api, stage, Pending::VifRxDone { vm, slot, pkt }) {
                     self.stats.rx_drops += 1;
@@ -966,60 +942,35 @@ impl Server {
         }
     }
 
-    /// VIF-rx stage done: the ingress htb releases the packet to the guest.
-    fn on_vif_rx_done(
-        &mut self,
-        api: &mut Api<'_, Event, NetCtx>,
-        vm_idx: usize,
-        slot: u32,
-        pkt: Packet,
-    ) {
-        let wire = pkt.wire_bytes_total();
-        let at = self.vswitch.shape_ingress(vm_idx, api.now, wire);
-        self.deliver_to_guest(api, vm_idx, slot, pkt, at, true);
-    }
-
-    /// Enter the guest-rx stage from `at`: guest rx CPU, then the wakeup.
+    /// Enter the guest-rx stage: what came through the VIF passes its ingress
+    /// htb first; then guest rx CPU, then the wakeup.
     fn deliver_to_guest(
         &mut self,
         api: &mut Api<'_, Event, NetCtx>,
         vm: usize,
         slot: u32,
         pkt: Packet,
-        at: SimTime,
         via_vif: bool,
     ) {
-        let latency = if via_vif {
-            self.cfg.cost.vif_notify(api.rng)
+        let (start, latency) = if via_vif {
+            let wire = pkt.wire_bytes_total();
+            let released = self.vswitch.shape(vm, Dir::Ingress, api.now, wire);
+            (released, self.cfg.cost.vif_notify(api.rng))
         } else {
-            self.cfg.cost.sriov_notify(api.rng)
+            (api.now, self.cfg.cost.sriov_notify(api.rng))
         };
+        let cost = self.cfg.cost.guest_rx(&pkt);
         let stage = Stage {
-            work: Work::Guest(vm),
-            cost: self.cfg.cost.guest_rx(&pkt),
-            start: at,
-            budget: None,
+            start,
             latency,
-            clock: Clock::Rx {
-                slot,
-                stage: RX_GUEST,
-            },
+            ..Stage::new(Work::Guest(vm), cost, Clock::Rx(slot, RX_GUEST))
         };
         self.stage(api, stage, Pending::GuestRxDone { vm, pkt });
     }
 
     /// Guest-rx stage done: the stack takes the segment, the app its events.
     fn on_guest_rx_done(&mut self, api: &mut Api<'_, Event, NetCtx>, vm_idx: usize, pkt: Packet) {
-        if api.ctx.trace.enabled() {
-            if let L4Meta::Tcp { seq, .. } = pkt.l4 {
-                api.ctx.trace.push(
-                    api.now,
-                    &self.vm_labels[vm_idx],
-                    "rx",
-                    [pkt.id, seq, pkt.payload as u64],
-                );
-            }
-        }
+        trace_segment(api, &self.vm_labels[vm_idx], "rx", &pkt);
         self.vms[vm_idx].stack.on_packet(api.now, &pkt);
         self.drain_stack_events(api, vm_idx);
         self.pump_vm(api, vm_idx);
@@ -1069,11 +1020,7 @@ impl Server {
                 bps,
             } => {
                 if let Some(idx) = self.vm_by_ip(tenant, vm_ip) {
-                    let tb = Some(TokenBucket::for_rate(bps));
-                    match dir {
-                        Dir::Egress => self.vswitch.vif_rates_mut(idx).egress = tb,
-                        Dir::Ingress => self.vswitch.vif_rates_mut(idx).ingress = tb,
-                    }
+                    self.vswitch.set_vif_rate(idx, dir, bps);
                 }
             }
             CtrlRequest::SetHwRate { .. }
@@ -1113,7 +1060,7 @@ impl Node<Event, NetCtx> for Server {
                             self.on_vif_tx_done(api, vm, pkt, verdict)
                         }
                         Pending::VifRxDone { vm, slot, pkt } => {
-                            self.on_vif_rx_done(api, vm, slot, pkt)
+                            self.deliver_to_guest(api, vm, slot, pkt, true)
                         }
                         Pending::GuestRxDone { vm, pkt } => self.on_guest_rx_done(api, vm, pkt),
                     }
@@ -1483,12 +1430,8 @@ mod tests {
         let sid = k.add_node(srv);
         // (egress, ingress) VIF limit of each VM.
         let rates = |k: &mut Kernel<Event, NetCtx>| {
-            let srv = k.node_mut::<Server>(sid);
-            [0, 1].map(|vm| {
-                let sw = srv.vswitch.vif_rates_mut(vm);
-                let bps = |tb: &Option<TokenBucket>| tb.as_ref().map(TokenBucket::rate_bps);
-                (bps(&sw.egress), bps(&sw.ingress))
-            })
+            let vs = k.node::<Server>(sid).vswitch();
+            [0, 1].map(|vm| (vs.vif_rate(vm, Dir::Egress), vs.vif_rate(vm, Dir::Ingress)))
         };
         let mut at = 0;
         let mut request = |k: &mut Kernel<Event, NetCtx>, tenant, dir, bps| {

@@ -102,17 +102,15 @@ impl SriovNic {
         Ok(self.vfs.len() - 1)
     }
 
-    /// Demultiplex an ingress frame by (VLAN tag, destination VM IP) to
-    /// (vf index, vm index); the NIC strips the tag (§4.2.2). The IP stands
-    /// in for the VF MAC: the paper's VLAN identifies the tenant, the MAC
-    /// the VM.
-    pub fn demux_vlan(&mut self, vlan: u16, dst_ip: Ip) -> Option<(usize, usize)> {
-        let i = self
-            .vfs
-            .iter()
-            .position(|vf| vf.vlan.0 == vlan && vf.vm_ip == dst_ip)?;
-        self.vfs[i].rx_packets += 1;
-        Some((i, self.vfs[i].vm_idx))
+    /// Demultiplex an ingress frame by (VLAN tag, destination VM IP) to the
+    /// VM index, counting it on the VF; the NIC strips the tag (§4.2.2). The
+    /// IP stands in for the VF MAC: the paper's VLAN identifies the tenant,
+    /// the MAC the VM.
+    pub fn demux_vlan(&mut self, vlan: u16, dst_ip: Ip) -> Option<usize> {
+        let mut vfs = self.vfs.iter_mut();
+        let vf = vfs.find(|vf| vf.vlan.0 == vlan && vf.vm_ip == dst_ip)?;
+        vf.rx_packets += 1;
+        Some(vf.vm_idx)
     }
 
     /// Account a transmit through a VM's VF. Returns the VLAN tag the VF
@@ -126,16 +124,6 @@ impl SriovNic {
     /// VF table accessor.
     pub fn vfs(&self) -> &[Vf] {
         &self.vfs
-    }
-
-    /// Number of allocated VFs.
-    pub fn len(&self) -> usize {
-        self.vfs.len()
-    }
-
-    /// True when no VFs are allocated.
-    pub fn is_empty(&self) -> bool {
-        self.vfs.is_empty()
     }
 }
 
@@ -177,7 +165,7 @@ mod tests {
         let mut nic = SriovNic::new(4);
         nic.alloc_vf(3, TenantId(1), Ip::tenant_vm(7), VlanId::new(100))
             .unwrap();
-        assert_eq!(nic.demux_vlan(100, Ip::tenant_vm(7)), Some((0, 3)));
+        assert_eq!(nic.demux_vlan(100, Ip::tenant_vm(7)), Some(3));
         assert_eq!(nic.demux_vlan(999, Ip::tenant_vm(7)), None);
         assert_eq!(nic.demux_vlan(100, Ip::tenant_vm(8)), None);
         assert_eq!(nic.vfs()[0].rx_packets, 1);

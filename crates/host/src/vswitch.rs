@@ -17,7 +17,7 @@
 //! the per-flow statistics the local controller's Measurement Engine dumps.
 
 use fastrak_net::addr::{Ip, TenantId};
-use fastrak_net::ctrl::FlowStatEntry;
+use fastrak_net::ctrl::{Dir, FlowStatEntry};
 use fastrak_net::flow::FlowKey;
 use fastrak_net::rules::{Action, RuleSet};
 use fastrak_net::tables::ExactMatchTable;
@@ -49,21 +49,6 @@ pub struct TxResult {
     pub slow_path: bool,
 }
 
-/// Cached kernel action for one exact flow.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-struct DpAction {
-    verdict: TxVerdict,
-}
-
-/// Per-VIF software rate limiters (tc htb semantics).
-#[derive(Debug, Clone, Default)]
-pub struct VifRates {
-    /// Egress shaper (None = unlimited).
-    pub egress: Option<TokenBucket>,
-    /// Ingress policer/shaper.
-    pub ingress: Option<TokenBucket>,
-}
-
 /// Configuration block mirroring the paper's OVS configurations (§2.2).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct VswitchConfig {
@@ -75,16 +60,17 @@ pub struct VswitchConfig {
 #[derive(Debug)]
 pub struct Vswitch {
     cfg: VswitchConfig,
-    /// Kernel datapath cache.
-    datapath: ExactMatchTable<DpAction>,
+    /// Kernel datapath cache: the verdict of each exact flow.
+    datapath: ExactMatchTable<TxVerdict>,
     /// Userspace security rules (per tenant; scanned only on miss).
     rules: RuleSet,
     /// Tunnel mappings (userspace; resolved on miss, baked into the cache).
     tunnels: TunnelTable,
     /// Local VM directory: (tenant, vm tenant-IP) -> local VM index.
     local_vms: Vec<(TenantId, Ip)>,
-    /// Per-local-VM rate limiters, indexed like `local_vms`.
-    vif_rates: Vec<VifRates>,
+    /// Per-local-VM software rate limiters (tc htb semantics), indexed like
+    /// `local_vms`, then by [`Dir`]; `None` = unlimited.
+    vif_rates: Vec<[Option<TokenBucket>; 2]>,
     slow_path_hits: u64,
     fast_path_hits: u64,
 }
@@ -104,15 +90,10 @@ impl Vswitch {
         }
     }
 
-    /// Configuration in force.
-    pub fn config(&self) -> VswitchConfig {
-        self.cfg
-    }
-
     /// Register a local VM's VIF; index must match the server's VM index.
     pub fn attach_vif(&mut self, tenant: TenantId, vm_ip: Ip) -> usize {
         self.local_vms.push((tenant, vm_ip));
-        self.vif_rates.push(VifRates::default());
+        self.vif_rates.push([None, None]);
         self.local_vms.len() - 1
     }
 
@@ -126,9 +107,25 @@ impl Vswitch {
         &mut self.tunnels
     }
 
-    /// Per-VIF rate limiters for VM `idx`.
-    pub fn vif_rates_mut(&mut self, idx: usize) -> &mut VifRates {
-        &mut self.vif_rates[idx]
+    /// Limit VM `vm`'s VIF to `bps` in one direction.
+    pub fn set_vif_rate(&mut self, vm: usize, dir: Dir, bps: u64) {
+        self.vif_rates[vm][dir as usize] = Some(TokenBucket::for_rate(bps));
+    }
+
+    /// The limit configured on VM `vm`'s VIF in one direction, bits/sec.
+    pub fn vif_rate(&self, vm: usize, dir: Dir) -> Option<u64> {
+        self.vif_rates[vm][dir as usize]
+            .as_ref()
+            .map(TokenBucket::rate_bps)
+    }
+
+    /// Shape a packet of VM `vm` in one direction: returns its conforming
+    /// departure time.
+    pub fn shape(&mut self, vm: usize, dir: Dir, now: SimTime, bytes: u64) -> SimTime {
+        match &mut self.vif_rates[vm][dir as usize] {
+            Some(tb) => tb.acquire(now, bytes),
+            None => now,
+        }
     }
 
     /// Number of userspace security rules installed.
@@ -162,17 +159,17 @@ impl Vswitch {
     ///
     /// `bytes` is the wire byte count to account against the matched flow.
     pub fn process_tx(&mut self, key: &FlowKey, bytes: u64) -> TxResult {
-        if let Some(act) = self.datapath.lookup(key, bytes) {
+        if let Some(&verdict) = self.datapath.lookup(key, bytes) {
             self.fast_path_hits += 1;
             return TxResult {
-                verdict: act.verdict,
+                verdict,
                 slow_path: false,
             };
         }
         // Userspace slow path: policy + routing decision, then cache it.
         self.slow_path_hits += 1;
         let verdict = self.decide(key);
-        self.datapath.insert(*key, DpAction { verdict });
+        self.datapath.insert(*key, verdict);
         // Account the packet against the fresh entry.
         let _ = self.datapath.lookup(key, bytes);
         TxResult {
@@ -237,32 +234,6 @@ impl Vswitch {
                 bytes: stats.bytes,
             })
             .collect()
-    }
-
-    /// Egress-shape a packet: returns its conforming departure time.
-    pub fn shape_egress(&mut self, vm_idx: usize, now: SimTime, bytes: u64) -> SimTime {
-        match &mut self.vif_rates[vm_idx].egress {
-            Some(tb) => tb.acquire(now, bytes),
-            None => now,
-        }
-    }
-
-    /// Ingress-shape a packet for a local VM.
-    pub fn shape_ingress(&mut self, vm_idx: usize, now: SimTime, bytes: u64) -> SimTime {
-        match &mut self.vif_rates[vm_idx].ingress {
-            Some(tb) => tb.acquire(now, bytes),
-            None => now,
-        }
-    }
-
-    /// Is egress rate limiting configured for this VM?
-    pub fn egress_limited(&self, vm_idx: usize) -> bool {
-        self.vif_rates[vm_idx].egress.is_some()
-    }
-
-    /// Is ingress rate limiting configured for this VM?
-    pub fn ingress_limited(&self, vm_idx: usize) -> bool {
-        self.vif_rates[vm_idx].ingress.is_some()
     }
 }
 
@@ -406,13 +377,16 @@ mod tests {
     fn egress_shaping_delays_when_configured() {
         let mut vs = Vswitch::new(VswitchConfig::default());
         let idx = vs.attach_vif(TenantId(1), vm(1));
-        assert!(!vs.egress_limited(idx));
-        // 8 kbit/s, tiny burst: a 1 KB packet takes a second.
-        vs.vif_rates_mut(idx).egress = Some(TokenBucket::new(8_000, 1_000));
-        assert!(vs.egress_limited(idx));
+        assert_eq!(vs.vif_rate(idx, Dir::Egress), None);
+        // 8 kbit/s: once the 64 kB burst is spent, 1 KB takes a second.
+        vs.set_vif_rate(idx, Dir::Egress, 8_000);
+        assert_eq!(vs.vif_rate(idx, Dir::Egress), Some(8_000));
+        assert_eq!(vs.vif_rate(idx, Dir::Ingress), None);
         let t0 = SimTime::ZERO;
-        assert_eq!(vs.shape_egress(idx, t0, 1_000), t0); // burst passes
-        let t1 = vs.shape_egress(idx, t0, 1_000);
+        assert_eq!(vs.shape(idx, Dir::Egress, t0, 64_000), t0); // burst passes
+        let t1 = vs.shape(idx, Dir::Egress, t0, 1_000);
         assert!(t1 >= t0 + fastrak_sim::time::SimDuration::from_millis(900));
+        // The other direction is not limited.
+        assert_eq!(vs.shape(idx, Dir::Ingress, t0, 64_000), t0);
     }
 }

@@ -21,7 +21,6 @@ use fastrak_net::packet::PathTag;
 use fastrak_net::rules::Action;
 use fastrak_net::tunnel::TunnelMapping;
 use fastrak_sim::kernel::{Kernel, NodeId};
-use fastrak_sim::tbf::TokenBucket;
 use fastrak_sim::time::SimTime;
 use fastrak_switch::tor::{HwDest, Tor, TorConfig};
 
@@ -230,11 +229,7 @@ impl Testbed {
     /// Configure a software (VIF) rate limit on a VM.
     pub fn set_vif_rate(&mut self, v: VmRef, dir: Dir, bps: u64) {
         let srv = self.kernel.node_mut::<Server>(self.servers[v.server]);
-        let tb = Some(TokenBucket::for_rate(bps));
-        match dir {
-            Dir::Egress => srv.vswitch_mut().vif_rates_mut(v.vm).egress = tb,
-            Dir::Ingress => srv.vswitch_mut().vif_rates_mut(v.vm).ingress = tb,
-        }
+        srv.vswitch_mut().set_vif_rate(v.vm, dir, bps);
     }
 
     /// Configure a hardware rate limit (at the ToR) for a VM.
