@@ -781,7 +781,7 @@ impl Server {
         }
         // Interrupt-isolation cost is asynchronous: account it on the irq
         // pool without delaying the packet. The path's hardware rate limit
-        // is the ToR's (§4.1.3).
+        // is the ToR's (§4.1.4).
         let c = self.cfg.cost.sriov_host(&pkt);
         self.pool(Work::Irq).submit(api.now, c);
         let Some(vlan) = self.nic.tx_through_vf(vm_idx) else {
