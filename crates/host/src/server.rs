@@ -62,8 +62,7 @@ pub const PORT_SW: usize = 0;
 /// Index of the SR-IOV-side NIC port.
 pub const PORT_HW: usize = 1;
 
-// What every world builds a server with. Each was a `ServerConfig` field
-// that nothing but `ServerConfig::testbed` ever set.
+// Properties of the testbed server that no world varies (DESIGN.md §5.6).
 /// Line rate of each NIC port, bits/sec: the testbed's dual-port 10 GbE.
 const NIC_RATE_BPS: u64 = 10_000_000_000;
 /// A packet that would wait longer than this in a NIC tx ring is dropped —

@@ -24,6 +24,7 @@ impl EgressPort {
     /// an admitted ECT frame that would wait longer than `mark_threshold`
     /// has `ecn` set to CE. The drop test runs first, so a marked frame is
     /// never also a drop. Returns when the frame's last bit leaves.
+    #[inline]
     pub fn admit(
         &mut self,
         at: SimTime,
