@@ -493,6 +493,7 @@ impl Server {
     /// flow's clock, park `next` in the stage table and wake it then.
     /// False — and `next` is gone — when the stage's backlog budget refused
     /// the work.
+    #[inline]
     fn stage(&mut self, api: &mut Api<'_, Event, NetCtx>, s: Stage, next: Pending) -> bool {
         let start = s.start.max(api.now);
         let pool = self.pool(s.work);
