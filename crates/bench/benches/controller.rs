@@ -9,7 +9,7 @@ use std::collections::{HashMap, HashSet};
 
 use fastrak::de::{DeConfig, DecisionEngine};
 use fastrak::de_inc::IncrementalDecisionEngine;
-use fastrak::fps::{fps_split, FpsConfig, FpsInput};
+use fastrak::fps::{fps_split, FpsInput};
 use fastrak::me::{AggDemand, MeasurementEngine};
 use fastrak::rules::RuleManager;
 use fastrak::FastPathPolicy;
@@ -178,21 +178,15 @@ fn main() {
         });
     }
 
-    {
-        let cfg = FpsConfig::default();
-        s.bench("fps_split", || {
-            black_box(fps_split(
-                &cfg,
-                FpsInput {
-                    limit_bps: 1_000_000_000,
-                    sw_demand_bps: 123e6,
-                    hw_demand_bps: 789e6,
-                    sw_maxed: false,
-                    hw_maxed: true,
-                },
-            ));
-        });
-    }
+    s.bench("fps_split", || {
+        black_box(fps_split(FpsInput {
+            limit_bps: 1_000_000_000,
+            sw_demand_bps: 123e6,
+            hw_demand_bps: 789e6,
+            sw_maxed: false,
+            hw_maxed: true,
+        }));
+    });
 
     s.finish();
 }

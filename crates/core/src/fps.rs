@@ -41,46 +41,32 @@ pub struct FpsSplit {
     pub hw_bps: u64,
 }
 
-/// FPS configuration.
-#[derive(Debug, Clone, Copy)]
-pub struct FpsConfig {
-    /// Overflow allowance as a fraction of `L` (the paper's `O`).
-    pub overflow_frac: f64,
-    /// Minimum share fraction per side (keeps a cold path usable so demand
-    /// can be *observed* there at all).
-    pub min_share: f64,
-    /// Escalation multiplier applied to the demand of a maxed-out side.
-    pub maxed_boost: f64,
-}
-
-impl Default for FpsConfig {
-    fn default() -> Self {
-        FpsConfig {
-            overflow_frac: 0.05,
-            min_share: 0.05,
-            maxed_boost: 1.5,
-        }
-    }
-}
+/// Overflow allowance as a fraction of `L` (the paper's `O`).
+pub const OVERFLOW_FRAC: f64 = 0.05;
+/// Minimum share fraction per side (keeps a cold path usable so demand can
+/// be *observed* there at all).
+pub const MIN_SHARE: f64 = 0.05;
+/// Escalation multiplier applied to the demand of a maxed-out side.
+pub const MAXED_BOOST: f64 = 1.5;
 
 /// Compute the split.
-pub fn fps_split(cfg: &FpsConfig, input: FpsInput) -> FpsSplit {
+pub fn fps_split(input: FpsInput) -> FpsSplit {
     let l = input.limit_bps as f64;
     let mut ds = input.sw_demand_bps.max(0.0);
     let mut dh = input.hw_demand_bps.max(0.0);
     if input.sw_maxed {
-        ds *= cfg.maxed_boost;
+        ds *= MAXED_BOOST;
     }
     if input.hw_maxed {
-        dh *= cfg.maxed_boost;
+        dh *= MAXED_BOOST;
     }
     let total = ds + dh;
     let share_s = if total <= 0.0 {
         0.5
     } else {
-        (ds / total).clamp(cfg.min_share, 1.0 - cfg.min_share)
+        (ds / total).clamp(MIN_SHARE, 1.0 - MIN_SHARE)
     };
-    let overflow = l * cfg.overflow_frac;
+    let overflow = l * OVERFLOW_FRAC;
     let ls = l * share_s;
     // The hardware side takes the remainder of the *rounded total* budget
     // rather than rounding `lh + O` independently: when both halves landed
@@ -104,22 +90,15 @@ pub fn is_maxed(measured_bps: f64, limit_bps: u64, frac: f64) -> bool {
 mod tests {
     use super::*;
 
-    fn cfg() -> FpsConfig {
-        FpsConfig::default()
-    }
-
     #[test]
     fn split_proportional_to_demand() {
-        let s = fps_split(
-            &cfg(),
-            FpsInput {
-                limit_bps: 1_000_000_000,
-                sw_demand_bps: 100e6,
-                hw_demand_bps: 900e6,
-                sw_maxed: false,
-                hw_maxed: false,
-            },
-        );
+        let s = fps_split(FpsInput {
+            limit_bps: 1_000_000_000,
+            sw_demand_bps: 100e6,
+            hw_demand_bps: 900e6,
+            sw_maxed: false,
+            hw_maxed: false,
+        });
         // hw gets ~90% + overflow.
         assert!(s.hw_bps > 900_000_000, "{s:?}");
         assert!(s.sw_bps < 200_000_000, "{s:?}");
@@ -129,27 +108,24 @@ mod tests {
     fn aggregate_bounded_by_l_plus_2o() {
         let l = 1_000_000_000u64;
         for (ds, dh) in [(0.0, 0.0), (1e9, 0.0), (5e8, 5e8), (0.0, 1e9)] {
-            let s = fps_split(
-                &cfg(),
-                FpsInput {
-                    limit_bps: l,
-                    sw_demand_bps: ds,
-                    hw_demand_bps: dh,
-                    sw_maxed: false,
-                    hw_maxed: false,
-                },
-            );
+            let s = fps_split(FpsInput {
+                limit_bps: l,
+                sw_demand_bps: ds,
+                hw_demand_bps: dh,
+                sw_maxed: false,
+                hw_maxed: false,
+            });
             // Exact bound — no rounding slack (the old `+2` fudge hid a
             // double-round-up that could exceed the budget by one).
-            let bound = (l as f64 * (1.0 + 2.0 * cfg().overflow_frac)) as u64;
+            let bound = (l as f64 * (1.0 + 2.0 * OVERFLOW_FRAC)) as u64;
             assert!(s.sw_bps + s.hw_bps <= bound, "{s:?} exceeds {bound}");
         }
     }
 
     /// Property test (ISSUE 8 satellite): across seeded random limits,
-    /// demands, maxed-out escalations, and config corners, the two limits
-    /// never sum past the budget `L + 2O`, and neither side starves below
-    /// its min-share floor (minus rounding).
+    /// demands and maxed-out escalations, the two limits never sum past the
+    /// budget `L + 2O`, and neither side starves below its min-share floor
+    /// (minus rounding).
     #[test]
     fn split_invariants_hold_for_seeded_random_inputs() {
         // Deterministic xorshift64* (same shape as the de_differential rig).
@@ -161,11 +137,6 @@ mod tests {
             state.wrapping_mul(0x2545_F491_4F6C_DD1D)
         };
         for case in 0..20_000u32 {
-            let c = FpsConfig {
-                overflow_frac: (next() % 21) as f64 * 0.01,
-                min_share: (next() % 41) as f64 * 0.01,
-                maxed_boost: 1.0 + (next() % 30) as f64 * 0.1,
-            };
             // Odd limits matter: the double-round-up needs fractional halves.
             let limit_bps = 1 + next() % 10_000_000_000;
             let input = FpsInput {
@@ -175,77 +146,65 @@ mod tests {
                 sw_maxed: next() % 2 == 0,
                 hw_maxed: next() % 2 == 0,
             };
-            let s = fps_split(&c, input);
-            // The budget as the spec defines it: O = L·overflow_frac,
+            let s = fps_split(input);
+            // The budget as the spec defines it: O = L·OVERFLOW_FRAC,
             // bound = L + 2O (computed with the same f64 associativity).
-            let o = limit_bps as f64 * c.overflow_frac;
+            let o = limit_bps as f64 * OVERFLOW_FRAC;
             let budget = (limit_bps as f64 + 2.0 * o).floor() as u64;
             assert!(
                 s.sw_bps + s.hw_bps <= budget,
-                "case {case}: {s:?} exceeds L+2O={budget} for {input:?} under {c:?}"
+                "case {case}: {s:?} exceeds L+2O={budget} for {input:?}"
             );
             // Each side keeps at least its min-share floor of L (rounding
             // can shave at most one unit).
-            let floor = (limit_bps as f64 * c.min_share.min(0.5)).floor() as u64;
+            let floor = (limit_bps as f64 * MIN_SHARE).floor() as u64;
             assert!(
                 s.sw_bps + 1 >= floor && s.hw_bps + 1 >= floor,
-                "case {case}: {s:?} starves a side below min_share {c:?}"
+                "case {case}: {s:?} starves a side below MIN_SHARE"
             );
         }
     }
 
     #[test]
     fn no_demand_splits_evenly() {
-        let s = fps_split(
-            &cfg(),
-            FpsInput {
-                limit_bps: 1_000_000_000,
-                sw_demand_bps: 0.0,
-                hw_demand_bps: 0.0,
-                sw_maxed: false,
-                hw_maxed: false,
-            },
-        );
+        let s = fps_split(FpsInput {
+            limit_bps: 1_000_000_000,
+            sw_demand_bps: 0.0,
+            hw_demand_bps: 0.0,
+            sw_maxed: false,
+            hw_maxed: false,
+        });
         assert!((s.sw_bps as i64 - s.hw_bps as i64).abs() < 2);
     }
 
     #[test]
     fn min_share_keeps_cold_path_alive() {
-        let s = fps_split(
-            &cfg(),
-            FpsInput {
-                limit_bps: 1_000_000_000,
-                sw_demand_bps: 0.0,
-                hw_demand_bps: 1e9,
-                sw_maxed: false,
-                hw_maxed: false,
-            },
-        );
+        let s = fps_split(FpsInput {
+            limit_bps: 1_000_000_000,
+            sw_demand_bps: 0.0,
+            hw_demand_bps: 1e9,
+            sw_maxed: false,
+            hw_maxed: false,
+        });
         assert!(s.sw_bps >= 50_000_000, "cold path keeps min share: {s:?}");
     }
 
     #[test]
     fn maxed_side_gains_share() {
-        let base = fps_split(
-            &cfg(),
-            FpsInput {
-                limit_bps: 1_000_000_000,
-                sw_demand_bps: 500e6,
-                hw_demand_bps: 500e6,
-                sw_maxed: false,
-                hw_maxed: false,
-            },
-        );
-        let boosted = fps_split(
-            &cfg(),
-            FpsInput {
-                limit_bps: 1_000_000_000,
-                sw_demand_bps: 500e6,
-                hw_demand_bps: 500e6,
-                sw_maxed: false,
-                hw_maxed: true,
-            },
-        );
+        let base = fps_split(FpsInput {
+            limit_bps: 1_000_000_000,
+            sw_demand_bps: 500e6,
+            hw_demand_bps: 500e6,
+            sw_maxed: false,
+            hw_maxed: false,
+        });
+        let boosted = fps_split(FpsInput {
+            limit_bps: 1_000_000_000,
+            sw_demand_bps: 500e6,
+            hw_demand_bps: 500e6,
+            sw_maxed: false,
+            hw_maxed: true,
+        });
         assert!(boosted.hw_bps > base.hw_bps);
     }
 

@@ -7,7 +7,7 @@
 use std::collections::HashSet;
 
 use fastrak::de::{DeConfig, DecisionEngine};
-use fastrak::fps::{fps_split, FpsConfig, FpsInput};
+use fastrak::fps::{fps_split, FpsInput, MIN_SHARE, OVERFLOW_FRAC};
 use fastrak::me::AggDemand;
 use fastrak::rules::{specs_intersect, RuleManager};
 use fastrak_net::addr::{Ip, TenantId};
@@ -121,20 +121,16 @@ fn fps_envelope() {
         let hw = r.f64() * 20e9;
         let sw_maxed = r.chance(0.5);
         let hw_maxed = r.chance(0.5);
-        let cfg = FpsConfig::default();
-        let s = fps_split(
-            &cfg,
-            FpsInput {
-                limit_bps: limit,
-                sw_demand_bps: sw,
-                hw_demand_bps: hw,
-                sw_maxed,
-                hw_maxed,
-            },
-        );
-        let bound = limit as f64 * (1.0 + 2.0 * cfg.overflow_frac) + 2.0;
+        let s = fps_split(FpsInput {
+            limit_bps: limit,
+            sw_demand_bps: sw,
+            hw_demand_bps: hw,
+            sw_maxed,
+            hw_maxed,
+        });
+        let bound = limit as f64 * (1.0 + 2.0 * OVERFLOW_FRAC) + 2.0;
         assert!((s.sw_bps + s.hw_bps) as f64 <= bound);
-        let min_each = limit as f64 * cfg.min_share; // before overflow
+        let min_each = limit as f64 * MIN_SHARE; // before overflow
         assert!(s.sw_bps as f64 >= min_each, "sw starved: {s:?}");
         assert!(s.hw_bps as f64 >= min_each, "hw starved: {s:?}");
     }

@@ -1,4 +1,6 @@
-//! The calibrated CPU/latency cost model for virtualized host networking.
+//! The calibrated CPU/latency cost model for virtualized host networking:
+//! constants for one testbed host (§3.1, §5.1), and the cost functions the
+//! server's stages charge.
 //!
 //! Every constant here stands in for a mechanism the paper measured on real
 //! hardware (§3). The *relationships* between constants — which path pays
@@ -24,168 +26,109 @@ use fastrak_net::packet::Packet;
 use fastrak_sim::rng::Rng;
 use fastrak_sim::time::SimDuration;
 
-/// Calibrated cost constants. All durations are CPU service times unless
-/// named `*_latency`/`*_jitter` (those are added delays, not CPU work).
-#[derive(Debug, Clone)]
-pub struct CostModel {
-    // --- guest (VM) stack ---
-    /// Fixed guest CPU per transmitted segment (syscall, TCP, virtio/VF).
-    pub guest_tx_fixed: SimDuration,
-    /// Fixed guest CPU per received segment.
-    pub guest_rx_fixed: SimDuration,
-    /// Guest copy cost per byte (applies both directions).
-    pub guest_per_byte_ns: f64,
+// All durations are CPU service times unless named `*_LATENCY`/`*_JITTER`
+// (those are added delays, not CPU work).
 
-    // --- vswitch (baseline OVS software path) ---
-    /// Host CPU per (super-)segment on the per-VM vhost thread (kick
-    /// handling + copy into/out of guest memory). vhost-net runs ONE kernel
-    /// thread per virtio queue, so a VM's VIF traffic serializes here —
-    /// this is what saturates first under transaction load (Tables 1-4).
-    pub vhost_fixed: SimDuration,
-    /// Host CPU per (super-)segment through the OVS kernel datapath,
-    /// excluding dispatch: flow-table probe, action execution, checksum
-    /// fixups. The dispatch share is modelled separately (below): a real
-    /// kernel amortizes it over a poll batch.
-    pub vswitch_fixed: SimDuration,
-    /// Per-packet cost of scalar datapath dispatch (NAPI poll, per-packet
-    /// function-call chain, cache-cold descriptor touch). Modern kernels
-    /// amortize this across a poll batch; the charged cost is
-    /// `vswitch_dispatch_scalar / assumed_sw_burst`.
-    pub vswitch_dispatch_scalar: SimDuration,
-    /// Assumed mean batch size over which dispatch is amortized (NAPI-style
-    /// budget). Chosen so `vswitch_fixed + dispatch` reproduces the original
-    /// calibrated 2.4µs per-segment figure exactly.
-    pub assumed_sw_burst: u64,
-    /// Host copy cost per byte through the vswitch.
-    pub vswitch_per_byte_ns: f64,
-    /// Extra slow-path cost on a datapath miss (userspace upcall),
-    /// plus per-rule linear scan cost.
-    pub vswitch_upcall: SimDuration,
-    /// Per-security-rule scan cost in the userspace slow path.
-    pub rule_scan_per_rule: SimDuration,
+// --- guest (VM) stack ---
+/// Fixed guest CPU per transmitted segment (syscall, TCP, virtio/VF).
+pub const GUEST_TX_FIXED: SimDuration = SimDuration(1_100);
+/// Fixed guest CPU per received segment.
+pub const GUEST_RX_FIXED: SimDuration = SimDuration(1_100);
+/// Guest copy cost per byte (applies both directions).
+pub const GUEST_PER_BYTE_NS: f64 = 0.03;
 
-    // --- software tunneling (VXLAN) ---
-    /// Extra host CPU per wire segment for VXLAN encap/decap; tunneled
-    /// traffic also loses TSO/LRO, so `vswitch_fixed` is charged per wire
-    /// segment as well, and the work runs on the serialized tunnel queue.
-    pub vxlan_per_segment: SimDuration,
+// --- vswitch (baseline OVS software path) ---
+/// Host CPU per (super-)segment on the per-VM vhost thread (kick handling +
+/// copy into/out of guest memory). vhost-net runs ONE kernel thread per
+/// virtio queue, so a VM's VIF traffic serializes here — this is what
+/// saturates first under transaction load (Tables 1-4).
+pub const VHOST_FIXED: SimDuration = SimDuration(3_000);
+/// Host CPU per (super-)segment through the OVS kernel datapath: dispatch
+/// (NAPI poll, per-packet call chain) plus flow-table probe, action
+/// execution and checksum fixups.
+pub const VSWITCH_FIXED: SimDuration = SimDuration(2_400);
+/// Host copy cost per byte through the vswitch.
+pub const VSWITCH_PER_BYTE_NS: f64 = 0.05;
+/// Extra cost of a datapath miss: the userspace upcall...
+pub const VSWITCH_UPCALL: SimDuration = SimDuration::from_micros(40);
+/// ... plus a linear scan of the security rules.
+pub const RULE_SCAN_PER_RULE: SimDuration = SimDuration(25);
 
-    // --- software rate limiting (tc htb) ---
-    /// Extra host CPU per wire segment for htb enqueue/dequeue.
-    pub htb_per_segment: SimDuration,
+// --- software tunneling (VXLAN) ---
+/// Extra host CPU per wire segment for VXLAN encap/decap; tunneled traffic
+/// also loses TSO/LRO, so `VSWITCH_FIXED` is charged per wire segment as
+/// well, and the work runs on the serialized tunnel queue.
+pub const VXLAN_PER_SEGMENT: SimDuration = SimDuration(3_600);
 
-    // --- SR-IOV path ---
-    /// Host CPU per interrupt batch for VF interrupt isolation.
-    pub sriov_host_per_irq: SimDuration,
+// --- software rate limiting (tc htb) ---
+/// Extra host CPU per wire segment for htb enqueue/dequeue.
+pub const HTB_PER_SEGMENT: SimDuration = SimDuration(450);
 
-    // --- notification latencies (one-way, added once per traversal) ---
-    /// VIF path wakeup: vhost kick + softirq + vCPU schedule.
-    pub vif_notify_latency: SimDuration,
-    /// Mean of the exponential jitter added to VIF wakeups (fat tail).
-    pub vif_notify_jitter: SimDuration,
-    /// SR-IOV path wakeup: posted interrupt through the hypervisor.
-    pub sriov_notify_latency: SimDuration,
-    /// Mean of the exponential jitter added to SR-IOV wakeups.
-    pub sriov_notify_jitter: SimDuration,
+// --- SR-IOV path ---
+/// Host CPU per packet on the SR-IOV path: interrupt isolation only.
+pub const SRIOV_HOST_PER_IRQ: SimDuration = SimDuration(150);
 
-    // --- fabric ---
-    /// ToR switching latency (cut-through, per packet).
-    pub tor_latency: SimDuration,
-    /// Per-hop wire propagation.
-    pub wire_latency: SimDuration,
+// --- notification latencies (one-way, added once per traversal) ---
+/// VIF path wakeup: vhost kick + softirq + vCPU schedule.
+pub const VIF_NOTIFY_LATENCY: SimDuration = SimDuration::from_micros(14);
+/// Mean of the exponential jitter added to VIF wakeups (fat tail).
+pub const VIF_NOTIFY_JITTER: SimDuration = SimDuration(4_500);
+/// SR-IOV path wakeup: posted interrupt through the hypervisor.
+pub const SRIOV_NOTIFY_LATENCY: SimDuration = SimDuration::from_micros(10);
+/// Mean of the exponential jitter added to SR-IOV wakeups.
+pub const SRIOV_NOTIFY_JITTER: SimDuration = SimDuration(2_500);
+
+/// `ns_per_byte` over the packet's payload, truncated to whole nanoseconds.
+fn per_byte(ns_per_byte: f64, pkt: &Packet) -> SimDuration {
+    SimDuration((ns_per_byte * pkt.payload as f64) as u64)
 }
 
-impl Default for CostModel {
-    fn default() -> Self {
-        CostModel {
-            guest_tx_fixed: SimDuration::from_micros_f64(1.1),
-            guest_rx_fixed: SimDuration::from_micros_f64(1.1),
-            guest_per_byte_ns: 0.03,
-            vhost_fixed: SimDuration::from_micros_f64(3.0),
-            vswitch_fixed: SimDuration::from_micros_f64(2.3),
-            vswitch_dispatch_scalar: SimDuration(800),
-            assumed_sw_burst: 8,
-            vswitch_per_byte_ns: 0.05,
-            vswitch_upcall: SimDuration::from_micros(40),
-            rule_scan_per_rule: SimDuration(25),
-            vxlan_per_segment: SimDuration::from_micros_f64(3.6),
-            htb_per_segment: SimDuration::from_micros_f64(0.45),
-            sriov_host_per_irq: SimDuration::from_micros_f64(0.15),
-            vif_notify_latency: SimDuration::from_micros(14),
-            vif_notify_jitter: SimDuration::from_micros_f64(4.5),
-            sriov_notify_latency: SimDuration::from_micros(10),
-            sriov_notify_jitter: SimDuration::from_micros_f64(2.5),
-            tor_latency: SimDuration::from_micros_f64(1.0),
-            wire_latency: SimDuration::from_micros_f64(0.3),
-        }
-    }
+/// Guest CPU to transmit one (super-)segment.
+pub fn guest_tx(pkt: &Packet) -> SimDuration {
+    GUEST_TX_FIXED + per_byte(GUEST_PER_BYTE_NS, pkt)
 }
 
-impl CostModel {
-    /// Guest CPU to transmit one (super-)segment.
-    pub fn guest_tx(&self, pkt: &Packet) -> SimDuration {
-        self.guest_tx_fixed + SimDuration((self.guest_per_byte_ns * pkt.payload as f64) as u64)
-    }
+/// Guest CPU to receive one (super-)segment.
+pub fn guest_rx(pkt: &Packet) -> SimDuration {
+    GUEST_RX_FIXED + per_byte(GUEST_PER_BYTE_NS, pkt)
+}
 
-    /// Guest CPU to receive one (super-)segment.
-    pub fn guest_rx(&self, pkt: &Packet) -> SimDuration {
-        self.guest_rx_fixed + SimDuration((self.guest_per_byte_ns * pkt.payload as f64) as u64)
+/// Host CPU for the OVS datapath fast path on an offload-capable
+/// (non-tunneled) packet: charged once per super-segment thanks to TSO/LRO.
+pub fn vswitch_fast(pkt: &Packet, rate_limited: bool) -> SimDuration {
+    let mut c = VHOST_FIXED + VSWITCH_FIXED + per_byte(VSWITCH_PER_BYTE_NS, pkt);
+    if rate_limited {
+        c += HTB_PER_SEGMENT * pkt.wire_segments() as u64;
     }
+    c
+}
 
-    /// Datapath dispatch charged per (super-)segment: the scalar dispatch
-    /// cost amortized over the assumed software batch size. Integer nanos,
-    /// so `vswitch_fixed + vswitch_dispatch()` is an exact decomposition of
-    /// the original calibrated per-segment constant.
-    pub fn vswitch_dispatch(&self) -> SimDuration {
-        SimDuration(self.vswitch_dispatch_scalar.as_nanos() / self.assumed_sw_burst)
+/// Host CPU for VXLAN-tunneled traffic: segmentation defeats offloads, so
+/// fixed + encap costs apply **per wire segment**.
+pub fn vswitch_tunneled(pkt: &Packet, rate_limited: bool) -> SimDuration {
+    let segs = pkt.wire_segments() as u64;
+    let mut c = VHOST_FIXED
+        + (VSWITCH_FIXED + VXLAN_PER_SEGMENT) * segs
+        + per_byte(VSWITCH_PER_BYTE_NS, pkt);
+    if rate_limited {
+        c += HTB_PER_SEGMENT * segs;
     }
+    c
+}
 
-    /// Host CPU for the OVS datapath fast path on an offload-capable
-    /// (non-tunneled) packet: charged once per super-segment thanks to
-    /// TSO/LRO.
-    pub fn vswitch_fast(&self, pkt: &Packet, rate_limited: bool) -> SimDuration {
-        let mut c = self.vhost_fixed
-            + self.vswitch_fixed
-            + self.vswitch_dispatch()
-            + SimDuration((self.vswitch_per_byte_ns * pkt.payload as f64) as u64);
-        if rate_limited {
-            c += self.htb_per_segment * pkt.wire_segments() as u64;
-        }
-        c
-    }
+/// Slow-path (userspace upcall) cost with `n_rules` installed.
+pub fn vswitch_slow_path(n_rules: usize) -> SimDuration {
+    VSWITCH_UPCALL + RULE_SCAN_PER_RULE * n_rules as u64
+}
 
-    /// Host CPU for VXLAN-tunneled traffic: segmentation defeats offloads,
-    /// so fixed + encap costs apply **per wire segment**.
-    pub fn vswitch_tunneled(&self, pkt: &Packet, rate_limited: bool) -> SimDuration {
-        let segs = pkt.wire_segments() as u64;
-        let mut c = self.vhost_fixed
-            + (self.vswitch_fixed + self.vswitch_dispatch() + self.vxlan_per_segment) * segs
-            + SimDuration((self.vswitch_per_byte_ns * pkt.payload as f64) as u64);
-        if rate_limited {
-            c += self.htb_per_segment * segs;
-        }
-        c
-    }
+/// One-way notification delay for a VIF-path delivery.
+pub fn vif_notify(rng: &mut Rng) -> SimDuration {
+    VIF_NOTIFY_LATENCY + rng.exp_duration(VIF_NOTIFY_JITTER)
+}
 
-    /// Slow-path (userspace upcall) cost with `n_rules` installed.
-    pub fn vswitch_slow_path(&self, n_rules: usize) -> SimDuration {
-        self.vswitch_upcall + self.rule_scan_per_rule * n_rules as u64
-    }
-
-    /// Host CPU charged per packet on the SR-IOV path (interrupt isolation).
-    pub fn sriov_host(&self, _pkt: &Packet) -> SimDuration {
-        self.sriov_host_per_irq
-    }
-
-    /// One-way notification delay for a VIF-path delivery.
-    pub fn vif_notify(&self, rng: &mut Rng) -> SimDuration {
-        self.vif_notify_latency + rng.exp_duration(self.vif_notify_jitter)
-    }
-
-    /// One-way notification delay for an SR-IOV-path delivery.
-    pub fn sriov_notify(&self, rng: &mut Rng) -> SimDuration {
-        self.sriov_notify_latency + rng.exp_duration(self.sriov_notify_jitter)
-    }
+/// One-way notification delay for an SR-IOV-path delivery.
+pub fn sriov_notify(rng: &mut Rng) -> SimDuration {
+    SRIOV_NOTIFY_LATENCY + rng.exp_duration(SRIOV_NOTIFY_JITTER)
 }
 
 #[cfg(test)]
@@ -215,13 +158,12 @@ mod tests {
 
     #[test]
     fn tunneled_cost_scales_per_segment() {
-        let m = CostModel::default();
-        let small = m.vswitch_tunneled(&pkt(1448), false);
-        let big = m.vswitch_tunneled(&pkt(10 * 1448), false);
+        let small = vswitch_tunneled(&pkt(1448), false);
+        let big = vswitch_tunneled(&pkt(10 * 1448), false);
         // 10 segments cost ~10x the per-segment part; the constant vhost
         // term dilutes the raw ratio slightly.
-        let per_seg_small = small.as_nanos() - m.vhost_fixed.as_nanos();
-        let per_seg_big = big.as_nanos() - m.vhost_fixed.as_nanos();
+        let per_seg_small = small.as_nanos() - VHOST_FIXED.as_nanos();
+        let per_seg_big = big.as_nanos() - VHOST_FIXED.as_nanos();
         assert!(
             per_seg_big > 8 * per_seg_small,
             "{per_seg_big} vs {per_seg_small}"
@@ -230,62 +172,52 @@ mod tests {
 
     #[test]
     fn fast_path_cost_is_per_super_segment() {
-        let m = CostModel::default();
-        let small = m.vswitch_fast(&pkt(1448), false);
-        let big = m.vswitch_fast(&pkt(10 * 1448), false);
+        let small = vswitch_fast(&pkt(1448), false);
+        let big = vswitch_fast(&pkt(10 * 1448), false);
         // Only the per-byte term grows: far less than 10x.
         assert!(big.as_nanos() < 3 * small.as_nanos());
     }
 
     #[test]
     fn rate_limiting_adds_htb_cost() {
-        let m = CostModel::default();
-        assert!(m.vswitch_fast(&pkt(1448), true) > m.vswitch_fast(&pkt(1448), false));
+        assert!(vswitch_fast(&pkt(1448), true) > vswitch_fast(&pkt(1448), false));
     }
 
     #[test]
     fn sriov_host_cost_below_vswitch() {
-        let m = CostModel::default();
-        assert!(m.sriov_host(&pkt(1448)) < m.vswitch_fast(&pkt(1448), false));
+        assert!(SRIOV_HOST_PER_IRQ < vswitch_fast(&pkt(1448), false));
     }
 
     #[test]
     fn slow_path_scales_with_rules() {
-        let m = CostModel::default();
-        let none = m.vswitch_slow_path(0);
-        let many = m.vswitch_slow_path(10_000);
+        let none = vswitch_slow_path(0);
+        let many = vswitch_slow_path(10_000);
         assert!(many > none);
         // But stays sub-millisecond (it is a one-time cost per flow).
         assert!(many < SimDuration::from_millis(1));
     }
 
     #[test]
-    fn dispatch_decomposition_preserves_calibrated_constant() {
-        // The split of the old 2.4µs per-segment constant into fixed +
-        // amortized dispatch must be integer-exact, or every calibrated
-        // artifact in EXPERIMENTS.md would shift.
-        let m = CostModel::default();
-        assert_eq!(m.vswitch_dispatch(), SimDuration(100));
-        assert_eq!(
-            (m.vswitch_fixed + m.vswitch_dispatch()).as_nanos(),
-            SimDuration::from_micros_f64(2.4).as_nanos()
-        );
-        // Exact division: no truncation hidden in the amortization.
-        assert_eq!(
-            m.vswitch_dispatch().as_nanos() * m.assumed_sw_burst,
-            m.vswitch_dispatch_scalar.as_nanos()
-        );
+    fn one_segment_costs_the_calibrated_nanoseconds() {
+        // vhost 3 000 + datapath 2 400 (+ VXLAN 3 600) + 1 448 B × 0.05,
+        // truncated (+ htb 450): every calibrated artifact in EXPERIMENTS.md
+        // rests on these sums being integer-exact.
+        let seg = pkt(1448);
+        let ns = |d: SimDuration| d.as_nanos();
+        assert_eq!(ns(vswitch_fast(&seg, false)), 5_472);
+        assert_eq!(ns(vswitch_fast(&seg, true)), 5_922);
+        assert_eq!(ns(vswitch_tunneled(&seg, false)), 9_072);
+        assert_eq!(ns(guest_tx(&seg)), 1_143);
     }
 
     #[test]
     fn notify_latencies_ordered() {
-        let m = CostModel::default();
         let mut rng = Rng::new(1);
         let mut vif_sum = 0u64;
         let mut srv_sum = 0u64;
         for _ in 0..1000 {
-            vif_sum += m.vif_notify(&mut rng).as_nanos();
-            srv_sum += m.sriov_notify(&mut rng).as_nanos();
+            vif_sum += vif_notify(&mut rng).as_nanos();
+            srv_sum += sriov_notify(&mut rng).as_nanos();
         }
         assert!(
             vif_sum as f64 > 1.3 * srv_sum as f64,

@@ -9,7 +9,7 @@
 //!
 //! The substitution rationale (what each model stands in for, and why it
 //! preserves the paper's observable behaviour) lives in DESIGN.md §1; the
-//! cost calibration lives in [`cost::CostModel`].
+//! cost calibration lives in [`cost`].
 
 pub mod app;
 pub mod bonding;
@@ -21,7 +21,6 @@ pub mod vswitch;
 
 pub use app::{GuestApi, GuestApp};
 pub use bonding::FlowPlacer;
-pub use cost::CostModel;
 pub use server::{Server, ServerConfig, ServerStats, PORT_HW, PORT_SW};
 pub use sriov::{SriovNic, Vf};
 pub use vm::{Vm, VmSpec};

@@ -8,6 +8,7 @@
 use fastrak_host::app::{GuestApi, GuestApp};
 use fastrak_host::server::{Server, ServerConfig, ServerStats, PORT_HW, PORT_SW};
 use fastrak_host::vm::{Vm, VmSpec};
+use fastrak_host::vswitch::VswitchConfig;
 use fastrak_net::addr::{Ip, TenantId, VlanId};
 use fastrak_net::event::{ctl_fault_layer, Event, NetCtx};
 use fastrak_net::flow::{FlowKey, FlowSpec, Proto};
@@ -49,7 +50,7 @@ fn test_server() -> Server {
     let mut cfg = ServerConfig::testbed("s0", HERE);
     // Short enough that the larger software-port waves overflow it.
     cfg.max_rx_backlog = SimDuration::from_micros(20);
-    let mut srv = Server::new(cfg);
+    let mut srv = Server::new(cfg, VswitchConfig::default());
     for (i, ip) in [Ip::new(10, 0, 0, 2), Ip::new(10, 0, 0, 4)]
         .iter()
         .enumerate()

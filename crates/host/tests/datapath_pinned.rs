@@ -16,6 +16,7 @@ use std::hash::Hasher;
 use fastrak_host::app::{GuestApi, GuestApp};
 use fastrak_host::server::{tags, Server, ServerConfig, ServerStats, PORT_HW, PORT_SW};
 use fastrak_host::vm::{Vm, VmSpec};
+use fastrak_host::vswitch::VswitchConfig;
 use fastrak_net::addr::{Ip, TenantId, VlanId};
 use fastrak_net::ctrl::{CtrlRequest, Dir};
 use fastrak_net::event::{ctl_fault_layer, CtlMsg, Event, NetCtx};
@@ -270,9 +271,9 @@ fn run(cell: Cell) -> Outcome {
     });
 
     let mut cfg = ServerConfig::testbed("s0", HERE);
-    cfg.vswitch.tunneling = cell.tunneling;
     cfg.pinned_cpus = cell.pinned.then_some(4);
-    let mut srv = Server::new(cfg);
+    let tunneling = cell.tunneling;
+    let mut srv = Server::new(cfg, VswitchConfig { tunneling });
     let dials = [
         vec![
             (VMS[1], 7000),

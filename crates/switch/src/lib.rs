@@ -174,12 +174,11 @@ mod tests {
             let ip1 = Ip::tenant_vm(2);
 
             let mut tor = Tor::new(TorConfig::testbed("tor0", 0));
-            let mut cfg0 = ServerConfig::testbed("s0", Ip::provider_server(0, 0));
-            cfg0.vswitch = VswitchConfig { tunneling };
-            let mut cfg1 = ServerConfig::testbed("s1", Ip::provider_server(0, 1));
-            cfg1.vswitch = VswitchConfig { tunneling };
-            let mut srv0 = Server::new(cfg0);
-            let mut srv1 = Server::new(cfg1);
+            let vs = VswitchConfig { tunneling };
+            let cfg0 = ServerConfig::testbed("s0", Ip::provider_server(0, 0));
+            let cfg1 = ServerConfig::testbed("s1", Ip::provider_server(0, 1));
+            let mut srv0 = Server::new(cfg0, vs);
+            let mut srv1 = Server::new(cfg1, vs);
 
             srv0.add_vm(
                 Vm::new(

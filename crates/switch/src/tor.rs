@@ -52,6 +52,13 @@ pub struct HwDest {
     pub vlan: VlanId,
 }
 
+// Properties of the testbed's Cisco Nexus 5596UP that no world varies; its
+// ports are `fastrak_net::port`'s 10 GbE links.
+/// Number of ports.
+pub const PORTS: usize = 96;
+/// Cut-through switching latency, added before a frame queues for its port.
+const SWITCHING_LATENCY: SimDuration = SimDuration::from_micros(1);
+
 /// ToR configuration.
 #[derive(Debug, Clone)]
 pub struct TorConfig {
@@ -59,18 +66,8 @@ pub struct TorConfig {
     pub name: String,
     /// Provider IP (GRE tunnel endpoint).
     pub provider_ip: Ip,
-    /// Number of ports.
-    pub n_ports: usize,
-    /// Per-port line rate (bits/sec).
-    pub port_rate_bps: u64,
     /// Fast-path (TCAM/VRF) rule budget across all tenants.
     pub fastpath_capacity: usize,
-    /// Cut-through switching latency.
-    pub latency: SimDuration,
-    /// Wire propagation to neighbours.
-    pub wire_latency: SimDuration,
-    /// Drop frames when a port is backlogged beyond this.
-    pub max_port_backlog: SimDuration,
     /// When set, CE-mark (RFC 3168 RED-style) any admitted ECT frame that
     /// would wait longer than this in a port's output queue — the switch
     /// half of the DCTCP deployment model (threshold K). Read per frame:
@@ -84,12 +81,7 @@ impl TorConfig {
         TorConfig {
             name: name.into(),
             provider_ip: Ip::provider_tor(rack),
-            n_ports: 96,
-            port_rate_bps: 10_000_000_000,
             fastpath_capacity: 2048,
-            latency: SimDuration::from_micros(1),
-            wire_latency: SimDuration(300),
-            max_port_backlog: SimDuration::from_millis(12),
             ecn_mark_threshold: None,
         }
     }
@@ -168,8 +160,8 @@ impl Tor {
     /// Build a ToR.
     pub fn new(cfg: TorConfig) -> Tor {
         Tor {
-            wires: vec![None; cfg.n_ports],
-            ports: vec![EgressPort::default(); cfg.n_ports],
+            wires: vec![None; PORTS],
+            ports: vec![EgressPort::default(); PORTS],
             vrfs: FxHashMap::default(),
             vlan_tenant: FxHashMap::default(),
             hw_dests: FxHashMap::default(),
@@ -465,12 +457,10 @@ impl Tor {
             return;
         };
         let wire_bytes = pkt.wire_bytes_total();
-        let Some(end) = self.ports[port].admit(
-            at.max(api.now) + self.cfg.latency,
+        let Some(arrive) = self.ports[port].admit(
+            at.max(api.now) + SWITCHING_LATENCY,
             wire_bytes,
             &mut pkt.ecn,
-            self.cfg.port_rate_bps,
-            self.cfg.max_port_backlog,
             self.cfg.ecn_mark_threshold,
         ) else {
             self.stats.fwd_drops += 1;
@@ -478,7 +468,7 @@ impl Tor {
         };
         api.send_at(
             wire.peer,
-            end + self.cfg.wire_latency,
+            arrive,
             Event::Frame {
                 port: wire.peer_port,
                 pkt,
