@@ -8,7 +8,8 @@ Prints, for the Rust outside `benchmark/` and `target/`:
     items, not blank, not a `//` comment;
   * the ten largest files (all lines; code lines beside them);
   * the ten longest functions outside tests (`fn` line to closing brace);
-  * the field counts of the four configuration structs;
+  * the public fields of every configuration struct outside tests (each
+    `*Config`, plus `Timing` and `CostModel`), and their total;
   * for each `--count LITERAL`, how often it occurs in code lines.
 Nothing is gated: the numbers are for the tracker line and the CHANGES table.
 """
@@ -16,7 +17,7 @@ import argparse
 import re
 from pathlib import Path
 
-CONFIGS = ["ServerConfig", "TorConfig", "TcpConfig", "CtrlPlaneConfig"]
+CONFIG = re.compile(r"^\s*pub struct (\w+Config|Timing|CostModel)\b.*\{\s*$")
 FN = re.compile(r"^\s*(?:pub(?:\([a-z]+\))?\s+)?(?:const\s+)?(?:unsafe\s+)?fn\s+(\w+)")
 LITERALS = re.compile(r'"(?:\\.|[^"\\])*"|\'(?:\\.|[^\'\\])\'')
 
@@ -113,13 +114,20 @@ def main():
     for n, name, path, at in sorted(fns, reverse=True)[:10]:
         print(f"{n:6}  {name}  {path}:{at}")
 
-    print("\n== configuration struct fields ==")
-    for cfg in CONFIGS:
-        for p in files:
-            m = re.search(r"pub struct %s \{(.*?)\n\}" % cfg, texts[p], re.S)
+    print("\n== configuration struct fields (pub, outside tests) ==")
+    configs = []
+    for p in filter(in_src, files):
+        kept = non_test(texts[p])
+        lines = [l for _, l in kept]
+        for i, line in enumerate(lines):
+            m = CONFIG.match(line)
             if m:
-                fields = re.findall(r"^\s+pub \w+:", m.group(1), re.M)
-                print(f"{cfg:16} {len(fields):3}  {rel(p)}")
+                body = lines[i + 1 : block_end(lines, i)]
+                n = sum(bool(re.match(r"^\s+pub \w+:", l)) for l in body)
+                configs.append((m.group(1), n, f"{rel(p)}:{kept[i][0]}"))
+    for name, n, at in sorted(configs):
+        print(f"{name:24} {n:3}  {at}")
+    print(f"{'total':24} {sum(n for _, n, _ in configs):3}  ({len(configs)} structs)")
 
     for lit in args.count:
         hits = [(rel(p), no) for p in files if in_src(p) for no, l in code[p] if lit in l]
