@@ -141,7 +141,7 @@ fn main() {
 
     // Same ping-pong bouncing what the simulator actually schedules: an
     // `Event::Frame` carrying a VXLAN-encapped data packet. The kernel moves
-    // the event by value at every hop (post, wheel arena, pop, dispatch), so
+    // the event by value at every hop (post, calendar arena, pop, dispatch), so
     // this prices `size_of::<Event>()`, which the `u64` bench above cannot
     // see. The perf gate pins it with a ceiling between this and what the
     // same loop cost with a 168-byte event.

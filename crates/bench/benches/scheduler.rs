@@ -1,33 +1,63 @@
-//! Scheduler micro-benches: the timing wheel against the binary-heap oracle,
-//! head-to-head through the shared `Scheduler` trait (the kernel runs on
-//! the wheel; the heap is the reference model).
+//! Scheduler micro-benches: the kernel's calendar queue under the shapes of
+//! its real usage.
 //!
-//! Four workload shapes bracket the kernel's real usage:
-//!
-//! * `uniform_hold` — the classic hold model: steady population, pop the
-//!   earliest event, schedule a replacement at a uniform random delay.
+//! * `measured_mix_hold/{64,256}` — the hold model on the delays the
+//!   kernel actually schedules (`sched::MEASURED_MIX`, counted on
+//!   `rack_soft`), at 64 and 256 pending events. The delays are drawn
+//!   before timing, so the loop is one pop + one schedule.
+//! * `uniform_hold` — the classic hold model: 4 096 pending, pop the
+//!   earliest event, schedule a replacement at a uniform 0–1 ms delay.
 //! * `bursty_tie_64` — 64 events at one identical timestamp, then drain
-//!   them; stresses tie handling (slot FIFO vs heap sift).
+//!   them; stresses tie handling (one bucket sorted on opening).
 //! * `timer_churn_cancel` — rto-style timers that are almost always
 //!   cancelled and re-armed before firing; stresses the cancel path and
 //!   dead-entry reclaim.
-//! * `far_future_skew` — every event beyond the ~73 min wheel horizon;
-//!   stresses the overflow heap and promotion.
+//! * `far_future_skew` — every event scheduled beyond the ring span;
+//!   stresses the far heap and the moves into the ring.
 //!
 //! Run with `cargo bench -p fastrak-bench --bench scheduler` (add
 //! `-- --quick` for a fast smoke pass). Set `FASTRAK_BENCH_JSON=<path>` to
 //! collect machine-readable results.
 
 use fastrak_bench::harness::{black_box, Suite};
-use fastrak_sim::sched::{BinaryHeapSched, Scheduler, TimingWheel};
+use fastrak_sim::sched::{measured_delay, SPAN_NS};
 use fastrak_sim::time::SimTime;
-use fastrak_sim::Rng;
+use fastrak_sim::{Calendar, Rng};
 
-fn bench_impl<S: Scheduler<u64>>(s: &mut Suite, label: &str) {
-    // Hold model: 4096 pending, one pop + one schedule per iteration, so
-    // the reported figure is ns per pop+schedule pair ("ns/event").
+fn main() {
+    let quick = std::env::args().any(|a| a == "--quick");
+    let mut s = Suite::new("scheduler");
+    if quick {
+        s = s.quick();
+    }
+
+    // Measured-mix hold: a precomputed ring of delays in the measured
+    // proportions, one pop + one schedule per iteration ("ns/event").
     {
-        let mut sched = S::default();
+        let mut rng = Rng::new(5);
+        let delays: Vec<u64> = (0..1 << 16).map(|_| measured_delay(&mut rng).0).collect();
+        for pending in [64u64, 256] {
+            let mut sched = Calendar::default();
+            let mut seq = 0u64;
+            let mut now = 0u64;
+            for _ in 0..pending {
+                sched.schedule(SimTime(delays[seq as usize]), seq, 0, seq);
+                seq += 1;
+            }
+            s.bench(&format!("measured_mix_hold/{pending}"), || {
+                let (t, _, ev) = sched.pop_due(SimTime::MAX).expect("population is constant");
+                black_box(ev);
+                now = t.as_nanos();
+                let at = now + delays[seq as usize & 0xffff];
+                sched.schedule(SimTime(at), seq, 0, seq);
+                seq += 1;
+            });
+        }
+    }
+
+    // Hold model: 4096 pending, one pop + one schedule per iteration.
+    {
+        let mut sched = Calendar::default();
         let mut rng = Rng::new(7);
         let mut seq = 0u64;
         let mut now = 0u64;
@@ -36,7 +66,7 @@ fn bench_impl<S: Scheduler<u64>>(s: &mut Suite, label: &str) {
             sched.schedule(SimTime(at), seq, 0, seq);
             seq += 1;
         }
-        s.bench(&format!("uniform_hold_{label}"), || {
+        s.bench("uniform_hold", || {
             let (t, _, ev) = sched.pop_due(SimTime::MAX).expect("population is constant");
             black_box(ev);
             now = t.as_nanos();
@@ -48,10 +78,10 @@ fn bench_impl<S: Scheduler<u64>>(s: &mut Suite, label: &str) {
 
     // Tie burst: 64 same-timestamp schedules, then 64 pops, per iteration.
     {
-        let mut sched = S::default();
+        let mut sched = Calendar::default();
         let mut seq = 0u64;
         let mut now = 0u64;
-        s.bench(&format!("bursty_tie_64_{label}"), || {
+        s.bench("bursty_tie_64", || {
             let at = SimTime(now + 1024);
             for _ in 0..64 {
                 sched.schedule(at, seq, 0, seq);
@@ -71,7 +101,7 @@ fn bench_impl<S: Scheduler<u64>>(s: &mut Suite, label: &str) {
     // nearly every event dies before delivery, and the cost measured is
     // schedule + cancel + dead-entry reclaim.
     {
-        let mut sched = S::default();
+        let mut sched = Calendar::default();
         let mut rng = Rng::new(11);
         let mut seq = 0u64;
         let mut now = 0u64;
@@ -84,7 +114,7 @@ fn bench_impl<S: Scheduler<u64>>(s: &mut Suite, label: &str) {
             })
             .collect();
         let mut i = 0usize;
-        s.bench(&format!("timer_churn_cancel_{label}"), || {
+        s.bench("timer_churn_cancel", || {
             now += 64;
             while let Some((_, _, ev)) = sched.pop_due(SimTime(now)) {
                 black_box(ev);
@@ -98,37 +128,28 @@ fn bench_impl<S: Scheduler<u64>>(s: &mut Suite, label: &str) {
         });
     }
 
-    // Far-future skew: a 512-event population entirely beyond the wheel
-    // horizon, replenished past the horizon on every pop.
+    // Far-future skew: a 512-event population scheduled one to two ring
+    // spans ahead, replenished the same way on every pop, so every event
+    // enters the far heap and moves into the ring before it is delivered.
     {
-        const FAR: u64 = 1 << 42; // one full wheel horizon (~73 min)
-        let mut sched = S::default();
+        let mut sched = Calendar::default();
         let mut rng = Rng::new(13);
         let mut seq = 0u64;
         let mut now = 0u64;
         for _ in 0..512 {
-            let at = now + FAR + rng.below(FAR);
+            let at = now + SPAN_NS + rng.below(SPAN_NS);
             sched.schedule(SimTime(at), seq, 0, seq);
             seq += 1;
         }
-        s.bench(&format!("far_future_skew_{label}"), || {
+        s.bench("far_future_skew", || {
             let (t, _, ev) = sched.pop_due(SimTime::MAX).expect("population is constant");
             black_box(ev);
             now = t.as_nanos();
-            let at = now + FAR + rng.below(FAR);
+            let at = now + SPAN_NS + rng.below(SPAN_NS);
             sched.schedule(SimTime(at), seq, 0, seq);
             seq += 1;
         });
     }
-}
 
-fn main() {
-    let quick = std::env::args().any(|a| a == "--quick");
-    let mut s = Suite::new("scheduler");
-    if quick {
-        s = s.quick();
-    }
-    bench_impl::<TimingWheel<u64>>(&mut s, "wheel");
-    bench_impl::<BinaryHeapSched<u64>>(&mut s, "heap");
     s.finish();
 }

@@ -11,17 +11,22 @@
 //! is total: ties on timestamp break by schedule order (FIFO), so repeated
 //! runs replay identically.
 //!
-//! Event storage is delegated to [`crate::sched`]: a hierarchical
-//! [`crate::sched::TimingWheel`] (O(1) amortized schedule/expire, O(1)
-//! in-place cancel). The retained [`crate::sched::BinaryHeapSched`] is the
-//! reference it is compared against: both deliver the identical total
-//! order, which `tests/sched_differential.rs` pins down.
+//! Event storage is delegated to [`crate::sched::Calendar`], a one-level
+//! calendar queue: O(1) schedule for every delay inside its ≈ 1 ms ring
+//! span, a far heap beyond it, and O(1) in-place cancel.
+//! `tests/sched_differential.rs` pins its delivery order against a
+//! binary-heap reference model.
+//!
+//! Delivery is in place: the node being delivered to is borrowed out of the
+//! node table while the [`Api`] borrows the kernel's other fields, and `Api`
+//! has no path back to the node table, so a node can never be delivered to
+//! recursively or inspected mid-delivery.
 
 use std::any::Any;
 
 use crate::fault::{FaultDecision, FaultLayer};
 use crate::rng::Rng;
-use crate::sched::{Scheduler, TimingWheel};
+use crate::sched::Calendar;
 use crate::time::{SimDuration, SimTime};
 
 pub use crate::sched::EventHandle;
@@ -57,7 +62,7 @@ pub trait Node<E, C>: Any {
 #[inline]
 #[allow(clippy::too_many_arguments)] // the kernel's single scheduling funnel
 fn schedule_event<E>(
-    sched: &mut TimingWheel<E>,
+    sched: &mut Calendar<E>,
     next_seq: &mut u64,
     fault: &mut Option<FaultLayer<E>>,
     now: SimTime,
@@ -114,7 +119,7 @@ pub struct Api<'a, E, C> {
     pub ctx: &'a mut C,
     /// Deterministic RNG (one shared stream; fork per node for isolation).
     pub rng: &'a mut Rng,
-    sched: &'a mut TimingWheel<E>,
+    sched: &'a mut Calendar<E>,
     next_seq: &'a mut u64,
     fault: &'a mut Option<FaultLayer<E>>,
     cancels_requested: &'a mut u64,
@@ -197,7 +202,7 @@ impl<'a, E, C> Api<'a, E, C> {
     }
 
     /// Cancel a previously scheduled event in O(1). Cancelling an event that
-    /// already fired is a harmless no-op (the wheel's generation stamp
+    /// already fired is a harmless no-op (the calendar's generation stamp
     /// proves the event is gone).
     pub fn cancel(&mut self, h: EventHandle) {
         *self.cancels_requested += 1;
@@ -207,9 +212,9 @@ impl<'a, E, C> Api<'a, E, C> {
 
 /// The simulation kernel: nodes + event scheduler + clock.
 pub struct Kernel<E, C> {
-    nodes: Vec<Option<Box<dyn NodeObj<E, C>>>>,
+    nodes: Vec<Box<dyn NodeObj<E, C>>>,
     names: Vec<String>,
-    sched: TimingWheel<E>,
+    sched: Calendar<E>,
     now: SimTime,
     next_seq: u64,
     events_processed: u64,
@@ -246,7 +251,7 @@ impl<E, C> Kernel<E, C> {
         Kernel {
             nodes: Vec::new(),
             names: Vec::new(),
-            sched: TimingWheel::default(),
+            sched: Calendar::default(),
             now: SimTime::ZERO,
             next_seq: 0,
             events_processed: 0,
@@ -262,7 +267,7 @@ impl<E, C> Kernel<E, C> {
     pub fn add_node<T: Node<E, C>>(&mut self, node: T) -> NodeId {
         let id = self.nodes.len();
         self.names.push(node.name().to_string());
-        self.nodes.push(Some(Box::new(node)));
+        self.nodes.push(Box::new(node));
         id
     }
 
@@ -338,8 +343,6 @@ impl<E, C> Kernel<E, C> {
     /// Panics if the id is invalid or the concrete type does not match.
     pub fn node<T: Node<E, C>>(&self, id: NodeId) -> &T {
         self.nodes[id]
-            .as_ref()
-            .unwrap_or_else(|| panic!("node {id} is mid-delivery"))
             .as_any()
             .downcast_ref::<T>()
             .unwrap_or_else(|| panic!("node {id} has unexpected type"))
@@ -351,8 +354,6 @@ impl<E, C> Kernel<E, C> {
     /// Panics if the id is invalid or the concrete type does not match.
     pub fn node_mut<T: Node<E, C>>(&mut self, id: NodeId) -> &mut T {
         self.nodes[id]
-            .as_mut()
-            .unwrap_or_else(|| panic!("node {id} is mid-delivery"))
             .as_any_mut()
             .downcast_mut::<T>()
             .unwrap_or_else(|| panic!("node {id} has unexpected type"))
@@ -367,8 +368,8 @@ impl<E, C> Kernel<E, C> {
         assert_ne!(a, b, "node_pair_mut requires distinct ids");
         let (lo, hi) = if a < b { (a, b) } else { (b, a) };
         let (left, right) = self.nodes.split_at_mut(hi);
-        let lo_ref = left[lo].as_mut().expect("node mid-delivery").as_any_mut();
-        let hi_ref = right[0].as_mut().expect("node mid-delivery").as_any_mut();
+        let lo_ref = left[lo].as_any_mut();
+        let hi_ref = right[0].as_any_mut();
         if a < b {
             (
                 lo_ref.downcast_mut::<A>().expect("type mismatch"),
@@ -396,9 +397,7 @@ impl<E, C> Kernel<E, C> {
         debug_assert!(time >= self.now, "event queue time went backwards");
         self.now = time;
         self.events_processed += 1;
-        let mut node = self.nodes[dst]
-            .take()
-            .unwrap_or_else(|| panic!("node {dst} delivered to recursively"));
+        let node = &mut self.nodes[dst];
         let mut api = Api {
             now: self.now,
             self_id: dst,
@@ -410,7 +409,6 @@ impl<E, C> Kernel<E, C> {
             cancels_requested: &mut self.cancels_requested,
         };
         node.on_event_obj(ev, &mut api);
-        self.nodes[dst] = Some(node);
         true
     }
 
@@ -430,8 +428,8 @@ impl<E, C> Kernel<E, C> {
 
     /// Timestamp of the next pending (non-cancelled) event, if any.
     ///
-    /// Borrowing `&self` only: the wheel peeks through its occupancy
-    /// bitmaps, so inspection never perturbs scheduler state.
+    /// Borrowing `&self` only: inspection never perturbs scheduler state
+    /// (cancelled entries are skipped, not reclaimed).
     pub fn next_event_time(&self) -> Option<SimTime> {
         self.sched.next_time()
     }
@@ -441,9 +439,8 @@ impl<E, C> Kernel<E, C> {
         self.sched.len()
     }
 
-    /// Number of outstanding cancellation tombstones. Bounded by the number
-    /// of cancelled-but-not-yet-reclaimed events; exposed so tests can
-    /// assert the backlog does not leak across long runs.
+    /// Number of cancelled-but-not-yet-reclaimed events; exposed so tests
+    /// can assert the backlog does not leak across long runs.
     pub fn cancelled_backlog(&self) -> usize {
         self.sched.cancelled_backlog()
     }
@@ -613,7 +610,7 @@ mod tests {
         // The classic transport idiom: arm a retransmit timer, then cancel
         // it after it (logically) completed — i.e. cancel handles of events
         // that already fired. The seed kernel leaked one tombstone per such
-        // cancel; the wheel's generation stamp makes them no-ops.
+        // cancel; the calendar's generation stamp makes them no-ops.
         let (mut k, a, _) = two_node_kernel();
         let mut fired: Vec<EventHandle> = Vec::new();
         for round in 0..10_000u64 {

@@ -47,7 +47,7 @@ pub use fault::{FaultConfig, FaultDecision, FaultLayer, FaultPlane, LinkFaults};
 pub use fastrak_telemetry::fxhash::{FxBuildHasher, FxHashMap, FxHashSet, FxHasher};
 pub use kernel::{Api, EventHandle, Kernel, Node, NodeId};
 pub use rng::Rng;
-pub use sched::{BinaryHeapSched, Scheduler, TimingWheel};
+pub use sched::Calendar;
 pub use stats::{Counter, FaultCounters, Histogram, HistogramDurationExt, MeterRate, TimeWeighted};
 pub use tbf::TokenBucket;
 pub use time::{SimDuration, SimTime};

@@ -1,50 +1,49 @@
-//! Event scheduler implementations for the DES kernel.
+//! The DES kernel's event queue: a one-level calendar queue.
 //!
-//! Two schedulers implement the [`Scheduler`] contract, both delivering
-//! events in the same total order — time, then schedule sequence:
+//! [`Calendar`] (Brown, CACM 1988) files every event once, by timestamp,
+//! into a ring of [`RING`] buckets [`BUCKET_NS`] wide that spans
+//! [`SPAN_NS`] (≈ 1.05 ms) ahead of the bucket being delivered. The size is
+//! set by the delays the kernel actually schedules ([`MEASURED_MIX`]): on
+//! the `rack_soft` benchmark world (the paper's §6 rack), half of all events
+//! are 0.25–4 µs out, a third 8–32 µs and a sixth 256–524 µs, so
+//! nearly every schedule is one O(1) push onto a bucket list and is never
+//! touched again until its bucket comes due. The ≥ 1 ms tail (RTO,
+//! delayed-ACK and controller-epoch timers) waits in a min-heap and moves
+//! into the ring as the window reaches it.
 //!
-//! * [`TimingWheel`] (what [`crate::kernel::Kernel`] runs on): a
-//!   hierarchical timing wheel in the Varghese/Lauck style (as in Kafka,
-//!   Netty, and tokio-timer). Seven levels of 64 slots cover a ~73-minute
-//!   horizon at exact-nanosecond granularity; schedule and expire are O(1)
-//!   amortized, and cancellation is O(1) in place via generation-stamped
-//!   handles — no tombstone set on the pop path at all.
-//! * [`BinaryHeapSched`]: the previous `BinaryHeap` + lazy-tombstone
-//!   scheduler, retained as the reference model — the other side of
-//!   `tests/sched_differential.rs` and of the `scheduler` micro-bench suite.
-//!   The kernel never runs on it.
-//!
-//! `tests/sched_differential.rs` replays large mixed operation streams
-//! through both implementations and asserts identical behavior.
+//! Events are delivered in strictly increasing `(time, seq)` order; `seq` is
+//! assigned by the kernel and is unique, so the order is total and runs
+//! replay identically. `tests/sched_differential.rs` replays large mixed
+//! operation streams through the calendar and a binary-heap reference model
+//! and asserts identical behaviour.
 
+use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 use std::mem;
 
 use crate::kernel::NodeId;
-use crate::time::SimTime;
-use crate::FxHashSet;
+use crate::rng::Rng;
+use crate::time::{SimDuration, SimTime};
 
 /// Handle to a scheduled event; used to cancel timers.
 ///
-/// The payload is scheduler-private. The timing wheel packs the event's
-/// arena slot index and a generation stamp (bumped every time the slot is
-/// reclaimed), so cancelling marks the entry dead in place in O(1) and a
-/// handle whose event already fired simply fails the generation check. The
-/// heap oracle packs the `(time << 64) | seq` ordering key and compares it
-/// against the delivery watermark instead.
+/// The payload is scheduler-private: the event's arena slot index and a
+/// generation stamp (bumped every time the slot is reclaimed), so
+/// cancelling marks the entry dead in place in O(1) and a handle whose
+/// event already fired simply fails the generation check.
 #[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
 pub struct EventHandle(pub(crate) u128);
 
 impl EventHandle {
-    /// A handle that refers to no event: cancelling it is a no-op in both
-    /// scheduler implementations. Returned by the kernel's send path when
-    /// fault injection drops a message instead of scheduling it.
+    /// A handle that refers to no event: cancelling it is a no-op. Returned
+    /// by the kernel's send path when fault injection drops a message
+    /// instead of scheduling it.
     pub const NULL: EventHandle = EventHandle(u128::MAX);
 }
 
 /// `(time << 64) | seq` — one u128 comparison orders events totally.
 #[inline]
-pub(crate) fn event_key(time: SimTime, seq: u64) -> u128 {
+fn event_key(time: SimTime, seq: u64) -> u128 {
     ((time.as_nanos() as u128) << 64) | seq as u128
 }
 
@@ -53,60 +52,52 @@ fn key_time(key: u128) -> SimTime {
     SimTime((key >> 64) as u64)
 }
 
-/// The operations the kernel's event loop needs from a scheduler.
-///
-/// Both implementations deliver events in strictly increasing
-/// `(time, seq)` order; `seq` is assigned by the kernel and is unique, so
-/// the order is total and runs replay identically.
-pub trait Scheduler<E>: Default {
-    /// Insert an event for delivery at `at` with kernel-assigned sequence
-    /// number `seq`. Callers guarantee `at` is not in the scheduler's past:
-    /// never below the time of any event already consumed by [`Self::pop_due`]
-    /// (delivered *or* reclaimed as cancelled). The kernel upholds this by
-    /// construction — its clock is monotone and events are clamped to it.
-    /// The heap oracle's cancel watermark and the wheel's cursor both
-    /// depend on it.
-    fn schedule(&mut self, at: SimTime, seq: u64, dst: NodeId, ev: E) -> EventHandle;
+/// log2 of [`BUCKET_NS`].
+const BUCKET_SHIFT: u32 = 8;
+/// Width of one calendar bucket: 256 ns.
+pub const BUCKET_NS: u64 = 1 << BUCKET_SHIFT;
+/// Buckets in the ring (one occupancy bit each, 64 per bitmap word).
+pub const RING: usize = 4096;
+/// Time the ring spans ahead of the current bucket: 4 096 × 256 ns ≈
+/// 1.05 ms. Events further out wait in the far heap.
+pub const SPAN_NS: u64 = BUCKET_NS * RING as u64;
+const WORDS: usize = RING / 64;
 
-    /// Cancel a previously scheduled event. Cancelling an event that
-    /// already fired (or was already cancelled) is a harmless no-op.
-    fn cancel(&mut self, h: EventHandle);
+/// The schedule delays the ring is sized on, counted on the `rack_soft`
+/// benchmark world (11.53 M schedules): `(from_ns, to_ns, per mille)`,
+/// uniform inside each class. Every class lies inside [`SPAN_NS`]. The
+/// scheduler bench and the differential test draw from it through
+/// [`measured_delay`].
+pub const MEASURED_MIX: [(u64, u64, u64); 7] = [
+    (256, 512, 83),
+    (1_000, 2_000, 332),
+    (2_000, 4_000, 84),
+    (8_000, 16_000, 201),
+    (16_000, 32_000, 129),
+    (256_000, 512_000, 157),
+    (32_000, 1_000_000, 14),
+];
 
-    /// Remove and return the earliest live event if its time is at or
-    /// before `deadline`; otherwise leave the queue untouched and return
-    /// `None`. Cancelled entries encountered on the way are reclaimed.
-    fn pop_due(&mut self, deadline: SimTime) -> Option<(SimTime, NodeId, E)>;
-
-    /// Timestamp of the earliest live (non-cancelled) event, without
-    /// mutating anything.
-    fn next_time(&self) -> Option<SimTime>;
-
-    /// Number of stored entries, *including* cancelled-but-unreclaimed ones.
-    fn len(&self) -> usize;
-
-    /// True when no entries (live or dead) are stored.
-    fn is_empty(&self) -> bool {
-        self.len() == 0
+/// Draw one delay from [`MEASURED_MIX`].
+pub fn measured_delay(rng: &mut Rng) -> SimDuration {
+    let mut pick = rng.below(1000);
+    for (from, to, per_mille) in MEASURED_MIX {
+        if pick < per_mille {
+            return SimDuration(from + rng.below(to - from));
+        }
+        pick -= per_mille;
     }
-
-    /// Number of cancelled-but-not-yet-reclaimed entries. Bounded by the
-    /// number of pending cancellations; regression-tested not to leak.
-    fn cancelled_backlog(&self) -> usize;
+    unreachable!("MEASURED_MIX sums to 1000 per mille")
 }
 
-// ---------------------------------------------------------------------------
-// Timing wheel
-// ---------------------------------------------------------------------------
+/// End of an intrusive list.
+const NIL: u32 = u32::MAX;
 
-/// Slots per level (one `u64` occupancy bitmap word per level).
-const SLOT_BITS: u32 = 6;
-const SLOTS: usize = 1 << SLOT_BITS; // 64
-/// Wheel levels. Level `k` slots are `64^k` ns wide, so the wheel spans
-/// `64^7` ns ≈ 73 minutes; events further out (by XOR distance) overflow to
-/// a far-future heap and are promoted when the horizon window advances.
-const LEVELS: usize = 7;
-/// Bit position above which a timestamp is outside the wheel horizon.
-const HORIZON_SHIFT: u32 = SLOT_BITS * LEVELS as u32; // 42
+/// Absolute bucket number of an event key.
+#[inline]
+fn bucket(key: u128) -> u64 {
+    (key >> (64 + BUCKET_SHIFT)) as u64
+}
 
 /// Arena entry. `ev` doubles as the liveness flag: `Some` = live,
 /// `None` = cancelled (until reclaimed) or free.
@@ -116,578 +107,434 @@ struct Entry<E> {
     gen: u64,
     key: u128,
     dst: NodeId,
+    /// Next entry of the same ring bucket, or of the free list.
+    next: u32,
     ev: Option<E>,
 }
 
-/// One wheel slot: entry indices in insertion order. `head` is the drain
-/// cursor of the slot currently being delivered from (level 0 only);
-/// everywhere else it is 0.
-#[derive(Default)]
-struct WheelSlot {
-    entries: Vec<u32>,
-    head: usize,
-}
-
-/// Far-future entry reference, min-ordered by key for the overflow heap.
-struct OverflowRef {
-    key: u128,
-    idx: u32,
-}
-
-impl PartialEq for OverflowRef {
-    fn eq(&self, other: &Self) -> bool {
-        self.key == other.key
-    }
-}
-impl Eq for OverflowRef {}
-impl PartialOrd for OverflowRef {
-    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
-        Some(self.cmp(other))
-    }
-}
-impl Ord for OverflowRef {
-    /// Reversed: `BinaryHeap` is a max-heap, so the earliest key pops first.
-    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        other.key.cmp(&self.key)
-    }
-}
-
-/// Hierarchical timing wheel with an overflow heap and O(1) in-place cancel.
+/// One-level calendar queue with a sorted current window, a far-future
+/// heap and O(1) in-place cancel.
 ///
-/// Level assignment uses the XOR rule: an event at time `t` with the wheel
-/// clock at `w` lives at the level of the highest bit of `t ^ w`. This puts
-/// every event in a slot strictly ahead of the cursor at its level, and
-/// guarantees that all level-`k` events expire before any level-`k+1` event,
-/// so "find the next event" is a bitmap scan from the lowest occupied level.
-/// Advancing the clock into a coarser slot's window *cascades* that slot:
-/// its entries redistribute to finer levels (each entry moves at most
-/// `LEVELS` times over its lifetime — O(1) amortized). Level-0 slots are a
-/// single nanosecond wide, so entries within one slot share their timestamp
-/// exactly and FIFO slot order *is* sequence order — no sorting anywhere.
-pub struct TimingWheel<E> {
-    /// `slots[level][slot]` — `LEVELS * SLOTS` buckets of entry indices.
-    slots: Vec<WheelSlot>,
-    /// Per-level occupancy bitmap (bit = slot has entries, live or dead).
-    occupied: [u64; LEVELS],
+/// Every stored entry lives in exactly one of three places, by its bucket
+/// `b = time / BUCKET_NS` against the current bucket `cur`:
+///
+/// * `b ≤ cur` — the **near window**, sorted ascending by key and drained
+///   from the front. It is filled by taking one ring bucket and sorting it
+///   (the only sort); an entry scheduled into it while it drains is placed
+///   by binary search, so an in-order append — a same-instant burst — costs
+///   O(1). Entries below `cur` are legal (a schedule at a `now` behind a
+///   bucket `pop_due` opened before stopping at its deadline) and simply
+///   sort first.
+/// * `cur < b < cur + RING` — the **ring**: bucket `b % RING`, an intrusive
+///   singly-linked list threaded through the arena (push is O(1), order
+///   within a bucket does not matter until it is sorted on opening).
+///   Occupancy bitmaps (one bit per bucket, one summary bit per word) find
+///   the next non-empty bucket.
+/// * `b ≥ cur + RING` — the **far heap**, min-ordered by key. Opening a
+///   bucket moves every far entry now inside the span into the ring.
+///
+/// Cancel clears the entry's payload in place; the dead entry is released
+/// when it is reached — its bucket opens (it is dropped, never sorted), it
+/// comes to the head of the window, or it surfaces at the far heap's head.
+pub struct Calendar<E> {
     arena: Vec<Entry<E>>,
-    free: Vec<u32>,
-    overflow: BinaryHeap<OverflowRef>,
-    /// Internal clock: every entry at time < `wheel_now` has been delivered
-    /// or reclaimed. Never ahead of the kernel clock except transiently
-    /// inside `pop_due` (bounded by its `deadline`).
-    wheel_now: u64,
-    /// Entries stored anywhere (wheel + overflow), live + dead.
+    /// Head of the free list threaded through `Entry::next`.
+    free: u32,
+    /// Absolute number of the bucket the near window belongs to.
+    cur: u64,
+    /// `(key, arena index)`, ascending; `near[..near_head]` is consumed.
+    near: Vec<(u128, u32)>,
+    near_head: usize,
+    /// Head of each ring bucket's list.
+    heads: [u32; RING],
+    /// Bit `p` set ⇔ ring bucket `p` is non-empty.
+    occupied: [u64; WORDS],
+    /// Bit `w` set ⇔ `occupied[w] != 0`.
+    summary: u64,
+    far: BinaryHeap<Reverse<(u128, u32)>>,
+    /// Entries stored anywhere, live + dead.
     stored: usize,
     /// Cancelled entries not yet reclaimed.
     dead_pending: usize,
 }
 
-impl<E> Default for TimingWheel<E> {
+impl<E> Default for Calendar<E> {
     fn default() -> Self {
-        TimingWheel {
-            slots: (0..LEVELS * SLOTS).map(|_| WheelSlot::default()).collect(),
-            occupied: [0; LEVELS],
+        Calendar {
             arena: Vec::new(),
-            free: Vec::new(),
-            overflow: BinaryHeap::new(),
-            wheel_now: 0,
+            free: NIL,
+            cur: 0,
+            near: Vec::new(),
+            near_head: 0,
+            heads: [NIL; RING],
+            occupied: [0; WORDS],
+            summary: 0,
+            far: BinaryHeap::new(),
             stored: 0,
             dead_pending: 0,
         }
     }
 }
 
-impl<E> TimingWheel<E> {
-    #[inline]
-    fn slot_at(&mut self, level: usize, slot: usize) -> &mut WheelSlot {
-        &mut self.slots[level * SLOTS + slot]
+impl<E> Calendar<E> {
+    /// Insert an event for delivery at `at` with kernel-assigned sequence
+    /// number `seq`. Callers guarantee `at` is not below the time of any
+    /// event already delivered; the kernel upholds this by construction —
+    /// its clock is monotone and events are clamped to it.
+    pub fn schedule(&mut self, at: SimTime, seq: u64, dst: NodeId, ev: E) -> EventHandle {
+        let key = event_key(at, seq);
+        let (idx, gen) = self.alloc(key, dst, ev);
+        let b = bucket(key);
+        if b <= self.cur {
+            self.file_near(key, idx);
+        } else if b - self.cur < RING as u64 {
+            self.file_ring(b, idx);
+        } else {
+            self.far.push(Reverse((key, idx)));
+        }
+        EventHandle(((gen as u128) << 32) | idx as u128)
+    }
+
+    /// Cancel a previously scheduled event. Cancelling an event that
+    /// already fired (or was already cancelled) is a harmless no-op.
+    pub fn cancel(&mut self, h: EventHandle) {
+        let idx = (h.0 & 0xffff_ffff) as usize;
+        let gen = (h.0 >> 32) as u64;
+        if let Some(e) = self.arena.get_mut(idx) {
+            if e.gen == gen && e.ev.is_some() {
+                e.ev = None; // dead in place; reclaimed when reached
+                self.dead_pending += 1;
+            }
+        }
+    }
+
+    /// Remove and return the earliest live event if its time is at or
+    /// before `deadline`; otherwise return `None`. Cancelled entries met on
+    /// the way are reclaimed. A bucket is opened only if it starts at or
+    /// before `deadline`, so the window never moves past a time the caller
+    /// has not reached.
+    pub fn pop_due(&mut self, deadline: SimTime) -> Option<(SimTime, NodeId, E)> {
+        loop {
+            if let Some(&(key, idx)) = self.near.get(self.near_head) {
+                let e = &mut self.arena[idx as usize];
+                if e.ev.is_none() {
+                    // Cancelled while waiting in the window.
+                    self.near_head += 1;
+                    self.dead_pending -= 1;
+                    self.release(idx);
+                    continue;
+                }
+                if key_time(key) > deadline {
+                    return None;
+                }
+                let ev = e.ev.take().expect("liveness checked above");
+                let dst = e.dst;
+                self.near_head += 1;
+                self.release(idx);
+                return Some((key_time(key), dst, ev));
+            }
+            let Some(b) = self.next_bucket() else {
+                // Fully drained: rewind so the next schedule starts a fresh
+                // span from wherever the kernel clock is.
+                debug_assert_eq!(self.stored, 0);
+                self.cur = 0;
+                return None;
+            };
+            if b << BUCKET_SHIFT > deadline.as_nanos() {
+                return None;
+            }
+            self.open(b);
+        }
+    }
+
+    /// Timestamp of the earliest live (non-cancelled) event, without
+    /// mutating anything. A scan: for inspection, not the event loop.
+    pub fn next_time(&self) -> Option<SimTime> {
+        let live = |idx: u32| self.arena[idx as usize].ev.is_some();
+        if let Some(&(key, _)) = self.near[self.near_head..].iter().find(|&&(_, i)| live(i)) {
+            return Some(key_time(key));
+        }
+        for d in 1..RING as u64 {
+            let mut idx = self.heads[((self.cur + d) as usize) % RING];
+            let mut best: Option<u128> = None;
+            while idx != NIL {
+                let e = &self.arena[idx as usize];
+                if e.ev.is_some() {
+                    best = Some(best.map_or(e.key, |k| k.min(e.key)));
+                }
+                idx = e.next;
+            }
+            if let Some(key) = best {
+                return Some(key_time(key));
+            }
+        }
+        self.far
+            .iter()
+            .filter(|r| live(r.0 .1))
+            .map(|r| r.0 .0)
+            .min()
+            .map(key_time)
+    }
+
+    /// Number of stored entries, *including* cancelled-but-unreclaimed ones.
+    pub fn len(&self) -> usize {
+        self.stored
+    }
+
+    /// True when no entries (live or dead) are stored.
+    pub fn is_empty(&self) -> bool {
+        self.stored == 0
+    }
+
+    /// Number of cancelled-but-not-yet-reclaimed entries. Bounded by the
+    /// number of pending cancellations; regression-tested not to leak.
+    pub fn cancelled_backlog(&self) -> usize {
+        self.dead_pending
     }
 
     /// Allocate an arena entry; returns `(index, generation)`.
     fn alloc(&mut self, key: u128, dst: NodeId, ev: E) -> (u32, u64) {
         self.stored += 1;
-        if let Some(idx) = self.free.pop() {
+        if self.free != NIL {
+            let idx = self.free;
             let e = &mut self.arena[idx as usize];
+            self.free = e.next;
             e.key = key;
             e.dst = dst;
             e.ev = Some(ev);
             (idx, e.gen)
         } else {
             let idx = self.arena.len() as u32;
+            assert!(idx != NIL, "calendar arena full");
             self.arena.push(Entry {
                 gen: 0,
                 key,
                 dst,
+                next: NIL,
                 ev: Some(ev),
             });
             (idx, 0)
         }
     }
 
-    /// Reclaim an entry (after delivery or dead-entry sweep): bump the
+    /// Reclaim an entry (after delivery or as a dead entry): bump the
     /// generation so outstanding handles go stale, and recycle the index.
     fn release(&mut self, idx: u32) {
         let e = &mut self.arena[idx as usize];
         e.gen = e.gen.wrapping_add(1);
         e.ev = None;
-        self.free.push(idx);
+        e.next = self.free;
+        self.free = idx;
         self.stored -= 1;
     }
 
-    /// Place an arena entry into the wheel (or the overflow heap) according
-    /// to the XOR distance between its time and the current wheel clock.
-    fn insert(&mut self, idx: u32) {
-        let e = &self.arena[idx as usize];
-        let t = (e.key >> 64) as u64;
-        let key = e.key;
-        debug_assert!(t >= self.wheel_now, "insert into the wheel's past");
-        let x = t ^ self.wheel_now;
-        if x >> HORIZON_SHIFT != 0 {
-            self.overflow.push(OverflowRef { key, idx });
-            return;
+    /// Place an entry into the sorted near window.
+    fn file_near(&mut self, key: u128, idx: u32) {
+        if self.near_head == self.near.len() {
+            self.near.clear();
+            self.near_head = 0;
         }
-        let level = if x == 0 {
-            0
-        } else {
-            ((63 - x.leading_zeros()) / SLOT_BITS) as usize
-        };
-        let slot = ((t >> (SLOT_BITS as usize * level)) & (SLOTS as u64 - 1)) as usize;
-        self.slot_at(level, slot).entries.push(idx);
-        self.occupied[level] |= 1 << slot;
-    }
-
-    /// Advance the wheel clock. Crossing a horizon-window boundary promotes
-    /// overflow entries that are now inside the wheel's span.
-    fn advance_to(&mut self, t: u64) {
-        let old = self.wheel_now;
-        self.wheel_now = t;
-        if (old ^ t) >> HORIZON_SHIFT != 0 {
-            self.promote_overflow();
+        match self.near.last() {
+            Some(&(last, _)) if last > key => {
+                let at =
+                    self.near_head + self.near[self.near_head..].partition_point(|&(k, _)| k < key);
+                self.near.insert(at, (key, idx));
+            }
+            _ => self.near.push((key, idx)),
         }
     }
 
-    /// Move overflow entries that fall inside the current horizon window
-    /// into the wheel. They sort first in the overflow heap, so popping
-    /// while the head matches the window is exhaustive — and pops come out
-    /// in `(time, seq)` key order, so same-timestamp entries join their
-    /// level-0 slot in seq order, preserving the slot-FIFO invariant.
-    fn promote_overflow(&mut self) {
-        let w = self.wheel_now;
-        while let Some(top) = self.overflow.peek() {
-            let idx = top.idx;
-            let top_t = (top.key >> 64) as u64;
-            if self.arena[idx as usize].ev.is_none() {
-                self.overflow.pop();
-                self.dead_pending -= 1;
-                self.release(idx);
-                continue;
-            }
-            if (top_t ^ w) >> HORIZON_SHIFT != 0 {
-                break;
-            }
-            self.overflow.pop();
-            self.insert(idx);
-        }
+    /// Push an entry onto ring bucket `b` (absolute) and mark it occupied.
+    fn file_ring(&mut self, b: u64, idx: u32) {
+        let p = b as usize % RING;
+        self.arena[idx as usize].next = mem::replace(&mut self.heads[p], idx);
+        self.occupied[p / 64] |= 1 << (p % 64);
+        self.summary |= 1 << (p / 64);
     }
 
-    /// Earliest occupied `(level, slot)` at or after the cursor, if any.
-    #[inline]
-    fn first_occupied(&self) -> Option<(usize, usize)> {
-        for (level, &bits) in self.occupied.iter().enumerate() {
-            if bits != 0 {
-                // Invariant: slots behind the cursor are empty, so the
-                // lowest set bit is the next slot in time order.
-                debug_assert_eq!(
-                    bits & ((1u64
-                        << ((self.wheel_now >> (SLOT_BITS as usize * level))
-                            & (SLOTS as u64 - 1)))
-                        - 1),
-                    0,
-                    "stale wheel slots behind the cursor"
-                );
-                return Some((level, bits.trailing_zeros() as usize));
+    /// Absolute number of the earliest non-empty bucket after the window:
+    /// the first occupied ring bucket, or else the far heap's head (dead
+    /// heads are reclaimed on the way). `None` when nothing is stored
+    /// beyond the window.
+    fn next_bucket(&mut self) -> Option<u64> {
+        if self.summary != 0 {
+            // Ring positions ahead of `cur`, wrapping; `cur`'s own position
+            // is always empty.
+            let from = (self.cur as usize + 1) % RING;
+            let w = from / 64;
+            let here = self.occupied[w] & (!0u64 << (from % 64));
+            let p = if here != 0 {
+                w * 64 + here.trailing_zeros() as usize
+            } else {
+                let later = self.summary & (!1u64 << w);
+                let w2 = if later != 0 { later } else { self.summary }.trailing_zeros() as usize;
+                w2 * 64 + self.occupied[w2].trailing_zeros() as usize
+            };
+            return Some(self.cur + (p.wrapping_sub(self.cur as usize) % RING) as u64);
+        }
+        while let Some(&Reverse((key, idx))) = self.far.peek() {
+            if self.arena[idx as usize].ev.is_some() {
+                return Some(bucket(key));
             }
+            self.far.pop();
+            self.dead_pending -= 1;
+            self.release(idx);
         }
         None
     }
 
-    /// Start time of `slot` at `level` in the window containing `wheel_now`.
-    #[inline]
-    fn slot_base(&self, level: usize, slot: usize) -> u64 {
-        let width = SLOT_BITS as usize * (level + 1);
-        (self.wheel_now & !((1u64 << width) - 1)) | ((slot as u64) << (SLOT_BITS as usize * level))
+    /// Make `b` the current bucket: move far entries that are now inside
+    /// the span into the ring (or the window), then take `b`'s list, drop
+    /// its dead entries and sort the rest into the window.
+    fn open(&mut self, b: u64) {
+        debug_assert!(b > self.cur && self.near_head == self.near.len());
+        self.cur = b;
+        self.near.clear();
+        self.near_head = 0;
+        while let Some(&Reverse((key, idx))) = self.far.peek() {
+            let fb = bucket(key);
+            if fb - b >= RING as u64 {
+                break;
+            }
+            self.far.pop();
+            if self.arena[idx as usize].ev.is_none() {
+                self.dead_pending -= 1;
+                self.release(idx);
+            } else if fb == b {
+                self.near.push((key, idx));
+            } else {
+                self.file_ring(fb, idx);
+            }
+        }
+        let p = b as usize % RING;
+        let mut idx = mem::replace(&mut self.heads[p], NIL);
+        if idx != NIL {
+            self.occupied[p / 64] &= !(1 << (p % 64));
+            if self.occupied[p / 64] == 0 {
+                self.summary &= !(1 << (p / 64));
+            }
+        }
+        while idx != NIL {
+            let e = &self.arena[idx as usize];
+            let next = e.next;
+            if e.ev.is_some() {
+                self.near.push((e.key, idx));
+            } else {
+                self.dead_pending -= 1;
+                self.release(idx);
+            }
+            idx = next;
+        }
+        if self.near.len() > 1 {
+            self.near.sort_unstable();
+        }
     }
 
-    /// Verify the wheel's bookkeeping invariants by brute force: every
-    /// stored entry is referenced exactly once (slot tails + overflow),
-    /// the dead count matches `dead_pending`, and occupancy bitmaps match
-    /// slot contents. Used by the differential test; debug builds only.
+    /// Verify the bookkeeping invariants by brute force: every stored entry
+    /// is referenced exactly once across the near window, the ring and the
+    /// far heap, each where its bucket says it belongs; the window is
+    /// sorted; the dead count matches `dead_pending`; the occupancy and
+    /// summary bits match the ring; and every other arena entry is on the
+    /// free list. Used by the differential test; debug builds only.
     #[doc(hidden)]
     pub fn debug_audit(&self) {
         if cfg!(not(debug_assertions)) {
             return;
         }
-        let mut refs = 0usize;
-        let mut dead = 0usize;
-        for (i, s) in self.slots.iter().enumerate() {
-            let (level, slot) = (i / SLOTS, i % SLOTS);
-            let live_refs = &s.entries[s.head..];
-            assert_eq!(
-                self.occupied[level] >> slot & 1 == 1,
-                !s.entries.is_empty(),
-                "occupancy bit out of sync at level {level} slot {slot}"
+        let mut seen = vec![false; self.arena.len()];
+        let (mut refs, mut dead) = (0usize, 0usize);
+        let mut visit = |idx: u32, key: u128| {
+            let e = &self.arena[idx as usize];
+            assert!(!seen[idx as usize], "entry {idx} referenced twice");
+            assert_eq!(e.key, key, "entry {idx} filed under a stale key");
+            seen[idx as usize] = true;
+            refs += 1;
+            dead += e.ev.is_none() as usize;
+        };
+        let window = &self.near[self.near_head..];
+        assert!(
+            window.windows(2).all(|w| w[0].0 < w[1].0),
+            "near window out of order"
+        );
+        for &(key, idx) in window {
+            assert!(
+                bucket(key) <= self.cur,
+                "entry {idx} ahead of the near window"
             );
-            refs += live_refs.len();
-            dead += live_refs
-                .iter()
-                .filter(|&&idx| self.arena[idx as usize].ev.is_none())
-                .count();
+            visit(idx, key);
         }
-        refs += self.overflow.len();
-        dead += self
-            .overflow
-            .iter()
-            .filter(|o| self.arena[o.idx as usize].ev.is_none())
-            .count();
+        for p in 0..RING {
+            assert_eq!(
+                self.occupied[p / 64] >> (p % 64) & 1 == 1,
+                self.heads[p] != NIL,
+                "occupancy bit out of sync at bucket {p}"
+            );
+            let mut idx = self.heads[p];
+            while idx != NIL {
+                let key = self.arena[idx as usize].key;
+                let d = bucket(key).wrapping_sub(self.cur);
+                assert!(
+                    (1..RING as u64).contains(&d) && bucket(key) as usize % RING == p,
+                    "entry {idx} in the wrong ring bucket"
+                );
+                visit(idx, key);
+                idx = self.arena[idx as usize].next;
+            }
+        }
+        for (w, &bits) in self.occupied.iter().enumerate() {
+            assert_eq!(
+                self.summary >> w & 1 == 1,
+                bits != 0,
+                "summary bit out of sync at word {w}"
+            );
+        }
+        for &Reverse((key, idx)) in self.far.iter() {
+            assert!(
+                bucket(key) >= self.cur + RING as u64,
+                "entry {idx} inside the span but in the far heap"
+            );
+            visit(idx, key);
+        }
         assert_eq!(refs, self.stored, "stored-entry count out of sync");
         assert_eq!(dead, self.dead_pending, "dead-entry count out of sync");
-    }
-}
-
-impl<E> Scheduler<E> for TimingWheel<E> {
-    fn schedule(&mut self, at: SimTime, seq: u64, dst: NodeId, ev: E) -> EventHandle {
-        let key = event_key(at, seq);
-        let (idx, gen) = self.alloc(key, dst, ev);
-        self.insert(idx);
-        EventHandle(((gen as u128) << 32) | idx as u128)
-    }
-
-    fn cancel(&mut self, h: EventHandle) {
-        let idx = (h.0 & 0xffff_ffff) as usize;
-        let gen = (h.0 >> 32) as u64;
-        if let Some(e) = self.arena.get_mut(idx) {
-            if e.gen == gen && e.ev.is_some() {
-                e.ev = None; // dead in place; reclaimed when its slot drains
-                self.dead_pending += 1;
-            }
+        let mut free = 0usize;
+        let mut idx = self.free;
+        while idx != NIL {
+            assert!(!seen[idx as usize], "entry {idx} both stored and free");
+            assert!(
+                self.arena[idx as usize].ev.is_none(),
+                "free entry {idx} holds an event"
+            );
+            free += 1;
+            idx = self.arena[idx as usize].next;
         }
-    }
-
-    fn pop_due(&mut self, deadline: SimTime) -> Option<(SimTime, NodeId, E)> {
-        let dl = deadline.as_nanos();
-        loop {
-            let Some((level, slot)) = self.first_occupied() else {
-                // Wheel empty: the overflow heap (if any) holds the future.
-                loop {
-                    let Some(top) = self.overflow.peek() else {
-                        if self.stored == 0 {
-                            // Fully drained: rewind so the next schedule
-                            // starts a fresh horizon from wherever the
-                            // kernel clock is.
-                            self.wheel_now = 0;
-                        }
-                        return None;
-                    };
-                    let idx = top.idx;
-                    let t = (top.key >> 64) as u64;
-                    if self.arena[idx as usize].ev.is_none() {
-                        self.overflow.pop();
-                        self.dead_pending -= 1;
-                        self.release(idx);
-                        continue;
-                    }
-                    if t > dl {
-                        return None;
-                    }
-                    // Pull the head into the wheel *before* promoting its
-                    // window peers: a same-timestamp peer has a higher seq
-                    // and must land behind the head in their shared slot.
-                    self.overflow.pop();
-                    self.wheel_now = t;
-                    self.insert(idx);
-                    self.promote_overflow();
-                    break;
-                }
-                continue;
-            };
-            let base = self.slot_base(level, slot);
-            if base > dl {
-                return None;
-            }
-            if level == 0 {
-                // Level-0 slots are one nanosecond wide: every entry shares
-                // the timestamp `base`, so insertion order is seq order.
-                let bit = 1u64 << slot;
-                loop {
-                    let s = self.slot_at(0, slot);
-                    if s.head >= s.entries.len() {
-                        s.entries.clear();
-                        s.head = 0;
-                        self.occupied[0] &= !bit;
-                        break;
-                    }
-                    let idx = s.entries[s.head];
-                    s.head += 1;
-                    if self.arena[idx as usize].ev.is_none() {
-                        self.dead_pending -= 1;
-                        self.release(idx);
-                        continue;
-                    }
-                    self.advance_to(base);
-                    let e = &mut self.arena[idx as usize];
-                    debug_assert_eq!((e.key >> 64) as u64, base);
-                    let ev = e.ev.take().expect("liveness checked above");
-                    let dst = e.dst;
-                    self.release(idx);
-                    let s = self.slot_at(0, slot);
-                    if s.head == s.entries.len() {
-                        s.entries.clear();
-                        s.head = 0;
-                        self.occupied[0] &= !bit;
-                    }
-                    return Some((SimTime(base), dst, ev));
-                }
-            } else if self.slots[level * SLOTS + slot].entries.len() == 1 {
-                // Single-entry fast path: the first occupied slot is the
-                // earliest in the wheel, and overflow entries live in a
-                // strictly later horizon window, so a lone live entry here
-                // is the global minimum — deliver it without cascading.
-                // This is the common shape for sparse simulations (one or
-                // two events in flight), where a full cascade per event
-                // would dominate the pop cost.
-                let idx = self.slots[level * SLOTS + slot].entries[0];
-                let e = &self.arena[idx as usize];
-                if e.ev.is_none() {
-                    self.slot_at(level, slot).entries.clear();
-                    self.occupied[level] &= !(1u64 << slot);
-                    self.dead_pending -= 1;
-                    self.release(idx);
-                    continue;
-                }
-                let t = (e.key >> 64) as u64;
-                if t > dl {
-                    return None;
-                }
-                self.slot_at(level, slot).entries.clear();
-                self.occupied[level] &= !(1u64 << slot);
-                self.advance_to(t);
-                let e = &mut self.arena[idx as usize];
-                let ev = e.ev.take().expect("liveness checked above");
-                let dst = e.dst;
-                self.release(idx);
-                return Some((SimTime(t), dst, ev));
-            } else {
-                // Cascade: redistribute the coarse slot to finer levels.
-                // Entries land strictly below `level`, so taking the Vec
-                // and handing its (emptied) allocation back is safe.
-                self.advance_to(base);
-                let mut v = mem::take(&mut self.slot_at(level, slot).entries);
-                self.occupied[level] &= !(1u64 << slot);
-                for idx in v.drain(..) {
-                    if self.arena[idx as usize].ev.is_none() {
-                        self.dead_pending -= 1;
-                        self.release(idx);
-                    } else {
-                        self.insert(idx);
-                    }
-                }
-                self.slot_at(level, slot).entries = v;
-            }
-        }
-    }
-
-    fn next_time(&self) -> Option<SimTime> {
-        for level in 0..LEVELS {
-            let mut bits = self.occupied[level];
-            while bits != 0 {
-                let slot = bits.trailing_zeros() as usize;
-                bits &= bits - 1;
-                let s = &self.slots[level * SLOTS + slot];
-                let best = s.entries[s.head..]
-                    .iter()
-                    .filter_map(|&idx| {
-                        let e = &self.arena[idx as usize];
-                        e.ev.is_some().then_some(e.key)
-                    })
-                    .min();
-                if let Some(k) = best {
-                    // Levels and (ahead-of-cursor) slots are time-ordered,
-                    // so the first slot with a live entry holds the global
-                    // minimum.
-                    return Some(key_time(k));
-                }
-            }
-        }
-        self.overflow
-            .iter()
-            .filter(|o| self.arena[o.idx as usize].ev.is_some())
-            .map(|o| o.key)
-            .min()
-            .map(key_time)
-    }
-
-    fn len(&self) -> usize {
-        self.stored
-    }
-
-    fn cancelled_backlog(&self) -> usize {
-        self.dead_pending
+        assert_eq!(free + self.stored, self.arena.len(), "arena entries lost");
     }
 }
 
-// ---------------------------------------------------------------------------
-// Binary-heap oracle
-// ---------------------------------------------------------------------------
-
-struct Scheduled<E> {
-    /// `(time << 64) | seq` — one u128 comparison orders the heap.
-    key: u128,
-    dst: NodeId,
-    ev: E,
-}
-
-impl<E> Scheduled<E> {
-    #[inline]
-    fn time(&self) -> SimTime {
-        key_time(self.key)
-    }
-
-    #[inline]
-    fn seq(&self) -> u64 {
-        self.key as u64
-    }
-}
-
-impl<E> PartialEq for Scheduled<E> {
-    fn eq(&self, other: &Self) -> bool {
-        self.key == other.key
-    }
-}
-impl<E> Eq for Scheduled<E> {}
-impl<E> PartialOrd for Scheduled<E> {
-    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
-        Some(self.cmp(other))
-    }
-}
-impl<E> Ord for Scheduled<E> {
-    /// Reversed on purpose: `BinaryHeap` is a max-heap, so inverting the key
-    /// comparison makes `pop()` return the earliest `(time, seq)` without a
-    /// `Reverse` wrapper on every element.
-    #[inline]
-    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        other.key.cmp(&self.key)
-    }
-}
-
-/// The pre-wheel scheduler: `BinaryHeap` ordered by `(time, seq)` key, lazy
-/// cancellation through a tombstone set consulted on pop, and a delivery
-/// watermark that turns cancels of already-fired events into no-ops.
-///
-/// O(log n) schedule/pop and O(1)-amortized (hashing) cancel. Kept as the
-/// differential-testing oracle for [`TimingWheel`]
-/// (`tests/sched_differential.rs`) and as the reference side of the
-/// scheduler benches.
-pub struct BinaryHeapSched<E> {
-    heap: BinaryHeap<Scheduled<E>>,
-    /// Tombstones for cancelled-but-not-yet-popped events, keyed by sequence
-    /// number. Bounded by the number of pending cancellations.
-    cancelled: FxHashSet<u64>,
-    /// Key of the most recently popped event — the delivery watermark. Any
-    /// handle at or below it has already been consumed.
-    last_popped: u128,
-}
-
-impl<E> Default for BinaryHeapSched<E> {
-    fn default() -> Self {
-        BinaryHeapSched {
-            heap: BinaryHeap::new(),
-            cancelled: FxHashSet::default(),
-            last_popped: 0,
-        }
-    }
-}
-
-impl<E> Scheduler<E> for BinaryHeapSched<E> {
-    fn schedule(&mut self, at: SimTime, seq: u64, dst: NodeId, ev: E) -> EventHandle {
-        let key = event_key(at, seq);
-        self.heap.push(Scheduled { key, dst, ev });
-        EventHandle(key)
-    }
-
-    fn cancel(&mut self, h: EventHandle) {
-        if h == EventHandle::NULL {
-            return;
-        }
-        if h.0 > self.last_popped {
-            self.cancelled.insert(h.0 as u64);
-        }
-    }
-
-    fn pop_due(&mut self, deadline: SimTime) -> Option<(SimTime, NodeId, E)> {
-        loop {
-            let head = self.heap.peek()?;
-            // The deadline check comes *before* tombstone purging: purging a
-            // tombstone past the deadline would advance `last_popped` beyond
-            // the kernel clock, and a later schedule under that watermark
-            // would get a handle `cancel` wrongly treats as already fired.
-            // Bounded by the deadline, every purged key stays at or below
-            // any key a future schedule can produce.
-            if head.time() > deadline {
-                return None;
-            }
-            let item = self.heap.pop().expect("peeked head exists");
-            self.last_popped = item.key;
-            if !self.cancelled.is_empty() && self.cancelled.remove(&item.seq()) {
-                continue;
-            }
-            return Some((item.time(), item.dst, item.ev));
-        }
-    }
-
-    fn next_time(&self) -> Option<SimTime> {
-        let head = self.heap.peek()?;
-        if self.cancelled.is_empty() || !self.cancelled.contains(&head.seq()) {
-            return Some(head.time());
-        }
-        // Head is tombstoned and `&self` cannot pop it: scan for the live
-        // minimum. Oracle-only cost — the wheel peeks via its bitmaps, and
-        // the kernel's hot loop uses `pop_due`, not peek.
-        self.heap
-            .iter()
-            .filter(|s| !self.cancelled.contains(&s.seq()))
-            .map(|s| s.key)
-            .min()
-            .map(key_time)
-    }
-
-    fn len(&self) -> usize {
-        self.heap.len()
-    }
-
-    fn cancelled_backlog(&self) -> usize {
-        self.cancelled.len()
-    }
-}
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::time::SimDuration;
 
-    fn drain<S: Scheduler<u64>>(s: &mut S) -> Vec<(u64, NodeId, u64)> {
+    fn drain(s: &mut Calendar<u64>) -> Vec<(u64, NodeId, u64)> {
         let mut out = Vec::new();
         while let Some((t, dst, ev)) = s.pop_due(SimTime::MAX) {
             out.push((t.as_nanos(), dst, ev));
+            s.debug_audit();
         }
         out
     }
 
-    fn ordering_case<S: Scheduler<u64>>() {
-        let mut s = S::default();
-        // Out-of-order inserts across several wheel levels plus ties.
+    #[test]
+    fn both_schedulers_deliver_in_time_then_seq_order() {
+        let mut s = Calendar::default();
+        // Out-of-order inserts across the window, the ring and the far heap,
+        // plus ties.
         let times = [5_000u64, 3, 3, 70_000_000, 64, 5_000, 0, 1_000_000_000];
         for (seq, &t) in times.iter().enumerate() {
             s.schedule(SimTime(t), seq as u64, seq % 3, seq as u64);
         }
+        s.debug_audit();
         let got = drain(&mut s);
         let mut want: Vec<(u64, NodeId, u64)> = times
             .iter()
@@ -700,15 +547,9 @@ mod tests {
     }
 
     #[test]
-    fn both_schedulers_deliver_in_time_then_seq_order() {
-        ordering_case::<TimingWheel<u64>>();
-        ordering_case::<BinaryHeapSched<u64>>();
-    }
-
-    #[test]
     fn wheel_far_future_overflow_promotes() {
-        let mut s = TimingWheel::<u64>::default();
-        let far = 1u64 << 50; // well beyond the 2^42 ns horizon
+        let mut s = Calendar::default();
+        let far = 1u64 << 50; // far beyond the ring span
         s.schedule(SimTime(far + 7), 0, 0, 0);
         s.schedule(SimTime(far), 1, 0, 1);
         s.schedule(SimTime(100), 2, 0, 2);
@@ -721,13 +562,13 @@ mod tests {
 
     #[test]
     fn wheel_schedule_after_horizon_crossing_orders_against_promoted() {
-        let mut s = TimingWheel::<u64>::default();
-        let far = (1u64 << HORIZON_SHIFT) + 500;
+        let mut s = Calendar::default();
+        let far = 3 * SPAN_NS + 500;
         s.schedule(SimTime(far), 0, 0, 0);
         s.schedule(SimTime(10), 1, 0, 1);
         assert_eq!(s.pop_due(SimTime::MAX), Some((SimTime(10), 0, 1)));
-        // The kernel clock is now 10; schedule past the horizon boundary but
-        // *after* the overflow event — delivery order must stay by time.
+        // The clock is now 10; schedule on both sides of the far entry, one
+        // of them into the far heap too — delivery order must stay by time.
         s.schedule(SimTime(far + 100), 2, 0, 2);
         s.schedule(SimTime(far - 100), 3, 0, 3);
         assert_eq!(
@@ -736,8 +577,9 @@ mod tests {
         );
     }
 
-    fn cancel_case<S: Scheduler<u64>>() {
-        let mut s = S::default();
+    #[test]
+    fn both_schedulers_cancel_identically() {
+        let mut s = Calendar::default();
         let h0 = s.schedule(SimTime(10), 0, 0, 0);
         let h1 = s.schedule(SimTime(20), 1, 0, 1);
         let _h2 = s.schedule(SimTime(30), 2, 0, 2);
@@ -754,14 +596,33 @@ mod tests {
     }
 
     #[test]
-    fn both_schedulers_cancel_identically() {
-        cancel_case::<TimingWheel<u64>>();
-        cancel_case::<BinaryHeapSched<u64>>();
+    fn cancel_in_window_ring_and_far_heap_reclaims_all() {
+        let mut s = Calendar::default();
+        let _first = s.schedule(SimTime(100), 0, 0, 0);
+        let in_window = s.schedule(SimTime(120), 1, 0, 1);
+        let keep = s.schedule(SimTime(200), 2, 0, 2);
+        let in_ring = s.schedule(SimTime(50_000), 3, 0, 3);
+        let in_far = s.schedule(SimTime(5 * SPAN_NS), 4, 0, 4);
+        s.schedule(SimTime(6 * SPAN_NS), 5, 0, 5);
+        // Opening bucket 0 puts the first three into the window.
+        assert_eq!(s.pop_due(SimTime::MAX), Some((SimTime(100), 0, 0)));
+        s.debug_audit();
+        for h in [in_window, in_ring, in_far] {
+            s.cancel(h);
+        }
+        assert_eq!(s.cancelled_backlog(), 3);
+        s.debug_audit();
+        assert_eq!(s.next_time(), Some(SimTime(200)));
+        assert_eq!(drain(&mut s), vec![(200, 0, 2), (6 * SPAN_NS, 0, 5)]);
+        assert_eq!(s.cancelled_backlog(), 0);
+        assert!(s.is_empty());
+        s.cancel(keep); // fired: no-op
+        assert_eq!(s.cancelled_backlog(), 0);
     }
 
     #[test]
     fn wheel_next_time_skips_dead_head() {
-        let mut s = TimingWheel::<u64>::default();
+        let mut s = Calendar::default();
         let h = s.schedule(SimTime(5_000), 0, 0, 0);
         s.schedule(SimTime(8_000), 1, 0, 1);
         s.cancel(h);
@@ -770,7 +631,7 @@ mod tests {
 
     #[test]
     fn wheel_handle_generations_survive_slot_reuse() {
-        let mut s = TimingWheel::<u64>::default();
+        let mut s = Calendar::default();
         let h = s.schedule(SimTime(10), 0, 0, 0);
         assert_eq!(s.pop_due(SimTime::MAX), Some((SimTime(10), 0, 0)));
         // The arena slot is recycled for a new event; the stale handle must
@@ -781,8 +642,9 @@ mod tests {
         assert_eq!(s.pop_due(SimTime::MAX), Some((SimTime(20), 0, 1)));
     }
 
-    fn deadline_case<S: Scheduler<u64>>() {
-        let mut s = S::default();
+    #[test]
+    fn both_schedulers_respect_deadlines() {
+        let mut s = Calendar::default();
         s.schedule(SimTime(1_000), 0, 0, 0);
         s.schedule(SimTime(2_000), 1, 0, 1);
         assert!(s.pop_due(SimTime(999)).is_none());
@@ -796,16 +658,37 @@ mod tests {
     }
 
     #[test]
-    fn both_schedulers_respect_deadlines() {
-        deadline_case::<TimingWheel<u64>>();
-        deadline_case::<BinaryHeapSched<u64>>();
+    fn schedule_at_now_after_a_deadline_stop_in_an_opened_bucket() {
+        let mut s = Calendar::default();
+        s.schedule(SimTime(100), 0, 0, 0);
+        s.schedule(SimTime(2 * BUCKET_NS + 200), 1, 0, 1);
+        assert_eq!(s.pop_due(SimTime(150)), Some((SimTime(100), 0, 0)));
+        // The deadline lies inside the next occupied bucket: it is opened,
+        // its event is not due, and the window now sits ahead of the clock
+        // the caller had (100).
+        let dl = SimTime(2 * BUCKET_NS + 10);
+        assert!(s.pop_due(dl).is_none());
+        s.debug_audit();
+        // Schedules at the old clock and at the deadline, both behind the
+        // opened bucket's pending event, still deliver first and in order.
+        s.schedule(SimTime(100), 2, 0, 2);
+        s.schedule(dl, 3, 0, 3);
+        s.debug_audit();
+        assert_eq!(
+            drain(&mut s),
+            vec![
+                (100, 0, 2),
+                (dl.as_nanos(), 0, 3),
+                (2 * BUCKET_NS + 200, 0, 1)
+            ]
+        );
     }
 
     #[test]
     fn wheel_zero_delay_events_join_the_draining_slot() {
         // An event scheduled at exactly the time being delivered must fire
         // in the same instant, after earlier-seq entries.
-        let mut s = TimingWheel::<u64>::default();
+        let mut s = Calendar::default();
         s.schedule(SimTime(100), 0, 0, 0);
         s.schedule(SimTime(100), 1, 0, 1);
         assert_eq!(s.pop_due(SimTime::MAX), Some((SimTime(100), 0, 0)));
@@ -815,13 +698,63 @@ mod tests {
         assert!(s.pop_due(SimTime::MAX).is_none());
     }
 
-    fn max_time_ties_case<S: Scheduler<u64>>() {
+    #[test]
+    fn same_instant_burst_into_the_window_drains_in_seq_order() {
+        // A SYN storm: one handler schedules 1 024 events at its own instant
+        // while the window is draining.
+        let mut s = Calendar::default();
+        let t = SimTime(7 * BUCKET_NS + 3);
+        s.schedule(t, 0, 0, 0);
+        s.schedule(SimTime(t.as_nanos() + 40), 1, 0, 1);
+        assert_eq!(s.pop_due(SimTime::MAX), Some((t, 0, 0)));
+        for seq in 2..1_026 {
+            s.schedule(t, seq, 0, seq);
+        }
+        s.debug_audit();
+        let got = drain(&mut s);
+        let want: Vec<_> = (2..1_026)
+            .map(|seq| (t.as_nanos(), 0, seq))
+            .chain([(t.as_nanos() + 40, 0, 1)])
+            .collect();
+        assert_eq!(got, want);
+    }
+
+    #[test]
+    fn events_on_a_bucket_boundary_open_their_own_bucket() {
+        let mut s = Calendar::default();
+        // The last nanosecond of bucket 1, the first of bucket 2, and the
+        // last of the ring span against the first beyond it.
+        let times = [2 * BUCKET_NS, 2 * BUCKET_NS - 1, SPAN_NS, SPAN_NS - 1];
+        for (seq, &t) in times.iter().enumerate() {
+            s.schedule(SimTime(t), seq as u64, 0, seq as u64);
+        }
+        s.debug_audit();
+        assert!(s.pop_due(SimTime(2 * BUCKET_NS - 2)).is_none());
+        assert_eq!(
+            s.pop_due(SimTime(2 * BUCKET_NS - 1)),
+            Some((SimTime(2 * BUCKET_NS - 1), 0, 1))
+        );
+        // The window is bucket 1 now. An event exactly at its end belongs to
+        // bucket 2, behind the earlier-seq event already filed there.
+        s.schedule(SimTime(2 * BUCKET_NS), 4, 0, 4);
+        s.debug_audit();
+        assert!(s.pop_due(SimTime(2 * BUCKET_NS - 1)).is_none());
+        assert_eq!(
+            drain(&mut s),
+            vec![
+                (2 * BUCKET_NS, 0, 0),
+                (2 * BUCKET_NS, 0, 4),
+                (SPAN_NS - 1, 0, 3),
+                (SPAN_NS, 0, 2)
+            ]
+        );
+    }
+
+    #[test]
+    fn both_schedulers_order_saturated_max_time_ties() {
         // Saturated timestamps: several events at exactly `SimTime::MAX`
-        // (far outside the wheel horizon, so they ride the overflow heap)
-        // must still deliver in seq order. Regression test: pulling the
-        // overflow head into the wheel used to promote its same-window
-        // peers first, putting later seqs ahead of it in the shared slot.
-        let mut s = S::default();
+        // (in the far heap) must still deliver in seq order.
+        let mut s = Calendar::default();
         for seq in 0..4 {
             s.schedule(SimTime::MAX, seq, 0, seq);
         }
@@ -831,21 +764,21 @@ mod tests {
     }
 
     #[test]
-    fn both_schedulers_order_saturated_max_time_ties() {
-        max_time_ties_case::<TimingWheel<u64>>();
-        max_time_ties_case::<BinaryHeapSched<u64>>();
-    }
-
-    #[test]
     fn wheel_rewinds_after_full_drain() {
-        let mut s = TimingWheel::<u64>::default();
+        let mut s = Calendar::default();
         let h = s.schedule(SimTime::from_secs(60), 0, 0, 0);
         s.cancel(h);
         assert!(s.pop_due(SimTime::MAX).is_none());
-        // A fresh event earlier than the cancelled one must be schedulable
-        // (the internal clock rewound on empty).
-        s.schedule(SimTime::from_secs(1), 1, 0, 1);
-        assert_eq!(s.pop_due(SimTime::MAX), Some((SimTime::from_secs(1), 0, 1)));
-        let _ = SimDuration::ZERO;
+        assert_eq!(s.cur, 0, "an empty calendar rewinds");
+        // A fresh event earlier than the cancelled one lands in the ring of
+        // the rewound window, not behind a window left at 60 s.
+        s.schedule(SimTime(300), 1, 0, 1);
+        assert_eq!(s.summary.count_ones(), 1);
+        s.schedule(SimTime::from_secs(1), 2, 0, 2);
+        s.debug_audit();
+        assert_eq!(
+            drain(&mut s),
+            vec![(300, 0, 1), (SimTime::from_secs(1).as_nanos(), 0, 2)]
+        );
     }
 }

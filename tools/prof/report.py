@@ -1,12 +1,17 @@
 #!/usr/bin/env python3
 """Symbolise a sigprof.c dump with `nm -C` and print self / inclusive tables.
 
-    python3 tools/prof/report.py <binary> <dump> [--top N] [--under SUBSTR]
+    python3 tools/prof/report.py <binary> <dump> [--top N] [--under SUBSTR] [--lines]
 
 Self time goes to the function holding the sampled RIP; inclusive time to
 every distinct function on the sampled stack. `--under` keeps only samples
 whose stack contains a function matching SUBSTR, and reports shares of those.
 Addresses outside the binary (libc, the preload itself) are "[other]".
+
+`--lines` adds a self table by source line: `addr2line` maps each sampled RIP
+to the innermost `file:line` it was inlined from. It needs line tables in
+the binary (`CARGO_PROFILE_RELEASE_DEBUG=line-tables-only`); without them
+every line reads "??:0".
 """
 import bisect
 import collections
@@ -31,7 +36,7 @@ def symbols(binary):
 
 def main():
     args = sys.argv[1:]
-    top, under = 30, None
+    top, under, lines = 30, None, False
     if "--top" in args:
         i = args.index("--top")
         top = int(args[i + 1])
@@ -40,6 +45,9 @@ def main():
         i = args.index("--under")
         under = args[i + 1]
         del args[i:i + 2]
+    if "--lines" in args:
+        args.remove("--lines")
+        lines = True
     if len(args) != 2:
         sys.exit(__doc__)
     binary, dump = args
@@ -76,6 +84,7 @@ def main():
         return names[i] if i >= 0 else "[other]"
 
     self_t, incl_t, kept = collections.Counter(), collections.Counter(), 0
+    rips = collections.Counter()
     for stack in stacks:
         fns = [name(a, i > 0) for i, a in enumerate(stack)]
         if under and not any(under in f for f in fns):
@@ -84,14 +93,36 @@ def main():
         self_t[fns[0]] += 1
         for f in set(fns):
             incl_t[f] += 1
+        if fns[0] != "[other]":
+            rips[stack[0] - base] += 1
     if not kept:
         sys.exit("no samples")
     scope = f" under '{under}'" if under else ""
     print(f"{kept} samples{scope} of {len(stacks)} ({dropped} dropped)")
-    for title, table in (("self", self_t), ("inclusive", incl_t)):
+    tables = [("self", self_t), ("inclusive", incl_t)]
+    if lines:
+        tables.append(("self by line", source_lines(binary, rips)))
+    for title, table in tables:
         print(f"\n-- {title} --")
         for fn, n in table.most_common(top):
             print(f"{100 * n / kept:6.2f}%  {n:7d}  {fn[:110]}")
+
+
+def source_lines(binary, rips):
+    """Sample counts by `file:line`, from RIP (file-relative) sample counts."""
+    addrs = list(rips)
+    out = subprocess.run(
+        ["addr2line", "-e", binary],
+        input="".join(f"{a:x}\n" for a in addrs),
+        check=True, capture_output=True, text=True,
+    ).stdout.splitlines()
+    table, cwd = collections.Counter(), os.getcwd() + os.sep
+    for addr, loc in zip(addrs, out):
+        loc = loc.split(" (discriminator")[0].removeprefix(cwd)
+        if loc.startswith("/rustc/"):  # the standard library's sources
+            loc = "std:" + loc.split("/library/", 1)[-1]
+        table[loc] += rips[addr]
+    return table
 
 
 if __name__ == "__main__":
