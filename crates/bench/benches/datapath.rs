@@ -277,5 +277,14 @@ fn main() {
         });
     }
 
+    // What `chaos_matrix` pays per cell instead of re-simulating the 2.5 s
+    // every cell shares: one copy of the converged rack (and dropping it).
+    // The perf gate ceilings it, so a world that grows expensive to copy
+    // fails CI instead of quietly eating the saving.
+    let rack = fastrak_bench::experiments::chaos_matrix::rack_at_fork();
+    s.bench("testbed_fork_chaos_rack", || {
+        black_box(rack.clone());
+    });
+
     s.finish();
 }

@@ -17,6 +17,12 @@
 //! workers run out of cells and leave: nesting never oversubscribes, and a
 //! long experiment absorbs the cores that finished ones free. At width 1 no
 //! thread is ever spawned; the same loop runs the cells on the caller.
+//!
+//! Cells that are one history up to some instant — the same rack, diverging
+//! only when a fault opens or a path shifts — need not re-simulate it:
+//! [`fork`] runs each cell on its own copy of a world simulated once to the
+//! last instant no cell can observe. A copy shares nothing with the world
+//! or its siblings, so the rules for `map` hold unchanged.
 
 use std::any::Any;
 use std::cell::Cell;
@@ -118,6 +124,48 @@ pub fn width() -> usize {
 /// and the first panic resumes on the caller once every helper has joined.
 pub fn map<T: Sync, R: Send>(items: &[T], f: impl Fn(&T) -> R + Sync) -> Vec<R> {
     map_in(&PROCESS, items, f)
+}
+
+/// Run `f` over every item, each on its own copy of `world`, and return the
+/// results in input order.
+///
+/// For cells that share a history: simulate the shared prefix once, then
+/// fork. Each cell clones `world` on the worker that runs it, under a lock;
+/// the last cell to start takes `world` itself instead of a copy, so at
+/// most one copy per worker is alive beside it, and none after. Scheduling
+/// and panics behave as in [`map`].
+pub fn fork<W: Clone + Send, T: Sync, R: Send>(
+    world: W,
+    items: &[T],
+    f: impl Fn(W, &T) -> R + Sync,
+) -> Vec<R> {
+    fork_in(&PROCESS, world, items, f)
+}
+
+fn fork_in<W: Clone + Send, T: Sync, R: Send>(
+    budget: &Budget,
+    world: W,
+    items: &[T],
+    f: impl Fn(W, &T) -> R + Sync,
+) -> Vec<R> {
+    // The world, and how many cells have yet to take it.
+    let shared = Mutex::new((Some(world), items.len()));
+    map_in(budget, items, |item| {
+        let copy = {
+            let mut guard = shared.lock().expect("no cell panics while holding it");
+            let (world, left) = &mut *guard;
+            *left -= 1;
+            if *left == 0 {
+                world.take()
+            } else {
+                world.clone()
+            }
+        };
+        f(
+            copy.expect("every cell takes the world before the last"),
+            item,
+        )
+    })
 }
 
 fn map_in<T: Sync, R: Send>(budget: &Budget, items: &[T], f: impl Fn(&T) -> R + Sync) -> Vec<R> {
@@ -305,6 +353,71 @@ mod tests {
         let ran_on: Vec<ThreadId> = map_in(&budget, &items, |_| std::thread::current().id());
         let me = std::thread::current().id();
         assert!(ran_on.iter().all(|&id| id == me));
+    }
+
+    /// A world that counts its live copies and how many clones were made.
+    struct Counted<'a> {
+        alive: &'a Gauge,
+        clones: &'a AtomicUsize,
+        log: Vec<u32>,
+    }
+
+    impl<'a> Counted<'a> {
+        fn new(alive: &'a Gauge, clones: &'a AtomicUsize) -> Self {
+            alive.enter();
+            Counted {
+                alive,
+                clones,
+                log: vec![7],
+            }
+        }
+    }
+
+    impl Clone for Counted<'_> {
+        fn clone(&self) -> Self {
+            self.clones.fetch_add(1, SeqCst);
+            self.alive.enter();
+            Counted {
+                alive: self.alive,
+                clones: self.clones,
+                log: self.log.clone(),
+            }
+        }
+    }
+
+    impl Drop for Counted<'_> {
+        fn drop(&mut self) {
+            self.alive.leave();
+        }
+    }
+
+    #[test]
+    fn fork_gives_each_cell_its_own_copy_and_drops_the_world_after_the_last() {
+        let budget = Budget::new(3);
+        let (alive, clones) = (Gauge::default(), AtomicUsize::new(0));
+        let items: Vec<u32> = (0..8).collect();
+        let world = Counted::new(&alive, &clones);
+        let out = fork_in(&budget, world, &items, |mut w, &i| {
+            w.log.push(i);
+            std::thread::yield_now();
+            w.log.clone()
+        });
+        // Input order, and no cell saw another cell's writes.
+        let want: Vec<Vec<u32>> = items.iter().map(|&i| vec![7, i]).collect();
+        assert_eq!(out, want);
+        assert_eq!(
+            clones.load(SeqCst),
+            items.len() - 1,
+            "the last cell takes it"
+        );
+        let max = alive.max.load(SeqCst);
+        assert!(max <= 1 + 3, "{max} worlds alive at once at width 3");
+        assert_eq!(
+            alive.now.load(SeqCst),
+            0,
+            "every copy and the world dropped"
+        );
+        assert_eq!(budget.busy.load(SeqCst), 0);
     }
 
     #[test]

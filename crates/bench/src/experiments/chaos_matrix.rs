@@ -24,12 +24,23 @@
 //! Every scenario runs under both fast-path fairness policies in `--full`
 //! mode (quick mode covers the unrestricted baseline policy) to show the
 //! recovery machinery is policy-independent.
+//!
+//! All five cells of a policy (the fault-free baseline and the four
+//! scenarios) are one history until the faults open at 2.5 s, about 40 % of
+//! each run. That history is simulated once: the rack runs with an empty
+//! chaos script to [`fork_at`], 1 ns before the scripts start, which is the
+//! last instant no scenario can observe. [`cells::fork`] then gives each
+//! scenario its own copy, with its script put into the copy's chaos plane.
+//! `forked_cells_equal_cells_built_from_scratch` pins every row input and
+//! exported metric (outside host time) against cells run from scratch.
 
-use fastrak::{attach, CtrlPlaneConfig, DeConfig, FasTrakConfig, FastPathPolicy, TorController};
+use fastrak::{
+    attach, CtrlPlaneConfig, DeConfig, FasTrak, FasTrakConfig, FastPathPolicy, TorController,
+};
 use fastrak_host::vm::VmSpec;
 use fastrak_net::addr::{Ip, TenantId};
 use fastrak_net::event::ctl_fault_layer;
-use fastrak_sim::chaos::ChaosConfig;
+use fastrak_sim::chaos::{ChaosConfig, ChaosPlane};
 use fastrak_sim::fault::FaultConfig;
 use fastrak_sim::kernel::NodeId;
 use fastrak_sim::time::{SimDuration, SimTime};
@@ -76,9 +87,26 @@ fn fault_start() -> SimTime {
     SimTime::from_millis(2_500)
 }
 
+/// The last instant no scenario can observe. Every script opens at
+/// [`fault_start`] and the chaos plane answers `now >= start`, so up to and
+/// including this instant all five cells of a policy are one history: it is
+/// simulated once, and forked here.
+fn fork_at() -> SimTime {
+    SimTime(fault_start().as_nanos() - 1)
+}
+
+/// One cell's world: the rack plus the handles a cell reads it through.
+#[derive(Clone)]
+struct Rack {
+    bed: Testbed,
+    memslap: VmRef,
+    ft: FasTrak,
+}
+
 /// The same rack as `fault_matrix`: memcached + scp on server 0, their
-/// peers on server 1. Returns the memslap VM for latency readout.
-fn rack() -> (Testbed, VmRef) {
+/// peers on server 1, FasTrak attached, a fault layer with an empty chaos
+/// script, everything started. Nothing has run yet.
+fn build(policy: FastPathPolicy) -> Rack {
     let mut bed = Testbed::build(TestbedConfig {
         n_servers: 2,
         tunneling: false,
@@ -109,7 +137,54 @@ fn rack() -> (Testbed, VmRef) {
         VmSpec::large("scp-sink", T, Ip::tenant_vm(4)),
         Box::new(StreamSink::new(22)),
     );
-    (bed, memslap)
+    // Same offload cap as fault_matrix: the two memcached aggregates
+    // dominate by orders of magnitude, so "same offloaded set" tests the
+    // recovery machinery rather than DE tie-breaking.
+    let ft = attach(
+        &mut bed,
+        FasTrakConfig {
+            de: DeConfig {
+                max_offloaded: Some(2),
+                policy,
+                ..DeConfig::paper()
+            },
+            // Chaos scenarios need the detection machinery on: liveness
+            // probes every 100 ms and two-epoch blackhole confirmation.
+            // Enabled for the baseline too so the differential comparisons
+            // see identical control-plane behaviour.
+            ctrl: CtrlPlaneConfig {
+                probe_interval: SimDuration::from_millis(100),
+                blackhole_epochs: 2,
+            },
+            ..Default::default()
+        },
+    );
+    // Flight-recorder on: failure transitions are recorded there, and the
+    // chaos acceptance tests scan it.
+    bed.kernel.ctx.telemetry.flight.set_enabled(true);
+    bed.kernel.set_fault_layer(ctl_fault_layer(FaultConfig {
+        seed: 0xC4A05,
+        ..FaultConfig::default()
+    }));
+    ft.start(&mut bed);
+    bed.start();
+    Rack { bed, memslap, ft }
+}
+
+/// Put `scenario`'s script into the rack's chaos plane. Before
+/// [`fault_start`] no component can tell a scripted plane from an empty one.
+fn script(rack: &mut Rack, scenario: Scenario) {
+    let chaos = chaos_for(
+        scenario,
+        rack.bed.tor,
+        rack.bed.servers[0],
+        rack.ft.tor_ctrl,
+    );
+    rack.bed
+        .kernel
+        .fault_plane_mut()
+        .expect("build attaches the fault layer")
+        .chaos = ChaosPlane::new(chaos);
 }
 
 fn chaos_for(scenario: Scenario, tor: NodeId, server0: NodeId, tor_ctrl: NodeId) -> ChaosConfig {
@@ -168,42 +243,14 @@ struct Outcome {
     registry: fastrak_telemetry::Registry,
 }
 
-fn run_one(scenario: Scenario, policy: FastPathPolicy, horizon: SimTime) -> Outcome {
-    let (mut bed, memslap) = rack();
-    // Same offload cap as fault_matrix: the two memcached aggregates
-    // dominate by orders of magnitude, so "same offloaded set" tests the
-    // recovery machinery rather than DE tie-breaking.
-    let ft = attach(
-        &mut bed,
-        FasTrakConfig {
-            de: DeConfig {
-                max_offloaded: Some(2),
-                policy,
-                ..DeConfig::paper()
-            },
-            // Chaos scenarios need the detection machinery on: liveness
-            // probes every 100 ms and two-epoch blackhole confirmation.
-            // Enabled for the baseline too so the differential comparisons
-            // see identical control-plane behaviour.
-            ctrl: CtrlPlaneConfig {
-                probe_interval: SimDuration::from_millis(100),
-                blackhole_epochs: 2,
-            },
-            ..Default::default()
-        },
-    );
-    // Flight-recorder on: failure transitions are recorded there, and the
-    // chaos acceptance tests scan it.
-    bed.kernel.ctx.telemetry.flight.set_enabled(true);
-    let chaos = chaos_for(scenario, bed.tor, bed.servers[0], ft.tor_ctrl);
-    bed.kernel.set_fault_layer(ctl_fault_layer(FaultConfig {
-        seed: 0xC4A05,
-        chaos,
-        ..FaultConfig::default()
-    }));
-    ft.start(&mut bed);
-    bed.start();
-
+/// Run a scripted rack from wherever it stands (at most [`fork_at`]) to
+/// `horizon` and read its outcome.
+fn finish(rack: Rack, horizon: SimTime) -> Outcome {
+    let Rack {
+        mut bed,
+        memslap,
+        ft,
+    } = rack;
     // Run to the fault, snapshot the converged set size, then step in 50 ms
     // checkpoints to timestamp fallback and re-offload (checkpoints only
     // observe — they schedule nothing, so determinism is untouched).
@@ -264,6 +311,28 @@ fn run_one(scenario: Scenario, policy: FastPathPolicy, horizon: SimTime) -> Outc
     }
 }
 
+/// The history every cell of `policy` shares: the rack, run to [`fork_at`].
+fn converged(policy: FastPathPolicy) -> Rack {
+    let mut rack = build(policy);
+    rack.bed.run_until(fork_at());
+    rack
+}
+
+/// One policy's cells, in `scenarios` order: the shared history is
+/// simulated once, then each scenario runs on its own copy.
+fn run_policy(policy: FastPathPolicy, scenarios: &[Scenario], horizon: SimTime) -> Vec<Outcome> {
+    cells::fork(converged(policy), scenarios, |mut rack, &scenario| {
+        script(&mut rack, scenario);
+        finish(rack, horizon)
+    })
+}
+
+/// The unrestricted-policy rack as each of its cells receives it. What the
+/// `testbed_fork_chaos_rack` bench copies.
+pub fn rack_at_fork() -> Testbed {
+    converged(FastPathPolicy::Unrestricted).bed
+}
+
 fn policy_label(p: &FastPathPolicy) -> &'static str {
     if p.is_unrestricted() {
         "unrestricted"
@@ -310,19 +379,16 @@ pub fn run_with_export(full: bool) -> (Vec<Artifact>, fastrak_telemetry::Registr
         "scripted ToR reboots, SR-IOV VF death, link flaps, and controller restarts: offloaded flows fall back to the software path (nothing is lost), bookkeeping drift stays zero, and the offloaded set re-converges to the fault-free one after recovery",
     );
     let mut export_reg = None;
-    // Per policy: the fault-free baseline world, then one world per scenario.
-    let grid: Vec<(Scenario, &FastPathPolicy)> = policies
-        .iter()
-        .flat_map(|policy| {
-            std::iter::once(Scenario::Baseline)
-                .chain(scenarios)
-                .map(move |scenario| (scenario, policy))
-        })
+    // Per policy: the fault-free baseline world, then one world per
+    // scenario, all forked from one converged rack.
+    let cells: Vec<Scenario> = std::iter::once(Scenario::Baseline)
+        .chain(scenarios)
         .collect();
-    let mut outcomes = cells::map(&grid, |&(scenario, policy)| {
-        run_one(scenario, policy.clone(), horizon)
+    let mut outcomes = cells::map(&policies, |policy| {
+        run_policy(policy.clone(), &cells, horizon)
     })
-    .into_iter();
+    .into_iter()
+    .flatten();
     let mut next = || outcomes.next().expect("one world per grid cell");
     for policy in &policies {
         let base = next();
@@ -416,8 +482,43 @@ pub fn run_with_export(full: bool) -> (Vec<Artifact>, fastrak_telemetry::Registr
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::experiments::fork_check;
 
     const TEST_HORIZON: SimTime = SimTime::from_millis(6_300);
+
+    /// The baseline and one scenario, forked from one converged rack.
+    fn base_and(scenario: Scenario) -> (Outcome, Outcome) {
+        let mut got = run_policy(
+            FastPathPolicy::Unrestricted,
+            &[Scenario::Baseline, scenario],
+            TEST_HORIZON,
+        );
+        let scenario = got.pop().expect("two cells");
+        (got.pop().expect("two cells"), scenario)
+    }
+
+    /// The reference path: one cell built and run from scratch, with its
+    /// script in place from the start.
+    fn run_one(scenario: Scenario, policy: FastPathPolicy, horizon: SimTime) -> Outcome {
+        let mut rack = build(policy);
+        script(&mut rack, scenario);
+        finish(rack, horizon)
+    }
+
+    /// Everything a cell reports: its rows' inputs and every exported
+    /// metric outside host time.
+    fn observed(got: &Outcome) -> Vec<String> {
+        let head = vec![
+            format!("offloaded={:?}", got.offloaded),
+            format!("drift={} p99_ns={}", got.drift, got.p99_ns),
+            format!(
+                "fallback={} reoffload={}",
+                got.time_to_fallback_ms, got.time_to_reoffload_ms
+            ),
+            format!("hw_path_drops={}", got.hw_path_drops),
+        ];
+        fork_check::report(head, &got.registry)
+    }
 
     /// Acceptance (a): a dead VF migrates its flows onto the software path
     /// — transactions keep completing, the hardware path's loss is bounded
@@ -427,16 +528,7 @@ mod tests {
     #[test]
     #[ignore = "slow: run with cargo test --release -p fastrak-bench -- --ignored"]
     fn vf_failure_migrates_to_software_and_recovers() {
-        let base = run_one(
-            Scenario::Baseline,
-            FastPathPolicy::Unrestricted,
-            TEST_HORIZON,
-        );
-        let got = run_one(
-            Scenario::VfFailure,
-            FastPathPolicy::Unrestricted,
-            TEST_HORIZON,
-        );
+        let (base, got) = base_and(Scenario::VfFailure);
         assert!(got.hw_down_demotes >= 1, "hw-path-down report must demote");
         assert!(
             got.hw_path_drops > 0,
@@ -469,16 +561,7 @@ mod tests {
     #[test]
     #[ignore = "slow: run with cargo test --release -p fastrak-bench -- --ignored"]
     fn tor_reboot_reconverges_with_zero_drift() {
-        let base = run_one(
-            Scenario::Baseline,
-            FastPathPolicy::Unrestricted,
-            TEST_HORIZON,
-        );
-        let got = run_one(
-            Scenario::TorReboot,
-            FastPathPolicy::Unrestricted,
-            TEST_HORIZON,
-        );
+        let (base, got) = base_and(Scenario::TorReboot);
         assert!(got.reboots_seen >= 1, "generation bump must be detected");
         assert!(got.frames_blocked > 0, "dark ports must blackhole frames");
         assert_eq!(got.offloaded, base.offloaded, "must re-converge");
@@ -492,16 +575,7 @@ mod tests {
     #[test]
     #[ignore = "slow: run with cargo test --release -p fastrak-bench -- --ignored"]
     fn controller_restart_differential_matches_never_crashed_run() {
-        let base = run_one(
-            Scenario::Baseline,
-            FastPathPolicy::Unrestricted,
-            TEST_HORIZON,
-        );
-        let got = run_one(
-            Scenario::CtrlRestart,
-            FastPathPolicy::Unrestricted,
-            TEST_HORIZON,
-        );
+        let (base, got) = base_and(Scenario::CtrlRestart);
         assert_eq!(got.restarts, 1, "exactly one scripted restart");
         assert_eq!(
             got.offloaded, base.offloaded,
@@ -516,31 +590,36 @@ mod tests {
     #[test]
     #[ignore = "slow: run with cargo test --release -p fastrak-bench -- --ignored"]
     fn tor_reboot_cell_replays_bit_identically() {
-        let run = || {
-            let got = run_one(
-                Scenario::TorReboot,
-                FastPathPolicy::Unrestricted,
-                TEST_HORIZON,
-            );
-            let mut lines: Vec<String> = got
-                .registry
-                .counters()
-                .map(|(n, v)| format!("{n}={v}"))
-                .chain(got.registry.gauges().map(|(n, v)| format!("{n}={v}")))
-                // ctrl.de.epoch_ns is the DE's self-measured wall-clock
-                // compute time — the one host-time metric in the registry.
-                .filter(|l| !l.starts_with("ctrl.de.epoch_ns"))
-                .collect();
-            lines.sort();
-            (
-                got.offloaded,
-                got.drift,
-                got.p99_ns,
-                got.time_to_fallback_ms.to_bits(),
-                got.time_to_reoffload_ms.to_bits(),
-                lines,
-            )
-        };
+        let run = || observed(&base_and(Scenario::TorReboot).1);
         assert_eq!(run(), run());
+    }
+
+    /// Forking is invisible: every scenario, forked from the shared rack at
+    /// [`fork_at`], reports exactly what the same cell built and run from
+    /// scratch reports — every row input and every exported metric outside
+    /// host time.
+    #[test]
+    #[ignore = "slow: run with cargo test --release -p fastrak-bench -- --ignored"]
+    fn forked_cells_equal_cells_built_from_scratch() {
+        let scenarios = [
+            Scenario::Baseline,
+            Scenario::TorReboot,
+            Scenario::VfFailure,
+            Scenario::LinkFlap,
+            Scenario::CtrlRestart,
+        ];
+        let forked = run_policy(FastPathPolicy::Unrestricted, &scenarios, TEST_HORIZON);
+        let scratch = cells::map(&scenarios, |&s| {
+            run_one(s, FastPathPolicy::Unrestricted, TEST_HORIZON)
+        });
+        let differ: Vec<String> = scenarios
+            .iter()
+            .zip(forked.iter().zip(&scratch))
+            .filter_map(|(s, (f, r))| {
+                fork_check::first_difference(&observed(f), &observed(r))
+                    .map(|d| format!("{}: {d}", s.label()))
+            })
+            .collect();
+        assert!(differ.is_empty(), "{}", differ.join("\n"));
     }
 }

@@ -22,6 +22,15 @@
 //!
 //! Everything runs on the deterministic testbed: same seed → bit-identical
 //! artifacts (pinned by this module's replay test).
+//!
+//! The `sw` and `migrate` cells of one (cc, fan-out) are one history until
+//! the path shift at horizon/2: `migrate` runs on the software path until
+//! then, and authorizing the tenant's hardware path early changes no frame.
+//! So each such rack runs once to the shift and [`cells::fork`] gives each
+//! of the two cells its own copy; the `migrate` copy authorizes the tenant
+//! and installs the placer rules there. `hw` cells run alone.
+//! `forked_cells_equal_cells_built_from_scratch` pins every pair against
+//! cells run from scratch.
 
 use fastrak_host::vm::VmSpec;
 use fastrak_net::addr::{Ip, TenantId};
@@ -30,7 +39,9 @@ use fastrak_net::packet::PathTag;
 use fastrak_sim::time::{SimDuration, SimTime};
 use fastrak_transport::cc::CcAlgo;
 use fastrak_transport::tcp::{TcpConfig, TcpStats};
-use fastrak_workload::{incast_worker, IncastAggregator, IncastConfig, Testbed, TestbedConfig};
+use fastrak_workload::{
+    incast_worker, IncastAggregator, IncastConfig, Testbed, TestbedConfig, VmRef,
+};
 
 use crate::cells;
 use crate::report::{Artifact, Row};
@@ -101,7 +112,18 @@ fn sum_tcp(bed: &Testbed) -> TcpStats {
     acc
 }
 
-fn run_one(cc: CcAlgo, path: Path, fanout: usize, horizon: SimTime) -> Outcome {
+/// One cell's world: the rack plus the VMs a cell reads or re-places.
+#[derive(Clone)]
+struct Rack {
+    bed: Testbed,
+    workers: Vec<VmRef>,
+    agg: VmRef,
+}
+
+/// The rack for one cell, started; nothing has run yet. Every path but
+/// `sw` has the tenant's hardware path authorized, and `hw` pins every VM
+/// to SR-IOV.
+fn build(cc: CcAlgo, path: Path, fanout: usize) -> Rack {
     let mut bed = Testbed::build(TestbedConfig {
         n_servers: 5,
         tunneling: false,
@@ -122,8 +144,8 @@ fn run_one(cc: CcAlgo, path: Path, fanout: usize, horizon: SimTime) -> Outcome {
 
     // Workers round-robin over servers 1..=4; the aggregator alone on
     // server 0 so all responses converge on one downlink.
+    let mut ips = Vec::new();
     let mut workers = Vec::new();
-    let mut worker_refs = Vec::new();
     for i in 0..fanout {
         let ip = Ip::tenant_vm(i as u16 + 2);
         let v = bed.add_vm_tcp(
@@ -132,8 +154,8 @@ fn run_one(cc: CcAlgo, path: Path, fanout: usize, horizon: SimTime) -> Outcome {
             Box::new(incast_worker(RESP_SIZE)),
             tcp,
         );
-        worker_refs.push(v);
-        workers.push(ip);
+        workers.push(v);
+        ips.push(ip);
     }
     let agg = bed.add_vm_tcp(
         0,
@@ -142,7 +164,7 @@ fn run_one(cc: CcAlgo, path: Path, fanout: usize, horizon: SimTime) -> Outcome {
             long_flows: 2,
             long_burst: 8,
             rounds: None,
-            ..IncastConfig::fan_in(workers, RESP_SIZE, 0)
+            ..IncastConfig::fan_in(ips, RESP_SIZE, 0)
         })),
         tcp,
     );
@@ -151,21 +173,33 @@ fn run_one(cc: CcAlgo, path: Path, fanout: usize, horizon: SimTime) -> Outcome {
         bed.authorize_hw_tenant(TENANT);
     }
     if path == Path::Hw {
-        for &v in &worker_refs {
+        for &v in &workers {
             bed.force_path(v, PathTag::SrIov);
         }
         bed.force_path(agg, PathTag::SrIov);
     }
-
     bed.start();
-    let shift_at = SimTime(horizon.as_nanos() / 2);
-    bed.run_until(shift_at);
+    Rack { bed, workers, agg }
+}
+
+/// The path shift: the instant the cells of one world diverge.
+fn shift_at(horizon: SimTime) -> SimTime {
+    SimTime(horizon.as_nanos() / 2)
+}
+
+/// Take a rack standing at [`shift_at`] to `horizon` and read its outcome.
+/// A `migrate` cell first shifts the workers' egress (the response
+/// direction) onto the SR-IOV VF, as the FasTrak rule manager would;
+/// requests and ACKs keep flowing via the VIF (asymmetric, as in Fig. 12).
+fn finish(rack: Rack, path: Path, horizon: SimTime) -> Outcome {
+    let Rack {
+        mut bed,
+        workers,
+        agg,
+    } = rack;
     let pre = sum_tcp(&bed);
     if path == Path::Migrate {
-        // Shift the workers' egress (the response direction) onto the
-        // SR-IOV VF, as the FasTrak rule manager would; requests and ACKs
-        // keep flowing via the VIF (asymmetric, as in Fig. 12).
-        for &v in &worker_refs {
+        for v in workers {
             let spec = FlowSpec {
                 tenant: Some(TENANT),
                 src_ip: Some(v.ip),
@@ -197,6 +231,31 @@ fn run_one(cc: CcAlgo, path: Path, fanout: usize, horizon: SimTime) -> Outcome {
     }
 }
 
+/// The cells that share `world` up to [`shift_at`]: `sw` and `migrate`
+/// are one history on the software path until then; `hw` differs from the
+/// first instant.
+fn cells_of(world: Path) -> &'static [Path] {
+    match world {
+        Path::Hw => &[Path::Hw],
+        Path::Sw | Path::Migrate => &[Path::Sw, Path::Migrate],
+    }
+}
+
+/// Simulate `world` once up to [`shift_at`], then run each of its cells on
+/// its own copy. Outcomes come back in [`cells_of`] order.
+fn run_world(cc: CcAlgo, world: Path, fanout: usize, horizon: SimTime) -> Vec<Outcome> {
+    let mut rack = build(cc, world, fanout);
+    rack.bed.run_until(shift_at(horizon));
+    cells::fork(rack, cells_of(world), |mut rack, &path| {
+        if path == Path::Migrate && world == Path::Sw {
+            // Authorized from the start in a rack of its own; no frame can
+            // tell the difference before the shift.
+            rack.bed.authorize_hw_tenant(TENANT);
+        }
+        finish(rack, path, horizon)
+    })
+}
+
 /// Regenerate the incast-matrix report.
 pub fn run(full: bool) -> Vec<Artifact> {
     run_with_export(full).0
@@ -226,10 +285,30 @@ pub fn run_with_export(full: bool) -> (Vec<Artifact>, fastrak_telemetry::Registr
             }
         }
     }
-    let outcomes = cells::map(&grid, |&(_, cc, path, fanout)| {
-        run_one(cc, path, fanout, horizon)
-    });
-    for ((cc_name, cc, path, fanout), got) in grid.into_iter().zip(outcomes) {
+    // Longest worlds first: a software world carries two cells.
+    let worlds: Vec<(CcAlgo, Path, usize)> = [Path::Sw, Path::Hw]
+        .into_iter()
+        .flat_map(|world| {
+            cc_grid()
+                .into_iter()
+                .flat_map(move |(_, cc)| fanouts.iter().map(move |&fanout| (cc, world, fanout)))
+        })
+        .collect();
+    let mut outcomes: Vec<((CcAlgo, Path, usize), Outcome)> =
+        cells::map(&worlds, |&(cc, world, fanout)| {
+            let keys = cells_of(world).iter().map(|&path| (cc, path, fanout));
+            keys.zip(run_world(cc, world, fanout, horizon))
+                .collect::<Vec<_>>()
+        })
+        .into_iter()
+        .flatten()
+        .collect();
+    for (cc_name, cc, path, fanout) in grid {
+        let i = outcomes
+            .iter()
+            .position(|(cell, _)| *cell == (cc, path, fanout))
+            .expect("every grid cell ran");
+        let got = outcomes.swap_remove(i).1;
         let cfg = format!("cc={cc_name}, path={}, fanout={fanout}", path.name());
         a.push(Row::new(
             "round FCT p50",
@@ -302,8 +381,41 @@ pub fn run_with_export(full: bool) -> (Vec<Artifact>, fastrak_telemetry::Registr
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::experiments::fork_check;
 
     const TEST_HORIZON: SimTime = SimTime::from_millis(500);
+
+    /// The `migrate` cell, forked from its software world.
+    fn migrate(cc: CcAlgo, fanout: usize) -> Outcome {
+        let [_, got] = <[Outcome; 2]>::try_from(run_world(cc, Path::Sw, fanout, TEST_HORIZON))
+            .unwrap_or_else(|_| panic!("a software world has two cells"));
+        got
+    }
+
+    /// The reference path: one cell built and run from scratch, its
+    /// hardware path authorized from the start unless it is `sw`.
+    fn run_one(cc: CcAlgo, path: Path, fanout: usize, horizon: SimTime) -> Outcome {
+        let mut rack = build(cc, path, fanout);
+        rack.bed.run_until(shift_at(horizon));
+        finish(rack, path, horizon)
+    }
+
+    /// Everything a cell reports: its rows' inputs and every exported
+    /// metric.
+    fn observed(got: &Outcome) -> Vec<String> {
+        let head = vec![format!(
+            "fct={}/{} rounds={} rtx={} rto={} ce={} ece={} rtx_after={}",
+            got.fct_p50_ns,
+            got.fct_p99_ns,
+            got.rounds,
+            got.rtx_segs,
+            got.timeouts,
+            got.ce_marks,
+            got.ece_rx,
+            got.rtx_after_shift
+        )];
+        fork_check::report(head, &got.registry)
+    }
 
     /// The acceptance criterion: the DCTCP cells' ECN feedback loop must
     /// actually close (fabric CE marks, ECE echoes) while the classic-CC
@@ -313,7 +425,7 @@ mod tests {
     #[ignore = "slow: run with cargo test --release -p fastrak-bench -- --ignored"]
     fn dctcp_marks_and_every_cell_progresses() {
         for (cc_name, cc) in cc_grid() {
-            let got = run_one(cc, Path::Migrate, 12, TEST_HORIZON);
+            let got = migrate(cc, 12);
             assert!(
                 got.rounds > 50,
                 "{cc_name}: incast must progress through the migration, got {} rounds",
@@ -333,23 +445,32 @@ mod tests {
     #[test]
     #[ignore = "slow: run with cargo test --release -p fastrak-bench -- --ignored"]
     fn dctcp_migrate_cell_replays_bit_identically() {
-        let run = || {
-            let got = run_one(CcAlgo::Dctcp, Path::Migrate, 12, TEST_HORIZON);
-            let mut lines: Vec<String> = got
-                .registry
-                .counters()
-                .map(|(n, v)| format!("{n}={v}"))
-                .chain(got.registry.gauges().map(|(n, v)| format!("{n}={v}")))
-                .collect();
-            lines.sort();
-            (
-                got.fct_p99_ns,
-                got.rounds,
-                got.rtx_segs,
-                got.ce_marks,
-                lines,
-            )
-        };
+        let run = || observed(&migrate(CcAlgo::Dctcp, 12));
         assert_eq!(run(), run());
+    }
+
+    /// Forking is invisible: every `sw`/`migrate` pair, forked at the path
+    /// shift, reports exactly what the same cells built and run from
+    /// scratch report — every row input and every exported metric.
+    #[test]
+    #[ignore = "slow: run with cargo test --release -p fastrak-bench -- --ignored"]
+    fn forked_cells_equal_cells_built_from_scratch() {
+        let worlds: Vec<(CcAlgo, usize)> = cc_grid()
+            .into_iter()
+            .flat_map(|(_, cc)| [4, 12].map(|fanout| (cc, fanout)))
+            .collect();
+        let differ: Vec<String> = cells::map(&worlds, |&(cc, fanout)| {
+            let forked = run_world(cc, Path::Sw, fanout, TEST_HORIZON);
+            let paths = cells_of(Path::Sw).iter().zip(&forked);
+            paths
+                .filter_map(|(&path, f)| {
+                    let r = run_one(cc, path, fanout, TEST_HORIZON);
+                    fork_check::first_difference(&observed(f), &observed(&r))
+                        .map(|d| format!("{cc:?}/{}/{fanout}: {d}", path.name()))
+                })
+                .collect::<Vec<_>>()
+        })
+        .concat();
+        assert!(differ.is_empty(), "{}", differ.join("\n"));
     }
 }

@@ -106,3 +106,33 @@ pub fn run_with_telemetry(id: &str, full: bool, dir: &std::path::Path) -> Option
     }
     run(id, full)
 }
+
+/// Test support for the grids that fork their cells (`chaos_matrix`,
+/// `incast_matrix`): compare a forked cell with the same cell built from
+/// scratch.
+#[cfg(test)]
+mod fork_check {
+    use fastrak_telemetry::{export, Registry};
+
+    /// A cell's report: `head` (its row inputs), then every exported metric
+    /// except the one host-time series, the decision engine's own
+    /// wall-clock compute time (`ctrl.de.epoch_ns`).
+    pub fn report(head: Vec<String>, reg: &Registry) -> Vec<String> {
+        let metrics = export::metrics_jsonl(reg);
+        let metrics = metrics
+            .lines()
+            .filter(|l| !l.contains("ctrl.de.epoch_ns"))
+            .map(String::from);
+        head.into_iter().chain(metrics).collect()
+    }
+
+    /// Where a forked cell's report first departs from the same cell's
+    /// report built from scratch, or `None` if they are equal.
+    pub fn first_difference(forked: &[String], scratch: &[String]) -> Option<String> {
+        let n = forked.len().max(scratch.len());
+        (0..n).find_map(|i| {
+            let (f, s) = (forked.get(i), scratch.get(i));
+            (f != s).then(|| format!("line {i}: forked {f:?}, from scratch {s:?}"))
+        })
+    }
+}

@@ -88,7 +88,7 @@ pub struct DeEpochStats {
 /// [`DecisionEngine::decide`](crate::de::DecisionEngine::decide) on the
 /// same demand history (asserted by the `de_differential` suite) while
 /// doing per-epoch work proportional to the change set, not the world.
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 pub struct IncrementalDecisionEngine {
     /// Configuration (shared semantics with the full-scan engine).
     pub cfg: DeConfig,

@@ -76,6 +76,7 @@ impl Default for FasTrakConfig {
 }
 
 /// Handles to a deployed FasTrak instance.
+#[derive(Clone)]
 pub struct FasTrak {
     /// The TOR controller node.
     pub tor_ctrl: NodeId,
@@ -87,11 +88,13 @@ pub struct FasTrak {
 /// controller for the rack. Call [`FasTrak::start`] (before or after
 /// `Testbed::start`) to begin the measurement loops.
 ///
-/// Panics, naming the field, when `cfg.timing` fails [`Timing::validate`].
+/// Panics, naming the field, when `cfg.timing` fails [`Timing::validate`]
+/// or `cfg.budget` is zero (a controller that may never offload).
 pub fn attach(bed: &mut Testbed, cfg: FasTrakConfig) -> FasTrak {
     if let Err(e) = cfg.timing.validate() {
         panic!("FasTrakConfig.timing: {e}");
     }
+    assert!(cfg.budget > 0, "FasTrakConfig.budget must be > 0");
     // Collect per-server VM lists first (immutably).
     let n = bed.servers.len();
     let mut per_server_vms: Vec<Vec<(fastrak_net::addr::TenantId, fastrak_net::addr::Ip)>> =
@@ -236,6 +239,22 @@ mod tests {
             &mut bed,
             FasTrakConfig {
                 timing,
+                ..FasTrakConfig::default()
+            },
+        );
+    }
+
+    #[test]
+    #[should_panic(expected = "FasTrakConfig.budget must be > 0")]
+    fn attach_refuses_a_zero_budget() {
+        let mut bed = Testbed::build(TestbedConfig {
+            n_servers: 1,
+            ..TestbedConfig::default()
+        });
+        attach(
+            &mut bed,
+            FasTrakConfig {
+                budget: 0,
                 ..FasTrakConfig::default()
             },
         );

@@ -97,6 +97,7 @@ impl Timing {
 }
 
 /// Local controller configuration.
+#[derive(Clone)]
 pub struct LocalControllerConfig {
     /// The server this controller manages.
     pub server: NodeId,
@@ -115,6 +116,7 @@ pub struct LocalControllerConfig {
 }
 
 /// The local controller node.
+#[derive(Clone)]
 pub struct LocalController {
     cfg: LocalControllerConfig,
     /// Cached display name (`Node::name` returns a borrow, not an allocation).
@@ -512,6 +514,10 @@ impl Node<Event, NetCtx> for LocalController {
 
     fn name(&self) -> &str {
         &self.name
+    }
+
+    fn fork(&self) -> Option<Self> {
+        Some(self.clone())
     }
 }
 

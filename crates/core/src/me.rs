@@ -64,7 +64,7 @@ struct AggState {
 
 /// The measurement engine: fed cumulative stat dumps, produces demand
 /// reports.
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 pub struct MeasurementEngine {
     /// Seconds between the two samples of one epoch (the paper's `t`).
     pub sample_gap_secs: f64,

@@ -45,7 +45,7 @@ pub fn specs_intersect(a: &FlowSpec, b: &FlowSpec) -> bool {
 }
 
 /// The rule manager: tenant policies + synthesis.
-#[derive(Debug, Default)]
+#[derive(Debug, Clone, Default)]
 pub struct RuleManager {
     policies: HashMap<TenantId, RuleSet>,
 }

@@ -75,4 +75,8 @@ impl Node<Event, NetCtx> for TorController {
     fn name(&self) -> &str {
         "tor-ctrl"
     }
+
+    fn fork(&self) -> Option<Self> {
+        Some(self.clone())
+    }
 }

@@ -9,7 +9,7 @@ use fastrak_telemetry::recorder::Severity;
 
 use super::{Cx, Timer, Xids, HW_COOLDOWN, HW_FAILURE_THRESHOLD, INSTALL_TIMEOUT};
 
-#[derive(Default)]
+#[derive(Clone, Default)]
 pub(crate) struct TorHealth {
     /// Highest ToR boot generation observed (probe replies and rule dumps
     /// carry it).

@@ -23,7 +23,7 @@ pub(crate) enum Phase {
     B,
 }
 
-#[derive(Default)]
+#[derive(Clone, Default)]
 pub(crate) struct HwMeter {
     /// xid of the awaited sample-A and sample-B reply. A reply naming
     /// neither (a duplicate, or one addressed to a dead incarnation) is

@@ -24,7 +24,7 @@ use fastrak_telemetry::{Registry, Telemetry};
 /// by the ToR itself).
 pub(crate) type RuleId = (TenantId, FlowSpec);
 
-#[derive(Default)]
+#[derive(Clone, Default)]
 pub(crate) struct RuleLedger {
     /// Aggregates whose install was acked (placers point at hardware).
     offloaded: HashSet<FlowAggregate>,

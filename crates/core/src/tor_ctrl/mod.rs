@@ -199,6 +199,7 @@ impl CtrlCounterIds {
 }
 
 /// TOR controller configuration.
+#[derive(Clone)]
 pub struct TorControllerConfig {
     /// The ToR switch node.
     pub tor: NodeId,
@@ -288,7 +289,7 @@ pub(crate) enum CtrlIn {
 
 /// Everything the controller does to the world. The adapter applies a
 /// handler's outputs in the order they were pushed.
-#[derive(Debug, PartialEq)]
+#[derive(Debug, Clone, PartialEq)]
 pub(crate) enum CtrlOut {
     /// Send a request to the ToR, arriving after the delay.
     ToTor(SimDuration, CtrlRequest),
@@ -351,6 +352,7 @@ impl Cx<'_> {
 
 /// Correlation ids for every request the controller sends. One space, so a
 /// reply names exactly one request whatever its kind.
+#[derive(Clone)]
 pub(crate) struct Xids(u64);
 
 impl Xids {
@@ -368,6 +370,7 @@ impl Xids {
 }
 
 /// The TOR controller node.
+#[derive(Clone)]
 pub struct TorController {
     cfg: TorControllerConfig,
     /// The decision engine: incremental top-k (`tests/de_differential.rs`

@@ -23,7 +23,7 @@ pub(crate) struct Sweep {
     pub lost: Vec<FlowAggregate>,
 }
 
-#[derive(Default)]
+#[derive(Clone, Default)]
 pub(crate) struct Reconciler {
     /// Outstanding sweep: (xid, offloaded set snapshotted at request time).
     /// The snapshot keeps installs acked while the dump was in flight from

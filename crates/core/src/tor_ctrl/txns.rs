@@ -17,6 +17,7 @@ use fastrak_telemetry::span::SpanId;
 use super::{Cx, Timer, BACKOFF_CAP, INSTALL_TIMEOUT, MAX_INSTALL_RETRIES};
 use crate::protocol::OffloadDecision;
 
+#[derive(Clone)]
 pub(crate) struct InstallTxn {
     /// The synthesized rule bundle (kept for retransmission).
     rules: Vec<TorRule>,
@@ -30,7 +31,7 @@ pub(crate) struct InstallTxn {
     span: Option<SpanId>,
 }
 
-#[derive(Default)]
+#[derive(Clone, Default)]
 pub(crate) struct InstallTxns {
     pending: HashMap<u64, InstallTxn>,
 }

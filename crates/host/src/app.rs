@@ -100,7 +100,11 @@ impl GuestApi<'_> {
 }
 
 /// A guest application. Implementations live in `fastrak-workload`.
-pub trait GuestApp: Any {
+///
+/// Every app is `Clone` (through [`AppClone`], implemented for it
+/// automatically) and `Send`, so a server running it can be forked and
+/// moved to another thread.
+pub trait GuestApp: Any + Send + AppClone {
     /// Called once when the simulation starts (open listeners/connections).
     fn on_start(&mut self, api: &mut GuestApi<'_>);
 
@@ -114,5 +118,24 @@ pub trait GuestApp: Any {
     /// stream-type workloads can keep the send buffer topped up.
     fn on_tx_room(&mut self, api: &mut GuestApi<'_>) {
         let _ = api;
+    }
+}
+
+/// The clone hook behind `Box<dyn GuestApp>: Clone`: any `Clone` app gets
+/// it for free.
+pub trait AppClone {
+    /// A boxed copy of this app.
+    fn clone_app(&self) -> Box<dyn GuestApp>;
+}
+
+impl<T: GuestApp + Clone> AppClone for T {
+    fn clone_app(&self) -> Box<dyn GuestApp> {
+        Box::new(self.clone())
+    }
+}
+
+impl Clone for Box<dyn GuestApp> {
+    fn clone(&self) -> Self {
+        self.clone_app()
     }
 }

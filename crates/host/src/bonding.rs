@@ -20,7 +20,7 @@ use fastrak_net::tables::{ExactMatchTable, WildcardTable};
 const CONTROL_PLANE_CAPACITY: usize = 4096;
 
 /// The per-VM flow placer.
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 pub struct FlowPlacer {
     control: WildcardTable<PathTag>,
     data: ExactMatchTable<PathTag>,

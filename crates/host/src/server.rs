@@ -182,6 +182,7 @@ impl Stage {
 
 /// What happens to a packet when the stage it is parked in completes.
 #[allow(clippy::enum_variant_names)] // stages are all completions
+#[derive(Clone)]
 enum Pending {
     GuestTxDone {
         vm: usize,
@@ -237,6 +238,7 @@ fn trace_segment(api: &mut Api<'_, Event, NetCtx>, who: &str, kind: &'static str
 }
 
 /// The server node.
+#[derive(Clone)]
 pub struct Server {
     /// Static configuration.
     pub cfg: ServerConfig,
@@ -1086,6 +1088,10 @@ impl Node<Event, NetCtx> for Server {
     fn name(&self) -> &str {
         &self.cfg.name
     }
+
+    fn fork(&self) -> Option<Self> {
+        Some(self.clone())
+    }
 }
 
 #[cfg(test)]
@@ -1099,6 +1105,7 @@ mod tests {
 
     const TENANT: TenantId = TenantId(7);
 
+    #[derive(Clone)]
     struct NullApp;
 
     impl crate::app::GuestApp for NullApp {
@@ -1245,7 +1252,7 @@ mod tests {
     /// Records the socket events it is handed. Its app timer queues two
     /// accepts at once; the first event it sees queues a third from inside
     /// the handler.
-    #[derive(Default)]
+    #[derive(Clone, Default)]
     struct Nesting {
         seen: Vec<SockEvent>,
     }
@@ -1307,6 +1314,7 @@ mod tests {
     }
 
     /// Answers every accept with a large write and a small one.
+    #[derive(Clone)]
     struct TwoWrites;
 
     impl crate::app::GuestApp for TwoWrites {

@@ -36,7 +36,7 @@ impl std::fmt::Display for SriovError {
 impl std::error::Error for SriovError {}
 
 /// One virtual function.
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 pub struct Vf {
     /// Local VM index this VF is assigned to.
     pub vm_idx: usize,
@@ -54,7 +54,7 @@ pub struct Vf {
 }
 
 /// The SR-IOV capable NIC.
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 pub struct SriovNic {
     vfs: Vec<Vf>,
     max_vfs: usize,

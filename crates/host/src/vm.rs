@@ -53,6 +53,7 @@ impl VmSpec {
 }
 
 /// A running VM inside a server.
+#[derive(Clone)]
 pub struct Vm {
     /// The static spec.
     pub spec: VmSpec,

@@ -57,7 +57,7 @@ pub struct VswitchConfig {
 }
 
 /// The vswitch.
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 pub struct Vswitch {
     cfg: VswitchConfig,
     /// Kernel datapath cache: the verdict of each exact flow.

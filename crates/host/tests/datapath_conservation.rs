@@ -38,6 +38,7 @@ fn key(dst: u8) -> FlowKey {
     }
 }
 
+#[derive(Clone)]
 struct NullApp;
 
 impl GuestApp for NullApp {

@@ -56,6 +56,7 @@ const ROUNDS: u32 = 500;
 
 /// Dials its peers at start, writes a seeded amount on every open
 /// connection each round, then closes what opened and aborts what did not.
+#[derive(Clone)]
 struct Talker {
     dials: Vec<(Ip, u16)>,
     conns: Vec<ConnId>,

@@ -8,7 +8,7 @@
 //! * [`Event::Timer`] — a self-scheduled timer (TCP retransmission, ME
 //!   measurement epochs, workload pacing);
 //! * [`Event::Ctl`] — a control-plane message. Control messages are typed
-//!   per-protocol and carried as `Box<dyn Any>` so that higher layers (the
+//!   per-protocol and carried as `Box<dyn Any + Send>` so that higher layers (the
 //!   controllers in `fastrak`) can define message types without this crate
 //!   depending on them. Control traffic is low-rate, so the downcast cost is
 //!   irrelevant.
@@ -27,18 +27,19 @@ pub struct CtlMsg {
     /// Sending node.
     pub from: NodeId,
     /// Typed body; receivers downcast to the protocol structs they speak.
-    pub body: Box<dyn Any>,
+    pub body: Box<dyn Any + Send>,
     /// Clones the body (the `dyn Any` erasure hides `Clone`; this restores
-    /// it for duplication faults). Captured at construction, where `T` is
-    /// still concrete.
-    clone_body: fn(&dyn Any) -> Box<dyn Any>,
+    /// it for duplication faults and forked worlds). Captured at
+    /// construction, where `T` is still concrete.
+    clone_body: fn(&(dyn Any + Send)) -> Box<dyn Any + Send>,
 }
 
 impl CtlMsg {
     /// Wrap a typed body. Bodies must be `Clone` so the fault-injection
-    /// layer can model duplicated delivery — every protocol struct is plain
-    /// data, so this costs nothing.
-    pub fn new<T: Any + Clone>(from: NodeId, body: T) -> CtlMsg {
+    /// layer can model duplicated delivery and a world holding the message
+    /// can be forked, and `Send` so that world can move between threads —
+    /// every protocol struct is plain data, so this costs nothing.
+    pub fn new<T: Any + Clone + Send>(from: NodeId, body: T) -> CtlMsg {
         CtlMsg {
             from,
             body: Box::new(body),
@@ -104,14 +105,21 @@ pub fn ctl_fault_layer(cfg: FaultConfig) -> FaultLayer<Event> {
         .with_frame_classifier(|ev| matches!(ev, Event::Frame { .. }))
 }
 
+impl Clone for CtlMsg {
+    fn clone(&self) -> CtlMsg {
+        self.duplicate()
+    }
+}
+
 impl std::fmt::Debug for CtlMsg {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         write!(f, "CtlMsg(from={})", self.from)
     }
 }
 
-/// The event type flowing through the simulation kernel.
-#[derive(Debug)]
+/// The event type flowing through the simulation kernel. A clone deep-copies
+/// a control message's body through [`CtlMsg::duplicate`].
+#[derive(Debug, Clone)]
 pub enum Event {
     /// A packet delivered to `port` of the receiving node.
     Frame {
@@ -136,7 +144,7 @@ pub enum Event {
 
 /// Shared kernel context: the global trace ring, the telemetry plane, and
 /// the packet-id allocator.
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 pub struct NetCtx {
     /// Global trace ring (receiver-side packet capture, controller events).
     pub trace: TraceRing,

@@ -78,7 +78,7 @@ impl ChaosCounters {
 /// The scripted component-outage engine. Owned by the kernel inside a
 /// [`crate::fault::FaultPlane`]; component models query it via
 /// [`crate::kernel::Api`].
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 pub struct ChaosPlane {
     cfg: ChaosConfig,
     /// Nothing scripted: every query short-circuits. Precomputed because

@@ -119,7 +119,7 @@ pub enum FaultDecision {
 
 /// The seeded fault decision engine. Owned by the kernel (inside a
 /// [`FaultLayer`]); experiments read [`FaultPlane::stats`] afterwards.
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 pub struct FaultPlane {
     rng: Rng,
     default_link: LinkFaults,
@@ -228,6 +228,7 @@ impl FaultPlane {
 /// A [`FaultPlane`] plus the event-type-specific hooks the kernel needs:
 /// which events are fault candidates, and how to clone one for duplication.
 /// Plain `fn` pointers keep the layer `Copy`-cheap and `'static`.
+#[derive(Clone)]
 pub struct FaultLayer<E> {
     /// The decision engine.
     pub plane: FaultPlane,

@@ -35,7 +35,10 @@ pub use crate::sched::EventHandle;
 pub type NodeId = usize;
 
 /// A simulated entity that receives timestamped events.
-pub trait Node<E, C>: Any {
+///
+/// Nodes are `Send` so that a whole world can move to the thread that runs
+/// it.
+pub trait Node<E, C>: Any + Send {
     /// Handle one event addressed to this node. `api` gives access to the
     /// clock, shared context, RNG, and event scheduling.
     fn on_event(&mut self, ev: E, api: &mut Api<'_, E, C>);
@@ -45,6 +48,16 @@ pub trait Node<E, C>: Any {
     /// records) pay for it explicitly.
     fn name(&self) -> &str {
         "node"
+    }
+
+    /// An independent copy of this node, for [`Kernel::fork`]. `None` (the
+    /// default) means the node cannot be copied, and neither can a kernel
+    /// that holds it.
+    fn fork(&self) -> Option<Self>
+    where
+        Self: Sized,
+    {
+        None
     }
 }
 
@@ -226,9 +239,11 @@ pub struct Kernel<E, C> {
     pub rng: Rng,
 }
 
-/// Object-safe shim adding `Any`-based downcasting on top of [`Node`].
-trait NodeObj<E, C> {
+/// Object-safe shim adding `Any`-based downcasting (and forking) on top of
+/// [`Node`].
+trait NodeObj<E, C>: Send {
     fn on_event_obj(&mut self, ev: E, api: &mut Api<'_, E, C>);
+    fn fork_obj(&self) -> Option<Box<dyn NodeObj<E, C>>>;
     fn as_any_mut(&mut self) -> &mut dyn Any;
     fn as_any(&self) -> &dyn Any;
 }
@@ -236,6 +251,9 @@ trait NodeObj<E, C> {
 impl<E, C, T: Node<E, C>> NodeObj<E, C> for T {
     fn on_event_obj(&mut self, ev: E, api: &mut Api<'_, E, C>) {
         self.on_event(ev, api)
+    }
+    fn fork_obj(&self) -> Option<Box<dyn NodeObj<E, C>>> {
+        Some(Box::new(self.fork()?))
     }
     fn as_any_mut(&mut self) -> &mut dyn Any {
         self
@@ -269,6 +287,36 @@ impl<E, C> Kernel<E, C> {
         self.names.push(node.name().to_string());
         self.nodes.push(Box::new(node));
         id
+    }
+
+    /// An independent copy of the whole world: every node (through
+    /// [`Node::fork`]), the calendar verbatim — arena, generations (so an
+    /// [`EventHandle`] issued before the fork names the same event in both
+    /// copies), the FIFO sequence counter — and the clock, the counters, the
+    /// RNG, the context and the fault layer. Both copies then replay exactly
+    /// what the original would have, and share nothing. `None` when some
+    /// node cannot be copied.
+    pub fn fork(&self) -> Option<Self>
+    where
+        E: Clone,
+        C: Clone,
+    {
+        Some(Kernel {
+            nodes: self
+                .nodes
+                .iter()
+                .map(|n| n.fork_obj())
+                .collect::<Option<_>>()?,
+            names: self.names.clone(),
+            sched: self.sched.clone(),
+            now: self.now,
+            next_seq: self.next_seq,
+            events_processed: self.events_processed,
+            cancels_requested: self.cancels_requested,
+            fault: self.fault.clone(),
+            ctx: self.ctx.clone(),
+            rng: self.rng.clone(),
+        })
     }
 
     /// Current simulated time.
@@ -471,13 +519,13 @@ impl<E, C> Kernel<E, C> {
 mod tests {
     use super::*;
 
-    #[derive(Debug, PartialEq)]
+    #[derive(Debug, PartialEq, Clone)]
     enum Ev {
         Ping(u32),
         Tick,
     }
 
-    #[derive(Default)]
+    #[derive(Default, Clone)]
     struct Ctx {
         log: Vec<(u64, usize, u32)>,
     }
@@ -673,6 +721,77 @@ mod tests {
         let (nb2, na2) = k.node_pair_mut::<Echo, Echo>(b, a);
         assert_eq!(nb2.ticks, 9);
         assert_eq!(na2.ticks, 7);
+    }
+
+    /// Answers every ping after a random delay of whole microseconds, so the
+    /// delivered order depends on the RNG and on same-instant ties (the FIFO
+    /// sequence counter).
+    #[derive(Clone)]
+    struct Chatter {
+        peer: NodeId,
+    }
+
+    impl Node<Ev, Ctx> for Chatter {
+        fn on_event(&mut self, ev: Ev, api: &mut Api<'_, Ev, Ctx>) {
+            if let Ev::Ping(n) = ev {
+                api.ctx.log.push((api.now.as_nanos(), api.self_id, n));
+                if n > 0 {
+                    let delay = SimDuration::from_micros(1 + api.rng.below(4));
+                    api.send(self.peer, delay, Ev::Ping(n - 1));
+                }
+            }
+        }
+        fn fork(&self) -> Option<Self> {
+            Some(self.clone())
+        }
+    }
+
+    #[test]
+    fn a_fork_replays_the_source_and_shares_nothing_with_it() {
+        let mut k = Kernel::new(Ctx::default(), 7);
+        let a = k.add_node(Chatter { peer: 1 });
+        let b = k.add_node(Chatter { peer: a });
+        k.post(a, SimTime(100), Ev::Ping(40));
+        k.post(b, SimTime(120), Ev::Ping(40));
+        let dead = k.post(a, SimTime(200), Ev::Ping(0));
+        let ring_at = SimTime::from_micros(50);
+        let handle = k.post(b, ring_at, Ev::Ping(30)); // the ring
+        k.post(a, SimTime::from_millis(5), Ev::Ping(30)); // the far heap
+                                                          // Opens the first bucket: 120 ns and 200 ns wait in the near window.
+        k.run_until(SimTime(110));
+        k.cancel(dead);
+        assert_eq!((k.events_processed(), k.cancelled_backlog()), (1, 1));
+
+        let mut twin = k.fork().expect("every node forks");
+        let mut other = k.fork().expect("every node forks");
+        other.cancel(handle);
+        assert_eq!(other.cancelled_backlog(), 2);
+        assert_eq!(k.cancelled_backlog(), 1, "the source keeps its event");
+        assert_eq!(twin.cancelled_backlog(), 1);
+
+        // Posted after the fork at the ring event's instant: it sorts behind
+        // it in both copies only if the copy kept the sequence counter.
+        for w in [&mut k, &mut twin] {
+            w.post(a, ring_at, Ev::Ping(0));
+            w.run_to_completion();
+        }
+        other.run_to_completion();
+        assert_eq!(twin.ctx.log, k.ctx.log);
+        assert_eq!(twin.events_processed(), k.events_processed());
+        assert_eq!(twin.cancelled_backlog(), k.cancelled_backlog());
+        assert_eq!(twin.now(), k.now());
+        assert_eq!(k.events_processed(), 41 + 41 + 31 + 31 + 1);
+        let ring_ping = (ring_at.as_nanos(), b, 30);
+        let pos = |log: &[(u64, NodeId, u32)], e| log.iter().position(|x| *x == e);
+        let late = (ring_at.as_nanos(), a, 0);
+        assert!(pos(&k.ctx.log, ring_ping).unwrap() < pos(&k.ctx.log, late).unwrap());
+        assert!(pos(&other.ctx.log, ring_ping).is_none());
+    }
+
+    #[test]
+    fn a_node_without_fork_makes_the_kernel_unforkable() {
+        let (k, _, _) = two_node_kernel();
+        assert!(k.fork().is_none());
     }
 
     #[test]

@@ -101,6 +101,7 @@ fn bucket(key: u128) -> u64 {
 
 /// Arena entry. `ev` doubles as the liveness flag: `Some` = live,
 /// `None` = cancelled (until reclaimed) or free.
+#[derive(Clone)]
 struct Entry<E> {
     /// Bumped on every reclaim; handles carry the generation they were
     /// issued with, so stale handles are no-ops.
@@ -136,6 +137,11 @@ struct Entry<E> {
 /// Cancel clears the entry's payload in place; the dead entry is released
 /// when it is reached — its bucket opens (it is dropped, never sorted), it
 /// comes to the head of the window, or it surfaces at the far heap's head.
+///
+/// A clone is the same calendar, slot for slot: arena indices and
+/// generations are copied, so a handle issued before the clone cancels the
+/// same event in either copy (and only in the copy it is cancelled in).
+#[derive(Clone)]
 pub struct Calendar<E> {
     arena: Vec<Entry<E>>,
     /// Head of the free list threaded through `Entry::next`.

@@ -34,7 +34,7 @@ pub struct TraceRecord {
 }
 
 /// A bounded ring of trace records.
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 pub struct TraceRing {
     records: VecDeque<TraceRecord>,
     interner: Interner,

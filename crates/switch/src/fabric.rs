@@ -25,6 +25,7 @@ pub struct FabricStats {
 }
 
 /// The non-blocking fabric core node.
+#[derive(Clone)]
 pub struct Fabric {
     name: String,
     /// Transit latency across the core.
@@ -100,5 +101,9 @@ impl Node<Event, NetCtx> for Fabric {
 
     fn name(&self) -> &str {
         &self.name
+    }
+
+    fn fork(&self) -> Option<Self> {
+        Some(self.clone())
     }
 }

@@ -118,6 +118,7 @@ mod tests {
         use fastrak_transport::stack::{ConnId, SockEvent};
 
         /// Client: connect and send N writes; count echoed bytes.
+        #[derive(Clone)]
         struct Client {
             dst: Ip,
             conn: Option<ConnId>,
@@ -147,6 +148,7 @@ mod tests {
         }
 
         /// Echo server.
+        #[derive(Clone)]
         struct Echo;
         impl GuestApp for Echo {
             fn on_start(&mut self, api: &mut GuestApi<'_>) {

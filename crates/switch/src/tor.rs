@@ -121,6 +121,7 @@ struct PortWire {
 }
 
 /// The ToR switch node.
+#[derive(Clone)]
 pub struct Tor {
     /// Static configuration.
     pub cfg: TorConfig,
@@ -790,5 +791,9 @@ impl Node<Event, NetCtx> for Tor {
 
     fn name(&self) -> &str {
         &self.cfg.name
+    }
+
+    fn fork(&self) -> Option<Self> {
+        Some(self.clone())
     }
 }

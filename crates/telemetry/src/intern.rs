@@ -96,7 +96,7 @@ impl From<&str> for Istr {
 
 /// Deduplicating string store. Also hands out dense `u32` ids for callers
 /// that want array-indexed per-component state (span log, flight recorder).
-#[derive(Debug, Default)]
+#[derive(Debug, Clone, Default)]
 pub struct Interner {
     by_str: FxHashMap<Istr, u32>,
     strings: Vec<Istr>,

@@ -57,7 +57,7 @@ pub use span::{CompId, Span, SpanId, SpanLog};
 ///
 /// `Default` yields a fully disabled plane: empty registry, spans off,
 /// flight recorder off, audit log off.
-#[derive(Debug, Default)]
+#[derive(Debug, Clone, Default)]
 pub struct Telemetry {
     /// Typed metrics registry (counters / gauges / histograms).
     pub registry: Registry,

@@ -41,7 +41,7 @@ pub struct FlightRecord {
 }
 
 /// Per-component bounded rings of [`FlightRecord`]s.
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 pub struct FlightRecorder {
     enabled: bool,
     ring_capacity: usize,
@@ -164,7 +164,7 @@ pub struct DecisionRecord {
 }
 
 /// Append-only log of every offload/demote decision.
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 pub struct AuditLog {
     enabled: bool,
     capacity: usize,

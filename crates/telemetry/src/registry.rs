@@ -35,7 +35,7 @@ enum Kind {
 }
 
 /// The metrics registry. `Default` is empty (and therefore free).
-#[derive(Debug, Default)]
+#[derive(Debug, Clone, Default)]
 pub struct Registry {
     by_name: FxHashMap<String, (Kind, u32)>,
     counter_names: Vec<String>,

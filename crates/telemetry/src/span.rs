@@ -70,7 +70,7 @@ pub struct Instant {
 }
 
 /// Bounded span/instant log. `Default` is disabled and empty.
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 pub struct SpanLog {
     enabled: bool,
     capacity: usize,

@@ -10,6 +10,7 @@ const TIMER_TICK: u64 = 1;
 
 /// IOzone-like disk benchmark: periodic bursts of vCPU work (buffer cache
 /// churn + IO submission) with idle gaps for disk waits.
+#[derive(Clone)]
 pub struct IoZone {
     /// Tick interval.
     pub interval: SimDuration,
@@ -47,6 +48,7 @@ impl GuestApp for IoZone {
 }
 
 /// `stress`-like CPU hog: keeps `workers` vCPUs ~100% busy.
+#[derive(Clone)]
 pub struct Stress {
     /// Number of spinning workers.
     pub workers: usize,
@@ -85,6 +87,7 @@ impl GuestApp for Stress {
 }
 
 /// An idle application (placeholder for VMs that only receive).
+#[derive(Clone)]
 pub struct Idle;
 
 impl GuestApp for Idle {

@@ -14,6 +14,7 @@ use fastrak_transport::stack::SockEvent;
 const NS: u64 = 16;
 
 /// A VM running several guest applications.
+#[derive(Clone)]
 pub struct Composite {
     apps: Vec<Box<dyn GuestApp>>,
 }

@@ -82,12 +82,14 @@ impl IncastConfig {
     }
 }
 
+#[derive(Clone)]
 struct ShortConn {
     id: ConnId,
     connected: bool,
     rx_accum: u64,
 }
 
+#[derive(Clone)]
 struct LongConn {
     id: ConnId,
     in_flight: usize,
@@ -96,6 +98,7 @@ struct LongConn {
 
 /// Aggregator guest app: synchronized fan-out rounds over short
 /// connections plus continuous closed-loop load on long connections.
+#[derive(Clone)]
 pub struct IncastAggregator {
     cfg: IncastConfig,
     short: Vec<ShortConn>,

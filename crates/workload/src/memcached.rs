@@ -75,6 +75,7 @@ impl MemslapConfig {
     }
 }
 
+#[derive(Clone)]
 struct SlapConn {
     id: ConnId,
     in_flight: VecDeque<SimTime>,
@@ -86,6 +87,7 @@ struct SlapConn {
 }
 
 /// The memslap client guest app.
+#[derive(Clone)]
 pub struct MemslapClient {
     cfg: MemslapConfig,
     conns: Vec<SlapConn>,

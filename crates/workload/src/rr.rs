@@ -67,6 +67,7 @@ impl RrClientConfig {
     }
 }
 
+#[derive(Clone)]
 struct RrConn {
     id: ConnId,
     in_flight: VecDeque<SimTime>,
@@ -74,6 +75,7 @@ struct RrConn {
 }
 
 /// The RR client guest app.
+#[derive(Clone)]
 pub struct RrClient {
     cfg: RrClientConfig,
     conns: Vec<RrConn>,
@@ -217,12 +219,14 @@ pub struct RrServerConfig {
     pub service_cpu: SimDuration,
 }
 
+#[derive(Clone)]
 struct SrvConn {
     id: ConnId,
     rx_accum: u64,
 }
 
 /// The RR server guest app (netserver / memcached).
+#[derive(Clone)]
 pub struct RrServer {
     cfg: RrServerConfig,
     conns: Vec<SrvConn>,

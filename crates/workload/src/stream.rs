@@ -51,6 +51,7 @@ impl StreamConfig {
 }
 
 /// The stream sender guest app.
+#[derive(Clone)]
 pub struct StreamSender {
     cfg: StreamConfig,
     conns: Vec<ConnId>,
@@ -147,6 +148,7 @@ impl GuestApp for StreamSender {
 }
 
 /// The receiving sink (netserver): counts goodput.
+#[derive(Clone)]
 pub struct StreamSink {
     port: u16,
     /// Delivered-bytes meter (receiver-side goodput, like netperf reports).
@@ -189,6 +191,7 @@ impl GuestApp for StreamSink {
 /// §6.1.2): reads chunks at `disk_rate_bps` and streams them. Large reads +
 /// TSO make this a *low packets-per-second* flow — precisely why FasTrak's
 /// decision engine leaves it in software while offloading memcached (§6.2).
+#[derive(Clone)]
 pub struct FileTransfer {
     /// Destination.
     pub dst: Ip,

@@ -211,6 +211,7 @@ impl ChurnerConfig {
     }
 }
 
+#[derive(Clone)]
 struct ChurnConn {
     id: ConnId,
     in_flight: VecDeque<u64>, // send counter stand-ins; latency unmeasured
@@ -218,6 +219,7 @@ struct ChurnConn {
 }
 
 /// The adversarial churner guest app (client side).
+#[derive(Clone)]
 pub struct Churner {
     cfg: ChurnerConfig,
     conns: Vec<ChurnConn>,
@@ -333,6 +335,7 @@ impl GuestApp for Churner {
 }
 
 /// Echo server answering the churner's whole port range from one VM.
+#[derive(Clone)]
 pub struct EchoRangeServer {
     /// Number of ports, starting at [`CHURN_PORT_BASE`].
     n_ports: u16,

@@ -73,6 +73,30 @@ pub struct Testbed {
     started: bool,
 }
 
+/// A copy of the rack at this instant, through [`Kernel::fork`]: it replays
+/// exactly what the original would have, and shares nothing with it.
+///
+/// # Panics
+/// Panics if a node that cannot be forked was added to the kernel; every
+/// node this crate and `fastrak` add can be.
+impl Clone for Testbed {
+    fn clone(&self) -> Self {
+        Testbed {
+            kernel: self.kernel.fork().expect("every testbed node is forkable"),
+            tor: self.tor,
+            servers: self.servers.clone(),
+            vms: self.vms.clone(),
+            started: self.started,
+        }
+    }
+}
+
+/// A world can be built on one thread and run, or forked, on another.
+const _: fn() = || {
+    fn send<T: Send>() {}
+    send::<Testbed>();
+};
+
 /// The VLAN assigned to a tenant (testbed convention).
 pub fn tenant_vlan(t: TenantId) -> VlanId {
     VlanId::new(100 + (t.0 % 3900) as u16)
