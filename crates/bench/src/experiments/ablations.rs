@@ -18,6 +18,7 @@ use fastrak_workload::{
 };
 
 use crate::cells;
+use crate::experiments::Cx;
 use crate::report::{Artifact, Row};
 
 const T: TenantId = TenantId(1);
@@ -70,8 +71,15 @@ fn hw_fraction(bed: &Testbed) -> f64 {
     }
 }
 
-/// Run one configuration and report (hw traffic fraction, client tps).
-fn run_cfg(de: DeConfig, timing: Timing, budget: usize, horizon_s: u64) -> (f64, f64) {
+/// Run one configuration and report (hw traffic fraction, client tps). The
+/// cell `export` is given publishes into it.
+fn run_cfg(
+    de: DeConfig,
+    timing: Timing,
+    budget: usize,
+    horizon_s: u64,
+    export: Option<&Cx>,
+) -> (f64, f64) {
     let (mut bed, _servers, clients) = skewed_rack(8);
     let ft = attach(
         &mut bed,
@@ -90,11 +98,16 @@ fn run_cfg(de: DeConfig, timing: Timing, budget: usize, horizon_s: u64) -> (f64,
         .iter()
         .map(|&c| bed.app::<MemslapClient>(c).completed() as f64 / now.as_secs_f64())
         .sum();
-    (hw_fraction(&bed), tps)
+    let hw = hw_fraction(&bed);
+    if let Some(cx) = export {
+        cx.publish(&mut bed, Some(&ft));
+    }
+    (hw, tps)
 }
 
-/// Regenerate the ablation report.
-pub fn run(_full: bool) -> Vec<Artifact> {
+/// Regenerate the ablation report. `--telemetry` exports the paper's
+/// configuration: fine timing, budget 8, run for 12 s.
+pub fn run(cx: &Cx) -> Vec<Artifact> {
     // pps-only: ignore the frequency term by zeroing history influence —
     // approximated with hysteresis off and a one-epoch memory via fine
     // timing and min_median 0 (the m_pps median over a short history is
@@ -120,8 +133,11 @@ pub fn run(_full: bool) -> Vec<Artifact> {
     grid.extend(intervals.map(|(_, timing)| (DeConfig::paper(), timing, 8, 12)));
     grid.extend(scoring.clone().map(|(_, de)| (de, Timing::fine(), 6, 6)));
     grid.extend(budgets.map(|budget| (DeConfig::paper(), Timing::fine(), budget, 6)));
-    let measured = cells::map(&grid, |(de, timing, budget, horizon_s)| {
-        run_cfg(de.clone(), *timing, *budget, *horizon_s)
+    let indexed: Vec<_> = grid.iter().enumerate().collect();
+    let measured = cells::map(&indexed, |&(i, (de, timing, budget, horizon_s))| {
+        // The first cell is the exported one: the fine-interval world.
+        let export = (i == 0).then_some(cx);
+        run_cfg(de.clone(), *timing, *budget, *horizon_s, export)
     });
     let (by_interval, rest) = measured.split_at(intervals.len());
     let (by_scoring, by_budget) = rest.split_at(scoring.len());

@@ -50,6 +50,7 @@ use fastrak_workload::{
 };
 
 use crate::cells;
+use crate::experiments::Cx;
 use crate::report::{Artifact, Row};
 
 const T: TenantId = TenantId(1);
@@ -58,7 +59,7 @@ const T: TenantId = TenantId(1);
 /// [`fault_start`], after the controller has converged on the memcached
 /// aggregates.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Scenario {
+enum Scenario {
     /// No chaos — the convergence target every other scenario must return to.
     Baseline,
     /// ToR dark + state wiped for 2.5 s – 2.9 s.
@@ -239,7 +240,8 @@ struct Outcome {
     hw_down_demotes: u64,
     frames_blocked: u64,
     hw_path_drops: u64,
-    /// Full end-of-run telemetry snapshot, for the `--telemetry` exporters.
+    /// Full end-of-run telemetry snapshot; the rows read their counters
+    /// from it.
     registry: fastrak_telemetry::Registry,
 }
 
@@ -341,16 +343,12 @@ fn policy_label(p: &FastPathPolicy) -> &'static str {
     }
 }
 
-/// Regenerate the chaos-matrix report.
-pub fn run(full: bool) -> Vec<Artifact> {
-    run_with_export(full).0
-}
-
-/// Regenerate the report and also return the ToR-reboot run's telemetry
-/// registry (the richest snapshot: chaos counters, probe/reconcile
-/// machinery, and blocked-frame accounting all non-trivial), exported
-/// under `experiments --telemetry`.
-pub fn run_with_export(full: bool) -> (Vec<Artifact>, fastrak_telemetry::Registry) {
+/// Regenerate the chaos-matrix report. `--telemetry` exports the
+/// ToR-reboot cell under the unrestricted policy: the richest snapshot
+/// (chaos counters, probe/reconcile machinery, and blocked-frame accounting
+/// all non-trivial).
+pub fn run(cx: &Cx) -> Vec<Artifact> {
+    let full = cx.full;
     let horizon = if full {
         SimTime::from_millis(8_300)
     } else {
@@ -378,7 +376,6 @@ pub fn run_with_export(full: bool) -> (Vec<Artifact>, fastrak_telemetry::Registr
         "Express-lane degradation and recovery under component failures",
         "scripted ToR reboots, SR-IOV VF death, link flaps, and controller restarts: offloaded flows fall back to the software path (nothing is lost), bookkeeping drift stays zero, and the offloaded set re-converges to the fault-free one after recovery",
     );
-    let mut export_reg = None;
     // Per policy: the fault-free baseline world, then one world per
     // scenario, all forked from one converged rack.
     let cells: Vec<Scenario> = std::iter::once(Scenario::Baseline)
@@ -467,16 +464,13 @@ pub fn run_with_export(full: bool) -> (Vec<Artifact>, fastrak_telemetry::Registr
                     "frames",
                 ));
                 if policy.is_unrestricted() {
-                    export_reg = Some(got.registry);
+                    cx.keep(got.registry);
                 }
             }
         }
     }
     a.note("'paper' column is the recovery target (1 = same offloaded set as the fault-free run, 0 bookkeeping drift), not a published number — the paper's evaluation assumes every component stays up");
-    (
-        vec![a],
-        export_reg.expect("tor_reboot/unrestricted always runs"),
-    )
+    vec![a]
 }
 
 #[cfg(test)]

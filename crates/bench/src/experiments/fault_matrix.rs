@@ -26,6 +26,7 @@ use fastrak_workload::{
 };
 
 use crate::cells;
+use crate::experiments::Cx;
 use crate::report::{Artifact, Row};
 
 const T: TenantId = TenantId(1);
@@ -79,7 +80,7 @@ struct Outcome {
     dropped: u64,
     forced: u64,
     /// Full end-of-run telemetry snapshot (kernel + hosts + ToR +
-    /// controller counters), for the `--telemetry` exporters.
+    /// controller counters); the rows read their counters from it.
     registry: fastrak_telemetry::Registry,
 }
 
@@ -135,16 +136,11 @@ fn run_one(faults: Option<FaultConfig>, horizon: SimTime) -> Outcome {
     }
 }
 
-/// Regenerate the fault-matrix report.
-pub fn run(full: bool) -> Vec<Artifact> {
-    run_with_export(full).0
-}
-
-/// Regenerate the report and also return the forced-failure run's telemetry
-/// registry — the richest snapshot (fault-plane, controller, host, and ToR
-/// counters all non-trivial), exported under `experiments --telemetry`.
-pub fn run_with_export(full: bool) -> (Vec<Artifact>, fastrak_telemetry::Registry) {
-    let horizon = if full {
+/// Regenerate the fault-matrix report. `--telemetry` exports the
+/// forced-failure run: the richest snapshot (fault-plane, controller, host,
+/// and ToR counters all non-trivial).
+pub fn run(cx: &Cx) -> Vec<Artifact> {
+    let horizon = if cx.full {
         SimTime::from_millis(8_300)
     } else {
         SimTime::from_millis(6_300)
@@ -271,5 +267,6 @@ pub fn run_with_export(full: bool) -> (Vec<Artifact>, fastrak_telemetry::Registr
         got.suspensions as f64,
         "count",
     ));
-    (vec![a, b], got.registry)
+    cx.keep(got.registry);
+    vec![a, b]
 }

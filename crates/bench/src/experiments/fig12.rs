@@ -14,38 +14,17 @@ use fastrak_net::packet::PathTag;
 use fastrak_sim::time::{SimDuration, SimTime};
 use fastrak_workload::{StreamConfig, StreamSender, StreamSink, Testbed};
 
+use crate::experiments::Cx;
 use crate::report::{Artifact, Row};
-use crate::scenarios::{micro_bed, PathSetup, SERVER_IP, TENANT};
+use crate::scenarios::{micro_bed, MicroBed, PathSetup, SERVER_IP, TENANT};
 
 /// How much simulated time runs between two drains of the trace ring.
 const TRACE_SLICE: SimDuration = SimDuration::from_millis(10);
 
-/// A receiver-side trace point: (seconds, sequence/delivered bytes).
-pub type TracePoint = (f64, u64);
-
-/// Run the migration experiment; returns (artifact, downsampled seq trace).
-pub fn run_with_trace(full: bool) -> (Artifact, Vec<TracePoint>) {
-    let (a, points, _) = run_inner(full, false);
-    (a, points)
-}
-
-/// Run the migration experiment with flow-lifecycle span tracing enabled
-/// and export the Chrome trace-event JSON (Perfetto-loadable): one track
-/// per component, the sender VM's path residency ("vif" → "sriov") as
-/// consecutive slices with the shift at the t=1 s migration instant.
-pub fn chrome_trace_json(full: bool) -> String {
-    run_inner(full, true).2.expect("telemetry was enabled")
-}
-
-/// One traced run returning the report artifact, the seq trace and the
-/// Chrome trace (so `--telemetry`, with or without `--csv`, pays for the
-/// simulation once).
-pub fn run_traced(full: bool) -> (Artifact, Vec<TracePoint>, String) {
-    let (a, points, trace) = run_inner(full, true);
-    (a, points, trace.expect("telemetry was enabled"))
-}
-
-fn run_inner(_full: bool, telemetry: bool) -> (Artifact, Vec<TracePoint>, Option<String>) {
+/// Run the migration: one second on the VIF, then the sender's egress
+/// moves to SR-IOV, one more second. Returns the world and the
+/// receiver-side (seconds, delivered bytes) trace.
+fn migrate(cx: &Cx) -> (MicroBed, Vec<(f64, u64)>) {
     let mut cfg = StreamConfig::netperf(SERVER_IP, 5201, 32_000);
     cfg.threads = 1; // a single iperf flow
     let mut mb = micro_bed(
@@ -57,7 +36,7 @@ fn run_inner(_full: bool, telemetry: bool) -> (Artifact, Vec<TracePoint>, Option
     // Authorize the hardware path but leave the placer on the VIF.
     mb.bed.authorize_hw_tenant(TENANT);
     mb.bed.kernel.ctx.trace.set_enabled(true);
-    if telemetry {
+    if cx.telemetry {
         mb.bed.kernel.ctx.telemetry.spans.set_enabled(true);
         mb.bed.kernel.ctx.telemetry.audit.set_enabled(true);
     }
@@ -68,7 +47,7 @@ fn run_inner(_full: bool, telemetry: bool) -> (Artifact, Vec<TracePoint>, Option
     // the ~75 k receiver points among them, so the ring never needs to hold
     // more than one slice. Slicing `run_until` only observes — it schedules
     // nothing, so the event stream is the one an unsliced run produces.
-    let mut points: Vec<TracePoint> = Vec::new();
+    let mut points: Vec<(f64, u64)> = Vec::new();
     let mut run_until = |bed: &mut Testbed, until: SimTime| {
         while bed.now() < until {
             bed.run_until((bed.now() + TRACE_SLICE).min(until));
@@ -103,29 +82,43 @@ fn run_inner(_full: bool, telemetry: bool) -> (Artifact, Vec<TracePoint>, Option
 
     // Run through the transition and a little beyond.
     run_until(&mut mb.bed, SimTime::from_millis(2_000));
+    (mb, points)
+}
+
+/// Regenerate Fig. 12. The receiver-side sequence trace goes back as the
+/// `--csv` series. Under `--telemetry`, flow-lifecycle spans are on, and
+/// the world's registry and its Chrome trace are exported: one track per
+/// component, the sender VM's path residency ("vif" → "sriov") as
+/// consecutive slices with the shift at the t=1 s migration instant.
+pub fn run(cx: &Cx) -> Vec<Artifact> {
+    let (mut mb, mut points) = migrate(cx);
 
     // Transport counters at the sender.
+    let (client, server) = (mb.client, mb.server);
     let sender = mb.bed.server(client.server);
     let conn_id = sender.vm(client.vm).stack.conn_ids().next().unwrap();
     let stats = sender.vm(client.vm).stack.conn(conn_id).stats;
-    let hw_frames = sender.stats.tx_hw_frames;
-    let sw_frames = sender.stats.tx_sw_frames;
+    let (hw_frames, sw_frames) = (sender.stats.tx_hw_frames, sender.stats.tx_sw_frames);
+    let receiver = mb.bed.server(server.server).vm(server.vm);
+    let delivered =
+        (receiver.stack.conn_ids().next()).map(|id| receiver.stack.conn(id).stats.bytes_delivered);
+    if cx.telemetry {
+        let now_ns = mb.bed.now().as_nanos();
+        let telemetry = &mut mb.bed.kernel.ctx.telemetry;
+        telemetry.spans.finish(now_ns);
+        let (spans, audit) = (&telemetry.spans, Some(&telemetry.audit));
+        cx.keep_trace(fastrak_telemetry::export::chrome_trace(spans, audit));
+        cx.publish(&mut mb.bed, None);
+    }
 
-    let serverref = mb.server;
-    let receiver = mb.bed.server(serverref.server);
-    let delivered = receiver.vm(serverref.vm).stack.conn_ids().next().map(|id| {
-        receiver
-            .vm(serverref.vm)
-            .stack
-            .conn(id)
-            .stats
-            .bytes_delivered
-    });
     // Downsample to ~200 points for the figure series.
     if points.len() > 200 {
         let stride = points.len() / 200;
         points = points.into_iter().step_by(stride).collect();
     }
+    // Monotone progression check across the migration window.
+    let progressing = points.windows(2).all(|w| w[1].0 >= w[0].0);
+    cx.keep_series(points);
 
     let mut a = Artifact::new(
         "fig12",
@@ -176,8 +169,6 @@ fn run_inner(_full: bool, telemetry: bool) -> (Artifact, Vec<TracePoint>, Option
             "bytes",
         ));
     }
-    // Monotone progression check across the migration window.
-    let progressing = points.windows(2).all(|w| w[1].0 >= w[0].0);
     a.push(Row::new(
         "trace monotone in time",
         "receiver capture",
@@ -189,17 +180,5 @@ fn run_inner(_full: bool, telemetry: bool) -> (Artifact, Vec<TracePoint>, Option
         "sender egress shifts at t=1 s; ACK path stays on the VIF (asymmetric, as in the paper)",
     );
     a.note("seq-vs-time series available via `experiments fig12 --csv`");
-
-    let trace_json = telemetry.then(|| {
-        let now_ns = mb.bed.now().as_nanos();
-        let telemetry = &mut mb.bed.kernel.ctx.telemetry;
-        telemetry.spans.finish(now_ns);
-        fastrak_telemetry::export::chrome_trace(&telemetry.spans, Some(&telemetry.audit))
-    });
-    (a, points, trace_json)
-}
-
-/// Regenerate Fig. 12.
-pub fn run(full: bool) -> Vec<Artifact> {
-    vec![run_with_trace(full).0]
+    vec![a]
 }

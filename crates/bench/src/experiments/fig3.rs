@@ -11,18 +11,21 @@
 
 use std::mem::discriminant;
 
-use fastrak_sim::time::SimTime;
-use fastrak_workload::{RrClient, RrClientConfig, StreamConfig, StreamSender, StreamSink};
+use fastrak_sim::time::SimDuration;
+use fastrak_workload::{
+    RrClient, RrClientConfig, RrServer, RrServerConfig, StreamConfig, StreamSender, StreamSink,
+};
 
 use crate::cells;
+use crate::experiments::Cx;
 use crate::report::{Artifact, Row};
-use crate::scenarios::{micro_bed, PathSetup, SERVER_IP};
+use crate::scenarios::{measure_window, micro_bed, PathSetup, SERVER_IP};
 
 /// The paper's application data sizes (§3.1).
-pub const SIZES: [u64; 4] = [64, 600, 1448, 32_000];
+pub(crate) const SIZES: [u64; 4] = [64, 600, 1448, 32_000];
 
 /// The Fig. 3 configurations.
-pub fn configs() -> [PathSetup; 4] {
+fn configs() -> [PathSetup; 4] {
     [
         PathSetup::BaselineOvs,
         PathSetup::OvsTunnel,
@@ -33,7 +36,7 @@ pub fn configs() -> [PathSetup; 4] {
 
 /// Measured metrics for one (config, size) cell.
 #[derive(Debug, Clone, Copy)]
-pub struct Cell {
+pub(crate) struct Cell {
     /// Stream throughput, bits/sec.
     pub throughput_bps: f64,
     /// Closed-loop mean RTT, µs.
@@ -46,112 +49,65 @@ pub struct Cell {
     pub burst_mean_us: f64,
 }
 
-/// Run the three §3.1.1 tests for one cell.
-pub fn measure_cell(setup: PathSetup, size: u64, quick: bool) -> Cell {
+/// Run the three §3.1.1 tests for one cell. The cell `export` is given
+/// publishes its throughput world into it.
+pub(crate) fn measure_cell(setup: PathSetup, size: u64, quick: bool, export: Option<&Cx>) -> Cell {
     let (warm, window) = if quick { (200, 400) } else { (300, 900) };
+    let rr_server = |port| {
+        Box::new(RrServer::new(RrServerConfig {
+            port,
+            req_size: size,
+            resp_size: size,
+            service_cpu: SimDuration::ZERO,
+        }))
+    };
 
     // --- throughput ---
-    let throughput_bps = {
-        let mut mb = micro_bed(
-            setup,
-            Box::new(StreamSender::new(StreamConfig::netperf(
-                SERVER_IP, 5001, size,
-            ))),
-            Box::new(StreamSink::new(5001)),
-            11,
-        );
-        mb.bed.start();
-        mb.bed.run_until(SimTime::from_millis(warm));
-        let now = mb.bed.now();
-        let sink_vm = mb.server;
-        mb.bed
-            .server_mut(sink_vm.server)
-            .vm_mut(sink_vm.vm)
-            .app_as_mut::<StreamSink>()
-            .meter
-            .begin_window(now);
-        mb.bed.run_until(SimTime::from_millis(warm + window));
-        let now = mb.bed.now();
-        mb.bed.app::<StreamSink>(sink_vm).goodput_bps(now)
-    };
+    let sender = StreamSender::new(StreamConfig::netperf(SERVER_IP, 5001, size));
+    let sink = Box::new(StreamSink::new(5001));
+    let mut mb = micro_bed(setup, Box::new(sender), sink, 11);
+    let sink = mb.server;
+    let end = measure_window(&mut mb.bed, warm, window, |bed, now| {
+        bed.app_mut::<StreamSink>(sink).meter.begin_window(now);
+    });
+    let throughput_bps = mb.bed.app::<StreamSink>(sink).goodput_bps(end);
+    if let Some(cx) = export {
+        cx.publish(&mut mb.bed, None);
+    }
 
-    // --- closed-loop latency ---
-    let (rr_mean_us, rr_p99_us) = {
-        let mut mb = micro_bed(
-            setup,
-            Box::new(RrClient::new(RrClientConfig::closed_loop(
-                SERVER_IP, 5002, size,
-            ))),
-            Box::new(fastrak_workload::RrServer::new(
-                fastrak_workload::RrServerConfig {
-                    port: 5002,
-                    req_size: size,
-                    resp_size: size,
-                    service_cpu: fastrak_sim::time::SimDuration::ZERO,
-                },
-            )),
-            13,
-        );
-        mb.bed.start();
-        mb.bed.run_until(SimTime::from_millis(warm));
-        let now = mb.bed.now();
-        let cli = mb.client;
-        mb.bed
-            .server_mut(cli.server)
-            .vm_mut(cli.vm)
-            .app_as_mut::<RrClient>()
-            .begin_window(now);
-        mb.bed.run_until(SimTime::from_millis(warm + 2 * window));
-        let app = mb.bed.app::<RrClient>(cli);
-        (
-            app.latency.mean() / 1e3,
-            app.latency.quantile(0.99) as f64 / 1e3,
-        )
-    };
+    // --- closed-loop latency --- (each test's world replaces the last)
+    let client = RrClient::new(RrClientConfig::closed_loop(SERVER_IP, 5002, size));
+    mb = micro_bed(setup, Box::new(client), rr_server(5002), 13);
+    let cli = mb.client;
+    measure_window(&mut mb.bed, warm, 2 * window, |bed, now| {
+        bed.app_mut::<RrClient>(cli).begin_window(now);
+    });
+    let app = mb.bed.app::<RrClient>(cli);
+    let rr_mean_us = app.latency.mean() / 1e3;
+    let rr_p99_us = app.latency.quantile(0.99) as f64 / 1e3;
 
     // --- pipelined (burst) ---
-    let (burst_tps, burst_mean_us) = {
-        let mut mb = micro_bed(
-            setup,
-            Box::new(RrClient::new(RrClientConfig::pipelined(
-                SERVER_IP, 5003, size,
-            ))),
-            Box::new(fastrak_workload::RrServer::new(
-                fastrak_workload::RrServerConfig {
-                    port: 5003,
-                    req_size: size,
-                    resp_size: size,
-                    service_cpu: fastrak_sim::time::SimDuration::ZERO,
-                },
-            )),
-            17,
-        );
-        mb.bed.start();
-        mb.bed.run_until(SimTime::from_millis(warm));
-        let now = mb.bed.now();
-        let cli = mb.client;
-        mb.bed
-            .server_mut(cli.server)
-            .vm_mut(cli.vm)
-            .app_as_mut::<RrClient>()
-            .begin_window(now);
-        mb.bed.run_until(SimTime::from_millis(warm + window));
-        let now = mb.bed.now();
-        let app = mb.bed.app::<RrClient>(cli);
-        (app.tps(now), app.latency.mean() / 1e3)
-    };
+    let client = RrClient::new(RrClientConfig::pipelined(SERVER_IP, 5003, size));
+    mb = micro_bed(setup, Box::new(client), rr_server(5003), 17);
+    let cli = mb.client;
+    let end = measure_window(&mut mb.bed, warm, window, |bed, now| {
+        bed.app_mut::<RrClient>(cli).begin_window(now);
+    });
+    let app = mb.bed.app::<RrClient>(cli);
 
     Cell {
         throughput_bps,
         rr_mean_us,
         rr_p99_us,
-        burst_tps,
-        burst_mean_us,
+        burst_tps: app.tps(end),
+        burst_mean_us: app.latency.mean() / 1e3,
     }
 }
 
-/// Regenerate Fig. 3(a-e).
-pub fn run(full: bool) -> Vec<Artifact> {
+/// Regenerate Fig. 3(a-e). `--telemetry` exports the Baseline OVS
+/// throughput world at 1448 B (one MSS per write).
+pub fn run(cx: &Cx) -> Vec<Artifact> {
+    let full = cx.full;
     let mut a = Artifact::new("fig3a", "Throughput (TCP_STREAM, 3 threads)",
         "SR-IOV ≥ every OVS config at every size; OVS+Tunneling capped ≈2 Gbps; small sizes are CPU-bound, large sizes near line rate");
     let mut b = Artifact::new(
@@ -174,7 +130,8 @@ pub fn run(full: bool) -> Vec<Artifact> {
         .flat_map(|setup| SIZES.map(|size| (setup, size)))
         .collect();
     let cells: Vec<(PathSetup, u64, Cell)> = cells::map(&grid, |&(setup, size)| {
-        (setup, size, measure_cell(setup, size, !full))
+        let export = (setup == PathSetup::BaselineOvs && size == 1448).then_some(cx);
+        (setup, size, measure_cell(setup, size, !full, export))
     });
     for &(setup, size, cell) in &cells {
         let cfg = format!("{} @{}B", setup.label(), size);

@@ -13,17 +13,16 @@
 
 use fastrak_host::vm::VmSpec;
 use fastrak_net::addr::Ip;
-use fastrak_net::ctrl::Dir;
-use fastrak_net::packet::PathTag;
-use fastrak_sim::time::SimTime;
 use fastrak_workload::{StreamConfig, StreamSender, StreamSink, Testbed, TestbedConfig};
 
 use crate::cells;
+use crate::experiments::Cx;
 use crate::report::{Artifact, Row};
-use crate::scenarios::{PathSetup, TENANT};
+use crate::scenarios::{apply_setup, measure_window, PathSetup, TENANT};
 
-/// CPUs used on the sending server for 4 concurrent 1-thread streams.
-pub fn measure_cpu(setup: PathSetup, size: u64, quick: bool) -> (f64, f64) {
+/// CPUs used on the sending server for 4 concurrent 1-thread streams, and
+/// their aggregate goodput. The cell `export` is given publishes into it.
+fn measure_cpu(setup: PathSetup, size: u64, quick: bool, export: Option<&Cx>) -> (f64, f64) {
     let mut bed = Testbed::build(TestbedConfig {
         n_servers: 2,
         tunneling: setup.tunneling(),
@@ -31,6 +30,7 @@ pub fn measure_cpu(setup: PathSetup, size: u64, quick: bool) -> (f64, f64) {
         ..TestbedConfig::default()
     });
     let mut vms = Vec::new();
+    let mut sinks = Vec::new();
     for i in 0..4u16 {
         let src_ip = Ip::tenant_vm(10 + i);
         let dst_ip = Ip::tenant_vm(20 + i);
@@ -47,56 +47,32 @@ pub fn measure_cpu(setup: PathSetup, size: u64, quick: bool) -> (f64, f64) {
             VmSpec::large(format!("dst{i}"), TENANT, dst_ip),
             Box::new(StreamSink::new(5001)),
         );
-        vms.push(v);
-        vms.push(s);
+        vms.extend([v, s]);
+        sinks.push(s);
     }
-    match setup {
-        PathSetup::OvsRateLimit(bps) | PathSetup::OvsTunnelRateLimit(bps) => {
-            for &v in &vms {
-                bed.set_vif_rate(v, Dir::Egress, bps);
-                bed.set_vif_rate(v, Dir::Ingress, bps);
-            }
-        }
-        PathSetup::SriovHwLimit(bps) => {
-            for &v in &vms {
-                bed.set_hw_rate(v, Dir::Egress, bps);
-                bed.set_hw_rate(v, Dir::Ingress, bps);
-            }
-        }
-        _ => {}
-    }
-    if setup.is_sriov() {
-        bed.authorize_hw_tenant(TENANT);
-        for &v in &vms {
-            bed.force_path(v, PathTag::SrIov);
-        }
-    }
-    bed.start();
+    apply_setup(&mut bed, setup, &vms);
     let (warm, window) = if quick { (200, 400) } else { (300, 1000) };
-    bed.run_until(SimTime::from_millis(warm));
-    bed.begin_cpu_windows();
-    // Aggregate goodput window too.
-    for i in 0..4 {
-        let now = bed.now();
-        let sink = bed.vms()[2 * i + 1];
-        bed.server_mut(sink.server)
-            .vm_mut(sink.vm)
-            .app_as_mut::<StreamSink>()
-            .meter
-            .begin_window(now);
-    }
-    bed.run_until(SimTime::from_millis(warm + window));
-    let now = bed.now();
-    let cpus = bed.server(0).cpus_used(now);
-    let vms_list: Vec<_> = bed.vms().to_vec();
-    let goodput: f64 = (0..4)
-        .map(|i| bed.app::<StreamSink>(vms_list[2 * i + 1]).goodput_bps(now))
+    // The sinks' goodput windows open with the CPU windows.
+    let end = measure_window(&mut bed, warm, window, |bed, now| {
+        for &s in &sinks {
+            bed.app_mut::<StreamSink>(s).meter.begin_window(now);
+        }
+    });
+    let cpus = bed.server(0).cpus_used(end);
+    let goodput: f64 = sinks
+        .iter()
+        .map(|&s| bed.app::<StreamSink>(s).goodput_bps(end))
         .sum();
+    if let Some(cx) = export {
+        cx.publish(&mut bed, None);
+    }
     (cpus, goodput)
 }
 
-/// Regenerate Fig. 4(a) and 4(b).
-pub fn run(full: bool) -> Vec<Artifact> {
+/// Regenerate Fig. 4(a) and 4(b). `--telemetry` exports the combined
+/// software world (tunnel and VIF limit) at 1448 B.
+pub fn run(cx: &Cx) -> Vec<Artifact> {
+    let full = cx.full;
     let mut a = Artifact::new(
         "fig4a",
         "Baseline CPU overhead (4 VMs × 1-thread TCP_STREAM)",
@@ -124,7 +100,10 @@ pub fn run(full: bool) -> Vec<Artifact> {
                 .flat_map(|size| setups_b.map(|setup| (setup, size))),
         )
         .collect();
-    let measured = cells::map(&grid, |&(setup, size)| measure_cpu(setup, size, !full));
+    let measured = cells::map(&grid, |&(setup, size)| {
+        let export = (setup == setups_b[0] && size == 1448).then_some(cx);
+        measure_cpu(setup, size, !full, export)
+    });
     let (measured_a, measured_b) = measured.split_at(setups_a.len() * sizes.len());
 
     let mut base_cpu = std::collections::HashMap::new();

@@ -8,11 +8,14 @@
 
 use crate::cells;
 use crate::experiments::fig3::{measure_cell, SIZES};
+use crate::experiments::Cx;
 use crate::report::{Artifact, Row};
 use crate::scenarios::PathSetup;
 
-/// Regenerate Fig. 5(a-e).
-pub fn run(full: bool) -> Vec<Artifact> {
+/// Regenerate Fig. 5(a-e). `--telemetry` exports the SR-IOV throughput
+/// world at 1448 B, its 1 Gbps limit enforced at the ToR.
+pub fn run(cx: &Cx) -> Vec<Artifact> {
+    let full = cx.full;
     let mut a = Artifact::new("fig5a", "Combined throughput @1G limit",
         "SR-IOV delivers consistently better throughput; software combination stays below the limit at small sizes (CPU-bound)");
     let mut b = Artifact::new(
@@ -47,7 +50,10 @@ pub fn run(full: bool) -> Vec<Artifact> {
             .map(|setup| (setup, size))
         })
         .collect();
-    let cells = cells::map(&grid, |&(setup, size)| measure_cell(setup, size, !full));
+    let cells = cells::map(&grid, |&(setup, size)| {
+        let export = (setup == PathSetup::SriovHwLimit(limit) && size == 1448).then_some(cx);
+        measure_cell(setup, size, !full, export)
+    });
     for (&size, pair) in SIZES.iter().zip(cells.chunks_exact(2)) {
         let (sw, hw) = (pair[0], pair[1]);
         for (setup, cell) in [("OVS+Tun+RL", sw), ("SR-IOV (hw RL)", hw)] {

@@ -44,6 +44,7 @@ use fastrak_workload::{
 };
 
 use crate::cells;
+use crate::experiments::Cx;
 use crate::report::{Artifact, Row};
 
 const TENANT: TenantId = TenantId(1);
@@ -256,16 +257,11 @@ fn run_world(cc: CcAlgo, world: Path, fanout: usize, horizon: SimTime) -> Vec<Ou
     })
 }
 
-/// Regenerate the incast-matrix report.
-pub fn run(full: bool) -> Vec<Artifact> {
-    run_with_export(full).0
-}
-
-/// Regenerate the report and also return the most telling cell's registry
-/// (DCTCP + migration + widest fan-out — every new `tcp.*` counter and the
-/// fabric mark counters live), exported under `experiments --telemetry`.
-pub fn run_with_export(full: bool) -> (Vec<Artifact>, fastrak_telemetry::Registry) {
-    let horizon = if full {
+/// Regenerate the incast-matrix report. `--telemetry` exports the most
+/// telling cell (DCTCP + migration + widest fan-out — every `tcp.*` counter
+/// and the fabric mark counters live).
+pub fn run(cx: &Cx) -> Vec<Artifact> {
+    let horizon = if cx.full {
         SimTime::from_millis(1_200)
     } else {
         SimTime::from_millis(500)
@@ -276,7 +272,6 @@ pub fn run_with_export(full: bool) -> (Vec<Artifact>, fastrak_telemetry::Registr
         "Incast fan-in: congestion control x path x fan-out grid",
         "partition-aggregate fan-in stresses the aggregator downlink; DCTCP's ECN feedback keeps queues short (marks instead of drops, lower FCT tails), SR-IOV placement cuts per-hop latency, and a mid-run response-path migration shows the Fig.-12 transient (retransmits, no collapse) under every variant",
     );
-    let mut export: Option<fastrak_telemetry::Registry> = None;
     let mut grid: Vec<(&str, CcAlgo, Path, usize)> = Vec::new();
     for (cc_name, cc) in cc_grid() {
         for path in [Path::Sw, Path::Hw, Path::Migrate] {
@@ -367,7 +362,7 @@ pub fn run_with_export(full: bool) -> (Vec<Artifact>, fastrak_telemetry::Registr
             "segs",
         ));
         if cc == CcAlgo::Dctcp && path == Path::Migrate && fanout == 12 {
-            export = Some(got.registry);
+            cx.keep(got.registry);
         }
     }
     a.note("no 'paper' column: the paper migrates one bulk flow (Fig. 12); the grid extends it with incast fan-in and the transport variants");
@@ -375,7 +370,7 @@ pub fn run_with_export(full: bool) -> (Vec<Artifact>, fastrak_telemetry::Registr
         "resp={RESP_SIZE}B/worker/round, 2 long pipelined flows as background, ECN marking K={}us on ToR+NIC queues for the DCTCP cells; path shift at horizon/2",
         ECN_K.as_nanos() / 1_000
     ));
-    (vec![a], export.expect("grid always runs the export cell"))
+    vec![a]
 }
 
 #[cfg(test)]

@@ -1,5 +1,12 @@
 //! One module per regenerated table/figure of the paper's evaluation.
 //! See DESIGN.md's experiment index for the mapping.
+//!
+//! Every experiment has one shape: `run(&Cx) -> Vec<Artifact>`, listed once
+//! in [`EXPERIMENTS`]. What all of them share belongs to the harness: the
+//! fan-out over worlds ([`crate::cells`]), and the `--telemetry` export.
+//! Each experiment names one cell whose world it exports; it hands that
+//! world to `Cx::publish` (or the registry it already read its rows from to
+//! `Cx::keep`), and the caller writes the files ([`Exports::write`]).
 
 pub mod ablations;
 pub mod chaos_matrix;
@@ -15,96 +22,162 @@ pub mod table3;
 pub mod table4;
 pub mod tenant_matrix;
 
-use crate::report::Artifact;
-use fastrak_telemetry::{export, Registry};
+use std::path::Path;
+use std::sync::{Mutex, MutexGuard};
 
-/// Every experiment by id, in paper order.
-pub fn all_ids() -> &'static [&'static str] {
-    &[
-        "fig3",
-        "fig4",
-        "fig5",
-        "table1",
-        "table2",
-        "table3",
-        "table4",
-        "fig12",
-        "ablations",
-        "fault_matrix",
-        "tenant_matrix",
-        "chaos_matrix",
-        "incast_matrix",
-    ]
+use fastrak::FasTrak;
+use fastrak_telemetry::{export, Registry};
+use fastrak_workload::Testbed;
+
+use crate::report::Artifact;
+
+/// One experiment: its id and its one entry point.
+pub struct Experiment {
+    /// The id the `experiments` binary takes, e.g. `fig3` or `table4`.
+    pub id: &'static str,
+    /// Regenerate the experiment's artifacts.
+    pub run: fn(&Cx) -> Vec<Artifact>,
 }
 
-/// Run one experiment by id.
+/// An experiment's id is the name of its module.
+macro_rules! experiments {
+    ($($module:ident),*) => {
+        &[$(Experiment { id: stringify!($module), run: $module::run }),*]
+    };
+}
+
+/// Every experiment, in paper order.
+pub const EXPERIMENTS: &[Experiment] = experiments![
+    fig3,
+    fig4,
+    fig5,
+    table1,
+    table2,
+    table3,
+    table4,
+    fig12,
+    ablations,
+    fault_matrix,
+    tenant_matrix,
+    chaos_matrix,
+    incast_matrix
+];
+
+/// The experiment with this id.
+pub fn find(id: &str) -> Option<&'static Experiment> {
+    EXPERIMENTS.iter().find(|e| e.id == id)
+}
+
+/// Run one experiment by id, without exports.
 pub fn run(id: &str, full: bool) -> Option<Vec<Artifact>> {
-    match id {
-        "fig3" => Some(fig3::run(full)),
-        "fig4" => Some(fig4::run(full)),
-        "fig5" => Some(fig5::run(full)),
-        "table1" => Some(table1::run(full)),
-        "table2" => Some(table2::run(full)),
-        "table3" => Some(table3::run(full)),
-        "table4" => Some(table4::run(full)),
-        "fig12" => Some(fig12::run(full)),
-        "ablations" => Some(ablations::run(full)),
-        "fault_matrix" => Some(fault_matrix::run(full)),
-        "tenant_matrix" => Some(tenant_matrix::run(full)),
-        "chaos_matrix" => Some(chaos_matrix::run(full)),
-        "incast_matrix" => Some(incast_matrix::run(full)),
-        _ => None,
+    find(id).map(|e| (e.run)(&Cx::new(full, false)))
+}
+
+/// What one run of an experiment is asked for, and what it hands back
+/// beside its artifacts. Cells may run on any worker, so they reach it
+/// through `&Cx`.
+pub struct Cx {
+    /// Paper-duration runs instead of the time-scaled quick mode.
+    pub(crate) full: bool,
+    /// Export the cell the experiment names (`--telemetry`). When off,
+    /// nothing is published.
+    pub(crate) telemetry: bool,
+    exports: Mutex<Exports>,
+}
+
+/// What a run handed back.
+#[derive(Default)]
+pub struct Exports {
+    /// The registry of the cell the experiment names; only under telemetry.
+    pub registry: Option<Registry>,
+    /// A Chrome trace-event file of that cell (Fig. 12's flow migration;
+    /// load it in Perfetto); only under telemetry.
+    pub chrome_trace: Option<String>,
+    /// A (seconds, value) series for `--csv` (Fig. 12's receiver-side
+    /// sequence trace).
+    pub series: Option<Vec<(f64, u64)>>,
+}
+
+impl Cx {
+    /// A run in quick or `full` mode, exporting its named cell if `telemetry`.
+    pub fn new(full: bool, telemetry: bool) -> Cx {
+        Cx {
+            full,
+            telemetry,
+            exports: Mutex::default(),
+        }
+    }
+
+    fn exports(&self) -> MutexGuard<'_, Exports> {
+        self.exports
+            .lock()
+            .expect("no cell panics while holding it")
+    }
+
+    /// In the cell the experiment names, once the cell has read its
+    /// results: publish `bed` (with the controller `ft` that manages it)
+    /// and keep its registry. Does nothing when telemetry is off.
+    pub(crate) fn publish(&self, bed: &mut Testbed, ft: Option<&FasTrak>) {
+        if !self.telemetry {
+            return;
+        }
+        bed.publish_telemetry();
+        if let Some(ft) = ft {
+            ft.publish_telemetry(bed);
+        }
+        self.keep(std::mem::take(&mut bed.kernel.ctx.telemetry.registry));
+    }
+
+    /// Keep `registry`, published by the cell the experiment names, as the
+    /// run's export. Dropped when telemetry is off.
+    pub(crate) fn keep(&self, registry: Registry) {
+        if self.telemetry {
+            self.exports().registry = Some(registry);
+        }
+    }
+
+    /// Keep the named cell's Chrome trace. Dropped when telemetry is off.
+    pub(crate) fn keep_trace(&self, chrome_trace: String) {
+        if self.telemetry {
+            self.exports().chrome_trace = Some(chrome_trace);
+        }
+    }
+
+    /// Hand back a `--csv` series.
+    pub(crate) fn keep_series(&self, series: Vec<(f64, u64)>) {
+        self.exports().series = Some(series);
+    }
+
+    /// What the run handed back.
+    pub fn into_exports(self) -> Exports {
+        self.exports
+            .into_inner()
+            .expect("no cell panics while holding it")
     }
 }
 
-/// An experiment that also hands back the registry of its exported cell.
-type RunWithExport = fn(bool) -> (Vec<Artifact>, Registry);
+impl Exports {
+    /// Write experiment `id`'s telemetry into `dir`: `<id>.metrics.jsonl`
+    /// and `<id>.prom` from the registry, and `<id>.trace.json` when there
+    /// is a Chrome trace.
+    pub fn write(&self, dir: &Path, id: &str) {
+        let reg = (self.registry.as_ref()).expect("every experiment names a cell to export");
+        write_file(
+            dir,
+            &format!("{id}.metrics.jsonl"),
+            &export::metrics_jsonl(reg),
+        );
+        write_file(dir, &format!("{id}.prom"), &export::prometheus_text(reg));
+        if let Some(trace) = &self.chrome_trace {
+            write_file(dir, &format!("{id}.trace.json"), trace);
+        }
+    }
+}
 
-/// Write one `--telemetry` export file into `dir`.
-pub fn write_export(dir: &std::path::Path, name: &str, content: String) {
+fn write_file(dir: &Path, name: &str, content: &str) {
     let path = dir.join(name);
     std::fs::write(&path, content).unwrap_or_else(|e| panic!("write {}: {e}", path.display()));
     eprintln!("  wrote {}", path.display());
-}
-
-/// Run one experiment by id and drop its telemetry artifacts into `dir`
-/// (`experiments --telemetry <dir>`). Exports per experiment:
-///
-/// * `fault_matrix` — `fault_matrix.metrics.jsonl` + `fault_matrix.prom`,
-///   the forced-failure run's full registry snapshot;
-/// * `tenant_matrix` — `tenant_matrix.metrics.jsonl` + `tenant_matrix.prom`,
-///   the unrestricted-policy + churner cell's registry (per-tenant
-///   `ctrl.tenant.*` metrics included);
-/// * `chaos_matrix` — `chaos_matrix.metrics.jsonl` + `chaos_matrix.prom`,
-///   the ToR-reboot scenario's registry (`ctrl.chaos.*` detection and
-///   `sim.chaos.*` injection counters included);
-/// * `incast_matrix` — `incast_matrix.metrics.jsonl` + `incast_matrix.prom`,
-///   the DCTCP + migration + widest-fan-out cell's registry (per-server
-///   `tcp.*` transport counters and fabric ECN mark counters included);
-/// * `fig12` — `fig12.trace.json`, a Chrome trace-event file of the flow
-///   migration (load in Perfetto / `chrome://tracing`);
-/// * everything else runs unchanged (telemetry stays zero-config).
-pub fn run_with_telemetry(id: &str, full: bool, dir: &std::path::Path) -> Option<Vec<Artifact>> {
-    let write = |name: &str, content: String| write_export(dir, name, content);
-    let matrix: Option<RunWithExport> = match id {
-        "fault_matrix" => Some(fault_matrix::run_with_export),
-        "tenant_matrix" => Some(tenant_matrix::run_with_export),
-        "chaos_matrix" => Some(chaos_matrix::run_with_export),
-        "incast_matrix" => Some(incast_matrix::run_with_export),
-        _ => None,
-    };
-    if let Some(run_with_export) = matrix {
-        let (arts, reg) = run_with_export(full);
-        write(&format!("{id}.metrics.jsonl"), export::metrics_jsonl(&reg));
-        write(&format!("{id}.prom"), export::prometheus_text(&reg));
-        return Some(arts);
-    }
-    if id == "fig12" {
-        let (artifact, _, trace) = fig12::run_traced(full);
-        write("fig12.trace.json", trace);
-        return Some(vec![artifact]);
-    }
-    run(id, full)
 }
 
 /// Test support for the grids that fork their cells (`chaos_matrix`,

@@ -11,16 +11,16 @@
 
 use fastrak_host::vm::VmSpec;
 use fastrak_net::addr::Ip;
-use fastrak_net::packet::PathTag;
-use fastrak_sim::time::SimTime;
 use fastrak_workload::{memcached_server, IoZone, MemslapClient, MemslapConfig, VmRef};
 
 use crate::cells;
+use crate::experiments::Cx;
 use crate::report::{Artifact, Row};
-use crate::scenarios::{rack, TENANT};
+use crate::scenarios::{apply_setup, measure_window, rack, PathSetup, TENANT};
 
-/// Measured cell: (aggregate TPS, mean latency µs, test-server CPUs).
-pub fn measure(sriov: bool, background: bool, quick: bool) -> (f64, f64, f64) {
+/// Measured cell: (aggregate TPS, mean latency µs, test-server CPUs). The
+/// cell `export` is given publishes into it.
+fn measure(sriov: bool, background: bool, quick: bool, export: Option<&Cx>) -> (f64, f64, f64) {
     let mut bed = rack(31);
     // Paper §6.1.1: "three VMs pinned to four CPUs" on the test server —
     // guest work and hypervisor packet processing share those cores.
@@ -59,25 +59,18 @@ pub fn measure(sriov: bool, background: bool, quick: bool) -> (f64, f64, f64) {
         clients.push(v);
         vms.push(v);
     }
-    if sriov {
-        bed.authorize_hw_tenant(TENANT);
-        for &v in &vms {
-            bed.force_path(v, PathTag::SrIov);
-        }
-    }
-    bed.start();
+    let setup = if sriov {
+        PathSetup::Sriov
+    } else {
+        PathSetup::BaselineOvs
+    };
+    apply_setup(&mut bed, setup, &vms);
     let (warm_ms, window_ms) = if quick { (500, 4_000) } else { (1_000, 10_000) };
-    bed.run_until(SimTime::from_millis(warm_ms));
-    bed.begin_cpu_windows();
-    for &c in &clients {
-        let now = bed.now();
-        bed.server_mut(c.server)
-            .vm_mut(c.vm)
-            .app_as_mut::<MemslapClient>()
-            .begin_window(now);
-    }
-    bed.run_until(SimTime::from_millis(warm_ms + window_ms));
-    let now = bed.now();
+    let now = measure_window(&mut bed, warm_ms, window_ms, |bed, now| {
+        for &c in &clients {
+            bed.app_mut::<MemslapClient>(c).begin_window(now);
+        }
+    });
     let mut tps = 0.0;
     let mut lat_weighted = 0.0;
     let mut n = 0.0;
@@ -90,11 +83,16 @@ pub fn measure(sriov: bool, background: bool, quick: bool) -> (f64, f64, f64) {
     }
     let mean_lat = if n > 0.0 { lat_weighted / n } else { 0.0 };
     let cpus = bed.server(0).cpus_used(now);
+    if let Some(cx) = export {
+        cx.publish(&mut bed, None);
+    }
     (tps, mean_lat, cpus)
 }
 
-/// Regenerate Table 1(a) and 1(b).
-pub fn run(full: bool) -> Vec<Artifact> {
+/// Regenerate Table 1(a) and 1(b). `--telemetry` exports the VIF world
+/// with IOzone in the background: the busiest test server.
+pub fn run(cx: &Cx) -> Vec<Artifact> {
+    let full = cx.full;
     let mut a = Artifact::new(
         "table1a",
         "Memcached TPS, no background",
@@ -108,7 +106,8 @@ pub fn run(full: bool) -> Vec<Artifact> {
     // Four worlds: (background?, SR-IOV?) in the order the rows print.
     let grid = [(false, false), (false, true), (true, false), (true, true)];
     let mut measured = cells::map(&grid, |&(background, sriov)| {
-        measure(sriov, background, !full)
+        let export = (background && !sriov).then_some(cx);
+        measure(sriov, background, !full, export)
     })
     .into_iter();
     for (art, paper) in [

@@ -16,12 +16,16 @@ use fastrak_host::vm::VmSpec;
 use fastrak_net::addr::Ip;
 use fastrak_net::flow::FlowSpec;
 use fastrak_net::packet::PathTag;
-use fastrak_sim::time::SimTime;
 use fastrak_workload::{memcached_server, MemslapClient, MemslapConfig, Testbed, VmRef};
 
 use crate::cells;
+use crate::experiments::Cx;
 use crate::report::{Artifact, Row};
-use crate::scenarios::{rack, TENANT};
+use crate::scenarios::{rack, run_memslap, TENANT};
+
+/// The row `--telemetry` exports: half the memcached servers on SR-IOV, so
+/// both paths carry memcached traffic.
+const EXPORT_N_FAST: usize = 2;
 
 /// The four memcached server IPs.
 pub fn mc_ips() -> [Ip; 4] {
@@ -29,7 +33,7 @@ pub fn mc_ips() -> [Ip; 4] {
 }
 
 /// Build the Table-2 rack. Returns (bed, memcached vms, client vms).
-pub fn build(requests_per_client: u64, seed: u64) -> (Testbed, Vec<VmRef>, Vec<VmRef>) {
+fn build(requests_per_client: u64, seed: u64) -> (Testbed, Vec<VmRef>, Vec<VmRef>) {
     let mut bed = rack(seed);
     let mut servers = Vec::new();
     for (i, ip) in mc_ips().into_iter().enumerate() {
@@ -88,51 +92,9 @@ pub fn offload_servers(bed: &mut Testbed, servers: &[VmRef], clients: &[VmRef], 
     }
 }
 
-/// Run one row: returns (mean finish s, mean TPS, mean latency µs, CPUs).
-pub fn measure(n_fast: usize, requests_per_client: u64, horizon_s: u64) -> (f64, f64, f64, f64) {
-    let (mut bed, servers, clients) = build(requests_per_client, 37);
-    offload_servers(&mut bed, &servers, &clients, n_fast);
-    bed.begin_cpu_windows();
-    bed.start();
-
-    // Run until every client finished (or the horizon).
-    let horizon = SimTime::from_secs(horizon_s);
-    let step = fastrak_sim::time::SimDuration::from_millis(500);
-    loop {
-        let now = bed.now();
-        if now >= horizon {
-            break;
-        }
-        bed.run_until(now + step);
-        let all_done = clients
-            .iter()
-            .all(|&c| bed.app::<MemslapClient>(c).finished_at.is_some());
-        if all_done {
-            break;
-        }
-    }
-    let now = bed.now();
-    let mut finish = 0.0;
-    let mut tps = 0.0;
-    let mut lat = 0.0;
-    for &c in &clients {
-        let app = bed.app::<MemslapClient>(c);
-        let ft = app
-            .finish_time()
-            .unwrap_or_else(|| now.since(app.started_at().unwrap_or(SimTime::ZERO)));
-        finish += ft.as_secs_f64();
-        tps += app.completed() as f64 / ft.as_secs_f64().max(1e-9);
-        lat += app.latency.mean() / 1e3;
-    }
-    let n = clients.len() as f64;
-    // CPU usage on the test server over the run (the run ends right after
-    // the last client finishes, so this matches the paper's "for test").
-    let cpus = bed.server(0).cpus_used(now);
-    (finish / n, tps / n, lat / n, cpus)
-}
-
 /// Regenerate Table 2.
-pub fn run(full: bool) -> Vec<Artifact> {
+pub fn run(cx: &Cx) -> Vec<Artifact> {
+    let full = cx.full;
     let requests = if full { 2_000_000 } else { 150_000 };
     let horizon = if full { 300 } else { 60 };
     let scale = requests as f64 / 2_000_000.0;
@@ -150,7 +112,15 @@ pub fn run(full: bool) -> Vec<Artifact> {
     ];
     // Row i has the first i memcached servers on SR-IOV: one world each.
     let n_fast: Vec<usize> = (0..paper.len()).collect();
-    let measured = cells::map(&n_fast, |&n| measure(n, requests, horizon));
+    let measured = cells::map(&n_fast, |&n| {
+        let (mut bed, servers, clients) = build(requests, 37);
+        offload_servers(&mut bed, &servers, &clients, n);
+        let measured = run_memslap(&mut bed, &clients, horizon);
+        if n == EXPORT_N_FAST {
+            cx.publish(&mut bed, None);
+        }
+        measured
+    });
     for ((pct_vif, p_fin, p_tps, p_lat, p_cpu), (fin, tps, lat, cpus)) in
         paper.into_iter().zip(measured)
     {

@@ -12,7 +12,6 @@
 
 use fastrak_host::vm::VmSpec;
 use fastrak_net::addr::Ip;
-use fastrak_sim::time::SimTime;
 use fastrak_workload::{
     memcached_server, Composite, FileTransfer, MemslapClient, MemslapConfig, StreamSink, Testbed,
     VmRef,
@@ -20,12 +19,13 @@ use fastrak_workload::{
 
 use crate::cells;
 use crate::experiments::table2::{mc_ips, offload_servers};
+use crate::experiments::Cx;
 use crate::report::{Artifact, Row};
-use crate::scenarios::{rack, TENANT};
+use crate::scenarios::{rack, run_memslap, TENANT};
 
 /// Build the Table-3 rack: memcached VMs also run a file transfer to sinks
 /// on the client servers.
-pub fn build(
+pub(crate) fn build(
     requests_per_client: u64,
     transfer_bytes: u64,
     seed: u64,
@@ -70,48 +70,9 @@ pub fn build(
     (bed, servers, clients)
 }
 
-/// Run one configuration to completion; returns (finish s, TPS, latency µs,
-/// CPUs).
-pub fn measure_with(bed: &mut Testbed, clients: &[VmRef], horizon_s: u64) -> (f64, f64, f64, f64) {
-    bed.begin_cpu_windows();
-    if bed.now() == SimTime::ZERO {
-        bed.start();
-    }
-    let horizon = SimTime::from_secs(horizon_s);
-    let step = fastrak_sim::time::SimDuration::from_millis(500);
-    loop {
-        let now = bed.now();
-        if now >= horizon {
-            break;
-        }
-        bed.run_until(now + step);
-        let all_done = clients
-            .iter()
-            .all(|&c| bed.app::<MemslapClient>(c).finished_at.is_some());
-        if all_done {
-            break;
-        }
-    }
-    let now = bed.now();
-    let mut finish = 0.0;
-    let mut tps = 0.0;
-    let mut lat = 0.0;
-    for &c in clients {
-        let app = bed.app::<MemslapClient>(c);
-        let ft = app
-            .finish_time()
-            .unwrap_or_else(|| now.since(app.started_at().unwrap_or(SimTime::ZERO)));
-        finish += ft.as_secs_f64();
-        tps += app.completed() as f64 / ft.as_secs_f64().max(1e-9);
-        lat += app.latency.mean() / 1e3;
-    }
-    let n = clients.len() as f64;
-    let cpus = bed.server(0).cpus_used(now);
-    (finish / n, tps / n, lat / n, cpus)
-}
-
 /// Regenerate Table 3.
-pub fn run(full: bool) -> Vec<Artifact> {
+pub fn run(cx: &Cx) -> Vec<Artifact> {
+    let full = cx.full;
     let requests = if full { 2_000_000 } else { 150_000 };
     let transfer = if full { 4u64 << 30 } else { 400 << 20 };
     let horizon = if full { 400 } else { 90 };
@@ -128,7 +89,12 @@ pub fn run(full: bool) -> Vec<Artifact> {
     let measured = cells::map(&paper, |&(.., n_fast)| {
         let (mut bed, servers, clients) = build(requests, transfer, 41);
         offload_servers(&mut bed, &servers, &clients, n_fast);
-        measure_with(&mut bed, &clients, horizon)
+        let measured = run_memslap(&mut bed, &clients, horizon);
+        // The exported row: memcached and the transfers share the VIF.
+        if n_fast == 0 {
+            cx.publish(&mut bed, None);
+        }
+        measured
     });
     for ((cfg, p_fin, p_tps, p_lat, p_cpu, _), (fin, tps, lat, cpus)) in
         paper.into_iter().zip(measured)

@@ -14,11 +14,14 @@
 use fastrak::{attach, DeConfig, FasTrakConfig, Timing};
 
 use crate::cells;
-use crate::experiments::table3::{build, measure_with};
+use crate::experiments::table3::build;
+use crate::experiments::Cx;
 use crate::report::{Artifact, Row};
+use crate::scenarios::run_memslap;
 
-/// Regenerate Table 4.
-pub fn run(full: bool) -> Vec<Artifact> {
+/// Regenerate Table 4. `--telemetry` exports the managed world.
+pub fn run(cx: &Cx) -> Vec<Artifact> {
+    let full = cx.full;
     let requests = if full { 2_000_000 } else { 150_000 };
     let transfer = if full { 4u64 << 30 } else { 400 << 20 };
     let horizon = if full { 400 } else { 90 };
@@ -36,7 +39,7 @@ pub fn run(full: bool) -> Vec<Artifact> {
     let mut rows = cells::map(&[false, true], |&managed| {
         let (mut bed, _servers, clients) = build(requests, transfer, 43);
         if !managed {
-            return (measure_with(&mut bed, &clients, horizon), 0, false);
+            return (run_memslap(&mut bed, &clients, horizon), 0, false);
         }
         let ft = attach(
             &mut bed,
@@ -54,10 +57,10 @@ pub fn run(full: bool) -> Vec<Artifact> {
             },
         );
         ft.start(&mut bed);
-        let r = measure_with(&mut bed, &clients, horizon);
+        let r = run_memslap(&mut bed, &clients, horizon);
         // Sanity: what got offloaded must be the memcached aggregates.
-        let offloaded = ft.offloaded(&bed);
-        let ports: Vec<u16> = offloaded
+        let ports: Vec<u16> = ft
+            .offloaded(&bed)
             .iter()
             .map(|a| match a {
                 fastrak_net::flow::FlowAggregate::SrcApp { port, .. }
@@ -67,7 +70,8 @@ pub fn run(full: bool) -> Vec<Artifact> {
             .collect();
         let all_memcached =
             !ports.is_empty() && ports.iter().all(|&p| p == fastrak_workload::MEMCACHED_PORT);
-        (r, offloaded.len(), all_memcached)
+        cx.publish(&mut bed, Some(&ft));
+        (r, ports.len(), all_memcached)
     })
     .into_iter();
 

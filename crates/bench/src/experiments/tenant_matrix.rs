@@ -29,6 +29,7 @@ use fastrak_workload::{
 use std::collections::HashMap;
 
 use crate::cells;
+use crate::experiments::Cx;
 use crate::report::{Artifact, Row};
 
 /// The adversary's tenant id (victims are 1..=N_VICTIMS).
@@ -201,16 +202,11 @@ fn run_one(policy: FastPathPolicy, churner: bool, horizon: SimTime) -> Outcome {
     }
 }
 
-/// Regenerate the tenant-matrix report.
-pub fn run(full: bool) -> Vec<Artifact> {
-    run_with_export(full).0
-}
-
-/// Regenerate the report and also return the most adversarial cell's
-/// registry (unrestricted policy + churner — the baseline the fairness
-/// policies are judged against), exported under `experiments --telemetry`.
-pub fn run_with_export(full: bool) -> (Vec<Artifact>, fastrak_telemetry::Registry) {
-    let horizon = if full {
+/// Regenerate the tenant-matrix report. `--telemetry` exports the most
+/// adversarial cell (unrestricted policy + churner — the baseline the
+/// fairness policies are judged against).
+pub fn run(cx: &Cx) -> Vec<Artifact> {
+    let horizon = if cx.full {
         SimTime::from_millis(9_500)
     } else {
         SimTime::from_millis(6_500)
@@ -220,7 +216,6 @@ pub fn run_with_export(full: bool) -> (Vec<Artifact>, fastrak_telemetry::Registr
         "Noisy-neighbor fairness: policy x churner grid",
         "an adversarial tenant that rotates hot aggregates monopolizes and thrashes the bounded fast path under the paper's unrestricted policy; per-tenant quota and weighted-share policies keep the victims' rules installed (fewer victim demotes, stable occupancy) and their tail latency flat",
     );
-    let mut export: Option<fastrak_telemetry::Registry> = None;
     let grid: Vec<(&str, FastPathPolicy, bool)> = policy_grid()
         .into_iter()
         .flat_map(|(name, policy)| [false, true].map(|churner| (name, policy.clone(), churner)))
@@ -273,17 +268,14 @@ pub fn run_with_export(full: bool) -> (Vec<Artifact>, fastrak_telemetry::Registr
             "rules",
         ));
         if name == "unrestricted" && churner {
-            export = Some(got.registry);
+            cx.keep(got.registry);
         }
     }
     a.note("no 'paper' column: the paper evaluates cooperative tenants only (unrestricted, churner=off is its behaviour); the grid extends it with the adversarial profile and the fairness policies");
     a.note(format!(
         "budget={BUDGET} fast-path entries, {N_VICTIMS} victim tenants (Zipf-skewed memcached) + 1 churner tenant rotating hot dst-port aggregates"
     ));
-    (
-        vec![a],
-        export.expect("grid always runs the adversarial cell"),
-    )
+    vec![a]
 }
 
 #[cfg(test)]

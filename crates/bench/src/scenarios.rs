@@ -2,16 +2,20 @@
 //!
 //! * [`MicroBed`] — the §3.1 microbenchmark pair: one client VM and one
 //!   server VM on two servers, in any of the paper's path configurations;
-//! * [`memcached_rack`] — the §6 rack: a test server hosting memcached VMs
-//!   plus five client servers running memslap.
+//! * [`rack`] — the §6 rack: a test server hosting memcached VMs plus five
+//!   client servers running memslap.
+//!
+//! and the two measurement loops the experiments share: [`measure_window`]
+//! (warm up, open the windows, measure) and [`run_memslap`] (run until
+//! every memslap client finishes).
 
 use fastrak_host::app::GuestApp;
 use fastrak_host::vm::VmSpec;
 use fastrak_net::addr::{Ip, TenantId};
 use fastrak_net::ctrl::Dir;
 use fastrak_net::packet::PathTag;
-use fastrak_sim::time::SimTime;
-use fastrak_workload::{Testbed, TestbedConfig, VmRef};
+use fastrak_sim::time::{SimDuration, SimTime};
+use fastrak_workload::{MemslapClient, Testbed, TestbedConfig, VmRef};
 
 /// The evaluation tenant.
 pub const TENANT: TenantId = TenantId(1);
@@ -124,20 +128,65 @@ pub fn apply_setup(bed: &mut Testbed, setup: PathSetup, vms: &[VmRef]) {
     }
 }
 
-/// Warm up, open a measurement window, run, and return the window's end.
-/// `warm` and `measure` are in milliseconds.
-pub fn warm_and_measure(
+/// Start `bed`, warm up for `warm_ms`, open the measurement windows, and
+/// run `window_ms` more; returns the window's end. Every server's CPU
+/// window opens, and `open` opens the apps' windows, at the same instant,
+/// which it is given.
+pub fn measure_window(
     bed: &mut Testbed,
     warm_ms: u64,
-    measure_ms: u64,
-    mut at_window_start: impl FnMut(&mut Testbed),
+    window_ms: u64,
+    open: impl FnOnce(&mut Testbed, SimTime),
 ) -> SimTime {
+    bed.start();
     bed.run_until(SimTime::from_millis(warm_ms));
     bed.begin_cpu_windows();
-    at_window_start(bed);
-    let end = SimTime::from_millis(warm_ms + measure_ms);
-    bed.run_until(end);
-    end
+    let now = bed.now();
+    open(bed, now);
+    bed.run_until(SimTime::from_millis(warm_ms + window_ms));
+    bed.now()
+}
+
+/// Start `bed` and run it until every memslap client in `clients` has
+/// finished (looked at every 500 ms) or `horizon_s` has passed. Returns the
+/// means over the clients of finish time (s), TPS and latency (µs), and the
+/// CPUs the test server (index 0) used over the run.
+pub fn run_memslap(bed: &mut Testbed, clients: &[VmRef], horizon_s: u64) -> (f64, f64, f64, f64) {
+    bed.begin_cpu_windows();
+    bed.start();
+    let horizon = SimTime::from_secs(horizon_s);
+    let step = SimDuration::from_millis(500);
+    loop {
+        let now = bed.now();
+        if now >= horizon {
+            break;
+        }
+        bed.run_until(now + step);
+        let all_done = clients
+            .iter()
+            .all(|&c| bed.app::<MemslapClient>(c).finished_at.is_some());
+        if all_done {
+            break;
+        }
+    }
+    let now = bed.now();
+    let mut finish = 0.0;
+    let mut tps = 0.0;
+    let mut lat = 0.0;
+    for &c in clients {
+        let app = bed.app::<MemslapClient>(c);
+        let ft = app
+            .finish_time()
+            .unwrap_or_else(|| now.since(app.started_at().unwrap_or(SimTime::ZERO)));
+        finish += ft.as_secs_f64();
+        tps += app.completed() as f64 / ft.as_secs_f64().max(1e-9);
+        lat += app.latency.mean() / 1e3;
+    }
+    let n = clients.len() as f64;
+    // The run ends right after the last client finishes, so this is the
+    // paper's "# of CPUs for test".
+    let cpus = bed.server(0).cpus_used(now);
+    (finish / n, tps / n, lat / n, cpus)
 }
 
 /// The §6 memcached rack: `n_mc` memcached VMs (+ optional extra VMs) on

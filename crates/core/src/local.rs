@@ -65,11 +65,6 @@ impl Timing {
         }
     }
 
-    /// Length of one control interval `C = N × T`.
-    pub fn control_interval(&self) -> SimDuration {
-        self.epoch * self.epochs_per_interval as u64
-    }
-
     /// Refuse a timing the controllers cannot run, naming the field: a zero
     /// epoch re-arms its timer at the same instant forever, zero epochs or
     /// intervals leave the measurement engine no history, and a sample gap

@@ -51,20 +51,9 @@ impl BytesMut {
         self.inner.extend_from_slice(&v.to_be_bytes());
     }
 
-    /// Append a big-endian u64.
-    #[inline]
-    pub fn put_u64(&mut self, v: u64) {
-        self.inner.extend_from_slice(&v.to_be_bytes());
-    }
-
     /// Grow (zero-filling) or shrink to `len` bytes.
     pub fn resize(&mut self, len: usize, fill: u8) {
         self.inner.resize(len, fill);
-    }
-
-    /// Consume into the underlying vector.
-    pub fn into_vec(self) -> Vec<u8> {
-        self.inner
     }
 }
 

@@ -44,8 +44,8 @@ pub trait Node<E, C>: Any + Send {
     fn on_event(&mut self, ev: E, api: &mut Api<'_, E, C>);
 
     /// Human-readable name for traces and panics. Borrowed, not allocated:
-    /// callers that need an owned copy (the kernel's name registry, trace
-    /// records) pay for it explicitly.
+    /// callers that need an owned copy (trace records) pay for it
+    /// explicitly.
     fn name(&self) -> &str {
         "node"
     }
@@ -226,7 +226,6 @@ impl<'a, E, C> Api<'a, E, C> {
 /// The simulation kernel: nodes + event scheduler + clock.
 pub struct Kernel<E, C> {
     nodes: Vec<Box<dyn NodeObj<E, C>>>,
-    names: Vec<String>,
     sched: Calendar<E>,
     now: SimTime,
     next_seq: u64,
@@ -268,7 +267,6 @@ impl<E, C> Kernel<E, C> {
     pub fn new(ctx: C, seed: u64) -> Self {
         Kernel {
             nodes: Vec::new(),
-            names: Vec::new(),
             sched: Calendar::default(),
             now: SimTime::ZERO,
             next_seq: 0,
@@ -284,7 +282,6 @@ impl<E, C> Kernel<E, C> {
     /// registration order (experiments rely on this for readable traces).
     pub fn add_node<T: Node<E, C>>(&mut self, node: T) -> NodeId {
         let id = self.nodes.len();
-        self.names.push(node.name().to_string());
         self.nodes.push(Box::new(node));
         id
     }
@@ -307,7 +304,6 @@ impl<E, C> Kernel<E, C> {
                 .iter()
                 .map(|n| n.fork_obj())
                 .collect::<Option<_>>()?,
-            names: self.names.clone(),
             sched: self.sched.clone(),
             now: self.now,
             next_seq: self.next_seq,
@@ -327,16 +323,6 @@ impl<E, C> Kernel<E, C> {
     /// Total number of events delivered so far.
     pub fn events_processed(&self) -> u64 {
         self.events_processed
-    }
-
-    /// Number of registered nodes.
-    pub fn node_count(&self) -> usize {
-        self.nodes.len()
-    }
-
-    /// Registered name of a node.
-    pub fn node_name(&self, id: NodeId) -> &str {
-        &self.names[id]
     }
 
     /// Schedule an event from outside any node (harness setup). Never

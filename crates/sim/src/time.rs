@@ -96,11 +96,6 @@ impl SimDuration {
         self.0
     }
 
-    /// Microseconds as a float (for reporting only).
-    pub fn as_micros_f64(self) -> f64 {
-        self.0 as f64 / 1e3
-    }
-
     /// Seconds as a float (for reporting only).
     pub fn as_secs_f64(self) -> f64 {
         self.0 as f64 / 1e9

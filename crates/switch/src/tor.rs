@@ -251,11 +251,6 @@ impl Tor {
         self.l2_ports.insert((tenant, vm_ip), port);
     }
 
-    /// Remove an L2 destination.
-    pub fn remove_l2_route(&mut self, tenant: TenantId, vm_ip: Ip) {
-        self.l2_ports.remove(&(tenant, vm_ip));
-    }
-
     // --------------------------------------------------------- fast path --
 
     /// Remaining fast-path rule budget.

@@ -144,12 +144,6 @@ impl Registry {
         self.gauges[id.0 as usize] = v;
     }
 
-    /// Current value of a gauge.
-    #[inline]
-    pub fn gauge_value(&self, id: GaugeId) -> f64 {
-        self.gauges[id.0 as usize]
-    }
-
     /// Record a sample into a histogram.
     #[inline]
     pub fn observe(&mut self, id: HistId, v: u64) {

@@ -409,11 +409,6 @@ impl TcpConn {
         self.state == TcpState::Closed
     }
 
-    /// The configured congestion-control algorithm.
-    pub fn cc_algo(&self) -> CcAlgo {
-        self.cfg.cc
-    }
-
     /// Did ECN negotiation succeed on this connection?
     pub fn ecn_active(&self) -> bool {
         self.ecn_active

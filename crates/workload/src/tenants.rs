@@ -142,10 +142,7 @@ impl TenantFleet {
         let now = bed.now();
         for t in &self.tenants {
             for &c in &t.clients {
-                bed.server_mut(c.server)
-                    .vm_mut(c.vm)
-                    .app_as_mut::<MemslapClient>()
-                    .begin_window(now);
+                bed.app_mut::<MemslapClient>(c).begin_window(now);
             }
         }
     }

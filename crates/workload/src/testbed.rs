@@ -318,6 +318,11 @@ impl Testbed {
         self.server(v.server).vm(v.vm).app_as::<T>()
     }
 
+    /// Mutable access to a VM's guest app, downcast to its concrete type.
+    pub fn app_mut<T: GuestApp>(&mut self, v: VmRef) -> &mut T {
+        self.server_mut(v.server).vm_mut(v.vm).app_as_mut::<T>()
+    }
+
     /// Begin CPU measurement windows on every server (after warmup).
     pub fn begin_cpu_windows(&mut self) {
         let now = self.kernel.now();

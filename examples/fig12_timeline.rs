@@ -12,9 +12,16 @@
 //! `chrome://tracing`): each component is a track, and the sender VM's
 //! track shows the "vif" slice handing off to the "sriov" slice at t=1 s.
 
+use fastrak_bench::experiments::{fig12, Cx};
+
 fn main() {
     eprintln!("running the Fig. 12 migration scenario with span tracing ...");
-    let trace = fastrak_bench::experiments::fig12::chrome_trace_json(false);
+    let cx = Cx::new(false, true);
+    fig12::run(&cx);
+    let trace = cx
+        .into_exports()
+        .chrome_trace
+        .expect("fig12 records a trace");
     let path = "fig12_timeline.trace.json";
     std::fs::write(path, &trace).expect("write trace file");
     println!("wrote {path} ({} bytes)", trace.len());

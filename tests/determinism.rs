@@ -8,7 +8,10 @@
 //! codecs and tables (net), TCP (transport), servers/vswitch/NIC (host),
 //! ToR (switch), the FasTrak controllers (core), and the workload harness.
 
+mod support;
+
 use fastrak::{attach, FasTrakConfig, Timing};
+use fastrak_bench::experiments::{Cx, EXPERIMENTS};
 use fastrak_host::vm::VmSpec;
 use fastrak_net::addr::{Ip, TenantId};
 use fastrak_net::event::ctl_fault_layer;
@@ -415,11 +418,13 @@ fn experiment_digest(id: &str) -> String {
     format!("{arts:?}")
 }
 
-/// One worker against up to four must produce the same artifacts for `id`.
-fn assert_artifacts_independent_of_width(id: &str) {
+/// One worker against up to four must produce the same artifacts for `id`;
+/// returns their digest.
+fn assert_artifacts_independent_of_width(id: &str) -> String {
     let serial = with_width(1, || experiment_digest(id));
     let wide = with_width(4, || experiment_digest(id));
     assert_eq!(serial, wide, "{id}: artifacts depend on the width");
+    serial
 }
 
 /// Run `f` with the harness's process-wide worker budget
@@ -453,10 +458,41 @@ fn experiment_artifacts_bit_identical_across_widths() {
 #[ignore = "slow: run with cargo test --release --test determinism -- --ignored"]
 fn all_experiment_artifacts_bit_identical_across_widths() {
     // The artifact-level check of the harness fan-out against a serial run,
-    // for every paper artifact.
-    for id in fastrak_bench::experiments::all_ids() {
-        assert_artifacts_independent_of_width(id);
+    // for every paper artifact. Each experiment then runs once more with
+    // telemetry on: the artifacts must not move, and the series its export
+    // holds are pinned.
+    let mut schema = Vec::new();
+    for e in EXPERIMENTS {
+        let digest = assert_artifacts_independent_of_width(e.id);
+        let cx = Cx::new(false, true);
+        let traced = format!("{:?}", (e.run)(&cx));
+        assert_eq!(digest, traced, "{}: telemetry moved the artifacts", e.id);
+        let exports = cx.into_exports();
+        let reg = exports
+            .registry
+            .unwrap_or_else(|| panic!("{}: no export", e.id));
+        schema.extend(
+            support::schema(&reg)
+                .iter()
+                .map(|s| format!("{} {s}", e.id)),
+        );
     }
+    let pinned: Vec<&str> = include_str!("golden/export_schema.txt").lines().collect();
+    let diff: Vec<String> = (pinned.iter().filter(|p| !schema.iter().any(|s| s == *p)))
+        .map(|p| format!("- {p}"))
+        .chain(
+            schema
+                .iter()
+                .filter(|s| !pinned.contains(&s.as_str()))
+                .map(|s| format!("+ {s}")),
+        )
+        .collect();
+    assert!(
+        diff.is_empty(),
+        "the exported series changed (`<experiment> <name{{label keys}}>`; \
+         update tests/golden/export_schema.txt):\n{}",
+        diff.join("\n")
+    );
 }
 
 #[test]

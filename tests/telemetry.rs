@@ -2,7 +2,9 @@
 //! flow migration must parse back through `fastrak_bench::json` and show
 //! the software→hardware residency handoff with matching sim-time bounds.
 
-use fastrak_bench::experiments::fig12;
+mod support;
+
+use fastrak_bench::experiments::{fig12, Cx};
 use fastrak_bench::json::{self, Value};
 
 fn field_num(e: &Value, key: &str) -> Option<f64> {
@@ -15,7 +17,12 @@ fn field_str<'a>(e: &'a Value, key: &str) -> Option<&'a str> {
 
 #[test]
 fn fig12_chrome_trace_round_trips_with_the_offload_span() {
-    let trace = fig12::chrome_trace_json(false);
+    let cx = Cx::new(false, true);
+    fig12::run(&cx);
+    let trace = cx
+        .into_exports()
+        .chrome_trace
+        .expect("fig12 records a trace");
     let doc = json::parse(&trace).expect("chrome trace must be valid JSON");
     let events = doc
         .get("traceEvents")
@@ -70,19 +77,6 @@ fn fig12_chrome_trace_round_trips_with_the_offload_span() {
     );
 }
 
-/// `name{label keys}` of a rendered series: label values dropped.
-fn schema_of(series: &str) -> String {
-    let Some((name, labels)) = series.split_once('{') else {
-        return series.to_string();
-    };
-    let keys: Vec<&str> = labels
-        .trim_end_matches('}')
-        .split(',')
-        .map(|kv| kv.split_once('=').map_or(kv, |(k, _)| k))
-        .collect();
-    format!("{name}{{{}}}", keys.join(","))
-}
-
 #[test]
 fn the_series_a_fastrak_rack_publishes_are_the_pinned_schema() {
     use fastrak::{attach, FasTrakConfig};
@@ -113,13 +107,7 @@ fn the_series_a_fastrak_rack_publishes_are_the_pinned_schema() {
     bed.publish_telemetry();
     ft.publish_telemetry(&mut bed);
 
-    let reg = &bed.kernel.ctx.telemetry.registry;
-    let names = (reg.counters().map(|c| c.0))
-        .chain(reg.gauges().map(|g| g.0))
-        .chain(reg.hists().map(|h| h.0));
-    let mut schema: Vec<String> = names.map(schema_of).collect();
-    schema.sort_unstable();
-    schema.dedup();
+    let schema = support::schema(&bed.kernel.ctx.telemetry.registry);
     let pinned: Vec<&str> = SCHEMA.lines().collect();
     assert!(
         schema == pinned,

@@ -5,7 +5,8 @@
 
 Prints, for the Rust outside `benchmark/` and `target/`:
   * per crate, the lines of `src/` that are code: outside `#[cfg(test)]`
-    items, not blank, not a `//` comment;
+    items (a file declared `#[cfg(test)] mod x;` is one), not blank, not a
+    `//` comment;
   * the ten largest files (all lines; code lines beside them);
   * the ten longest functions outside tests (`fn` line to closing brace);
   * the public fields of every configuration struct outside tests (each
@@ -18,6 +19,7 @@ import re
 from pathlib import Path
 
 CONFIG = re.compile(r"^\s*pub struct (\w+Config|Timing|CostModel)\b.*\{\s*$")
+TEST_MOD = re.compile(r"^\s*(?:pub(?:\([a-z]+\))?\s+)?mod\s+(\w+)\s*;")
 FN = re.compile(r"^\s*(?:pub(?:\([a-z]+\))?\s+)?(?:const\s+)?(?:unsafe\s+)?fn\s+(\w+)")
 LITERALS = re.compile(r'"(?:\\.|[^"\\])*"|\'(?:\\.|[^\'\\])\'')
 
@@ -53,6 +55,19 @@ def non_test(text):
     return out
 
 
+def test_only(files, texts):
+    """The files of modules declared `#[cfg(test)] mod x;`, and of theirs."""
+    dirs = set()
+    for p in files:
+        lines = texts[p].splitlines()
+        for attr, decl in zip(lines, lines[1:]):
+            m = attr.strip().startswith("#[cfg(test)]") and TEST_MOD.match(decl)
+            if m:
+                here = p.parent if p.stem in ("lib", "main", "mod") else p.parent / p.stem
+                dirs.add(here / m.group(1))
+    return {p for p in files if p.with_suffix("") in dirs or dirs & set(p.parents)}
+
+
 def code_lines(text):
     """The non-test lines that are neither blank nor a `//` comment."""
     keep = lambda l: l.strip() and not l.strip().startswith("//")
@@ -84,9 +99,10 @@ def main():
         if not {"target", "benchmark", ".git"} & set(p.relative_to(root).parts)
     )
     texts = {p: p.read_text() for p in files}
-    code = {p: code_lines(t) for p, t in texts.items()}
+    tests = test_only(files, texts)
+    code = {p: [] if p in tests else code_lines(t) for p, t in texts.items()}
     rel = lambda p: str(p.relative_to(root))
-    in_src = lambda p: "src" in p.relative_to(root).parts[:3]
+    in_src = lambda p: "src" in p.relative_to(root).parts[:3] and p not in tests
 
     print("== code lines per crate (src/, outside tests, comments, blanks) ==")
     crates = {}
