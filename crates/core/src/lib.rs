@@ -26,22 +26,22 @@ pub mod local;
 pub mod me;
 pub mod meter;
 pub mod policy;
-pub mod protocol;
 pub mod rules;
 pub mod tor_ctrl;
 
 pub use de::{DeConfig, Decision, DecisionEngine};
 pub use de_inc::{DeEpochStats, IncrementalDecisionEngine};
+pub use fastrak_net::ctrl::{DemandReport, HwPathReport, MigrationPrepare, OffloadDecision};
 pub use fps::{fps_split, FpsInput, FpsSplit};
-pub use local::{LocalController, LocalControllerConfig, Timing};
+pub use local::{LocalController, LocalControllerConfig, Timing, VmLimit};
 pub use me::{AggDemand, DemandDelta, MeasurementEngine, VmDemandProfile};
 pub use meter::{epoch_rates, RateSummary, RateWindow};
 pub use policy::FastPathPolicy;
-pub use protocol::{DemandReport, HwPathReport, MigrationPrepare, OffloadDecision, VmLimit};
 pub use rules::{RuleManager, SynthesisError};
 pub use tor_ctrl::{CtrlCounterIds, CtrlPlaneConfig, TorController, TorControllerConfig};
 
-use fastrak_net::event::{CtlMsg, Event};
+use fastrak_net::ctrl::Ctl;
+use fastrak_net::event::Event;
 use fastrak_sim::kernel::NodeId;
 use fastrak_sim::time::SimTime;
 use fastrak_workload::Testbed;
@@ -172,10 +172,11 @@ impl FasTrak {
         bed.kernel.post(
             self.tor_ctrl,
             at,
-            Event::Ctl(CtlMsg::new(
-                self.tor_ctrl, // origin: ourselves (harness-injected)
-                MigrationPrepare { tenant, vm_ip },
-            )),
+            // Origin: ourselves (harness-injected).
+            Event::ctl(
+                self.tor_ctrl,
+                Ctl::Migration(MigrationPrepare { tenant, vm_ip }),
+            ),
         );
     }
 

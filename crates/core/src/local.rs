@@ -11,19 +11,21 @@
 //! * recompute the FPS rate split for each limited VM and push the VIF half
 //!   to the vswitch and the hardware half to the ToR (§4.1.4).
 
-use std::collections::HashMap;
+use std::collections::BTreeMap;
 
 use fastrak_net::addr::{Ip, TenantId};
-use fastrak_net::ctrl::{CtrlReply, CtrlRequest, Dir};
-use fastrak_net::event::{CtlMsg, Event, NetCtx};
+use fastrak_net::ctrl::{
+    Ctl, CtrlReply, CtrlRequest, DemandReport, Dir, HwPathReport, OffloadDecision,
+};
+use fastrak_net::event::{Event, NetCtx};
 use fastrak_net::flow::FlowAggregate;
 use fastrak_net::packet::PathTag;
 use fastrak_sim::kernel::{Api, Node, NodeId};
 use fastrak_sim::time::SimDuration;
+use fastrak_sim::FxHashMap;
 
 use crate::fps::{fps_split, is_maxed, FpsInput};
 use crate::me::{MeasurementEngine, VmDemandProfile};
-use crate::protocol::{DemandReport, HwPathReport, OffloadDecision, VmLimit};
 
 /// Timer tags.
 mod tags {
@@ -91,6 +93,19 @@ impl Timing {
     }
 }
 
+/// Per-VM rate limit configuration (what the tenant paid for).
+#[derive(Debug, Clone, Copy)]
+pub struct VmLimit {
+    /// Owning tenant.
+    pub tenant: TenantId,
+    /// The VM.
+    pub vm_ip: Ip,
+    /// Total egress limit (bits/sec), if limited.
+    pub egress_bps: Option<u64>,
+    /// Total ingress limit (bits/sec), if limited.
+    pub ingress_bps: Option<u64>,
+}
+
 /// Local controller configuration.
 #[derive(Clone)]
 pub struct LocalControllerConfig {
@@ -121,13 +136,15 @@ pub struct LocalController {
     interval: u64,
     next_xid: u64,
     /// xid → phase (A/B) so async stat replies land in the right sample.
-    pending: HashMap<u64, Phase>,
-    /// Latest hardware rates per aggregate from the TOR controller.
-    hw_rates: HashMap<FlowAggregate, f64>,
+    pending: FxHashMap<u64, Phase>,
+    /// Latest hardware rates per aggregate from the TOR controller. Ordered:
+    /// [`LocalController::vm_demand`] sums them, and float addition is not
+    /// associative.
+    hw_rates: BTreeMap<FlowAggregate, f64>,
     /// Last configured splits per (tenant, vm, dir): (sw_bps, hw_bps).
-    last_split: HashMap<(TenantId, Ip, u8), (u64, u64)>,
+    last_split: FxHashMap<(TenantId, Ip, u8), (u64, u64)>,
     /// Placer rules currently installed: aggregate → installed on which VMs.
-    installed: HashMap<FlowAggregate, Vec<(TenantId, Ip)>>,
+    installed: FxHashMap<FlowAggregate, Vec<(TenantId, Ip)>>,
     /// Last observed liveness of the server's SR-IOV hardware path (polled
     /// each measurement epoch; reports to the TOR controller only on
     /// transitions, so a healthy path generates no control traffic).
@@ -153,10 +170,10 @@ impl LocalController {
             epoch_in_interval: 0,
             interval: 0,
             next_xid: 1,
-            pending: HashMap::new(),
-            hw_rates: HashMap::new(),
-            last_split: HashMap::new(),
-            installed: HashMap::new(),
+            pending: FxHashMap::default(),
+            hw_rates: BTreeMap::new(),
+            last_split: FxHashMap::default(),
+            installed: FxHashMap::default(),
             hw_path_down: false,
             decisions_applied: 0,
             cfg,
@@ -203,7 +220,7 @@ impl LocalController {
         api.send(
             self.cfg.server,
             SimDuration::from_micros(20),
-            Event::Ctl(CtlMsg::new(api.self_id, CtrlRequest::DumpFlowStats { xid })),
+            Event::ctl(api.self_id, Ctl::Req(CtrlRequest::DumpFlowStats { xid })),
         );
     }
 
@@ -235,14 +252,14 @@ impl LocalController {
         api.send(
             self.cfg.tor_ctrl,
             SimDuration::from_micros(100),
-            Event::Ctl(CtlMsg::new(
+            Event::ctl(
                 api.self_id,
-                HwPathReport {
+                Ctl::HwPath(HwPathReport {
                     server_ip: self.cfg.server_ip,
                     up: !down,
                     vms: self.cfg.vms.clone(),
-                },
-            )),
+                }),
+            ),
         );
     }
 
@@ -259,7 +276,7 @@ impl LocalController {
             api.send(
                 self.cfg.tor_ctrl,
                 SimDuration::from_micros(100),
-                Event::Ctl(CtlMsg::new(api.self_id, report)),
+                Event::ctl(api.self_id, Ctl::Report(report)),
             );
         }
     }
@@ -306,14 +323,14 @@ impl LocalController {
                     api.send(
                         self.cfg.server,
                         SimDuration::from_micros(20),
-                        Event::Ctl(CtlMsg::new(
+                        Event::ctl(
                             api.self_id,
-                            CtrlRequest::RemovePlacerRule {
+                            Ctl::Req(CtrlRequest::RemovePlacerRule {
                                 vm_ip,
                                 tenant,
                                 spec: agg.to_spec(),
-                            },
-                        )),
+                            }),
+                        ),
                     );
                 }
             }
@@ -327,16 +344,16 @@ impl LocalController {
                 api.send(
                     self.cfg.server,
                     SimDuration::from_micros(20),
-                    Event::Ctl(CtlMsg::new(
+                    Event::ctl(
                         api.self_id,
-                        CtrlRequest::InstallPlacerRule {
+                        Ctl::Req(CtrlRequest::InstallPlacerRule {
                             vm_ip,
                             tenant,
                             spec: agg.to_spec(),
                             priority: 10,
                             path: PathTag::SrIov,
-                        },
-                    )),
+                        }),
+                    ),
                 );
             }
             if !targets.is_empty() {
@@ -402,28 +419,28 @@ impl LocalController {
                 api.send(
                     self.cfg.server,
                     SimDuration::from_micros(20),
-                    Event::Ctl(CtlMsg::new(
+                    Event::ctl(
                         api.self_id,
-                        CtrlRequest::SetVifRate {
+                        Ctl::Req(CtrlRequest::SetVifRate {
                             tenant: l.tenant,
                             vm_ip: l.vm_ip,
                             dir,
                             bps: split.sw_bps,
-                        },
-                    )),
+                        }),
+                    ),
                 );
                 api.send(
                     self.cfg.tor,
                     SimDuration::from_micros(100),
-                    Event::Ctl(CtlMsg::new(
+                    Event::ctl(
                         api.self_id,
-                        CtrlRequest::SetHwRate {
+                        Ctl::Req(CtrlRequest::SetHwRate {
                             tenant: l.tenant,
                             vm_ip: l.vm_ip,
                             dir,
                             bps: split.hw_bps,
-                        },
-                    )),
+                        }),
+                    ),
                 );
             }
         }
@@ -483,26 +500,26 @@ impl Node<Event, NetCtx> for LocalController {
             } => {
                 self.request_dump(api, Phase::B);
             }
-            Event::Ctl(msg) => {
-                let msg = match msg.downcast::<CtrlReply>() {
-                    Ok((_, CtrlReply::FlowStats { xid, entries })) => {
-                        match self.pending.remove(&xid) {
-                            Some(Phase::A) => self.me.epoch_sample_a(&entries),
-                            Some(Phase::B) => {
-                                self.me.epoch_sample_b(&entries);
-                                self.on_sample_b_done(api);
-                            }
-                            None => {}
+            Event::Ctl(msg) => match msg.body {
+                Ctl::Reply(CtrlReply::FlowStats { xid, entries }) => {
+                    match self.pending.remove(&xid) {
+                        Some(Phase::A) => self.me.epoch_sample_a(&entries),
+                        Some(Phase::B) => {
+                            self.me.epoch_sample_b(&entries);
+                            self.on_sample_b_done(api);
                         }
-                        return;
+                        None => {}
                     }
-                    Ok(_) => return,
-                    Err(m) => m,
-                };
-                if let Ok((_, d)) = msg.downcast::<OffloadDecision>() {
-                    self.apply_decision(api, d);
                 }
-            }
+                Ctl::Decision(d) => self.apply_decision(api, d),
+                // Only the server's stats replies are addressed here; the
+                // rest of the vocabulary flows between other nodes.
+                Ctl::Reply(_)
+                | Ctl::Req(_)
+                | Ctl::Report(_)
+                | Ctl::Migration(_)
+                | Ctl::HwPath(_) => {}
+            },
             _ => {}
         }
     }
@@ -518,7 +535,120 @@ impl Node<Event, NetCtx> for LocalController {
 
 #[cfg(test)]
 mod tests {
+    use std::collections::BTreeSet;
+
     use super::*;
+    use fastrak_net::ctrl::MigrationPrepare;
+    use fastrak_sim::kernel::Kernel;
+
+    const T: TenantId = TenantId(1);
+    const VM: Ip = Ip::new(10, 0, 0, 1);
+
+    /// A local controller alone in a kernel, its own server, ToR and TOR
+    /// controller: what it sends comes back to it as a message it ignores.
+    /// Its one VM is limited to 10 Gb/s each way.
+    fn lone() -> (Kernel<Event, NetCtx>, NodeId) {
+        let mut k = Kernel::new(NetCtx::new(), 1);
+        let id = k.add_node(LocalController::new(LocalControllerConfig {
+            server: 0,
+            server_ip: Ip::provider_server(0, 1),
+            tor_ctrl: 0,
+            tor: 0,
+            timing: Timing::fine(),
+            vms: vec![(T, VM)],
+            limits: vec![VmLimit {
+                tenant: T,
+                vm_ip: VM,
+                egress_bps: Some(10_000_000_000),
+                ingress_bps: Some(10_000_000_000),
+            }],
+        }));
+        assert_eq!(id, 0);
+        (k, id)
+    }
+
+    fn deliver(k: &mut Kernel<Event, NetCtx>, id: NodeId, body: Ctl) {
+        k.post(id, k.now(), Event::ctl(id, body));
+        k.run_to_completion();
+    }
+
+    #[test]
+    fn hw_rates_sum_in_one_order_whatever_the_decision_lists() {
+        // 1e16 + 1 rounds back to 1e16, so the sum depends on the order
+        // the three rates are added in.
+        let rate = |i: u16| [1e16, 1.0, 1.0][usize::from(i)];
+        let agg = |port| FlowAggregate::SrcApp {
+            tenant: T,
+            ip: VM,
+            port,
+        };
+        let orders = [
+            [0, 1, 2],
+            [0, 2, 1],
+            [1, 0, 2],
+            [1, 2, 0],
+            [2, 0, 1],
+            [2, 1, 0],
+        ];
+        let mut seen = BTreeSet::new();
+        for order in orders.iter().cycle().take(30) {
+            let (mut k, id) = lone();
+            let d = OffloadDecision {
+                interval: 1,
+                offload: Vec::new(),
+                demote: Vec::new(),
+                hw_agg_bps: order.iter().map(|&i| (agg(i), rate(i))).collect(),
+            };
+            deliver(&mut k, id, Ctl::Decision(d));
+            let l = k.node::<LocalController>(id);
+            let (_, hw) = l.vm_demand(T, VM, Dir::Egress);
+            seen.insert((hw.to_bits(), l.split_of(T, VM, Dir::Egress)));
+        }
+        assert_eq!(seen.len(), 1, "{seen:?}");
+    }
+
+    #[test]
+    fn control_messages_a_local_controller_does_not_handle_change_nothing() {
+        let (mut k, id) = lone();
+        let server_ip = Ip::provider_server(0, 1);
+        let stray = [
+            Ctl::Req(CtrlRequest::DumpFlowStats { xid: 1 }),
+            // A stats reply to a dump never asked for, and replies that
+            // only the TOR controller gets.
+            Ctl::Reply(CtrlReply::FlowStats {
+                xid: 1,
+                entries: Vec::new(),
+            }),
+            Ctl::Reply(CtrlReply::Ack { xid: 1 }),
+            Ctl::Report(DemandReport {
+                interval: 1,
+                server_ip,
+                entries: Vec::new(),
+            }),
+            Ctl::Migration(MigrationPrepare {
+                tenant: T,
+                vm_ip: VM,
+            }),
+            Ctl::HwPath(HwPathReport {
+                server_ip,
+                up: false,
+                vms: vec![(T, VM)],
+            }),
+        ];
+        let n = stray.len() as u64;
+        for body in stray {
+            deliver(&mut k, id, body);
+        }
+        assert_eq!(k.events_processed(), n, "the controller sent something");
+        let l = k.node::<LocalController>(id);
+        assert!(l.pending.is_empty() && l.hw_rates.is_empty());
+        assert!(l.last_split.is_empty() && l.installed.is_empty());
+        assert_eq!(
+            (l.interval, l.epoch_in_interval, l.decisions_applied),
+            (0, 0, 0)
+        );
+        assert!(l.me.report().is_empty());
+    }
 
     fn ms(n: u64) -> SimDuration {
         SimDuration::from_millis(n)

@@ -16,27 +16,11 @@
 use fastrak_sim::FxHashMap;
 
 use fastrak_net::addr::{Ip, TenantId};
+pub use fastrak_net::ctrl::AggDemand;
 use fastrak_net::ctrl::FlowStatEntry;
 use fastrak_net::flow::FlowAggregate;
 
 use crate::meter::{self, RateWindow};
-
-/// One aggregate's measured demand in the current report.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct AggDemand {
-    /// The aggregate.
-    pub agg: FlowAggregate,
-    /// Packets/sec in the most recent epoch.
-    pub pps: f64,
-    /// Bytes/sec in the most recent epoch.
-    pub bps: f64,
-    /// Epochs (of those remembered) in which the aggregate was active.
-    pub n_active: u32,
-    /// Median pps over the remembered epochs (N epochs × M intervals).
-    pub m_pps: f64,
-    /// Median bps over the remembered epochs.
-    pub m_bps: f64,
-}
 
 /// One epoch's demand changes, for feeding the incremental decision engine
 /// (`changed` carries new and updated rows, `removed` aggregates that aged

@@ -3,7 +3,8 @@
 //! [`CtrlIn`], and applies the handler's [`CtrlOut`]s in the order they
 //! were pushed. Timer handles are IO state, so their table lives here.
 
-use fastrak_net::event::{CtlMsg, Event, NetCtx};
+use fastrak_net::ctrl::Ctl;
+use fastrak_net::event::{Event, NetCtx};
 use fastrak_sim::kernel::{Api, Node};
 use fastrak_sim::time::SimDuration;
 
@@ -11,17 +12,11 @@ use super::{CtrlIn, CtrlOut, Cx, Timer, TorController};
 
 impl CtrlIn {
     fn from_event(ev: Event) -> Option<CtrlIn> {
-        let msg = match ev {
-            Event::Timer { tag, a, b } => return Timer::from_event(tag, a, b).map(CtrlIn::Timer),
-            Event::Ctl(msg) => msg,
-            _ => return None,
-        };
-        msg.downcast()
-            .map(|(_, r)| CtrlIn::Reply(r))
-            .or_else(|m| m.downcast().map(|(_, r)| CtrlIn::Report(r)))
-            .or_else(|m| m.downcast().map(|(_, r)| CtrlIn::HwPath(r)))
-            .or_else(|m| m.downcast().map(|(_, m)| CtrlIn::Migration(m)))
-            .ok()
+        match ev {
+            Event::Timer { tag, a, b } => Timer::from_event(tag, a, b).map(CtrlIn::Timer),
+            Event::Ctl(msg) => Some(CtrlIn::Msg(msg.body)),
+            Event::Frame { .. } => None,
+        }
     }
 }
 
@@ -49,13 +44,12 @@ impl Node<Event, NetCtx> for TorController {
         for o in out.drain(..) {
             match o {
                 CtrlOut::ToTor(delay, req) => {
-                    let msg = CtlMsg::new(api.self_id, req);
-                    api.send(self.cfg.tor, delay, Event::Ctl(msg));
+                    api.send(self.cfg.tor, delay, Event::ctl(api.self_id, Ctl::Req(req)));
                 }
                 CtrlOut::Broadcast(d) => {
                     for &local in &self.cfg.locals {
-                        let msg = CtlMsg::new(api.self_id, d.clone());
-                        api.send(local, SimDuration::from_micros(100), Event::Ctl(msg));
+                        let msg = Event::ctl(api.self_id, Ctl::Decision(d.clone()));
+                        api.send(local, SimDuration::from_micros(100), msg);
                     }
                 }
                 CtrlOut::Arm(after, t) => {

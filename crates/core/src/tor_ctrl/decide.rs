@@ -5,14 +5,13 @@
 use std::collections::{BTreeMap, HashMap};
 
 use fastrak_net::addr::{Ip, TenantId};
-use fastrak_net::ctrl::TorRule;
+use fastrak_net::ctrl::{HwPathReport, OffloadDecision, TorRule};
 use fastrak_net::flow::FlowAggregate;
 use fastrak_telemetry::recorder::{DecisionKind, Severity};
 
 use super::{Cx, Timer, TorController, BLACKHOLE_COOLDOWN, DEMOTE_GRACE};
 use crate::de::Decision;
 use crate::me::AggDemand;
-use crate::protocol::{HwPathReport, OffloadDecision};
 
 /// Why aggregates are leaving the fast path — which decides who hears about
 /// it when, and whether hardware still holds their rules.

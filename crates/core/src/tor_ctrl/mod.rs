@@ -47,7 +47,7 @@ mod txns;
 use std::collections::{BTreeMap, BTreeSet, HashMap, HashSet};
 
 use fastrak_net::addr::{Ip, TenantId};
-use fastrak_net::ctrl::{CtrlReply, CtrlRequest};
+use fastrak_net::ctrl::{Ctl, CtrlReply, CtrlRequest, DemandReport, OffloadDecision};
 use fastrak_net::event::Event;
 use fastrak_net::flow::FlowAggregate;
 use fastrak_sim::kernel::{EventHandle, NodeId};
@@ -57,7 +57,6 @@ use fastrak_telemetry::{CounterId, Registry, Telemetry};
 
 use crate::de::DeConfig;
 use crate::de_inc::IncrementalDecisionEngine;
-use crate::protocol::{DemandReport, HwPathReport, MigrationPrepare, OffloadDecision};
 use crate::rules::RuleManager;
 
 use decide::Demote;
@@ -281,10 +280,7 @@ impl Timer {
 /// Everything the controller reacts to.
 pub(crate) enum CtrlIn {
     Timer(Timer),
-    Reply(CtrlReply),
-    Report(DemandReport),
-    HwPath(HwPathReport),
-    Migration(MigrationPrepare),
+    Msg(Ctl),
 }
 
 /// Everything the controller does to the world. The adapter applies a
@@ -500,17 +496,21 @@ impl TorController {
     pub(crate) fn handle(&mut self, input: CtrlIn, cx: &mut Cx<'_>) {
         match input {
             CtrlIn::Timer(t) => self.on_timer(t, cx),
-            CtrlIn::Reply(r) => self.on_reply(r, cx),
-            CtrlIn::Report(rep) => {
-                self.reports.insert(rep.server_ip, rep);
-            }
-            CtrlIn::HwPath(rep) => self.on_hw_path_report(rep, cx),
-            CtrlIn::Migration(m) => {
-                // Paper §4.1.2: "any offloaded flows must be returned back
-                // to the VM's hypervisor before the migration can occur".
-                let affected = self.offloaded_touching(|vm| *vm == (m.tenant, m.vm_ip));
-                self.demote(&affected, Demote::Forced, cx);
-            }
+            CtrlIn::Msg(msg) => match msg {
+                Ctl::Reply(r) => self.on_reply(r, cx),
+                Ctl::Report(rep) => {
+                    self.reports.insert(rep.server_ip, rep);
+                }
+                Ctl::HwPath(rep) => self.on_hw_path_report(rep, cx),
+                Ctl::Migration(m) => {
+                    // Paper §4.1.2: "any offloaded flows must be returned back
+                    // to the VM's hypervisor before the migration can occur".
+                    let affected = self.offloaded_touching(|vm| *vm == (m.tenant, m.vm_ip));
+                    self.demote(&affected, Demote::Forced, cx);
+                }
+                // The controller sends these; it never receives them.
+                Ctl::Req(_) | Ctl::Decision(_) => {}
+            },
         }
     }
 
@@ -728,7 +728,7 @@ impl TorController {
 
 #[cfg(test)]
 mod tests {
-    use super::testkit::{Msg, World};
+    use super::testkit::{self, Msg, World};
     use super::*;
 
     /// One kind of `Error` reply, three possible addressees — an install, the
@@ -802,5 +802,100 @@ mod tests {
             [Msg::ToTor(CtrlRequest::DumpTorRules { .. })]
         ));
         assert_eq!(w.b.count("ctrl.reconcile_sweeps"), 0, "not a sweep yet");
+    }
+
+    /// What a stray message must not move: the ledger, the open requests
+    /// and every counter.
+    #[derive(Debug, PartialEq)]
+    struct State {
+        offloaded: Vec<FlowAggregate>,
+        entries_used: usize,
+        idle: [bool; 3],
+        counters: Vec<(String, u64)>,
+    }
+
+    fn state(w: &World) -> State {
+        let mut offloaded: Vec<FlowAggregate> = w.ctl.offloaded().iter().copied().collect();
+        offloaded.sort();
+        let reg = &w.b.tel.registry;
+        State {
+            offloaded,
+            entries_used: w.ctl.entries_used,
+            idle: [
+                w.ctl.txns.is_idle(),
+                w.ctl.recon.is_idle(),
+                !w.ctl.health.awaits_probe(),
+            ],
+            counters: reg.counters().map(|(n, v)| (n.to_string(), v)).collect(),
+        }
+    }
+
+    /// Replies to requests never sent, a second Ack, and the messages the
+    /// controller only sends: each is dropped without a trace.
+    #[test]
+    fn stray_control_messages_change_nothing_and_send_nothing() {
+        let ctrl = CtrlPlaneConfig {
+            probe_interval: RECONCILE_INTERVAL,
+            ..CtrlPlaneConfig::default()
+        };
+        let mut w = World::new(1, ctrl);
+        w.fire(Timer::Epoch);
+        w.settle();
+        w.report([10_000.0, 1_000.0]);
+        w.fire(Timer::Decide);
+        let [Msg::ToTor(CtrlRequest::InstallTorRules { xid: install, .. })] = w.wire[..] else {
+            panic!("expected an install in flight, got {:?}", w.wire)
+        };
+        w.settle();
+        assert_eq!(w.ctl.entries_used, 1);
+        // A probe stays awaited: its reply is lost.
+        w.fire(Timer::Probe);
+        w.wire.clear();
+
+        // The xid space counts up from 1 and has not reached this.
+        let never = 1 << 30;
+        let generation = w.ctl.tor_generation();
+        let stray = [
+            CtrlReply::FlowStats {
+                xid: never,
+                entries: Vec::new(),
+            },
+            CtrlReply::TorFlowStats {
+                xid: never,
+                entries: Vec::new(),
+            },
+            CtrlReply::TorRuleDump {
+                xid: never,
+                rules: Vec::new(),
+                fastpath_used: 0,
+                boot_generation: generation,
+            },
+            CtrlReply::ProbeReply {
+                xid: never,
+                boot_generation: generation,
+            },
+            CtrlReply::Ack { xid: never },
+            CtrlReply::Error {
+                xid: never,
+                reason: "tor rebooting",
+            },
+            CtrlReply::Ack { xid: install },
+        ]
+        .map(Ctl::Reply);
+        let not_for_us = [
+            Ctl::Req(CtrlRequest::Probe { xid: never }),
+            Ctl::Decision(OffloadDecision {
+                interval: 1,
+                offload: vec![testkit::agg(2)],
+                demote: vec![testkit::agg(1)],
+                hw_agg_bps: Vec::new(),
+            }),
+        ];
+        let before = state(&w);
+        for body in stray.into_iter().chain(not_for_us) {
+            let shown = format!("{body:?}");
+            assert_eq!(w.input(CtrlIn::Msg(body)), [], "{shown}");
+            assert_eq!(state(&w), before, "{shown}");
+        }
     }
 }

@@ -8,7 +8,7 @@
 use std::collections::HashSet;
 
 use fastrak_net::addr::{Ip, TenantId};
-use fastrak_net::ctrl::{CtrlReply, CtrlRequest, TorStatEntry};
+use fastrak_net::ctrl::{Ctl, CtrlReply, CtrlRequest, DemandReport, TorStatEntry};
 use fastrak_net::flow::FlowAggregate;
 use fastrak_sim::time::{SimDuration, SimTime};
 use fastrak_telemetry::Telemetry;
@@ -20,7 +20,6 @@ use super::{
 use crate::de::DeConfig;
 use crate::local::Timing;
 use crate::me::AggDemand;
-use crate::protocol::DemandReport;
 use crate::rules::RuleManager;
 
 pub(crate) fn agg(port: u16) -> FlowAggregate {
@@ -225,11 +224,11 @@ impl World {
             m_pps: pps,
             m_bps: pps * 100.0,
         };
-        self.input(CtrlIn::Report(DemandReport {
+        self.input(CtrlIn::Msg(Ctl::Report(DemandReport {
             interval: 0,
             server_ip: Ip::tenant_vm(100),
             entries: [agg(1), agg(2)].into_iter().zip(pps).map(row).collect(),
-        }));
+        })));
     }
 
     /// Take `wire[i]` off the wire and hand it to its addressee.
@@ -255,7 +254,7 @@ impl World {
         let stale = matches!(reply, CtrlReply::TorRuleDump { boot_generation, .. }
             if boot_generation < self.ctl.tor_generation());
         let before = (self.ctl.offloaded().clone(), self.ctl.entries_used);
-        let outs = self.input(CtrlIn::Reply(reply));
+        let outs = self.input(CtrlIn::Msg(Ctl::Reply(reply)));
         if stale {
             let asks_again =
                 |o: &CtrlOut| matches!(o, CtrlOut::ToTor(_, CtrlRequest::DumpTorRules { .. }));

@@ -9,13 +9,12 @@
 
 use std::collections::HashMap;
 
-use fastrak_net::ctrl::{CtrlRequest, TorRule};
+use fastrak_net::ctrl::{CtrlRequest, OffloadDecision, TorRule};
 use fastrak_sim::time::SimDuration;
 use fastrak_telemetry::recorder::Severity;
 use fastrak_telemetry::span::SpanId;
 
 use super::{Cx, Timer, BACKOFF_CAP, INSTALL_TIMEOUT, MAX_INSTALL_RETRIES};
-use crate::protocol::OffloadDecision;
 
 #[derive(Clone)]
 pub(crate) struct InstallTxn {

@@ -190,8 +190,8 @@ fn fps_splits_rate_limits_across_paths() {
 // ---------------------------------------------------------------------------
 
 use fastrak::{CtrlPlaneConfig, TorController};
-use fastrak_net::ctrl::{CtrlReply, CtrlRequest, TorRule};
-use fastrak_net::event::{ctl_fault_layer, duplicate_ctl_event, CtlMsg, Event, NetCtx};
+use fastrak_net::ctrl::{Ctl, CtrlReply, CtrlRequest, TorRule};
+use fastrak_net::event::{ctl_fault_layer, duplicate_ctl_event, Event, NetCtx};
 use fastrak_net::flow::{FlowKey, FlowSpec, Proto};
 use fastrak_net::rules::Action;
 use fastrak_sim::fault::{FaultConfig, FaultLayer, LinkFaults};
@@ -203,12 +203,14 @@ use fastrak_switch::tor::{Tor, TorConfig};
 /// install acknowledgements get lost while the periodic measurement loops
 /// (stat dumps, demand reports) keep running.
 fn reply_only(ev: &Event) -> bool {
-    match ev {
-        Event::Ctl(m) => matches!(
-            m.peek::<CtrlReply>(),
-            Some(CtrlReply::Ack { .. } | CtrlReply::Error { .. })
-        ),
-        _ => false,
+    let Event::Ctl(m) = ev else {
+        return false;
+    };
+    match &m.body {
+        Ctl::Reply(r) => matches!(r, CtrlReply::Ack { .. } | CtrlReply::Error { .. }),
+        Ctl::Req(_) | Ctl::Report(_) | Ctl::Decision(_) | Ctl::Migration(_) | Ctl::HwPath(_) => {
+            false
+        }
     }
 }
 
@@ -238,10 +240,16 @@ struct Probe {
 
 impl Node<Event, NetCtx> for Probe {
     fn on_event(&mut self, ev: Event, _api: &mut Api<'_, Event, NetCtx>) {
-        if let Event::Ctl(m) = ev {
-            if let Some(r) = m.peek::<CtrlReply>() {
-                self.replies.push(r.clone());
-            }
+        let Event::Ctl(m) = ev else {
+            return;
+        };
+        match m.body {
+            Ctl::Reply(r) => self.replies.push(r),
+            Ctl::Req(_)
+            | Ctl::Report(_)
+            | Ctl::Decision(_)
+            | Ctl::Migration(_)
+            | Ctl::HwPath(_) => {}
         }
     }
 }
@@ -382,13 +390,13 @@ fn partial_install_batch_rolls_back_at_tor() {
     kernel.post(
         tor,
         SimTime::from_micros(10),
-        Event::Ctl(CtlMsg::new(
+        Event::ctl(
             probe,
-            CtrlRequest::InstallTorRules {
+            Ctl::Req(CtrlRequest::InstallTorRules {
                 rules: vec![exact_rule(T, 1), exact_rule(T, 2), exact_rule(T, 3)],
                 xid: 7,
-            },
-        )),
+            }),
+        ),
     );
     kernel.run_until(SimTime::from_millis(5));
 
@@ -419,12 +427,12 @@ fn duplicate_install_batch_is_idempotent() {
     kernel.post(
         tor,
         SimTime::from_micros(10),
-        Event::Ctl(CtlMsg::new(probe, batch())),
+        Event::ctl(probe, Ctl::Req(batch())),
     );
     kernel.post(
         tor,
         SimTime::from_micros(900),
-        Event::Ctl(CtlMsg::new(probe, batch())),
+        Event::ctl(probe, Ctl::Req(batch())),
     );
     kernel.run_until(SimTime::from_millis(5));
 
@@ -564,13 +572,13 @@ fn tor_outage_rejects_installs_definitively() {
     kernel.post(
         tor,
         SimTime::from_millis(5),
-        Event::Ctl(CtlMsg::new(
+        Event::ctl(
             probe,
-            CtrlRequest::InstallTorRules {
+            Ctl::Req(CtrlRequest::InstallTorRules {
                 rules: vec![exact_rule(T, 1), exact_rule(T, 2)],
                 xid: 4,
-            },
-        )),
+            }),
+        ),
     );
     kernel.run_until(SimTime::from_millis(20));
 
@@ -700,15 +708,15 @@ fn stale_pre_reboot_rule_dump_is_discarded() {
     bed.kernel.post(
         ft.tor_ctrl,
         now,
-        Event::Ctl(CtlMsg::new(
+        Event::ctl(
             bed.tor,
-            CtrlReply::TorRuleDump {
+            Ctl::Reply(CtrlReply::TorRuleDump {
                 xid: 0xDEAD,
                 rules: vec![(T, exact_rule(T, 99).spec)],
                 fastpath_used: 37,
                 boot_generation: 0,
-            },
-        )),
+            }),
+        ),
     );
     // Deliver only the straggler (1 ms — no decide interval elapses, so
     // any offloaded-set change can only come from the stale dump itself).

@@ -20,8 +20,8 @@
 //! pool. See [`crate::cost`] for the calibration rationale.
 
 use fastrak_net::addr::{Ip, TenantId, VlanId};
-use fastrak_net::ctrl::{CtrlReply, CtrlRequest, Dir};
-use fastrak_net::event::{CtlMsg, Event, NetCtx};
+use fastrak_net::ctrl::{Ctl, CtrlReply, CtrlRequest, Dir};
+use fastrak_net::event::{Event, NetCtx};
 use fastrak_net::flow::FlowKey;
 use fastrak_net::packet::{Encap, L4Meta, Packet, PathTag};
 use fastrak_net::port::EgressPort;
@@ -973,10 +973,10 @@ impl Server {
                 api.send(
                     from,
                     CTRL_LATENCY,
-                    Event::Ctl(CtlMsg::new(
+                    Event::ctl(
                         api.self_id,
-                        CtrlReply::FlowStats { xid, entries },
-                    )),
+                        Ctl::Reply(CtrlReply::FlowStats { xid, entries }),
+                    ),
                 );
             }
             CtrlRequest::InstallPlacerRule {
@@ -1078,9 +1078,15 @@ impl Node<Event, NetCtx> for Server {
                 }
                 other => panic!("server {}: unknown timer tag {other}", self.cfg.name),
             },
-            Event::Ctl(msg) => match msg.downcast::<CtrlRequest>() {
-                Ok((from, req)) => self.on_ctrl(api, from, req),
-                Err(_) => { /* unknown control message: ignore */ }
+            Event::Ctl(msg) => match msg.body {
+                Ctl::Req(req) => self.on_ctrl(api, msg.from, req),
+                // Controllers talk to each other and to the ToR through
+                // these; a server only answers requests.
+                Ctl::Reply(_)
+                | Ctl::Report(_)
+                | Ctl::Decision(_)
+                | Ctl::Migration(_)
+                | Ctl::HwPath(_) => {}
             },
         }
     }
@@ -1449,7 +1455,7 @@ mod tests {
             k.post(
                 sid,
                 SimTime::from_micros(at),
-                Event::Ctl(CtlMsg::new(sid, req)),
+                Event::ctl(sid, Ctl::Req(req)),
             );
             k.run_until(SimTime::from_micros(at));
         };
@@ -1465,5 +1471,78 @@ mod tests {
         // A tenant with no VM at that address changes nothing.
         request(&mut k, TenantId(3), Dir::Ingress, 1_000_000_000);
         assert_eq!(rates(&mut k), [first, second]);
+    }
+
+    /// Replies, controller-to-controller messages and requests for the
+    /// ToR reach a server only by mistake: it sends nothing back, and its
+    /// placers and VIF limits stay as they were.
+    #[test]
+    fn control_messages_a_server_does_not_handle_change_nothing() {
+        use fastrak_net::ctrl::{
+            DemandReport, FlowStatEntry, HwPathReport, MigrationPrepare, OffloadDecision,
+        };
+        use fastrak_net::flow::FlowSpec;
+
+        let mut k: Kernel<Event, NetCtx> = Kernel::new(NetCtx::new(), 1);
+        let sid = k.add_node(server());
+        let vm_ip = Ip::new(10, 0, 0, 2);
+        let server_ip = Ip::new(192, 168, 0, 1);
+        let agg = fastrak_net::flow::FlowAggregate::SrcApp {
+            tenant: TENANT,
+            ip: vm_ip,
+            port: 1000,
+        };
+        let decision = OffloadDecision {
+            interval: 1,
+            offload: vec![agg],
+            demote: Vec::new(),
+            hw_agg_bps: vec![(agg, 1e9)],
+        };
+        let spec = FlowSpec::ANY;
+        let (tenant, dir, bps) = (TENANT, Dir::Egress, 1);
+        let stray = [
+            Ctl::Req(CtrlRequest::InstallTorRules {
+                rules: Vec::new(),
+                xid: 1,
+            }),
+            Ctl::Req(CtrlRequest::RemoveTorRules {
+                rules: vec![(tenant, spec)],
+            }),
+            Ctl::Req(CtrlRequest::DumpTorRules { xid: 2 }),
+            Ctl::Req(CtrlRequest::Probe { xid: 3 }),
+            Ctl::Req(CtrlRequest::SetHwRate {
+                tenant,
+                vm_ip,
+                dir,
+                bps,
+            }),
+            Ctl::Reply(CtrlReply::FlowStats {
+                xid: 4,
+                entries: Vec::<FlowStatEntry>::new(),
+            }),
+            Ctl::Report(DemandReport {
+                interval: 1,
+                server_ip,
+                entries: Vec::new(),
+            }),
+            Ctl::Decision(decision),
+            Ctl::Migration(MigrationPrepare { tenant, vm_ip }),
+            Ctl::HwPath(HwPathReport {
+                server_ip,
+                up: false,
+                vms: vec![(tenant, vm_ip)],
+            }),
+        ];
+        let n = stray.len() as u64;
+        for body in stray {
+            k.post(sid, SimTime::ZERO, Event::ctl(sid, body));
+        }
+        k.run_to_completion();
+        assert_eq!(k.events_processed(), n, "the server sent something");
+        let srv = k.node::<Server>(sid);
+        assert_eq!(srv.vms[0].placer.n_rules(), 0);
+        for dir in [Dir::Egress, Dir::Ingress] {
+            assert_eq!(srv.vswitch().vif_rate(0, dir), None);
+        }
     }
 }

@@ -18,8 +18,8 @@ use fastrak_host::server::{tags, Server, ServerConfig, ServerStats, PORT_HW, POR
 use fastrak_host::vm::{Vm, VmSpec};
 use fastrak_host::vswitch::VswitchConfig;
 use fastrak_net::addr::{Ip, TenantId, VlanId};
-use fastrak_net::ctrl::{CtrlRequest, Dir};
-use fastrak_net::event::{ctl_fault_layer, CtlMsg, Event, NetCtx};
+use fastrak_net::ctrl::{Ctl, CtrlRequest, Dir};
+use fastrak_net::event::{ctl_fault_layer, Event, NetCtx};
 use fastrak_net::flow::{FlowKey, FlowSpec};
 use fastrak_net::packet::{Encap, L4Meta, Packet, PathTag};
 use fastrak_net::rules::{Action, SecurityRule};
@@ -362,7 +362,7 @@ fn run(cell: Cell) -> Outcome {
                 dir,
                 bps,
             };
-            kernel.post(sid, SimTime::ZERO, Event::Ctl(CtlMsg::new(sid, req)));
+            kernel.post(sid, SimTime::ZERO, Event::ctl(sid, Ctl::Req(req)));
         }
     }
     let start = Event::Timer {

@@ -1,15 +1,20 @@
 //! Control-plane protocol between the FasTrak controllers and the data
-//! plane (vswitches, flow placers, ToR switches).
+//! plane (vswitches, flow placers, ToR switches), and between the
+//! controllers themselves.
 //!
 //! This mirrors the paper's use of OpenFlow: the flow placer "exposes an
 //! OpenFlow interface, allowing the FasTrak rule manager to direct a subset
 //! of flows via the SR-IOV interface" (§4.1.1), and the TOR controller
-//! "issues OpenFlow table and flow stats requests" (§5.2). Messages are
-//! typed Rust structs carried in [`crate::event::CtlMsg`] envelopes; the
-//! request/reply correlation id plays the role of OpenFlow's xid.
+//! "issues OpenFlow table and flow stats requests" (§5.2). The request/reply
+//! correlation id plays the role of OpenFlow's xid. The controllers' own
+//! messages (Figs. 8–9) are the locals' [`DemandReport`] and
+//! [`HwPathReport`], the TOR controller's [`OffloadDecision`] and the
+//! harness's [`MigrationPrepare`]. [`Ctl`] closes the vocabulary: every
+//! control message is one of its six variants, carried in a
+//! [`crate::event::CtlMsg`] envelope.
 
 use crate::addr::{Ip, TenantId};
-use crate::flow::{FlowKey, FlowSpec};
+use crate::flow::{FlowAggregate, FlowKey, FlowSpec};
 use crate::packet::PathTag;
 use crate::rules::{Action, QosClass};
 use crate::tunnel::TunnelMapping;
@@ -207,18 +212,120 @@ pub enum CtrlReply {
     },
 }
 
+/// One aggregate's measured demand in a local controller's report.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct AggDemand {
+    /// The aggregate.
+    pub agg: FlowAggregate,
+    /// Packets/sec in the most recent epoch.
+    pub pps: f64,
+    /// Bytes/sec in the most recent epoch.
+    pub bps: f64,
+    /// Epochs (of those remembered) in which the aggregate was active.
+    pub n_active: u32,
+    /// Median pps over the remembered epochs (N epochs × M intervals).
+    pub m_pps: f64,
+    /// Median bps over the remembered epochs.
+    pub m_bps: f64,
+}
+
+/// A local controller's per-control-interval demand report (§4.3.1):
+/// `<flow/flowaggregate, pps, bps, epoch#>` rows plus the median history
+/// folded into each row.
+#[derive(Debug, Clone, PartialEq)]
+pub struct DemandReport {
+    /// Control interval sequence number.
+    pub interval: u64,
+    /// Reporting server's provider IP (identifies the local controller).
+    pub server_ip: Ip,
+    /// Aggregate demand rows.
+    pub entries: Vec<AggDemand>,
+}
+
+/// The TOR controller's decision broadcast (§4.3.2).
+#[derive(Debug, Clone, PartialEq)]
+pub struct OffloadDecision {
+    /// Control interval this decision was computed in.
+    pub interval: u64,
+    /// Newly offloaded aggregates (ToR rules are already installed when
+    /// this message is sent, so flipping placers cannot blackhole traffic).
+    pub offload: Vec<FlowAggregate>,
+    /// Aggregates demoted back to software (placers flip first; the ToR
+    /// rules are garbage-collected after a grace period).
+    pub demote: Vec<FlowAggregate>,
+    /// Measured hardware-path rates per currently offloaded aggregate
+    /// (bits/sec), for the local controllers' FPS rate splits.
+    pub hw_agg_bps: Vec<(FlowAggregate, f64)>,
+}
+
+/// Harness-initiated VM migration preparation (S4): the TOR controller
+/// demotes every aggregate touching the VM so its flows are all back in
+/// software before the VM moves.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct MigrationPrepare {
+    /// Owning tenant.
+    pub tenant: TenantId,
+    /// The VM about to move.
+    pub vm_ip: Ip,
+}
+
+/// Local controller → TOR controller: the server's SR-IOV hardware path
+/// changed liveness. Sent only on transitions (the local controller polls
+/// its NIC each measurement epoch). On `up: false` the TOR controller
+/// force-demotes every offloaded aggregate touching the listed VMs — their
+/// express lane is dark, so the software path is strictly better — and
+/// bars them from re-offload until the matching `up: true` report.
+#[derive(Debug, Clone, PartialEq)]
+pub struct HwPathReport {
+    /// Reporting server's provider IP.
+    pub server_ip: Ip,
+    /// New liveness of the server's SR-IOV path.
+    pub up: bool,
+    /// The VMs hosted on that server (their `(tenant, ip)` identities),
+    /// i.e. the endpoints whose hardware path this report covers.
+    pub vms: Vec<(TenantId, Ip)>,
+}
+
+/// Every control-plane message there is. A receiver matches it
+/// exhaustively, naming the variants it ignores, so adding a message type
+/// makes the compiler visit every node.
+#[derive(Debug, Clone, PartialEq)]
+pub enum Ctl {
+    /// Controller → data-plane element (server or ToR).
+    Req(CtrlRequest),
+    /// Data-plane element → controller.
+    Reply(CtrlReply),
+    /// Local controller → TOR controller, each control interval.
+    Report(DemandReport),
+    /// TOR controller → local controllers.
+    Decision(OffloadDecision),
+    /// Harness → TOR controller, before a VM moves.
+    Migration(MigrationPrepare),
+    /// Local controller → TOR controller, on an SR-IOV liveness change.
+    HwPath(HwPathReport),
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::event::CtlMsg;
+    use crate::event::{CtlMsg, Event};
+
+    /// Wrap `body` as node `from` would send it and unwrap it as a
+    /// receiver does.
+    fn deliver(from: usize, body: Ctl) -> (usize, Ctl) {
+        match Event::ctl(from, body) {
+            Event::Ctl(msg) => {
+                let CtlMsg { from, body } = *msg;
+                (from, body)
+            }
+            other => panic!("not a control message: {other:?}"),
+        }
+    }
 
     #[test]
     fn requests_travel_through_ctlmsg() {
         let req = CtrlRequest::DumpFlowStats { xid: 42 };
-        let msg = CtlMsg::new(5, req.clone());
-        let (from, got) = msg.downcast::<CtrlRequest>().unwrap();
-        assert_eq!(from, 5);
-        assert_eq!(got, req);
+        assert_eq!(deliver(5, Ctl::Req(req.clone())), (5, Ctl::Req(req)));
     }
 
     #[test]
@@ -227,8 +334,6 @@ mod tests {
             xid: 7,
             reason: "fast-path memory exhausted",
         };
-        let msg = CtlMsg::new(2, rep.clone());
-        let (_, got) = msg.downcast::<CtrlReply>().unwrap();
-        assert_eq!(got, rep);
+        assert_eq!(deliver(2, Ctl::Reply(rep.clone())), (2, Ctl::Reply(rep)));
     }
 }

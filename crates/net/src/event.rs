@@ -7,89 +7,32 @@
 //!   link serialization + propagation;
 //! * [`Event::Timer`] — a self-scheduled timer (TCP retransmission, ME
 //!   measurement epochs, workload pacing);
-//! * [`Event::Ctl`] — a control-plane message. Control messages are typed
-//!   per-protocol and carried as `Box<dyn Any + Send>` so that higher layers (the
-//!   controllers in `fastrak`) can define message types without this crate
-//!   depending on them. Control traffic is low-rate, so the downcast cost is
-//!   irrelevant.
-
-use std::any::Any;
+//! * [`Event::Ctl`] — a control-plane message: a sender and one of the six
+//!   message types of the closed [`Ctl`] vocabulary. Boxed, so the rare
+//!   control message does not widen the event every frame hop moves.
 
 use fastrak_sim::fault::{FaultConfig, FaultLayer};
 use fastrak_sim::kernel::NodeId;
 use fastrak_sim::trace::TraceRing;
 use fastrak_telemetry::Telemetry;
 
+use crate::ctrl::Ctl;
 use crate::packet::Packet;
 
 /// A control-plane message between nodes.
+#[derive(Debug, Clone, PartialEq)]
 pub struct CtlMsg {
     /// Sending node.
     pub from: NodeId,
-    /// Typed body; receivers downcast to the protocol structs they speak.
-    pub body: Box<dyn Any + Send>,
-    /// Clones the body (the `dyn Any` erasure hides `Clone`; this restores
-    /// it for duplication faults and forked worlds). Captured at
-    /// construction, where `T` is still concrete.
-    clone_body: fn(&(dyn Any + Send)) -> Box<dyn Any + Send>,
-}
-
-impl CtlMsg {
-    /// Wrap a typed body. Bodies must be `Clone` so the fault-injection
-    /// layer can model duplicated delivery and a world holding the message
-    /// can be forked, and `Send` so that world can move between threads —
-    /// every protocol struct is plain data, so this costs nothing.
-    pub fn new<T: Any + Clone + Send>(from: NodeId, body: T) -> CtlMsg {
-        CtlMsg {
-            from,
-            body: Box::new(body),
-            clone_body: |b| Box::new(b.downcast_ref::<T>().expect("clone_body type").clone()),
-        }
-    }
-
-    /// Downcast the body to a concrete message type.
-    pub fn downcast<T: Any>(self) -> Result<(NodeId, T), CtlMsg> {
-        let CtlMsg {
-            from,
-            body,
-            clone_body,
-        } = self;
-        match body.downcast::<T>() {
-            Ok(b) => Ok((from, *b)),
-            Err(body) => Err(CtlMsg {
-                from,
-                body,
-                clone_body,
-            }),
-        }
-    }
-
-    /// Peek at the body type without consuming.
-    pub fn is<T: Any>(&self) -> bool {
-        self.body.is::<T>()
-    }
-
-    /// Borrow the body as a concrete message type without consuming.
-    /// Lets fault classifiers target specific protocol messages.
-    pub fn peek<T: Any>(&self) -> Option<&T> {
-        self.body.downcast_ref::<T>()
-    }
-
-    /// Deep-copy the message (same sender, cloned body).
-    pub fn duplicate(&self) -> CtlMsg {
-        CtlMsg {
-            from: self.from,
-            body: (self.clone_body)(self.body.as_ref()),
-            clone_body: self.clone_body,
-        }
-    }
+    /// The message.
+    pub body: Ctl,
 }
 
 /// Clone hook for [`FaultLayer`]: control messages are duplicable, frames
 /// and timers are not (faults only target the control plane).
 pub fn duplicate_ctl_event(ev: &Event) -> Option<Event> {
     match ev {
-        Event::Ctl(msg) => Some(Event::Ctl(msg.duplicate())),
+        Event::Ctl(_) => Some(ev.clone()),
         _ => None,
     }
 }
@@ -105,20 +48,7 @@ pub fn ctl_fault_layer(cfg: FaultConfig) -> FaultLayer<Event> {
         .with_frame_classifier(|ev| matches!(ev, Event::Frame { .. }))
 }
 
-impl Clone for CtlMsg {
-    fn clone(&self) -> CtlMsg {
-        self.duplicate()
-    }
-}
-
-impl std::fmt::Debug for CtlMsg {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(f, "CtlMsg(from={})", self.from)
-    }
-}
-
-/// The event type flowing through the simulation kernel. A clone deep-copies
-/// a control message's body through [`CtlMsg::duplicate`].
+/// The event type flowing through the simulation kernel.
 #[derive(Debug, Clone)]
 pub enum Event {
     /// A packet delivered to `port` of the receiving node.
@@ -139,7 +69,14 @@ pub enum Event {
         b: u64,
     },
     /// A control-plane message.
-    Ctl(CtlMsg),
+    Ctl(Box<CtlMsg>),
+}
+
+impl Event {
+    /// A control message from node `from`.
+    pub fn ctl(from: NodeId, body: Ctl) -> Event {
+        Event::Ctl(Box::new(CtlMsg { from, body }))
+    }
 }
 
 /// Shared kernel context: the global trace ring, the telemetry plane, and
@@ -182,62 +119,61 @@ impl NetCtx {
 mod tests {
     use super::*;
 
-    #[derive(Debug, PartialEq, Clone)]
-    struct Hello(u32);
-    #[derive(Debug, Clone)]
-    struct Other;
+    use crate::ctrl::{CtrlRequest, MigrationPrepare};
+    use crate::{Ip, TenantId};
 
-    #[test]
-    fn ctl_downcast_roundtrip() {
-        let msg = CtlMsg::new(3, Hello(7));
-        assert!(msg.is::<Hello>());
-        let (from, hello) = msg.downcast::<Hello>().unwrap();
-        assert_eq!(from, 3);
-        assert_eq!(hello, Hello(7));
-    }
-
-    #[test]
-    fn ctl_downcast_wrong_type_returns_message() {
-        let msg = CtlMsg::new(1, Hello(9));
-        let msg = msg.downcast::<Other>().unwrap_err();
-        // Still intact and downcastable to the right type.
-        let (_, hello) = msg.downcast::<Hello>().unwrap();
-        assert_eq!(hello.0, 9);
-    }
-
-    #[test]
-    fn ctl_peek_does_not_consume() {
-        let msg = CtlMsg::new(2, Hello(5));
-        assert_eq!(msg.peek::<Hello>(), Some(&Hello(5)));
-        assert!(msg.peek::<Other>().is_none());
-        let (_, hello) = msg.downcast::<Hello>().unwrap();
-        assert_eq!(hello, Hello(5));
+    fn prepare() -> Ctl {
+        Ctl::Migration(MigrationPrepare {
+            tenant: TenantId(3),
+            vm_ip: Ip::tenant_vm(11),
+        })
     }
 
     #[test]
     fn ctl_duplicate_deep_copies_body() {
-        let msg = CtlMsg::new(4, Hello(11));
-        let copy = msg.duplicate();
+        let msg = Event::ctl(
+            4,
+            Ctl::Req(CtrlRequest::RemoveTorRules { rules: Vec::new() }),
+        );
+        let Some(Event::Ctl(mut copy)) = duplicate_ctl_event(&msg) else {
+            panic!("a control message duplicates");
+        };
         assert_eq!(copy.from, 4);
-        let (_, a) = msg.downcast::<Hello>().unwrap();
-        let (_, b) = copy.downcast::<Hello>().unwrap();
-        assert_eq!(a, b);
+        if let Ctl::Req(CtrlRequest::RemoveTorRules { rules }) = &mut copy.body {
+            rules.push((TenantId(1), Default::default()));
+        }
+        let Event::Ctl(orig) = msg else {
+            unreachable!()
+        };
+        assert_eq!(
+            orig.body,
+            Ctl::Req(CtrlRequest::RemoveTorRules { rules: Vec::new() }),
+            "the copy owns its body"
+        );
     }
 
     #[test]
     fn duplicate_ctl_event_skips_timers() {
         let timer = Event::Timer { tag: 1, a: 0, b: 0 };
         assert!(duplicate_ctl_event(&timer).is_none());
-        let ctl = Event::Ctl(CtlMsg::new(0, Hello(1)));
-        assert!(duplicate_ctl_event(&ctl).is_some());
+        assert!(duplicate_ctl_event(&Event::ctl(0, prepare())).is_some());
     }
 
     #[test]
-    fn event_moves_in_five_words() {
-        // A frame is a port and a packet handle; the widest variant is the
-        // control message. The kernel moves an `Event` at every hop, so a
-        // field that grows it past this is paid per event.
-        assert!(std::mem::size_of::<Event>() <= 40);
+    fn debug_of_a_control_message_prints_its_body() {
+        let shown = format!("{:?}", Event::ctl(7, prepare()));
+        assert!(shown.contains("from: 7"), "{shown}");
+        assert!(shown.contains("MigrationPrepare"), "{shown}");
+        assert!(shown.contains("TenantId(3)"), "{shown}");
+    }
+
+    #[test]
+    fn event_moves_in_four_words() {
+        // A frame is a port and a packet handle, a control message one
+        // handle; the widest variant is the timer. The kernel moves an
+        // `Event` at every hop, so a field that grows it past this is paid
+        // per event.
+        assert!(std::mem::size_of::<Event>() <= 32);
     }
 
     #[test]

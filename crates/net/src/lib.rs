@@ -36,7 +36,7 @@ pub mod tunnel;
 pub mod wire;
 
 pub use addr::{Ip, Mac, TenantId, VlanId};
-pub use ctrl::{CtrlReply, CtrlRequest, Dir, FlowStatEntry, TorRule, TorStatEntry};
+pub use ctrl::{Ctl, CtrlReply, CtrlRequest, Dir, FlowStatEntry, TorRule, TorStatEntry};
 pub use event::{CtlMsg, Event, NetCtx};
 pub use flow::{FlowAggregate, FlowKey, FlowSpec, Proto};
 pub use packet::{Encap, EncapStack, L4Meta, Packet, PathTag, ENCAP_MAX_DEPTH, MTU};

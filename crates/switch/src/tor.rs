@@ -18,8 +18,8 @@
 //!   manages.
 
 use fastrak_net::addr::{Ip, TenantId, VlanId};
-use fastrak_net::ctrl::{CtrlReply, CtrlRequest, Dir, TorRule, TorStatEntry};
-use fastrak_net::event::{CtlMsg, Event, NetCtx};
+use fastrak_net::ctrl::{Ctl, CtrlReply, CtrlRequest, Dir, TorRule, TorStatEntry};
+use fastrak_net::event::{Event, NetCtx};
 use fastrak_net::flow::FlowSpec;
 use fastrak_net::packet::{Encap, Packet};
 use fastrak_net::port::EgressPort;
@@ -58,6 +58,8 @@ pub struct HwDest {
 pub const PORTS: usize = 96;
 /// Cut-through switching latency, added before a frame queues for its port.
 const SWITCHING_LATENCY: SimDuration = SimDuration::from_micros(1);
+/// Switch control-plane op latency (rule install via switch agent).
+const CTRL_LATENCY: SimDuration = SimDuration(200_000);
 
 /// ToR configuration.
 #[derive(Debug, Clone)]
@@ -622,130 +624,58 @@ impl Tor {
         }
     }
 
-    fn on_ctrl(&mut self, api: &mut Api<'_, Event, NetCtx>, from: NodeId, req: CtrlRequest) {
-        /// Switch control-plane op latency (rule install via switch agent).
-        const CTRL_LATENCY: SimDuration = SimDuration(200_000);
-        if api.chaos_tor_dark() {
+    /// Serve one controller request; a correlated request gets the reply
+    /// to send back. `dark`: the ToR is mid-reboot. `install_fault`: the
+    /// fault plane rejects this request if it is a rule install.
+    fn answer(&mut self, req: CtrlRequest, dark: bool, install_fault: bool) -> Option<CtrlReply> {
+        if dark {
             // Mid-reboot: the management agent answers every correlated
             // request with a *definitive* error rather than silently acking
             // (or worse, acking an install into a table about to be wiped —
             // the controller's retries would then leak phantom
             // `entries_used`). Uncorrelated requests are dropped; the state
             // they would have touched is gone after the wipe anyway.
-            let reply = match req {
+            let xid = match req {
                 CtrlRequest::InstallTorRules { xid, .. } => {
                     self.stats.install_batches_rejected += 1;
-                    Some(xid)
+                    xid
                 }
                 CtrlRequest::DumpFlowStats { xid }
                 | CtrlRequest::DumpTorRules { xid }
-                | CtrlRequest::Probe { xid } => Some(xid),
-                _ => None,
+                | CtrlRequest::Probe { xid } => xid,
+                CtrlRequest::RemoveTorRules { .. }
+                | CtrlRequest::SetHwRate { .. }
+                | CtrlRequest::InstallPlacerRule { .. }
+                | CtrlRequest::RemovePlacerRule { .. }
+                | CtrlRequest::SetVifRate { .. } => return None,
             };
-            if let Some(xid) = reply {
-                api.send(
-                    from,
-                    CTRL_LATENCY,
-                    Event::Ctl(CtlMsg::new(
-                        api.self_id,
-                        CtrlReply::Error {
-                            xid,
-                            reason: "tor rebooting",
-                        },
-                    )),
-                );
-            }
-            return;
+            let reason = "tor rebooting";
+            return Some(CtrlReply::Error { xid, reason });
         }
         match req {
             CtrlRequest::DumpFlowStats { xid } => {
                 let entries = self.dump_rule_stats();
-                api.send(
-                    from,
-                    CTRL_LATENCY,
-                    Event::Ctl(CtlMsg::new(
-                        api.self_id,
-                        CtrlReply::TorFlowStats { xid, entries },
-                    )),
-                );
+                Some(CtrlReply::TorFlowStats { xid, entries })
             }
             CtrlRequest::InstallTorRules { rules, xid } => {
-                // Atomic batch with at-most-once effect per rule: rules
-                // already present (a retransmitted batch whose Ack was lost
-                // or delayed) are skipped, and on failure only this batch's
-                // fresh installs are rolled back — an Error reply guarantees
-                // the batch left no partial hardware state behind.
-                let mut failed_reason = if api.fault_forces_install_failure() {
-                    Some("rule install failed (injected fault)")
-                } else {
-                    None
-                };
-                let mut installed: Vec<(TenantId, FlowSpec)> = Vec::new();
-                if failed_reason.is_none() {
-                    for r in &rules {
-                        if self.has_rule(r.tenant, &r.spec) {
-                            continue;
-                        }
-                        if self.install_rule(r).is_err() {
-                            failed_reason = Some("fast-path memory exhausted");
-                            break;
-                        }
-                        installed.push((r.tenant, r.spec));
-                    }
-                }
-                let reply = match failed_reason {
-                    Some(reason) => {
-                        for (tenant, spec) in &installed {
-                            self.remove_rule(*tenant, spec);
-                        }
-                        self.stats.install_batches_rejected += 1;
-                        CtrlReply::Error { xid, reason }
-                    }
-                    None => {
-                        self.stats.install_batches_ok += 1;
-                        CtrlReply::Ack { xid }
-                    }
-                };
-                api.send(
-                    from,
-                    CTRL_LATENCY,
-                    Event::Ctl(CtlMsg::new(api.self_id, reply)),
-                );
+                Some(self.install_batch(&rules, xid, install_fault))
             }
             CtrlRequest::RemoveTorRules { rules } => {
                 for (tenant, spec) in &rules {
                     self.remove_rule(*tenant, spec);
                 }
+                None
             }
-            CtrlRequest::DumpTorRules { xid } => {
-                let rules = self.dump_rule_identities();
-                api.send(
-                    from,
-                    CTRL_LATENCY,
-                    Event::Ctl(CtlMsg::new(
-                        api.self_id,
-                        CtrlReply::TorRuleDump {
-                            xid,
-                            rules,
-                            fastpath_used: self.fastpath_used,
-                            boot_generation: self.boot_epoch,
-                        },
-                    )),
-                );
-            }
-            CtrlRequest::Probe { xid } => {
-                api.send(
-                    from,
-                    CTRL_LATENCY,
-                    Event::Ctl(CtlMsg::new(
-                        api.self_id,
-                        CtrlReply::ProbeReply {
-                            xid,
-                            boot_generation: self.boot_epoch,
-                        },
-                    )),
-                );
-            }
+            CtrlRequest::DumpTorRules { xid } => Some(CtrlReply::TorRuleDump {
+                xid,
+                rules: self.dump_rule_identities(),
+                fastpath_used: self.fastpath_used,
+                boot_generation: self.boot_epoch,
+            }),
+            CtrlRequest::Probe { xid } => Some(CtrlReply::ProbeReply {
+                xid,
+                boot_generation: self.boot_epoch,
+            }),
             CtrlRequest::SetHwRate {
                 tenant,
                 vm_ip,
@@ -753,11 +683,46 @@ impl Tor {
                 bps,
             } => {
                 self.set_hw_rate(tenant, vm_ip, dir, bps);
+                None
             }
             // Server-side requests: not ours.
             CtrlRequest::InstallPlacerRule { .. }
             | CtrlRequest::RemovePlacerRule { .. }
-            | CtrlRequest::SetVifRate { .. } => {}
+            | CtrlRequest::SetVifRate { .. } => None,
+        }
+    }
+
+    /// Atomic batch with at-most-once effect per rule: rules already present
+    /// (a retransmitted batch whose Ack was lost or delayed) are skipped,
+    /// and on failure only this batch's fresh installs are rolled back — an
+    /// Error reply guarantees the batch left no partial hardware state.
+    fn install_batch(&mut self, rules: &[TorRule], xid: u64, fault: bool) -> CtrlReply {
+        let mut failed_reason = fault.then_some("rule install failed (injected fault)");
+        let mut installed: Vec<(TenantId, FlowSpec)> = Vec::new();
+        if failed_reason.is_none() {
+            for r in rules {
+                if self.has_rule(r.tenant, &r.spec) {
+                    continue;
+                }
+                if self.install_rule(r).is_err() {
+                    failed_reason = Some("fast-path memory exhausted");
+                    break;
+                }
+                installed.push((r.tenant, r.spec));
+            }
+        }
+        match failed_reason {
+            Some(reason) => {
+                for (tenant, spec) in &installed {
+                    self.remove_rule(*tenant, spec);
+                }
+                self.stats.install_batches_rejected += 1;
+                CtrlReply::Error { xid, reason }
+            }
+            None => {
+                self.stats.install_batches_ok += 1;
+                CtrlReply::Ack { xid }
+            }
         }
     }
 }
@@ -775,11 +740,26 @@ impl Node<Event, NetCtx> for Tor {
                     self.on_sw_frame(api, pkt);
                 }
             }
-            Event::Ctl(msg) => {
-                if let Ok((from, req)) = msg.downcast::<CtrlRequest>() {
-                    self.on_ctrl(api, from, req);
+            Event::Ctl(msg) => match msg.body {
+                Ctl::Req(req) => {
+                    // The fault plane counts the installs it rejects, so it
+                    // is asked only about an install the ToR would attempt.
+                    let dark = api.chaos_tor_dark();
+                    let install = matches!(req, CtrlRequest::InstallTorRules { .. });
+                    let fault = install && !dark && api.fault_forces_install_failure();
+                    if let Some(reply) = self.answer(req, dark, fault) {
+                        let reply = Event::ctl(api.self_id, Ctl::Reply(reply));
+                        api.send(msg.from, CTRL_LATENCY, reply);
+                    }
                 }
-            }
+                // The switch agent serves requests only; the rest of the
+                // vocabulary flows between the controllers.
+                Ctl::Reply(_)
+                | Ctl::Report(_)
+                | Ctl::Decision(_)
+                | Ctl::Migration(_)
+                | Ctl::HwPath(_) => {}
+            },
             Event::Timer { tag, .. } => panic!("{}: unexpected timer {tag}", self.cfg.name),
         }
     }
@@ -790,5 +770,214 @@ impl Node<Event, NetCtx> for Tor {
 
     fn fork(&self) -> Option<Self> {
         Some(self.clone())
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use fastrak_net::ctrl::{DemandReport, HwPathReport, MigrationPrepare, OffloadDecision};
+    use fastrak_net::flow::{FlowKey, Proto};
+    use fastrak_net::packet::PathTag;
+    use fastrak_sim::kernel::Kernel;
+
+    const T: TenantId = TenantId(1);
+
+    fn rule(src_port: u16) -> TorRule {
+        TorRule {
+            tenant: T,
+            spec: FlowSpec::exact(FlowKey {
+                tenant: T,
+                src_ip: Ip::tenant_vm(1),
+                dst_ip: Ip::tenant_vm(2),
+                proto: Proto::Tcp,
+                src_port,
+                dst_port: 80,
+            }),
+            priority: 10,
+            action: Action::Allow,
+            tunnel: None,
+            qos: None,
+        }
+    }
+
+    /// A ToR holding one rule.
+    fn tor() -> Tor {
+        let mut tor = Tor::new(TorConfig::testbed("tor", 0));
+        tor.install_rule(&rule(1)).expect("an empty table has room");
+        tor
+    }
+
+    /// Every request there is, each carrying `xid` if it is correlated.
+    fn every_request(xid: u64) -> Vec<CtrlRequest> {
+        let vm_ip = Ip::tenant_vm(1);
+        let spec = rule(1).spec;
+        vec![
+            CtrlRequest::DumpFlowStats { xid },
+            CtrlRequest::InstallPlacerRule {
+                vm_ip,
+                tenant: T,
+                spec,
+                priority: 10,
+                path: PathTag::SrIov,
+            },
+            CtrlRequest::RemovePlacerRule {
+                vm_ip,
+                tenant: T,
+                spec,
+            },
+            CtrlRequest::SetVifRate {
+                tenant: T,
+                vm_ip,
+                dir: Dir::Egress,
+                bps: 1,
+            },
+            CtrlRequest::InstallTorRules {
+                rules: vec![rule(2)],
+                xid,
+            },
+            CtrlRequest::RemoveTorRules {
+                rules: vec![(T, spec)],
+            },
+            CtrlRequest::DumpTorRules { xid },
+            CtrlRequest::Probe { xid },
+            CtrlRequest::SetHwRate {
+                tenant: T,
+                vm_ip,
+                dir: Dir::Egress,
+                bps: 1,
+            },
+        ]
+    }
+
+    /// What a request can change: the rule table and the batch counters.
+    fn table(tor: &Tor) -> (Vec<(TenantId, FlowSpec)>, usize, u64, u64) {
+        let s = tor.stats;
+        let rules = tor.dump_rule_identities();
+        (
+            rules,
+            tor.fastpath_used(),
+            s.install_batches_ok,
+            s.rules_removed,
+        )
+    }
+
+    #[test]
+    fn a_dark_tor_fails_every_correlated_request_and_changes_no_rule() {
+        let mut tor = tor();
+        let before = table(&tor);
+        for req in every_request(7) {
+            let correlated = matches!(
+                req,
+                CtrlRequest::DumpFlowStats { .. }
+                    | CtrlRequest::InstallTorRules { .. }
+                    | CtrlRequest::DumpTorRules { .. }
+                    | CtrlRequest::Probe { .. }
+            );
+            let reply = tor.answer(req, true, false);
+            let error = CtrlReply::Error {
+                xid: 7,
+                reason: "tor rebooting",
+            };
+            assert_eq!(reply, correlated.then_some(error));
+        }
+        assert_eq!(table(&tor), before);
+        assert!(tor.hw_rates.is_empty(), "a dark ToR sets no rate limit");
+        assert_eq!(tor.stats.install_batches_rejected, 1);
+    }
+
+    #[test]
+    fn a_lit_tor_answers_what_it_holds() {
+        let mut tor = tor();
+        let [dump, placer_in, placer_out, vif, install, remove, identities, probe, hw] =
+            every_request(3).try_into().expect("nine requests");
+        let entries = vec![TorStatEntry {
+            tenant: T,
+            spec: rule(1).spec,
+            packets: 0,
+            bytes: 0,
+        }];
+        let stats = CtrlReply::TorFlowStats { xid: 3, entries };
+        assert_eq!(tor.answer(dump, false, false), Some(stats));
+        for server_side in [placer_in, placer_out, vif] {
+            assert_eq!(tor.answer(server_side, false, false), None);
+        }
+        assert_eq!(
+            tor.answer(install, false, false),
+            Some(CtrlReply::Ack { xid: 3 })
+        );
+        assert_eq!(tor.answer(remove, false, false), None);
+        let held = CtrlReply::TorRuleDump {
+            xid: 3,
+            rules: vec![(T, rule(2).spec)],
+            fastpath_used: 1,
+            boot_generation: 0,
+        };
+        assert_eq!(tor.answer(identities, false, false), Some(held));
+        let alive = CtrlReply::ProbeReply {
+            xid: 3,
+            boot_generation: 0,
+        };
+        assert_eq!(tor.answer(probe, false, false), Some(alive));
+        assert_eq!(tor.answer(hw, false, false), None);
+        assert_eq!(tor.hw_rates.len(), 1);
+    }
+
+    #[test]
+    fn an_injected_install_fault_rejects_the_whole_batch() {
+        let mut tor = tor();
+        let req = CtrlRequest::InstallTorRules {
+            rules: vec![rule(2), rule(3)],
+            xid: 5,
+        };
+        let reason = "rule install failed (injected fault)";
+        assert_eq!(
+            tor.answer(req, false, true),
+            Some(CtrlReply::Error { xid: 5, reason })
+        );
+        assert_eq!(tor.acl_rules(), 1);
+        assert_eq!(tor.stats.install_batches_rejected, 1);
+    }
+
+    /// Replies and controller-to-controller messages reach a ToR only by
+    /// mistake: it sends nothing back and its table stays as it was.
+    #[test]
+    fn control_messages_a_tor_does_not_serve_change_nothing() {
+        let mut k: Kernel<Event, NetCtx> = Kernel::new(NetCtx::new(), 1);
+        let id = k.add_node(tor());
+        let vms = vec![(T, Ip::tenant_vm(1))];
+        let server_ip = Ip::provider_server(0, 1);
+        let decision = OffloadDecision {
+            interval: 1,
+            offload: Vec::new(),
+            demote: Vec::new(),
+            hw_agg_bps: Vec::new(),
+        };
+        let stray = [
+            Ctl::Reply(CtrlReply::Ack { xid: 1 }),
+            Ctl::Report(DemandReport {
+                interval: 1,
+                server_ip,
+                entries: Vec::new(),
+            }),
+            Ctl::Decision(decision),
+            Ctl::Migration(MigrationPrepare {
+                tenant: T,
+                vm_ip: Ip::tenant_vm(1),
+            }),
+            Ctl::HwPath(HwPathReport {
+                server_ip,
+                up: false,
+                vms,
+            }),
+        ];
+        let before = table(k.node::<Tor>(id));
+        let n = stray.len() as u64;
+        for body in stray {
+            k.post(id, SimTime::ZERO, Event::ctl(id, body));
+        }
+        k.run_to_completion();
+        assert_eq!(k.events_processed(), n, "the ToR sent something");
+        assert_eq!(table(k.node::<Tor>(id)), before);
     }
 }
