@@ -5,9 +5,9 @@
 //!
 //! Run with `cargo bench -p fastrak-bench --bench controller`.
 
-use std::collections::{HashMap, HashSet};
+use std::collections::HashSet;
 
-use fastrak::de::{DeConfig, DecisionEngine};
+use fastrak::de::DeConfig;
 use fastrak::de_inc::IncrementalDecisionEngine;
 use fastrak::fps::{fps_split, FpsInput};
 use fastrak::me::{AggDemand, MeasurementEngine};
@@ -17,6 +17,7 @@ use fastrak_bench::harness::{black_box, Suite};
 use fastrak_net::addr::{Ip, TenantId};
 use fastrak_net::ctrl::FlowStatEntry;
 use fastrak_net::flow::{FlowAggregate, FlowKey, Proto};
+use fastrak_sim::FxHashMap;
 
 fn flow(i: u32) -> FlowKey {
     FlowKey {
@@ -148,7 +149,7 @@ fn main() {
     for &n in &[10_000usize, 100_000] {
         let mut cfg = DeConfig::paper();
         cfg.policy = FastPathPolicy::WeightedScore {
-            weights: HashMap::from([(TenantId(1), 2.0), (TenantId(5), 0.25)]),
+            weights: FxHashMap::from_iter([(TenantId(1), 2.0), (TenantId(5), 0.25)]),
         };
         bench_incremental(
             &mut s,
@@ -157,17 +158,6 @@ fn main() {
             1,
             &format!("decision_engine_decide_tenants/aggregates/{n}"),
         );
-    }
-
-    // The retained full-scan reference engine: re-ranks the world every
-    // epoch. Kept benched so the curves stay comparable.
-    for &n in &[100usize, 1_000, 10_000, 100_000] {
-        let d = demands(n);
-        let de = DecisionEngine::new(DeConfig::paper());
-        let offloaded: HashSet<FlowAggregate> = d.iter().take(n / 10).map(|x| x.agg).collect();
-        s.bench(&format!("decision_engine_full_scan/aggregates/{n}"), || {
-            black_box(de.decide(black_box(&d), &offloaded, 256));
-        });
     }
 
     {

@@ -125,7 +125,7 @@ pub fn run(cx: &Cx) -> Vec<Artifact> {
     // are the longest cells, and started last they would be the tail no
     // freed-up worker can share.
     let scoring = [
-        // Paper score: S = n × m_pps (the DecisionEngine's native function).
+        // Paper score: S = n × m_pps (`DeConfig::score`).
         ("S = n × m_pps (paper)", DeConfig::paper()),
         ("pps-only (no hysteresis)", pps_only),
     ];

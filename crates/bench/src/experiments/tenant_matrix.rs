@@ -22,11 +22,11 @@
 use fastrak::{attach, DeConfig, FasTrakConfig, FastPathPolicy, Timing};
 use fastrak_net::addr::{Ip, TenantId};
 use fastrak_sim::time::{SimDuration, SimTime};
+use fastrak_sim::FxHashMap;
 use fastrak_workload::{
     add_churner, ChurnerConfig, MemslapClient, TenantFleet, TenantFleetConfig, Testbed,
     TestbedConfig,
 };
-use std::collections::HashMap;
 
 use crate::cells;
 use crate::experiments::Cx;
@@ -64,7 +64,7 @@ fn policy_grid() -> Vec<(&'static str, FastPathPolicy)> {
             FastPathPolicy::StaticQuota {
                 // 4 tenants × 2 = the whole budget: hard isolation.
                 default_cap: 2,
-                caps: HashMap::new(),
+                caps: FxHashMap::default(),
             },
         ),
         (
@@ -78,7 +78,7 @@ fn policy_grid() -> Vec<(&'static str, FastPathPolicy)> {
                 // budget. Work-conserving: with the churner absent (or
                 // capped below its demand) the slack water-fills to the
                 // victims.
-                weights: HashMap::from([(CHURN_TENANT, 0.05)]),
+                weights: FxHashMap::from_iter([(CHURN_TENANT, 0.05)]),
             },
         ),
     ]

@@ -1,38 +1,43 @@
-//! Incremental decision engine: near-linear epochs at fleet scale.
+//! The decision engine: near-linear epochs at fleet scale.
 //!
-//! The full-scan [`DecisionEngine`](crate::de::DecisionEngine) re-ranks the
-//! world every round — a sort over every active aggregate plus a boundary
-//! hysteresis pass — which goes superlinear in the aggregate count (99 µs at
-//! 100 aggregates, 68.9 ms at 10 k in `BENCH_baseline.json`). The paper's
-//! §4.3.2 ranking only needs the *top-k by budget*, not a total order, and
-//! between epochs almost nothing moves: demand medians are stable by
-//! construction (they are medians over N×M epochs).
+//! A full-scan engine re-ranks the world every round — a sort over every
+//! active aggregate plus a boundary hysteresis pass — which goes
+//! superlinear in the aggregate count. The paper's §4.3.2 ranking only
+//! needs the *top-k by budget*, not a total order, and between epochs
+//! almost nothing moves: demand medians are stable by construction (they
+//! are medians over N×M epochs).
 //!
 //! [`IncrementalDecisionEngine`] therefore keeps a **persistent score
 //! index** between rounds:
 //!
 //! * `scores` — a dense FxHash aggregate→score index (the authoritative
-//!   membership set, mirroring the full-scan engine's eligibility filter);
+//!   membership set, filtered by [`DeConfig::eligible`]);
 //! * `ord` — a score-ordered [`BTreeSet`] of [`OrdKey`]s whose ascending
-//!   order is exactly the full-scan `rank` order (score descending, then
-//!   aggregate ascending), so walking it from the front reproduces the
-//!   oracle's greedy selection bit for bit.
+//!   order is the rank order (score descending, then aggregate ascending),
+//!   so walking it from the front reproduces the reference's greedy
+//!   selection bit for bit.
 //!
-//! Each epoch the measurement plane feeds only the **demand deltas**
-//! (changed/new/expired aggregates); a delta costs one hash probe plus at
-//! most two `O(log n)` ordered-index edits. `decide` then walks the top of
-//! the order until the budget is filled — `O(k)` for the walk plus `O(k)`
-//! for the hysteresis band and demotion sweep — so a low-churn epoch costs
-//! `O(Δ·log n + k)` regardless of how many aggregates exist.
+//! The controller feeds it a full demand snapshot each round
+//! ([`IncrementalDecisionEngine::ingest_snapshot`]): every row costs one
+//! hash probe, and only a row whose score moved costs the at most two
+//! `O(log n)` ordered-index edits. [`IncrementalDecisionEngine::ingest`]
+//! takes the measurement engine's demand deltas instead (changed/new/
+//! expired aggregates), which skips the probes of unchanged rows. `decide`
+//! then walks the top of the order until the budget is filled — `O(k)` for
+//! the walk plus `O(k)` for the hysteresis band and demotion sweep — so a
+//! low-churn epoch costs `O(Δ·log n + k)` past the feed, regardless of how
+//! many aggregates exist.
 //!
 //! **Band semantics.** Hysteresis is a score *band* at the k-th boundary:
 //! with factor `h`, the best-scoring displaced incumbent `inc` suppresses
 //! every newcomer whose score falls inside `[0, h·S(inc))` — those
 //! band-crossers keep `inc` offloaded instead of churning rules. This is
 //! exactly the full-scan pass's semantics (the displaced incumbent there is
-//! loop-invariant), with one documented refinement shared by both engines:
-//! score ties between displaced incumbents break toward the smaller
-//! aggregate, where the old code left ties to `HashSet` iteration order.
+//! loop-invariant). Score ties between displaced incumbents break toward
+//! the smaller aggregate, not `HashSet` iteration order.
+//!
+//! The full-scan engine is the test reference in `tests/support/`, which
+//! `tests/de_differential.rs` runs beside this one.
 
 use std::collections::{BTreeSet, HashSet};
 
@@ -84,13 +89,13 @@ pub struct DeEpochStats {
     pub churn_suppressed: u64,
 }
 
-/// The incremental decision engine. Produces decisions identical to
-/// [`DecisionEngine::decide`](crate::de::DecisionEngine::decide) on the
-/// same demand history (asserted by the `de_differential` suite) while
-/// doing per-epoch work proportional to the change set, not the world.
+/// The incremental decision engine. Produces decisions identical to the
+/// full-scan reference's on the same demand history (asserted by the
+/// `de_differential` suite) while doing per-epoch work proportional to the
+/// change set, not the world.
 #[derive(Debug, Clone)]
 pub struct IncrementalDecisionEngine {
-    /// Configuration (shared semantics with the full-scan engine).
+    /// Configuration.
     pub cfg: DeConfig,
     /// Aggregate → index into `cfg.groups` (first containing group wins).
     group_idx: FxHashMap<FlowAggregate, usize>,
@@ -133,8 +138,8 @@ impl IncrementalDecisionEngine {
         self.stats
     }
 
-    /// Upsert one demand row: indexes it when eligible (same filter as the
-    /// full-scan `rank`), removes it otherwise.
+    /// Upsert one demand row: indexes it when eligible, removes it
+    /// otherwise.
     fn upsert(&mut self, d: &AggDemand) {
         if !self.cfg.eligible(d) {
             self.remove(&d.agg);
@@ -172,11 +177,10 @@ impl IncrementalDecisionEngine {
     }
 
     /// Ingest a *full* demand snapshot: upserts every row and sweeps
-    /// indexed aggregates absent from the snapshot. O(total) — this is the
-    /// compatibility path for callers that still materialize full reports
-    /// (it skips the sort and the quadratic hysteresis of the full-scan
-    /// engine); delta feeding via [`IncrementalDecisionEngine::ingest`] is
-    /// the near-linear path.
+    /// indexed aggregates absent from the snapshot. O(total) hash probes,
+    /// but no sort: this is the live path, fed the controller's merged
+    /// demands every round. [`IncrementalDecisionEngine::ingest`] takes
+    /// deltas instead and skips the probes of unchanged rows.
     pub fn ingest_snapshot(&mut self, demands: &[AggDemand]) {
         let mut seen: HashSet<FlowAggregate> = HashSet::with_capacity(demands.len());
         for d in demands {
@@ -196,18 +200,17 @@ impl IncrementalDecisionEngine {
         }
     }
 
-    /// Decide the hardware set from the current index (same contract as the
-    /// full-scan [`DecisionEngine::decide`](crate::de::DecisionEngine::decide):
-    /// `offloaded` is the currently offloaded set, `budget` the total
-    /// fast-path entries the DE may use).
+    /// Decide the hardware set from the current index: `offloaded` is the
+    /// currently offloaded set, `budget` the total fast-path entries the DE
+    /// may use (free entries **plus** those the offloaded set occupies).
     pub fn decide(&mut self, offloaded: &HashSet<FlowAggregate>, budget: usize) -> Decision {
         let cap = self.cfg.max_offloaded.map_or(budget, |m| m.min(budget));
         // Per-tenant fairness caps (see [`crate::policy`]). `Unrestricted`
         // pays nothing — the iterator below is never consumed. For
         // `WeightedScore` the score order `ord` is walked front to back,
-        // the exact sequence the oracle's sorted ranking yields
+        // the exact sequence the reference's sorted ranking yields
         // (`f64::from_bits(!inv_bits)` recovers each score bit-exactly),
-        // so the per-tenant f64 masses agree between engines. That mass
+        // so the per-tenant f64 masses agree with it. That mass
         // pass is O(n) — the one policy whose bookkeeping scales with the
         // index, bounded by the `decision_engine_decide_tenants` bench.
         let mut tcaps = policy::caps_for_walk(
@@ -219,7 +222,7 @@ impl IncrementalDecisionEngine {
         );
 
         // Greedy top-k walk over the score order — identical order and
-        // group handling to the oracle's scan of its sorted `ranked` vec,
+        // group handling to the reference's scan of its sorted ranking,
         // but touching only the fringe needed to fill `cap`. (Under a
         // tenant-cap policy the walk can run past the fringe: a capped
         // tenant's aggregates are skipped until tenants with headroom fill
@@ -322,25 +325,11 @@ impl IncrementalDecisionEngine {
             target,
         }
     }
-
-    /// Snapshot-mode decide: [`IncrementalDecisionEngine::ingest_snapshot`]
-    /// followed by [`IncrementalDecisionEngine::decide`] — the drop-in
-    /// replacement for the full-scan `decide` call.
-    pub fn decide_snapshot(
-        &mut self,
-        demands: &[AggDemand],
-        offloaded: &HashSet<FlowAggregate>,
-        budget: usize,
-    ) -> Decision {
-        self.ingest_snapshot(demands);
-        self.decide(offloaded, budget)
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::de::DecisionEngine;
     use fastrak_net::addr::{Ip, TenantId};
 
     fn agg(port: u16) -> FlowAggregate {
@@ -359,94 +348,6 @@ mod tests {
             n_active: n,
             m_pps,
             m_bps: m_pps * 1000.0,
-        }
-    }
-
-    /// Snapshot-mode decisions must equal the full-scan oracle's.
-    fn assert_matches_oracle(
-        cfg: DeConfig,
-        demands: &[AggDemand],
-        offloaded: &HashSet<FlowAggregate>,
-        budget: usize,
-    ) {
-        let oracle = DecisionEngine::new(cfg.clone()).decide(demands, offloaded, budget);
-        let mut inc = IncrementalDecisionEngine::new(cfg);
-        let got = inc.decide_snapshot(demands, offloaded, budget);
-        assert_eq!(got, oracle);
-    }
-
-    #[test]
-    fn top_k_matches_oracle() {
-        let demands = vec![
-            demand(1, 1000.0, 2),
-            demand(2, 10.0, 2),
-            demand(3, 500.0, 2),
-        ];
-        assert_matches_oracle(DeConfig::paper(), &demands, &HashSet::new(), 2);
-    }
-
-    #[test]
-    fn hysteresis_band_matches_oracle() {
-        let mut cfg = DeConfig::paper();
-        cfg.hysteresis = 1.5;
-        let mut offloaded = HashSet::new();
-        offloaded.insert(agg(2));
-        let demands = vec![demand(1, 110.0, 1), demand(2, 100.0, 1)];
-        assert_matches_oracle(cfg.clone(), &demands, &offloaded, 1);
-        // And the band actually suppressed the churn.
-        let mut inc = IncrementalDecisionEngine::new(cfg);
-        let d = inc.decide_snapshot(&demands, &offloaded, 1);
-        assert_eq!(d.target, vec![agg(2)], "incumbent survives the band");
-        assert_eq!(inc.last_stats().churn_suppressed, 1);
-        assert_eq!(inc.last_stats().band_crossers, 0);
-    }
-
-    #[test]
-    fn groups_all_or_nothing_matches_oracle() {
-        let mut cfg = DeConfig::paper();
-        cfg.groups = vec![vec![agg(1), agg(2)]];
-        let demands = vec![demand(1, 1000.0, 2), demand(2, 1.5, 2), demand(3, 500.0, 2)];
-        for budget in [1usize, 2, 3] {
-            assert_matches_oracle(cfg.clone(), &demands, &HashSet::new(), budget);
-        }
-    }
-
-    #[test]
-    fn tenant_policies_match_oracle() {
-        use crate::policy::FastPathPolicy;
-        use std::collections::HashMap;
-        fn tagg(tenant: u32, port: u16) -> FlowAggregate {
-            FlowAggregate::DstApp {
-                tenant: TenantId(tenant),
-                ip: Ip::tenant_vm(9),
-                port,
-            }
-        }
-        let demands: Vec<AggDemand> = (0..12u16)
-            .map(|i| AggDemand {
-                agg: tagg(1 + (i % 3) as u32, i),
-                pps: 100.0 + 37.0 * i as f64,
-                bps: 1000.0,
-                n_active: 1 + (i % 4) as u32,
-                m_pps: 100.0 + 37.0 * i as f64,
-                m_bps: 1000.0,
-            })
-            .collect();
-        let policies = [
-            FastPathPolicy::StaticQuota {
-                default_cap: 2,
-                caps: HashMap::from([(TenantId(2), 1)]),
-            },
-            FastPathPolicy::WeightedScore {
-                weights: HashMap::from([(TenantId(1), 2.0), (TenantId(3), 0.5)]),
-            },
-        ];
-        for policy in policies {
-            let mut cfg = DeConfig::paper();
-            cfg.policy = policy;
-            for budget in [2usize, 4, 6, 12] {
-                assert_matches_oracle(cfg.clone(), &demands, &HashSet::new(), budget);
-            }
         }
     }
 

@@ -7,7 +7,7 @@
 //! bounded fast path and back as traffic changes.
 //!
 //! * [`me`] — the Measurement Engine (Δp/t, Δb/t epochs, per-VM-per-app
-//!   aggregation, median history, demand profiles);
+//!   aggregation, median history);
 //! * [`de`] — the Decision Engine (`S = n × m_pps × c` ranking under the
 //!   fast-path budget, hysteresis, all-or-nothing groups);
 //! * [`rules`] — the unified rule manager (most-specific hardware rule
@@ -29,12 +29,12 @@ pub mod policy;
 pub mod rules;
 pub mod tor_ctrl;
 
-pub use de::{DeConfig, Decision, DecisionEngine};
+pub use de::{DeConfig, Decision};
 pub use de_inc::{DeEpochStats, IncrementalDecisionEngine};
 pub use fastrak_net::ctrl::{DemandReport, HwPathReport, MigrationPrepare, OffloadDecision};
 pub use fps::{fps_split, FpsInput, FpsSplit};
 pub use local::{LocalController, LocalControllerConfig, Timing, VmLimit};
-pub use me::{AggDemand, DemandDelta, MeasurementEngine, VmDemandProfile};
+pub use me::{AggDemand, DemandDelta, MeasurementEngine};
 pub use meter::{epoch_rates, RateSummary, RateWindow};
 pub use policy::FastPathPolicy;
 pub use rules::{RuleManager, SynthesisError};

@@ -25,7 +25,7 @@ use fastrak_sim::time::SimDuration;
 use fastrak_sim::FxHashMap;
 
 use crate::fps::{fps_split, is_maxed, FpsInput};
-use crate::me::{MeasurementEngine, VmDemandProfile};
+use crate::me::MeasurementEngine;
 
 /// Timer tags.
 mod tags {
@@ -187,30 +187,6 @@ impl LocalController {
             a: 0,
             b: 0,
         }
-    }
-
-    /// Export a VM's demand profile (VM migration support, S4).
-    pub fn export_profile(&self, tenant: TenantId, vm_ip: Ip) -> VmDemandProfile {
-        self.me.export_profile(tenant, vm_ip)
-    }
-
-    /// Import a migrated VM's profile and start managing the VM.
-    pub fn adopt_vm(&mut self, profile: VmDemandProfile, limit: Option<VmLimit>) {
-        self.cfg.vms.push((profile.tenant, profile.vm_ip));
-        if let Some(l) = limit {
-            self.cfg.limits.push(l);
-        }
-        self.me.import_profile(profile);
-    }
-
-    /// Stop managing a VM (it migrated away).
-    pub fn release_vm(&mut self, tenant: TenantId, vm_ip: Ip) {
-        self.cfg
-            .vms
-            .retain(|&(t, ip)| !(t == tenant && ip == vm_ip));
-        self.cfg
-            .limits
-            .retain(|l| !(l.tenant == tenant && l.vm_ip == vm_ip));
     }
 
     fn request_dump(&mut self, api: &mut Api<'_, Event, NetCtx>, phase: Phase) {

@@ -9,13 +9,10 @@
 //!
 //! Flows are folded into per-VM-per-application aggregates
 //! (`<src VM IP, src L4 port, tenant>` / `<dst VM IP, dst L4 port, tenant>`)
-//! to bound state. The per-VM aggregate history is the VM's **network
-//! demand profile**, which ships with the VM on migration so FasTrak can
-//! make offload decisions for cloned/migrated VMs immediately.
+//! to bound state.
 
 use fastrak_sim::FxHashMap;
 
-use fastrak_net::addr::{Ip, TenantId};
 pub use fastrak_net::ctrl::AggDemand;
 use fastrak_net::ctrl::FlowStatEntry;
 use fastrak_net::flow::FlowAggregate;
@@ -216,59 +213,12 @@ impl MeasurementEngine {
         removed.dedup();
         DemandDelta { changed, removed }
     }
-
-    /// Extract the demand profile of one VM (all aggregates whose endpoint
-    /// is this VM) — shipped along on VM migration (S4).
-    pub fn export_profile(&self, tenant: TenantId, vm_ip: Ip) -> VmDemandProfile {
-        let mut entries = Vec::new();
-        for (agg, st) in &self.aggs {
-            let owned = match agg {
-                FlowAggregate::SrcApp { tenant: t, ip, .. }
-                | FlowAggregate::DstApp { tenant: t, ip, .. } => *t == tenant && *ip == vm_ip,
-                FlowAggregate::Exact(k) => {
-                    k.tenant == tenant && (k.src_ip == vm_ip || k.dst_ip == vm_ip)
-                }
-            };
-            if owned {
-                entries.push((*agg, st.win.history()));
-            }
-        }
-        VmDemandProfile {
-            tenant,
-            vm_ip,
-            entries,
-        }
-    }
-
-    /// Merge a migrated VM's demand profile into this engine's history.
-    pub fn import_profile(&mut self, profile: VmDemandProfile) {
-        for (agg, hist) in profile.entries {
-            let st = self.aggs.entry(agg).or_default();
-            if st.win.is_empty() {
-                st.win = RateWindow::from_history(hist);
-                if !st.win.is_empty() {
-                    Self::mark_dirty(&mut self.dirty_list, agg, st);
-                }
-            }
-        }
-    }
-}
-
-/// A VM's network demand profile (paper §4.3.1): the aggregate rate history
-/// that migrates with the VM.
-#[derive(Debug, Clone)]
-pub struct VmDemandProfile {
-    /// Owning tenant.
-    pub tenant: TenantId,
-    /// The VM.
-    pub vm_ip: Ip,
-    /// Per-aggregate epoch history.
-    pub entries: Vec<(FlowAggregate, Vec<(f64, f64)>)>,
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use fastrak_net::addr::{Ip, TenantId};
     use fastrak_net::flow::{FlowKey, Proto};
 
     fn key(src: u16, dst: u16, sp: u16, dp: u16) -> FlowKey {
@@ -400,23 +350,6 @@ mod tests {
         }
         let d = &me.report()[0];
         assert_eq!(d.n_active, 3, "history must be bounded at N*M");
-    }
-
-    #[test]
-    fn profile_export_import_roundtrip() {
-        let mut me = MeasurementEngine::new(1.0, 4);
-        let k = key(7, 2, 1, 2);
-        me.epoch_sample_a(&[entry(k, 0, 0)]);
-        me.epoch_sample_b(&[entry(k, 1000, 9000)]);
-        let profile = me.export_profile(TenantId(1), Ip::tenant_vm(7));
-        assert_eq!(profile.entries.len(), 1, "src-side aggregate of vm7");
-
-        // A fresh ME at the migration destination knows the history.
-        let mut me2 = MeasurementEngine::new(1.0, 4);
-        me2.import_profile(profile);
-        let rep = me2.report();
-        assert_eq!(rep.len(), 1);
-        assert!((rep[0].m_pps - 1000.0).abs() < 1e-9);
     }
 
     /// Replay drained deltas into a map and compare against the full report.

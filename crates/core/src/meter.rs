@@ -72,11 +72,6 @@ pub struct RateWindow {
 }
 
 impl RateWindow {
-    /// Rebuild a window from a saved history (VM demand-profile import).
-    pub fn from_history(hist: Vec<(f64, f64)>) -> RateWindow {
-        RateWindow { hist: hist.into() }
-    }
-
     /// Push one closed epoch's rates, evicting the oldest past `cap`.
     ///
     /// Returns whether a summary of the window could have changed: every
@@ -102,11 +97,6 @@ impl RateWindow {
     /// An empty window is idle.
     pub fn idle(&self) -> bool {
         !self.hist.iter().any(|&(p, _)| p > 0.0)
-    }
-
-    /// The remembered history, oldest first (VM demand-profile export).
-    pub fn history(&self) -> Vec<(f64, f64)> {
-        self.hist.iter().copied().collect()
     }
 
     /// Summarize the window (`None` while no epoch has been measured).
@@ -186,15 +176,6 @@ mod tests {
         w.push(0.0, 0.0, 2);
         w.push(0.0, 0.0, 2);
         assert!(w.idle(), "active epoch aged out of the bounded window");
-        assert_eq!(w.history().len(), 2);
-    }
-
-    #[test]
-    fn history_roundtrip() {
-        let mut w = RateWindow::default();
-        w.push(1.0, 10.0, 4);
-        w.push(2.0, 20.0, 4);
-        let w2 = RateWindow::from_history(w.history());
-        assert_eq!(w.summary(), w2.summary());
+        assert_eq!(w.hist.len(), 2);
     }
 }

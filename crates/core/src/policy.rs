@@ -6,7 +6,7 @@
 //! real multi-tenant failure mode is interference — an adversarial tenant
 //! that thrashes the offloaded set starves its neighbours of fast-path
 //! entries. A [`FastPathPolicy`] bounds how many entries each tenant's
-//! aggregates may claim during the decision engines' greedy walk:
+//! aggregates may claim during the decision engine's greedy walk:
 //!
 //! * [`FastPathPolicy::Unrestricted`] — the paper's behaviour and the
 //!   differential-oracle baseline: pure score order, no per-tenant
@@ -20,15 +20,15 @@
 //!   a tenant cannot use (fewer eligible aggregates than entries) is
 //!   redistributed to the others. Work-conserving and demand-adaptive.
 //!
-//! Both decision engines run the identical cap logic in the identical
-//! order, so decisions stay bit-equal between the incremental engine and
-//! the full-scan reference (asserted by the `de_differential` suite). For
+//! The engine and the full-scan reference under `tests/support/` run this
+//! one cap logic ([`caps_for_walk`]) in the identical order, so their
+//! decisions stay bit-equal (asserted by the `de_differential` suite). For
 //! `WeightedScore` that requires care with floating point: per-tenant score
-//! mass is accumulated in **rank order** (the full-scan engine iterates its
-//! sorted ranking, the incremental engine its score-ordered index — the
-//! same sequence by construction), so the f64 sums are bit-identical.
+//! mass is accumulated in **rank order** (the reference iterates its sorted
+//! ranking, the engine its score-ordered index — the same sequence by
+//! construction), so the f64 sums are bit-identical.
 //!
-//! **Hysteresis interaction.** The engines' displaced-incumbent pass may
+//! **Hysteresis interaction.** The displaced-incumbent pass may
 //! swap an already-installed incumbent back in place of a suppressed
 //! newcomer *after* the capped walk. The incumbent is already in hardware,
 //! so this can transiently hold a tenant one entry above its cap for the
@@ -36,7 +36,7 @@
 //! This is deliberate — the alternative (evicting the incumbent) is exactly
 //! the rule churn hysteresis exists to avoid.
 
-use std::collections::{BTreeMap, HashMap};
+use std::collections::BTreeMap;
 
 use fastrak_net::addr::TenantId;
 use fastrak_sim::FxHashMap;
@@ -52,13 +52,13 @@ pub enum FastPathPolicy {
         /// Cap for tenants without an explicit entry.
         default_cap: usize,
         /// Per-tenant overrides.
-        caps: HashMap<TenantId, usize>,
+        caps: FxHashMap<TenantId, usize>,
     },
     /// Weighted fair share of entries by decision-engine score mass,
     /// water-filled (work-conserving).
     WeightedScore {
         /// Per-tenant weights (default 1.0).
-        weights: HashMap<TenantId, f64>,
+        weights: FxHashMap<TenantId, f64>,
     },
 }
 
@@ -74,7 +74,7 @@ impl FastPathPolicy {
 /// each group's not-yet-chosen members) and it enforces the per-tenant
 /// budget. Under `Unrestricted` it is a no-op that touches no state.
 #[derive(Debug)]
-pub(crate) struct TenantCaps {
+pub struct TenantCaps {
     /// `None` → unrestricted: every admit succeeds without bookkeeping.
     caps: Option<CapTable>,
     used: FxHashMap<TenantId, usize>,
@@ -142,7 +142,7 @@ impl TenantCaps {
 /// rank order** (score descending, aggregate ascending). It is consumed
 /// only by `WeightedScore` — `Unrestricted` and `StaticQuota` never touch
 /// it, so passing a lazy iterator keeps those policies free of the pass.
-pub(crate) fn caps_for_walk<I>(policy: &FastPathPolicy, cap: usize, ranked: I) -> TenantCaps
+pub fn caps_for_walk<I>(policy: &FastPathPolicy, cap: usize, ranked: I) -> TenantCaps
 where
     I: IntoIterator<Item = (TenantId, f64)>,
 {
@@ -153,7 +153,8 @@ where
         }
         FastPathPolicy::WeightedScore { weights } => {
             // Per-tenant (score mass, eligible-aggregate count), summed in
-            // rank order so both engines produce bit-identical f64 masses.
+            // rank order so engine and reference produce bit-identical f64
+            // masses.
             let mut mass: BTreeMap<TenantId, (f64, usize)> = BTreeMap::new();
             for (t, score) in ranked {
                 let e = mass.entry(t).or_insert((0.0, 0));
@@ -324,7 +325,7 @@ mod tests {
     fn static_quota_tracker_enforces_caps() {
         let policy = FastPathPolicy::StaticQuota {
             default_cap: 1,
-            caps: HashMap::from([(t(1), 2)]),
+            caps: FxHashMap::from_iter([(t(1), 2)]),
         };
         let mut caps = caps_for_walk(&policy, 8, std::iter::empty());
         assert!(caps.admit([t(1)]));
@@ -338,7 +339,7 @@ mod tests {
     fn group_admission_is_all_or_nothing() {
         let policy = FastPathPolicy::StaticQuota {
             default_cap: 2,
-            caps: HashMap::new(),
+            caps: FxHashMap::default(),
         };
         let mut caps = caps_for_walk(&policy, 8, std::iter::empty());
         assert!(caps.admit([t(1)]));

@@ -13,12 +13,11 @@
 //! hardware (which holds only the synthesized allow) would pass traffic the
 //! vswitch would have dropped.
 
-use std::collections::HashMap;
-
 use fastrak_net::addr::TenantId;
 use fastrak_net::ctrl::TorRule;
 use fastrak_net::flow::{FlowAggregate, FlowSpec};
 use fastrak_net::rules::{Action, QosClass, RuleSet};
+use fastrak_sim::FxHashMap;
 
 /// Why an aggregate could not be offloaded.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -47,7 +46,7 @@ pub fn specs_intersect(a: &FlowSpec, b: &FlowSpec) -> bool {
 /// The rule manager: tenant policies + synthesis.
 #[derive(Debug, Clone, Default)]
 pub struct RuleManager {
-    policies: HashMap<TenantId, RuleSet>,
+    policies: FxHashMap<TenantId, RuleSet>,
 }
 
 impl RuleManager {

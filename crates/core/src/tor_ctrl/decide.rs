@@ -2,11 +2,12 @@
 //! here reads the components' state and tells them what to do; none of it
 //! knows how a transaction retries or how a sweep classifies.
 
-use std::collections::{BTreeMap, HashMap};
+use std::collections::BTreeMap;
 
 use fastrak_net::addr::{Ip, TenantId};
 use fastrak_net::ctrl::{HwPathReport, OffloadDecision, TorRule};
 use fastrak_net::flow::FlowAggregate;
+use fastrak_sim::FxHashMap;
 use fastrak_telemetry::recorder::{DecisionKind, Severity};
 
 use super::{Cx, Timer, TorController, BLACKHOLE_COOLDOWN, DEMOTE_GRACE};
@@ -198,9 +199,8 @@ impl TorController {
     /// by the determinism suite excludes the registry).
     fn run_engine(&mut self, demands: &[AggDemand], cx: &mut Cx<'_>) -> Decision {
         let t0 = std::time::Instant::now();
-        let decision = self
-            .inc
-            .decide_snapshot(demands, self.ledger.offloaded(), self.cfg.budget);
+        self.inc.ingest_snapshot(demands);
+        let decision = self.inc.decide(self.ledger.offloaded(), self.cfg.budget);
         let stats = self.inc.last_stats();
         let epoch_ns = t0.elapsed().as_nanos() as u64;
         cx.inc(cx.c.de_epochs);
@@ -256,9 +256,9 @@ impl TorController {
     /// Audit every offload/demote with the score that ranked it, the
     /// current software/hardware rate split, and fast-path occupancy.
     fn audit(&self, demands: &[AggDemand], b: &OffloadDecision, cx: &mut Cx<'_>) {
-        let by_agg: HashMap<FlowAggregate, &AggDemand> =
+        let by_agg: FxHashMap<FlowAggregate, &AggDemand> =
             demands.iter().map(|d| (d.agg, d)).collect();
-        let hw_bps: HashMap<FlowAggregate, f64> = b.hw_agg_bps.iter().copied().collect();
+        let hw_bps: FxHashMap<FlowAggregate, f64> = b.hw_agg_bps.iter().copied().collect();
         let demoted = b.demote.iter().map(|a| (DecisionKind::Demote, a));
         let offloaded = b.offload.iter().map(|a| (DecisionKind::Offload, a));
         for (kind, agg) in demoted.chain(offloaded) {

@@ -5,10 +5,11 @@
 //! reinstalled (GC/reconciliation churn restarts its counters) re-baselines
 //! instead of reading as a zero-rate epoch.
 
-use std::collections::{HashMap, HashSet};
+use std::collections::HashMap;
 
 use fastrak_net::ctrl::{CtrlRequest, TorStatEntry};
 use fastrak_net::flow::FlowAggregate;
+use fastrak_sim::{FxHashMap, FxHashSet};
 use fastrak_telemetry::recorder::Severity;
 
 use super::ledger::RuleId;
@@ -29,27 +30,27 @@ pub(crate) struct HwMeter {
     /// neither (a duplicate, or one addressed to a dead incarnation) is
     /// dropped: it must not close an epoch a second time.
     awaited: [Option<u64>; 2],
-    sample_a: HashMap<FlowAggregate, (u64, u64)>,
+    sample_a: FxHashMap<FlowAggregate, (u64, u64)>,
     /// Per-aggregate rate history.
-    hist: HashMap<FlowAggregate, RateWindow>,
+    hist: FxHashMap<FlowAggregate, RateWindow>,
     /// Rates measured in the most recently closed epoch only (cleared each
     /// sample B). Blackhole detection needs "did the counters move *this*
     /// epoch", which the history medians deliberately smooth away.
-    last_rates: HashMap<FlowAggregate, (f64, f64)>,
+    last_rates: FxHashMap<FlowAggregate, (f64, f64)>,
     cap: usize,
     /// Consecutive measured zero-rate epochs per offloaded aggregate.
-    zero_epochs: HashMap<FlowAggregate, u32>,
+    zero_epochs: FxHashMap<FlowAggregate, u32>,
     /// Offloaded aggregates that have carried hardware traffic at least
     /// once — only those can be declared blackholed (a rule that never
     /// carried traffic has nothing to lose).
-    hw_active: HashSet<FlowAggregate>,
+    hw_active: FxHashSet<FlowAggregate>,
 }
 
 fn fold(
     entries: &[TorStatEntry],
     spec_to_agg: &HashMap<RuleId, FlowAggregate>,
-) -> HashMap<FlowAggregate, (u64, u64)> {
-    let mut m: HashMap<FlowAggregate, (u64, u64)> = HashMap::new();
+) -> FxHashMap<FlowAggregate, (u64, u64)> {
+    let mut m: FxHashMap<FlowAggregate, (u64, u64)> = FxHashMap::default();
     for e in entries {
         if let Some(agg) = spec_to_agg.get(&(e.tenant, e.spec)) {
             let (p, b) = m.entry(*agg).or_insert((0, 0));

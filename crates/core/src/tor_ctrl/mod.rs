@@ -44,7 +44,7 @@ mod reconcile;
 mod testkit;
 mod txns;
 
-use std::collections::{BTreeMap, BTreeSet, HashMap, HashSet};
+use std::collections::{BTreeMap, BTreeSet, HashSet};
 
 use fastrak_net::addr::{Ip, TenantId};
 use fastrak_net::ctrl::{Ctl, CtrlReply, CtrlRequest, DemandReport, OffloadDecision};
@@ -52,6 +52,7 @@ use fastrak_net::event::Event;
 use fastrak_net::flow::FlowAggregate;
 use fastrak_sim::kernel::{EventHandle, NodeId};
 use fastrak_sim::time::{SimDuration, SimTime};
+use fastrak_sim::{FxHashMap, FxHashSet};
 use fastrak_telemetry::recorder::Severity;
 use fastrak_telemetry::{CounterId, Registry, Telemetry};
 
@@ -370,10 +371,11 @@ impl Xids {
 pub struct TorController {
     cfg: TorControllerConfig,
     /// The decision engine: incremental top-k (`tests/de_differential.rs`
-    /// holds it to the full-scan [`crate::de::DecisionEngine`] reference).
+    /// holds it to the full-scan reference in `tests/support/`).
     inc: IncrementalDecisionEngine,
-    /// Latest report per local controller.
-    reports: HashMap<Ip, DemandReport>,
+    /// Latest report per local controller. Ordered: merged into the
+    /// decision's demand rows.
+    reports: BTreeMap<Ip, DemandReport>,
     ledger: RuleLedger,
     txns: InstallTxns,
     health: TorHealth,
@@ -389,10 +391,10 @@ pub struct TorController {
     /// Controller incarnation: highest chaos restart epoch adopted.
     incarnation: u64,
     /// Blackhole-demoted aggregates barred from re-offload until the time.
-    blackhole_until: HashMap<FlowAggregate, SimTime>,
+    blackhole_until: FxHashMap<FlowAggregate, SimTime>,
     /// VMs whose server reported its SR-IOV hardware path down; aggregates
     /// touching them are not offloaded.
-    hw_down_vms: HashSet<(TenantId, Ip)>,
+    hw_down_vms: FxHashSet<(TenantId, Ip)>,
     /// Fast-path entries currently used by this controller. Stored, not
     /// derived: [`RuleLedger`] moves it entry by entry and the
     /// reconciliation sweep checks it against the ledger's maps.
@@ -407,7 +409,7 @@ pub struct TorController {
     telemetry_tenants: BTreeSet<TenantId>,
     /// IO state, touched by `adapter.rs` only: handles of armed timers, and
     /// the output list reused across events.
-    timers: HashMap<Timer, EventHandle>,
+    timers: FxHashMap<Timer, EventHandle>,
     outs: Vec<CtrlOut>,
 }
 
@@ -417,7 +419,7 @@ impl TorController {
         let hist_cap = (cfg.timing.epochs_per_interval * cfg.timing.history_intervals) as usize;
         TorController {
             inc: IncrementalDecisionEngine::new(cfg.de.clone()),
-            reports: HashMap::new(),
+            reports: BTreeMap::new(),
             ledger: RuleLedger::default(),
             txns: InstallTxns::default(),
             health: TorHealth::default(),
@@ -428,12 +430,12 @@ impl TorController {
             epoch_in_interval: 0,
             interval: 0,
             incarnation: 0,
-            blackhole_until: HashMap::new(),
-            hw_down_vms: HashSet::new(),
+            blackhole_until: FxHashMap::default(),
+            hw_down_vms: FxHashSet::default(),
             entries_used: 0,
             rounds: 0,
             telemetry_tenants: BTreeSet::new(),
-            timers: HashMap::new(),
+            timers: FxHashMap::default(),
             outs: Vec::new(),
             cfg,
         }
@@ -671,12 +673,15 @@ impl TorController {
             }
             return;
         }
+        let Some(sweep) = self.recon.classify(xid, rules, &self.ledger) else {
+            // A duplicate, a straggler from a superseded sweep, or a reply
+            // to a request never sent: a newer generation in it proves
+            // nothing.
+            return;
+        };
         // A newer generation is post-reboot truth: note the wipe, then let
         // the sweep demote everything the hardware lost.
         self.health.observe_generation(generation, cx);
-        let Some(sweep) = self.recon.classify(xid, rules, &self.ledger) else {
-            return;
-        };
         if !sweep.stale.is_empty() {
             cx.add(cx.c.reconcile_stale_removed, sweep.stale.len() as u64);
             cx.update(CtrlRequest::RemoveTorRules { rules: sweep.stale });
@@ -804,13 +809,14 @@ mod tests {
         assert_eq!(w.b.count("ctrl.reconcile_sweeps"), 0, "not a sweep yet");
     }
 
-    /// What a stray message must not move: the ledger, the open requests
-    /// and every counter.
+    /// What a stray message must not move: the ledger, the open requests,
+    /// the ToR generation believed and every counter.
     #[derive(Debug, PartialEq)]
     struct State {
         offloaded: Vec<FlowAggregate>,
         entries_used: usize,
         idle: [bool; 3],
+        generation: u64,
         counters: Vec<(String, u64)>,
     }
 
@@ -826,12 +832,16 @@ mod tests {
                 w.ctl.recon.is_idle(),
                 !w.ctl.health.awaits_probe(),
             ],
+            generation: w.ctl.tor_generation(),
             counters: reg.counters().map(|(n, v)| (n.to_string(), v)).collect(),
         }
     }
 
     /// Replies to requests never sent, a second Ack, and the messages the
-    /// controller only sends: each is dropped without a trace.
+    /// controller only sends: each is dropped without a trace. A reply to a
+    /// request never sent proves nothing even when it names a newer boot
+    /// generation: it must not re-baseline the generation, force a sweep or
+    /// count a reboot.
     #[test]
     fn stray_control_messages_change_nothing_and_send_nothing() {
         let ctrl = CtrlPlaneConfig {
@@ -873,6 +883,16 @@ mod tests {
             CtrlReply::ProbeReply {
                 xid: never,
                 boot_generation: generation,
+            },
+            CtrlReply::TorRuleDump {
+                xid: never,
+                rules: Vec::new(),
+                fastpath_used: 0,
+                boot_generation: generation + 1,
+            },
+            CtrlReply::ProbeReply {
+                xid: never,
+                boot_generation: generation + 1,
             },
             CtrlReply::Ack { xid: never },
             CtrlReply::Error {

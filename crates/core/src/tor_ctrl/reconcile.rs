@@ -5,10 +5,11 @@
 //! from a superseded sweep, or a reply addressed to a dead incarnation is
 //! never acted on.
 
-use std::collections::HashSet;
+use std::collections::{BTreeSet, HashSet};
 
 use fastrak_net::ctrl::CtrlRequest;
 use fastrak_net::flow::FlowAggregate;
+use fastrak_sim::FxHashSet;
 
 use super::ledger::{RuleId, RuleLedger};
 use super::{Cx, Xids};
@@ -27,8 +28,8 @@ pub(crate) struct Sweep {
 pub(crate) struct Reconciler {
     /// Outstanding sweep: (xid, offloaded set snapshotted at request time).
     /// The snapshot keeps installs acked while the dump was in flight from
-    /// being misclassified as lost.
-    sweep: Option<(u64, HashSet<FlowAggregate>)>,
+    /// being misclassified as lost; ordered, so `lost` comes out sorted.
+    sweep: Option<(u64, BTreeSet<FlowAggregate>)>,
     /// A restarted incarnation is rebuilding from the hardware dump; no
     /// decisions are made until it lands.
     recovering: bool,
@@ -84,7 +85,8 @@ impl Reconciler {
         cx: &mut Cx<'_>,
     ) {
         cx.inc(cx.c.reconcile_sweeps);
-        self.sweep = Some((Self::request_dump(xids, cx), offloaded.clone()));
+        let snapshot = offloaded.iter().copied().collect();
+        self.sweep = Some((Self::request_dump(xids, cx), snapshot));
     }
 
     /// A new incarnation starts from nothing: forget any sweep and ask the
@@ -128,13 +130,12 @@ impl Reconciler {
             .filter(|r| !ledger.tracks(r))
             .copied()
             .collect();
-        let have: HashSet<RuleId> = rules.into_iter().collect();
-        let mut lost: Vec<FlowAggregate> = snapshot
+        let have: FxHashSet<RuleId> = rules.into_iter().collect();
+        let lost = snapshot
             .into_iter()
             .filter(|a| ledger.offloaded().contains(a))
             .filter(|a| ledger.rule_of(a).is_some_and(|r| !have.contains(r)))
             .collect();
-        lost.sort();
         Some(Sweep { stale, lost })
     }
 

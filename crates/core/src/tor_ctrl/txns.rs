@@ -7,7 +7,7 @@
 //! What ending *means* for the ledger is the orchestrator's business; this
 //! component only guarantees each batch is handed back once.
 
-use std::collections::HashMap;
+use std::collections::BTreeMap;
 
 use fastrak_net::ctrl::{CtrlRequest, OffloadDecision, TorRule};
 use fastrak_sim::time::SimDuration;
@@ -32,7 +32,9 @@ pub(crate) struct InstallTxn {
 
 #[derive(Clone, Default)]
 pub(crate) struct InstallTxns {
-    pending: HashMap<u64, InstallTxn>,
+    /// Open transactions by xid. Ordered: `clear` disarms and closes them
+    /// in xid order.
+    pending: BTreeMap<u64, InstallTxn>,
 }
 
 impl InstallTxns {
@@ -106,7 +108,7 @@ impl InstallTxns {
 
     /// Drop every transaction (controller restart: they die with the process).
     pub(crate) fn clear(&mut self, cx: &mut Cx<'_>) {
-        for (xid, txn) in self.pending.drain() {
+        for (xid, txn) in std::mem::take(&mut self.pending) {
             cx.disarm(Timer::InstallTimeout {
                 xid,
                 attempt: txn.attempt,

@@ -1,22 +1,27 @@
-//! Differential suite: the incremental decision engine versus the retained
-//! full-scan oracle, both run side by side in-process.
+//! Differential suite: the decision engine versus the full-scan reference
+//! in `support/`, both run side by side in-process.
 //!
 //! A seeded xorshift demand stream drives thousands of epochs through three
-//! engines at once — the full-scan `DecisionEngine`, a snapshot-fed
-//! `IncrementalDecisionEngine`, and a delta-fed one — with the offloaded set
-//! evolving exactly as a controller would evolve it (apply each round's
-//! target). Every round's `Decision` must be structurally identical across
-//! all three, and replaying the same seed must be bit-identical.
+//! engines at once — the full-scan reference, a snapshot-fed
+//! `IncrementalDecisionEngine` (the controller's feed), and a delta-fed one
+//! — with the offloaded set evolving exactly as a controller would evolve it
+//! (apply each round's target). Every round's `Decision` must be
+//! structurally identical across all three, and replaying the same seed
+//! must be bit-identical. `reference` holds the reference's own one-round
+//! cases, `oracle` one-round cases of the engine against it.
+
+mod support;
 
 use std::collections::{HashMap, HashSet};
 
 use fastrak::{
-    AggDemand, DeConfig, Decision, DecisionEngine, FastPathPolicy, IncrementalDecisionEngine,
-    MeasurementEngine,
+    AggDemand, DeConfig, Decision, FastPathPolicy, IncrementalDecisionEngine, MeasurementEngine,
 };
 use fastrak_net::addr::{Ip, TenantId};
 use fastrak_net::ctrl::FlowStatEntry;
 use fastrak_net::flow::{FlowAggregate, FlowKey, Proto};
+use fastrak_sim::FxHashMap;
+use support::DecisionEngine;
 
 /// Deterministic xorshift64* stream.
 struct Rng(u64);
@@ -137,7 +142,8 @@ fn run_differential(cfg: DeConfig, seed: u64, n: usize, epochs: usize) -> Vec<De
         let demands = stream.tick();
         let want = oracle.decide(&demands, &offloaded, budget);
 
-        let got_snap = snap.decide_snapshot(&demands, &offloaded, budget);
+        snap.ingest_snapshot(&demands);
+        let got_snap = snap.decide(&offloaded, budget);
         assert_eq!(got_snap, want, "snapshot-fed diverged at round {round}");
 
         let (changed, removed) = diff(&prev, &demands);
@@ -190,7 +196,7 @@ fn static_quota_policy_agrees() {
     let mut cfg = DeConfig::paper();
     cfg.policy = FastPathPolicy::StaticQuota {
         default_cap: 8,
-        caps: HashMap::from([(TenantId(2), 4)]),
+        caps: FxHashMap::from_iter([(TenantId(2), 4)]),
     };
     let decisions = run_differential(cfg, 0xFA57_0004, 300, 1000);
     assert!(decisions.iter().any(|d| !d.offload.is_empty()));
@@ -217,7 +223,7 @@ fn weighted_score_policy_agrees() {
     let mut cfg = DeConfig::paper();
     cfg.hysteresis = 1.5;
     cfg.policy = FastPathPolicy::WeightedScore {
-        weights: HashMap::from([(TenantId(1), 2.0), (TenantId(3), 0.5)]),
+        weights: FxHashMap::from_iter([(TenantId(1), 2.0), (TenantId(3), 0.5)]),
     };
     let decisions = run_differential(cfg, 0xFA57_0005, 300, 1000);
     assert!(decisions.iter().any(|d| !d.offload.is_empty()));
@@ -228,7 +234,7 @@ fn weighted_score_policy_agrees() {
 fn weighted_policy_replay_is_bit_identical() {
     let mut cfg = DeConfig::paper();
     cfg.policy = FastPathPolicy::WeightedScore {
-        weights: HashMap::from([(TenantId(2), 3.0)]),
+        weights: FxHashMap::from_iter([(TenantId(2), 3.0)]),
     };
     let a = run_differential(cfg.clone(), 0xFA57_0006, 250, 600);
     let b = run_differential(cfg, 0xFA57_0006, 250, 600);
@@ -310,5 +316,340 @@ fn me_delta_feed_reconstructs_the_full_report() {
         want.sort_by_key(|d| d.agg);
         let got: Vec<AggDemand> = shadow.values().copied().collect();
         assert_eq!(got, want, "delta replay drifted from the full report");
+    }
+}
+
+// ---------------------------------------------------------------------------
+// One-round cases of the full-scan reference itself.
+// ---------------------------------------------------------------------------
+
+mod reference {
+    use super::*;
+
+    pub(super) fn agg(port: u16) -> FlowAggregate {
+        FlowAggregate::DstApp {
+            tenant: TenantId(1),
+            ip: Ip::tenant_vm(9),
+            port,
+        }
+    }
+
+    pub(super) fn demand(port: u16, m_pps: f64, n: u32) -> AggDemand {
+        AggDemand {
+            agg: agg(port),
+            pps: m_pps,
+            bps: m_pps * 1000.0,
+            n_active: n,
+            m_pps,
+            m_bps: m_pps * 1000.0,
+        }
+    }
+
+    fn de() -> DecisionEngine {
+        DecisionEngine::new(DeConfig::paper())
+    }
+
+    #[test]
+    fn score_is_n_times_median_pps() {
+        let d = de();
+        assert_eq!(d.score(&demand(1, 100.0, 3)), 300.0);
+    }
+
+    #[test]
+    fn tenant_priority_scales_score() {
+        let mut cfg = DeConfig::paper();
+        cfg.tenant_priority.insert(TenantId(1), 2.5);
+        let d = DecisionEngine::new(cfg);
+        assert_eq!(d.score(&demand(1, 100.0, 2)), 500.0);
+    }
+
+    #[test]
+    fn top_k_by_budget() {
+        let d = de();
+        let demands = vec![
+            demand(1, 1000.0, 2),
+            demand(2, 10.0, 2),
+            demand(3, 500.0, 2),
+        ];
+        let dec = d.decide(&demands, &HashSet::new(), 2);
+        assert_eq!(dec.target, vec![agg(1), agg(3)]);
+        assert_eq!(dec.offload, vec![agg(1), agg(3)]);
+        assert!(dec.demote.is_empty());
+    }
+
+    #[test]
+    fn low_rate_aggregates_filtered() {
+        let mut cfg = DeConfig::paper();
+        cfg.min_median_pps = 50.0;
+        let d = DecisionEngine::new(cfg);
+        let dec = d.decide(&[demand(1, 10.0, 5)], &HashSet::new(), 10);
+        assert!(dec.target.is_empty());
+    }
+
+    #[test]
+    fn demotes_aggregates_that_fell_out() {
+        let d = de();
+        let mut offloaded = HashSet::new();
+        offloaded.insert(agg(9)); // was hot, now cold (absent from demands)
+        let dec = d.decide(&[demand(1, 1000.0, 3)], &offloaded, 1);
+        assert_eq!(dec.offload, vec![agg(1)]);
+        assert_eq!(dec.demote, vec![agg(9)]);
+    }
+
+    #[test]
+    fn hysteresis_keeps_marginal_incumbent() {
+        let mut cfg = DeConfig::paper();
+        cfg.hysteresis = 1.5;
+        let d = DecisionEngine::new(cfg);
+        let mut offloaded = HashSet::new();
+        offloaded.insert(agg(2));
+        // Challenger scores 1.1x the incumbent: below the 1.5 margin.
+        let demands = vec![demand(1, 110.0, 1), demand(2, 100.0, 1)];
+        let dec = d.decide(&demands, &offloaded, 1);
+        assert_eq!(dec.target, vec![agg(2)], "incumbent survives");
+        assert!(dec.offload.is_empty());
+        assert!(dec.demote.is_empty());
+    }
+
+    #[test]
+    fn hysteresis_yields_to_clear_winner() {
+        let mut cfg = DeConfig::paper();
+        cfg.hysteresis = 1.5;
+        let d = DecisionEngine::new(cfg);
+        let mut offloaded = HashSet::new();
+        offloaded.insert(agg(2));
+        let demands = vec![demand(1, 1000.0, 1), demand(2, 100.0, 1)];
+        let dec = d.decide(&demands, &offloaded, 1);
+        assert_eq!(dec.target, vec![agg(1)]);
+        assert_eq!(dec.demote, vec![agg(2)]);
+    }
+
+    #[test]
+    fn max_offloaded_caps_selection() {
+        let mut cfg = DeConfig::paper();
+        cfg.max_offloaded = Some(1);
+        let d = DecisionEngine::new(cfg);
+        let demands = vec![demand(1, 1000.0, 2), demand(2, 900.0, 2)];
+        let dec = d.decide(&demands, &HashSet::new(), 100);
+        assert_eq!(dec.target.len(), 1);
+    }
+
+    #[test]
+    fn groups_all_or_nothing() {
+        let mut cfg = DeConfig::paper();
+        cfg.groups = vec![vec![agg(1), agg(2)]];
+        let d = DecisionEngine::new(cfg);
+        let demands = vec![demand(1, 1000.0, 2), demand(2, 1.5, 2), demand(3, 500.0, 2)];
+        // Budget 2: the group fits (2 entries) and outranks agg(3).
+        let dec = d.decide(&demands, &HashSet::new(), 2);
+        assert!(dec.target.contains(&agg(1)) && dec.target.contains(&agg(2)));
+        // Budget 1: the group cannot fit; agg(3) wins alone.
+        let dec = d.decide(&demands, &HashSet::new(), 1);
+        assert_eq!(dec.target, vec![agg(3)]);
+    }
+
+    pub(super) fn tagg(tenant: u32, port: u16) -> FlowAggregate {
+        FlowAggregate::DstApp {
+            tenant: TenantId(tenant),
+            ip: Ip::tenant_vm(9),
+            port,
+        }
+    }
+
+    fn tdemand(tenant: u32, port: u16, m_pps: f64) -> AggDemand {
+        AggDemand {
+            agg: tagg(tenant, port),
+            pps: m_pps,
+            bps: m_pps * 1000.0,
+            n_active: 1,
+            m_pps,
+            m_bps: m_pps * 1000.0,
+        }
+    }
+
+    #[test]
+    fn static_quota_caps_a_dominating_tenant() {
+        // Tenant 1's three aggregates outscore everything; unrestricted, it
+        // takes 3 of the 4 entries.
+        let demands = vec![
+            tdemand(1, 1, 1000.0),
+            tdemand(1, 2, 900.0),
+            tdemand(1, 3, 800.0),
+            tdemand(2, 4, 100.0),
+            tdemand(2, 5, 90.0),
+        ];
+        let dec = de().decide(&demands, &HashSet::new(), 4);
+        assert_eq!(
+            dec.target,
+            vec![tagg(1, 1), tagg(1, 2), tagg(1, 3), tagg(2, 4)]
+        );
+        // A 2-entry quota holds tenant 1 to its share; tenant 2's second
+        // aggregate fills the freed entry.
+        let mut cfg = DeConfig::paper();
+        cfg.policy = FastPathPolicy::StaticQuota {
+            default_cap: 2,
+            caps: FxHashMap::default(),
+        };
+        let dec = DecisionEngine::new(cfg).decide(&demands, &HashSet::new(), 4);
+        assert_eq!(
+            dec.target,
+            vec![tagg(1, 1), tagg(1, 2), tagg(2, 4), tagg(2, 5)]
+        );
+    }
+
+    #[test]
+    fn static_quota_is_not_work_conserving() {
+        // Only tenant 1 has demand; its quota leaves the rest of the table
+        // empty even though nobody else wants it.
+        let demands: Vec<AggDemand> = (0..5).map(|p| tdemand(1, p, 500.0 + p as f64)).collect();
+        let mut cfg = DeConfig::paper();
+        cfg.policy = FastPathPolicy::StaticQuota {
+            default_cap: 3,
+            caps: FxHashMap::default(),
+        };
+        let dec = DecisionEngine::new(cfg).decide(&demands, &HashSet::new(), 6);
+        assert_eq!(dec.target.len(), 3);
+    }
+
+    #[test]
+    fn weighted_score_redistributes_unused_share() {
+        // Tenant 1 holds most of the score mass but can only use one entry;
+        // water-filling hands its leftover share to tenant 2.
+        let mut demands = vec![tdemand(1, 1, 10_000.0)];
+        demands.extend((0..6).map(|p| tdemand(2, 10 + p, 100.0)));
+        let mut cfg = DeConfig::paper();
+        cfg.policy = FastPathPolicy::WeightedScore {
+            weights: FxHashMap::default(),
+        };
+        let dec = DecisionEngine::new(cfg).decide(&demands, &HashSet::new(), 6);
+        assert_eq!(dec.target.len(), 6, "work-conserving: the table fills");
+        let t2 = dec
+            .target
+            .iter()
+            .filter(|a| a.tenant() == TenantId(2))
+            .count();
+        assert_eq!(t2, 5);
+    }
+
+    #[test]
+    fn weighted_score_respects_weights() {
+        // Equal per-aggregate scores; tenant 2 weighted 3×: of 4 entries it
+        // gets 3.
+        let demands: Vec<AggDemand> = (0..4)
+            .map(|p| tdemand(1, p, 100.0))
+            .chain((0..4).map(|p| tdemand(2, 10 + p, 100.0)))
+            .collect();
+        let mut cfg = DeConfig::paper();
+        cfg.policy = FastPathPolicy::WeightedScore {
+            weights: FxHashMap::from_iter([(TenantId(2), 3.0)]),
+        };
+        let dec = DecisionEngine::new(cfg).decide(&demands, &HashSet::new(), 4);
+        let t2 = dec
+            .target
+            .iter()
+            .filter(|a| a.tenant() == TenantId(2))
+            .count();
+        assert_eq!(t2, 3, "3:1 weights over 4 entries: {:?}", dec.target);
+    }
+
+    #[test]
+    fn already_offloaded_stays_without_churn() {
+        let d = de();
+        let mut offloaded = HashSet::new();
+        offloaded.insert(agg(1));
+        let dec = d.decide(&[demand(1, 1000.0, 3)], &offloaded, 4);
+        assert!(dec.offload.is_empty());
+        assert!(dec.demote.is_empty());
+        assert_eq!(dec.target, vec![agg(1)]);
+    }
+}
+
+// ---------------------------------------------------------------------------
+// One-round cases of the incremental engine against the reference.
+// ---------------------------------------------------------------------------
+
+mod oracle {
+    use super::reference::{agg, demand, tagg};
+    use super::*;
+
+    /// Snapshot-fed decisions must equal the full-scan reference's.
+    fn assert_matches_oracle(
+        cfg: DeConfig,
+        demands: &[AggDemand],
+        offloaded: &HashSet<FlowAggregate>,
+        budget: usize,
+    ) {
+        let oracle = DecisionEngine::new(cfg.clone()).decide(demands, offloaded, budget);
+        let mut inc = IncrementalDecisionEngine::new(cfg);
+        inc.ingest_snapshot(demands);
+        let got = inc.decide(offloaded, budget);
+        assert_eq!(got, oracle);
+    }
+
+    #[test]
+    fn top_k_matches_oracle() {
+        let demands = vec![
+            demand(1, 1000.0, 2),
+            demand(2, 10.0, 2),
+            demand(3, 500.0, 2),
+        ];
+        assert_matches_oracle(DeConfig::paper(), &demands, &HashSet::new(), 2);
+    }
+
+    #[test]
+    fn hysteresis_band_matches_oracle() {
+        let mut cfg = DeConfig::paper();
+        cfg.hysteresis = 1.5;
+        let mut offloaded = HashSet::new();
+        offloaded.insert(agg(2));
+        let demands = vec![demand(1, 110.0, 1), demand(2, 100.0, 1)];
+        assert_matches_oracle(cfg.clone(), &demands, &offloaded, 1);
+        // And the band actually suppressed the churn.
+        let mut inc = IncrementalDecisionEngine::new(cfg);
+        inc.ingest_snapshot(&demands);
+        let d = inc.decide(&offloaded, 1);
+        assert_eq!(d.target, vec![agg(2)], "incumbent survives the band");
+        assert_eq!(inc.last_stats().churn_suppressed, 1);
+        assert_eq!(inc.last_stats().band_crossers, 0);
+    }
+
+    #[test]
+    fn groups_all_or_nothing_matches_oracle() {
+        let mut cfg = DeConfig::paper();
+        cfg.groups = vec![vec![agg(1), agg(2)]];
+        let demands = vec![demand(1, 1000.0, 2), demand(2, 1.5, 2), demand(3, 500.0, 2)];
+        for budget in [1usize, 2, 3] {
+            assert_matches_oracle(cfg.clone(), &demands, &HashSet::new(), budget);
+        }
+    }
+
+    #[test]
+    fn tenant_policies_match_oracle() {
+        let demands: Vec<AggDemand> = (0..12u16)
+            .map(|i| AggDemand {
+                agg: tagg(1 + (i % 3) as u32, i),
+                pps: 100.0 + 37.0 * i as f64,
+                bps: 1000.0,
+                n_active: 1 + (i % 4) as u32,
+                m_pps: 100.0 + 37.0 * i as f64,
+                m_bps: 1000.0,
+            })
+            .collect();
+        let policies = [
+            FastPathPolicy::StaticQuota {
+                default_cap: 2,
+                caps: FxHashMap::from_iter([(TenantId(2), 1)]),
+            },
+            FastPathPolicy::WeightedScore {
+                weights: FxHashMap::from_iter([(TenantId(1), 2.0), (TenantId(3), 0.5)]),
+            },
+        ];
+        for policy in policies {
+            let mut cfg = DeConfig::paper();
+            cfg.policy = policy;
+            for budget in [2usize, 4, 6, 12] {
+                assert_matches_oracle(cfg.clone(), &demands, &HashSet::new(), budget);
+            }
+        }
     }
 }

@@ -4,9 +4,11 @@
 //! allow that a tenant deny would have blocked in software. Inputs come
 //! from the engine's own seeded [`fastrak_sim::Rng`] for exact replay.
 
+mod support;
+
 use std::collections::HashSet;
 
-use fastrak::de::{DeConfig, DecisionEngine};
+use fastrak::de::DeConfig;
 use fastrak::fps::{fps_split, FpsInput, MIN_SHARE, OVERFLOW_FRAC};
 use fastrak::me::AggDemand;
 use fastrak::rules::{specs_intersect, RuleManager};
@@ -14,6 +16,7 @@ use fastrak_net::addr::{Ip, TenantId};
 use fastrak_net::flow::{FlowAggregate, FlowSpec};
 use fastrak_net::rules::{Action, RuleSet, SecurityRule};
 use fastrak_sim::Rng;
+use support::DecisionEngine;
 
 const CASES: usize = 128;
 

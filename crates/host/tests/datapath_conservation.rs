@@ -3,23 +3,27 @@
 //! mis-routed, denied by the tenant's security policy, over the rx backlog,
 //! and into a dark SR-IOV path — and every
 //! received frame must end at a guest stack or in exactly one drop counter,
-//! with no pipeline stage left parked once the kernel has drained.
+//! with no pipeline stage left parked once the kernel has drained. The second
+//! test dials 1 024 connections at one server in the same instant.
 
 use fastrak_host::app::{GuestApi, GuestApp};
-use fastrak_host::server::{Server, ServerConfig, ServerStats, PORT_HW, PORT_SW};
+use fastrak_host::server::{tags, Server, ServerConfig, ServerStats, PORT_HW, PORT_SW};
 use fastrak_host::vm::{Vm, VmSpec};
 use fastrak_host::vswitch::VswitchConfig;
 use fastrak_net::addr::{Ip, TenantId, VlanId};
 use fastrak_net::event::{ctl_fault_layer, Event, NetCtx};
 use fastrak_net::flow::{FlowKey, FlowSpec, Proto};
+use fastrak_net::headers::tcp_flags;
 use fastrak_net::packet::{Encap, L4Meta, Packet};
 use fastrak_net::rules::{Action, SecurityRule};
 use fastrak_sim::chaos::ChaosConfig;
 use fastrak_sim::fault::FaultConfig;
-use fastrak_sim::kernel::Kernel;
+use fastrak_sim::kernel::{Api, Kernel, Node, NodeId};
 use fastrak_sim::rng::Rng;
 use fastrak_sim::time::{SimDuration, SimTime};
-use fastrak_transport::stack::SockEvent;
+use fastrak_sim::FxHashSet;
+use fastrak_transport::stack::{SockEvent, TcpStack};
+use fastrak_transport::tcp::{TcpConfig, TSO_LIMIT};
 
 const TENANT: TenantId = TenantId(7);
 const HERE: Ip = Ip::new(192, 168, 0, 1);
@@ -255,4 +259,225 @@ fn server_rx_conserves_frames_on_both_ports() {
             "rx backlog never overflowed (seed {seed})"
         );
     }
+}
+
+// ---------------------------------------------------------------------------
+// The connect storm: 1 024 SYNs reach one server in the same instant under
+// the default `max_rx_backlog`.
+// ---------------------------------------------------------------------------
+
+const STORM_CONNS: u16 = 1024;
+const STORM_PORT: u16 = 7000;
+const STORM_VM: Ip = Ip::new(10, 0, 0, 2);
+/// Packet ids of the dialling peer; the server's come from `NetCtx`.
+const STORM_IDS: u64 = 1 << 40;
+/// One-way delay of the peer's frames: the same for every SYN, so the
+/// whole burst lands in one instant.
+const STORM_LATENCY: SimDuration = SimDuration::from_micros(20);
+/// Timer tags of the peer: dial everything, or a stack timer is due.
+const DIAL: u64 = 1;
+const STACK: u64 = 0;
+
+/// Counts the connections its listener accepted.
+#[derive(Clone, Default)]
+struct Listener {
+    accepted: u64,
+}
+
+impl GuestApp for Listener {
+    fn on_start(&mut self, api: &mut GuestApi<'_>) {
+        api.listen(STORM_PORT);
+    }
+    fn on_event(&mut self, ev: SockEvent, _api: &mut GuestApi<'_>) {
+        if let SockEvent::Accepted { .. } = ev {
+            self.accepted += 1;
+        }
+    }
+    fn on_timer(&mut self, _tag: u64, _api: &mut GuestApi<'_>) {}
+}
+
+/// The remote end: dials every connection from one stack in one instant,
+/// then answers whatever the server sends, untunneled on the software port.
+struct Storm {
+    server: NodeId,
+    stack: TcpStack,
+    /// Frames sent, and the ids of those that were SYNs.
+    sent: u64,
+    syns: FxHashSet<u64>,
+    connected: u64,
+    /// When the last connection was established.
+    last_connected: SimTime,
+    armed: Option<SimTime>,
+}
+
+impl Storm {
+    fn turn(&mut self, api: &mut Api<'_, Event, NetCtx>) {
+        while let Some(ev) = self.stack.pop_event() {
+            if let SockEvent::Connected(_) = ev {
+                self.connected += 1;
+                self.last_connected = api.now;
+            }
+        }
+        while let Some((conn, plan)) = self.stack.poll_transmit(api.now, TSO_LIMIT) {
+            let flow = self.stack.conn(conn).flow;
+            let l4 = L4Meta::Tcp {
+                seq: plan.seq,
+                ack: plan.ack,
+                flags: plan.flags,
+            };
+            let id = STORM_IDS + self.sent;
+            self.sent += 1;
+            if plan.flags & tcp_flags::SYN != 0 {
+                self.syns.insert(id);
+            }
+            let pkt = Packet::new(id, flow, l4, plan.len, api.now);
+            let frame = Event::Frame { port: PORT_SW, pkt };
+            api.send(self.server, STORM_LATENCY, frame);
+        }
+        if let Some(at) = self.stack.next_timer() {
+            if self.armed.is_none_or(|armed| at < armed) {
+                self.armed = Some(at);
+                let wake = Event::Timer {
+                    tag: STACK,
+                    a: 0,
+                    b: 0,
+                };
+                api.send_at(api.self_id, at, wake);
+            }
+        }
+    }
+}
+
+impl Node<Event, NetCtx> for Storm {
+    fn on_event(&mut self, ev: Event, api: &mut Api<'_, Event, NetCtx>) {
+        match ev {
+            Event::Frame { mut pkt, .. } => {
+                while pkt.decap().is_some() {}
+                self.stack.on_packet(api.now, &pkt);
+            }
+            Event::Timer { tag: DIAL, .. } => {
+                for i in 0..STORM_CONNS {
+                    self.stack.connect(FlowKey {
+                        tenant: TENANT,
+                        src_ip: Ip::new(10, 0, 0, 9),
+                        dst_ip: STORM_VM,
+                        proto: Proto::Tcp,
+                        src_port: 20_000 + i,
+                        dst_port: STORM_PORT,
+                    });
+                }
+            }
+            Event::Timer { .. } => {
+                self.armed = None;
+                self.stack.on_timer(api.now);
+            }
+            Event::Ctl(_) => {}
+        }
+        self.turn(api);
+    }
+
+    fn name(&self) -> &str {
+        "storm"
+    }
+}
+
+/// Refused SYNs are counted drops, not a panic or a parked stage, and SYN
+/// retransmission gets every connection through. `max_rx_backlog`'s
+/// documentation states this behaviour.
+#[test]
+fn a_same_instant_syn_storm_is_counted_and_retransmission_connects_every_conn() {
+    /// Every connection must be established, on both ends, by then: five
+    /// times the 200 ms initial RTO a refused SYN waits out.
+    const HORIZON: SimTime = SimTime::from_secs(1);
+    let mut kernel: Kernel<Event, NetCtx> = Kernel::new(NetCtx::new(), 0x5EED);
+    kernel.ctx.trace.set_enabled(true);
+    let storm = kernel.add_node(Storm {
+        server: 0,
+        stack: TcpStack::new(TcpConfig::default()),
+        sent: 0,
+        syns: FxHashSet::default(),
+        connected: 0,
+        last_connected: SimTime::ZERO,
+        armed: None,
+    });
+    let cfg = ServerConfig::testbed("s0", HERE);
+    assert_eq!(
+        cfg.max_rx_backlog,
+        SimDuration::from_millis(5),
+        "the default"
+    );
+    let mut srv = Server::new(cfg, VswitchConfig::default());
+    let spec = VmSpec {
+        name: "listener".into(),
+        tenant: TENANT,
+        ip: STORM_VM,
+        vcpus: 2,
+        tx_width: 2,
+    };
+    srv.add_vm(Vm::new(spec, Box::new(Listener::default())), None);
+    srv.attach_uplink(PORT_SW, storm, PORT_SW);
+    let sid = kernel.add_node(srv);
+    kernel.node_mut::<Storm>(storm).server = sid;
+    let start = Event::Timer {
+        tag: tags::START,
+        a: 0,
+        b: 0,
+    };
+    kernel.post(sid, SimTime::ZERO, start);
+    let dial = Event::Timer {
+        tag: DIAL,
+        a: 0,
+        b: 0,
+    };
+    kernel.post(storm, SimTime::from_millis(1), dial);
+
+    // The burst alone, long before any SYN could time out. The handshake
+    // ACKs of the accepted SYNs queue behind the burst too, so the backlog
+    // refuses some of those as well: every refused frame, SYN or ACK, is
+    // exactly one rx_drops.
+    kernel.run_until(SimTime::from_millis(100));
+    assert_eq!(kernel.ctx.trace.dropped(), 0, "trace ring overflowed");
+    let delivered: FxHashSet<u64> = kernel
+        .ctx
+        .trace
+        .drain()
+        .iter()
+        .filter(|r| r.kind == "rx")
+        .map(|r| r.vals[0])
+        .collect();
+    let p = kernel.node::<Storm>(storm);
+    let s = kernel.node::<Server>(sid).stats;
+    let first_syns = p.syns.len() as u64;
+    assert_eq!(first_syns, u64::from(STORM_CONNS), "one SYN per connection");
+    let refused_syns = p.syns.iter().filter(|id| !delivered.contains(id)).count() as u64;
+    assert!(refused_syns > 0, "the burst fit the backlog: no storm");
+    assert!(refused_syns < first_syns, "the backlog refused every SYN");
+    let refused = (0..p.sent)
+        .filter(|n| !delivered.contains(&(STORM_IDS + n)))
+        .count() as u64;
+    assert_eq!(s.rx_frames, p.sent, "every frame the peer sent arrived");
+    assert_eq!(s.rx_drops, refused, "one rx_drops per refused frame: {s:?}");
+
+    // Retransmission does the rest, and the run drains.
+    kernel.run_until(HORIZON);
+    let p = kernel.node::<Storm>(storm);
+    let srv = kernel.node::<Server>(sid);
+    let accepted = srv.vm(0).app_as::<Listener>().accepted;
+    assert_eq!(p.connected, u64::from(STORM_CONNS), "client side");
+    assert_eq!(accepted, u64::from(STORM_CONNS), "server side");
+    let s = srv.stats;
+    assert_eq!(s.rx_frames, p.sent, "every frame the peer sent arrived");
+    assert_eq!(
+        s.policy_drops + s.hw_path_drops + s.no_route_drops,
+        0,
+        "{s:?}"
+    );
+    assert_eq!(srv.stages_in_flight(), 0, "a stage stayed parked");
+    eprintln!(
+        "syn storm: the burst refused {refused_syns} of {first_syns} SYNs ({refused} frames); \
+         {} rx_drops and {} SYNs sent in all; last connection at {}",
+        s.rx_drops,
+        p.syns.len(),
+        p.last_connected
+    );
 }

@@ -14,9 +14,6 @@ use std::fmt;
 pub struct Mac(pub [u8; 6]);
 
 impl Mac {
-    /// The broadcast address ff:ff:ff:ff:ff:ff.
-    pub const BROADCAST: Mac = Mac([0xff; 6]);
-
     /// Locally-administered MAC derived from an index (deterministic).
     pub fn local(idx: u32) -> Mac {
         let b = idx.to_be_bytes();

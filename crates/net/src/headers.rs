@@ -412,7 +412,7 @@ mod tests {
     #[test]
     fn ethernet_roundtrip_tagged() {
         let h = EthernetHeader {
-            dst: Mac::BROADCAST,
+            dst: Mac([0xff; 6]), // broadcast
             src: Mac::local(9),
             vlan: Some(100),
             ethertype: ethertype::IPV4,

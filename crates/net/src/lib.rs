@@ -39,7 +39,7 @@ pub use addr::{Ip, Mac, TenantId, VlanId};
 pub use ctrl::{Ctl, CtrlReply, CtrlRequest, Dir, FlowStatEntry, TorRule, TorStatEntry};
 pub use event::{CtlMsg, Event, NetCtx};
 pub use flow::{FlowAggregate, FlowKey, FlowSpec, Proto};
-pub use packet::{Encap, EncapStack, L4Meta, Packet, PathTag, ENCAP_MAX_DEPTH, MTU};
+pub use packet::{Encap, EncapStack, L4Meta, Packet, PathTag, ENCAP_MAX_DEPTH};
 pub use rules::{Action, QosClass, RuleSet, SecurityRule};
 pub use tables::{ExactMatchTable, WildcardTable};
 pub use tunnel::{TunnelKey, TunnelMapping, TunnelTable};

@@ -15,12 +15,10 @@ use crate::headers::{
 use crate::wire::BytesMut;
 use fastrak_sim::time::SimTime;
 
-/// Standard data-center MTU used throughout the paper's testbed (§3.1).
-pub const MTU: u32 = 1500;
-
-/// Maximum TCP payload per wire packet: MTU - IP(20) - TCP(20) - timestamp
-/// option (12), i.e. the 1448 bytes the paper uses as an application data
-/// size precisely because it fills one segment.
+/// Maximum TCP payload per wire packet: the testbed's 1500-byte MTU
+/// (§3.1) - IP(20) - TCP(20) - timestamp option (12), i.e. the 1448 bytes
+/// the paper uses as an application data size precisely because it fills
+/// one segment.
 pub const MSS: u32 = 1448;
 
 /// An encapsulation applied to a packet in flight, innermost first.

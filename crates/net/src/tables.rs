@@ -204,11 +204,6 @@ impl<V> WildcardTable<V> {
         self.entries.is_empty()
     }
 
-    /// Remaining installable entries.
-    pub fn free_space(&self) -> usize {
-        self.capacity - self.entries.len()
-    }
-
     /// Install a rule, failing when full.
     pub fn install(&mut self, spec: FlowSpec, priority: u16, value: V) -> Result<(), TableError> {
         if self.entries.len() >= self.capacity {
@@ -373,7 +368,7 @@ mod tests {
             t.install(FlowSpec::ANY, 1, 3),
             Err(TableError::CapacityExhausted { capacity: 2 })
         );
-        assert_eq!(t.free_space(), 0);
+        assert_eq!(t.len(), t.capacity());
     }
 
     #[test]

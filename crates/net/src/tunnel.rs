@@ -4,8 +4,7 @@
 //! by tunneling, and the network keeps, per destination VM, a mapping from
 //! (tenant, tenant VM IP) to the provider address of wherever that VM
 //! lives. The software path tunnels VXLAN to the destination *server*; the
-//! hardware path tunnels GRE to the destination *ToR* (§4.1.3). VM
-//! migration (S4) updates these mappings at every communicating peer.
+//! hardware path tunnels GRE to the destination *ToR* (§4.1.3).
 
 use crate::addr::{Ip, TenantId};
 use fastrak_sim::FxHashMap;
@@ -67,19 +66,6 @@ impl TunnelTable {
         self.map.get(key).copied()
     }
 
-    /// Point every mapping for `vm` (within `tenant`) at a new location —
-    /// the S4 update when a VM migrates.
-    pub fn rehome(&mut self, tenant: TenantId, vm_ip: Ip, new_loc: TunnelMapping) -> bool {
-        let key = TunnelKey { tenant, vm_ip };
-        match self.map.get_mut(&key) {
-            Some(m) => {
-                *m = new_loc;
-                true
-            }
-            None => false,
-        }
-    }
-
     /// Number of mappings.
     pub fn len(&self) -> usize {
         self.map.len()
@@ -132,17 +118,6 @@ mod tests {
         t.insert(k(2, shared_ip), loc(1, 3));
         assert_eq!(t.get(&k(1, shared_ip)), Some(loc(0, 1)));
         assert_eq!(t.get(&k(2, shared_ip)), Some(loc(1, 3)));
-    }
-
-    #[test]
-    fn rehome_updates_location() {
-        let mut t = TunnelTable::new();
-        let key = k(1, Ip::tenant_vm(7));
-        t.insert(key, loc(0, 1));
-        assert!(t.rehome(TenantId(1), Ip::tenant_vm(7), loc(1, 4)));
-        assert_eq!(t.get(&key), Some(loc(1, 4)));
-        // Rehoming an unknown VM reports false.
-        assert!(!t.rehome(TenantId(1), Ip::tenant_vm(99), loc(1, 4)));
     }
 
     #[test]

@@ -393,30 +393,6 @@ impl<E, C> Kernel<E, C> {
             .unwrap_or_else(|| panic!("node {id} has unexpected type"))
     }
 
-    /// Typed access to two distinct nodes at once.
-    pub fn node_pair_mut<A: Node<E, C>, B: Node<E, C>>(
-        &mut self,
-        a: NodeId,
-        b: NodeId,
-    ) -> (&mut A, &mut B) {
-        assert_ne!(a, b, "node_pair_mut requires distinct ids");
-        let (lo, hi) = if a < b { (a, b) } else { (b, a) };
-        let (left, right) = self.nodes.split_at_mut(hi);
-        let lo_ref = left[lo].as_any_mut();
-        let hi_ref = right[0].as_any_mut();
-        if a < b {
-            (
-                lo_ref.downcast_mut::<A>().expect("type mismatch"),
-                hi_ref.downcast_mut::<B>().expect("type mismatch"),
-            )
-        } else {
-            (
-                hi_ref.downcast_mut::<A>().expect("type mismatch"),
-                lo_ref.downcast_mut::<B>().expect("type mismatch"),
-            )
-        }
-    }
-
     /// Deliver the next event. Returns `false` when the queue is empty.
     pub fn step(&mut self) -> bool {
         self.step_due(SimTime::MAX)
@@ -458,14 +434,6 @@ impl<E, C> Kernel<E, C> {
     /// Run until the event queue drains completely.
     pub fn run_to_completion(&mut self) {
         while self.step() {}
-    }
-
-    /// Timestamp of the next pending (non-cancelled) event, if any.
-    ///
-    /// Borrowing `&self` only: inspection never perturbs scheduler state
-    /// (cancelled entries are skipped, not reclaimed).
-    pub fn next_event_time(&self) -> Option<SimTime> {
-        self.sched.next_time()
     }
 
     /// Number of pending events (including cancelled-but-unreclaimed ones).
@@ -631,15 +599,6 @@ mod tests {
     }
 
     #[test]
-    fn next_event_time_skips_cancelled() {
-        let (mut k, a, _) = two_node_kernel();
-        let h = k.post(a, SimTime::from_micros(5), Ev::Ping(0));
-        k.post(a, SimTime::from_micros(8), Ev::Ping(0));
-        k.cancel(h);
-        assert_eq!(k.next_event_time(), Some(SimTime::from_micros(8)));
-    }
-
-    #[test]
     fn cancel_tombstones_stay_bounded_in_timer_heavy_run() {
         // The classic transport idiom: arm a retransmit timer, then cancel
         // it after it (logically) completed — i.e. cancel handles of events
@@ -693,20 +652,6 @@ mod tests {
         assert_eq!(reg.gauge_by_name("sim.kernel.pending_events"), Some(0.0));
         // No fault layer attached: no sim.fault.* metrics registered.
         assert_eq!(reg.counter_by_name("sim.fault.dropped"), None);
-    }
-
-    #[test]
-    fn node_pair_mut_gives_both() {
-        let (mut k, a, b) = two_node_kernel();
-        let (na, nb) = k.node_pair_mut::<Echo, Echo>(a, b);
-        na.ticks = 7;
-        nb.ticks = 9;
-        assert_eq!(k.node::<Echo>(a).ticks, 7);
-        assert_eq!(k.node::<Echo>(b).ticks, 9);
-        // Reversed order too.
-        let (nb2, na2) = k.node_pair_mut::<Echo, Echo>(b, a);
-        assert_eq!(nb2.ticks, 9);
-        assert_eq!(na2.ticks, 7);
     }
 
     /// Answers every ping after a random delay of whole microseconds, so the

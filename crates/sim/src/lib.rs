@@ -48,7 +48,7 @@ pub use fastrak_telemetry::fxhash::{FxBuildHasher, FxHashMap, FxHashSet, FxHashe
 pub use kernel::{Api, EventHandle, Kernel, Node, NodeId};
 pub use rng::Rng;
 pub use sched::Calendar;
-pub use stats::{Counter, FaultCounters, Histogram, HistogramDurationExt, MeterRate, TimeWeighted};
+pub use stats::{Counter, FaultCounters, Histogram, MeterRate};
 pub use tbf::TokenBucket;
 pub use time::{SimDuration, SimTime};
 pub use trace::{TraceRecord, TraceRing};

@@ -112,17 +112,6 @@ impl Rng {
         mean + std_dev * z
     }
 
-    /// Bounded Pareto sample (heavy-tailed flow sizes), shape `alpha`,
-    /// support `[lo, hi]`. Inverse-CDF: `x = (-(u*ha - u*la - ha)/(ha*la))^(-1/alpha)`
-    /// with `la = lo^alpha`, `ha = hi^alpha`.
-    pub fn pareto(&mut self, alpha: f64, lo: f64, hi: f64) -> f64 {
-        debug_assert!(alpha > 0.0 && lo > 0.0 && hi >= lo);
-        let u = self.f64();
-        let la = lo.powf(alpha);
-        let ha = hi.powf(alpha);
-        (-(u * ha - u * la - ha) / (ha * la)).powf(-1.0 / alpha)
-    }
-
     /// Zipf-like rank selection over `n` items with skew `s` (rank 0 is the
     /// most popular). Uses rejection-free inverse-CDF over the harmonic
     /// weights, computed lazily by the caller via [`ZipfTable`].
@@ -301,26 +290,6 @@ mod tests {
             assert_eq!(table.len(), n);
             assert!(!table.is_empty());
         }
-    }
-
-    #[test]
-    fn pareto_within_bounds() {
-        let mut r = Rng::new(23);
-        for _ in 0..10_000 {
-            let v = r.pareto(1.2, 100.0, 1_000_000.0);
-            assert!((99.999..=1_000_000.001).contains(&v), "out of range: {v}");
-        }
-    }
-
-    #[test]
-    fn pareto_is_heavy_tailed() {
-        // With alpha=1.2 most samples are near the low end.
-        let mut r = Rng::new(29);
-        let n = 50_000;
-        let below_10x = (0..n)
-            .filter(|_| r.pareto(1.2, 100.0, 1_000_000.0) < 1_000.0)
-            .count();
-        assert!(below_10x as f64 / n as f64 > 0.8);
     }
 
     #[test]

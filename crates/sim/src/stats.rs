@@ -1,5 +1,5 @@
-//! Measurement primitives: counters, rate meters, time-weighted averages,
-//! and an HDR-style log-bucketed histogram for latency percentiles.
+//! Measurement primitives: counters, rate meters and an HDR-style
+//! log-bucketed histogram for latency percentiles.
 //!
 //! The experiment harness reports the same statistics the paper does: mean
 //! and 99th-percentile latency (Fig. 3/5), transactions per second, and mean
@@ -7,12 +7,11 @@
 //! error for O(1) record cost and fixed memory, which is the standard
 //! engineering choice (HdrHistogram) for latency capture.
 
-use crate::time::{SimDuration, SimTime};
+use crate::time::SimTime;
 
 /// The log-bucketed histogram now lives in `fastrak-telemetry` (the metrics
 /// registry owns histograms, and telemetry sits below this crate);
-/// re-exported so `fastrak_sim::stats::Histogram` keeps working. Duration
-/// typed helpers are layered back on via [`HistogramDurationExt`].
+/// re-exported so `fastrak_sim::stats::Histogram` keeps working.
 pub use fastrak_telemetry::hist::Histogram;
 
 /// Monotonic event counter with byte accounting.
@@ -113,15 +112,6 @@ impl MeterRate {
         self.window_base = self.total;
     }
 
-    /// Events per second over the current window.
-    pub fn events_per_sec(&self, now: SimTime) -> f64 {
-        let dt = now.since(self.window_start).as_secs_f64();
-        if dt <= 0.0 {
-            return 0.0;
-        }
-        self.total.delta(self.window_base).count as f64 / dt
-    }
-
     /// Bits per second over the current window.
     pub fn bits_per_sec(&self, now: SimTime) -> f64 {
         let dt = now.since(self.window_start).as_secs_f64();
@@ -129,76 +119,6 @@ impl MeterRate {
             return 0.0;
         }
         self.total.delta(self.window_base).bytes as f64 * 8.0 / dt
-    }
-}
-
-/// Time-weighted average of a piecewise-constant value (queue lengths,
-/// offloaded-rule counts).
-#[derive(Debug, Clone)]
-pub struct TimeWeighted {
-    last_value: f64,
-    last_time: SimTime,
-    weighted_sum: f64,
-    start: SimTime,
-}
-
-impl Default for TimeWeighted {
-    fn default() -> Self {
-        TimeWeighted {
-            last_value: 0.0,
-            last_time: SimTime::ZERO,
-            weighted_sum: 0.0,
-            start: SimTime::ZERO,
-        }
-    }
-}
-
-impl TimeWeighted {
-    /// Record that the value changed to `value` at `now`.
-    pub fn set(&mut self, now: SimTime, value: f64) {
-        let dt = now.since(self.last_time).as_secs_f64();
-        self.weighted_sum += self.last_value * dt;
-        self.last_value = value;
-        self.last_time = now;
-    }
-
-    /// Time-weighted mean from start through `now`.
-    pub fn mean(&self, now: SimTime) -> f64 {
-        let dt_tail = now.since(self.last_time).as_secs_f64();
-        let total = now.since(self.start).as_secs_f64();
-        if total <= 0.0 {
-            return self.last_value;
-        }
-        (self.weighted_sum + self.last_value * dt_tail) / total
-    }
-}
-
-/// Duration-typed convenience layer over the telemetry [`Histogram`]
-/// (samples are interpreted as nanoseconds). The histogram itself is
-/// duration-agnostic — `fastrak-telemetry` cannot name [`SimDuration`] —
-/// so the sim-time view lives here.
-pub trait HistogramDurationExt {
-    /// Record a duration sample in nanoseconds.
-    fn record_duration(&mut self, d: SimDuration);
-
-    /// Convenience: mean as a `SimDuration` (samples interpreted as ns).
-    fn mean_duration(&self) -> SimDuration;
-
-    /// Convenience: quantile as a `SimDuration`.
-    fn quantile_duration(&self, q: f64) -> SimDuration;
-}
-
-impl HistogramDurationExt for Histogram {
-    fn record_duration(&mut self, d: SimDuration) {
-        self.record(d.as_nanos());
-    }
-
-    fn mean_duration(&self) -> SimDuration {
-        SimDuration(self.mean().round() as u64)
-    }
-
-    fn quantile_duration(&self, q: f64) -> SimDuration {
-        SimDuration(self.quantile(q))
     }
 }
 
@@ -226,7 +146,7 @@ mod tests {
             m.add(1250);
         }
         let now = SimTime::from_secs(1);
-        assert!((m.events_per_sec(now) - 1000.0).abs() < 1e-9);
+        assert_eq!(m.total().count, 1000);
         assert!((m.bits_per_sec(now) - 10_000_000.0).abs() < 1e-6);
     }
 
@@ -240,28 +160,7 @@ mod tests {
         for _ in 0..100 {
             m.add(1);
         }
-        assert!((m.events_per_sec(SimTime::from_secs(2)) - 100.0).abs() < 1e-9);
-    }
-
-    #[test]
-    fn time_weighted_mean() {
-        let mut tw = TimeWeighted::default();
-        tw.set(SimTime::ZERO, 10.0);
-        tw.set(SimTime::from_secs(1), 0.0);
-        // 10 for 1s, 0 for 1s => mean 5 over 2s.
-        assert!((tw.mean(SimTime::from_secs(2)) - 5.0).abs() < 1e-9);
-    }
-
-    #[test]
-    fn histogram_duration_ext_roundtrips_nanos() {
-        // Bucket math lives (and is tested) in fastrak-telemetry; this
-        // covers the SimDuration view layered on top.
-        let mut h = Histogram::new();
-        h.record_duration(SimDuration(10));
-        h.record_duration(SimDuration(30));
-        assert_eq!(h.count(), 2);
-        assert_eq!(h.mean_duration(), SimDuration(20));
-        assert_eq!(h.quantile_duration(1.0), SimDuration(30));
+        assert!((m.bits_per_sec(SimTime::from_secs(2)) - 800.0).abs() < 1e-9);
     }
 
     #[test]

@@ -54,14 +54,6 @@ impl TokenBucket {
         self.rate_bps
     }
 
-    /// Change the configured rate (used when FPS re-splits per-VM limits).
-    /// Tokens accrued so far are kept, capped at the burst depth.
-    pub fn set_rate(&mut self, now: SimTime, rate_bps: u64) {
-        assert!(rate_bps > 0);
-        self.refill(now);
-        self.rate_bps = rate_bps;
-    }
-
     fn refill(&mut self, now: SimTime) {
         if now > self.last_refill {
             let dt = now.since(self.last_refill).as_secs_f64();
@@ -194,24 +186,6 @@ mod tests {
         let a3 = b.acquire(now, 1); // tiny, but must not pass a2
         assert!(a1 <= a2, "{a1} vs {a2}");
         assert!(a2 <= a3, "{a2} vs {a3}");
-    }
-
-    #[test]
-    fn set_rate_takes_effect() {
-        let mut b = bucket();
-        let mut now = SimTime::ZERO;
-        // Drain burst.
-        for _ in 0..9 {
-            now = b.acquire(now, 1500);
-        }
-        b.set_rate(now, 100_000_000); // cut to 100 Mbps
-        let t1 = b.acquire(now, 1500);
-        let gap = t1.since(now).as_secs_f64();
-        let expect = 1500.0 * 8.0 / 1e8;
-        assert!(
-            (gap - expect).abs() / expect < 0.05,
-            "gap {gap} expect {expect}"
-        );
     }
 
     #[test]

@@ -86,11 +86,6 @@ impl SimDuration {
         SimDuration((s * 1e9).round() as u64)
     }
 
-    /// Construct from fractional microseconds, rounding to the nearest nanosecond.
-    pub fn from_micros_f64(us: f64) -> Self {
-        Self::from_secs_f64(us / 1e6)
-    }
-
     /// Nanoseconds in this duration.
     pub const fn as_nanos(self) -> u64 {
         self.0
@@ -99,12 +94,6 @@ impl SimDuration {
     /// Seconds as a float (for reporting only).
     pub fn as_secs_f64(self) -> f64 {
         self.0 as f64 / 1e9
-    }
-
-    /// Multiply by a non-negative float factor, rounding to the nearest ns.
-    pub fn mul_f64(self, f: f64) -> SimDuration {
-        debug_assert!(f >= 0.0, "duration factors must be non-negative");
-        SimDuration((self.0 as f64 * f).round() as u64)
     }
 
     /// Saturating subtraction.
@@ -232,7 +221,6 @@ mod tests {
         assert_eq!(SimTime::from_micros(7).as_nanos(), 7_000);
         assert_eq!(SimDuration::from_secs(1), SimDuration(1_000_000_000));
         assert_eq!(SimDuration::from_secs_f64(1.5).as_nanos(), 1_500_000_000);
-        assert_eq!(SimDuration::from_micros_f64(2.5).as_nanos(), 2_500);
     }
 
     #[test]
@@ -294,11 +282,5 @@ mod tests {
         assert_eq!(format!("{}", SimDuration::from_millis(2)), "2.000ms");
         assert_eq!(format!("{}", SimDuration::from_micros(2)), "2.000us");
         assert_eq!(format!("{}", SimDuration(5)), "5ns");
-    }
-
-    #[test]
-    fn mul_f64_rounds() {
-        assert_eq!(SimDuration(1000).mul_f64(1.5), SimDuration(1500));
-        assert_eq!(SimDuration(3).mul_f64(0.5), SimDuration(2)); // 1.5 rounds to 2
     }
 }

@@ -89,11 +89,6 @@ impl TraceRing {
         self.records.iter()
     }
 
-    /// Records of a given kind.
-    pub fn of_kind<'a>(&'a self, kind: &'a str) -> impl Iterator<Item = &'a TraceRecord> + 'a {
-        self.records.iter().filter(move |r| r.kind == kind)
-    }
-
     /// How many records were evicted due to capacity.
     pub fn dropped(&self) -> u64 {
         self.dropped
@@ -148,17 +143,6 @@ mod tests {
         assert_eq!(r.dropped(), 3);
         let v: Vec<_> = r.records().map(|rec| rec.vals[0]).collect();
         assert_eq!(v, vec![3, 4]);
-    }
-
-    #[test]
-    fn kind_filter() {
-        let mut r = TraceRing::new(8);
-        r.set_enabled(true);
-        r.push(SimTime::ZERO, "a", "tx", [0; 3]);
-        r.push(SimTime::ZERO, "a", "rx", [0; 3]);
-        r.push(SimTime::ZERO, "a", "tx", [0; 3]);
-        assert_eq!(r.of_kind("tx").count(), 2);
-        assert_eq!(r.of_kind("rx").count(), 1);
     }
 
     #[test]

@@ -132,12 +132,6 @@ impl Registry {
         self.counters[id.0 as usize] = v;
     }
 
-    /// Current value of a counter.
-    #[inline]
-    pub fn counter_value(&self, id: CounterId) -> u64 {
-        self.counters[id.0 as usize]
-    }
-
     /// Set a gauge.
     #[inline]
     pub fn gauge_set(&mut self, id: GaugeId, v: f64) {
@@ -168,14 +162,6 @@ impl Registry {
     pub fn gauge_by_name(&self, full: &str) -> Option<f64> {
         match self.by_name.get(full) {
             Some(&(Kind::Gauge, id)) => Some(self.gauges[id as usize]),
-            _ => None,
-        }
-    }
-
-    /// Look up a histogram by rendered name.
-    pub fn hist_by_name(&self, full: &str) -> Option<&Histogram> {
-        match self.by_name.get(full) {
-            Some(&(Kind::Hist, id)) => Some(&self.hists[id as usize]),
             _ => None,
         }
     }
@@ -249,8 +235,7 @@ mod tests {
         let h = r.histogram("tcp.cwnd", &[("server", "s1")]);
         r.observe(h, 10);
         r.observe(h, 20);
-        let hist = r.hist_by_name("tcp.cwnd{server=s1}").unwrap();
-        assert_eq!(hist.count(), 2);
+        assert_eq!(r.hist(h).count(), 2);
     }
 
     #[test]
@@ -259,7 +244,7 @@ mod tests {
         let c = r.counter("sim.fault.dropped", &[]);
         r.set_counter(c, 41);
         r.set_counter(c, 42); // snapshots overwrite, not accumulate
-        assert_eq!(r.counter_value(c), 42);
+        assert_eq!(r.counter_by_name("sim.fault.dropped"), Some(42));
     }
 
     #[test]
@@ -268,7 +253,6 @@ mod tests {
         assert!(r.is_empty());
         assert_eq!(r.counter_by_name("nope"), None);
         assert_eq!(r.gauge_by_name("nope"), None);
-        assert!(r.hist_by_name("nope").is_none());
     }
 
     #[test]

@@ -62,11 +62,6 @@ impl RttEstimator {
         self.rto
     }
 
-    /// Is a probe segment outstanding?
-    pub fn probe_armed(&self) -> bool {
-        self.probe.is_some()
-    }
-
     /// Time a newly transmitted segment ending at `seq_end` (exclusive).
     /// No-op while another probe is outstanding — one sample per flight.
     pub fn arm_probe(&mut self, seq_end: u64, now: SimTime) {
@@ -189,8 +184,7 @@ mod tests {
         e.invalidate_probe();
         e.on_ack(t(700), 100); // would be a 700 µs sample
         assert_eq!(e.srtt(), None);
-        assert!(!e.probe_armed());
-        // The next, clean probe samples normally.
+        // The slot is free: the next, clean probe samples normally.
         e.arm_probe(200, t(1_000));
         e.on_ack(t(1_400), 200);
         assert_eq!(e.srtt(), Some(0.0004));
@@ -210,8 +204,11 @@ mod tests {
         let mut e = RttEstimator::new(SimDuration::from_millis(200));
         e.arm_probe(100, t(0));
         e.on_ack(t(200), 50); // does not cover seq 100
-        assert!(e.probe_armed());
         assert_eq!(e.srtt(), None);
+        // The probe armed at t=0 is still the one the covering ACK samples.
+        e.arm_probe(300, t(250));
+        e.on_ack(t(400), 100);
+        assert_eq!(e.srtt(), Some(0.0004));
     }
 
     /// Property: backoff doubles monotonically and clamps at MAX_RTO, and

@@ -60,7 +60,8 @@ impl Scoreboard {
     }
 
     /// Has the receiver reported holding the byte at `seq`?
-    pub fn is_sacked(&self, seq: u64) -> bool {
+    #[cfg(test)]
+    fn is_sacked(&self, seq: u64) -> bool {
         self.sacked
             .range(..=seq)
             .next_back()
@@ -68,7 +69,8 @@ impl Scoreboard {
     }
 
     /// Total bytes currently SACKed (above the cumulative ACK).
-    pub fn sacked_bytes(&self) -> u64 {
+    #[cfg(test)]
+    fn sacked_bytes(&self) -> u64 {
         self.sacked.iter().map(|(s, e)| e - s).sum()
     }
 

@@ -85,13 +85,3 @@ impl GuestApp for Stress {
 
     fn on_event(&mut self, _ev: SockEvent, _api: &mut GuestApi<'_>) {}
 }
-
-/// An idle application (placeholder for VMs that only receive).
-#[derive(Clone)]
-pub struct Idle;
-
-impl GuestApp for Idle {
-    fn on_start(&mut self, _api: &mut GuestApi<'_>) {}
-    fn on_event(&mut self, _ev: SockEvent, _api: &mut GuestApi<'_>) {}
-    fn on_timer(&mut self, _tag: u64, _api: &mut GuestApi<'_>) {}
-}

@@ -20,7 +20,7 @@ pub mod stream;
 pub mod tenants;
 pub mod testbed;
 
-pub use background::{Idle, IoZone, Stress};
+pub use background::{IoZone, Stress};
 pub use composite::Composite;
 pub use incast::{incast_worker, IncastAggregator, IncastConfig, INCAST_PORT};
 pub use memcached::{memcached_server, Memcached, MemslapClient, MemslapConfig, MEMCACHED_PORT};

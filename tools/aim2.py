@@ -11,7 +11,12 @@ Prints, for the Rust outside `benchmark/` and `target/`:
   * the ten longest functions outside tests (`fn` line to closing brace);
   * the public fields of every configuration struct outside tests (each
     `*Config`, plus `Timing` and `CostModel`), and their total;
-  * for each `--count LITERAL`, how often it occurs in code lines.
+  * for each `--count LITERAL`, how often it occurs in code lines;
+  * the `pub` items of `crates/*/src` that nothing but tests reaches: no
+    caller in non-test crate code, `src/`, `examples/`,
+    `crates/bench/benches/` or `benchmark/src/`. A caller inside an item
+    that is itself unreached does not count. `KEPT` names the ones kept on
+    purpose, with the tests that use them.
 Nothing is gated: the numbers are for the tracker line and the CHANGES table.
 """
 import argparse
@@ -20,6 +25,48 @@ from pathlib import Path
 
 CONFIG = re.compile(r"^\s*pub struct (\w+Config|Timing|CostModel)\b.*\{\s*$")
 TEST_MOD = re.compile(r"^\s*(?:pub(?:\([a-z]+\))?\s+)?mod\s+(\w+)\s*;")
+PUB_ITEM = re.compile(
+    r"^\s*pub\s+(?:(?:const|unsafe)\s+)*(fn|struct|enum|trait|type|const|static)\s+(\w+)"
+)
+IMPL = re.compile(r"^\s*impl\b(?:<[^>]*>)?\s+(?:(\w+)(?:<[^>]*>)?\s+for\s+)?(\w+)")
+WORD = re.compile(r"[A-Za-z_]\w*")
+CALLERS = ("src/", "examples/", "crates/bench/benches/", "benchmark/src/")
+
+# Public items that only tests reach, kept on purpose: observation hooks
+# and setup calls of the integration tests, surfaces scoped out of deletion
+# (ROADMAP items 8 and 9), and paper model pieces no world runs yet.
+KEPT = {
+    "Calendar::debug_audit": "hook: audits the calendar's bookkeeping",
+    "Calendar::next_time": "hook: peeks at the next due time",
+    "CpuPool::total_busy": "hook: work conservation",
+    "SimTime::checked_sub": "hook: time arithmetic",
+    "Server::stages_in_flight": "hook: a drained run holds no stage",
+    "Telemetry::enable_all": "hook: every series on, for the export schema",
+    "TorController::tor_believed_down": "hook: ToR liveness belief",
+    "TorController::tor_generation": "hook: ToR boot generation seen",
+    "Vswitch::rules_mut": "setup: component-level vswitch rules",
+    "RuleSet::add_security": "setup: tenant security rules",
+    "RuleManager::set_policy": "setup: a tenant's rule set",
+    "Tor::install_tunnel": "tunnel directory: feeds tor.fastpath.tunnel_entries",
+    "Tor::remove_tunnel": "tunnel directory: feeds tor.fastpath.tunnel_entries",
+    "Tor::set_fabric_port": "multi-rack GRE path, with the tunnel directory",
+    "Tor::remove_hw_dest": "multi-rack GRE path, with the tunnel directory",
+    "Fabric": "multi-rack GRE path, with the tunnel directory",
+    "FabricStats": "multi-rack GRE path, with the tunnel directory",
+    "Fabric::add_route": "multi-rack GRE path, with the tunnel directory",
+    "Fabric::add_prefix_route": "multi-rack GRE path, with the tunnel directory",
+    "Buf": "wire codec, kept whole while benchmark/ probes call encode_wire",
+    "verify": "wire codec, kept whole while benchmark/ probes call encode_wire",
+    "ECT1": "ECN codepoints stay beside Packet",
+    "DemandDelta": "ME delta feed: the live path once ROADMAP 9(a) lands",
+    "MeasurementEngine::delta_report": "ME delta feed: the live path once ROADMAP 9(a) lands",
+    "flight_jsonl": "the flight recorder's only exporter",
+    "Stress": "model, no world runs it: the paper's stress CPU hog (§6.1.1)",
+    "Rng::normal": "model, no world runs it: a workload distribution",
+    "Rng::zipf": "model, no world runs it: a workload distribution",
+    "ZipfTable": "model, no world runs it: a workload distribution",
+    "RuleSet::add_qos": "model, no world runs it: tenant QoS rules",
+}
 FN = re.compile(r"^\s*(?:pub(?:\([a-z]+\))?\s+)?(?:const\s+)?(?:unsafe\s+)?fn\s+(\w+)")
 LITERALS = re.compile(r'"(?:\\.|[^"\\])*"|\'(?:\\.|[^\'\\])\'')
 
@@ -87,6 +134,58 @@ def functions(text):
     return found
 
 
+def unreached(root, files, texts, tests):
+    """(item, `path:line`) of each public item of `crates/*/src` that only
+    tests reach, to a fixed point: an item whose every caller is inside
+    items already found is unreached too."""
+    rel = lambda p: p.relative_to(root).as_posix()
+    lib = lambda p: rel(p).startswith("crates/") and rel(p).split("/")[2] == "src"
+    callers = [p for p in files if p not in tests and (lib(p) or rel(p).startswith(CALLERS))]
+    callers += sorted((root / "benchmark" / "src").rglob("*.rs"))
+    words, items = {}, []  # words[(path, i)] = words of that code line
+    for p in callers:
+        kept = non_test(texts.get(p) or p.read_text())
+        lines = [bare(l) for _, l in kept]
+        impls = []  # (first, last, self type, trait) of each impl block
+        for i, b in enumerate(lines):
+            m = IMPL.match(b)
+            if m:
+                impls.append((i, block_end(lines, i), m.group(2), m.group(1)))
+        for i, b in enumerate(lines):
+            if re.match(r"^\s*(pub(\([a-z]+\))?\s+)?use\b", b):
+                continue
+            m = PUB_ITEM.match(b) if lib(p) else None
+            w = WORD.findall(b)
+            if m:
+                w.remove(m.group(2))
+                body = set(range(i, block_end(lines, i) + 1))
+                owner = None
+                for first, last, ty, tr in impls:
+                    if m.group(1) in ("fn", "const") and first < i <= last:
+                        owner = ty
+                    if m.group(1) != "fn" and m.group(2) in (ty, tr):
+                        body |= set(range(first, last + 1))
+                name = f"{owner}::{m.group(2)}" if owner else m.group(2)
+                items.append((m.group(2), name, {(p, j) for j in body}, f"{rel(p)}:{kept[i][0]}"))
+            words[(p, i)] = w
+    total = {}
+    for w in words.values():
+        for x in w:
+            total[x] = total.get(x, 0) + 1
+    found = {}
+    while True:
+        dead = set().union(*(items[k][2] for k in found)) if found else set()
+        new = {
+            k: at
+            for k, (word, name, body, at) in enumerate(items)
+            if k not in found
+            and total.get(word, 0) == sum(words[l].count(word) for l in body | dead if l in words)
+        }
+        if not new:
+            return sorted((items[k][1], at) for k, at in found.items())
+        found.update(new)
+
+
 def main():
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--root", default=Path(__file__).resolve().parent.parent, type=Path)
@@ -144,6 +243,24 @@ def main():
     for name, n, at in sorted(configs):
         print(f"{name:24} {n:3}  {at}")
     print(f"{'total':24} {sum(n for _, n, _ in configs):3}  ({len(configs)} structs)")
+
+    print("\n== public items only tests reach (callers: crate src, src/, examples/, benches, benchmark/src) ==")
+    kept = []
+    for name, at in unreached(root, files, texts, tests):
+        if name in KEPT:
+            kept.append((name, at))
+        else:
+            print(f"  {name:40} {at}")
+    print(f"kept on purpose ({len(kept)}), each with the tests that use it:")
+    test_text = {
+        p: t if p in tests or "tests" in p.relative_to(root).parts
+        else "\n".join(sorted(set(t.splitlines()) - {l for _, l in non_test(t)}))
+        for p, t in texts.items()
+    }
+    for name, at in kept:
+        word = re.compile(rf"\b{re.escape(name.split('::')[-1])}\b")
+        users = sorted(rel(p) for p, t in test_text.items() if word.search(t))
+        print(f"  {name:32} {KEPT[name]}\n  {'':32} tests naming it: {', '.join(users) or '-'}")
 
     for lit in args.count:
         hits = [(rel(p), no) for p in files if in_src(p) for no, l in code[p] if lit in l]
