@@ -42,7 +42,7 @@
 use std::collections::{BTreeSet, HashSet};
 
 use fastrak_net::flow::FlowAggregate;
-use fastrak_sim::FxHashMap;
+use fastrak_sim::{FxHashMap, FxHashSet};
 
 use crate::de::{DeConfig, Decision};
 use crate::me::AggDemand;
@@ -182,7 +182,8 @@ impl IncrementalDecisionEngine {
     /// demands every round. [`IncrementalDecisionEngine::ingest`] takes
     /// deltas instead and skips the probes of unchanged rows.
     pub fn ingest_snapshot(&mut self, demands: &[AggDemand]) {
-        let mut seen: HashSet<FlowAggregate> = HashSet::with_capacity(demands.len());
+        let mut seen: FxHashSet<FlowAggregate> =
+            FxHashSet::with_capacity_and_hasher(demands.len(), Default::default());
         for d in demands {
             seen.insert(d.agg);
             self.upsert(d);
@@ -228,7 +229,7 @@ impl IncrementalDecisionEngine {
         // tenant's aggregates are skipped until tenants with headroom fill
         // the table.)
         let mut target: Vec<FlowAggregate> = Vec::new();
-        let mut chosen: HashSet<FlowAggregate> = HashSet::new();
+        let mut chosen: FxHashSet<FlowAggregate> = FxHashSet::default();
         let mut scanned = 0u64;
         for key in self.ord.iter() {
             if target.len() >= cap {
@@ -271,7 +272,7 @@ impl IncrementalDecisionEngine {
         // displaced incumbent suppresses every newcomer scoring inside
         // `[0, h·S(inc))`.
         let mut suppressed = 0u64;
-        let mut target_set: HashSet<FlowAggregate> = target.iter().copied().collect();
+        let mut target_set: FxHashSet<FlowAggregate> = target.iter().copied().collect();
         if self.cfg.hysteresis > 1.0 {
             let displaced: Option<(f64, FlowAggregate)> = offloaded
                 .iter()
@@ -293,7 +294,7 @@ impl IncrementalDecisionEngine {
                     }
                     // De-duplicate while preserving order (several
                     // suppressed newcomers collapse into one incumbent).
-                    let mut seen = HashSet::new();
+                    let mut seen = FxHashSet::default();
                     target = stable.into_iter().filter(|a| seen.insert(*a)).collect();
                     target_set = target.iter().copied().collect();
                 }

@@ -34,8 +34,8 @@ pub use de_inc::{DeEpochStats, IncrementalDecisionEngine};
 pub use fastrak_net::ctrl::{DemandReport, HwPathReport, MigrationPrepare, OffloadDecision};
 pub use fps::{fps_split, FpsInput, FpsSplit};
 pub use local::{LocalController, LocalControllerConfig, Timing, VmLimit};
-pub use me::{AggDemand, DemandDelta, MeasurementEngine};
-pub use meter::{epoch_rates, RateSummary, RateWindow};
+pub use me::{AggDemand, MeasurementEngine};
+pub use meter::{epoch_rates, RateWindow};
 pub use policy::FastPathPolicy;
 pub use rules::{RuleManager, SynthesisError};
 pub use tor_ctrl::{CtrlCounterIds, CtrlPlaneConfig, TorController, TorControllerConfig};

@@ -25,7 +25,7 @@ use fastrak_sim::time::SimDuration;
 use fastrak_sim::FxHashMap;
 
 use crate::fps::{fps_split, is_maxed, FpsInput};
-use crate::me::MeasurementEngine;
+use crate::me::{AggDemand, MeasurementEngine};
 
 /// Timer tags.
 mod tags {
@@ -339,8 +339,9 @@ impl LocalController {
         self.refresh_rate_splits(api);
     }
 
-    /// Per-VM software/hardware demand, from the ME report + hw rates.
-    fn vm_demand(&self, tenant: TenantId, vm_ip: Ip, dir: Dir) -> (f64, f64) {
+    /// Per-VM software/hardware demand, from the ME report's `rows` + hw
+    /// rates.
+    fn vm_demand(&self, rows: &[AggDemand], tenant: TenantId, vm_ip: Ip, dir: Dir) -> (f64, f64) {
         let mut sw = 0.0;
         let mut hw = 0.0;
         let owned = |agg: &FlowAggregate| match (*agg, dir) {
@@ -354,7 +355,7 @@ impl LocalController {
             (FlowAggregate::Exact(k), Dir::Ingress) => k.tenant == tenant && k.dst_ip == vm_ip,
             _ => false,
         };
-        for d in self.me.report() {
+        for d in rows {
             if owned(&d.agg) {
                 sw += d.bps * 8.0; // ME reports bytes/sec; demand in bits/sec
             }
@@ -369,13 +370,15 @@ impl LocalController {
 
     fn refresh_rate_splits(&mut self, api: &mut Api<'_, Event, NetCtx>) {
         let limits = self.cfg.limits.clone();
+        // Nothing measures during a refresh: one report serves every limit.
+        let rows = self.me.report();
         for l in limits {
             for (dir, dtag, total) in [
                 (Dir::Egress, 0u8, l.egress_bps),
                 (Dir::Ingress, 1u8, l.ingress_bps),
             ] {
                 let Some(total) = total else { continue };
-                let (sw_demand, hw_demand) = self.vm_demand(l.tenant, l.vm_ip, dir);
+                let (sw_demand, hw_demand) = self.vm_demand(&rows, l.tenant, l.vm_ip, dir);
                 let prev = self.last_split.get(&(l.tenant, l.vm_ip, dtag)).copied();
                 let (sw_maxed, hw_maxed) = match prev {
                     Some((ps, ph)) => {
@@ -577,7 +580,7 @@ mod tests {
             };
             deliver(&mut k, id, Ctl::Decision(d));
             let l = k.node::<LocalController>(id);
-            let (_, hw) = l.vm_demand(T, VM, Dir::Egress);
+            let (_, hw) = l.vm_demand(&l.me.report(), T, VM, Dir::Egress);
             seen.insert((hw.to_bits(), l.split_of(T, VM, Dir::Egress)));
         }
         assert_eq!(seen.len(), 1, "{seen:?}");

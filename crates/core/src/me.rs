@@ -10,6 +10,25 @@
 //! Flows are folded into per-VM-per-application aggregates
 //! (`<src VM IP, src L4 port, tenant>` / `<dst VM IP, dst L4 port, tenant>`)
 //! to bound state.
+//!
+//! **State is what was measured.** The engine holds a [`RateWindow`] only
+//! for aggregates that carried traffic in the last `history_len` epochs,
+//! plus one epoch's sample-A fold (the baselines). A flow the vswitch still
+//! lists with frozen counters costs a baseline between the two samples and
+//! nothing after sample B. The rules, which also cover the sample sequences
+//! a lost dump reply causes (A, A, B and A, B, B):
+//!
+//! * sample A merges into the baselines: a later A overwrites the
+//!   aggregates it lists and keeps the rest;
+//! * sample B reads the baselines, then clears them all;
+//! * an aggregate without a window gets one only when its first measured
+//!   epoch has `pps > 0` (a window of zero epochs would be idle, and aged
+//!   out at once).
+//!
+//! There is no delta feed. Each control interval the local controller sends
+//! its full [`MeasurementEngine::report`], and the TOR controller merges the
+//! latest report of every server (max per aggregate) into the snapshot its
+//! decision engine ingests, so a lost report heals in the next round.
 
 use fastrak_sim::FxHashMap;
 
@@ -19,30 +38,6 @@ use fastrak_net::flow::FlowAggregate;
 
 use crate::meter::{self, RateWindow};
 
-/// One epoch's demand changes, for feeding the incremental decision engine
-/// (`changed` carries new and updated rows, `removed` aggregates that aged
-/// out of measurement). Both sides are sorted by aggregate so delta replay
-/// is deterministic.
-#[derive(Debug, Clone, Default)]
-pub struct DemandDelta {
-    /// Rows whose demand changed since the last drain (includes new rows).
-    pub changed: Vec<AggDemand>,
-    /// Aggregates dropped from measurement since the last drain.
-    pub removed: Vec<FlowAggregate>,
-}
-
-#[derive(Debug, Clone, Default)]
-struct AggState {
-    /// Cumulative (packets, bytes) at the epoch's first sample.
-    sample_a: Option<(u64, u64)>,
-    /// Per-epoch pps/bps history (bounded at N×M); see [`RateWindow`] for
-    /// the steady-rate change detection and the median convention.
-    win: RateWindow,
-    /// Demand possibly changed since the last [`MeasurementEngine::delta_report`]
-    /// drain (set when an epoch push alters the history window's contents).
-    dirty: bool,
-}
-
 /// The measurement engine: fed cumulative stat dumps, produces demand
 /// reports.
 #[derive(Debug, Clone)]
@@ -51,13 +46,12 @@ pub struct MeasurementEngine {
     pub sample_gap_secs: f64,
     /// Epochs remembered: `N × M`.
     pub history_len: usize,
-    aggs: FxHashMap<FlowAggregate, AggState>,
+    /// Per-epoch pps/bps history of every aggregate with traffic in the
+    /// remembered epochs.
+    windows: FxHashMap<FlowAggregate, RateWindow>,
+    /// Cumulative (packets, bytes) per aggregate at the epoch's sample A.
+    baselines: FxHashMap<FlowAggregate, (u64, u64)>,
     epochs_done: u64,
-    /// Aggregates marked dirty since the last `delta_report` drain (each at
-    /// most once; the `AggState::dirty` flag guards against duplicates).
-    dirty_list: Vec<FlowAggregate>,
-    /// Aggregates dropped by the idle sweep since the last drain.
-    removed_pending: Vec<FlowAggregate>,
 }
 
 impl MeasurementEngine {
@@ -67,18 +61,9 @@ impl MeasurementEngine {
         MeasurementEngine {
             sample_gap_secs,
             history_len,
-            aggs: FxHashMap::default(),
+            windows: FxHashMap::default(),
+            baselines: FxHashMap::default(),
             epochs_done: 0,
-            dirty_list: Vec::new(),
-            removed_pending: Vec::new(),
-        }
-    }
-
-    /// Mark one aggregate's report row as changed (at most once per drain).
-    fn mark_dirty(dirty_list: &mut Vec<FlowAggregate>, agg: FlowAggregate, st: &mut AggState) {
-        if !st.dirty {
-            st.dirty = true;
-            dirty_list.push(agg);
         }
     }
 
@@ -97,10 +82,7 @@ impl MeasurementEngine {
 
     /// First sample of an epoch (cumulative counters at epoch start).
     pub fn epoch_sample_a(&mut self, entries: &[FlowStatEntry]) {
-        let folded = Self::fold(entries);
-        for (agg, cum) in folded {
-            self.aggs.entry(agg).or_default().sample_a = Some(cum);
-        }
+        self.baselines.extend(Self::fold(entries));
     }
 
     /// Second sample, `t` after the first: closes the epoch, computing
@@ -108,42 +90,35 @@ impl MeasurementEngine {
     pub fn epoch_sample_b(&mut self, entries: &[FlowStatEntry]) {
         let folded = Self::fold(entries);
         self.epochs_done += 1;
-        let gap = self.sample_gap_secs;
-        let hist_len = self.history_len;
+        let (gap, cap) = (self.sample_gap_secs, self.history_len);
         // Aggregates present in this dump. An unmeasurable epoch (no
         // baseline, or the cumulative counters went backwards after a rule
         // reset — see [`meter::epoch_rates`]) pushes nothing: the window
         // keeps its history and the next sample A re-baselines.
         for (agg, cur) in &folded {
-            let st = self.aggs.entry(*agg).or_default();
-            if let Some((pps, bps)) = meter::epoch_rates(st.sample_a.take(), *cur, gap) {
-                if st.win.push(pps, bps, hist_len) {
-                    Self::mark_dirty(&mut self.dirty_list, *agg, st);
-                }
+            let baseline = self.baselines.get(agg).copied();
+            let Some((pps, bps)) = meter::epoch_rates(baseline, *cur, gap) else {
+                continue;
+            };
+            // A zero-rate first epoch would open an idle window that the
+            // age-out below drops again: skip it.
+            match self.windows.get_mut(agg) {
+                Some(win) => win.push(pps, bps, cap),
+                None if pps > 0.0 => self.windows.entry(*agg).or_default().push(pps, bps, cap),
+                None => {}
             }
         }
         // Aggregates we know but which vanished from the dump: zero epoch
         // (genuinely idle — distinct from a reset, where the flow is still
         // present but its counters restarted).
-        for (agg, st) in self.aggs.iter_mut() {
+        for (agg, win) in self.windows.iter_mut() {
             if !folded.contains_key(agg) {
-                st.sample_a = None;
-                if st.win.push(0.0, 0.0, hist_len) {
-                    Self::mark_dirty(&mut self.dirty_list, *agg, st);
-                }
+                win.push(0.0, 0.0, cap);
             }
         }
-        // Drop aggregates idle across the whole remembered history. A
-        // never-measured window (empty: the aggregate appeared mid-epoch and
-        // was never reported) is dropped silently — no removal delta.
-        let removed_pending = &mut self.removed_pending;
-        self.aggs.retain(|agg, st| {
-            let keep = !st.win.idle();
-            if !keep && !st.win.is_empty() {
-                removed_pending.push(*agg);
-            }
-            keep
-        });
+        // Drop aggregates idle across the whole remembered history.
+        self.windows.retain(|_, win| !win.idle());
+        self.baselines.clear();
     }
 
     /// Number of closed epochs.
@@ -151,29 +126,15 @@ impl MeasurementEngine {
         self.epochs_done
     }
 
-    /// One aggregate's report row (None while no epoch has closed). The
-    /// median convention (upper median on even windows) is documented on
-    /// [`RateWindow`].
-    fn demand_row(agg: FlowAggregate, st: &AggState) -> Option<AggDemand> {
-        let s = st.win.summary()?;
-        Some(AggDemand {
-            agg,
-            pps: s.pps,
-            bps: s.bps,
-            n_active: s.n_active,
-            m_pps: s.m_pps,
-            m_bps: s.m_bps,
-        })
-    }
-
-    /// Produce the demand report (one row per active aggregate).
+    /// Produce the demand report (one row per active aggregate), highest
+    /// median pps first. The median convention (upper median on even
+    /// windows) is documented on [`RateWindow`].
     pub fn report(&self) -> Vec<AggDemand> {
-        let mut out = Vec::with_capacity(self.aggs.len());
-        for (agg, st) in &self.aggs {
-            if let Some(row) = Self::demand_row(*agg, st) {
-                out.push(row);
-            }
-        }
+        let mut out: Vec<AggDemand> = self
+            .windows
+            .iter()
+            .filter_map(|(agg, win)| win.demand(*agg))
+            .collect();
         out.sort_by(|a, b| {
             b.m_pps
                 .partial_cmp(&a.m_pps)
@@ -181,37 +142,6 @@ impl MeasurementEngine {
                 .then_with(|| a.agg.cmp(&b.agg))
         });
         out
-    }
-
-    /// Drain the demand changes accumulated since the previous drain — the
-    /// incremental decision engine's feed. Replaying every drained delta
-    /// into an empty table reconstructs exactly [`MeasurementEngine::report`]
-    /// (asserted by the differential suite): `changed` holds the recomputed
-    /// rows of every aggregate whose window contents changed, `removed` the
-    /// aggregates the idle sweep dropped. Cost is O(changed), not O(active):
-    /// steady-rate aggregates whose full window evicts the value being
-    /// pushed are never touched.
-    pub fn delta_report(&mut self) -> DemandDelta {
-        let mut changed: Vec<AggDemand> = Vec::with_capacity(self.dirty_list.len());
-        for agg in std::mem::take(&mut self.dirty_list) {
-            // Aggregates dropped by the idle sweep after being marked show
-            // up in `removed` instead.
-            if let Some(st) = self.aggs.get_mut(&agg) {
-                st.dirty = false;
-                if let Some(row) = Self::demand_row(agg, st) {
-                    changed.push(row);
-                }
-            }
-        }
-        changed.sort_by_key(|a| a.agg);
-        let mut removed = std::mem::take(&mut self.removed_pending);
-        // An aggregate that aged out and came back within one drain window
-        // is alive: its fresh row is in `changed`, so no removal is
-        // emitted (consumers apply `changed` before `removed`).
-        removed.retain(|a| !self.aggs.contains_key(a));
-        removed.sort();
-        removed.dedup();
-        DemandDelta { changed, removed }
     }
 }
 
@@ -352,86 +282,135 @@ mod tests {
         assert_eq!(d.n_active, 3, "history must be bounded at N*M");
     }
 
-    /// Replay drained deltas into a map and compare against the full report.
-    fn replay_matches_report(
-        me: &mut MeasurementEngine,
-        shadow: &mut FxHashMap<FlowAggregate, AggDemand>,
-    ) {
-        let delta = me.delta_report();
-        for row in &delta.changed {
-            shadow.insert(row.agg, *row);
-        }
-        for agg in &delta.removed {
-            shadow.remove(agg);
-        }
-        let mut want = me.report();
-        want.sort_by_key(|a| a.agg);
-        let mut got: Vec<AggDemand> = shadow.values().copied().collect();
-        got.sort_by_key(|a| a.agg);
-        assert_eq!(got, want, "delta replay diverged from the full report");
-    }
-
+    /// An idle connection the vswitch keeps listing (frozen counters in
+    /// every dump) costs a baseline between the two samples and nothing
+    /// after sample B; a flow that carried traffic once ages out of its
+    /// window and then costs nothing either.
     #[test]
-    fn delta_replay_reconstructs_the_report() {
+    fn a_listed_idle_flow_holds_no_state_after_sample_b() {
         let mut me = MeasurementEngine::new(1.0, 3);
-        let mut shadow = FxHashMap::default();
-        let k1 = key(1, 2, 10, 20);
-        let k2 = key(3, 4, 30, 40);
-        let mut cum1 = 0u64;
-        let mut cum2 = 0u64;
-        for epoch in 0..8u64 {
-            let mut dump = Vec::new();
-            // k1: rate varies; k2: present only early (ages out later).
-            me.epoch_sample_a(&[entry(k1, cum1, cum1), entry(k2, cum2, cum2)]);
-            cum1 += 100 + 10 * (epoch % 3);
-            if epoch < 3 {
-                cum2 += 500;
-                dump.push(entry(k2, cum2, cum2));
-            }
-            dump.push(entry(k1, cum1, cum1));
+        let hot = key(1, 2, 40_000, 11211);
+        let idle = key(3, 4, 40_001, 80);
+        me.epoch_sample_a(&[entry(hot, 0, 0), entry(idle, 500, 50_000)]);
+        me.epoch_sample_b(&[entry(hot, 100, 100), entry(idle, 500, 50_000)]);
+        assert_eq!(me.windows.len(), 2, "the hot flow's two aggregates only");
+        let idle_aggs = [FlowAggregate::src_of(&idle), FlowAggregate::dst_of(&idle)];
+        let dump = [entry(hot, 100, 100), entry(idle, 500, 50_000)];
+        for epoch in 1..=1000 {
+            me.epoch_sample_a(&dump);
+            assert_eq!(me.baselines.len(), 4);
             me.epoch_sample_b(&dump);
-            replay_matches_report(&mut me, &mut shadow);
+            assert!(me.baselines.is_empty(), "epoch {epoch}: baselines kept");
+            // The hot epoch leaves the 3-epoch window at the third idle one.
+            let windows = if epoch < 3 { 2 } else { 0 };
+            assert_eq!(me.windows.len(), windows, "epoch {epoch}");
+            assert!(me.report().iter().all(|d| !idle_aggs.contains(&d.agg)));
         }
     }
 
+    /// 10 000 aggregates (5 000 flows), each hot for one epoch and listed
+    /// idle for 20 more: the engine holds a window for exactly the
+    /// aggregates with traffic in the last `history_len` epochs, never more.
     #[test]
-    fn steady_rates_produce_no_deltas() {
-        let mut me = MeasurementEngine::new(1.0, 3);
-        let k = key(1, 2, 1, 2);
-        let mut cum = 0u64;
-        for _ in 0..3 {
-            me.epoch_sample_a(&[entry(k, cum, cum)]);
-            cum += 100;
-            me.epoch_sample_b(&[entry(k, cum, cum)]);
+    fn windows_never_outnumber_the_recently_active_aggregates() {
+        const HIST: usize = 6;
+        const PER_EPOCH: u16 = 10;
+        const EPOCHS: u16 = 500;
+        let mut me = MeasurementEngine::new(1.0, HIST);
+        let flow = |i: u16| key(i, i, 1_000, 2_000);
+        let mut seen = std::collections::HashSet::new();
+        for e in 0..EPOCHS {
+            let hot = e * PER_EPOCH..(e + 1) * PER_EPOCH;
+            // Listed: this epoch's hot flows and the last 20 epochs' ones,
+            // whose counters have stopped at 100.
+            let listed = e.saturating_sub(20) * PER_EPOCH..(e + 1) * PER_EPOCH;
+            let a: Vec<_> = listed
+                .clone()
+                .map(|i| entry(flow(i), if hot.contains(&i) { 0 } else { 100 }, 0))
+                .collect();
+            let b: Vec<_> = listed.map(|i| entry(flow(i), 100, 0)).collect();
+            me.epoch_sample_a(&a);
+            me.epoch_sample_b(&b);
+            seen.extend(me.windows.keys().copied());
+            let active = 2 * PER_EPOCH as usize * (e as usize + 1).min(HIST);
+            assert_eq!(me.windows.len(), active, "epoch {e}");
+            assert!(me.baselines.is_empty());
         }
-        let _ = me.delta_report(); // drain the warm-up
-        for _ in 0..4 {
-            me.epoch_sample_a(&[entry(k, cum, cum)]);
-            cum += 100;
-            me.epoch_sample_b(&[entry(k, cum, cum)]);
-            let d = me.delta_report();
-            assert!(
-                d.changed.is_empty() && d.removed.is_empty(),
-                "steady window must produce no deltas, got {d:?}"
-            );
-        }
+        assert_eq!(seen.len(), 2 * PER_EPOCH as usize * EPOCHS as usize);
     }
 
+    /// The report, by aggregate.
+    fn by_agg(me: &MeasurementEngine) -> Vec<AggDemand> {
+        let mut r = me.report();
+        r.sort_by_key(|d| d.agg);
+        r
+    }
+
+    /// The rows of both aggregates of `k`, with the same values.
+    fn both(
+        k: FlowKey,
+        pps: f64,
+        bps: f64,
+        n_active: u32,
+        m_pps: f64,
+        m_bps: f64,
+    ) -> [AggDemand; 2] {
+        [FlowAggregate::src_of(&k), FlowAggregate::dst_of(&k)].map(|agg| AggDemand {
+            agg,
+            pps,
+            bps,
+            n_active,
+            m_pps,
+            m_bps,
+        })
+    }
+
+    /// A lost sample-B reply: the next epoch's A arrives on top of the
+    /// unclosed one. The later A overwrites the baselines it lists and
+    /// keeps the rest.
     #[test]
-    fn aged_out_aggregates_emit_removals() {
-        let mut me = MeasurementEngine::new(1.0, 2);
-        let k = key(1, 2, 1, 2);
-        me.epoch_sample_a(&[entry(k, 0, 0)]);
-        me.epoch_sample_b(&[entry(k, 100, 100)]);
-        let d = me.delta_report();
-        assert_eq!(d.changed.len(), 2, "src+dst aggregates reported");
-        for _ in 0..3 {
-            me.epoch_sample_a(&[]);
-            me.epoch_sample_b(&[]);
-        }
-        let d = me.delta_report();
-        assert!(d.changed.is_empty());
-        assert_eq!(d.removed.len(), 2, "both aggregates age out: {d:?}");
+    fn a_second_sample_a_overwrites_only_what_it_lists() {
+        let mut me = MeasurementEngine::new(1.0, 4);
+        let (k1, k2) = (key(1, 2, 10, 20), key(3, 4, 30, 40));
+        me.epoch_sample_a(&[entry(k1, 0, 0), entry(k2, 0, 0)]);
+        me.epoch_sample_b(&[entry(k1, 100, 1_000), entry(k2, 50, 500)]);
+        me.epoch_sample_a(&[entry(k1, 100, 1_000), entry(k2, 50, 500)]);
+        me.epoch_sample_a(&[entry(k1, 300, 3_000)]);
+        me.epoch_sample_b(&[entry(k1, 600, 6_000), entry(k2, 90, 900)]);
+        // k1: (600 - 300) / 1 s over the later baseline; window [100, 300].
+        // k2: (90 - 50) / 1 s over the kept one; window [50, 40], whose
+        // upper median is 50.
+        let mut want = [
+            both(k1, 300.0, 3_000.0, 2, 300.0, 3_000.0),
+            both(k2, 40.0, 400.0, 2, 50.0, 500.0),
+        ]
+        .concat();
+        want.sort_by_key(|d| d.agg);
+        assert_eq!(by_agg(&me), want);
+    }
+
+    /// A lost sample-A reply: sample B arrives twice with no A between.
+    /// The second B has no baselines, so it measures nothing for the flows
+    /// it lists, and closes a zero epoch for known aggregates it does not.
+    #[test]
+    fn a_second_sample_b_measures_nothing_and_zeroes_the_vanished() {
+        let mut me = MeasurementEngine::new(1.0, 4);
+        let (k1, k2) = (key(1, 2, 10, 20), key(3, 4, 30, 40));
+        me.epoch_sample_a(&[entry(k1, 0, 0)]);
+        me.epoch_sample_b(&[entry(k1, 100, 1_000)]);
+        me.epoch_sample_a(&[entry(k1, 100, 1_000), entry(k2, 0, 0)]);
+        me.epoch_sample_b(&[entry(k1, 250, 2_500), entry(k2, 70, 700)]);
+        me.epoch_sample_b(&[entry(k1, 400, 4_000)]);
+        assert_eq!(me.epochs_done(), 3);
+        // k1: the unmeasurable epoch pushes nothing; window [100, 150].
+        // k2: vanished, so a zero epoch; window [70, 0], upper median 70.
+        let mut want = [
+            both(k1, 150.0, 1_500.0, 2, 150.0, 1_500.0),
+            both(k2, 0.0, 0.0, 1, 70.0, 700.0),
+        ]
+        .concat();
+        want.sort_by_key(|d| d.agg);
+        assert_eq!(by_agg(&me), want);
     }
 
     #[test]

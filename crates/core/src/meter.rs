@@ -24,6 +24,9 @@
 
 use std::collections::VecDeque;
 
+use fastrak_net::ctrl::AggDemand;
+use fastrak_net::flow::FlowAggregate;
+
 /// Close one epoch from a pair of cumulative `(packets, bytes)` samples.
 ///
 /// Returns the epoch's `(pps, bps)`, or `None` when the epoch is
@@ -43,22 +46,7 @@ pub fn epoch_rates(
     Some(((p2 - p1) as f64 / gap_secs, (b2 - b1) as f64 / gap_secs))
 }
 
-/// Summary of one [`RateWindow`]: the fields a demand report row needs.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct RateSummary {
-    /// Rate of the most recent measured epoch (packets/sec).
-    pub pps: f64,
-    /// Rate of the most recent measured epoch (bytes/sec).
-    pub bps: f64,
-    /// Remembered epochs in which the aggregate was active (pps > 0).
-    pub n_active: u32,
-    /// Median pps over the remembered epochs.
-    pub m_pps: f64,
-    /// Median bps over the remembered epochs.
-    pub m_bps: f64,
-}
-
-/// Bounded per-epoch `(pps, bps)` history with median summaries.
+/// Bounded per-epoch `(pps, bps)` history, summarised as a demand row.
 ///
 /// **Median convention.** For even-length windows the median is
 /// `sorted[len/2]` — the **upper** median, not the interpolated midpoint.
@@ -73,24 +61,11 @@ pub struct RateWindow {
 
 impl RateWindow {
     /// Push one closed epoch's rates, evicting the oldest past `cap`.
-    ///
-    /// Returns whether a summary of the window could have changed: every
-    /// [`RateSummary`] field is a function of the window multiset and the
-    /// last entry, so a full window that evicts exactly the value being
-    /// pushed, with an unchanged back entry, leaves summaries untouched —
-    /// the steady-rate case the measurement engine's delta path exploits.
-    pub fn push(&mut self, pps: f64, bps: f64, cap: usize) -> bool {
-        let v = (pps, bps);
-        let prev_back = self.hist.back().copied();
-        let full = self.hist.len() >= cap.max(1);
-        let popped = if full { self.hist.pop_front() } else { None };
-        self.hist.push_back(v);
-        !(full && popped == Some(v) && prev_back == Some(v))
-    }
-
-    /// True when no epoch has been measured yet.
-    pub fn is_empty(&self) -> bool {
-        self.hist.is_empty()
+    pub fn push(&mut self, pps: f64, bps: f64, cap: usize) {
+        if self.hist.len() >= cap.max(1) {
+            self.hist.pop_front();
+        }
+        self.hist.push_back((pps, bps));
     }
 
     /// True when no remembered epoch saw traffic (the age-out criterion).
@@ -99,18 +74,18 @@ impl RateWindow {
         !self.hist.iter().any(|&(p, _)| p > 0.0)
     }
 
-    /// Summarize the window (`None` while no epoch has been measured).
-    pub fn summary(&self) -> Option<RateSummary> {
-        if self.hist.is_empty() {
-            return None;
-        }
+    /// `agg`'s demand report row (`None` while no epoch has been
+    /// measured): the last epoch's rates, the remembered epochs with
+    /// traffic, and the median rates.
+    pub fn demand(&self, agg: FlowAggregate) -> Option<AggDemand> {
+        let &(pps, bps) = self.hist.back()?;
         let mut pps_hist: Vec<f64> = self.hist.iter().map(|&(p, _)| p).collect();
         let mut bps_hist: Vec<f64> = self.hist.iter().map(|&(_, b)| b).collect();
         pps_hist.sort_by(|a, b| a.partial_cmp(b).unwrap());
         bps_hist.sort_by(|a, b| a.partial_cmp(b).unwrap());
         let mid = pps_hist.len() / 2; // upper median; see type docs
-        let &(pps, bps) = self.hist.back().unwrap();
-        Some(RateSummary {
+        Some(AggDemand {
+            agg,
             pps,
             bps,
             n_active: self.hist.iter().filter(|&&(p, _)| p > 0.0).count() as u32,
@@ -123,6 +98,7 @@ impl RateWindow {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use fastrak_net::addr::{Ip, TenantId};
 
     #[test]
     fn clean_pair_yields_rates() {
@@ -151,20 +127,17 @@ mod tests {
         for v in [100.0, 400.0, 200.0, 300.0] {
             w.push(v, v * 10.0, 8);
         }
-        let s = w.summary().unwrap();
+        let agg = FlowAggregate::DstApp {
+            tenant: TenantId(1),
+            ip: Ip::tenant_vm(1),
+            port: 80,
+        };
+        let s = w.demand(agg).unwrap();
+        assert_eq!(s.agg, agg);
         assert!((s.m_pps - 300.0).abs() < 1e-9, "upper median, not midpoint");
         assert!((s.m_bps - 3000.0).abs() < 1e-9);
         assert!((s.pps - 300.0).abs() < 1e-9, "last pushed epoch");
         assert_eq!(s.n_active, 4);
-    }
-
-    #[test]
-    fn steady_full_window_reports_no_change() {
-        let mut w = RateWindow::default();
-        assert!(w.push(5.0, 50.0, 2), "first push changes the summary");
-        assert!(w.push(5.0, 50.0, 2), "window not yet full");
-        assert!(!w.push(5.0, 50.0, 2), "steady full window: no change");
-        assert!(w.push(6.0, 50.0, 2), "rate moved: change");
     }
 
     #[test]

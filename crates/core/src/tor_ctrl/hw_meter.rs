@@ -114,15 +114,7 @@ impl HwMeter {
     }
 
     pub(crate) fn demand(&self, agg: &FlowAggregate) -> Option<AggDemand> {
-        let s = self.hist.get(agg)?.summary()?;
-        Some(AggDemand {
-            agg: *agg,
-            pps: s.pps,
-            bps: s.bps,
-            n_active: s.n_active,
-            m_pps: s.m_pps,
-            m_bps: s.m_bps,
-        })
+        self.hist.get(agg)?.demand(*agg)
     }
 
     /// The aggregate left the fast path: its measurements, and the

@@ -14,12 +14,9 @@ mod support;
 
 use std::collections::{HashMap, HashSet};
 
-use fastrak::{
-    AggDemand, DeConfig, Decision, FastPathPolicy, IncrementalDecisionEngine, MeasurementEngine,
-};
+use fastrak::{AggDemand, DeConfig, Decision, FastPathPolicy, IncrementalDecisionEngine};
 use fastrak_net::addr::{Ip, TenantId};
-use fastrak_net::ctrl::FlowStatEntry;
-use fastrak_net::flow::{FlowAggregate, FlowKey, Proto};
+use fastrak_net::flow::FlowAggregate;
 use fastrak_sim::FxHashMap;
 use support::DecisionEngine;
 
@@ -248,75 +245,6 @@ fn replay_is_bit_identical() {
     let a = run_differential(cfg.clone(), 0xDEAD_BEEF, 250, 600);
     let b = run_differential(cfg, 0xDEAD_BEEF, 250, 600);
     assert_eq!(a, b, "same seed must replay the same decision log");
-}
-
-// ---------------------------------------------------------------------------
-// Measurement-engine delta feed: replaying `delta_report` drains must
-// reconstruct `report` exactly, over a long randomized flow-stat stream.
-// ---------------------------------------------------------------------------
-
-fn key(i: u64) -> FlowKey {
-    FlowKey {
-        tenant: TenantId(1 + (i % 3) as u32),
-        src_ip: Ip::tenant_vm(100 + (i % 11) as u16),
-        dst_ip: Ip::tenant_vm(1 + (i / 7) as u16),
-        proto: Proto::Tcp,
-        src_port: 40_000 + (i % 100) as u16,
-        dst_port: (1 + i % 4096) as u16,
-    }
-}
-
-#[test]
-fn me_delta_feed_reconstructs_the_full_report() {
-    let mut me = MeasurementEngine::new(0.1, 6);
-    let mut rng = Rng::new(0xC0FF_EE00);
-    let n_flows = 60u64;
-    let mut cum: Vec<(u64, u64)> = vec![(0, 0); n_flows as usize];
-
-    // The delta consumer's shadow table, updated changed-then-removed.
-    let mut shadow: std::collections::BTreeMap<FlowAggregate, AggDemand> =
-        std::collections::BTreeMap::new();
-
-    for _round in 0..400 {
-        let mut entries_a = Vec::new();
-        let mut entries_b = Vec::new();
-        for i in 0..n_flows {
-            // Flows stall sometimes (no packet growth → zero epoch) and
-            // sometimes disappear from the dump entirely.
-            let present = rng.below(10) > 0;
-            if !present {
-                continue;
-            }
-            entries_a.push(FlowStatEntry {
-                key: key(i),
-                packets: cum[i as usize].0,
-                bytes: cum[i as usize].1,
-            });
-            let dp = if rng.below(4) == 0 { 0 } else { rng.below(500) };
-            cum[i as usize].0 += dp;
-            cum[i as usize].1 += dp * 1400;
-            entries_b.push(FlowStatEntry {
-                key: key(i),
-                packets: cum[i as usize].0,
-                bytes: cum[i as usize].1,
-            });
-        }
-        me.epoch_sample_a(&entries_a);
-        me.epoch_sample_b(&entries_b);
-
-        let delta = me.delta_report();
-        for d in &delta.changed {
-            shadow.insert(d.agg, *d);
-        }
-        for a in &delta.removed {
-            shadow.remove(a);
-        }
-
-        let mut want = me.report();
-        want.sort_by_key(|d| d.agg);
-        let got: Vec<AggDemand> = shadow.values().copied().collect();
-        assert_eq!(got, want, "delta replay drifted from the full report");
-    }
 }
 
 // ---------------------------------------------------------------------------

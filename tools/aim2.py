@@ -16,7 +16,8 @@ Prints, for the Rust outside `benchmark/` and `target/`:
     caller in non-test crate code, `src/`, `examples/`,
     `crates/bench/benches/` or `benchmark/src/`. A caller inside an item
     that is itself unreached does not count. `KEPT` names the ones kept on
-    purpose, with the tests that use them.
+    purpose, with the tests that use them; a `KEPT` name that is no public
+    item of `crates/*/src` any more is printed as stale.
 Nothing is gated: the numbers are for the tracker line and the CHANGES table.
 """
 import argparse
@@ -58,8 +59,6 @@ KEPT = {
     "Buf": "wire codec, kept whole while benchmark/ probes call encode_wire",
     "verify": "wire codec, kept whole while benchmark/ probes call encode_wire",
     "ECT1": "ECN codepoints stay beside Packet",
-    "DemandDelta": "ME delta feed: the live path once ROADMAP 9(a) lands",
-    "MeasurementEngine::delta_report": "ME delta feed: the live path once ROADMAP 9(a) lands",
     "flight_jsonl": "the flight recorder's only exporter",
     "Stress": "model, no world runs it: the paper's stress CPU hog (§6.1.1)",
     "Rng::normal": "model, no world runs it: a workload distribution",
@@ -137,7 +136,8 @@ def functions(text):
 def unreached(root, files, texts, tests):
     """(item, `path:line`) of each public item of `crates/*/src` that only
     tests reach, to a fixed point: an item whose every caller is inside
-    items already found is unreached too."""
+    items already found is unreached too; and the names of every public
+    item of `crates/*/src`, reached or not."""
     rel = lambda p: p.relative_to(root).as_posix()
     lib = lambda p: rel(p).startswith("crates/") and rel(p).split("/")[2] == "src"
     callers = [p for p in files if p not in tests and (lib(p) or rel(p).startswith(CALLERS))]
@@ -182,7 +182,8 @@ def unreached(root, files, texts, tests):
             and total.get(word, 0) == sum(words[l].count(word) for l in body | dead if l in words)
         }
         if not new:
-            return sorted((items[k][1], at) for k, at in found.items())
+            names = {name for _, name, _, _ in items}
+            return sorted((items[k][1], at) for k, at in found.items()), names
         found.update(new)
 
 
@@ -246,7 +247,8 @@ def main():
 
     print("\n== public items only tests reach (callers: crate src, src/, examples/, benches, benchmark/src) ==")
     kept = []
-    for name, at in unreached(root, files, texts, tests):
+    found, names = unreached(root, files, texts, tests)
+    for name, at in found:
         if name in KEPT:
             kept.append((name, at))
         else:
@@ -261,6 +263,10 @@ def main():
         word = re.compile(rf"\b{re.escape(name.split('::')[-1])}\b")
         users = sorted(rel(p) for p, t in test_text.items() if word.search(t))
         print(f"  {name:32} {KEPT[name]}\n  {'':32} tests naming it: {', '.join(users) or '-'}")
+    stale = sorted(set(KEPT) - names)
+    print(f"stale: kept names that are no public item of crates/*/src ({len(stale)})")
+    for name in stale:
+        print(f"  {name:32} {KEPT[name]}")
 
     for lit in args.count:
         hits = [(rel(p), no) for p in files if in_src(p) for no, l in code[p] if lit in l]

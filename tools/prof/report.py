@@ -1,10 +1,14 @@
 #!/usr/bin/env python3
-"""Symbolise a sigprof.c dump with `nm -C` and print self / inclusive tables.
+"""Symbolise a sigprof.c or heapsites.c dump with `nm -C` and print self /
+inclusive tables.
 
     python3 tools/prof/report.py <binary> <dump> [--top N] [--under SUBSTR] [--lines]
 
 Self time goes to the function holding the sampled RIP; inclusive time to
-every distinct function on the sampled stack. `--under` keeps only samples
+every distinct function on the sampled stack. A heapsites.c dump weighs each
+stack by the bytes its allocations held at the heap's peak instead: self
+bytes go to the function that called the allocator, inclusive bytes to every
+function on the stack. `--under` keeps only samples
 whose stack contains a function matching SUBSTR, and reports shares of those.
 Addresses outside the binary (libc, the preload itself) are "[other]".
 
@@ -57,7 +61,7 @@ def main():
     # Where the binary is mapped: its executable ranges, and its lowest
     # address, which for a position-independent executable (ELF type DYN) is
     # what the loader added to every symbol value `nm` prints.
-    text, lowest, stacks, dropped = [], None, [], 0
+    text, lowest, stacks, dropped, peak = [], None, [], 0, None
     for line in open(dump):
         kind, _, rest = line.partition(" ")
         if kind == "map":
@@ -69,8 +73,13 @@ def main():
                     text.append((lo, hi))
         elif kind == "dropped":
             dropped = int(rest)
+        elif kind == "peak":
+            peak = [int(x) for x in rest.split()]
         elif kind == "s":
-            stacks.append([int(x, 16) for x in rest.split()])
+            stacks.append((1, [int(x, 16) for x in rest.split()]))
+        elif kind == "b":  # bytes, live allocations, stack
+            f = rest.split()
+            stacks.append((int(f[0]), [int(x, 16) for x in f[2:]]))
     with open(binary, "rb") as f:
         pie = int.from_bytes(f.read(18)[16:18], "little") == 3
     base = lowest if pie and lowest is not None else 0
@@ -83,29 +92,36 @@ def main():
         i = bisect.bisect_right(addrs, addr - base - (1 if is_return else 0)) - 1
         return names[i] if i >= 0 else "[other]"
 
+    # A heap stack starts at a return address, a sampled one at the RIP.
+    heap = peak is not None
     self_t, incl_t, kept = collections.Counter(), collections.Counter(), 0
     rips = collections.Counter()
-    for stack in stacks:
-        fns = [name(a, i > 0) for i, a in enumerate(stack)]
-        if under and not any(under in f for f in fns):
+    for weight, stack in stacks:
+        fns = [name(a, heap or i > 0) for i, a in enumerate(stack)]
+        if not fns or under and not any(under in f for f in fns):
             continue
-        kept += 1
-        self_t[fns[0]] += 1
+        kept += weight
+        self_t[fns[0]] += weight
         for f in set(fns):
-            incl_t[f] += 1
+            incl_t[f] += weight
         if fns[0] != "[other]":
-            rips[stack[0] - base] += 1
+            rips[stack[0] - base - heap] += weight
     if not kept:
         sys.exit("no samples")
     scope = f" under '{under}'" if under else ""
-    print(f"{kept} samples{scope} of {len(stacks)} ({dropped} dropped)")
+    if heap:
+        total = sum(w for w, _ in stacks)
+        print(f"{kept} bytes{scope} of {total} live at the snapshot; peak {peak[0]} bytes, "
+              f"{peak[2]} live allocations at the snapshot, {peak[3]} untracked")
+    else:
+        print(f"{kept} samples{scope} of {len(stacks)} ({dropped} dropped)")
     tables = [("self", self_t), ("inclusive", incl_t)]
     if lines:
         tables.append(("self by line", source_lines(binary, rips)))
     for title, table in tables:
         print(f"\n-- {title} --")
         for fn, n in table.most_common(top):
-            print(f"{100 * n / kept:6.2f}%  {n:7d}  {fn[:110]}")
+            print(f"{100 * n / kept:6.2f}%  {n:9d}  {fn[:110]}")
 
 
 def source_lines(binary, rips):
