@@ -8,8 +8,8 @@
  *
  * The constructor installs a SIGPROF handler and starts ITIMER_PROF (CPU
  * time of the whole process, SIGPROF_HZ samples per second, default 997).
- * The handler records the interrupted RIP and walks the frame-pointer chain,
- * so the program must be built with frame pointers
+ * The handler records the interrupted RIP and walks the frame-pointer chain
+ * (fpwalk.h), so the program must be built with frame pointers
  * (RUSTFLAGS="-C force-frame-pointers=yes"); frames of code built without
  * them (libc, the allocator) end a stack early and show up as self time of
  * their last caller with a frame pointer. Samples go into a fixed buffer
@@ -27,19 +27,14 @@
 #include <sys/time.h>
 #include <ucontext.h>
 
+#include "fpwalk.h"
+
 #define MAX_DEPTH 47
 #define RECORD (MAX_DEPTH + 1) /* words per sample: depth, then addresses */
 #define MAX_SAMPLES 400000u
 
 static uintptr_t *buf;
 static size_t taken; /* samples, counting those past the buffer's end */
-
-/* A frame pointer is followed only while it climbs, stays aligned and stays
- * within a plausible stack distance: the handler must not fault. */
-static int plausible(uintptr_t fp, uintptr_t prev)
-{
-    return fp > prev && (fp & 7) == 0 && fp - prev < (8u << 20);
-}
 
 static void on_sigprof(int sig, siginfo_t *info, void *uc_)
 {
@@ -51,19 +46,10 @@ static void on_sigprof(int sig, siginfo_t *info, void *uc_)
     if (slot >= MAX_SAMPLES)
         return;
     uintptr_t *out = buf + slot * RECORD + 1;
-    size_t n = 0;
-    out[n++] = (uintptr_t)uc->uc_mcontext.gregs[REG_RIP];
+    out[0] = (uintptr_t)uc->uc_mcontext.gregs[REG_RIP];
     uintptr_t fp = (uintptr_t)uc->uc_mcontext.gregs[REG_RBP];
     uintptr_t prev = (uintptr_t)uc->uc_mcontext.gregs[REG_RSP] - 1;
-    while (n < MAX_DEPTH && plausible(fp, prev)) {
-        uintptr_t *frame = (uintptr_t *)fp;
-        uintptr_t ret = frame[1];
-        if (ret < 4096)
-            break;
-        out[n++] = ret;
-        prev = fp;
-        fp = frame[0];
-    }
+    size_t n = 1 + fp_walk(fp, prev, out + 1, MAX_DEPTH - 1);
     __atomic_store_n(out - 1, n, __ATOMIC_RELEASE);
 }
 
