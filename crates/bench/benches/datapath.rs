@@ -69,7 +69,7 @@ impl Node<u64, fastrak_telemetry::Telemetry> for TelemetryPing {
             let comp = api.ctx.spans.comp("ping");
             api.ctx
                 .spans
-                .instant(api.now.as_nanos(), comp, "ev", ev, [0; 3]);
+                .track_flow_path(api.now.as_nanos(), comp, ev, "ev");
         }
         if self.left > 0 {
             self.left -= 1;

@@ -160,9 +160,6 @@ fn build(policy: FastPathPolicy) -> Rack {
             ..Default::default()
         },
     );
-    // Flight-recorder on: failure transitions are recorded there, and the
-    // chaos acceptance tests scan it.
-    bed.kernel.ctx.telemetry.flight.set_enabled(true);
     bed.kernel.set_fault_layer(ctl_fault_layer(FaultConfig {
         seed: 0xC4A05,
         ..FaultConfig::default()

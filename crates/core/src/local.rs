@@ -210,21 +210,6 @@ impl LocalController {
             return;
         }
         self.hw_path_down = down;
-        api.ctx.telemetry.flight.record(
-            api.now.as_nanos(),
-            "local-ctrl",
-            if down {
-                fastrak_telemetry::Severity::Error
-            } else {
-                fastrak_telemetry::Severity::Info
-            },
-            if down {
-                "sriov path down: reporting to tor controller"
-            } else {
-                "sriov path recovered: reporting to tor controller"
-            },
-            [u64::from(self.cfg.server_ip.0), 0, 0],
-        );
         api.send(
             self.cfg.tor_ctrl,
             SimDuration::from_micros(100),

@@ -8,7 +8,7 @@ use fastrak_net::addr::{Ip, TenantId};
 use fastrak_net::ctrl::{HwPathReport, OffloadDecision, TorRule};
 use fastrak_net::flow::FlowAggregate;
 use fastrak_sim::FxHashMap;
-use fastrak_telemetry::recorder::{DecisionKind, Severity};
+use fastrak_telemetry::recorder::DecisionKind;
 
 use super::{Cx, Timer, TorController, BLACKHOLE_COOLDOWN, DEMOTE_GRACE};
 use crate::de::Decision;
@@ -95,26 +95,15 @@ impl TorController {
     /// normal hysteresis (N-of-M persistence + score band) governs
     /// re-offload, so a flapping VF cannot thrash the fast path.
     pub(super) fn on_hw_path_report(&mut self, rep: HwPathReport, cx: &mut Cx<'_>) {
-        let n_vms = rep.vms.len() as u64;
         if rep.up {
             for vm in &rep.vms {
                 self.hw_down_vms.remove(vm);
             }
-            cx.note(
-                Severity::Info,
-                "server hardware path recovered; VMs re-eligible for offload",
-                [n_vms, 0, 0],
-            );
             return;
         }
         self.hw_down_vms.extend(rep.vms);
         let affected = self.offloaded_touching(|vm| self.hw_down_vms.contains(vm));
         cx.add(cx.c.chaos_hw_path_down_demotes, affected.len() as u64);
-        cx.note(
-            Severity::Error,
-            "server hardware path down: demoting its offloaded aggregates",
-            [affected.len() as u64, n_vms, 0],
-        );
         self.demote(&affected, Demote::Forced, cx);
     }
 
@@ -148,11 +137,6 @@ impl TorController {
                 .insert(*agg, cx.now + BLACKHOLE_COOLDOWN);
         }
         cx.add(cx.c.chaos_blackhole_demotes, victims.len() as u64);
-        cx.note(
-            Severity::Warn,
-            "blackhole suspected: hw counters idle under live demand; demoting",
-            [victims.len() as u64, threshold as u64, 0],
-        );
         self.demote(&victims, Demote::Forced, cx);
     }
 

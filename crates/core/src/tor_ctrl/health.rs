@@ -5,7 +5,6 @@
 
 use fastrak_net::ctrl::CtrlRequest;
 use fastrak_sim::time::SimTime;
-use fastrak_telemetry::recorder::Severity;
 
 use super::{Cx, Timer, Xids, HW_COOLDOWN, HW_FAILURE_THRESHOLD, INSTALL_TIMEOUT};
 
@@ -54,11 +53,6 @@ impl TorHealth {
             self.install_failures = 0;
             self.suspended_until = Some(cx.now + HW_COOLDOWN);
             cx.inc(cx.c.hw_suspensions);
-            cx.note(
-                Severity::Warn,
-                "hardware path suspended (install-failure cooldown)",
-                [HW_FAILURE_THRESHOLD as u64, HW_COOLDOWN.0, 0],
-            );
         }
     }
 
@@ -83,7 +77,7 @@ impl TorHealth {
         self.probe_failures += 1;
         cx.inc(cx.c.chaos_probe_timeouts);
         if self.probe_failures >= HW_FAILURE_THRESHOLD {
-            self.mark_down("tor probes unanswered: offloads suspended", cx);
+            self.down = true;
         }
     }
 
@@ -94,7 +88,7 @@ impl TorHealth {
         if !self.answered(xid, cx) {
             return false;
         }
-        self.mark_down("tor reports rebooting: offloads suspended", cx);
+        self.down = true;
         true
     }
 
@@ -104,14 +98,7 @@ impl TorHealth {
         if !self.answered(xid, cx) {
             return false;
         }
-        if self.down {
-            self.down = false;
-            cx.note(
-                Severity::Info,
-                "tor probe answered: hardware path back up",
-                [xid, generation, 0],
-            );
-        }
+        self.down = false;
         self.observe_generation(generation, cx)
     }
 
@@ -126,13 +113,6 @@ impl TorHealth {
         true
     }
 
-    fn mark_down(&mut self, msg: &str, cx: &mut Cx<'_>) {
-        if !self.down {
-            self.down = true;
-            cx.note(Severity::Error, msg, [self.probe_failures as u64, 0, 0]);
-        }
-    }
-
     /// A reply carried the ToR's boot generation. A newer one means the
     /// hardware table was wiped by a reboot: count it and return true (the
     /// caller decides whether to re-sweep).
@@ -142,11 +122,6 @@ impl TorHealth {
         }
         self.generation = generation;
         cx.inc(cx.c.chaos_tor_reboots_seen);
-        cx.note(
-            Severity::Warn,
-            "tor reboot detected: hardware table presumed wiped",
-            [generation, 0, 0],
-        );
         true
     }
 

@@ -10,7 +10,6 @@ use std::collections::HashMap;
 use fastrak_net::ctrl::{CtrlRequest, TorStatEntry};
 use fastrak_net::flow::FlowAggregate;
 use fastrak_sim::{FxHashMap, FxHashSet};
-use fastrak_telemetry::recorder::Severity;
 
 use super::ledger::RuleId;
 use super::{Cx, Xids};
@@ -84,14 +83,8 @@ impl HwMeter {
         entries: &[TorStatEntry],
         spec_to_agg: &HashMap<RuleId, FlowAggregate>,
         gap_secs: f64,
-        cx: &mut Cx<'_>,
     ) -> bool {
         let Some(phase) = self.awaited.iter().position(|w| *w == Some(xid)) else {
-            cx.note(
-                Severity::Warn,
-                "counter dump nobody awaits dropped (duplicate or stale)",
-                [xid, 0, 0],
-            );
             return false;
         };
         self.awaited[phase] = None;
@@ -204,10 +197,10 @@ mod tests {
     fn epoch(b: &mut Bench, m: &mut HwMeter, xids: &mut Xids, from: u64, to: u64) {
         m.request(Phase::A, xids, &mut b.cx());
         let a = asked(b);
-        assert!(!m.on_stats(a, &counters(from), &map(), GAP, &mut b.cx()));
+        assert!(!m.on_stats(a, &counters(from), &map(), GAP));
         m.request(Phase::B, xids, &mut b.cx());
         let x = asked(b);
-        assert!(m.on_stats(x, &counters(to), &map(), GAP, &mut b.cx()));
+        assert!(m.on_stats(x, &counters(to), &map(), GAP));
     }
 
     #[test]
@@ -248,7 +241,7 @@ mod tests {
         m.request(Phase::B, &mut xids, &mut b.cx());
         let x = asked(&b);
         m.reset();
-        assert!(!m.on_stats(x, &counters(5), &map(), GAP, &mut b.cx()));
+        assert!(!m.on_stats(x, &counters(5), &map(), GAP));
     }
 
     fn dark(m: &mut HwMeter, threshold: u32) -> Vec<FlowAggregate> {

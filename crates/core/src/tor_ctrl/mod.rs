@@ -53,7 +53,6 @@ use fastrak_net::flow::FlowAggregate;
 use fastrak_sim::kernel::{EventHandle, NodeId};
 use fastrak_sim::time::{SimDuration, SimTime};
 use fastrak_sim::{FxHashMap, FxHashSet};
-use fastrak_telemetry::recorder::Severity;
 use fastrak_telemetry::{CounterId, Registry, Telemetry};
 
 use crate::de::DeConfig;
@@ -338,13 +337,6 @@ impl Cx<'_> {
     fn add(&mut self, id: CounterId, n: u64) {
         self.tel.registry.add(id, n);
     }
-
-    /// One flight-recorder line under the controller's component name.
-    fn note(&mut self, severity: Severity, msg: &str, vals: [u64; 3]) {
-        self.tel
-            .flight
-            .record(self.now.as_nanos(), "tor-ctrl", severity, msg, vals);
-    }
 }
 
 /// Correlation ids for every request the controller sends. One space, so a
@@ -559,7 +551,7 @@ impl TorController {
             CtrlReply::TorFlowStats { xid, entries } => {
                 let gap = self.cfg.timing.sample_gap.as_secs_f64();
                 let map = self.ledger.spec_to_agg();
-                if self.hw.on_stats(xid, &entries, map, gap, cx) {
+                if self.hw.on_stats(xid, &entries, map, gap) {
                     self.close_epoch(cx);
                 }
             }
@@ -601,9 +593,8 @@ impl TorController {
             CtrlReply::TorRuleDump {
                 xid,
                 rules,
-                fastpath_used,
                 boot_generation,
-            } => self.on_rule_dump(xid, rules, fastpath_used, boot_generation, cx),
+            } => self.on_rule_dump(xid, rules, boot_generation, cx),
             CtrlReply::FlowStats { .. } => {}
         }
     }
@@ -641,7 +632,6 @@ impl TorController {
         &mut self,
         xid: u64,
         rules: Vec<ledger::RuleId>,
-        fastpath_used: usize,
         generation: u64,
         cx: &mut Cx<'_>,
     ) {
@@ -650,11 +640,6 @@ impl TorController {
             // compare against, so this is baseline, not a detected reboot.
             self.health.adopt_generation(generation);
             self.ledger.rebuild(&mut self.entries_used, &rules);
-            cx.note(
-                Severity::Info,
-                "controller state rebuilt from hardware rule dump",
-                [self.entries_used as u64, fastpath_used as u64, generation],
-            );
             return;
         }
         if generation < self.health.generation() {
@@ -662,11 +647,6 @@ impl TorController {
             // about: using it would resurrect wiped rules in the
             // bookkeeping. Discard, and re-sweep if it was the awaited one.
             cx.inc(cx.c.chaos_stale_dumps_discarded);
-            cx.note(
-                Severity::Warn,
-                "stale pre-reboot rule dump discarded",
-                [xid, generation, self.health.generation()],
-            );
             if self.recon.awaits(xid) {
                 self.recon
                     .start_sweep(self.ledger.offloaded(), &mut self.xids, cx);
@@ -693,11 +673,6 @@ impl TorController {
         let expect = self.ledger.installed();
         if self.entries_used != expect {
             cx.inc(cx.c.reconcile_counter_repairs);
-            cx.note(
-                Severity::Warn,
-                "entries_used drift repaired by reconciliation",
-                [self.entries_used as u64, expect as u64, 0],
-            );
             self.entries_used = expect;
         }
     }
@@ -722,11 +697,6 @@ impl TorController {
         self.hw_down_vms.clear();
         self.xids.restart(incarnation);
         cx.inc(cx.c.chaos_ctrl_restarts);
-        cx.note(
-            Severity::Error,
-            "controller restarted: rebuilding state from hardware",
-            [incarnation, 0, 0],
-        );
         self.recon.begin_recovery(&mut self.xids, cx);
     }
 }
@@ -877,7 +847,6 @@ mod tests {
             CtrlReply::TorRuleDump {
                 xid: never,
                 rules: Vec::new(),
-                fastpath_used: 0,
                 boot_generation: generation,
             },
             CtrlReply::ProbeReply {
@@ -887,7 +856,6 @@ mod tests {
             CtrlReply::TorRuleDump {
                 xid: never,
                 rules: Vec::new(),
-                fastpath_used: 0,
                 boot_generation: generation + 1,
             },
             CtrlReply::ProbeReply {

@@ -108,7 +108,6 @@ impl FakeTor {
             CtrlRequest::DumpTorRules { xid } => Some(CtrlReply::TorRuleDump {
                 xid,
                 rules: self.rules.clone(),
-                fastpath_used: self.rules.len(),
                 boot_generation: self.generation,
             }),
             CtrlRequest::Probe { xid } => Some(CtrlReply::ProbeReply {

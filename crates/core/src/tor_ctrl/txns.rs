@@ -11,7 +11,6 @@ use std::collections::BTreeMap;
 
 use fastrak_net::ctrl::{CtrlRequest, OffloadDecision, TorRule};
 use fastrak_sim::time::SimDuration;
-use fastrak_telemetry::recorder::Severity;
 use fastrak_telemetry::span::SpanId;
 
 use super::{Cx, Timer, BACKOFF_CAP, INSTALL_TIMEOUT, MAX_INSTALL_RETRIES};
@@ -97,11 +96,6 @@ impl InstallTxns {
         }
         let txn = self.pending.remove(&xid).expect("looked up just above");
         cx.inc(cx.c.installs_abandoned);
-        cx.note(
-            Severity::Error,
-            "install transaction abandoned after retry budget",
-            [xid, attempt as u64, txn.broadcast.offload.len() as u64],
-        );
         txn.close_span(cx);
         Some(txn)
     }

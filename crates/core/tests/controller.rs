@@ -713,7 +713,6 @@ fn stale_pre_reboot_rule_dump_is_discarded() {
             Ctl::Reply(CtrlReply::TorRuleDump {
                 xid: 0xDEAD,
                 rules: vec![(T, exact_rule(T, 99).spec)],
-                fastpath_used: 37,
                 boot_generation: 0,
             }),
         ),

@@ -353,11 +353,6 @@ impl Server {
         &mut self.vms[idx]
     }
 
-    /// Number of VMs.
-    pub fn n_vms(&self) -> usize {
-        self.vms.len()
-    }
-
     /// Find a VM index by (tenant, IP).
     pub fn vm_by_ip(&self, tenant: TenantId, ip: Ip) -> Option<usize> {
         self.vms

@@ -180,9 +180,6 @@ pub enum CtrlReply {
         xid: u64,
         /// Every installed `(tenant, spec)` ACL rule.
         rules: Vec<(TenantId, FlowSpec)>,
-        /// Fast-path entries in use (ACL rules + tunnel mappings), for
-        /// invariant checking.
-        fastpath_used: usize,
         /// The ToR's boot generation when the dump was snapshotted. A dump
         /// older than the controller's known generation is stale (taken
         /// before a reboot wiped the table) and must be discarded, never

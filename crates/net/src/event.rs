@@ -85,8 +85,8 @@ impl Event {
 pub struct NetCtx {
     /// Global trace ring (receiver-side packet capture, controller events).
     pub trace: TraceRing,
-    /// Observability plane: metrics registry, span log, flight recorder,
-    /// decision audit log. Disabled by default (zero-cost contract).
+    /// Observability plane: metrics registry, span log, decision audit log.
+    /// Disabled by default (zero-cost contract).
     pub telemetry: Telemetry,
     next_packet_id: u64,
 }

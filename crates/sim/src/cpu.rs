@@ -42,11 +42,6 @@ impl CpuPool {
         }
     }
 
-    /// Number of logical CPUs in the pool.
-    pub fn n_cpus(&self) -> usize {
-        self.free_at.len()
-    }
-
     /// The slot that frees up first.
     fn earliest(&mut self) -> &mut SimTime {
         self.free_at

@@ -102,72 +102,6 @@ impl Rng {
     pub fn exp_duration(&mut self, mean: SimDuration) -> SimDuration {
         SimDuration::from_secs_f64(self.exponential(mean.as_secs_f64()))
     }
-
-    /// Standard normal via Box-Muller (single value; the pair is not cached so
-    /// the stream stays a pure function of call count).
-    pub fn normal(&mut self, mean: f64, std_dev: f64) -> f64 {
-        let u1 = 1.0 - self.f64();
-        let u2 = self.f64();
-        let z = (-2.0 * u1.ln()).sqrt() * (std::f64::consts::TAU * u2).cos();
-        mean + std_dev * z
-    }
-
-    /// Zipf-like rank selection over `n` items with skew `s` (rank 0 is the
-    /// most popular). Uses rejection-free inverse-CDF over the harmonic
-    /// weights, computed lazily by the caller via [`ZipfTable`].
-    pub fn zipf(&mut self, table: &ZipfTable) -> usize {
-        table.sample(self)
-    }
-}
-
-/// Precomputed cumulative distribution for Zipf-distributed popularity.
-///
-/// Memcached key popularity and per-destination flow locality both use this:
-/// "temporal locality in flows" (paper §1) is what makes MFU offload work.
-#[derive(Clone, Debug)]
-pub struct ZipfTable {
-    cdf: Vec<f64>,
-}
-
-impl ZipfTable {
-    /// Build the CDF for `n` ranks with exponent `s` (s = 0 is uniform).
-    pub fn new(n: usize, s: f64) -> Self {
-        assert!(n > 0, "zipf table needs at least one rank");
-        let mut cdf = Vec::with_capacity(n);
-        let mut acc = 0.0;
-        for k in 1..=n {
-            acc += 1.0 / (k as f64).powf(s);
-            cdf.push(acc);
-        }
-        let total = *cdf.last().unwrap();
-        for v in &mut cdf {
-            *v /= total;
-        }
-        ZipfTable { cdf }
-    }
-
-    /// Number of ranks.
-    pub fn len(&self) -> usize {
-        self.cdf.len()
-    }
-
-    /// True when the table has no ranks. Kept for the conventional
-    /// `len`/`is_empty` pairing; unreachable through [`ZipfTable::new`],
-    /// whose `n > 0` assert guarantees at least one rank.
-    pub fn is_empty(&self) -> bool {
-        self.cdf.is_empty()
-    }
-
-    fn sample(&self, rng: &mut Rng) -> usize {
-        let u = rng.f64();
-        match self
-            .cdf
-            .binary_search_by(|probe| probe.partial_cmp(&u).unwrap())
-        {
-            Ok(i) => i,
-            Err(i) => i.min(self.cdf.len() - 1),
-        }
-    }
 }
 
 #[cfg(test)]
@@ -243,53 +177,6 @@ mod tests {
         let sum: f64 = (0..n).map(|_| r.exponential(4.0)).sum();
         let mean = sum / n as f64;
         assert!((mean - 4.0).abs() < 0.1, "mean {mean}");
-    }
-
-    #[test]
-    fn normal_moments_converge() {
-        let mut r = Rng::new(13);
-        let n = 200_000;
-        let vals: Vec<f64> = (0..n).map(|_| r.normal(10.0, 2.0)).collect();
-        let mean = vals.iter().sum::<f64>() / n as f64;
-        let var = vals.iter().map(|v| (v - mean) * (v - mean)).sum::<f64>() / n as f64;
-        assert!((mean - 10.0).abs() < 0.05, "mean {mean}");
-        assert!((var - 4.0).abs() < 0.2, "var {var}");
-    }
-
-    #[test]
-    fn zipf_rank_zero_most_popular() {
-        let table = ZipfTable::new(100, 1.0);
-        let mut r = Rng::new(17);
-        let mut counts = vec![0u32; 100];
-        for _ in 0..100_000 {
-            counts[r.zipf(&table)] += 1;
-        }
-        assert!(counts[0] > counts[10]);
-        assert!(counts[10] > counts[90]);
-    }
-
-    #[test]
-    fn zipf_zero_skew_is_uniformish() {
-        let table = ZipfTable::new(10, 0.0);
-        let mut r = Rng::new(19);
-        let mut counts = vec![0u32; 10];
-        for _ in 0..100_000 {
-            counts[r.zipf(&table)] += 1;
-        }
-        for c in counts {
-            assert!((9_000..11_000).contains(&c), "bucket count {c}");
-        }
-    }
-
-    #[test]
-    fn zipf_table_is_never_empty() {
-        // `new` asserts n > 0, so every constructible table has at least one
-        // rank; `is_empty` must agree with `len` (and always be false here).
-        for n in [1, 2, 100] {
-            let table = ZipfTable::new(n, 1.0);
-            assert_eq!(table.len(), n);
-            assert!(!table.is_empty());
-        }
     }
 
     #[test]

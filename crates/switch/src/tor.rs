@@ -181,11 +181,6 @@ impl Tor {
         }
     }
 
-    /// The switch's current boot generation (0 until a scripted reboot).
-    pub fn boot_generation(&self) -> u64 {
-        self.boot_epoch
-    }
-
     /// Observe the chaos plane's boot epoch; on change, model the reboot:
     /// everything a power cycle loses is wiped — VRF rule tables (with
     /// their per-rule flow counters), the GRE tunnel directory, hardware
@@ -199,7 +194,6 @@ impl Tor {
         if epoch <= self.boot_epoch {
             return;
         }
-        let wiped = self.acl_rules() + self.tunnel_entries();
         self.vrfs.clear();
         self.tunnel_dir.clear();
         self.hw_rates.clear();
@@ -207,13 +201,6 @@ impl Tor {
         self.fastpath_used = 0;
         self.ports.iter_mut().for_each(EgressPort::drain);
         self.boot_epoch = epoch;
-        api.ctx.telemetry.flight.record(
-            api.now.as_nanos(),
-            "tor",
-            fastrak_telemetry::Severity::Warn,
-            "reboot: hardware state wiped",
-            [epoch, wiped as u64, 0],
-        );
     }
 
     // ------------------------------------------------------------ wiring --
@@ -669,7 +656,6 @@ impl Tor {
             CtrlRequest::DumpTorRules { xid } => Some(CtrlReply::TorRuleDump {
                 xid,
                 rules: self.dump_rule_identities(),
-                fastpath_used: self.fastpath_used,
                 boot_generation: self.boot_epoch,
             }),
             CtrlRequest::Probe { xid } => Some(CtrlReply::ProbeReply {
@@ -910,7 +896,6 @@ mod tests {
         let held = CtrlReply::TorRuleDump {
             xid: 3,
             rules: vec![(T, rule(2).spec)],
-            fastpath_used: 1,
             boot_generation: 0,
         };
         assert_eq!(tor.answer(identities, false, false), Some(held));

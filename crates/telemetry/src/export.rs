@@ -10,7 +10,7 @@
 
 use std::fmt::Write as _;
 
-use crate::recorder::{AuditLog, DecisionKind, FlightRecorder, Severity};
+use crate::recorder::{AuditLog, DecisionKind};
 use crate::registry::Registry;
 use crate::span::SpanLog;
 
@@ -141,8 +141,8 @@ fn micros(out: &mut String, ns: u64) {
 /// Layout: each component is a *process* (named via `process_name`
 /// metadata), each flow id a *thread* within it, so a flow's path residency
 /// ("vif" → "sriov") reads as consecutive slices on one Perfetto track.
-/// Spans become complete ("X") events, instants become instant ("i")
-/// events, and audited decisions become instants on the owning component.
+/// Spans become complete ("X") events and audited decisions become instant
+/// ("i") events on the owning component.
 pub fn chrome_trace(spans: &SpanLog, audit: Option<&AuditLog>) -> String {
     let mut out = String::from("{\"traceEvents\":[");
     let mut first = true;
@@ -153,13 +153,8 @@ pub fn chrome_trace(spans: &SpanLog, audit: Option<&AuditLog>) -> String {
         *first = false;
     };
 
-    // process_name metadata for every component seen in spans/instants.
-    let mut comps: Vec<u32> = spans
-        .spans()
-        .iter()
-        .map(|s| s.comp.index())
-        .chain(spans.instants().iter().map(|i| i.comp.index()))
-        .collect();
+    // process_name metadata for every component seen in spans.
+    let mut comps: Vec<u32> = spans.spans().iter().map(|s| s.comp.index()).collect();
     comps.sort_unstable();
     comps.dedup();
     for c in &comps {
@@ -193,24 +188,6 @@ pub fn chrome_trace(spans: &SpanLog, audit: Option<&AuditLog>) -> String {
         out.push('}');
     }
 
-    for i in spans.instants() {
-        sep(&mut out, &mut first);
-        out.push_str("{\"ph\":\"i\",\"s\":\"t\",\"name\":");
-        json_str(&mut out, &i.name);
-        let _ = write!(
-            out,
-            ",\"pid\":{},\"tid\":{},\"ts\":",
-            i.comp.index(),
-            i.flow
-        );
-        micros(&mut out, i.at_ns);
-        let _ = write!(
-            out,
-            ",\"args\":{{\"v0\":{},\"v1\":{},\"v2\":{}}}}}",
-            i.vals[0], i.vals[1], i.vals[2]
-        );
-    }
-
     if let Some(audit) = audit {
         for d in audit.records() {
             sep(&mut out, &mut first);
@@ -236,40 +213,9 @@ pub fn chrome_trace(spans: &SpanLog, audit: Option<&AuditLog>) -> String {
     out
 }
 
-/// Render the flight recorder as JSON lines (one entry per line, grouped by
-/// component in interning order) — the "dump" format the controller emits
-/// on anomalies and `--telemetry` writes alongside the metrics snapshot.
-pub fn flight_jsonl(fr: &FlightRecorder) -> String {
-    let mut out = String::new();
-    for (comp, entries) in fr.all() {
-        for e in entries {
-            out.push_str("{\"comp\":");
-            json_str(&mut out, comp);
-            let sev = match e.severity {
-                Severity::Info => "info",
-                Severity::Warn => "warn",
-                Severity::Error => "error",
-            };
-            let _ = write!(
-                out,
-                ",\"at_ns\":{},\"severity\":\"{sev}\",\"msg\":",
-                e.at_ns
-            );
-            json_str(&mut out, &e.msg);
-            let _ = writeln!(
-                out,
-                ",\"vals\":[{},{},{}]}}",
-                e.vals[0], e.vals[1], e.vals[2]
-            );
-        }
-    }
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::recorder::Severity;
     use crate::span::SpanLog;
 
     #[test]
@@ -319,13 +265,35 @@ mod tests {
     }
 
     #[test]
-    fn flight_jsonl_includes_severity() {
-        let mut fr = FlightRecorder::default();
-        fr.set_enabled(true);
-        fr.record(5, "ctrl", Severity::Error, "xact abandoned", [9, 2, 0]);
-        let s = flight_jsonl(&fr);
-        assert!(s.contains("\"severity\":\"error\""));
-        assert!(s.contains("\"xact abandoned\""));
+    fn chrome_trace_exact_bytes() {
+        let mut l = SpanLog::default();
+        l.set_enabled(true);
+        let vm = l.comp("s1/vm0");
+        let ctrl = l.comp("tor-ctrl");
+        l.track_flow_path(1_000, vm, 42, "vif");
+        let x = l.begin(1_200, ctrl, "offload-xact", 7).unwrap();
+        l.end(2_400, x);
+        l.track_flow_path(2_500, vm, 42, "sriov");
+        l.finish(4_000);
+        let mut a = AuditLog::default();
+        a.set_enabled(true);
+        let subject = "t1/10.0.0.2";
+        a.decision(1_100, DecisionKind::Offload, subject, 2.0, (9_000, 0), 1, 2);
+        a.decision(3_000, DecisionKind::Demote, subject, 0.25, (0, 8_000), 0, 2);
+        let want = concat!(
+            r#"{"traceEvents":["#,
+            r#"{"ph":"M","name":"process_name","pid":0,"tid":0,"args":{"name":"s1/vm0"}},"#,
+            r#"{"ph":"M","name":"process_name","pid":1,"tid":0,"args":{"name":"tor-ctrl"}},"#,
+            r#"{"ph":"X","name":"vif","pid":0,"tid":42,"ts":1.000,"dur":1.500},"#,
+            r#"{"ph":"X","name":"offload-xact","pid":1,"tid":7,"ts":1.200,"dur":1.200},"#,
+            r#"{"ph":"X","name":"sriov","pid":0,"tid":42,"ts":2.500,"dur":1.500},"#,
+            r#"{"ph":"i","s":"g","name":"offload t1/10.0.0.2","pid":0,"tid":0,"ts":1.100,"#,
+            r#""args":{"score":2.0,"sw_bps":9000,"hw_bps":0,"entries_used":1,"capacity":2}},"#,
+            r#"{"ph":"i","s":"g","name":"demote t1/10.0.0.2","pid":0,"tid":0,"ts":3.000,"#,
+            r#""args":{"score":0.25,"sw_bps":0,"hw_bps":8000,"entries_used":0,"capacity":2}}"#,
+            "]}"
+        );
+        assert_eq!(chrome_trace(&l, Some(&a)), want);
     }
 
     #[test]

@@ -95,7 +95,7 @@ impl From<&str> for Istr {
 }
 
 /// Deduplicating string store. Also hands out dense `u32` ids for callers
-/// that want array-indexed per-component state (span log, flight recorder).
+/// that want array-indexed per-component state (the span log's components).
 #[derive(Debug, Clone, Default)]
 pub struct Interner {
     by_str: FxHashMap<Istr, u32>,
@@ -130,11 +130,6 @@ impl Interner {
     /// The string behind a dense id.
     pub fn resolve(&self, id: u32) -> &Istr {
         &self.strings[id as usize]
-    }
-
-    /// Dense id of an already-interned string, if any (no insertion).
-    pub fn get(&self, s: &str) -> Option<u32> {
-        self.by_str.get(s).copied()
     }
 
     /// Number of distinct strings interned.

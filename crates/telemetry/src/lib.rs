@@ -5,7 +5,7 @@
 //! scores — so the simulator gets the same treatment: a first-class,
 //! deterministic telemetry subsystem instead of ad-hoc counter structs.
 //!
-//! Four pillars, all dependency-free and usable from any crate in the
+//! Four parts, all dependency-free and usable from any crate in the
 //! workspace (this crate sits *below* `fastrak-sim`):
 //!
 //! * [`registry`] — a typed metrics registry. Hierarchical dotted names plus
@@ -15,9 +15,8 @@
 //! * [`span`] — sim-time span tracing for flow lifecycles (software path →
 //!   offload transaction → hardware path → demote), with interned component
 //!   ids so an enabled trace never allocates per record.
-//! * [`recorder`] — a flight recorder (per-component severity-tagged bounded
-//!   rings the controller dumps on anomalies) and a decision audit log
-//!   (every offload/demote with score, FPS split, and fast-path occupancy).
+//! * [`recorder`] — a decision audit log (every offload/demote with score,
+//!   FPS split, and fast-path occupancy).
 //! * [`export`] — JSON-lines snapshot, Prometheus-style text, and Chrome
 //!   trace-event JSON (Perfetto-loadable) renderers.
 //!
@@ -27,8 +26,8 @@
 //! and must never perturb the event stream. Concretely:
 //!
 //! * nothing in this crate schedules events or consumes simulation RNG;
-//! * spans, flight recorder, and audit log are off by default behind a
-//!   precomputed `enabled()` branch (the fault plane's `idle` precedent);
+//! * spans and the audit log are off by default behind a precomputed
+//!   `enabled()` branch (the fault plane's `idle` precedent);
 //! * registered counters are plain array slots — components that mirror
 //!   their own cheap counters into the registry do so at *snapshot* time
 //!   (pull model), not per packet.
@@ -47,24 +46,20 @@ pub mod span;
 
 pub use hist::Histogram;
 pub use intern::{Interner, Istr};
-pub use recorder::{
-    AuditLog, DecisionKind, DecisionRecord, FlightRecord, FlightRecorder, Severity,
-};
+pub use recorder::{AuditLog, DecisionKind, DecisionRecord};
 pub use registry::{CounterId, GaugeId, HistId, Registry};
 pub use span::{CompId, Span, SpanId, SpanLog};
 
 /// The full observability plane, as embedded in the simulation context.
 ///
 /// `Default` yields a fully disabled plane: empty registry, spans off,
-/// flight recorder off, audit log off.
+/// audit log off.
 #[derive(Debug, Clone, Default)]
 pub struct Telemetry {
     /// Typed metrics registry (counters / gauges / histograms).
     pub registry: Registry,
     /// Flow-lifecycle span log (sim-time, interned components).
     pub spans: SpanLog,
-    /// Per-component anomaly flight recorder.
-    pub flight: FlightRecorder,
     /// Offload/demote decision audit log.
     pub audit: AuditLog,
 }
@@ -74,7 +69,6 @@ impl Telemetry {
     /// what callers register).
     pub fn enable_all(&mut self) {
         self.spans.set_enabled(true);
-        self.flight.set_enabled(true);
         self.audit.set_enabled(true);
     }
 }
@@ -87,7 +81,6 @@ mod tests {
     fn default_is_fully_disabled() {
         let t = Telemetry::default();
         assert!(!t.spans.enabled());
-        assert!(!t.flight.enabled());
         assert!(!t.audit.enabled());
         assert!(t.registry.is_empty());
     }
@@ -97,7 +90,6 @@ mod tests {
         let mut t = Telemetry::default();
         t.enable_all();
         assert!(t.spans.enabled());
-        assert!(t.flight.enabled());
         assert!(t.audit.enabled());
     }
 }

@@ -54,29 +54,13 @@ pub struct Span {
     pub end_ns: u64,
 }
 
-/// A point event (mark on the timeline, zero duration).
-#[derive(Debug, Clone)]
-pub struct Instant {
-    /// Component that recorded it.
-    pub comp: CompId,
-    /// Mark name, e.g. "me-sample", "score", "rollback".
-    pub name: Istr,
-    /// Flow (or transaction) identifier.
-    pub flow: u64,
-    /// When, in sim nanoseconds.
-    pub at_ns: u64,
-    /// Up to three numeric attributes.
-    pub vals: [u64; 3],
-}
-
-/// Bounded span/instant log. `Default` is disabled and empty.
+/// Bounded span log. `Default` is disabled and empty.
 #[derive(Debug, Clone)]
 pub struct SpanLog {
     enabled: bool,
     capacity: usize,
     interner: Interner,
     spans: Vec<Span>,
-    instants: Vec<Instant>,
     /// Open "path residency" span per (component, flow), with its name.
     open_path: FxHashMap<(u32, u64), u32>,
     dropped: u64,
@@ -89,7 +73,6 @@ impl Default for SpanLog {
             capacity: 1 << 20,
             interner: Interner::default(),
             spans: Vec::new(),
-            instants: Vec::new(),
             open_path: FxHashMap::default(),
             dropped: 0,
         }
@@ -120,7 +103,7 @@ impl SpanLog {
     }
 
     fn room(&mut self) -> bool {
-        if self.spans.len() + self.instants.len() >= self.capacity {
+        if self.spans.len() >= self.capacity {
             self.dropped += 1;
             return false;
         }
@@ -151,21 +134,6 @@ impl SpanLog {
                 s.end_ns = now_ns;
             }
         }
-    }
-
-    /// Record a point event.
-    pub fn instant(&mut self, now_ns: u64, comp: CompId, name: &str, flow: u64, vals: [u64; 3]) {
-        if !self.enabled || !self.room() {
-            return;
-        }
-        let name = self.interner.intern(name);
-        self.instants.push(Instant {
-            comp,
-            name,
-            flow,
-            at_ns: now_ns,
-            vals,
-        });
     }
 
     /// Track which path a flow currently rides on `comp`: the first call
@@ -214,11 +182,6 @@ impl SpanLog {
         &self.spans
     }
 
-    /// All recorded instants, in record order.
-    pub fn instants(&self) -> &[Instant] {
-        &self.instants
-    }
-
     /// Records rejected because the log was full.
     pub fn dropped(&self) -> u64 {
         self.dropped
@@ -235,9 +198,7 @@ mod tests {
         let c = l.comp("s0");
         assert!(l.begin(0, c, "vif", 7).is_none());
         l.track_flow_path(0, c, 7, "vif");
-        l.instant(0, c, "mark", 7, [0; 3]);
         assert!(l.spans().is_empty());
-        assert!(l.instants().is_empty());
     }
 
     #[test]

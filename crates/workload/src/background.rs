@@ -1,9 +1,9 @@
-//! Background load generators: the IOzone filesystem benchmark and the
-//! `stress` CPU hog the paper runs alongside memcached (§6.1.1) to show the
-//! SR-IOV benefit persists under competing load.
+//! Background load generator: the IOzone filesystem benchmark the paper runs
+//! alongside memcached (§6.1.1) to show the SR-IOV benefit persists under
+//! competing load.
 
 use fastrak_host::app::{GuestApi, GuestApp};
-use fastrak_sim::time::{SimDuration, SimTime};
+use fastrak_sim::time::SimDuration;
 use fastrak_transport::stack::SockEvent;
 
 const TIMER_TICK: u64 = 1;
@@ -41,45 +41,6 @@ impl GuestApp for IoZone {
             self.ticks += 1;
             api.burn_cpu(self.work_per_tick);
             api.set_timer(self.interval, TIMER_TICK);
-        }
-    }
-
-    fn on_event(&mut self, _ev: SockEvent, _api: &mut GuestApi<'_>) {}
-}
-
-/// `stress`-like CPU hog: keeps `workers` vCPUs ~100% busy.
-#[derive(Clone)]
-pub struct Stress {
-    /// Number of spinning workers.
-    pub workers: usize,
-    /// Work quantum per worker per tick.
-    pub quantum: SimDuration,
-    started: Option<SimTime>,
-}
-
-impl Stress {
-    /// A hog with the given worker count.
-    pub fn new(workers: usize) -> Stress {
-        Stress {
-            workers,
-            quantum: SimDuration::from_millis(1),
-            started: None,
-        }
-    }
-}
-
-impl GuestApp for Stress {
-    fn on_start(&mut self, api: &mut GuestApi<'_>) {
-        self.started = Some(api.now);
-        api.set_timer(self.quantum, TIMER_TICK);
-    }
-
-    fn on_timer(&mut self, tag: u64, api: &mut GuestApi<'_>) {
-        if tag == TIMER_TICK {
-            for _ in 0..self.workers {
-                api.burn_cpu(self.quantum);
-            }
-            api.set_timer(self.quantum, TIMER_TICK);
         }
     }
 

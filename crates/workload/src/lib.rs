@@ -8,7 +8,7 @@
 //!   application write boundaries, the receiving sink, and the disk-bound
 //!   file transfer (scp stand-in);
 //! * [`memcached`] — the memcached server + memslap client models;
-//! * [`background`] — IOzone / `stress` background load;
+//! * [`background`] — IOzone background load;
 //! * [`testbed`] — the 6-server, dual-link-per-server rack of §5.1.
 
 pub mod background;
@@ -20,7 +20,7 @@ pub mod stream;
 pub mod tenants;
 pub mod testbed;
 
-pub use background::{IoZone, Stress};
+pub use background::IoZone;
 pub use composite::Composite;
 pub use incast::{incast_worker, IncastAggregator, IncastConfig, INCAST_PORT};
 pub use memcached::{memcached_server, Memcached, MemslapClient, MemslapConfig, MEMCACHED_PORT};
@@ -263,26 +263,6 @@ mod tests {
         assert!(
             (secs - expect).abs() / expect < 0.2,
             "disk-paced transfer took {secs:.3}s, expected ~{expect:.3}s"
-        );
-    }
-
-    #[test]
-    fn stress_consumes_vcpus() {
-        let mut bed = two_server_bed(false);
-        let t = TenantId(1);
-        let vm = bed.add_vm(
-            0,
-            VmSpec::large("hog", t, Ip::tenant_vm(1)),
-            Box::new(Stress::new(2)),
-        );
-        bed.start();
-        bed.run_until(SimTime::from_millis(100));
-        bed.begin_cpu_windows();
-        bed.run_until(SimTime::from_millis(600));
-        let used = bed.server(vm.server).guest_cpus_used(bed.now());
-        assert!(
-            (1.5..=2.5).contains(&used),
-            "2 stress workers should burn ~2 vCPUs, got {used:.2}"
         );
     }
 

@@ -374,9 +374,9 @@ fn scripted_chaos_replays_bit_identically() {
 
 #[test]
 fn telemetry_fully_enabled_is_invisible_to_the_event_stream() {
-    // The observability plane's zero-cost contract: spans, flight recorder,
-    // and audit log all on must leave the simulation bit-identical — the
-    // telemetry plane never schedules events and never consumes sim RNG.
+    // The observability plane's zero-cost contract: spans and audit log
+    // both on must leave the simulation bit-identical — the telemetry
+    // plane never schedules events and never consumes sim RNG.
     let a = run_scenario(42);
     let b = run_scenario_full(42, None, true);
     assert_eq!(a, b, "enabled telemetry must not perturb the event stream");

@@ -15,9 +15,12 @@ Prints, for the Rust outside `benchmark/` and `target/`:
   * the `pub` items of `crates/*/src` that nothing but tests reaches: no
     caller in non-test crate code, `src/`, `examples/`,
     `crates/bench/benches/` or `benchmark/src/`. A caller inside an item
-    that is itself unreached does not count. `KEPT` names the ones kept on
-    purpose, with the tests that use them; a `KEPT` name that is no public
-    item of `crates/*/src` any more is printed as stale.
+    that is itself unreached does not count. A method (an item of an
+    `impl`) is reached only where its name follows `.` or `::`, so a local
+    of the same name is no call; any other item, wherever its name occurs.
+    `KEPT` names the ones kept on purpose, with the tests that use them; a
+    `KEPT` name that is no public item of `crates/*/src` any more is
+    printed as stale.
 Nothing is gated: the numbers are for the tracker line and the CHANGES table.
 """
 import argparse
@@ -31,6 +34,7 @@ PUB_ITEM = re.compile(
 )
 IMPL = re.compile(r"^\s*impl\b(?:<[^>]*>)?\s+(?:(\w+)(?:<[^>]*>)?\s+for\s+)?(\w+)")
 WORD = re.compile(r"[A-Za-z_]\w*")
+PATH_WORD = re.compile(r"(?:(?<!\.)\.|::)\s*([A-Za-z_]\w*)")
 CALLERS = ("src/", "examples/", "crates/bench/benches/", "benchmark/src/")
 
 # Public items that only tests reach, kept on purpose: observation hooks
@@ -42,6 +46,7 @@ KEPT = {
     "CpuPool::total_busy": "hook: work conservation",
     "SimTime::checked_sub": "hook: time arithmetic",
     "Server::stages_in_flight": "hook: a drained run holds no stage",
+    "FlowPlacer::current_path": "hook: which path a flow rides",
     "Telemetry::enable_all": "hook: every series on, for the export schema",
     "TorController::tor_believed_down": "hook: ToR liveness belief",
     "TorController::tor_generation": "hook: ToR boot generation seen",
@@ -59,11 +64,6 @@ KEPT = {
     "Buf": "wire codec, kept whole while benchmark/ probes call encode_wire",
     "verify": "wire codec, kept whole while benchmark/ probes call encode_wire",
     "ECT1": "ECN codepoints stay beside Packet",
-    "flight_jsonl": "the flight recorder's only exporter",
-    "Stress": "model, no world runs it: the paper's stress CPU hog (§6.1.1)",
-    "Rng::normal": "model, no world runs it: a workload distribution",
-    "Rng::zipf": "model, no world runs it: a workload distribution",
-    "ZipfTable": "model, no world runs it: a workload distribution",
     "RuleSet::add_qos": "model, no world runs it: tenant QoS rules",
 }
 FN = re.compile(r"^\s*(?:pub(?:\([a-z]+\))?\s+)?(?:const\s+)?(?:unsafe\s+)?fn\s+(\w+)")
@@ -142,7 +142,7 @@ def unreached(root, files, texts, tests):
     lib = lambda p: rel(p).startswith("crates/") and rel(p).split("/")[2] == "src"
     callers = [p for p in files if p not in tests and (lib(p) or rel(p).startswith(CALLERS))]
     callers += sorted((root / "benchmark" / "src").rglob("*.rs"))
-    words, items = {}, []  # words[(path, i)] = words of that code line
+    words, items = {}, []  # words[(path, i)] = (words, `.`/`::` words) of a code line
     for p in callers:
         kept = non_test(texts.get(p) or p.read_text())
         lines = [bare(l) for _, l in kept]
@@ -166,24 +166,27 @@ def unreached(root, files, texts, tests):
                     if m.group(1) != "fn" and m.group(2) in (ty, tr):
                         body |= set(range(first, last + 1))
                 name = f"{owner}::{m.group(2)}" if owner else m.group(2)
-                items.append((m.group(2), name, {(p, j) for j in body}, f"{rel(p)}:{kept[i][0]}"))
-            words[(p, i)] = w
-    total = {}
-    for w in words.values():
-        for x in w:
-            total[x] = total.get(x, 0) + 1
+                at = f"{rel(p)}:{kept[i][0]}"
+                items.append((m.group(2), int(owner is not None), name, {(p, j) for j in body}, at))
+            words[(p, i)] = (w, PATH_WORD.findall(b))
+    total = [{}, {}]  # by kind: 0 any occurrence, 1 after `.` or `::`
+    for ws in words.values():
+        for kind, w in enumerate(ws):
+            for x in w:
+                total[kind][x] = total[kind].get(x, 0) + 1
     found = {}
     while True:
-        dead = set().union(*(items[k][2] for k in found)) if found else set()
+        dead = set().union(*(items[k][3] for k in found)) if found else set()
         new = {
             k: at
-            for k, (word, name, body, at) in enumerate(items)
+            for k, (word, kind, name, body, at) in enumerate(items)
             if k not in found
-            and total.get(word, 0) == sum(words[l].count(word) for l in body | dead if l in words)
+            and total[kind].get(word, 0)
+            == sum(words[l][kind].count(word) for l in body | dead if l in words)
         }
         if not new:
-            names = {name for _, name, _, _ in items}
-            return sorted((items[k][1], at) for k, at in found.items()), names
+            names = {name for _, _, name, _, _ in items}
+            return sorted((items[k][2], at) for k, at in found.items()), names
         found.update(new)
 
 
