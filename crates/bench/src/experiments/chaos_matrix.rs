@@ -37,23 +37,17 @@
 use fastrak::{
     attach, CtrlPlaneConfig, DeConfig, FasTrak, FasTrakConfig, FastPathPolicy, TorController,
 };
-use fastrak_host::vm::VmSpec;
-use fastrak_net::addr::{Ip, TenantId};
 use fastrak_net::event::ctl_fault_layer;
 use fastrak_sim::chaos::{ChaosConfig, ChaosPlane};
 use fastrak_sim::fault::FaultConfig;
 use fastrak_sim::kernel::NodeId;
 use fastrak_sim::time::{SimDuration, SimTime};
-use fastrak_workload::{
-    memcached_server, FileTransfer, MemslapClient, MemslapConfig, StreamSink, Testbed,
-    TestbedConfig, VmRef,
-};
+use fastrak_workload::{MemslapClient, Testbed, VmRef};
 
 use crate::cells;
 use crate::experiments::Cx;
 use crate::report::{Artifact, Row};
-
-const T: TenantId = TenantId(1);
+use crate::scenarios::scp_rack;
 
 /// Failure scenarios scripted through the chaos plane. All faults open at
 /// [`fault_start`], after the controller has converged on the memcached
@@ -104,40 +98,11 @@ struct Rack {
     ft: FasTrak,
 }
 
-/// The same rack as `fault_matrix`: memcached + scp on server 0, their
-/// peers on server 1, FasTrak attached, a fault layer with an empty chaos
-/// script, everything started. Nothing has run yet.
+/// [`scp_rack`] (also `fault_matrix`'s) with FasTrak attached, a fault
+/// layer with an empty chaos script, everything started. Nothing has run
+/// yet.
 fn build(policy: FastPathPolicy) -> Rack {
-    let mut bed = Testbed::build(TestbedConfig {
-        n_servers: 2,
-        tunneling: false,
-        ..TestbedConfig::default()
-    });
-    bed.add_vm(
-        0,
-        VmSpec::large("memcached", T, Ip::tenant_vm(1)),
-        Box::new(memcached_server()),
-    );
-    let mut ft = FileTransfer::paper_default(Ip::tenant_vm(4), 22, 50_000);
-    ft.total_bytes = 1 << 30;
-    bed.add_vm(
-        0,
-        VmSpec::large("scp-src", T, Ip::tenant_vm(2)),
-        Box::new(ft),
-    );
-    let memslap = bed.add_vm(
-        1,
-        VmSpec::large("memslap", T, Ip::tenant_vm(3)),
-        Box::new(MemslapClient::new(MemslapConfig::paper(
-            vec![Ip::tenant_vm(1)],
-            None,
-        ))),
-    );
-    bed.add_vm(
-        1,
-        VmSpec::large("scp-sink", T, Ip::tenant_vm(4)),
-        Box::new(StreamSink::new(22)),
-    );
+    let (mut bed, memslap) = scp_rack();
     // Same offload cap as fault_matrix: the two memcached aggregates
     // dominate by orders of magnitude, so "same offloaded set" tests the
     // recovery machinery rather than DE tie-breaking.

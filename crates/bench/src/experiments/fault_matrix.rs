@@ -15,57 +15,14 @@
 //!   off, and recover once the window lifts.
 
 use fastrak::{attach, DeConfig, FasTrakConfig, TorController};
-use fastrak_host::vm::VmSpec;
-use fastrak_net::addr::{Ip, TenantId};
 use fastrak_net::event::ctl_fault_layer;
 use fastrak_sim::fault::{FaultConfig, LinkFaults};
 use fastrak_sim::time::SimTime;
-use fastrak_workload::{
-    memcached_server, FileTransfer, MemslapClient, MemslapConfig, StreamSink, Testbed,
-    TestbedConfig,
-};
 
 use crate::cells;
 use crate::experiments::Cx;
 use crate::report::{Artifact, Row};
-
-const T: TenantId = TenantId(1);
-
-/// The §6.2 rack: memcached + scp on server 0, their peers on server 1.
-/// High-pps memcached aggregates should offload; the scp flow should not.
-fn rack() -> Testbed {
-    let mut bed = Testbed::build(TestbedConfig {
-        n_servers: 2,
-        tunneling: false,
-        ..TestbedConfig::default()
-    });
-    bed.add_vm(
-        0,
-        VmSpec::large("memcached", T, Ip::tenant_vm(1)),
-        Box::new(memcached_server()),
-    );
-    let mut ft = FileTransfer::paper_default(Ip::tenant_vm(4), 22, 50_000);
-    ft.total_bytes = 1 << 30;
-    bed.add_vm(
-        0,
-        VmSpec::large("scp-src", T, Ip::tenant_vm(2)),
-        Box::new(ft),
-    );
-    bed.add_vm(
-        1,
-        VmSpec::large("memslap", T, Ip::tenant_vm(3)),
-        Box::new(MemslapClient::new(MemslapConfig::paper(
-            vec![Ip::tenant_vm(1)],
-            None,
-        ))),
-    );
-    bed.add_vm(
-        1,
-        VmSpec::large("scp-sink", T, Ip::tenant_vm(4)),
-        Box::new(StreamSink::new(22)),
-    );
-    bed
-}
+use crate::scenarios::scp_rack;
 
 /// End-of-run observables for one configuration.
 struct Outcome {
@@ -85,7 +42,7 @@ struct Outcome {
 }
 
 fn run_one(faults: Option<FaultConfig>, horizon: SimTime) -> Outcome {
-    let mut bed = rack();
+    let (mut bed, _) = scp_rack();
     // Cap the offload count so the decision problem is well-separated: the
     // two memcached aggregates dominate the S-score by orders of magnitude.
     // Without the cap, borderline aggregates (the client-side DstApps) come

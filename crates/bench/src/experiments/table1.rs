@@ -48,7 +48,6 @@ fn measure(sriov: bool, background: bool, quick: bool, export: Option<&Cx>) -> (
         // "Maximum transaction load" without driving the pinned CPUs to
         // saturation (the paper measures 3.3 of the 4 pinned CPUs busy):
         // the run is latency-bound, like Table 2.
-        cfg.conns_per_target = 2;
         cfg.burst = 2;
         cfg.src_port_base = 43_000 + c * 64;
         let v = bed.add_vm(

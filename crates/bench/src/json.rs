@@ -10,29 +10,15 @@
 /// Escape a string for inclusion in a JSON document (adds the quotes).
 pub fn quote(s: &str) -> String {
     let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                out.push_str(&format!("\\u{:04x}", c as u32));
-            }
-            c => out.push(c),
-        }
-    }
-    out.push('"');
+    fastrak_telemetry::export::json_str(&mut out, s);
     out
 }
 
 /// Format an `f64` as a JSON number (JSON has no NaN/Infinity — map to null).
 pub fn num(v: f64) -> String {
     if v.is_finite() {
-        // Keep integers clean: 5.0 -> "5.0" is fine for JSON, but avoid
-        // exponent noise for common counter values.
+        // Shortest round-trip form, no exponent: 5.0 prints "5", 2.5
+        // prints "2.5".
         format!("{v}")
     } else {
         "null".to_string()

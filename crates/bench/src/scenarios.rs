@@ -3,7 +3,9 @@
 //! * [`MicroBed`] — the §3.1 microbenchmark pair: one client VM and one
 //!   server VM on two servers, in any of the paper's path configurations;
 //! * [`rack`] — the §6 rack: a test server hosting memcached VMs plus five
-//!   client servers running memslap.
+//!   client servers running memslap;
+//! * [`scp_rack`] — the §6.2 pair of servers where memcached and a file
+//!   transfer share a server (`fault_matrix`, `chaos_matrix`).
 //!
 //! and the two measurement loops the experiments share: [`measure_window`]
 //! (warm up, open the windows, measure) and [`run_memslap`] (run until
@@ -15,7 +17,10 @@ use fastrak_net::addr::{Ip, TenantId};
 use fastrak_net::ctrl::Dir;
 use fastrak_net::packet::PathTag;
 use fastrak_sim::time::{SimDuration, SimTime};
-use fastrak_workload::{MemslapClient, Testbed, TestbedConfig, VmRef};
+use fastrak_workload::{
+    memcached_server, FileTransfer, MemslapClient, MemslapConfig, StreamSink, Testbed,
+    TestbedConfig, VmRef,
+};
 
 /// The evaluation tenant.
 pub const TENANT: TenantId = TenantId(1);
@@ -199,6 +204,43 @@ pub fn rack(seed: u64) -> Testbed {
         seed,
         ..TestbedConfig::default()
     })
+}
+
+/// The §6.2 rack: memcached + scp on server 0, their peers (memslap and the
+/// scp sink) on server 1. High-pps memcached aggregates should offload; the
+/// scp flow should not. Returns the bed and the memslap VM.
+pub fn scp_rack() -> (Testbed, VmRef) {
+    let mut bed = Testbed::build(TestbedConfig {
+        n_servers: 2,
+        tunneling: false,
+        ..TestbedConfig::default()
+    });
+    bed.add_vm(
+        0,
+        VmSpec::large("memcached", TENANT, Ip::tenant_vm(1)),
+        Box::new(memcached_server()),
+    );
+    let mut ft = FileTransfer::paper_default(Ip::tenant_vm(4), 22, 50_000);
+    ft.total_bytes = 1 << 30;
+    bed.add_vm(
+        0,
+        VmSpec::large("scp-src", TENANT, Ip::tenant_vm(2)),
+        Box::new(ft),
+    );
+    let memslap = bed.add_vm(
+        1,
+        VmSpec::large("memslap", TENANT, Ip::tenant_vm(3)),
+        Box::new(MemslapClient::new(MemslapConfig::paper(
+            vec![Ip::tenant_vm(1)],
+            None,
+        ))),
+    );
+    bed.add_vm(
+        1,
+        VmSpec::large("scp-sink", TENANT, Ip::tenant_vm(4)),
+        Box::new(StreamSink::new(22)),
+    );
+    (bed, memslap)
 }
 
 #[cfg(test)]

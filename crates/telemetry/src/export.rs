@@ -4,9 +4,9 @@
 //! The emitters are pure functions of the telemetry state, so two identical
 //! runs produce byte-identical artifacts — the same determinism contract the
 //! experiment harness already enforces for its own outputs. This crate has
-//! no dependencies, so it carries its own minimal JSON string escaper; the
-//! round-trip tests in `fastrak-bench` parse the output with that crate's
-//! full JSON parser.
+//! no dependencies, so it carries the workspace's one JSON string escaper
+//! ([`json_str`], which `fastrak-bench` uses too); the round-trip tests in
+//! `fastrak-bench` parse the output with that crate's full JSON parser.
 
 use std::fmt::Write as _;
 
@@ -14,8 +14,9 @@ use crate::recorder::{AuditLog, DecisionKind};
 use crate::registry::Registry;
 use crate::span::SpanLog;
 
-/// Escape `s` into a JSON string literal (quotes included).
-fn json_str(out: &mut String, s: &str) {
+/// Escape `s` into a JSON string literal (quotes included). The bench
+/// JSON emitter (`fastrak_bench::json::quote`) uses it too.
+pub fn json_str(out: &mut String, s: &str) {
     out.push('"');
     for c in s.chars() {
         match c {
@@ -33,8 +34,9 @@ fn json_str(out: &mut String, s: &str) {
     out.push('"');
 }
 
-/// Format an `f64` the way the bench JSON emitter does: finite, shortest
-/// round-trip representation, always with a decimal point or exponent.
+/// Format an `f64` as JSON: shortest round-trip representation, always
+/// with a decimal point or exponent (`5.0` prints `5.0`, where the bench
+/// emitter's `num` prints `5`); non-finite values become `null`.
 fn json_f64(out: &mut String, v: f64) {
     if !v.is_finite() {
         out.push_str("null");

@@ -26,9 +26,10 @@ use fastrak_host::app::{GuestApi, GuestApp};
 use fastrak_net::addr::Ip;
 use fastrak_sim::stats::Histogram;
 use fastrak_sim::time::{SimDuration, SimTime};
-use fastrak_transport::stack::{ConnId, SockEvent};
+use fastrak_transport::stack::SockEvent;
 
 use crate::rr::{RrServer, RrServerConfig};
+use crate::txn::{self, Client};
 
 /// The port incast workers listen on.
 pub const INCAST_PORT: u16 = 9000;
@@ -82,30 +83,17 @@ impl IncastConfig {
     }
 }
 
-#[derive(Clone)]
-struct ShortConn {
-    id: ConnId,
-    connected: bool,
-    rx_accum: u64,
-}
-
-#[derive(Clone)]
-struct LongConn {
-    id: ConnId,
-    in_flight: usize,
-    rx_accum: u64,
-}
-
 /// Aggregator guest app: synchronized fan-out rounds over short
 /// connections plus continuous closed-loop load on long connections.
 #[derive(Clone)]
 pub struct IncastAggregator {
     cfg: IncastConfig,
-    short: Vec<ShortConn>,
-    long: Vec<LongConn>,
+    /// One short connection per worker, then the long ones.
+    client: Client,
+    /// Short connections whose handshake completed.
+    connected: usize,
     /// Responses still outstanding in the current round (0 = idle).
     awaiting: usize,
-    round_start: SimTime,
     /// Rounds completed so far.
     pub completed_rounds: u64,
     /// Per-round flow completion time (ns samples).
@@ -113,7 +101,6 @@ pub struct IncastAggregator {
     /// When the configured round count completed (connections closed).
     pub finished_at: Option<SimTime>,
     started_at: Option<SimTime>,
-    closing: bool,
 }
 
 const TIMER_START: u64 = 1;
@@ -122,65 +109,29 @@ impl IncastAggregator {
     /// Build from a configuration.
     pub fn new(cfg: IncastConfig) -> IncastAggregator {
         IncastAggregator {
+            client: Client::new(IncastConfig::REQ_SIZE, cfg.resp_size),
             cfg,
-            short: Vec::new(),
-            long: Vec::new(),
+            connected: 0,
             awaiting: 0,
-            round_start: SimTime::ZERO,
             completed_rounds: 0,
             fct: Histogram::new(),
             finished_at: None,
             started_at: None,
-            closing: false,
         }
-    }
-
-    /// When the aggregator opened its connections.
-    pub fn started_at(&self) -> Option<SimTime> {
-        self.started_at
     }
 
     /// Total run time once all rounds are done.
     pub fn finish_time(&self) -> Option<SimDuration> {
-        match (self.started_at, self.finished_at) {
-            (Some(s), Some(f)) => Some(f.since(s)),
-            _ => None,
-        }
+        txn::finish_time(self.started_at, self.finished_at)
     }
 
+    /// One request per short connection, all at this instant, so a
+    /// round's last response carries the round's start.
     fn start_round(&mut self, api: &mut GuestApi<'_>) {
-        self.round_start = api.now;
-        self.awaiting = self.short.len();
-        for c in &self.short {
+        self.awaiting = self.cfg.workers.len();
+        for ci in 0..self.awaiting {
             // A 32B request always fits the send buffer.
-            api.send(c.id, IncastConfig::REQ_SIZE);
-        }
-    }
-
-    fn pump_long(&mut self, li: usize, api: &mut GuestApi<'_>) {
-        if self.closing {
-            return;
-        }
-        loop {
-            let c = &mut self.long[li];
-            if c.in_flight >= self.cfg.long_burst {
-                return;
-            }
-            if !api.send(c.id, IncastConfig::REQ_SIZE) {
-                return;
-            }
-            c.in_flight += 1;
-        }
-    }
-
-    fn finish(&mut self, api: &mut GuestApi<'_>) {
-        self.finished_at = Some(api.now);
-        self.closing = true;
-        for c in &self.short {
-            api.close(c.id);
-        }
-        for c in &self.long {
-            api.close(c.id);
+            self.client.fill(ci, api, 1, None);
         }
     }
 }
@@ -191,74 +142,55 @@ impl GuestApp for IncastAggregator {
     }
 
     fn on_timer(&mut self, tag: u64, api: &mut GuestApi<'_>) {
-        if tag == TIMER_START && self.short.is_empty() {
+        if tag == TIMER_START && self.client.len() == 0 {
             self.started_at = Some(api.now);
-            let mut port = self.cfg.src_port_base;
-            let workers = self.cfg.workers.clone();
-            for &dst in &workers {
-                let id = api.connect(dst, INCAST_PORT, port);
-                port += 1;
-                self.short.push(ShortConn {
-                    id,
-                    connected: false,
-                    rx_accum: 0,
-                });
-            }
-            for &dst in workers.iter().take(self.cfg.long_flows) {
-                let id = api.connect(dst, INCAST_PORT, port);
-                port += 1;
-                self.long.push(LongConn {
-                    id,
-                    in_flight: 0,
-                    rx_accum: 0,
-                });
+            let long = self.cfg.workers.iter().take(self.cfg.long_flows);
+            for (&dst, port) in self
+                .cfg
+                .workers
+                .iter()
+                .chain(long)
+                .zip(self.cfg.src_port_base..)
+            {
+                self.client.connect(api, dst, INCAST_PORT, port);
             }
         }
     }
 
     fn on_event(&mut self, ev: SockEvent, api: &mut GuestApi<'_>) {
-        match ev {
-            SockEvent::Connected(id) => {
-                if let Some(c) = self.short.iter_mut().find(|c| c.id == id) {
-                    c.connected = true;
-                    // The round fires only once the whole fan-out set is up:
-                    // the burst must be synchronized to produce incast.
-                    if self.awaiting == 0
-                        && self.finished_at.is_none()
-                        && self.short.iter().all(|c| c.connected)
-                    {
-                        self.start_round(api);
-                    }
-                } else if let Some(li) = self.long.iter().position(|c| c.id == id) {
-                    self.pump_long(li, api);
+        let (n_short, awaiting) = (self.cfg.workers.len(), &mut self.awaiting);
+        let mut round_done = None;
+        let done = |ci, t0| {
+            if ci < n_short {
+                *awaiting -= 1;
+                if *awaiting == 0 {
+                    round_done = Some(t0);
                 }
             }
-            SockEvent::Delivered { conn, bytes } => {
-                if let Some(si) = self.short.iter().position(|c| c.id == conn) {
-                    self.short[si].rx_accum += bytes;
-                    while self.short[si].rx_accum >= self.cfg.resp_size {
-                        self.short[si].rx_accum -= self.cfg.resp_size;
-                        self.awaiting = self.awaiting.saturating_sub(1);
-                        if self.awaiting == 0 {
-                            self.fct.record(api.now.since(self.round_start).as_nanos());
-                            self.completed_rounds += 1;
-                            if self.cfg.rounds.is_some_and(|r| self.completed_rounds >= r) {
-                                self.finish(api);
-                            } else {
-                                self.start_round(api);
-                            }
-                        }
-                    }
-                } else if let Some(li) = self.long.iter().position(|c| c.id == conn) {
-                    self.long[li].rx_accum += bytes;
-                    while self.long[li].rx_accum >= self.cfg.resp_size {
-                        self.long[li].rx_accum -= self.cfg.resp_size;
-                        self.long[li].in_flight = self.long[li].in_flight.saturating_sub(1);
-                    }
-                    self.pump_long(li, api);
-                }
+        };
+        let Some(ci) = self.client.on_event(ev, done) else {
+            return;
+        };
+        if ci >= n_short {
+            if self.finished_at.is_none() {
+                self.client.fill(ci, api, self.cfg.long_burst, None);
             }
-            _ => {}
+            return;
+        }
+        self.connected += usize::from(matches!(ev, SockEvent::Connected(_)));
+        if let Some(t0) = round_done {
+            self.fct.record(api.now.since(t0).as_nanos());
+            self.completed_rounds += 1;
+            if self.cfg.rounds.is_some_and(|r| self.completed_rounds >= r) {
+                self.finished_at = Some(api.now);
+                self.client.close_all(api);
+            }
+        }
+        // The next round fires once the whole fan-out set is up and the
+        // last round is done: the burst must be synchronized to produce
+        // incast.
+        if self.awaiting == 0 && self.finished_at.is_none() && self.connected == n_short {
+            self.start_round(api);
         }
     }
 }

@@ -8,8 +8,14 @@
 //!   application write boundaries, the receiving sink, and the disk-bound
 //!   file transfer (scp stand-in);
 //! * [`memcached`] — the memcached server + memslap client models;
+//! * [`incast`] — the partition-aggregate fan-in;
+//! * [`tenants`] — Zipf-skewed tenant fleets and the churner;
 //! * [`background`] — IOzone background load;
 //! * [`testbed`] — the 6-server, dual-link-per-server rack of §5.1.
+//!
+//! The four transaction clients and two servers share one
+//! request/response engine (`txn`): connection FIFOs, framing and the
+//! measurement window are written once there.
 
 pub mod background;
 pub mod composite;
@@ -19,6 +25,7 @@ pub mod rr;
 pub mod stream;
 pub mod tenants;
 pub mod testbed;
+mod txn;
 
 pub use background::IoZone;
 pub use composite::Composite;
@@ -192,6 +199,41 @@ mod tests {
         assert_eq!(app.completed(), 2_000);
         assert!(app.finish_time().is_some());
         assert!(app.latency.quantile(0.99) > app.latency.quantile(0.5));
+    }
+
+    /// The total split 1 000 + 1 001 over the two connections; it used to
+    /// be 1 000 each, so the client finished at 2 000.
+    #[test]
+    fn memslap_completes_a_total_that_does_not_divide_evenly() {
+        let mut bed = two_server_bed(false);
+        let t = TenantId(1);
+        bed.add_vm(
+            1,
+            VmSpec::large("mc", t, Ip::tenant_vm(2)),
+            Box::new(memcached_server()),
+        );
+        let cli = bed.add_vm(
+            0,
+            VmSpec::large("slap", t, Ip::tenant_vm(1)),
+            Box::new(MemslapClient::new(MemslapConfig::paper(
+                vec![Ip::tenant_vm(2)],
+                Some(2_001),
+            ))),
+        );
+        bed.start();
+        bed.run_until(SimTime::from_secs(5));
+        let app = bed.app::<MemslapClient>(cli);
+        assert_eq!(app.completed(), 2_001);
+        assert!(app.finished_at.is_some());
+    }
+
+    /// It used to divide by zero when the start timer fired.
+    #[test]
+    #[should_panic(
+        expected = "MemslapConfig.targets is empty: total_requests 10 has no connection"
+    )]
+    fn memslap_refuses_a_total_without_targets() {
+        MemslapClient::new(MemslapConfig::paper(Vec::new(), Some(10)));
     }
 
     #[test]

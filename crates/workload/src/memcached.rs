@@ -10,15 +10,14 @@
 //! count (partition-aggregate style: the client is done only when all
 //! servers' shares are done, §6.1.2).
 
-use std::collections::VecDeque;
-
 use fastrak_host::app::{GuestApi, GuestApp};
 use fastrak_net::addr::Ip;
 use fastrak_sim::stats::Histogram;
 use fastrak_sim::time::{SimDuration, SimTime};
-use fastrak_transport::stack::{ConnId, SockEvent};
+use fastrak_transport::stack::SockEvent;
 
 use crate::rr::{RrServer, RrServerConfig};
+use crate::txn::{self, Client};
 
 /// The standard memcached port.
 pub const MEMCACHED_PORT: u16 = 11211;
@@ -42,8 +41,6 @@ pub type Memcached = RrServer;
 pub struct MemslapConfig {
     /// The memcached servers this client queries (all of them, §6.1.2).
     pub targets: Vec<Ip>,
-    /// Connections per target server.
-    pub conns_per_target: usize,
     /// Outstanding requests per connection (memslap concurrency).
     pub burst: usize,
     /// Total transactions to complete across all targets (None = open-ended).
@@ -59,6 +56,8 @@ impl MemslapConfig {
     pub const REQ_SIZE: u64 = 64;
     /// memslap's default 1 KB value responses.
     pub const RESP_SIZE: u64 = 1024;
+    /// Connections per target server.
+    const CONNS_PER_TARGET: usize = 2;
 
     /// Paper setup: query every target, 2 connections each, closed loop
     /// per connection (the finish-time tables are latency-bound: TPS/client
@@ -66,7 +65,6 @@ impl MemslapConfig {
     pub fn paper(targets: Vec<Ip>, total_requests: Option<u64>) -> MemslapConfig {
         MemslapConfig {
             targets,
-            conns_per_target: 2,
             burst: 1,
             total_requests,
             src_port_base: 43_000,
@@ -75,28 +73,17 @@ impl MemslapConfig {
     }
 }
 
-#[derive(Clone)]
-struct SlapConn {
-    id: ConnId,
-    in_flight: VecDeque<SimTime>,
-    rx_accum: u64,
-    /// Requests this connection may still issue (partition-aggregate: the
-    /// total is split evenly per connection, so the client finishes only
-    /// when its share at EVERY server is done — Table 2's key effect).
-    quota: Option<u64>,
-}
-
 /// The memslap client guest app.
 #[derive(Clone)]
 pub struct MemslapClient {
     cfg: MemslapConfig,
-    conns: Vec<SlapConn>,
-    issued: u64,
-    completed: u64,
+    client: Client,
+    /// Requests each connection may still issue (partition-aggregate: the
+    /// total is split evenly over the connections, so the client finishes
+    /// only when its share at EVERY server is done — Table 2's key effect).
+    quota: Vec<Option<u64>>,
     /// Per-transaction latency histogram (ns).
     pub latency: Histogram,
-    window_start: SimTime,
-    window_completed_base: u64,
     /// When the configured total completed.
     pub finished_at: Option<SimTime>,
     started_at: Option<SimTime>,
@@ -105,16 +92,20 @@ pub struct MemslapClient {
 const TIMER_START: u64 = 1;
 
 impl MemslapClient {
-    /// Build from a configuration.
+    /// Build from a configuration. Panics on a request total with no
+    /// target to send it to.
     pub fn new(cfg: MemslapConfig) -> MemslapClient {
+        if let Some(t) = cfg.total_requests {
+            assert!(
+                !cfg.targets.is_empty(),
+                "MemslapConfig.targets is empty: total_requests {t} has no connection to run on"
+            );
+        }
         MemslapClient {
             cfg,
-            conns: Vec::new(),
-            issued: 0,
-            completed: 0,
+            client: Client::new(MemslapConfig::REQ_SIZE, MemslapConfig::RESP_SIZE),
+            quota: Vec::new(),
             latency: Histogram::new(),
-            window_start: SimTime::ZERO,
-            window_completed_base: 0,
             finished_at: None,
             started_at: None,
         }
@@ -122,7 +113,7 @@ impl MemslapClient {
 
     /// Transactions completed so far.
     pub fn completed(&self) -> u64 {
-        self.completed
+        self.client.completed()
     }
 
     /// When the client actually started issuing.
@@ -132,43 +123,18 @@ impl MemslapClient {
 
     /// Restart the measurement window (after warmup).
     pub fn begin_window(&mut self, now: SimTime) {
-        self.window_start = now;
-        self.window_completed_base = self.completed;
+        self.client.begin_window(now);
         self.latency = Histogram::new();
     }
 
     /// Transactions per second over the window.
     pub fn tps(&self, now: SimTime) -> f64 {
-        let dt = now.since(self.window_start).as_secs_f64();
-        if dt <= 0.0 {
-            return 0.0;
-        }
-        (self.completed - self.window_completed_base) as f64 / dt
+        self.client.tps(now)
     }
 
     /// Elapsed run time (finish time once finished — Tables 2-4).
     pub fn finish_time(&self) -> Option<SimDuration> {
-        match (self.started_at, self.finished_at) {
-            (Some(s), Some(f)) => Some(f.since(s)),
-            _ => None,
-        }
-    }
-
-    fn maybe_issue(&mut self, ci: usize, api: &mut GuestApi<'_>) {
-        loop {
-            let conn = &mut self.conns[ci];
-            if conn.quota == Some(0) || conn.in_flight.len() >= self.cfg.burst {
-                return;
-            }
-            if !api.send(conn.id, MemslapConfig::REQ_SIZE) {
-                return;
-            }
-            conn.in_flight.push_back(api.now);
-            if let Some(q) = &mut conn.quota {
-                *q -= 1;
-            }
-            self.issued += 1;
-        }
+        txn::finish_time(self.started_at, self.finished_at)
     }
 }
 
@@ -178,59 +144,41 @@ impl GuestApp for MemslapClient {
     }
 
     fn on_timer(&mut self, tag: u64, api: &mut GuestApi<'_>) {
-        if tag == TIMER_START && self.conns.is_empty() {
+        if tag == TIMER_START && self.client.len() == 0 {
             self.started_at = Some(api.now);
+            let n_conns = (self.cfg.targets.len() * MemslapConfig::CONNS_PER_TARGET) as u64;
             let mut port = self.cfg.src_port_base;
-            let targets = self.cfg.targets.clone();
-            let n_conns = (targets.len() * self.cfg.conns_per_target) as u64;
-            let quota = self.cfg.total_requests.map(|t| t / n_conns);
-            for dst in targets {
-                for _ in 0..self.cfg.conns_per_target {
-                    let id = api.connect(dst, MEMCACHED_PORT, port);
+            for &dst in &self.cfg.targets {
+                for _ in 0..MemslapConfig::CONNS_PER_TARGET {
+                    // The first `total % n_conns` connections carry one
+                    // request more, so the shares sum to the total.
+                    let k = self.quota.len() as u64;
+                    self.quota.push(
+                        self.cfg
+                            .total_requests
+                            .map(|t| t / n_conns + u64::from(k < t % n_conns)),
+                    );
+                    self.client.connect(api, dst, MEMCACHED_PORT, port);
                     port += 1;
-                    self.conns.push(SlapConn {
-                        id,
-                        in_flight: VecDeque::new(),
-                        rx_accum: 0,
-                        quota,
-                    });
                 }
             }
         }
     }
 
     fn on_event(&mut self, ev: SockEvent, api: &mut GuestApi<'_>) {
-        match ev {
-            SockEvent::Connected(id) => {
-                if let Some(ci) = self.conns.iter().position(|c| c.id == id) {
-                    self.maybe_issue(ci, api);
-                }
+        let now = api.now;
+        let done = |_, t0: SimTime| self.latency.record(now.since(t0).as_nanos());
+        if let Some(ci) = self.client.on_event(ev, done) {
+            let quota = &mut self.quota[ci];
+            let sent = self.client.fill(ci, api, self.cfg.burst, *quota);
+            if let Some(q) = quota {
+                *q -= sent;
             }
-            SockEvent::Delivered { conn, bytes } => {
-                let Some(ci) = self.conns.iter().position(|c| c.id == conn) else {
-                    return;
-                };
-                self.conns[ci].rx_accum += bytes;
-                while self.conns[ci].rx_accum >= MemslapConfig::RESP_SIZE {
-                    self.conns[ci].rx_accum -= MemslapConfig::RESP_SIZE;
-                    let Some(t0) = self.conns[ci].in_flight.pop_front() else {
-                        break;
-                    };
-                    self.latency.record(api.now.since(t0).as_nanos());
-                    self.completed += 1;
-                    if self.cfg.total_requests.is_some()
-                        && self.finished_at.is_none()
-                        && self
-                            .conns
-                            .iter()
-                            .all(|c| c.quota == Some(0) && c.in_flight.is_empty())
-                    {
-                        self.finished_at = Some(api.now);
-                    }
-                }
-                self.maybe_issue(ci, api);
-            }
-            _ => {}
+        }
+        // The shares sum to the total, so the total is done exactly when
+        // every connection's share is.
+        if Some(self.completed()) == self.cfg.total_requests {
+            self.finished_at.get_or_insert(now);
         }
     }
 }

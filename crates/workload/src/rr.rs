@@ -1,5 +1,5 @@
 //! Request/response (transaction) workloads — the netperf `TCP_RR` family
-//! (§3.1.1) and the transaction core reused by the memcached/memslap models.
+//! (§3.1.1) and the RR server that memcached and the incast workers run.
 //!
 //! * **Closed-loop** (`burst = 1`): one request in flight per connection;
 //!   measures round-trip latency distribution (paper Fig. 3(b,c)).
@@ -7,16 +7,16 @@
 //!   measures transactions/sec and loaded latency (Fig. 3(d,e)).
 //!
 //! Latency is measured application-to-application: from queuing the request
-//! to receiving the last byte of its response. Responses arrive in order
-//! (TCP), so a FIFO of send timestamps per connection suffices.
-
-use std::collections::VecDeque;
+//! to receiving the last byte of its response (the crate's transaction
+//! engine, `txn`, keeps the send times).
 
 use fastrak_host::app::{GuestApi, GuestApp};
 use fastrak_net::addr::Ip;
 use fastrak_sim::stats::Histogram;
 use fastrak_sim::time::{SimDuration, SimTime};
-use fastrak_transport::stack::{ConnId, SockEvent};
+use fastrak_transport::stack::SockEvent;
+
+use crate::txn::{Client, Server};
 
 /// Configuration of an RR client.
 #[derive(Debug, Clone)]
@@ -67,24 +67,14 @@ impl RrClientConfig {
     }
 }
 
-#[derive(Clone)]
-struct RrConn {
-    id: ConnId,
-    in_flight: VecDeque<SimTime>,
-    rx_accum: u64,
-}
-
 /// The RR client guest app.
 #[derive(Clone)]
 pub struct RrClient {
     cfg: RrClientConfig,
-    conns: Vec<RrConn>,
+    client: Client,
     issued: u64,
-    completed: u64,
     /// Transaction latency histogram (ns samples).
     pub latency: Histogram,
-    window_start: SimTime,
-    window_completed_base: u64,
     /// When the configured request total completed.
     pub finished_at: Option<SimTime>,
 }
@@ -95,56 +85,29 @@ impl RrClient {
     /// Build from a configuration.
     pub fn new(cfg: RrClientConfig) -> RrClient {
         RrClient {
+            client: Client::new(cfg.req_size, cfg.resp_size),
             cfg,
-            conns: Vec::new(),
             issued: 0,
-            completed: 0,
             latency: Histogram::new(),
-            window_start: SimTime::ZERO,
-            window_completed_base: 0,
             finished_at: None,
         }
     }
 
     /// Transactions completed so far.
     pub fn completed(&self) -> u64 {
-        self.completed
+        self.client.completed()
     }
 
     /// Restart the measurement window: resets the latency histogram and the
     /// TPS base (call after warmup).
     pub fn begin_window(&mut self, now: SimTime) {
-        self.window_start = now;
-        self.window_completed_base = self.completed;
+        self.client.begin_window(now);
         self.latency = Histogram::new();
     }
 
     /// Transactions per second over the current window.
     pub fn tps(&self, now: SimTime) -> f64 {
-        let dt = now.since(self.window_start).as_secs_f64();
-        if dt <= 0.0 {
-            return 0.0;
-        }
-        (self.completed - self.window_completed_base) as f64 / dt
-    }
-
-    fn maybe_issue(&mut self, ci: usize, api: &mut GuestApi<'_>) {
-        loop {
-            if let Some(total) = self.cfg.total_requests {
-                if self.issued >= total {
-                    return;
-                }
-            }
-            let conn = &mut self.conns[ci];
-            if conn.in_flight.len() >= self.cfg.burst {
-                return;
-            }
-            if !api.send(conn.id, self.cfg.req_size) {
-                return; // send buffer full; retry on next delivery
-            }
-            conn.in_flight.push_back(api.now);
-            self.issued += 1;
-        }
+        self.client.tps(now)
     }
 }
 
@@ -158,50 +121,26 @@ impl GuestApp for RrClient {
     }
 
     fn on_timer(&mut self, tag: u64, api: &mut GuestApi<'_>) {
-        if tag == TIMER_START && self.conns.is_empty() {
+        if tag == TIMER_START && self.client.len() == 0 {
             for t in 0..self.cfg.threads {
-                let id = api.connect(
-                    self.cfg.dst,
-                    self.cfg.dst_port,
-                    self.cfg.src_port_base + t as u16,
-                );
-                self.conns.push(RrConn {
-                    id,
-                    in_flight: VecDeque::new(),
-                    rx_accum: 0,
-                });
+                let src_port = self.cfg.src_port_base + t as u16;
+                self.client
+                    .connect(api, self.cfg.dst, self.cfg.dst_port, src_port);
             }
         }
     }
 
     fn on_event(&mut self, ev: SockEvent, api: &mut GuestApi<'_>) {
-        match ev {
-            SockEvent::Connected(id) => {
-                if let Some(ci) = self.conns.iter().position(|c| c.id == id) {
-                    self.maybe_issue(ci, api);
-                }
-            }
-            SockEvent::Delivered { conn, bytes } => {
-                let Some(ci) = self.conns.iter().position(|c| c.id == conn) else {
-                    return;
-                };
-                self.conns[ci].rx_accum += bytes;
-                while self.conns[ci].rx_accum >= self.cfg.resp_size {
-                    self.conns[ci].rx_accum -= self.cfg.resp_size;
-                    let Some(t0) = self.conns[ci].in_flight.pop_front() else {
-                        break;
-                    };
-                    self.latency.record(api.now.since(t0).as_nanos());
-                    self.completed += 1;
-                    if Some(self.completed) == self.cfg.total_requests {
-                        self.finished_at = Some(api.now);
-                    }
-                }
-                self.maybe_issue(ci, api);
-            }
-            // Lifecycle events: these long-lived netperf-style fleets never
-            // close, so teardown notifications need no handling.
-            _ => {}
+        // Lifecycle events: these long-lived netperf-style fleets never
+        // close, so teardown notifications need no handling.
+        let now = api.now;
+        let done = |_, t0: SimTime| self.latency.record(now.since(t0).as_nanos());
+        if let Some(ci) = self.client.on_event(ev, done) {
+            let budget = self.cfg.total_requests.map(|t| t - self.issued);
+            self.issued += self.client.fill(ci, api, self.cfg.burst, budget);
+        }
+        if Some(self.completed()) == self.cfg.total_requests {
+            self.finished_at.get_or_insert(now);
         }
     }
 }
@@ -219,17 +158,10 @@ pub struct RrServerConfig {
     pub service_cpu: SimDuration,
 }
 
-#[derive(Clone)]
-struct SrvConn {
-    id: ConnId,
-    rx_accum: u64,
-}
-
 /// The RR server guest app (netserver / memcached).
 #[derive(Clone)]
 pub struct RrServer {
-    cfg: RrServerConfig,
-    conns: Vec<SrvConn>,
+    server: Server,
     /// Transactions served.
     pub served: u64,
 }
@@ -238,8 +170,7 @@ impl RrServer {
     /// Build from a configuration.
     pub fn new(cfg: RrServerConfig) -> RrServer {
         RrServer {
-            cfg,
-            conns: Vec::new(),
+            server: Server::new(cfg, 1),
             served: 0,
         }
     }
@@ -247,41 +178,11 @@ impl RrServer {
 
 impl GuestApp for RrServer {
     fn on_start(&mut self, api: &mut GuestApi<'_>) {
-        api.listen(self.cfg.port);
+        self.server.listen(api);
     }
 
     fn on_event(&mut self, ev: SockEvent, api: &mut GuestApi<'_>) {
-        match ev {
-            SockEvent::Accepted { conn, port } if port == self.cfg.port => {
-                self.conns.push(SrvConn {
-                    id: conn,
-                    rx_accum: 0,
-                });
-            }
-            SockEvent::Delivered { conn, bytes } => {
-                let Some(ci) = self.conns.iter().position(|c| c.id == conn) else {
-                    return;
-                };
-                self.conns[ci].rx_accum += bytes;
-                while self.conns[ci].rx_accum >= self.cfg.req_size {
-                    self.conns[ci].rx_accum -= self.cfg.req_size;
-                    if self.cfg.service_cpu > SimDuration::ZERO {
-                        api.burn_cpu(self.cfg.service_cpu);
-                    }
-                    api.send(conn, self.cfg.resp_size);
-                    self.served += 1;
-                }
-            }
-            SockEvent::PeerClosed(conn) => {
-                // EOF from the client: close our half too (any queued
-                // response drains before the FIN).
-                if let Some(ci) = self.conns.iter().position(|c| c.id == conn) {
-                    api.close(conn);
-                    self.conns.swap_remove(ci);
-                }
-            }
-            _ => {}
-        }
+        self.served += self.server.on_event(ev, api);
     }
 
     fn on_timer(&mut self, _tag: u64, _api: &mut GuestApi<'_>) {}

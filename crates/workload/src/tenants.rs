@@ -16,16 +16,16 @@
 //! per-tenant fairness policies (`fastrak::FastPathPolicy`) exist to stop
 //! exactly this; `tenant_matrix` in `fastrak-bench` measures it.
 
-use std::collections::VecDeque;
-
 use fastrak_host::app::{GuestApi, GuestApp};
 use fastrak_host::vm::VmSpec;
 use fastrak_net::addr::{Ip, TenantId};
 use fastrak_sim::time::SimDuration;
-use fastrak_transport::stack::{ConnId, SockEvent};
+use fastrak_transport::stack::SockEvent;
 
 use crate::memcached::{memcached_server, MemslapClient, MemslapConfig};
+use crate::rr::RrServerConfig;
 use crate::testbed::{Testbed, VmRef};
+use crate::txn::{Client, Server};
 
 /// Zipf weights for `n` ranks with exponent `s`, normalized to sum 1.
 /// `s = 0` degenerates to uniform; larger `s` concentrates demand on the
@@ -48,8 +48,6 @@ pub struct TenantFleetConfig {
     /// Outstanding requests per connection for the rank-1 tenant; lower
     /// ranks get `peak_burst` scaled by their Zipf weight (min 1).
     pub peak_burst: usize,
-    /// memslap connections per client VM.
-    pub conns_per_target: usize,
     /// Stagger between consecutive tenants' client start times (breaks the
     /// synchronized-start artifact without losing determinism).
     pub start_stagger: SimDuration,
@@ -62,7 +60,6 @@ impl Default for TenantFleetConfig {
             clients_per_tenant: 1,
             zipf_s: 1.0,
             peak_burst: 8,
-            conns_per_target: 2,
             start_stagger: SimDuration::from_millis(3),
         }
     }
@@ -112,7 +109,6 @@ impl TenantFleet {
             for c in 0..cfg.clients_per_tenant {
                 let slot = (home + 1 + c) % n_servers;
                 let mut slap = MemslapConfig::paper(vec![server_ip], None);
-                slap.conns_per_target = cfg.conns_per_target;
                 slap.burst = burst;
                 slap.src_port_base = 43_000 + (c as u16) * 64;
                 slap.start_delay = cfg.start_stagger * rank as u64;
@@ -179,10 +175,6 @@ pub struct ChurnerConfig {
     /// over many flows is how an adversary inflates its score without
     /// needing more pps than the slow path will carry.
     pub conns_per_port: u16,
-    /// Request size (bytes).
-    pub req_size: u64,
-    /// Response size (bytes).
-    pub resp_size: u64,
     /// First local source port.
     pub src_port_base: u16,
     /// Delay before opening connections.
@@ -200,27 +192,19 @@ impl ChurnerConfig {
             phase: SimDuration::from_millis(150),
             burst: 16,
             conns_per_port: 1,
-            req_size: 64,
-            resp_size: 1024,
             src_port_base: 51_000,
             start_delay: SimDuration::ZERO,
         }
     }
 }
 
-#[derive(Clone)]
-struct ChurnConn {
-    id: ConnId,
-    in_flight: VecDeque<u64>, // send counter stand-ins; latency unmeasured
-    rx_accum: u64,
-}
-
-/// The adversarial churner guest app (client side).
+/// The adversarial churner guest app (client side). Its requests and
+/// responses are memslap-sized; their latency is not measured.
 #[derive(Clone)]
 pub struct Churner {
     cfg: ChurnerConfig,
-    conns: Vec<ChurnConn>,
-    /// Start of the currently hot port window (index into `conns`).
+    client: Client,
+    /// Start of the currently hot port window (index into the ports).
     offset: usize,
     /// Completed transactions (progress sanity, not a metric).
     pub completed: u64,
@@ -234,7 +218,7 @@ impl Churner {
         assert!(cfg.hot_ports > 0 && cfg.hot_ports <= cfg.n_ports);
         Churner {
             cfg,
-            conns: Vec::new(),
+            client: Client::new(MemslapConfig::REQ_SIZE, MemslapConfig::RESP_SIZE),
             offset: 0,
             completed: 0,
             rotations: 0,
@@ -248,25 +232,11 @@ impl Churner {
         rel < self.cfg.hot_ports as usize
     }
 
-    fn maybe_issue(&mut self, ci: usize, api: &mut GuestApi<'_>) {
-        if !self.is_hot(ci) {
-            return; // cold aggregate: let in-flight drain, issue nothing
-        }
-        loop {
-            let conn = &mut self.conns[ci];
-            if conn.in_flight.len() >= self.cfg.burst {
-                return;
-            }
-            if !api.send(conn.id, self.cfg.req_size) {
-                return;
-            }
-            conn.in_flight.push_back(0);
-        }
-    }
-
-    fn issue_hot(&mut self, api: &mut GuestApi<'_>) {
-        for ci in 0..self.conns.len() {
-            self.maybe_issue(ci, api);
+    /// Fill connection `ci` if its aggregate is hot; a cold one lets its
+    /// in-flight requests drain and issues nothing.
+    fn fill(&mut self, ci: usize, api: &mut GuestApi<'_>) {
+        if self.is_hot(ci) {
+            self.client.fill(ci, api, self.cfg.burst, None);
         }
     }
 }
@@ -278,19 +248,12 @@ impl GuestApp for Churner {
 
     fn on_timer(&mut self, tag: u64, api: &mut GuestApi<'_>) {
         match tag {
-            TIMER_START if self.conns.is_empty() => {
+            TIMER_START if self.client.len() == 0 => {
                 for p in 0..self.cfg.n_ports {
                     for k in 0..self.cfg.conns_per_port {
-                        let id = api.connect(
-                            self.cfg.dst,
-                            CHURN_PORT_BASE + p,
-                            self.cfg.src_port_base + p * self.cfg.conns_per_port + k,
-                        );
-                        self.conns.push(ChurnConn {
-                            id,
-                            in_flight: VecDeque::new(),
-                            rx_accum: 0,
-                        });
+                        let src_port = self.cfg.src_port_base + p * self.cfg.conns_per_port + k;
+                        self.client
+                            .connect(api, self.cfg.dst, CHURN_PORT_BASE + p, src_port);
                     }
                 }
                 api.set_timer(self.cfg.phase, TIMER_PHASE);
@@ -299,7 +262,9 @@ impl GuestApp for Churner {
                 let n = self.cfg.n_ports as usize;
                 self.offset = (self.offset + self.cfg.hot_ports as usize) % n;
                 self.rotations += 1;
-                self.issue_hot(api);
+                for ci in 0..self.client.len() {
+                    self.fill(ci, api);
+                }
                 api.set_timer(self.cfg.phase, TIMER_PHASE);
             }
             _ => {}
@@ -307,26 +272,8 @@ impl GuestApp for Churner {
     }
 
     fn on_event(&mut self, ev: SockEvent, api: &mut GuestApi<'_>) {
-        match ev {
-            SockEvent::Connected(id) => {
-                if let Some(ci) = self.conns.iter().position(|c| c.id == id) {
-                    self.maybe_issue(ci, api);
-                }
-            }
-            SockEvent::Delivered { conn, bytes } => {
-                let Some(ci) = self.conns.iter().position(|c| c.id == conn) else {
-                    return;
-                };
-                self.conns[ci].rx_accum += bytes;
-                while self.conns[ci].rx_accum >= self.cfg.resp_size {
-                    self.conns[ci].rx_accum -= self.cfg.resp_size;
-                    if self.conns[ci].in_flight.pop_front().is_some() {
-                        self.completed += 1;
-                    }
-                }
-                self.maybe_issue(ci, api);
-            }
-            _ => {}
+        if let Some(ci) = self.client.on_event(ev, |_, _| self.completed += 1) {
+            self.fill(ci, api);
         }
     }
 }
@@ -334,23 +281,23 @@ impl GuestApp for Churner {
 /// Echo server answering the churner's whole port range from one VM.
 #[derive(Clone)]
 pub struct EchoRangeServer {
-    /// Number of ports, starting at [`CHURN_PORT_BASE`].
-    n_ports: u16,
-    req_size: u64,
-    resp_size: u64,
-    conns: Vec<(ConnId, u64)>,
+    server: Server,
     /// Transactions served.
     pub served: u64,
 }
 
 impl EchoRangeServer {
-    /// Serve `n_ports` ports with the churner's request/response framing.
-    pub fn new(n_ports: u16, req_size: u64, resp_size: u64) -> EchoRangeServer {
+    /// Serve `n_ports` ports from [`CHURN_PORT_BASE`] with the churner's
+    /// request/response framing.
+    pub fn new(n_ports: u16) -> EchoRangeServer {
+        let cfg = RrServerConfig {
+            port: CHURN_PORT_BASE,
+            req_size: MemslapConfig::REQ_SIZE,
+            resp_size: MemslapConfig::RESP_SIZE,
+            service_cpu: SimDuration::ZERO,
+        };
         EchoRangeServer {
-            n_ports,
-            req_size,
-            resp_size,
-            conns: Vec::new(),
+            server: Server::new(cfg, n_ports),
             served: 0,
         }
     }
@@ -358,31 +305,11 @@ impl EchoRangeServer {
 
 impl GuestApp for EchoRangeServer {
     fn on_start(&mut self, api: &mut GuestApi<'_>) {
-        for p in 0..self.n_ports {
-            api.listen(CHURN_PORT_BASE + p);
-        }
+        self.server.listen(api);
     }
 
     fn on_event(&mut self, ev: SockEvent, api: &mut GuestApi<'_>) {
-        match ev {
-            SockEvent::Accepted { conn, port }
-                if (CHURN_PORT_BASE..CHURN_PORT_BASE + self.n_ports).contains(&port) =>
-            {
-                self.conns.push((conn, 0));
-            }
-            SockEvent::Delivered { conn, bytes } => {
-                let Some(ci) = self.conns.iter().position(|c| c.0 == conn) else {
-                    return;
-                };
-                self.conns[ci].1 += bytes;
-                while self.conns[ci].1 >= self.req_size {
-                    self.conns[ci].1 -= self.req_size;
-                    api.send(conn, self.resp_size);
-                    self.served += 1;
-                }
-            }
-            _ => {}
-        }
+        self.served += self.server.on_event(ev, api);
     }
 
     fn on_timer(&mut self, _tag: u64, _api: &mut GuestApi<'_>) {}
@@ -406,11 +333,10 @@ pub fn add_churner(
     cfg: ChurnerConfig,
 ) -> ChurnerSetup {
     assert_ne!(server_slot, client_slot, "churner must cross the ToR");
-    let (n_ports, req, resp) = (cfg.n_ports, cfg.req_size, cfg.resp_size);
     let server = bed.add_vm(
         server_slot,
         VmSpec::large(format!("churn-srv-t{}", tenant.0), tenant, cfg.dst),
-        Box::new(EchoRangeServer::new(n_ports, req, resp)),
+        Box::new(EchoRangeServer::new(cfg.n_ports)),
     );
     let client = bed.add_vm(
         client_slot,
