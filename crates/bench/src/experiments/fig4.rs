@@ -168,3 +168,20 @@ pub fn run(cx: &Cx) -> Vec<Artifact> {
     }
     vec![a, b]
 }
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// The quick Fig. 4a OVS+Tunneling cell at 600 B loses whole flights.
+    /// When a timeout resent one segment and then waited for the next, its
+    /// streams stalled and the cell recorded 0.14 Mb/s; going back through
+    /// the flight after each timeout keeps them moving. Release-only
+    /// (`--ignored`, run by CI).
+    #[test]
+    #[ignore = "slow: run with cargo test --release -p fastrak-bench -- --ignored"]
+    fn a_lost_flight_does_not_stall_the_tunneled_600b_streams() {
+        let (_, goodput) = measure_cpu(PathSetup::OvsTunnel, 600, true, None);
+        assert!(goodput > 100e6, "goodput {goodput} bps");
+    }
+}

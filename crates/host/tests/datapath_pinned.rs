@@ -428,10 +428,11 @@ fn run(cell: Cell) -> Outcome {
     }
 }
 
-/// The digests of the cells, in order, against the values recorded on the
-/// server as it was before its stages shared one primitive. A mismatch
-/// prints the whole list; re-record only with a change that is meant to
-/// move a simulated outcome, and say which.
+/// The digests of the cells, in order, against the values recorded when a
+/// retransmission timeout began going back through the whole lost flight
+/// instead of resending one segment: the three cells whose stacks never
+/// time out kept theirs. A mismatch prints the whole list; re-record only
+/// with a change that is meant to move a simulated outcome, and say which.
 fn assert_pinned(got: &[u64], pinned: &[u64]) {
     assert!(got == pinned, "digests moved, now {got:#018x?}");
 }
@@ -505,20 +506,20 @@ fn server_conserves_emitted_segments_and_replays_the_pinned_run() {
     assert_pinned(
         &digests,
         &[
-            0x24bc4be2ff5cc5d2,
-            0x5d4a8dd152c7da42,
-            0x911f05e49ea81573,
-            0x43633607ec8d319e,
-            0x2fc37e18cf86f7c3,
+            0x39746d30e9b98a9b,
+            0x886701a14e1f513f,
+            0x86f7c9eacb265e0d,
+            0x8c6221d9a7a3afcd,
+            0x1b98e8de5ae6d22a,
             0xf709fcd1ac4d1d4d,
-            0x13b4da57dfd9a986,
-            0x837e765384255ceb,
-            0xf0cec4b7018bab0a,
-            0x7b5907373df643c6,
+            0xacb6625f216ca30e,
+            0x65bf5088ef8123d0,
+            0x007a0b4c37c974c8,
+            0xd531321bb78092fd,
             0x4631f33bf7d9c91f,
             0x8ff161e5ee61dc4d,
-            0xe2aa0af69f4d907a,
-            0x38d63cf5495e3916,
+            0x0189c8fb05998742,
+            0x5a7fadd969b06c7c,
         ],
     );
 }

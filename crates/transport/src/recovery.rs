@@ -2,16 +2,26 @@
 //! goes out again next.
 //!
 //! [`Recovery`] owns duplicate-ACK counting, the NewReno recovery window,
-//! the SACK scoreboard and the retransmit queue. The connection tells it
-//! what arrived ([`Recovery::on_new_ack`], [`Recovery::on_dup_ack`],
-//! [`Recovery::on_rto`]) and maps the verdict onto a congestion-control
-//! hook; *which* bytes to resend is decided in one place,
-//! [`Recovery::queue_next`].
+//! the SACK scoreboard, the retransmit queue and the go-back walk after a
+//! timeout. The connection tells it what arrived ([`Recovery::on_new_ack`],
+//! [`Recovery::on_dup_ack`], [`Recovery::on_rto`]) and maps the verdict
+//! onto a congestion-control hook; *which* bytes to resend is decided in
+//! two places: [`Recovery::queue_next`] queues what duplicate and partial
+//! ACKs say is lost, and [`Recovery::pop`] hands out the queue, else the
+//! next step of the walk.
 //!
-//! Invariants: `in_recovery` implies `snd_una < recover <= snd_nxt`; the
-//! scoreboard exists exactly when SACK was configured; a queued range may
-//! be stale (already acknowledged) by the time it is popped — the emitter
-//! checks, the queue does not.
+//! After an RTO nothing is known about the flight, so all of it goes again
+//! (go-back-N, RFC 5681 §3.1): the walk resends `[snd_una, recover)` one
+//! MSS at a time within the congestion window, skipping whatever cumulative
+//! ACKs cover meanwhile, so a lost flight costs one timeout, not one per
+//! segment. `snd_nxt` is not pulled back.
+//!
+//! Invariants: `in_recovery` implies `snd_una < recover <= snd_nxt`; outside
+//! it, `snd_una < recover` only while an RTO's walk is unfinished, and
+//! then a third duplicate ACK is a duplicate of resent data and does not
+//! start fast recovery (RFC 6582 §3.2); the scoreboard exists exactly when
+//! SACK was configured; a queued range may be stale (already acknowledged)
+//! by the time it is popped — the emitter checks, the queue does not.
 
 use std::collections::VecDeque;
 
@@ -57,8 +67,11 @@ pub(crate) enum DupAck {
 pub(crate) struct Recovery {
     dup_acks: u32,
     in_recovery: bool,
-    /// `snd_nxt` when recovery was entered (the NewReno recovery point).
+    /// `snd_nxt` when fast recovery was entered (the NewReno recovery
+    /// point) or when the RTO last fired (the end of the go-back walk).
     recover: u64,
+    /// The go-back walk's next byte; below `snd_una` it means `snd_una`.
+    go_back: u64,
     /// Ranges queued for retransmission: (seq, len).
     rtx_q: VecDeque<(u64, u32)>,
     /// Present exactly when SACK is configured.
@@ -71,6 +84,7 @@ impl Recovery {
             dup_acks: 0,
             in_recovery: false,
             recover: 0,
+            go_back: 0,
             rtx_q: VecDeque::new(),
             scoreboard: sack.then(Scoreboard::default),
         }
@@ -107,7 +121,7 @@ impl Recovery {
             // another guess.
             self.queue_next(s, false);
             DupAck::Inflate
-        } else if self.dup_acks == 3 {
+        } else if self.dup_acks == 3 && s.una >= self.recover {
             self.in_recovery = true;
             self.recover = s.nxt;
             if let Some(sb) = &mut self.scoreboard {
@@ -121,23 +135,24 @@ impl Recovery {
     }
 
     /// The retransmission timer fired: forget the episode (RFC 6675 allows
-    /// keeping SACK state across an RTO; discarding it is always safe) and,
-    /// if `resend`, go back to `snd_una`.
-    pub fn on_rto(&mut self, s: SendSeq, resend: bool) {
+    /// keeping SACK state across an RTO; discarding it is always safe) and
+    /// go back to `snd_una` — through the whole flight, or in a SYN state
+    /// through the SYN's one sequence number, which completing the
+    /// handshake acknowledges.
+    pub fn on_rto(&mut self, s: SendSeq) {
         self.dup_acks = 0;
         self.in_recovery = false;
         self.rtx_q.clear();
         if let Some(sb) = &mut self.scoreboard {
             sb.clear();
         }
-        if resend {
-            self.queue_next(s, true);
-        }
+        self.recover = s.nxt;
+        self.go_back = s.una;
     }
 
-    /// The one place a retransmission is chosen: the next hole the
-    /// scoreboard knows, else — when the caller is sure something is lost,
-    /// or has nothing better to go on — the NewReno guess, one MSS at
+    /// Queue what a duplicate or partial ACK says is lost: the next hole
+    /// the scoreboard knows, else — when the caller is sure something is
+    /// lost, or has nothing better to go on — the NewReno guess, one MSS at
     /// `snd_una`.
     fn queue_next(&mut self, s: SendSeq, or_guess: bool) {
         let hole = self
@@ -150,12 +165,30 @@ impl Recovery {
         }
     }
 
-    /// Take the oldest queued range.
-    pub fn pop(&mut self) -> Option<(u64, u32)> {
-        self.rtx_q.pop_front()
+    /// The next retransmission: the oldest queued range, else the go-back
+    /// walk's next MSS while it is short of `recover` and less than `wnd`
+    /// ahead of `snd_una`. A walked range stops at the end of sent data, so
+    /// a sent FIN goes out alone.
+    pub fn pop(&mut self, s: SendSeq, wnd: u64) -> Option<(u64, u32)> {
+        if let Some(range) = self.rtx_q.pop_front() {
+            return Some(range);
+        }
+        let at = self.go_back.max(s.una);
+        if self.in_recovery || at >= self.recover || at - s.una >= wnd {
+            return None;
+        }
+        let end = if at < s.data_nxt {
+            s.data_nxt.min(self.recover)
+        } else {
+            self.recover
+        };
+        let len = (end - at).min(MSS as u64);
+        self.go_back = at + len;
+        Some((at, len as u32))
     }
 
-    /// Is anything queued?
+    /// Is anything queued? (The walk is not: whether it has a next step is
+    /// a pure function of the send sequence and the window.)
     pub fn pending(&self) -> bool {
         !self.rtx_q.is_empty()
     }
@@ -182,7 +215,12 @@ mod tests {
     }
 
     fn drain(r: &mut Recovery) -> Vec<(u64, u32)> {
-        std::iter::from_fn(|| r.pop()).collect()
+        std::iter::from_fn(|| r.rtx_q.pop_front()).collect()
+    }
+
+    /// Everything [`Recovery::pop`] hands out at `s` with window `wnd`.
+    fn drain_walk(r: &mut Recovery, s: SendSeq, wnd: u64) -> Vec<(u64, u32)> {
+        std::iter::from_fn(|| r.pop(s, wnd)).collect()
     }
 
     fn dup_acks(r: &mut Recovery, s: SendSeq, n: usize) {
@@ -268,17 +306,62 @@ mod tests {
     #[test]
     fn rto_forgets_the_episode_and_goes_back_to_snd_una() {
         let mut r = Recovery::new(true);
+        // Ten segments out; the third was SACKed and the fast retransmit of
+        // the first is queued when the timer fires.
         let s = seq(1, 1 + 10 * M);
         r.on_sack(1, s.nxt, &blocks(&[(1 + 2 * M, 1 + 3 * M)]));
         dup_acks(&mut r, s, 4);
         assert!(r.pending());
-        r.on_rto(s, true);
-        assert_eq!(drain(&mut r), [(1, MSS)]);
-        // Out of recovery, counting from zero, scoreboard empty.
-        assert_eq!(r.on_new_ack(seq(1 + M, s.nxt)), NewAck::Open);
-        assert_eq!(r.on_dup_ack(seq(1 + M, s.nxt)), DupAck::Counted);
-        // A handshake timeout resends nothing from here.
-        r.on_rto(seq(0, 1), false);
+        r.on_rto(s);
         assert!(!r.pending());
+        // The walk starts at `snd_una` and stays inside the window: one MSS
+        // of a one-MSS window, then two once its ACK opened a second.
+        assert_eq!(r.pop(s, M), Some((1, MSS)));
+        assert_eq!(r.pop(s, M), None);
+        let s = seq(1 + M, s.nxt);
+        assert_eq!(r.on_new_ack(s), NewAck::Open);
+        assert_eq!(
+            drain_walk(&mut r, s, 2 * M),
+            [(1 + M, MSS), (1 + 2 * M, MSS)]
+        );
+        // Segments 3-5 had arrived: the cumulative ACK jumps past them and
+        // the walk resumes at the new `snd_una`, ending at the recovery
+        // point.
+        let s = seq(1 + 6 * M, s.nxt);
+        assert_eq!(r.on_new_ack(s), NewAck::Open);
+        assert_eq!(
+            drain_walk(&mut r, s, 8 * M),
+            (6..10).map(|i| (1 + i * M, MSS)).collect::<Vec<_>>()
+        );
+        // RFC 6582: three duplicate ACKs while the walk is unacknowledged
+        // are duplicates of resent data, not a loss, and start nothing;
+        // neither does a fourth.
+        dup_acks(&mut r, s, 4);
+        assert!(!r.pending());
+        assert_eq!(r.pop(s, 8 * M), None);
+        // Past the recovery point, loss detection is back to normal.
+        let s = seq(s.nxt, s.nxt + 4 * M);
+        assert_eq!(r.on_new_ack(s), NewAck::Open);
+        dup_acks(&mut r, s, 2);
+        assert_eq!(r.on_dup_ack(s), DupAck::Enter);
+        assert_eq!(drain(&mut r), [(s.una, MSS)]);
+    }
+
+    #[test]
+    fn the_walk_sends_a_fin_alone_and_a_handshake_timeout_only_the_syn() {
+        let mut r = Recovery::new(false);
+        // 100 bytes of data, then a FIN at 101.
+        let s = SendSeq {
+            una: 1,
+            nxt: 102,
+            data_nxt: 101,
+        };
+        r.on_rto(s);
+        assert_eq!(drain_walk(&mut r, s, 10 * M), [(1, 100), (101, 1)]);
+        // In a SYN state the walk covers the SYN, which the completed
+        // handshake acknowledges: nothing is left to walk.
+        let mut r = Recovery::new(false);
+        r.on_rto(seq(0, 1));
+        assert_eq!(r.pop(seq(1, 1), 10 * M), None);
     }
 }

@@ -2,7 +2,8 @@
 //!
 //! Implements the full RFC 793 lifecycle (both open paths, both close
 //! paths, simultaneous open/close, RST, TIME_WAIT with 2·MSL expiry) plus
-//! loss recovery (NewReno, and SACK scoreboard repair when enabled),
+//! loss recovery (NewReno, SACK scoreboard repair when enabled, and
+//! go-back-N over the flight after a timeout),
 //! RFC 3168/8257 ECN, and pluggable congestion control ([`crate::cc`]).
 //! Sequence numbers are 64-bit internally so multi-gigabyte transfers
 //! never wrap.
@@ -554,8 +555,8 @@ impl TcpConn {
     }
 
     fn on_rto(&mut self) {
-        let handshake = matches!(self.state, TcpState::SynSent | TcpState::SynRcvd);
-        if self.flight() == 0 && !handshake {
+        // A SYN in flight counts: the RTO is armed only once one is sent.
+        if self.flight() == 0 {
             return;
         }
         self.stats.timeouts += 1;
@@ -564,8 +565,8 @@ impl TcpConn {
         self.cc.on_rto(flight);
         self.rtt.backoff();
         self.rtt.invalidate_probe();
-        self.recovery.on_rto(self.send_seq(), !handshake);
-        if handshake {
+        self.recovery.on_rto(self.send_seq());
+        if matches!(self.state, TcpState::SynSent | TcpState::SynRcvd) {
             self.syn_sent = false; // re-emit the SYN / SYN|ACK
         }
     }
@@ -779,12 +780,12 @@ impl TcpConn {
         }
     }
 
-    /// The oldest queued retransmission, unless it went stale: each poll
-    /// pops one range, and a range the cumulative ACK has since covered
-    /// yields nothing.
+    /// The retransmission [`Recovery::pop`] chooses, unless it went stale:
+    /// each poll pops one queued range, and a range the cumulative ACK has
+    /// since covered yields nothing.
     fn emit_retransmit(&mut self, now: SimTime) -> Option<SegmentPlan> {
-        let (seq, len) = self.recovery.pop()?;
         let s = self.send_seq();
+        let (seq, len) = self.recovery.pop(s, self.effective_wnd())?;
         if seq < s.una && seq + len as u64 <= s.una {
             return None;
         }
@@ -925,11 +926,11 @@ impl TcpConn {
 
     /// Right after [`TcpConn::poll_transmit`] returned `None`: is polling
     /// again, with nothing fed in between, certain to be a no-op?
-    /// Everything that `None` ruled out (window room, a FIN to send, an ACK
-    /// owed) is a pure read of state the poll left alone. The exception is
-    /// the retransmit queue: each poll pops at most one hole, and a stale
-    /// (already acked) one falls through to `None` with the next still
-    /// queued.
+    /// Everything that `None` ruled out (window room for new data or the
+    /// go-back walk, a FIN to send, an ACK owed) is a pure read of state the
+    /// poll left alone. The exception is the retransmit queue: each poll
+    /// pops at most one hole, and a stale (already acked) one falls through
+    /// to `None` with the next still queued.
     pub(crate) fn poll_is_settled(&self) -> bool {
         !self.recovery.pending()
     }
@@ -1240,6 +1241,76 @@ mod tests {
         assert!(rtx2.is_rtx);
         let (d3, _) = c.next_timer().unwrap();
         assert!(d3.since(d2) > d2.since(deadline), "RTO must back off");
+    }
+
+    /// A client streams 200 one-MSS writes to a server over a 50 µs
+    /// one-way wire, default timers. The first transmissions of the data
+    /// segments numbered `lost` are dropped until the client's first
+    /// retransmission. Returns the client's counters and the bytes the
+    /// server delivered.
+    fn stream_losing(cfg: TcpConfig, lost: std::ops::Range<usize>) -> (TcpStats, u64) {
+        let (mut c, mut s) = establish_cfg(cfg, cfg);
+        (0..200).for_each(|_| assert!(c.app_send(MSS as u64)));
+        let wire = SimDuration::from_micros(50);
+        let (mut to_s, mut to_c) = (VecDeque::new(), VecDeque::new());
+        let (mut now, mut sent, mut dropping) = (t(100), 0, true);
+        loop {
+            while let Some(p) = c.poll_transmit(now, MSS) {
+                dropping &= !p.is_rtx;
+                let first = p.len > 0 && !p.is_rtx;
+                if !(first && dropping && lost.contains(&sent)) {
+                    to_s.push_back((now + wire, p));
+                }
+                sent += first as usize;
+            }
+            while let Some(p) = s.poll_transmit(now, MSS) {
+                to_c.push_back((now + wire, p));
+            }
+            let due = |q: &VecDeque<(SimTime, SegmentPlan)>| q.front().map(|e| e.0);
+            let timer = |x: &TcpConn| x.next_timer().map(|e| e.0);
+            let Some(next) = [due(&to_s), due(&to_c), timer(&c), timer(&s)]
+                .into_iter()
+                .flatten()
+                .min()
+            else {
+                break;
+            };
+            now = next;
+            if due(&to_s) == Some(now) {
+                deliver(&mut s, now, to_s.pop_front().unwrap().1);
+            } else if due(&to_c) == Some(now) {
+                deliver(&mut c, now, to_c.pop_front().unwrap().1);
+            } else {
+                for x in [&mut c, &mut s] {
+                    if let Some((_, which)) = x.next_timer().filter(|e| e.0 <= now) {
+                        x.on_timer(now, which);
+                    }
+                }
+            }
+        }
+        (c.stats, s.stats.bytes_delivered)
+    }
+
+    #[test]
+    fn a_burst_loss_costs_at_most_one_rto() {
+        for cc in [CcAlgo::Reno, CcAlgo::Cubic] {
+            for sack in [false, true] {
+                let cfg = TcpConfig {
+                    cc,
+                    sack,
+                    ..Default::default()
+                };
+                // Up to 32 sit inside a larger window and are repaired by
+                // duplicate ACKs; 64 is the whole flight, which only the
+                // timer can detect — once, however many segments it held.
+                for k in [1, 2, 4, 8, 16, 32, 64] {
+                    let (stats, delivered) = stream_losing(cfg, 40..40 + k);
+                    let case = format!("{cc:?} sack={sack} k={k}: {stats:?}");
+                    assert_eq!(delivered, 200 * MSS as u64, "{case}");
+                    assert!(stats.timeouts <= 1, "{case}");
+                }
+            }
+        }
     }
 
     #[test]
