@@ -14,6 +14,9 @@
 //!   dead-entry reclaim.
 //! * `far_future_skew` — every event scheduled beyond the ring span;
 //!   stresses the far heap and the moves into the ring.
+//! * `far_rearm_cancel` — 64 live RTO timers 200 ms out; each iteration
+//!   cancels one and re-arms it, as a server does with a superseded TCP
+//!   timer. Times the far heap's reclaim of cancelled entries.
 //!
 //! Run with `cargo bench -p fastrak-bench --bench scheduler` (add
 //! `-- --quick` for a fast smoke pass). Set `FASTRAK_BENCH_JSON=<path>` to
@@ -149,6 +152,31 @@ fn main() {
             sched.schedule(SimTime(at), seq, 0, seq);
             seq += 1;
         });
+    }
+
+    // Far re-arm: 64 timers 200 ms out, each cancelled and re-armed in
+    // turn while the clock creeps forward, so none ever comes due and the
+    // dead ones are reclaimed only by compacting the far heap.
+    {
+        let mut sched = Calendar::default();
+        let rto = 200_000_000;
+        let mut seq = 0u64;
+        let mut now = 0u64;
+        let mut timers: Vec<_> = (0..64)
+            .map(|_| {
+                seq += 1;
+                sched.schedule(SimTime(rto), seq, 0, seq)
+            })
+            .collect();
+        let mut i = 0usize;
+        s.bench("far_rearm_cancel", || {
+            now += 64;
+            sched.cancel(timers[i]);
+            seq += 1;
+            timers[i] = sched.schedule(SimTime(now + rto), seq, 0, seq);
+            i = (i + 1) % timers.len();
+        });
+        black_box(sched.len());
     }
 
     s.finish();

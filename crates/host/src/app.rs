@@ -5,12 +5,13 @@
 //! them with a [`GuestApi`] capability handle exposing exactly what a guest
 //! process can do: open/accept TCP connections, write bytes, set timers, and
 //! burn vCPU time (for disk/CPU-bound background load à la iozone/stress).
+//! It lends no randomness: an app that wants some seeds its own `Rng`, so
+//! the world RNG's draws stay the server's.
 
 use std::any::Any;
 
 use fastrak_net::addr::{Ip, TenantId};
 use fastrak_net::flow::{FlowKey, Proto};
-use fastrak_sim::rng::Rng;
 use fastrak_sim::time::{SimDuration, SimTime};
 use fastrak_transport::stack::{ConnId, SockEvent, TcpStack};
 use fastrak_transport::tcp::TcpConn;
@@ -19,8 +20,6 @@ use fastrak_transport::tcp::TcpConn;
 pub struct GuestApi<'a> {
     /// Current simulated time.
     pub now: SimTime,
-    /// Deterministic RNG (per-server stream).
-    pub rng: &'a mut Rng,
     /// Owning tenant.
     pub tenant: TenantId,
     /// This VM's tenant IP.

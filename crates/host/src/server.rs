@@ -42,7 +42,7 @@ use crate::vswitch::{TxVerdict, Vswitch, VswitchConfig};
 pub mod tags {
     /// Resume a pending pipeline stage (`a` = token).
     pub const PENDING: u64 = 1;
-    /// TCP stack timer (`a` = vm index, `b` = generation).
+    /// TCP stack timer (`a` = vm index).
     pub const TCP: u64 = 2;
     /// Application timer (`a` = vm index, `b` = app tag).
     pub const APP: u64 = 3;
@@ -216,11 +216,11 @@ enum Pending {
 /// What [`Server::rearm_tcp_timer`] does about a VM's kernel timer.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum Rearm {
-    /// No connection holds a deadline: forget the armed timer.
+    /// No connection holds a deadline: cancel the armed timer.
     Clear,
     /// The armed timer fires first (or at the same time): keep it.
     Keep,
-    /// Send a new timer for this deadline.
+    /// Cancel the armed timer, if any, and send one for this deadline.
     Arm(SimTime),
 }
 
@@ -617,7 +617,6 @@ impl Server {
         {
             let mut g = GuestApi {
                 now: api.now,
-                rng: api.rng,
                 tenant: vm.spec.tenant,
                 vm_ip: vm.spec.ip,
                 stack: &mut vm.stack,
@@ -670,13 +669,8 @@ impl Server {
         );
     }
 
-    // Timer audit note: this uses a *soft* cancel — stale timers still fire
-    // and are discarded by generation (`tcp_timer_gen`) in the handler. The
-    // kernel now offers O(1) `Api::cancel` via `EventHandle`, which would
-    // keep stale timers out of the queue entirely; switching would change
-    // the delivered event stream (and thus every seeded artifact), so it is
-    // deliberately left as-is. New timer-heavy nodes should prefer
-    // `Api::cancel`.
+    // One kernel timer per VM, cancelled when superseded: a cleared or
+    // re-armed timer never fires.
     //
     // The question asked after every pump is "is any deadline earlier than
     // the timer already armed?", and nearly always the stack can say no in
@@ -701,23 +695,19 @@ impl Server {
             let earliest = deadlines.map(|(t, _)| t).min();
             debug_assert_eq!(rearm, Rearm::decide(earliest, armed), "vm {vm_idx}");
         }
-        match rearm {
-            Rearm::Clear => vm.tcp_timer = None,
-            Rearm::Keep => {}
-            Rearm::Arm(deadline) => {
-                vm.tcp_timer_gen += 1;
-                vm.tcp_timer = Some((deadline, vm.tcp_timer_gen));
-                let gen = vm.tcp_timer_gen;
-                api.send_at(
-                    api.self_id,
-                    deadline,
-                    Event::Timer {
-                        tag: tags::TCP,
-                        a: vm_idx as u64,
-                        b: gen,
-                    },
-                );
-            }
+        if rearm == Rearm::Keep {
+            return;
+        }
+        if let Some((_, old)) = vm.tcp_timer.take() {
+            api.cancel(old);
+        }
+        if let Rearm::Arm(deadline) = rearm {
+            let ev = Event::Timer {
+                tag: tags::TCP,
+                a: vm_idx as u64,
+                b: 0,
+            };
+            vm.tcp_timer = Some((deadline, api.send_at(api.self_id, deadline, ev)));
         }
     }
 
@@ -1056,15 +1046,14 @@ impl Node<Event, NetCtx> for Server {
                 tags::TCP => {
                     let vm_idx = a as usize;
                     let vm = &mut self.vms[vm_idx];
-                    match vm.tcp_timer {
-                        Some((deadline, gen)) if gen == b && api.now >= deadline => {
-                            vm.tcp_timer = None;
-                            vm.stack.on_timer(api.now);
-                            self.drain_stack_events(api, vm_idx);
-                            self.pump_vm(api, vm_idx);
-                        }
-                        _ => {} // stale generation
-                    }
+                    let armed = vm.tcp_timer.take();
+                    debug_assert!(
+                        armed.is_some_and(|(at, _)| at <= api.now),
+                        "vm {vm_idx}: a TCP timer fired that was not the armed one"
+                    );
+                    vm.stack.on_timer(api.now);
+                    self.drain_stack_events(api, vm_idx);
+                    self.pump_vm(api, vm_idx);
                 }
                 tags::APP => {
                     let vm_idx = a as usize;

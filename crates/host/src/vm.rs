@@ -3,6 +3,7 @@
 
 use fastrak_net::addr::{Ip, TenantId};
 use fastrak_sim::cpu::CpuPool;
+use fastrak_sim::kernel::EventHandle;
 use fastrak_sim::time::SimTime;
 use fastrak_transport::stack::{ConnId, TcpStack};
 use fastrak_transport::tcp::TcpConfig;
@@ -73,9 +74,8 @@ pub struct Vm {
     /// `Server::rx_slots` for why stages are clamped per flow). A slot
     /// belongs to its flow key for good, as the stack's does.
     pub(crate) tx_clock: Vec<[SimTime; 2]>,
-    /// Armed TCP timer (deadline, generation).
-    pub(crate) tcp_timer: Option<(SimTime, u64)>,
-    pub(crate) tcp_timer_gen: u64,
+    /// The one kernel timer of the guest stack: its deadline and event.
+    pub(crate) tcp_timer: Option<(SimTime, EventHandle)>,
 }
 
 impl Vm {
@@ -96,7 +96,6 @@ impl Vm {
             tx_inflight: 0,
             tx_clock: Vec::new(),
             tcp_timer: None,
-            tcp_timer_gen: 0,
             spec,
         }
     }

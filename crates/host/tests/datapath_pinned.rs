@@ -27,6 +27,7 @@ use fastrak_net::tunnel::TunnelMapping;
 use fastrak_sim::chaos::ChaosConfig;
 use fastrak_sim::fault::FaultConfig;
 use fastrak_sim::kernel::{Api, Kernel, Node, NodeId};
+use fastrak_sim::rng::Rng;
 use fastrak_sim::time::{SimDuration, SimTime};
 use fastrak_sim::{FxHashMap, FxHasher};
 use fastrak_transport::cc::CcAlgo;
@@ -60,6 +61,8 @@ const ROUNDS: u32 = 500;
 struct Talker {
     dials: Vec<(Ip, u16)>,
     conns: Vec<ConnId>,
+    /// Draws the write sizes; the app's own stream, seeded per VM.
+    rng: Rng,
     rounds_left: u32,
     /// Also burn vCPU every round (guest work that is not a segment).
     burn: bool,
@@ -97,7 +100,7 @@ impl GuestApp for Talker {
         self.rounds_left -= 1;
         for &conn in &self.conns {
             if api.conn(conn).is_established() {
-                let bytes = api.rng.range(100, 150_000);
+                let bytes = self.rng.range(100, 150_000);
                 api.send(conn, bytes);
             }
         }
@@ -221,7 +224,7 @@ struct Cell {
     limited: bool,
     pinned: bool,
     /// VM 2 and VM 0's port-7001 flows leave through their VFs, and the
-    /// hardware path is dark for 3 ms of the run.
+    /// hardware path is dark for 6 ms of the run.
     sriov: bool,
     /// DCTCP + ECN on every stack and a marking threshold on the NIC rings.
     ecn: bool,
@@ -296,6 +299,7 @@ fn run(cell: Cell) -> Outcome {
         let app = Talker {
             dials,
             conns: Vec::new(),
+            rng: Rng::new(i as u64),
             rounds_left: ROUNDS,
             burn: i == 1,
         };
@@ -341,7 +345,7 @@ fn run(cell: Cell) -> Outcome {
         let dark = (
             sid,
             SimTime::from_micros(10_000),
-            SimTime::from_micros(13_000),
+            SimTime::from_micros(16_000),
         );
         kernel.set_fault_layer(ctl_fault_layer(FaultConfig {
             chaos: ChaosConfig {
@@ -428,11 +432,15 @@ fn run(cell: Cell) -> Outcome {
     }
 }
 
-/// The digests of the cells, in order, against the values recorded when a
-/// retransmission timeout began going back through the whole lost flight
-/// instead of resending one segment: the three cells whose stacks never
-/// time out kept theirs. A mismatch prints the whole list; re-record only
-/// with a change that is meant to move a simulated outcome, and say which.
+/// The digests of the cells, in order, against the values recorded when the
+/// guests began drawing their write sizes from their own streams and the
+/// server began cancelling a superseded TCP timer instead of delivering it
+/// as a no-op. The second moves only the event count each digest folds: the
+/// previous code, run with this file's guests and folding its event count
+/// minus its stale timer deliveries, gives these same fourteen values. A
+/// mismatch prints the whole list; re-record only with a change that is
+/// meant to move a simulated outcome or the kernel's event count, and say
+/// which.
 fn assert_pinned(got: &[u64], pinned: &[u64]) {
     assert!(got == pinned, "digests moved, now {got:#018x?}");
 }
@@ -506,20 +514,20 @@ fn server_conserves_emitted_segments_and_replays_the_pinned_run() {
     assert_pinned(
         &digests,
         &[
-            0x39746d30e9b98a9b,
-            0x886701a14e1f513f,
-            0x86f7c9eacb265e0d,
-            0x8c6221d9a7a3afcd,
-            0x1b98e8de5ae6d22a,
-            0xf709fcd1ac4d1d4d,
-            0xacb6625f216ca30e,
-            0x65bf5088ef8123d0,
-            0x007a0b4c37c974c8,
-            0xd531321bb78092fd,
-            0x4631f33bf7d9c91f,
-            0x8ff161e5ee61dc4d,
-            0x0189c8fb05998742,
-            0x5a7fadd969b06c7c,
+            0x5c4b7c0fed9086af,
+            0x0904c05c689fceae,
+            0xb72a425d296c7598,
+            0xb0615b487aa4e8f6,
+            0xe1a30802f193b418,
+            0x6828e1441aeddfbb,
+            0xbe1a008522a35430,
+            0xe01ff352721f73b9,
+            0xc09af84f4d24eda3,
+            0xbde1711f18df8897,
+            0x96cb2e383102ed37,
+            0x20f68ecd2db6618a,
+            0x4f69c86ed8922872,
+            0x837e25f2699ca176,
         ],
     );
 }

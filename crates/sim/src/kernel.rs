@@ -13,7 +13,7 @@
 //!
 //! Event storage is delegated to [`crate::sched::Calendar`], a one-level
 //! calendar queue: O(1) schedule for every delay inside its ≈ 1 ms ring
-//! span, a far heap beyond it, and O(1) in-place cancel.
+//! span, a far heap beyond it, and amortised O(1) in-place cancel.
 //! `tests/sched_differential.rs` pins its delivery order against a
 //! binary-heap reference model.
 //!
@@ -214,9 +214,9 @@ impl<'a, E, C> Api<'a, E, C> {
         self.send(self.self_id, delay, ev)
     }
 
-    /// Cancel a previously scheduled event in O(1). Cancelling an event that
-    /// already fired is a harmless no-op (the calendar's generation stamp
-    /// proves the event is gone).
+    /// Cancel a previously scheduled event in amortised O(1). Cancelling an
+    /// event that already fired is a harmless no-op (the calendar's
+    /// generation stamp proves the event is gone).
     pub fn cancel(&mut self, h: EventHandle) {
         *self.cancels_requested += 1;
         self.sched.cancel(h);
@@ -622,14 +622,18 @@ mod tests {
             "fired-event cancels must not leak"
         );
 
-        // Live cancellations do occupy the backlog — but only until reclaim.
+        // Live cancellations of RTO-style timers, far beyond the ring span:
+        // after every cancel the far heap holds no more dead entries than
+        // live ones, so a hundred cancels leave at most one behind.
         let pending: Vec<_> = (0..100)
-            .map(|i| k.post(a, k.now() + SimDuration::from_micros(i + 1), Ev::Ping(0)))
+            .map(|i| k.post(a, k.now() + SimDuration::from_millis(200 + i), Ev::Ping(0)))
             .collect();
         for h in &pending {
             k.cancel(*h);
+            let dead = k.cancelled_backlog();
+            assert!(dead <= k.pending_events() - dead, "{dead} dead");
         }
-        assert_eq!(k.cancelled_backlog(), 100);
+        assert!(k.cancelled_backlog() <= 1);
         k.run_to_completion();
         assert_eq!(k.cancelled_backlog(), 0, "popped tombstones must be pruned");
         assert_eq!(k.pending_events(), 0);

@@ -134,9 +134,13 @@ struct Entry<E> {
 /// * `b ≥ cur + RING` — the **far heap**, min-ordered by key. Opening a
 ///   bucket moves every far entry now inside the span into the ring.
 ///
-/// Cancel clears the entry's payload in place; the dead entry is released
-/// when it is reached — its bucket opens (it is dropped, never sorted), it
-/// comes to the head of the window, or it surfaces at the far heap's head.
+/// Cancel clears the entry's payload in place. A dead entry in the window
+/// or the ring is released when it is reached — its bucket opens (it is
+/// dropped, never sorted) or it comes to the head of the window, at most
+/// one span later. The far heap is not reached for up to an RTO, so it
+/// counts its dead: when they outnumber its live entries, it is rebuilt
+/// without them. After any cancel it holds no more dead entries than live
+/// ones, at O(1) amortised per cancel.
 ///
 /// A clone is the same calendar, slot for slot: arena indices and
 /// generations are copied, so a handle issued before the clone cancels the
@@ -162,6 +166,8 @@ pub struct Calendar<E> {
     stored: usize,
     /// Cancelled entries not yet reclaimed.
     dead_pending: usize,
+    /// The part of `dead_pending` that waits in the far heap.
+    far_dead: usize,
 }
 
 impl<E> Default for Calendar<E> {
@@ -178,6 +184,7 @@ impl<E> Default for Calendar<E> {
             far: BinaryHeap::new(),
             stored: 0,
             dead_pending: 0,
+            far_dead: 0,
         }
     }
 }
@@ -202,16 +209,40 @@ impl<E> Calendar<E> {
     }
 
     /// Cancel a previously scheduled event. Cancelling an event that
-    /// already fired (or was already cancelled) is a harmless no-op.
+    /// already fired (or was already cancelled) is a harmless no-op. A
+    /// cancel that leaves the far heap with more dead entries than live ones
+    /// compacts it.
     pub fn cancel(&mut self, h: EventHandle) {
         let idx = (h.0 & 0xffff_ffff) as usize;
         let gen = (h.0 >> 32) as u64;
-        if let Some(e) = self.arena.get_mut(idx) {
-            if e.gen == gen && e.ev.is_some() {
-                e.ev = None; // dead in place; reclaimed when reached
-                self.dead_pending += 1;
+        let live = |e: &&mut Entry<E>| e.gen == gen && e.ev.is_some();
+        let Some(e) = self.arena.get_mut(idx).filter(live) else {
+            return;
+        };
+        e.ev = None; // dead in place; reclaimed when reached
+        self.dead_pending += 1;
+        if bucket(e.key) >= self.cur + RING as u64 {
+            self.far_dead += 1;
+            if 2 * self.far_dead > self.far.len() {
+                self.compact_far();
             }
         }
+    }
+
+    /// Rebuild the far heap without its dead entries and release them: O(n),
+    /// run only once the dead outnumber the live.
+    fn compact_far(&mut self) {
+        let mut far = mem::take(&mut self.far).into_vec();
+        far.retain(|&Reverse((_, idx))| {
+            let live = self.arena[idx as usize].ev.is_some();
+            if !live {
+                self.release(idx);
+            }
+            live
+        });
+        self.dead_pending -= self.far_dead;
+        self.far_dead = 0;
+        self.far = BinaryHeap::from(far);
     }
 
     /// Remove and return the earliest live event if its time is at or
@@ -384,6 +415,7 @@ impl<E> Calendar<E> {
             }
             self.far.pop();
             self.dead_pending -= 1;
+            self.far_dead -= 1;
             self.release(idx);
         }
         None
@@ -405,6 +437,7 @@ impl<E> Calendar<E> {
             self.far.pop();
             if self.arena[idx as usize].ev.is_none() {
                 self.dead_pending -= 1;
+                self.far_dead -= 1;
                 self.release(idx);
             } else if fb == b {
                 self.near.push((key, idx));
@@ -439,9 +472,10 @@ impl<E> Calendar<E> {
     /// Verify the bookkeeping invariants by brute force: every stored entry
     /// is referenced exactly once across the near window, the ring and the
     /// far heap, each where its bucket says it belongs; the window is
-    /// sorted; the dead count matches `dead_pending`; the occupancy and
-    /// summary bits match the ring; and every other arena entry is on the
-    /// free list. Used by the differential test; debug builds only.
+    /// sorted; the dead counts match `dead_pending` and `far_dead`; the
+    /// occupancy and summary bits match the ring; and every other arena
+    /// entry is on the free list. Used by the differential test; debug
+    /// builds only.
     #[doc(hidden)]
     pub fn debug_audit(&self) {
         if cfg!(not(debug_assertions)) {
@@ -494,13 +528,16 @@ impl<E> Calendar<E> {
                 "summary bit out of sync at word {w}"
             );
         }
+        let mut far_dead = 0usize;
         for &Reverse((key, idx)) in self.far.iter() {
             assert!(
                 bucket(key) >= self.cur + RING as u64,
                 "entry {idx} inside the span but in the far heap"
             );
             visit(idx, key);
+            far_dead += self.arena[idx as usize].ev.is_none() as usize;
         }
+        assert_eq!(far_dead, self.far_dead, "far-heap dead count out of sync");
         assert_eq!(refs, self.stored, "stored-entry count out of sync");
         assert_eq!(dead, self.dead_pending, "dead-entry count out of sync");
         let mut free = 0usize;
@@ -624,6 +661,45 @@ mod tests {
         assert!(s.is_empty());
         s.cancel(keep); // fired: no-op
         assert_eq!(s.cancelled_backlog(), 0);
+    }
+
+    #[test]
+    fn far_heap_never_holds_more_dead_than_live_after_a_cancel() {
+        // RTO-style: eight timers 200 ms out, cancelled and re-armed a
+        // million times while a 1 us clock event moves the window along.
+        let rto = 200_000_000;
+        let mut s = Calendar::default();
+        let mut rng = Rng::new(3);
+        let mut seq = 0u64;
+        let mut now = 0u64;
+        let mut timers: Vec<EventHandle> = (0..8)
+            .map(|i| {
+                seq += 1;
+                s.schedule(SimTime(now + rto), seq, i, seq)
+            })
+            .collect();
+        seq += 1;
+        s.schedule(SimTime(1_000), seq, 9, seq);
+        for round in 0..1_000_000u64 {
+            let i = rng.below(timers.len() as u64) as usize;
+            s.cancel(timers[i]);
+            let live = s.len() - s.cancelled_backlog();
+            assert!(s.len() <= 2 * live + 1, "round {round}: {} stored", s.len());
+            seq += 1;
+            timers[i] = s.schedule(SimTime(now + rto), seq, i, seq);
+            if round % 4 == 0 {
+                let (t, dst, _) = s.pop_due(SimTime::MAX).expect("the clock event");
+                assert_eq!(dst, 9, "a timer fired although it was always re-armed");
+                now = t.as_nanos();
+                seq += 1;
+                s.schedule(SimTime(now + 1_000), seq, 9, seq);
+            }
+            if round % 50_000 == 0 {
+                s.debug_audit();
+            }
+        }
+        s.debug_audit();
+        assert!(s.len() <= 2 * 9 + 1);
     }
 
     #[test]
