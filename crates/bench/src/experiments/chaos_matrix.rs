@@ -42,6 +42,7 @@ use fastrak_sim::chaos::{ChaosConfig, ChaosPlane};
 use fastrak_sim::fault::FaultConfig;
 use fastrak_sim::kernel::NodeId;
 use fastrak_sim::time::{SimDuration, SimTime};
+use fastrak_telemetry::Registry;
 use fastrak_workload::{MemslapClient, Testbed, VmRef};
 
 use crate::cells;
@@ -202,14 +203,12 @@ struct Outcome {
     hw_down_demotes: u64,
     frames_blocked: u64,
     hw_path_drops: u64,
-    /// Full end-of-run telemetry snapshot; the rows read their counters
-    /// from it.
-    registry: fastrak_telemetry::Registry,
 }
 
 /// Run a scripted rack from wherever it stands (at most [`fork_at`]) to
-/// `horizon` and read its outcome.
-fn finish(rack: Rack, horizon: SimTime) -> Outcome {
+/// `horizon` and read its outcome, with the end-of-run telemetry snapshot
+/// the outcome's counters were read from.
+fn finish(rack: Rack, horizon: SimTime) -> (Outcome, Registry) {
     let Rack {
         mut bed,
         memslap,
@@ -259,7 +258,7 @@ fn finish(rack: Rack, horizon: SimTime) -> Outcome {
     let ctr = |name: &str| reg.counter_by_name(name).unwrap_or(0);
     let since_fault =
         |t: Option<SimTime>| t.map_or(-1.0, |t| (t - fault_start()).as_nanos() as f64 / 1e6);
-    Outcome {
+    let got = Outcome {
         offloaded,
         drift,
         p99_ns,
@@ -271,8 +270,8 @@ fn finish(rack: Rack, horizon: SimTime) -> Outcome {
         hw_down_demotes: ctr("ctrl.chaos.hw_path_down_demotes"),
         frames_blocked: ctr("sim.chaos.frames_blocked"),
         hw_path_drops,
-        registry: reg,
-    }
+    };
+    (got, reg)
 }
 
 /// The history every cell of `policy` shares: the rack, run to [`fork_at`].
@@ -283,11 +282,18 @@ fn converged(policy: FastPathPolicy) -> Rack {
 }
 
 /// One policy's cells, in `scenarios` order: the shared history is
-/// simulated once, then each scenario runs on its own copy.
-fn run_policy(policy: FastPathPolicy, scenarios: &[Scenario], horizon: SimTime) -> Vec<Outcome> {
+/// simulated once, then each scenario runs on its own copy and `read` takes
+/// the cell's outcome and registry on the worker that ran it.
+fn run_policy<R: Send>(
+    policy: FastPathPolicy,
+    scenarios: &[Scenario],
+    horizon: SimTime,
+    read: impl Fn(Scenario, Outcome, Registry) -> R + Sync,
+) -> Vec<R> {
     cells::fork(converged(policy), scenarios, |mut rack, &scenario| {
         script(&mut rack, scenario);
-        finish(rack, horizon)
+        let (got, reg) = finish(rack, horizon);
+        read(scenario, got, reg)
     })
 }
 
@@ -343,8 +349,14 @@ pub fn run(cx: &Cx) -> Vec<Artifact> {
     let cells: Vec<Scenario> = std::iter::once(Scenario::Baseline)
         .chain(scenarios)
         .collect();
+    // Only the exported cell's registry outlives its cell.
     let mut outcomes = cells::map(&policies, |policy| {
-        run_policy(policy.clone(), &cells, horizon)
+        run_policy(policy.clone(), &cells, horizon, |scenario, got, reg| {
+            if scenario == Scenario::TorReboot && policy.is_unrestricted() {
+                cx.keep(reg);
+            }
+            got
+        })
     })
     .into_iter()
     .flatten();
@@ -425,9 +437,6 @@ pub fn run(cx: &Cx) -> Vec<Artifact> {
                     got.frames_blocked as f64,
                     "frames",
                 ));
-                if policy.is_unrestricted() {
-                    cx.keep(got.registry);
-                }
             }
         }
     }
@@ -442,12 +451,14 @@ mod tests {
 
     const TEST_HORIZON: SimTime = SimTime::from_millis(6_300);
 
-    /// The baseline and one scenario, forked from one converged rack.
-    fn base_and(scenario: Scenario) -> (Outcome, Outcome) {
+    /// The baseline and one scenario, forked from one converged rack, each
+    /// with its registry.
+    fn base_and(scenario: Scenario) -> ((Outcome, Registry), (Outcome, Registry)) {
         let mut got = run_policy(
             FastPathPolicy::Unrestricted,
             &[Scenario::Baseline, scenario],
             TEST_HORIZON,
+            |_, got, reg| (got, reg),
         );
         let scenario = got.pop().expect("two cells");
         (got.pop().expect("two cells"), scenario)
@@ -455,15 +466,16 @@ mod tests {
 
     /// The reference path: one cell built and run from scratch, with its
     /// script in place from the start.
-    fn run_one(scenario: Scenario, policy: FastPathPolicy, horizon: SimTime) -> Outcome {
+    fn run_one(scenario: Scenario, policy: FastPathPolicy, horizon: SimTime) -> Vec<String> {
         let mut rack = build(policy);
         script(&mut rack, scenario);
-        finish(rack, horizon)
+        let (got, reg) = finish(rack, horizon);
+        observed(&got, &reg)
     }
 
     /// Everything a cell reports: its rows' inputs and every exported
     /// metric outside host time.
-    fn observed(got: &Outcome) -> Vec<String> {
+    fn observed(got: &Outcome, reg: &Registry) -> Vec<String> {
         let head = vec![
             format!("offloaded={:?}", got.offloaded),
             format!("drift={} p99_ns={}", got.drift, got.p99_ns),
@@ -473,7 +485,7 @@ mod tests {
             ),
             format!("hw_path_drops={}", got.hw_path_drops),
         ];
-        fork_check::report(head, &got.registry)
+        fork_check::report(head, reg)
     }
 
     /// Acceptance (a): a dead VF migrates its flows onto the software path
@@ -484,7 +496,7 @@ mod tests {
     #[test]
     #[ignore = "slow: run with cargo test --release -p fastrak-bench -- --ignored"]
     fn vf_failure_migrates_to_software_and_recovers() {
-        let (base, got) = base_and(Scenario::VfFailure);
+        let ((base, _), (got, _)) = base_and(Scenario::VfFailure);
         assert!(got.hw_down_demotes >= 1, "hw-path-down report must demote");
         assert!(
             got.hw_path_drops > 0,
@@ -517,7 +529,7 @@ mod tests {
     #[test]
     #[ignore = "slow: run with cargo test --release -p fastrak-bench -- --ignored"]
     fn tor_reboot_reconverges_with_zero_drift() {
-        let (base, got) = base_and(Scenario::TorReboot);
+        let ((base, _), (got, _)) = base_and(Scenario::TorReboot);
         assert!(got.reboots_seen >= 1, "generation bump must be detected");
         assert!(got.frames_blocked > 0, "dark ports must blackhole frames");
         assert_eq!(got.offloaded, base.offloaded, "must re-converge");
@@ -531,7 +543,7 @@ mod tests {
     #[test]
     #[ignore = "slow: run with cargo test --release -p fastrak-bench -- --ignored"]
     fn controller_restart_differential_matches_never_crashed_run() {
-        let (base, got) = base_and(Scenario::CtrlRestart);
+        let ((base, _), (got, _)) = base_and(Scenario::CtrlRestart);
         assert_eq!(got.restarts, 1, "exactly one scripted restart");
         assert_eq!(
             got.offloaded, base.offloaded,
@@ -546,7 +558,10 @@ mod tests {
     #[test]
     #[ignore = "slow: run with cargo test --release -p fastrak-bench -- --ignored"]
     fn tor_reboot_cell_replays_bit_identically() {
-        let run = || observed(&base_and(Scenario::TorReboot).1);
+        let run = || {
+            let (_, (got, reg)) = base_and(Scenario::TorReboot);
+            observed(&got, &reg)
+        };
         assert_eq!(run(), run());
     }
 
@@ -564,7 +579,12 @@ mod tests {
             Scenario::LinkFlap,
             Scenario::CtrlRestart,
         ];
-        let forked = run_policy(FastPathPolicy::Unrestricted, &scenarios, TEST_HORIZON);
+        let forked = run_policy(
+            FastPathPolicy::Unrestricted,
+            &scenarios,
+            TEST_HORIZON,
+            |_, got, reg| observed(&got, &reg),
+        );
         let scratch = cells::map(&scenarios, |&s| {
             run_one(s, FastPathPolicy::Unrestricted, TEST_HORIZON)
         });
@@ -572,8 +592,7 @@ mod tests {
             .iter()
             .zip(forked.iter().zip(&scratch))
             .filter_map(|(s, (f, r))| {
-                fork_check::first_difference(&observed(f), &observed(r))
-                    .map(|d| format!("{}: {d}", s.label()))
+                fork_check::first_difference(f, r).map(|d| format!("{}: {d}", s.label()))
             })
             .collect();
         assert!(differ.is_empty(), "{}", differ.join("\n"));

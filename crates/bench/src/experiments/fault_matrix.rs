@@ -18,6 +18,7 @@ use fastrak::{attach, DeConfig, FasTrakConfig, TorController};
 use fastrak_net::event::ctl_fault_layer;
 use fastrak_sim::fault::{FaultConfig, LinkFaults};
 use fastrak_sim::time::SimTime;
+use fastrak_telemetry::Registry;
 
 use crate::cells;
 use crate::experiments::Cx;
@@ -36,12 +37,12 @@ struct Outcome {
     suspensions: u64,
     dropped: u64,
     forced: u64,
-    /// Full end-of-run telemetry snapshot (kernel + hosts + ToR +
-    /// controller counters); the rows read their counters from it.
-    registry: fastrak_telemetry::Registry,
 }
 
-fn run_one(faults: Option<FaultConfig>, horizon: SimTime) -> Outcome {
+/// Run one configuration and read its outcome, with the end-of-run
+/// telemetry snapshot (kernel + hosts + ToR + controller counters) the
+/// outcome's counters were read from.
+fn run_one(faults: Option<FaultConfig>, horizon: SimTime) -> (Outcome, Registry) {
     let (mut bed, _) = scp_rack();
     // Cap the offload count so the decision problem is well-separated: the
     // two memcached aggregates dominate the S-score by orders of magnitude.
@@ -80,7 +81,7 @@ fn run_one(faults: Option<FaultConfig>, horizon: SimTime) -> Outcome {
     let drift = tc.entries_used as i64 - bed.tor().acl_rules() as i64;
     let reg = std::mem::take(&mut bed.kernel.ctx.telemetry.registry);
     let ctr = |name: &str| reg.counter_by_name(name).unwrap_or(0);
-    Outcome {
+    let got = Outcome {
         offloaded,
         bookkeeping_drift: drift,
         retries: ctr("ctrl.install_retries"),
@@ -89,8 +90,8 @@ fn run_one(faults: Option<FaultConfig>, horizon: SimTime) -> Outcome {
         suspensions: ctr("ctrl.hw_suspensions"),
         dropped: ctr("sim.fault.dropped"),
         forced: ctr("sim.fault.forced_install_failures"),
-        registry: reg,
-    }
+    };
+    (got, reg)
 }
 
 /// Regenerate the fault-matrix report. `--telemetry` exports the
@@ -118,7 +119,18 @@ pub fn run(cx: &Cx) -> Vec<Artifact> {
         install_fail_windows: vec![(SimTime::from_millis(400), SimTime::from_millis(1_700))],
         ..Default::default()
     }));
-    let mut outcomes = cells::map(&grid, |faults| run_one(faults.clone(), horizon)).into_iter();
+    // Only the exported cell's registry outlives its cell.
+    let mut outcomes = cells::map(&grid, |faults| {
+        let (got, reg) = run_one(faults.clone(), horizon);
+        if faults
+            .as_ref()
+            .is_some_and(|f| !f.install_fail_windows.is_empty())
+        {
+            cx.keep(reg);
+        }
+        got
+    })
+    .into_iter();
     let mut next = || outcomes.next().expect("one world per configuration");
     let clean = next();
 
@@ -224,6 +236,5 @@ pub fn run(cx: &Cx) -> Vec<Artifact> {
         got.suspensions as f64,
         "count",
     ));
-    cx.keep(got.registry);
     vec![a, b]
 }

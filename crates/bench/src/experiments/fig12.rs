@@ -18,12 +18,14 @@ use crate::experiments::Cx;
 use crate::report::{Artifact, Row};
 use crate::scenarios::{micro_bed, MicroBed, PathSetup, SERVER_IP, TENANT};
 
-/// How much simulated time runs between two drains of the trace ring.
+/// How much simulated time runs between two drains of the trace ring; the
+/// sequence trace keeps one point per slice.
 const TRACE_SLICE: SimDuration = SimDuration::from_millis(10);
 
 /// Run the migration: one second on the VIF, then the sender's egress
 /// moves to SR-IOV, one more second. Returns the world and the
-/// receiver-side (seconds, delivered bytes) trace.
+/// receiver-side (seconds, TCP sequence number) trace: the first segment
+/// the receiver takes in each [`TRACE_SLICE`].
 fn migrate(cx: &Cx) -> (MicroBed, Vec<(f64, u64)>) {
     let mut cfg = StreamConfig::netperf(SERVER_IP, 5201, 32_000);
     cfg.threads = 1; // a single iperf flow
@@ -42,24 +44,20 @@ fn migrate(cx: &Cx) -> (MicroBed, Vec<(f64, u64)>) {
     }
     mb.bed.start();
 
-    // Receiver-side delivered-byte progression, moved out of the trace ring
-    // in short slices: the run pushes ~300 k records and the figure wants
-    // the ~75 k receiver points among them, so the ring never needs to hold
-    // more than one slice. Slicing `run_until` only observes — it schedules
-    // nothing, so the event stream is the one an unsliced run produces.
+    // Receiver-side sequence progression, read out of the trace ring in
+    // short slices: the run pushes ~300 k records, the figure wants ~200
+    // points, so each slice keeps its first receiver segment and the ring
+    // never holds more than one slice. Slicing `run_until` only observes —
+    // it schedules nothing, so the event stream is the one an unsliced run
+    // produces.
     let mut points: Vec<(f64, u64)> = Vec::new();
     let mut run_until = |bed: &mut Testbed, until: SimTime| {
         while bed.now() < until {
             bed.run_until((bed.now() + TRACE_SLICE).min(until));
-            points.extend(
-                bed.kernel
-                    .ctx
-                    .trace
-                    .drain()
-                    .into_iter()
-                    .filter(|r| r.kind == "rx" && r.who.starts_with("s1"))
-                    .map(|r| (r.at.as_secs_f64(), r.vals[1])),
-            );
+            let drained = bed.kernel.ctx.trace.drain();
+            let first = (drained.into_iter()).find(|r| r.kind == "rx" && r.who.starts_with("s1"));
+            // vals = [packet id, TCP sequence number, payload bytes]
+            points.extend(first.map(|r| (r.at.as_secs_f64(), r.vals[1])));
         }
     };
 
@@ -91,7 +89,7 @@ fn migrate(cx: &Cx) -> (MicroBed, Vec<(f64, u64)>) {
 /// component, the sender VM's path residency ("vif" → "sriov") as
 /// consecutive slices with the shift at the t=1 s migration instant.
 pub fn run(cx: &Cx) -> Vec<Artifact> {
-    let (mut mb, mut points) = migrate(cx);
+    let (mut mb, points) = migrate(cx);
 
     // Transport counters at the sender.
     let (client, server) = (mb.client, mb.server);
@@ -111,11 +109,6 @@ pub fn run(cx: &Cx) -> Vec<Artifact> {
         cx.publish(&mut mb.bed, None);
     }
 
-    // Downsample to ~200 points for the figure series.
-    if points.len() > 200 {
-        let stride = points.len() / 200;
-        points = points.into_iter().step_by(stride).collect();
-    }
     // Monotone progression check across the migration window.
     let progressing = points.windows(2).all(|w| w[1].0 >= w[0].0);
     cx.keep_series(points);
@@ -181,4 +174,27 @@ pub fn run(cx: &Cx) -> Vec<Artifact> {
     );
     a.note("seq-vs-time series available via `experiments fig12 --csv`");
     vec![a]
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// The `--csv` series is one point per slice of the 2 s run: point `i`
+    /// is the first segment the receiver took in slice `i`.
+    #[test]
+    fn series_keeps_one_point_per_slice() {
+        let cx = Cx::new(false, false);
+        run(&cx);
+        let points = cx
+            .into_exports()
+            .series
+            .expect("fig12 hands back its series");
+        assert_eq!(points.len(), 200);
+        let slice_ns = TRACE_SLICE.as_nanos();
+        for (i, &(secs, _)) in points.iter().enumerate() {
+            let ns = (secs * 1e9).round() as u64;
+            assert_eq!(ns / slice_ns, i as u64, "point {i} at {ns} ns");
+        }
+    }
 }

@@ -97,8 +97,6 @@ struct Outcome {
     /// Retransmits in the second half of the run (after the migration
     /// instant — the transient for `migrate`, the baseline otherwise).
     rtx_after_shift: u64,
-    /// Full end-of-run registry (`tcp.*` per server included).
-    registry: fastrak_telemetry::Registry,
 }
 
 /// Sum transport counters over every VM in the rack.
@@ -188,11 +186,12 @@ fn shift_at(horizon: SimTime) -> SimTime {
     SimTime(horizon.as_nanos() / 2)
 }
 
-/// Take a rack standing at [`shift_at`] to `horizon` and read its outcome.
-/// A `migrate` cell first shifts the workers' egress (the response
-/// direction) onto the SR-IOV VF, as the FasTrak rule manager would;
-/// requests and ACKs keep flowing via the VIF (asymmetric, as in Fig. 12).
-fn finish(rack: Rack, path: Path, horizon: SimTime) -> Outcome {
+/// Take a rack standing at [`shift_at`] to `horizon` and read its outcome;
+/// the finished world comes back beside it. A `migrate` cell first shifts
+/// the workers' egress (the response direction) onto the SR-IOV VF, as the
+/// FasTrak rule manager would; requests and ACKs keep flowing via the VIF
+/// (asymmetric, as in Fig. 12).
+fn finish(rack: Rack, path: Path, horizon: SimTime) -> (Outcome, Testbed) {
     let Rack {
         mut bed,
         workers,
@@ -214,12 +213,10 @@ fn finish(rack: Rack, path: Path, horizon: SimTime) -> Outcome {
     }
     bed.run_until(horizon);
 
-    bed.publish_telemetry();
-    let registry = std::mem::take(&mut bed.kernel.ctx.telemetry.registry);
     let end = sum_tcp(&bed);
     let ce_marks = bed.tor().ecn_marked() + (0..5).map(|i| bed.server(i).ecn_marked()).sum::<u64>();
     let app = bed.app::<IncastAggregator>(agg);
-    Outcome {
+    let got = Outcome {
         fct_p50_ns: app.fct.quantile(0.5),
         fct_p99_ns: app.fct.quantile(0.99),
         rounds: app.completed_rounds,
@@ -228,8 +225,8 @@ fn finish(rack: Rack, path: Path, horizon: SimTime) -> Outcome {
         ce_marks,
         ece_rx: end.ecn_ece_rx,
         rtx_after_shift: end.rtx_segs - pre.rtx_segs,
-        registry,
-    }
+    };
+    (got, bed)
 }
 
 /// The cells that share `world` up to [`shift_at`]: `sw` and `migrate`
@@ -243,8 +240,15 @@ fn cells_of(world: Path) -> &'static [Path] {
 }
 
 /// Simulate `world` once up to [`shift_at`], then run each of its cells on
-/// its own copy. Outcomes come back in [`cells_of`] order.
-fn run_world(cc: CcAlgo, world: Path, fanout: usize, horizon: SimTime) -> Vec<Outcome> {
+/// its own copy; `read` takes each cell's path, outcome and finished world
+/// on the worker that ran it. Results come back in [`cells_of`] order.
+fn run_world<R: Send>(
+    cc: CcAlgo,
+    world: Path,
+    fanout: usize,
+    horizon: SimTime,
+    read: impl Fn(Path, Outcome, Testbed) -> R + Sync,
+) -> Vec<R> {
     let mut rack = build(cc, world, fanout);
     rack.bed.run_until(shift_at(horizon));
     cells::fork(rack, cells_of(world), |mut rack, &path| {
@@ -253,13 +257,18 @@ fn run_world(cc: CcAlgo, world: Path, fanout: usize, horizon: SimTime) -> Vec<Ou
             // tell the difference before the shift.
             rack.bed.authorize_hw_tenant(TENANT);
         }
-        finish(rack, path, horizon)
+        let (got, bed) = finish(rack, path, horizon);
+        read(path, got, bed)
     })
 }
 
-/// Regenerate the incast-matrix report. `--telemetry` exports the most
-/// telling cell (DCTCP + migration + widest fan-out — every `tcp.*` counter
-/// and the fabric mark counters live).
+/// The cell `--telemetry` exports: the most telling one (DCTCP + migration +
+/// widest fan-out — every `tcp.*` counter and the fabric mark counters
+/// live).
+const EXPORTED: (CcAlgo, Path, usize) = (CcAlgo::Dctcp, Path::Migrate, 12);
+
+/// Regenerate the incast-matrix report. No row reads a registry, so only
+/// the [`EXPORTED`] cell publishes one, and only under `--telemetry`.
 pub fn run(cx: &Cx) -> Vec<Artifact> {
     let horizon = if cx.full {
         SimTime::from_millis(1_200)
@@ -291,9 +300,13 @@ pub fn run(cx: &Cx) -> Vec<Artifact> {
         .collect();
     let mut outcomes: Vec<((CcAlgo, Path, usize), Outcome)> =
         cells::map(&worlds, |&(cc, world, fanout)| {
-            let keys = cells_of(world).iter().map(|&path| (cc, path, fanout));
-            keys.zip(run_world(cc, world, fanout, horizon))
-                .collect::<Vec<_>>()
+            run_world(cc, world, fanout, horizon, |path, got, mut bed| {
+                let cell = (cc, path, fanout);
+                if cell == EXPORTED {
+                    cx.publish(&mut bed, None);
+                }
+                (cell, got)
+            })
         })
         .into_iter()
         .flatten()
@@ -361,9 +374,6 @@ pub fn run(cx: &Cx) -> Vec<Artifact> {
             got.rtx_after_shift as f64,
             "segs",
         ));
-        if cc == CcAlgo::Dctcp && path == Path::Migrate && fanout == 12 {
-            cx.keep(got.registry);
-        }
     }
     a.note("no 'paper' column: the paper migrates one bulk flow (Fig. 12); the grid extends it with incast fan-in and the transport variants");
     a.note(format!(
@@ -380,24 +390,27 @@ mod tests {
 
     const TEST_HORIZON: SimTime = SimTime::from_millis(500);
 
-    /// The `migrate` cell, forked from its software world.
-    fn migrate(cc: CcAlgo, fanout: usize) -> Outcome {
-        let [_, got] = <[Outcome; 2]>::try_from(run_world(cc, Path::Sw, fanout, TEST_HORIZON))
-            .unwrap_or_else(|_| panic!("a software world has two cells"));
+    /// The `migrate` cell, forked from its software world, and its
+    /// finished world.
+    fn migrate(cc: CcAlgo, fanout: usize) -> (Outcome, Testbed) {
+        let cells = run_world(cc, Path::Sw, fanout, TEST_HORIZON, |_, got, bed| (got, bed));
+        let [_, got] =
+            <[_; 2]>::try_from(cells).unwrap_or_else(|_| panic!("a software world has two cells"));
         got
     }
 
     /// The reference path: one cell built and run from scratch, its
     /// hardware path authorized from the start unless it is `sw`.
-    fn run_one(cc: CcAlgo, path: Path, fanout: usize, horizon: SimTime) -> Outcome {
+    fn run_one(cc: CcAlgo, path: Path, fanout: usize, horizon: SimTime) -> Vec<String> {
         let mut rack = build(cc, path, fanout);
         rack.bed.run_until(shift_at(horizon));
-        finish(rack, path, horizon)
+        let (got, bed) = finish(rack, path, horizon);
+        observed(&got, bed)
     }
 
-    /// Everything a cell reports: its rows' inputs and every exported
-    /// metric.
-    fn observed(got: &Outcome) -> Vec<String> {
+    /// Everything a cell reports: its rows' inputs and every metric its
+    /// finished world publishes.
+    fn observed(got: &Outcome, mut bed: Testbed) -> Vec<String> {
         let head = vec![format!(
             "fct={}/{} rounds={} rtx={} rto={} ce={} ece={} rtx_after={}",
             got.fct_p50_ns,
@@ -409,7 +422,8 @@ mod tests {
             got.ece_rx,
             got.rtx_after_shift
         )];
-        fork_check::report(head, &got.registry)
+        bed.publish_telemetry();
+        fork_check::report(head, &bed.kernel.ctx.telemetry.registry)
     }
 
     /// A superseded TCP timer is cancelled, not left queued to fire: the
@@ -437,7 +451,7 @@ mod tests {
     #[ignore = "slow: run with cargo test --release -p fastrak-bench -- --ignored"]
     fn dctcp_marks_and_every_cell_progresses() {
         for (cc_name, cc) in cc_grid() {
-            let got = migrate(cc, 12);
+            let (got, _) = migrate(cc, 12);
             assert!(
                 got.rounds > 50,
                 "{cc_name}: incast must progress through the migration, got {} rounds",
@@ -457,7 +471,10 @@ mod tests {
     #[test]
     #[ignore = "slow: run with cargo test --release -p fastrak-bench -- --ignored"]
     fn dctcp_migrate_cell_replays_bit_identically() {
-        let run = || observed(&migrate(CcAlgo::Dctcp, 12));
+        let run = || {
+            let (got, bed) = migrate(CcAlgo::Dctcp, 12);
+            observed(&got, bed)
+        };
         assert_eq!(run(), run());
     }
 
@@ -472,12 +489,14 @@ mod tests {
             .flat_map(|(_, cc)| [4, 12].map(|fanout| (cc, fanout)))
             .collect();
         let differ: Vec<String> = cells::map(&worlds, |&(cc, fanout)| {
-            let forked = run_world(cc, Path::Sw, fanout, TEST_HORIZON);
-            let paths = cells_of(Path::Sw).iter().zip(&forked);
-            paths
-                .filter_map(|(&path, f)| {
+            let forked = run_world(cc, Path::Sw, fanout, TEST_HORIZON, |path, got, bed| {
+                (path, observed(&got, bed))
+            });
+            forked
+                .into_iter()
+                .filter_map(|(path, f)| {
                     let r = run_one(cc, path, fanout, TEST_HORIZON);
-                    fork_check::first_difference(&observed(f), &observed(&r))
+                    fork_check::first_difference(&f, &r)
                         .map(|d| format!("{cc:?}/{}/{fanout}: {d}", path.name()))
                 })
                 .collect::<Vec<_>>()

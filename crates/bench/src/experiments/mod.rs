@@ -6,7 +6,8 @@
 //! fan-out over worlds ([`crate::cells`]), and the `--telemetry` export.
 //! Each experiment names one cell whose world it exports; it hands that
 //! world to `Cx::publish` (or the registry it already read its rows from to
-//! `Cx::keep`), and the caller writes the files ([`Exports::write`]).
+//! `Cx::keep`), and the caller writes the files ([`Exports::write`]). Every
+//! other cell drops its registry before it returns.
 
 pub mod ablations;
 pub mod chaos_matrix;
@@ -129,10 +130,12 @@ impl Cx {
     }
 
     /// Keep `registry`, published by the cell the experiment names, as the
-    /// run's export. Dropped when telemetry is off.
+    /// run's export. Dropped when telemetry is off. A run exports one cell:
+    /// a second registry panics rather than replace the first.
     pub(crate) fn keep(&self, registry: Registry) {
         if self.telemetry {
-            self.exports().registry = Some(registry);
+            let second = self.exports().registry.replace(registry).is_some();
+            assert!(!second, "a second cell kept its registry");
         }
     }
 
@@ -207,5 +210,18 @@ mod fork_check {
             let (f, s) = (forked.get(i), scratch.get(i));
             (f != s).then(|| format!("line {i}: forked {f:?}, from scratch {s:?}"))
         })
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    #[should_panic(expected = "a second cell kept its registry")]
+    fn a_run_keeps_one_registry() {
+        let cx = Cx::new(false, true);
+        cx.keep(Registry::default());
+        cx.keep(Registry::default());
     }
 }

@@ -23,6 +23,7 @@ use fastrak::{attach, DeConfig, FasTrakConfig, FastPathPolicy, Timing};
 use fastrak_net::addr::{Ip, TenantId};
 use fastrak_sim::time::{SimDuration, SimTime};
 use fastrak_sim::FxHashMap;
+use fastrak_telemetry::Registry;
 use fastrak_workload::{
     add_churner, ChurnerConfig, MemslapClient, TenantFleet, TenantFleetConfig, Testbed,
     TestbedConfig,
@@ -52,8 +53,6 @@ struct Outcome {
     /// End-of-run fast-path entries held by the victims / the churner.
     victim_entries: f64,
     churner_entries: f64,
-    /// Full end-of-run registry (per-tenant `ctrl.tenant.*` included).
-    registry: fastrak_telemetry::Registry,
 }
 
 fn policy_grid() -> Vec<(&'static str, FastPathPolicy)> {
@@ -84,7 +83,9 @@ fn policy_grid() -> Vec<(&'static str, FastPathPolicy)> {
     ]
 }
 
-fn run_one(policy: FastPathPolicy, churner: bool, horizon: SimTime) -> Outcome {
+/// Run one cell and read its outcome, with the end-of-run registry
+/// (per-tenant `ctrl.tenant.*` included) the outcome was read from.
+fn run_one(policy: FastPathPolicy, churner: bool, horizon: SimTime) -> (Outcome, Registry) {
     let mut bed = Testbed::build(TestbedConfig {
         n_servers: 3,
         tunneling: false,
@@ -191,15 +192,15 @@ fn run_one(policy: FastPathPolicy, churner: bool, horizon: SimTime) -> Outcome {
             CHURN_TENANT.0
         ))
         .unwrap_or(0.0);
-    Outcome {
+    let got = Outcome {
         victim_p99_ns: victim_p99,
         victim_p50_ns: victim_p50,
         victim_demotes,
         victim_offloads,
         victim_entries,
         churner_entries,
-        registry: reg,
-    }
+    };
+    (got, reg)
 }
 
 /// Regenerate the tenant-matrix report. `--telemetry` exports the most
@@ -220,8 +221,13 @@ pub fn run(cx: &Cx) -> Vec<Artifact> {
         .into_iter()
         .flat_map(|(name, policy)| [false, true].map(|churner| (name, policy.clone(), churner)))
         .collect();
-    let outcomes = cells::map(&grid, |(_, policy, churner)| {
-        run_one(policy.clone(), *churner, horizon)
+    // Only the exported cell's registry outlives its cell.
+    let outcomes = cells::map(&grid, |(name, policy, churner)| {
+        let (got, reg) = run_one(policy.clone(), *churner, horizon);
+        if *name == "unrestricted" && *churner {
+            cx.keep(reg);
+        }
+        got
     });
     for ((name, _, churner), got) in grid.into_iter().zip(outcomes) {
         let cfg = format!("{name}, churner={}", if churner { "on" } else { "off" });
@@ -267,9 +273,6 @@ pub fn run(cx: &Cx) -> Vec<Artifact> {
             got.churner_entries,
             "rules",
         ));
-        if name == "unrestricted" && churner {
-            cx.keep(got.registry);
-        }
     }
     a.note("no 'paper' column: the paper evaluates cooperative tenants only (unrestricted, churner=off is its behaviour); the grid extends it with the adversarial profile and the fairness policies");
     a.note(format!(
@@ -292,9 +295,9 @@ mod tests {
     #[test]
     #[ignore = "slow: run with cargo test --release -p fastrak-bench -- --ignored"]
     fn fairness_policies_isolate_victims_from_the_churner() {
-        let base = run_one(FastPathPolicy::Unrestricted, true, TEST_HORIZON);
+        let (base, _) = run_one(FastPathPolicy::Unrestricted, true, TEST_HORIZON);
         for (name, policy) in policy_grid().into_iter().skip(1) {
-            let got = run_one(policy, true, TEST_HORIZON);
+            let (got, _) = run_one(policy, true, TEST_HORIZON);
             assert!(
                 got.victim_p99_ns < base.victim_p99_ns,
                 "{name}: victim p99 {} must beat unrestricted {}",
@@ -315,12 +318,11 @@ mod tests {
     #[ignore = "slow: run with cargo test --release -p fastrak-bench -- --ignored"]
     fn adversarial_cell_replays_bit_identically() {
         let run = || {
-            let got = run_one(FastPathPolicy::Unrestricted, true, TEST_HORIZON);
-            let mut lines: Vec<String> = got
-                .registry
+            let (got, reg) = run_one(FastPathPolicy::Unrestricted, true, TEST_HORIZON);
+            let mut lines: Vec<String> = reg
                 .counters()
                 .map(|(n, v)| format!("{n}={v}"))
-                .chain(got.registry.gauges().map(|(n, v)| format!("{n}={v}")))
+                .chain(reg.gauges().map(|(n, v)| format!("{n}={v}")))
                 // ctrl.de.epoch_ns is the DE's self-measured wall-clock
                 // compute time — the one host-time metric in the registry.
                 .filter(|l| !l.starts_with("ctrl.de.epoch_ns"))

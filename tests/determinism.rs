@@ -11,7 +11,7 @@
 mod support;
 
 use fastrak::{attach, FasTrakConfig, Timing};
-use fastrak_bench::experiments::{Cx, EXPERIMENTS};
+use fastrak_bench::experiments::{find, Cx, EXPERIMENTS};
 use fastrak_host::vm::VmSpec;
 use fastrak_net::addr::{Ip, TenantId};
 use fastrak_net::event::ctl_fault_layer;
@@ -444,40 +444,26 @@ fn with_width<T>(width: usize, f: impl FnOnce() -> T) -> T {
     f()
 }
 
-#[test]
-fn experiment_artifacts_bit_identical_across_widths() {
-    // The fan-out contract: every cell is a world of its own and results
-    // are placed by index, so the artifacts cannot depend on how many
-    // workers ran the cells. incast_matrix has the most cells (18) and is
-    // the cheapest grid in a debug build; the `#[ignore]`d sibling below
-    // sweeps every id.
-    assert_artifacts_independent_of_width("incast_matrix");
+/// Run experiment `id` once with telemetry on: its artifacts must digest to
+/// `digest`, as without. Returns the schema of its export, each line
+/// prefixed with the id as in `golden/export_schema.txt`.
+fn exported_schema(id: &str, digest: &str) -> Vec<String> {
+    let e = find(id).unwrap_or_else(|| panic!("unknown experiment id {id}"));
+    let cx = Cx::new(false, true);
+    let traced = format!("{:?}", (e.run)(&cx));
+    assert_eq!(digest, traced, "{id}: telemetry moved the artifacts");
+    let reg = (cx.into_exports().registry).unwrap_or_else(|| panic!("{id}: no export"));
+    support::schema(&reg)
+        .iter()
+        .map(|s| format!("{id} {s}"))
+        .collect()
 }
 
-#[test]
-#[ignore = "slow: run with cargo test --release --test determinism -- --ignored"]
-fn all_experiment_artifacts_bit_identical_across_widths() {
-    // The artifact-level check of the harness fan-out against a serial run,
-    // for every paper artifact. Each experiment then runs once more with
-    // telemetry on: the artifacts must not move, and the series its export
-    // holds are pinned.
-    let mut schema = Vec::new();
-    for e in EXPERIMENTS {
-        let digest = assert_artifacts_independent_of_width(e.id);
-        let cx = Cx::new(false, true);
-        let traced = format!("{:?}", (e.run)(&cx));
-        assert_eq!(digest, traced, "{}: telemetry moved the artifacts", e.id);
-        let exports = cx.into_exports();
-        let reg = exports
-            .registry
-            .unwrap_or_else(|| panic!("{}: no export", e.id));
-        schema.extend(
-            support::schema(&reg)
-                .iter()
-                .map(|s| format!("{} {s}", e.id)),
-        );
-    }
-    let pinned: Vec<&str> = include_str!("golden/export_schema.txt").lines().collect();
+/// The pinned export schema: `<experiment> <name{label keys}>` per line.
+const PINNED_SCHEMA: &str = include_str!("golden/export_schema.txt");
+
+/// `schema` must be exactly the `pinned` lines.
+fn assert_schema_pinned(pinned: &[&str], schema: &[String]) {
     let diff: Vec<String> = (pinned.iter().filter(|p| !schema.iter().any(|s| s == *p)))
         .map(|p| format!("- {p}"))
         .chain(
@@ -493,6 +479,38 @@ fn all_experiment_artifacts_bit_identical_across_widths() {
          update tests/golden/export_schema.txt):\n{}",
         diff.join("\n")
     );
+}
+
+#[test]
+fn experiment_artifacts_bit_identical_across_widths() {
+    // The fan-out contract: every cell is a world of its own and results
+    // are placed by index, so the artifacts cannot depend on how many
+    // workers ran the cells. incast_matrix has the most cells (18) and is
+    // the cheapest grid in a debug build; the `#[ignore]`d sibling below
+    // sweeps every id. With telemetry on, the one cell it names publishes
+    // the pinned series and the artifacts stay put.
+    let id = "incast_matrix";
+    let digest = assert_artifacts_independent_of_width(id);
+    let pinned: Vec<&str> = (PINNED_SCHEMA.lines())
+        .filter(|p| p.split(' ').next() == Some(id))
+        .collect();
+    assert_schema_pinned(&pinned, &exported_schema(id, &digest));
+}
+
+#[test]
+#[ignore = "slow: run with cargo test --release --test determinism -- --ignored"]
+fn all_experiment_artifacts_bit_identical_across_widths() {
+    // The artifact-level check of the harness fan-out against a serial run,
+    // for every paper artifact. Each experiment then runs once more with
+    // telemetry on: the artifacts must not move, and the series its export
+    // holds are pinned.
+    let mut schema = Vec::new();
+    for e in EXPERIMENTS {
+        let digest = assert_artifacts_independent_of_width(e.id);
+        schema.extend(exported_schema(e.id, &digest));
+    }
+    let pinned: Vec<&str> = PINNED_SCHEMA.lines().collect();
+    assert_schema_pinned(&pinned, &schema);
 }
 
 #[test]
