@@ -110,8 +110,8 @@ fn run_cfg(
 pub fn run(cx: &Cx) -> Vec<Artifact> {
     // pps-only: ignore the frequency term by zeroing history influence —
     // approximated with hysteresis off and a one-epoch memory via fine
-    // timing and min_median 0 (the m_pps median over a short history is
-    // close to instantaneous pps).
+    // timing (the m_pps median over a short history is close to
+    // instantaneous pps).
     let mut pps_only = DeConfig::paper();
     pps_only.hysteresis = 1.0;
     let budgets = [1usize, 2, 4, 8, 16, 32];

@@ -79,7 +79,8 @@ pub struct DeEpochStats {
     /// Aggregates currently indexed (eligible set size).
     pub entries_indexed: u64,
     /// Ordered-index entries visited by the selection walk (the "top-k
-    /// fringe": ≈ budget + group skips, independent of the index size).
+    /// fringe": ≈ budget plus any capped-tenant skips, independent of the
+    /// index size).
     pub scanned: u64,
     /// Aggregates that crossed the offload boundary this epoch
     /// (offloads + demotions actually decided).
@@ -97,8 +98,6 @@ pub struct DeEpochStats {
 pub struct IncrementalDecisionEngine {
     /// Configuration.
     pub cfg: DeConfig,
-    /// Aggregate → index into `cfg.groups` (first containing group wins).
-    group_idx: FxHashMap<FlowAggregate, usize>,
     /// Aggregate → current score, for every eligible aggregate.
     scores: FxHashMap<FlowAggregate, f64>,
     /// Score-ordered view of `scores` (see [`OrdKey`]).
@@ -112,9 +111,7 @@ pub struct IncrementalDecisionEngine {
 impl IncrementalDecisionEngine {
     /// Build an empty engine from config.
     pub fn new(cfg: DeConfig) -> IncrementalDecisionEngine {
-        let group_idx = cfg.group_index();
         IncrementalDecisionEngine {
-            group_idx,
             scores: FxHashMap::default(),
             ord: BTreeSet::new(),
             pending_deltas: 0,
@@ -222,49 +219,21 @@ impl IncrementalDecisionEngine {
                 .map(|k| (k.agg.tenant(), f64::from_bits(!k.inv_bits))),
         );
 
-        // Greedy top-k walk over the score order — identical order and
-        // group handling to the reference's scan of its sorted ranking,
-        // but touching only the fringe needed to fill `cap`. (Under a
-        // tenant-cap policy the walk can run past the fringe: a capped
-        // tenant's aggregates are skipped until tenants with headroom fill
-        // the table.)
+        // Greedy top-k walk over the score order — the reference's scan of
+        // its sorted ranking, but touching only the fringe needed to fill
+        // `cap`. The index holds each aggregate once, so each admit adds a
+        // new one. (Under a tenant-cap policy the walk can run past the
+        // fringe: a capped tenant's aggregates are skipped until tenants
+        // with headroom fill the table.)
         let mut target: Vec<FlowAggregate> = Vec::new();
-        let mut chosen: FxHashSet<FlowAggregate> = FxHashSet::default();
         let mut scanned = 0u64;
         for key in self.ord.iter() {
             if target.len() >= cap {
                 break;
             }
             scanned += 1;
-            if chosen.contains(&key.agg) {
-                continue;
-            }
-            match self.group_idx.get(&key.agg) {
-                Some(&gi) => {
-                    let group = &self.cfg.groups[gi];
-                    if target.len() + group.len() <= cap
-                        && tcaps.admit(
-                            group
-                                .iter()
-                                .filter(|g| !chosen.contains(*g))
-                                .map(|g| g.tenant()),
-                        )
-                    {
-                        for g in group {
-                            if chosen.insert(*g) {
-                                target.push(*g);
-                            }
-                        }
-                    }
-                    // else: all-or-nothing — skip the whole group (budget
-                    // overflow or a member tenant at cap).
-                }
-                None => {
-                    if tcaps.admit([key.agg.tenant()]) {
-                        chosen.insert(key.agg);
-                        target.push(key.agg);
-                    }
-                }
+            if tcaps.admit(key.agg.tenant()) {
+                target.push(key.agg);
             }
         }
 
@@ -373,13 +342,11 @@ mod tests {
 
     #[test]
     fn removal_and_ineligibility_drop_from_index() {
-        let mut cfg = DeConfig::paper();
-        cfg.min_median_pps = 50.0;
-        let mut inc = IncrementalDecisionEngine::new(cfg);
+        let mut inc = IncrementalDecisionEngine::new(DeConfig::paper());
         inc.ingest(&[demand(1, 100.0, 1), demand(2, 90.0, 1)], &[]);
         assert_eq!(inc.len(), 2);
         // Below the pps floor: treated as a removal.
-        inc.ingest(&[demand(1, 10.0, 1)], &[]);
+        inc.ingest(&[demand(1, 0.5, 1)], &[]);
         assert_eq!(inc.len(), 1);
         // Explicit expiry.
         inc.ingest(&[], &[agg(2)]);

@@ -8,9 +8,9 @@
 //!
 //! * [`me`] — the Measurement Engine (Δp/t, Δb/t epochs, per-VM-per-app
 //!   aggregation, median history);
-//! * [`de`] — the Decision Engine (`S = n × m_pps × c` ranking under the
-//!   fast-path budget, hysteresis, all-or-nothing groups);
-//! * [`rules`] — the unified rule manager (most-specific hardware rule
+//! * [`de`] — the Decision Engine (`S = n × m_pps` ranking under the
+//!   fast-path budget, hysteresis, per-tenant fast-path policy);
+//! * [`rules`] — the unified rule manager (most-specific ACL rule
 //!   synthesis, deny-overlap safety);
 //! * [`fps`] — the Flow Proportional Share split of per-VM rate limits
 //!   across the two interfaces, with overflow probing;

@@ -70,9 +70,9 @@ impl FastPathPolicy {
 }
 
 /// Per-walk tenant cap tracker. Built once per decide epoch by
-/// [`caps_for_walk`]; the greedy walk asks it to admit each candidate (or
-/// each group's not-yet-chosen members) and it enforces the per-tenant
-/// budget. Under `Unrestricted` it is a no-op that touches no state.
+/// [`caps_for_walk`]; the greedy walk asks it to admit each candidate and
+/// it enforces the per-tenant budget. Under `Unrestricted` it is a no-op
+/// that touches no state.
 #[derive(Debug)]
 pub struct TenantCaps {
     /// `None` → unrestricted: every admit succeeds without bookkeeping.
@@ -105,33 +105,17 @@ impl TenantCaps {
         table.caps.get(&t).copied().unwrap_or(table.default_cap)
     }
 
-    /// Admit this set of entries (a single aggregate, or a group's newly
-    /// added members) if every touched tenant stays within cap; all-or-
-    /// nothing — on success the usage is committed, on failure nothing is.
-    pub fn admit<I>(&mut self, tenants: I) -> bool
-    where
-        I: IntoIterator<Item = TenantId>,
-    {
+    /// Admit one aggregate of tenant `t` if the tenant stays within its
+    /// cap; on success the entry is counted, on failure nothing is.
+    pub fn admit(&mut self, t: TenantId) -> bool {
         let Some(table) = &self.caps else {
             return true;
         };
-        // Groups are small: count per-tenant need in a tiny vec.
-        let mut need: Vec<(TenantId, usize)> = Vec::new();
-        for t in tenants {
-            match need.iter_mut().find(|(x, _)| *x == t) {
-                Some((_, n)) => *n += 1,
-                None => need.push((t, 1)),
-            }
+        let used = self.used.entry(t).or_insert(0);
+        if *used >= Self::cap_of(table, t) {
+            return false;
         }
-        for (t, n) in &need {
-            let used = self.used.get(t).copied().unwrap_or(0);
-            if used + n > Self::cap_of(table, *t) {
-                return false;
-            }
-        }
-        for (t, n) in need {
-            *self.used.entry(t).or_insert(0) += n;
-        }
+        *used += 1;
         true
     }
 }
@@ -328,32 +312,18 @@ mod tests {
             caps: FxHashMap::from_iter([(t(1), 2)]),
         };
         let mut caps = caps_for_walk(&policy, 8, std::iter::empty());
-        assert!(caps.admit([t(1)]));
-        assert!(caps.admit([t(1)]));
-        assert!(!caps.admit([t(1)]), "tenant 1 capped at 2");
-        assert!(caps.admit([t(2)]));
-        assert!(!caps.admit([t(2)]), "default cap 1");
-    }
-
-    #[test]
-    fn group_admission_is_all_or_nothing() {
-        let policy = FastPathPolicy::StaticQuota {
-            default_cap: 2,
-            caps: FxHashMap::default(),
-        };
-        let mut caps = caps_for_walk(&policy, 8, std::iter::empty());
-        assert!(caps.admit([t(1)]));
-        // A 2-entry group for tenant 1 would need 3 total: rejected whole,
-        // and the rejection must not consume any budget.
-        assert!(!caps.admit([t(1), t(1)]));
-        assert!(caps.admit([t(1)]), "failed admit left usage untouched");
+        assert!(caps.admit(t(1)));
+        assert!(caps.admit(t(1)));
+        assert!(!caps.admit(t(1)), "tenant 1 capped at 2");
+        assert!(caps.admit(t(2)));
+        assert!(!caps.admit(t(2)), "default cap 1");
     }
 
     #[test]
     fn unrestricted_admits_everything() {
         let mut caps = caps_for_walk(&FastPathPolicy::Unrestricted, 1, std::iter::empty());
         for _ in 0..64 {
-            assert!(caps.admit([t(9)]));
+            assert!(caps.admit(t(9)));
         }
     }
 }

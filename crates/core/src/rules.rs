@@ -5,8 +5,8 @@
 //! manager synthesizes "a rule that most specifically defines the policy for
 //! the flow being offloaded" — possible because the controllers know every
 //! tenant rule and its priority. The synthesized bundle carries the ACL
-//! allow, the QoS class the tenant's policy assigns, and (implicitly, via
-//! the ToR's tunnel directory) the GRE mapping.
+//! allow and (implicitly, via the ToR's tunnel directory) the GRE mapping;
+//! no QoS class is synthesized.
 //!
 //! Safety rule: an aggregate is only offloadable when **no deny rule can
 //! match any flow inside it** at a priority that would win. Otherwise
@@ -16,7 +16,7 @@
 use fastrak_net::addr::TenantId;
 use fastrak_net::ctrl::TorRule;
 use fastrak_net::flow::{FlowAggregate, FlowSpec};
-use fastrak_net::rules::{Action, QosClass, RuleSet};
+use fastrak_net::rules::{Action, RuleSet};
 use fastrak_sim::FxHashMap;
 
 /// Why an aggregate could not be offloaded.
@@ -67,25 +67,6 @@ impl RuleManager {
         self.policies.get(&tenant)
     }
 
-    /// The QoS class tenant policy assigns to the aggregate (the most
-    /// specific QoS rule whose spec covers or intersects it).
-    fn qos_for(&self, tenant: TenantId, spec: &FlowSpec) -> Option<QosClass> {
-        // Use a representative: any QoS rule that *covers* the whole spec
-        // applies uniformly; intersecting-but-not-covering rules would make
-        // the class ambiguous, so they are ignored (conservative).
-        let policy = self.policies.get(&tenant)?;
-        let mut best: Option<(u16, u32, QosClass)> = None;
-        for k in policy_qos(policy) {
-            if k.0.covers(spec) {
-                let cand = (k.1, k.0.specificity(), k.2);
-                if best.is_none_or(|b| (cand.0, cand.1) > (b.0, b.1)) {
-                    best = Some(cand);
-                }
-            }
-        }
-        best.map(|b| b.2)
-    }
-
     /// Synthesize the ToR rule bundle for an offloaded aggregate.
     pub fn synthesize(
         &self,
@@ -122,24 +103,16 @@ impl RuleManager {
             priority,
             action: Action::Allow,
             tunnel: None, // resolved by the ToR's tunnel directory
-            qos: self.qos_for(tenant, &spec),
+            qos: None,
         })
     }
-}
-
-// RuleSet does not expose its QoS rules directly; provide a tiny adapter so
-// the rule manager can scan them.
-fn policy_qos(rs: &RuleSet) -> Vec<(FlowSpec, u16, QosClass)> {
-    rs.qos_rules()
-        .map(|q| (q.spec, q.priority, q.class))
-        .collect()
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use fastrak_net::addr::Ip;
-    use fastrak_net::rules::{QosRule, SecurityRule};
+    use fastrak_net::rules::SecurityRule;
 
     fn agg() -> FlowAggregate {
         FlowAggregate::DstApp {
@@ -235,19 +208,5 @@ mod tests {
         });
         rm.set_policy(TenantId(1), rs);
         assert!(rm.synthesize(&agg(), 7).is_ok());
-    }
-
-    #[test]
-    fn qos_class_picked_from_covering_rule() {
-        let mut rm = RuleManager::new();
-        let mut rs = RuleSet::new();
-        rs.add_qos(QosRule {
-            spec: FlowSpec::tenant(TenantId(1)),
-            priority: 1,
-            class: QosClass(2),
-        });
-        rm.set_policy(TenantId(1), rs);
-        let r = rm.synthesize(&agg(), 7).unwrap();
-        assert_eq!(r.qos, Some(QosClass(2)));
     }
 }

@@ -74,7 +74,7 @@ fn decision_respects_budget_and_consistency() {
     }
 }
 
-/// With zero hysteresis and no groups, the chosen set is exactly the
+/// With no hysteresis band, the chosen set is exactly the
 /// top-k by score among eligible demands.
 #[test]
 fn decision_is_top_k_by_score() {
@@ -91,7 +91,6 @@ fn decision_is_top_k_by_score() {
             .collect();
         let mut cfg = DeConfig::paper();
         cfg.hysteresis = 1.0;
-        cfg.min_median_pps = 0.0;
         let de = DecisionEngine::new(cfg);
         let d = de.decide(&demands, &HashSet::new(), budget);
         // Every selected aggregate's best score >= every unselected one's.

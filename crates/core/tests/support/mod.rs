@@ -3,29 +3,27 @@
 //! world every round.
 //!
 //! It scores every active flow aggregate — software **and** already
-//! offloaded — with `S = n × m_pps × c` (epochs active × median pps × tenant
-//! priority), sorts them, and walks the order greedily until the fast-path
-//! budget is filled. Aggregates currently offloaded but no longer in the
-//! winning set are demoted back to the vswitch. Partition-aggregate
-//! applications can be declared as all-or-nothing **groups**: either every
-//! member aggregate is offloaded or none is. O(n log n) per round plus the
-//! boundary hysteresis pass: obviously correct rather than fast.
+//! offloaded — with `S = n × m_pps` (epochs active × median pps), sorts
+//! them, and walks the order greedily, one aggregate at a time, until the
+//! fast-path budget is filled. Aggregates currently offloaded but no longer
+//! in the winning set are demoted back to the vswitch. O(n log n) per round
+//! plus the boundary hysteresis pass: obviously correct rather than fast.
 //!
 //! [`IncrementalDecisionEngine`]: fastrak::IncrementalDecisionEngine
 
 use std::collections::{HashMap, HashSet};
 
+use fastrak::de::MIN_MEDIAN_PPS;
 use fastrak::policy;
 use fastrak::{AggDemand, DeConfig, Decision};
 use fastrak_net::flow::FlowAggregate;
-use fastrak_sim::FxHashMap;
 
 /// One scored aggregate.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Scored {
     /// The aggregate.
     pub agg: FlowAggregate,
-    /// Its score `S = n × m_pps × c`.
+    /// Its score `S = n × m_pps`.
     pub score: f64,
 }
 
@@ -34,15 +32,12 @@ pub struct Scored {
 pub struct DecisionEngine {
     /// Configuration.
     pub cfg: DeConfig,
-    /// Aggregate → index into `cfg.groups` (first containing group wins).
-    group_idx: FxHashMap<FlowAggregate, usize>,
 }
 
 impl DecisionEngine {
     /// Build from config.
     pub fn new(cfg: DeConfig) -> DecisionEngine {
-        let group_idx = cfg.group_index();
-        DecisionEngine { cfg, group_idx }
+        DecisionEngine { cfg }
     }
 
     /// The paper's ranking function.
@@ -54,7 +49,7 @@ impl DecisionEngine {
     pub fn rank(&self, demands: &[AggDemand]) -> Vec<Scored> {
         let mut v: Vec<Scored> = demands
             .iter()
-            .filter(|d| d.m_pps >= self.cfg.min_median_pps)
+            .filter(|d| d.m_pps >= MIN_MEDIAN_PPS)
             .map(|d| Scored {
                 agg: d.agg,
                 score: self.score(d),
@@ -70,12 +65,6 @@ impl DecisionEngine {
                 .then_with(|| a.agg.cmp(&b.agg))
         });
         v
-    }
-
-    fn group_of(&self, agg: &FlowAggregate) -> Option<&[FlowAggregate]> {
-        self.group_idx
-            .get(agg)
-            .map(|&gi| self.cfg.groups[gi].as_slice())
     }
 
     /// Decide the hardware set.
@@ -101,6 +90,7 @@ impl DecisionEngine {
             ranked.iter().map(|s| (s.agg.tenant(), s.score)),
         );
 
+        // `demands` may list one aggregate twice; `chosen` admits it once.
         let mut target: Vec<FlowAggregate> = Vec::new();
         let mut chosen: HashSet<FlowAggregate> = HashSet::new();
         for s in &ranked {
@@ -110,33 +100,11 @@ impl DecisionEngine {
             if chosen.contains(&s.agg) {
                 continue;
             }
-            match self.group_of(&s.agg) {
-                Some(group) => {
-                    if target.len() + group.len() <= cap
-                        && tcaps.admit(
-                            group
-                                .iter()
-                                .filter(|g| !chosen.contains(*g))
-                                .map(|g| g.tenant()),
-                        )
-                    {
-                        for g in group {
-                            if chosen.insert(*g) {
-                                target.push(*g);
-                            }
-                        }
-                    }
-                    // else: all-or-nothing — skip the whole group (budget
-                    // overflow or a member tenant at cap).
-                }
-                None => {
-                    if tcaps.admit([s.agg.tenant()]) {
-                        chosen.insert(s.agg);
-                        target.push(s.agg);
-                    }
-                    // else: tenant at cap — the walk continues so lower-
-                    // scored tenants with headroom can still fill the table.
-                }
+            // A tenant at cap is skipped: the walk continues so lower-
+            // scored tenants with headroom can still fill the table.
+            if tcaps.admit(s.agg.tenant()) {
+                chosen.insert(s.agg);
+                target.push(s.agg);
             }
         }
 

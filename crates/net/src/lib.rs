@@ -2,7 +2,7 @@
 //!
 //! Network data-plane vocabulary for the FasTrak reproduction: addresses,
 //! byte-accurate wire headers, flow keys (the paper's 6-tuple including the
-//! tenant ID), security/QoS/rate rules, and the match tables every component
+//! tenant ID), tenant security rules, and the match tables every component
 //! shares:
 //!
 //! * [`tables::ExactMatchTable`] — the O(1) hash table used by the OVS kernel

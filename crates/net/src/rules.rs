@@ -1,7 +1,7 @@
 //! Tenant network-virtualization rules.
 //!
-//! A tenant VM carries up to hundreds of security and QoS rules (the paper
-//! cites Amazon VPC's 250-rule-per-VM limit, §2.1). Rules are priority
+//! A tenant VM carries up to hundreds of security rules (the paper cites
+//! Amazon VPC's 250-rule-per-VM limit, §2.1). Rules are priority
 //! ordered; the highest-priority matching rule wins (ties break toward the
 //! more specific rule, then insertion order, mirroring OVS semantics).
 
@@ -31,24 +31,11 @@ pub struct SecurityRule {
     pub action: Action,
 }
 
-/// One tenant QoS rule mapping flows to a class.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct QosRule {
-    /// Match pattern.
-    pub spec: FlowSpec,
-    /// Higher wins.
-    pub priority: u16,
-    /// Class assigned to matching flows.
-    pub class: QosClass,
-}
-
-/// A tenant's complete policy: security rules, QoS rules, and interface
-/// rate limits. This is the "unified set" the FasTrak rule manager splits
-/// between software and hardware.
+/// A tenant's security policy: the "unified set" the FasTrak rule manager
+/// splits between software and hardware.
 #[derive(Debug, Clone, Default)]
 pub struct RuleSet {
     security: Vec<SecurityRule>,
-    qos: Vec<QosRule>,
 }
 
 impl RuleSet {
@@ -63,11 +50,6 @@ impl RuleSet {
         self.security.push(rule);
     }
 
-    /// Add a QoS rule.
-    pub fn add_qos(&mut self, rule: QosRule) {
-        self.qos.push(rule);
-    }
-
     /// Number of security rules.
     pub fn security_len(&self) -> usize {
         self.security.len()
@@ -76,11 +58,6 @@ impl RuleSet {
     /// Iterate security rules.
     pub fn security_rules(&self) -> impl Iterator<Item = &SecurityRule> {
         self.security.iter()
-    }
-
-    /// Iterate QoS rules.
-    pub fn qos_rules(&self) -> impl Iterator<Item = &QosRule> {
-        self.qos.iter()
     }
 
     /// Evaluate the security policy for a flow. Returns the action of the
@@ -100,17 +77,6 @@ impl RuleSet {
             .max_by(|a, b| {
                 (a.priority, a.spec.specificity()).cmp(&(b.priority, b.spec.specificity()))
             })
-    }
-
-    /// QoS class for a flow, if any rule matches.
-    pub fn qos_class(&self, key: &FlowKey) -> Option<QosClass> {
-        self.qos
-            .iter()
-            .filter(|r| r.spec.matches(key))
-            .max_by(|a, b| {
-                (a.priority, a.spec.specificity()).cmp(&(b.priority, b.spec.specificity()))
-            })
-            .map(|r| r.class)
     }
 }
 
@@ -143,7 +109,6 @@ mod tests {
     fn empty_ruleset_matches_nothing() {
         let rs = RuleSet::new();
         assert_eq!(rs.evaluate(&key(80)), None);
-        assert_eq!(rs.qos_class(&key(80)), None);
     }
 
     #[test]
@@ -188,23 +153,6 @@ mod tests {
             action: Action::Allow,
         });
         assert_eq!(rs.evaluate(&key(80)), None);
-    }
-
-    #[test]
-    fn qos_classes_assigned_by_best_match() {
-        let mut rs = RuleSet::new();
-        rs.add_qos(QosRule {
-            spec: FlowSpec::tenant(TenantId(1)),
-            priority: 1,
-            class: QosClass(0),
-        });
-        rs.add_qos(QosRule {
-            spec: port_spec(11211),
-            priority: 5,
-            class: QosClass(3),
-        });
-        assert_eq!(rs.qos_class(&key(11211)), Some(QosClass(3)));
-        assert_eq!(rs.qos_class(&key(80)), Some(QosClass(0)));
     }
 
     #[test]

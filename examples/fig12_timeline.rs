@@ -2,7 +2,7 @@
 //!
 //! Runs the §6.2.2 scenario — a single bulk TCP flow offloaded from the
 //! VIF to the SR-IOV path one second in — with flow-lifecycle span tracing
-//! enabled, and writes the Chrome trace-event JSON next to the binary:
+//! enabled, and writes the Chrome trace-event JSON into the working directory:
 //!
 //! ```text
 //! cargo run --release --example fig12_timeline

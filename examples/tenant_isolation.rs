@@ -11,7 +11,7 @@
 //! cargo run --release --example tenant_isolation
 //! ```
 
-use fastrak::{attach, DeConfig, FasTrakConfig, Timing, VmLimit};
+use fastrak::{attach, DeConfig, FasTrakConfig, FastPathPolicy, Timing, VmLimit};
 use fastrak_host::vm::VmSpec;
 use fastrak_net::addr::{Ip, TenantId};
 use fastrak_net::flow::FlowSpec;
@@ -65,12 +65,14 @@ fn main() {
         &mut bed,
         FasTrakConfig {
             timing: Timing::fine(),
-            // Tenant 1 paid for priority (the paper's `c` multiplier);
-            // tenant 2's bulk traffic stays in software, so its VF is not
-            // authorized at the ToR — the bypass test below depends on it.
+            // Tenant 2 gets no fast-path entries: its bulk traffic stays
+            // in software, so its VF is not authorized at the ToR — the
+            // bypass test below depends on it.
             de: DeConfig {
-                tenant_priority: [(t1, 10.0), (t2, 0.0)].into_iter().collect(),
-                min_median_pps: 1.0,
+                policy: FastPathPolicy::StaticQuota {
+                    default_cap: usize::MAX,
+                    caps: [(t2, 0)].into_iter().collect(),
+                },
                 ..DeConfig::paper()
             },
             limits: vec![

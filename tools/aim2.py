@@ -64,7 +64,6 @@ KEPT = {
     "Buf": "wire codec, kept whole while benchmark/ probes call encode_wire",
     "verify": "wire codec, kept whole while benchmark/ probes call encode_wire",
     "ECT1": "ECN codepoints stay beside Packet",
-    "RuleSet::add_qos": "model, no world runs it: tenant QoS rules",
 }
 FN = re.compile(r"^\s*(?:pub(?:\([a-z]+\))?\s+)?(?:const\s+)?(?:unsafe\s+)?fn\s+(\w+)")
 LITERALS = re.compile(r'"(?:\\.|[^"\\])*"|\'(?:\\.|[^\'\\])\'')
