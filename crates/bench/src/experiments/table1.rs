@@ -38,7 +38,7 @@ fn measure(sriov: bool, background: bool, quick: bool, export: Option<&Cx>) -> (
         bed.add_vm(
             0,
             VmSpec::large("iozone", TENANT, Ip::tenant_vm(3)),
-            Box::new(IoZone::paper_default()),
+            Box::new(IoZone),
         );
     }
     let mut clients: Vec<VmRef> = Vec::new();

@@ -19,12 +19,14 @@ use fastrak_net::tables::{ExactMatchTable, WildcardTable};
 /// lives in host memory, not switch TCAM.
 const CONTROL_PLANE_CAPACITY: usize = 4096;
 
+/// The path of a flow no rule covers.
+const DEFAULT_PATH: PathTag = PathTag::Vif;
+
 /// The per-VM flow placer.
 #[derive(Debug, Clone)]
 pub struct FlowPlacer {
     control: WildcardTable<PathTag>,
     data: ExactMatchTable<PathTag>,
-    default_path: PathTag,
 }
 
 impl Default for FlowPlacer {
@@ -39,7 +41,6 @@ impl FlowPlacer {
         FlowPlacer {
             control: WildcardTable::new(CONTROL_PLANE_CAPACITY),
             data: ExactMatchTable::new(),
-            default_path: PathTag::Vif,
         }
     }
 
@@ -54,7 +55,7 @@ impl FlowPlacer {
             .control
             .lookup(key, bytes)
             .copied()
-            .unwrap_or(self.default_path);
+            .unwrap_or(DEFAULT_PATH);
         self.data.insert(*key, path);
         (path, true)
     }
@@ -89,7 +90,7 @@ impl FlowPlacer {
         self.control
             .find(key)
             .map(|e| e.value)
-            .unwrap_or(self.default_path)
+            .unwrap_or(DEFAULT_PATH)
     }
 
     /// Number of control-plane rules installed.

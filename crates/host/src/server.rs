@@ -718,12 +718,11 @@ impl Server {
         api: &mut Api<'_, Event, NetCtx>,
         vm_idx: usize,
         conn: ConnId,
-        mut pkt: Packet,
+        pkt: Packet,
     ) {
         self.vms[vm_idx].tx_inflight -= 1;
         let wire = pkt.wire_bytes_total();
         let (path, _first) = self.vms[vm_idx].placer.place(&pkt.flow, wire);
-        pkt.path = path;
         if api.ctx.telemetry.spans.enabled() {
             // Path-residency span per (vm, flow): same-path calls are no-ops,
             // a placement change closes the old span and opens the next one.
@@ -731,12 +730,12 @@ impl Server {
             let comp = spans.comp(&self.vm_labels[vm_idx]);
             let name = match path {
                 PathTag::SrIov => "sriov",
-                PathTag::Vif | PathTag::Unplaced => "vif",
+                PathTag::Vif => "vif",
             };
             spans.track_flow_path(api.now.as_nanos(), comp, pkt.flow.trace_hash(), name);
         }
         match path {
-            PathTag::Vif | PathTag::Unplaced => {
+            PathTag::Vif => {
                 let r = self.vswitch.process_tx(&pkt.flow, wire);
                 let tunneled = matches!(r.verdict, TxVerdict::UplinkTunneled(_));
                 let mut cost = self.vif_cost(vm_idx, Dir::Egress, &pkt, tunneled);

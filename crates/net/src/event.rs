@@ -83,7 +83,8 @@ impl Event {
 /// the packet-id allocator.
 #[derive(Debug, Clone)]
 pub struct NetCtx {
-    /// Global trace ring (receiver-side packet capture, controller events).
+    /// Global trace ring: when enabled, the TCP segments servers put on
+    /// their uplinks and deliver to their VMs.
     pub trace: TraceRing,
     /// Observability plane: metrics registry, span log, decision audit log.
     /// Disabled by default (zero-cost contract).

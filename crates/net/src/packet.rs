@@ -196,13 +196,10 @@ pub enum L4Meta {
     Udp,
 }
 
-/// Which path a packet took out of (or into) a server; stamped by the
-/// bonding-driver flow placer so experiments can attribute per-path traffic.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+/// Which interface a flow leaves its server through: the bonding-driver
+/// flow placer's per-flow decision.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum PathTag {
-    /// Not yet placed.
-    #[default]
-    Unplaced,
     /// Software path: VIF → vswitch → NIC.
     Vif,
     /// Hardware express lane: SR-IOV VF → NIC → ToR rules.
@@ -235,8 +232,6 @@ pub struct PacketBody {
     pub payload: u32,
     /// Encapsulation stack, innermost first (inline in the body).
     pub encaps: EncapStack,
-    /// Path taken out of the source server.
-    pub path: PathTag,
     /// When the *application* handed the packet to its socket (end-to-end
     /// latency measurement).
     pub sent_at: SimTime,
@@ -276,7 +271,6 @@ impl Packet {
             l4,
             payload,
             encaps: EncapStack::new(),
-            path: PathTag::Unplaced,
             sent_at,
             qos_class: 0,
             ecn: 0,

@@ -13,8 +13,8 @@
 //! Three ingredients:
 //!
 //! * [`LinkFaults`] — per-(src, dst) drop/delay/duplication probabilities.
-//! * [`FaultConfig`] — the seed, a default link spec, per-link overrides, an
-//!   optional activity window, and scripted rule-install failure windows.
+//! * [`FaultConfig`] — the seed, a default link spec, per-link overrides,
+//!   and scripted rule-install failure windows.
 //! * [`FaultLayer`] — the plane plus two event-type-specific hooks
 //!   (`classify` selects which events are subject to faults, `duplicate`
 //!   clones an event for duplication faults), kept as plain `fn` pointers so
@@ -89,9 +89,6 @@ pub struct FaultConfig {
     pub default_link: LinkFaults,
     /// Per-directed-link overrides.
     pub links: Vec<((NodeId, NodeId), LinkFaults)>,
-    /// When set, link faults only apply inside `[start, end)`; outside the
-    /// window every message is delivered untouched.
-    pub window: Option<(SimTime, SimTime)>,
     /// Scripted windows `[start, end)` during which hardware rule installs
     /// are forced to fail (consulted by the ToR via
     /// [`crate::kernel::Api::fault_forces_install_failure`]). Checked
@@ -124,7 +121,6 @@ pub struct FaultPlane {
     rng: Rng,
     default_link: LinkFaults,
     links: FxHashMap<(NodeId, NodeId), LinkFaults>,
-    window: Option<(SimTime, SimTime)>,
     install_fail_windows: Vec<(SimTime, SimTime)>,
     /// Every link spec is all-zero: link-fault decisions can never fire, so
     /// the per-message hook short-circuits before any lookup or RNG draw.
@@ -146,7 +142,6 @@ impl FaultPlane {
             rng: Rng::new(cfg.seed),
             default_link: cfg.default_link,
             links: cfg.links.into_iter().collect(),
-            window: cfg.window,
             install_fail_windows: cfg.install_fail_windows,
             idle,
             stats: FaultCounters::default(),
@@ -165,25 +160,19 @@ impl FaultPlane {
         *self.links.get(&(src, dst)).unwrap_or(&self.default_link)
     }
 
-    /// Decide the fate of one message on link src → dst at time `now`.
+    /// Decide the fate of one message on link src → dst.
     ///
     /// Decisions are mutually exclusive and sampled in drop → delay →
     /// duplicate order; a message already chosen for drop is never also
-    /// delayed, and so on. A link whose spec [`LinkFaults::is_none`] (or a
-    /// time outside the activity window) returns [`FaultDecision::Deliver`]
-    /// without touching the RNG.
-    pub fn decide(&mut self, src: NodeId, dst: NodeId, now: SimTime) -> FaultDecision {
+    /// delayed, and so on. A link whose spec [`LinkFaults::is_none`]
+    /// returns [`FaultDecision::Deliver`] without touching the RNG.
+    pub fn decide(&mut self, src: NodeId, dst: NodeId) -> FaultDecision {
         if self.idle {
             return FaultDecision::Deliver;
         }
         let spec = self.spec_for(src, dst);
         if spec.is_none() {
             return FaultDecision::Deliver;
-        }
-        if let Some((start, end)) = self.window {
-            if now < start || now >= end {
-                return FaultDecision::Deliver;
-            }
         }
         self.stats.inspected += 1;
         if spec.drop > 0.0 && self.rng.chance(spec.drop) {
@@ -280,8 +269,8 @@ mod tests {
     #[test]
     fn zero_probability_never_draws() {
         let mut p = lossy(0.0, 42);
-        for i in 0..1000 {
-            assert_eq!(p.decide(0, 1, SimTime(i)), FaultDecision::Deliver);
+        for _ in 0..1000 {
+            assert_eq!(p.decide(0, 1), FaultDecision::Deliver);
         }
         assert_eq!(p.stats.inspected, 0, "p=0 links must not even be counted");
     }
@@ -289,8 +278,8 @@ mod tests {
     #[test]
     fn loss_rate_tracks_probability() {
         let mut p = lossy(0.1, 7);
-        for i in 0..10_000 {
-            p.decide(0, 1, SimTime(i));
+        for _ in 0..10_000 {
+            p.decide(0, 1);
         }
         assert_eq!(p.stats.inspected, 10_000);
         let rate = p.stats.dropped as f64 / 10_000.0;
@@ -301,26 +290,10 @@ mod tests {
     fn decisions_are_seed_deterministic() {
         let run = |seed| {
             let mut p = lossy(0.3, seed);
-            (0..100)
-                .map(|i| p.decide(0, 1, SimTime(i)))
-                .collect::<Vec<_>>()
+            (0..100).map(|_| p.decide(0, 1)).collect::<Vec<_>>()
         };
         assert_eq!(run(5), run(5));
         assert_ne!(run(5), run(6), "different seeds should diverge");
-    }
-
-    #[test]
-    fn window_gates_link_faults() {
-        let mut p = FaultPlane::new(FaultConfig {
-            seed: 1,
-            default_link: LinkFaults::loss(1.0),
-            window: Some((SimTime(100), SimTime(200))),
-            ..FaultConfig::default()
-        });
-        assert_eq!(p.decide(0, 1, SimTime(99)), FaultDecision::Deliver);
-        assert_eq!(p.decide(0, 1, SimTime(100)), FaultDecision::Drop);
-        assert_eq!(p.decide(0, 1, SimTime(199)), FaultDecision::Drop);
-        assert_eq!(p.decide(0, 1, SimTime(200)), FaultDecision::Deliver);
     }
 
     #[test]
@@ -331,9 +304,9 @@ mod tests {
             links: vec![((2, 3), LinkFaults::loss(1.0))],
             ..FaultConfig::default()
         });
-        assert_eq!(p.decide(0, 1, SimTime(0)), FaultDecision::Deliver);
-        assert_eq!(p.decide(3, 2, SimTime(0)), FaultDecision::Deliver);
-        assert_eq!(p.decide(2, 3, SimTime(0)), FaultDecision::Drop);
+        assert_eq!(p.decide(0, 1), FaultDecision::Deliver);
+        assert_eq!(p.decide(3, 2), FaultDecision::Deliver);
+        assert_eq!(p.decide(2, 3), FaultDecision::Drop);
     }
 
     #[test]
@@ -348,8 +321,8 @@ mod tests {
             },
             ..FaultConfig::default()
         });
-        for i in 0..1000 {
-            match p.decide(0, 1, SimTime(i)) {
+        for _ in 0..1000 {
+            match p.decide(0, 1) {
                 FaultDecision::Delay(d) => assert!((10..=20).contains(&d.0), "delay {d:?}"),
                 other => panic!("expected Delay, got {other:?}"),
             }

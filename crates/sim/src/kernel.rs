@@ -97,7 +97,7 @@ fn schedule_event<E>(
             return EventHandle::NULL;
         }
         if !layer.plane.is_idle() && src != dst && (layer.classify)(&ev) {
-            match layer.plane.decide(src, dst, now) {
+            match layer.plane.decide(src, dst) {
                 FaultDecision::Deliver => {}
                 FaultDecision::Drop => return EventHandle::NULL,
                 FaultDecision::Delay(extra) => at += extra,

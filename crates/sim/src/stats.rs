@@ -52,8 +52,8 @@ impl Counter {
 /// convergence metrics so a run's fault pressure is auditable.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct FaultCounters {
-    /// Messages that reached the sampling stage (fault-eligible, on an
-    /// active link, inside the activity window).
+    /// Messages that reached the sampling stage (fault-eligible, on a link
+    /// with a non-zero fault probability).
     pub inspected: u64,
     /// Messages silently dropped.
     pub dropped: u64,

@@ -34,6 +34,14 @@ pub const TSO_LIMIT: u32 = 65_535 - 54;
 /// Initial congestion window (Linux IW10).
 const INITIAL_CWND: u32 = 10 * MSS;
 
+/// Receive-window stand-in: the peer never has more than this in flight.
+/// Keeps slow start from overrunning drop-tail rings (Linux bounds this via
+/// rcv_wnd/tcp_rmem autotuning).
+const MAX_CWND: u64 = 768 * 1024;
+
+/// Send-buffer cap: unsent + in-flight bytes the app may have queued.
+const SEND_BUF: u64 = 4 * 1024 * 1024;
+
 /// Connection state (RFC 793 §3.2).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum TcpState {
@@ -121,19 +129,14 @@ pub enum TcpTimer {
 
 /// Tuning knobs, defaulted to Linux-3.5-era behaviour (the paper's kernel).
 /// The segment size is the wire's [`MSS`], the initial window ten of them,
-/// and every second segment (or 2·MSS bytes) is acknowledged at once.
+/// the window is clamped at 768 KiB and the send buffer at 4 MiB, and every
+/// second segment (or 2·MSS bytes) is acknowledged at once.
 #[derive(Debug, Clone, Copy)]
 pub struct TcpConfig {
     /// Minimum retransmission timeout (Linux: 200 ms).
     pub min_rto: SimDuration,
     /// Delayed-ACK flush timeout.
     pub delack: SimDuration,
-    /// Receive-window stand-in: the peer never has more than this in
-    /// flight. Keeps slow start from overrunning drop-tail rings (Linux
-    /// bounds this via rcv_wnd/tcp_rmem autotuning).
-    pub max_cwnd: u64,
-    /// Send-buffer cap: unsent + in-flight bytes the app may have queued.
-    pub send_buf: u64,
     /// Congestion-control algorithm.
     pub cc: CcAlgo,
     /// Negotiate and react to ECN (RFC 3168; per-segment echo when
@@ -150,8 +153,6 @@ impl Default for TcpConfig {
         TcpConfig {
             min_rto: SimDuration::from_millis(200),
             delack: SimDuration::from_millis(5),
-            max_cwnd: 768 * 1024,
-            send_buf: 4 * 1024 * 1024,
             cc: CcAlgo::Reno,
             ecn: false,
             sack: false,
@@ -432,7 +433,7 @@ impl TcpConn {
 
     /// Effective send window: cwnd clamped by the receive-window stand-in.
     pub fn effective_wnd(&self) -> u64 {
-        self.cwnd().min(self.cfg.max_cwnd)
+        self.cwnd().min(MAX_CWND)
     }
 
     /// Current smoothed RTT estimate, if sampled.
@@ -447,9 +448,7 @@ impl TcpConn {
 
     /// Room left in the send buffer.
     pub fn send_buf_space(&self) -> u64 {
-        self.cfg
-            .send_buf
-            .saturating_sub(self.queued_bytes + self.flight())
+        SEND_BUF.saturating_sub(self.queued_bytes + self.flight())
     }
 
     /// The send sequence space, with the end of sent *data* (a sent FIN
@@ -698,7 +697,7 @@ impl TcpConn {
         // window; otherwise slow start inflates cwnd without bound while
         // app- or rwnd-limited. Data still queued counts as window-limited:
         // the chunked (GSO) sender holds back whole chunks that do not fit.
-        let grow = self.cwnd() < self.cfg.max_cwnd
+        let grow = self.cwnd() < MAX_CWND
             && (self.flight() as f64 >= 0.9 * self.cc.cwnd() || self.queued_bytes > 0);
         self.stats.bytes_acked += acked;
         self.snd_una = seg.ack;
@@ -1119,9 +1118,8 @@ mod tests {
 
     #[test]
     fn cwnd_limits_flight() {
-        let cfg = TcpConfig::default();
         let (mut c, _s) = establish();
-        c.app_send(cfg.send_buf / 2);
+        c.app_send(SEND_BUF / 2);
         let mut sent = 0u64;
         while let Some(p) = c.poll_transmit(t(100), TSO_LIMIT) {
             sent += p.len as u64;
@@ -1387,16 +1385,28 @@ mod tests {
 
     #[test]
     fn effective_window_clamped_by_max_cwnd() {
-        let cfg = TcpConfig {
-            max_cwnd: 20_000,
-            ..Default::default()
-        };
-        let mut c = TcpConn::client(flow(), cfg);
-        // Drive cwnd up artificially via the public API: effective window
-        // can never exceed max_cwnd regardless of cwnd.
-        assert!(c.effective_wnd() <= 20_000);
-        let _ = c.poll_transmit(t(0), 1448);
-        assert!(c.effective_wnd() <= 20_000);
+        let (mut c, mut s) = establish();
+        let mut now = 100;
+        // Lossless ACK-clocked rounds with the send buffer kept full: slow
+        // start grows cwnd until one round's ACKs carry it past the clamp.
+        while c.cwnd() <= MAX_CWND {
+            assert!(now < 10_000, "cwnd stalled at {}", c.cwnd());
+            c.app_send(c.send_buf_space());
+            let mut segs = Vec::new();
+            while let Some(seg) = c.poll_transmit(t(now), 1448) {
+                segs.push(seg);
+            }
+            assert!(c.flight() <= MAX_CWND, "flight {}", c.flight());
+            now += 10;
+            for seg in segs {
+                deliver(&mut s, t(now), seg);
+                while let Some(ack) = s.poll_transmit(t(now), 1448) {
+                    deliver(&mut c, t(now + 10), ack);
+                }
+            }
+            now += 10;
+        }
+        assert_eq!(c.effective_wnd(), MAX_CWND);
     }
 
     #[test]
@@ -1430,13 +1440,12 @@ mod tests {
 
     #[test]
     fn send_buffer_rejects_overflow() {
-        let cfg = TcpConfig {
-            send_buf: 1000,
-            ..Default::default()
-        };
-        let mut c = TcpConn::client(flow(), cfg);
-        assert!(c.app_send(800));
+        let mut c = TcpConn::client(flow(), TcpConfig::default());
+        assert!(c.app_send(SEND_BUF - 200));
         assert!(!c.app_send(300));
+        assert!(c.app_send(200));
+        assert_eq!(c.send_buf_space(), 0);
+        assert!(!c.app_send(1));
         assert!(c.app_send(0)); // zero-write is a no-op success
     }
 

@@ -336,7 +336,6 @@ fn cfg(sack: bool, cc: CcAlgo) -> TcpConfig {
         sack,
         cc,
         ecn: cc == CcAlgo::Dctcp,
-        ..TcpConfig::default()
     }
 }
 

@@ -7,40 +7,25 @@ use fastrak_sim::time::SimDuration;
 use fastrak_transport::stack::SockEvent;
 
 const TIMER_TICK: u64 = 1;
+/// Tick interval.
+const INTERVAL: SimDuration = SimDuration::from_millis(1);
+/// vCPU work per tick: 400 µs every 1 ms across the pool (~0.4 vCPU).
+const WORK_PER_TICK: SimDuration = SimDuration::from_micros(400);
 
 /// IOzone-like disk benchmark: periodic bursts of vCPU work (buffer cache
 /// churn + IO submission) with idle gaps for disk waits.
 #[derive(Clone)]
-pub struct IoZone {
-    /// Tick interval.
-    pub interval: SimDuration,
-    /// vCPU work per tick.
-    pub work_per_tick: SimDuration,
-    /// Ticks executed.
-    pub ticks: u64,
-}
-
-impl IoZone {
-    /// Defaults: every 1 ms burn 400 µs across the pool (~0.4 vCPU).
-    pub fn paper_default() -> IoZone {
-        IoZone {
-            interval: SimDuration::from_millis(1),
-            work_per_tick: SimDuration::from_micros(400),
-            ticks: 0,
-        }
-    }
-}
+pub struct IoZone;
 
 impl GuestApp for IoZone {
     fn on_start(&mut self, api: &mut GuestApi<'_>) {
-        api.set_timer(self.interval, TIMER_TICK);
+        api.set_timer(INTERVAL, TIMER_TICK);
     }
 
     fn on_timer(&mut self, tag: u64, api: &mut GuestApi<'_>) {
         if tag == TIMER_TICK {
-            self.ticks += 1;
-            api.burn_cpu(self.work_per_tick);
-            api.set_timer(self.interval, TIMER_TICK);
+            api.burn_cpu(WORK_PER_TICK);
+            api.set_timer(INTERVAL, TIMER_TICK);
         }
     }
 

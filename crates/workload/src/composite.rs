@@ -104,17 +104,17 @@ mod tests {
                 resp_size: 1024,
                 service_cpu: SimDuration::ZERO,
             })),
-            Box::new(IoZone::paper_default()),
+            Box::new(IoZone),
         ]);
         assert_eq!(c.len(), 2);
         assert_eq!(c.get::<RrServer>(0).served, 0);
-        assert_eq!(c.get::<IoZone>(1).ticks, 0);
+        let _: &IoZone = c.get(1);
     }
 
     #[test]
     #[should_panic(expected = "type mismatch")]
     fn wrong_downcast_panics() {
-        let c = Composite::new(vec![Box::new(IoZone::paper_default())]);
+        let c = Composite::new(vec![Box::new(IoZone)]);
         let _ = c.get::<RrServer>(0);
     }
 }

@@ -37,8 +37,6 @@ pub struct RrClientConfig {
     pub burst: usize,
     /// Stop after this many completed transactions in total.
     pub total_requests: Option<u64>,
-    /// Delay before opening connections.
-    pub start_delay: SimDuration,
 }
 
 impl RrClientConfig {
@@ -53,7 +51,6 @@ impl RrClientConfig {
             resp_size: size,
             burst: 1,
             total_requests: None,
-            start_delay: SimDuration::ZERO,
         }
     }
 
@@ -78,8 +75,6 @@ pub struct RrClient {
     /// When the configured request total completed.
     pub finished_at: Option<SimTime>,
 }
-
-const TIMER_START: u64 = 1;
 
 impl RrClient {
     /// Build from a configuration.
@@ -113,22 +108,14 @@ impl RrClient {
 
 impl GuestApp for RrClient {
     fn on_start(&mut self, api: &mut GuestApi<'_>) {
-        if self.cfg.start_delay > SimDuration::ZERO {
-            api.set_timer(self.cfg.start_delay, TIMER_START);
-        } else {
-            self.on_timer(TIMER_START, api);
+        for t in 0..self.cfg.threads {
+            let src_port = self.cfg.src_port_base + t as u16;
+            self.client
+                .connect(api, self.cfg.dst, self.cfg.dst_port, src_port);
         }
     }
 
-    fn on_timer(&mut self, tag: u64, api: &mut GuestApi<'_>) {
-        if tag == TIMER_START && self.client.len() == 0 {
-            for t in 0..self.cfg.threads {
-                let src_port = self.cfg.src_port_base + t as u16;
-                self.client
-                    .connect(api, self.cfg.dst, self.cfg.dst_port, src_port);
-            }
-        }
-    }
+    fn on_timer(&mut self, _tag: u64, _api: &mut GuestApi<'_>) {}
 
     fn on_event(&mut self, ev: SockEvent, api: &mut GuestApi<'_>) {
         // Lifecycle events: these long-lived netperf-style fleets never

@@ -29,10 +29,6 @@ pub struct StreamConfig {
     pub threads: usize,
     /// Application data size per write.
     pub write_size: u64,
-    /// Stop after sending this many bytes in total (None = run forever).
-    pub total_bytes: Option<u64>,
-    /// Delay before opening connections.
-    pub start_delay: SimDuration,
 }
 
 impl StreamConfig {
@@ -44,24 +40,17 @@ impl StreamConfig {
             src_port_base: 42_000,
             threads: 3,
             write_size,
-            total_bytes: None,
-            start_delay: SimDuration::ZERO,
         }
     }
 }
 
-/// The stream sender guest app.
+/// The stream sender guest app: opens its connections at start and keeps
+/// each one's send queue full for as long as the world runs.
 #[derive(Clone)]
 pub struct StreamSender {
     cfg: StreamConfig,
     conns: Vec<ConnId>,
-    /// Bytes queued to the sockets so far.
-    pub queued_bytes: u64,
-    /// When the configured byte total was fully acknowledged.
-    pub finished_at: Option<SimTime>,
 }
-
-const TIMER_START: u64 = 1;
 
 impl StreamSender {
     /// Build from a configuration.
@@ -69,43 +58,19 @@ impl StreamSender {
         StreamSender {
             cfg,
             conns: Vec::new(),
-            queued_bytes: 0,
-            finished_at: None,
         }
     }
 
     fn top_up(&mut self, api: &mut GuestApi<'_>) {
+        let write = self.cfg.write_size;
         for &conn in &self.conns {
             loop {
-                if let Some(total) = self.cfg.total_bytes {
-                    if self.queued_bytes >= total {
-                        break;
-                    }
-                }
                 let c = api.conn(conn);
-                if !c.is_established() || c.unsent() >= QUEUE_DEPTH_WRITES * self.cfg.write_size {
+                if !c.is_established()
+                    || c.unsent() >= QUEUE_DEPTH_WRITES * write
+                    || !api.send(conn, write)
+                {
                     break;
-                }
-                let take = match self.cfg.total_bytes {
-                    Some(total) => (total - self.queued_bytes).min(self.cfg.write_size),
-                    None => self.cfg.write_size,
-                };
-                if take == 0 || !api.send(conn, take) {
-                    break;
-                }
-                self.queued_bytes += take;
-            }
-        }
-        // Completion: all queued and everything acked.
-        if let Some(total) = self.cfg.total_bytes {
-            if self.finished_at.is_none() && self.queued_bytes >= total {
-                let acked: u64 = self
-                    .conns
-                    .iter()
-                    .map(|&c| api.conn(c).stats.bytes_acked)
-                    .sum();
-                if acked >= total {
-                    self.finished_at = Some(api.now);
                 }
             }
         }
@@ -114,25 +79,17 @@ impl StreamSender {
 
 impl GuestApp for StreamSender {
     fn on_start(&mut self, api: &mut GuestApi<'_>) {
-        if self.cfg.start_delay > SimDuration::ZERO {
-            api.set_timer(self.cfg.start_delay, TIMER_START);
-        } else {
-            self.on_timer(TIMER_START, api);
+        for t in 0..self.cfg.threads {
+            let id = api.connect(
+                self.cfg.dst,
+                self.cfg.dst_port,
+                self.cfg.src_port_base + t as u16,
+            );
+            self.conns.push(id);
         }
     }
 
-    fn on_timer(&mut self, tag: u64, api: &mut GuestApi<'_>) {
-        if tag == TIMER_START && self.conns.is_empty() {
-            for t in 0..self.cfg.threads {
-                let id = api.connect(
-                    self.cfg.dst,
-                    self.cfg.dst_port,
-                    self.cfg.src_port_base + t as u16,
-                );
-                self.conns.push(id);
-            }
-        }
-    }
+    fn on_timer(&mut self, _tag: u64, _api: &mut GuestApi<'_>) {}
 
     fn on_event(&mut self, ev: SockEvent, api: &mut GuestApi<'_>) {
         if matches!(ev, SockEvent::Connected(_)) {
@@ -177,10 +134,7 @@ impl GuestApp for StreamSink {
 
     fn on_event(&mut self, ev: SockEvent, _api: &mut GuestApi<'_>) {
         if let SockEvent::Delivered { bytes, .. } = ev {
-            // One "event" per delivery, byte count for goodput.
-            for _ in 0..1 {
-                self.meter.add(bytes);
-            }
+            self.meter.add(bytes);
         }
     }
 
@@ -188,7 +142,7 @@ impl GuestApp for StreamSink {
 }
 
 /// A disk-bound file transfer (the paper's scp / 4 GB background transfer,
-/// §6.1.2): reads chunks at `disk_rate_bps` and streams them. Large reads +
+/// §6.1.2): reads 64 KB chunks at 500 Mbps and streams them. Large reads +
 /// TSO make this a *low packets-per-second* flow — precisely why FasTrak's
 /// decision engine leaves it in software while offloading memcached (§6.2).
 #[derive(Clone)]
@@ -199,44 +153,41 @@ pub struct FileTransfer {
     pub dst_port: u16,
     /// Local source port.
     pub src_port: u16,
-    /// Disk read rate (bits/sec).
-    pub disk_rate_bps: u64,
-    /// Chunk size per disk read (bytes).
-    pub chunk: u64,
     /// Total bytes to transfer.
     pub total_bytes: u64,
-    /// vCPU per chunk (disk driver + scp crypto stand-in).
-    pub cpu_per_chunk: SimDuration,
-    /// Delay before starting.
-    pub start_delay: SimDuration,
     conn: Option<ConnId>,
     sent: u64,
     /// Completion time (all bytes acked).
     pub finished_at: Option<SimTime>,
 }
 
+/// Disk read rate (bits/sec).
+const DISK_RATE_BPS: u64 = 500_000_000;
+/// Chunk size per disk read (bytes).
+const CHUNK: u64 = 64 * 1024;
+/// vCPU per chunk (disk driver + scp crypto stand-in).
+const CPU_PER_CHUNK: SimDuration = SimDuration::from_micros(40);
+
+const TIMER_START: u64 = 1;
 const TIMER_CHUNK: u64 = 2;
 
 impl FileTransfer {
-    /// A 4 GB disk-bound transfer at ~500 Mbps in 64 KB chunks.
+    /// A 4 GB disk-bound transfer.
     pub fn paper_default(dst: Ip, dst_port: u16, src_port: u16) -> FileTransfer {
         FileTransfer {
             dst,
             dst_port,
             src_port,
-            disk_rate_bps: 500_000_000,
-            chunk: 64 * 1024,
             total_bytes: 4 << 30,
-            cpu_per_chunk: SimDuration::from_micros(40),
-            start_delay: SimDuration::ZERO,
             conn: None,
             sent: 0,
             finished_at: None,
         }
     }
 
-    fn chunk_interval(&self) -> SimDuration {
-        SimDuration::from_secs_f64(self.chunk as f64 * 8.0 / self.disk_rate_bps as f64)
+    /// One disk read's time at the disk rate.
+    fn chunk_interval() -> SimDuration {
+        SimDuration::from_secs_f64(CHUNK as f64 * 8.0 / DISK_RATE_BPS as f64)
     }
 
     fn send_chunk(&mut self, api: &mut GuestApi<'_>) {
@@ -252,19 +203,21 @@ impl FileTransfer {
             }
             return;
         }
-        let take = self.chunk.min(self.total_bytes - self.sent);
+        let take = CHUNK.min(self.total_bytes - self.sent);
         if api.send(conn, take) {
             self.sent += take;
-            api.burn_cpu(self.cpu_per_chunk);
+            api.burn_cpu(CPU_PER_CHUNK);
         }
         // Next disk read completes one chunk-interval later.
-        api.set_timer(self.chunk_interval(), TIMER_CHUNK);
+        api.set_timer(Self::chunk_interval(), TIMER_CHUNK);
     }
 }
 
 impl GuestApp for FileTransfer {
     fn on_start(&mut self, api: &mut GuestApi<'_>) {
-        api.set_timer(self.start_delay, TIMER_START);
+        // A zero-delay timer, not an inline connect: connecting from the
+        // timer's event keeps the order of same-instant events as it is.
+        api.set_timer(SimDuration::ZERO, TIMER_START);
     }
 
     fn on_timer(&mut self, tag: u64, api: &mut GuestApi<'_>) {

@@ -20,7 +20,13 @@ Prints, for the Rust outside `benchmark/` and `target/`:
     of the same name is no call; any other item, wherever its name occurs.
     `KEPT` names the ones kept on purpose, with the tests that use them; a
     `KEPT` name that is no public item of `crates/*/src` any more is
-    printed as stale.
+    printed as stale;
+  * the fields of those configuration structs that only tests set: a
+    literal of the struct in test code sets them, and no non-test code
+    does, neither in a literal of the struct outside the struct's own file
+    nor through `.field =` (non-test code: the same callers as above).
+    `KEPT_KNOBS` names the ones kept on purpose, with the tests that set
+    them; an entry not listed any more is printed as stale.
 Nothing is gated: the numbers are for the tracker line and the CHANGES table.
 """
 import argparse
@@ -64,6 +70,14 @@ KEPT = {
     "Buf": "wire codec, kept whole while benchmark/ probes call encode_wire",
     "verify": "wire codec, kept whole while benchmark/ probes call encode_wire",
     "ECT1": "ECN codepoints stay beside Packet",
+}
+# Configuration fields that only tests set, kept on purpose: settings the
+# pinned scenarios vary, where a constant would move their digests, and
+# setup of the integration tests.
+KEPT_KNOBS = {
+    "FasTrakConfig::rule_manager": "setup: a tenant's security rules, with RuleManager::set_policy",
+    "TcpConfig::delack": "the 200 us delayed ACK the pinned stack scenarios run",
+    "TcpConfig::msl": "a short TIME_WAIT the pinned and determinism scenarios watch expire",
 }
 FN = re.compile(r"^\s*(?:pub(?:\([a-z]+\))?\s+)?(?:const\s+)?(?:unsafe\s+)?fn\s+(\w+)")
 LITERALS = re.compile(r'"(?:\\.|[^"\\])*"|\'(?:\\.|[^\'\\])\'')
@@ -189,6 +203,59 @@ def unreached(root, files, texts, tests):
         found.update(new)
 
 
+def literals(text, names):
+    """(struct, first line, fields) of each struct literal of a struct in
+    `names` in `text`: the fields it sets by name, shorthand included."""
+    lines = [bare(l) for l in text.splitlines()]
+    flat = "\n".join(lines)
+    head = re.compile(rf"(?<![\w>])(?:\w+::)*({'|'.join(names)})\s*\{{")
+    out = []
+    for m in head.finditer(flat):
+        before = flat[: m.start()].rstrip()
+        if re.search(r"(\bstruct|\bimpl(<[^>]*>)?|\bfor|->)$", before):
+            continue
+        depth, seg, fields, i = 0, "", set(), m.end()
+        while i < len(flat) and depth >= 0:
+            c = flat[i]
+            depth += (c in "([{") - (c in ")]}")
+            if depth < 0 or (depth == 0 and c == ","):
+                f = re.match(r"\s*(\w+)\s*(?::(?!:)|$)", seg)
+                if f and not seg.strip().startswith(".."):
+                    fields.add(f.group(1))
+                seg = ""
+            else:
+                seg += c
+            i += 1
+        out.append((m.group(1), flat.count("\n", 0, m.start()) + 1, fields))
+    return out
+
+
+def test_only_knobs(root, files, texts, tests, configs):
+    """((struct, field), test files setting it) of each field of a tracked
+    configuration struct that test code sets and no non-test code does."""
+    rel = lambda p: p.relative_to(root).as_posix()
+    own = {name: at.split(":")[0] for name, _, at, _ in configs}
+    fields = {(name, f) for name, _, _, fs in configs for f in fs}
+    test_sets, world_sets = {}, set()
+    for p in files + sorted((root / "benchmark" / "src").rglob("*.rs")):
+        text = texts.get(p) or p.read_text()
+        r = rel(p)
+        is_test = p in tests or "tests" in p.relative_to(root).parts
+        live = set() if is_test else {no for no, _ in non_test(text)}
+        for s, no, fs in literals(text, sorted(own)):
+            for f in fs & {g for t, g in fields if t == s}:
+                if no not in live:
+                    test_sets.setdefault((s, f), set()).add(r)
+                elif r != own[s]:
+                    world_sets.add((s, f))
+        # `x.field = ..` names no struct: it counts for every struct with
+        # such a field, and only for the world side.
+        for no, line in non_test(text) if live else []:
+            for f in re.findall(r"\.(\w+)\s*=(?!=)", bare(line)):
+                world_sets |= {(s, g) for s, g in fields if g == f}
+    return sorted((k, sorted(v)) for k, v in test_sets.items() if k not in world_sets)
+
+
 def main():
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--root", default=Path(__file__).resolve().parent.parent, type=Path)
@@ -241,11 +308,11 @@ def main():
             m = CONFIG.match(line)
             if m:
                 body = lines[i + 1 : block_end(lines, i)]
-                n = sum(bool(re.match(r"^\s+pub \w+:", l)) for l in body)
-                configs.append((m.group(1), n, f"{rel(p)}:{kept[i][0]}"))
-    for name, n, at in sorted(configs):
+                fs = [f.group(1) for l in body for f in [re.match(r"^\s+pub (\w+):", l)] if f]
+                configs.append((m.group(1), len(fs), f"{rel(p)}:{kept[i][0]}", fs))
+    for name, n, at, _ in sorted(configs):
         print(f"{name:24} {n:3}  {at}")
-    print(f"{'total':24} {sum(n for _, n, _ in configs):3}  ({len(configs)} structs)")
+    print(f"{'total':24} {sum(n for _, n, _, _ in configs):3}  ({len(configs)} structs)")
 
     print("\n== public items only tests reach (callers: crate src, src/, examples/, benches, benchmark/src) ==")
     kept = []
@@ -269,6 +336,20 @@ def main():
     print(f"stale: kept names that are no public item of crates/*/src ({len(stale)})")
     for name in stale:
         print(f"  {name:32} {KEPT[name]}")
+
+    print("\n== configuration fields only tests set (no world sets them) ==")
+    knobs = test_only_knobs(root, files, texts, tests, configs)
+    kept = [(f"{s}::{f}", users) for (s, f), users in knobs if f"{s}::{f}" in KEPT_KNOBS]
+    for (s, f), users in knobs:
+        if f"{s}::{f}" not in KEPT_KNOBS:
+            print(f"  {s + '::' + f:32} tests setting it: {', '.join(users)}")
+    print(f"kept on purpose ({len(kept)}), each with the tests that set it:")
+    for name, users in kept:
+        print(f"  {name:32} {KEPT_KNOBS[name]}\n  {'':32} tests setting it: {', '.join(users)}")
+    stale = sorted(set(KEPT_KNOBS) - {name for name, _ in kept})
+    print(f"stale: kept knobs that are no field only tests set ({len(stale)})")
+    for name in stale:
+        print(f"  {name:32} {KEPT_KNOBS[name]}")
 
     for lit in args.count:
         hits = [(rel(p), no) for p in files if in_src(p) for no, l in code[p] if lit in l]
