@@ -28,9 +28,11 @@ fn flow() -> FlowKey {
     }
 }
 
-/// Drain every pending segment from `from` into `to` at `now`.
+/// Drain every pending segment from `from` into `to` at `now` (both run
+/// the default config).
 fn pump(from: &mut TcpConn, to: &mut TcpConn, now: SimTime) {
-    while let Some(p) = from.poll_transmit(now, 64) {
+    let cfg = TcpConfig::default();
+    while let Some(p) = from.poll_transmit(&cfg, now, 64) {
         let seg = Segment {
             seq: p.seq,
             ack: p.ack,
@@ -39,15 +41,15 @@ fn pump(from: &mut TcpConn, to: &mut TcpConn, now: SimTime) {
             ce: false,
             sack: p.sack,
         };
-        to.on_segment(now, seg);
+        to.on_segment(&cfg, now, seg);
     }
 }
 
 /// An established client/server pair (handshake already pumped).
 fn established_pair() -> (TcpConn, TcpConn) {
     let cfg = TcpConfig::default();
-    let mut c = TcpConn::client(flow(), cfg);
-    let mut s = TcpConn::listen(flow().reverse(), cfg);
+    let mut c = TcpConn::client(flow(), &cfg);
+    let mut s = TcpConn::listen(flow().reverse(), &cfg);
     let t0 = SimTime::ZERO;
     pump(&mut c, &mut s, t0); // SYN
     pump(&mut s, &mut c, t0); // SYN|ACK

@@ -45,11 +45,11 @@ impl FlowPlacer {
     }
 
     /// Place a packet: O(1) data-plane hit, or control-plane consult +
-    /// exact-rule install on miss. Returns the chosen path and whether the
-    /// control plane was consulted (the "first packet" case).
-    pub fn place(&mut self, key: &FlowKey, bytes: u64) -> (PathTag, bool) {
+    /// exact-rule install on miss (the "first packet" case, counted by the
+    /// data table's misses). Returns the chosen path.
+    pub fn place(&mut self, key: &FlowKey, bytes: u64) -> PathTag {
         if let Some(&path) = self.data.lookup(key, bytes) {
-            return (path, false);
+            return path;
         }
         let path = self
             .control
@@ -57,7 +57,7 @@ impl FlowPlacer {
             .copied()
             .unwrap_or(DEFAULT_PATH);
         self.data.insert(*key, path);
-        (path, true)
+        path
     }
 
     /// Install a redirection rule (OpenFlow interface used by the local
@@ -124,14 +124,22 @@ mod tests {
         }
     }
 
+    /// Place `key` and report whether the control plane was consulted (the
+    /// data table missed).
+    fn place(p: &mut FlowPlacer, key: &FlowKey, bytes: u64) -> (PathTag, bool) {
+        let misses = p.data.misses();
+        let path = p.place(key, bytes);
+        (path, p.data.misses() > misses)
+    }
+
     #[test]
     fn default_is_vif() {
         let mut p = FlowPlacer::new();
-        let (path, miss) = p.place(&key(80), 100);
+        let (path, miss) = place(&mut p, &key(80), 100);
         assert_eq!(path, PathTag::Vif);
         assert!(miss);
         // Cached now.
-        let (path, miss) = p.place(&key(80), 100);
+        let (path, miss) = place(&mut p, &key(80), 100);
         assert_eq!(path, PathTag::Vif);
         assert!(!miss);
     }
@@ -140,28 +148,25 @@ mod tests {
     fn rule_diverts_to_sriov() {
         let mut p = FlowPlacer::new();
         p.install_rule(port_spec(11211), 10, PathTag::SrIov);
-        let (path, _) = p.place(&key(11211), 100);
-        assert_eq!(path, PathTag::SrIov);
-        let (other, _) = p.place(&key(80), 100);
-        assert_eq!(other, PathTag::Vif);
+        assert_eq!(p.place(&key(11211), 100), PathTag::SrIov);
+        assert_eq!(p.place(&key(80), 100), PathTag::Vif);
     }
 
     #[test]
     fn install_invalidates_covered_cache() {
         let mut p = FlowPlacer::new();
         // Cache the flow on the VIF first.
-        let (path, _) = p.place(&key(11211), 100);
-        assert_eq!(path, PathTag::Vif);
+        assert_eq!(p.place(&key(11211), 100), PathTag::Vif);
         // Now offload it.
         p.install_rule(port_spec(11211), 10, PathTag::SrIov);
-        let (path, miss) = p.place(&key(11211), 100);
+        let (path, miss) = place(&mut p, &key(11211), 100);
         assert_eq!(path, PathTag::SrIov);
         assert!(miss, "cache entry must have been invalidated");
         // Unrelated cached flows survive.
-        let (_, miss80_before) = p.place(&key(80), 1);
+        let (_, miss80_before) = place(&mut p, &key(80), 1);
         assert!(miss80_before); // first time seen
         p.install_rule(port_spec(9999), 10, PathTag::SrIov);
-        let (_, miss80_after) = p.place(&key(80), 1);
+        let (_, miss80_after) = place(&mut p, &key(80), 1);
         assert!(!miss80_after, "unrelated cache entries must survive");
     }
 
@@ -170,10 +175,9 @@ mod tests {
         let mut p = FlowPlacer::new();
         let spec = port_spec(11211);
         p.install_rule(spec, 10, PathTag::SrIov);
-        let (path, _) = p.place(&key(11211), 1);
-        assert_eq!(path, PathTag::SrIov);
+        assert_eq!(p.place(&key(11211), 1), PathTag::SrIov);
         assert_eq!(p.remove_rule(&spec), 1);
-        let (path, miss) = p.place(&key(11211), 1);
+        let (path, miss) = place(&mut p, &key(11211), 1);
         assert_eq!(path, PathTag::Vif);
         assert!(miss);
         // Removing again is a no-op.

@@ -722,7 +722,7 @@ impl Server {
     ) {
         self.vms[vm_idx].tx_inflight -= 1;
         let wire = pkt.wire_bytes_total();
-        let (path, _first) = self.vms[vm_idx].placer.place(&pkt.flow, wire);
+        let path = self.vms[vm_idx].placer.place(&pkt.flow, wire);
         if api.ctx.telemetry.spans.enabled() {
             // Path-residency span per (vm, flow): same-path calls are no-ops,
             // a placement change closes the old span and opens the next one.

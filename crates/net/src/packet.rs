@@ -235,8 +235,6 @@ pub struct PacketBody {
     /// When the *application* handed the packet to its socket (end-to-end
     /// latency measurement).
     pub sent_at: SimTime,
-    /// DSCP/QoS class requested by tenant QoS rules.
-    pub qos_class: u8,
     /// ECN codepoint ([`crate::headers::ecn`]): the low two bits of the IP
     /// DSCP/ECN byte. Senders set ECT(0) on ECN-negotiated flows; queues
     /// rewrite it to CE instead of dropping.
@@ -272,7 +270,6 @@ impl Packet {
             payload,
             encaps: EncapStack::new(),
             sent_at,
-            qos_class: 0,
             ecn: 0,
             sack: SackBlocks::EMPTY,
         }))
@@ -372,7 +369,7 @@ impl Packet {
                         total_len: (under[idx] - EthernetHeader::LEN as u32
                             + (Ipv4Header::LEN + GreHeader::LEN) as u32)
                             as u16,
-                        dscp_ecn: self.qos_class << 2 | self.ecn,
+                        dscp_ecn: self.ecn,
                         ttl: 64,
                         ident: self.id as u16,
                     }
@@ -399,7 +396,7 @@ impl Packet {
                         dst: *dst,
                         protocol: 17,
                         total_len: udp_len + Ipv4Header::LEN as u16,
-                        dscp_ecn: self.qos_class << 2 | self.ecn,
+                        dscp_ecn: self.ecn,
                         ttl: 64,
                         ident: self.id as u16,
                     }
@@ -435,7 +432,7 @@ impl Packet {
             dst: self.flow.dst_ip,
             protocol: self.flow.proto.number(),
             total_len: (Ipv4Header::LEN as u32 + l4_len + self.payload) as u16,
-            dscp_ecn: self.qos_class << 2 | self.ecn,
+            dscp_ecn: self.ecn,
             ttl: 64,
             ident: self.id as u16,
         }
@@ -655,12 +652,11 @@ mod tests {
     fn ecn_codepoint_rides_the_dscp_byte() {
         use crate::headers::ecn;
         let mut p = pkt(64);
-        p.qos_class = 5;
         p.ecn = ecn::CE;
         let bytes = p.encode_wire(Mac::local(1), Mac::local(2));
         // Inner IPv4 header starts right after the 14-byte Ethernet header;
         // DSCP/ECN is its second byte.
-        assert_eq!(bytes[EthernetHeader::LEN + 1], 5 << 2 | ecn::CE);
+        assert_eq!(bytes[EthernetHeader::LEN + 1], ecn::CE);
         // And on the *outer* header of an encapsulated packet.
         p.encap(Encap::Vxlan {
             vni: 3,
@@ -668,7 +664,7 @@ mod tests {
             dst: Ip::new(172, 16, 0, 2),
         });
         let bytes = p.encode_wire(Mac::local(1), Mac::local(2));
-        assert_eq!(bytes[EthernetHeader::LEN + 1], 5 << 2 | ecn::CE);
+        assert_eq!(bytes[EthernetHeader::LEN + 1], ecn::CE);
     }
 
     #[test]

@@ -4,7 +4,9 @@
 //!
 //! Components push [`TraceRecord`]s; the harness drains them after a run.
 //! The ring is bounded so a long experiment cannot exhaust memory, and
-//! tracing is off by default (zero cost on the packet path beyond a branch).
+//! tracing is off by default (zero cost on the packet path beyond a branch,
+//! and no memory: the ring reserves nothing until its first enabled push,
+//! then grows by doubling up to its capacity).
 //!
 //! Component names are interned ([`Istr`]): the old `who: String` field
 //! cloned an allocation per pushed record, which at packet rate dominated
@@ -44,11 +46,12 @@ pub struct TraceRing {
 }
 
 impl TraceRing {
-    /// Create a disabled ring holding at most `capacity` records.
+    /// Create a disabled ring holding at most `capacity` records. It owns
+    /// no heap until a record is pushed.
     pub fn new(capacity: usize) -> Self {
         assert!(capacity > 0);
         TraceRing {
-            records: VecDeque::with_capacity(capacity.min(4096)),
+            records: VecDeque::new(),
             interner: Interner::default(),
             capacity,
             enabled: false,
@@ -72,9 +75,14 @@ impl TraceRing {
         if !self.enabled {
             return;
         }
-        if self.records.len() == self.capacity {
+        let len = self.records.len();
+        if len == self.capacity {
             self.records.pop_front();
             self.dropped += 1;
+        } else if len == self.records.capacity() {
+            // Double, but never past the capacity.
+            self.records
+                .reserve_exact(len.max(64).min(self.capacity - len));
         }
         self.records.push_back(TraceRecord {
             at,
@@ -120,6 +128,27 @@ mod tests {
         let mut r = TraceRing::new(8);
         r.push(SimTime::ZERO, "x", "tx", [0; 3]);
         assert!(r.is_empty());
+    }
+
+    #[test]
+    fn a_ring_owns_memory_only_once_it_records() {
+        let mut r = TraceRing::new(4096);
+        r.push(SimTime::ZERO, "x", "tx", [0; 3]);
+        assert_eq!(r.records.capacity(), 0, "disabled: nothing reserved");
+        r.set_enabled(true);
+        r.push(SimTime::ZERO, "x", "tx", [0; 3]);
+        assert!(r.records.capacity() > 0);
+        // Growth stops at the capacity, and eviction is as before.
+        let mut r = TraceRing::new(100);
+        r.set_enabled(true);
+        for i in 0..250u64 {
+            r.push(SimTime::ZERO, "a", "tx", [i, 0, 0]);
+            assert!(r.records.capacity() <= 100);
+        }
+        assert_eq!(r.len(), 100);
+        assert_eq!(r.dropped(), 150);
+        let v: Vec<_> = r.records().map(|rec| rec.vals[0]).collect();
+        assert_eq!(v, (150..250).collect::<Vec<_>>());
     }
 
     #[test]

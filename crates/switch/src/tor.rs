@@ -496,7 +496,6 @@ impl Tor {
         };
         self.stats.hw_frames += 1;
         if let Some(QosClass(c)) = action.qos {
-            pkt.qos_class = c;
             *self.qos_counters.entry(c).or_insert(0) += 1;
         }
         // Egress hardware rate limit for the source VM.

@@ -3,8 +3,10 @@
 //! Moved here from `fastrak-sim`'s `stats` module so the registry can own
 //! histograms without a dependency cycle (`fastrak-sim` re-exports it, and
 //! layers duration-typed helpers on top). The histogram trades a bounded
-//! ~1.6% relative error for O(1) record cost and fixed memory, which is the
-//! standard engineering choice (HdrHistogram) for latency capture.
+//! ~1.6% relative error for O(1) record cost and bounded memory, which is
+//! the standard engineering choice (HdrHistogram) for latency capture. The
+//! bucket array grows to the highest bucket recorded: a µs-scale latency
+//! series touches about 1 000 of the 2 304 buckets, a fresh histogram none.
 
 /// Number of sub-buckets per power-of-two bucket; 64 gives a worst-case
 /// relative quantile error of 1/64 ≈ 1.6%.
@@ -32,10 +34,10 @@ impl Default for Histogram {
 }
 
 impl Histogram {
-    /// An empty histogram.
+    /// An empty histogram; it owns no heap until its first sample.
     pub fn new() -> Self {
         Histogram {
-            buckets: vec![0; N_BUCKETS],
+            buckets: Vec::new(),
             count: 0,
             sum: 0,
             min: u64::MAX,
@@ -65,9 +67,21 @@ impl Histogram {
         (SUB_BUCKETS + sub) << shift
     }
 
+    /// Extend the buckets to `len` exactly. Growth comes a whole
+    /// power-of-two range (64 buckets) at a time, so a histogram reallocates
+    /// at most once per range it reaches.
+    fn grow(&mut self, len: usize) {
+        self.buckets.reserve_exact(len - self.buckets.len());
+        self.buckets.resize(len, 0);
+    }
+
     /// Record one sample.
     pub fn record(&mut self, v: u64) {
-        self.buckets[Self::index(v)] += 1;
+        let idx = Self::index(v);
+        if idx >= self.buckets.len() {
+            self.grow((idx | (SUB_BUCKETS as usize - 1)) + 1);
+        }
+        self.buckets[idx] += 1;
         self.count += 1;
         self.sum += v as u128;
         self.min = self.min.min(v);
@@ -118,8 +132,12 @@ impl Histogram {
         self.max
     }
 
-    /// Merge another histogram into this one.
+    /// Merge another histogram into this one (growing it to the other's
+    /// buckets).
     pub fn merge(&mut self, other: &Histogram) {
+        if other.buckets.len() > self.buckets.len() {
+            self.grow(other.buckets.len());
+        }
         for (a, b) in self.buckets.iter_mut().zip(&other.buckets) {
             *a += *b;
         }
@@ -246,6 +264,68 @@ mod tests {
         assert!((a.mean() - whole.mean()).abs() < 1e-9);
         for q in [0.01, 0.25, 0.5, 0.9, 0.99, 1.0] {
             assert_eq!(a.quantile(q), whole.quantile(q), "q={q}");
+        }
+    }
+
+    #[test]
+    fn a_histogram_owns_only_the_ranges_it_recorded() {
+        let mut h = Histogram::new();
+        assert_eq!(h.buckets.capacity(), 0);
+        h.record(5);
+        assert_eq!(h.buckets.capacity(), 64, "the linear range alone");
+        h.record(100_000); // 2^16 <= 100 000 < 2^17: the range ending at 768
+        assert_eq!(h.buckets.capacity(), 768);
+        h.record(u64::MAX);
+        assert_eq!(h.buckets.capacity(), N_BUCKETS);
+        // Merging into an empty histogram grows it to the other's length.
+        let mut e = Histogram::new();
+        e.merge(&h);
+        assert_eq!(e.buckets.len(), N_BUCKETS);
+        assert_eq!((e.count(), e.min(), e.max()), (3, 5, u64::MAX));
+    }
+
+    /// splitmix64: a tiny deterministic generator for the property test.
+    fn next(state: &mut u64) -> u64 {
+        *state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
+        let mut z = *state;
+        z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+        z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+        z ^ (z >> 31)
+    }
+
+    #[test]
+    fn any_order_and_split_merges_to_the_whole() {
+        // Samples from every scale the buckets cover (and past it), fed to
+        // one histogram, and — shuffled — to up to five parts of different
+        // bucket lengths merged in a random order, must summarise alike.
+        for seed in 0..200u64 {
+            let mut st = seed;
+            let n = 1 + next(&mut st) % 300;
+            let mut samples: Vec<u64> = (0..n)
+                .map(|_| next(&mut st) >> (next(&mut st) % 64))
+                .collect();
+            let mut whole = Histogram::new();
+            samples.iter().for_each(|&v| whole.record(v));
+            for i in (1..samples.len()).rev() {
+                samples.swap(i, (next(&mut st) % (i as u64 + 1)) as usize);
+            }
+            let k = 1 + (next(&mut st) % 5) as usize;
+            let mut parts = vec![Histogram::new(); k];
+            for &v in &samples {
+                parts[(next(&mut st) % k as u64) as usize].record(v);
+            }
+            let mut merged = parts.swap_remove((next(&mut st) % k as u64) as usize);
+            while !parts.is_empty() {
+                let i = (next(&mut st) % parts.len() as u64) as usize;
+                merged.merge(&parts.swap_remove(i));
+            }
+            assert_eq!(merged.count(), whole.count(), "seed {seed}");
+            assert_eq!(merged.min(), whole.min(), "seed {seed}");
+            assert_eq!(merged.max(), whole.max(), "seed {seed}");
+            assert_eq!(merged.mean(), whole.mean(), "seed {seed}");
+            for q in [0.0, 0.01, 0.25, 0.5, 0.9, 0.99, 0.999, 1.0] {
+                assert_eq!(merged.quantile(q), whole.quantile(q), "seed {seed} q={q}");
+            }
         }
     }
 

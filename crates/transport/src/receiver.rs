@@ -16,7 +16,7 @@ use fastrak_net::headers::tcp_flags;
 use fastrak_net::packet::{SackBlocks, MSS};
 use fastrak_sim::time::SimTime;
 
-use crate::tcp::{Segment, TcpConfig, TcpStats};
+use crate::tcp::{Segment, TcpConfig, TcpStats, UNARMED};
 use crate::CcAlgo;
 
 /// A pure ACK is owed after this many unacknowledged data segments ...
@@ -25,7 +25,10 @@ const ACK_EVERY_SEGS: u32 = 2;
 /// aggregate is acknowledged promptly).
 const ACK_EVERY_BYTES: u64 = 2 * MSS as u64;
 
-#[derive(Debug, Clone, Default)]
+/// `fin_seq` before the peer's FIN is seen (no sequence reaches it).
+const NO_FIN: u64 = u64::MAX;
+
+#[derive(Debug, Clone)]
 pub(crate) struct Receiver {
     /// Next in-order sequence expected.
     pub rcv_nxt: u64,
@@ -33,16 +36,35 @@ pub(crate) struct Receiver {
     ooo: BTreeMap<u64, u64>,
     segs_since_ack: u32,
     bytes_since_ack: u64,
-    pub delack_deadline: Option<SimTime>,
+    /// [`UNARMED`] while no delayed ACK is pending.
+    pub delack_deadline: SimTime,
     pub need_ack_now: bool,
     /// Classic ECN: echo ECE until the sender's CWR.
     ece_latched: bool,
     /// DCTCP: CE state of the most recent data segment.
     rcv_ce_state: bool,
-    /// Peer FIN seen but not yet consumable (data still missing).
-    fin_seq: Option<u64>,
+    /// Sequence of a peer FIN seen but not yet consumable (data still
+    /// missing); [`NO_FIN`] before one is seen.
+    fin_seq: u64,
     /// Peer FIN consumed.
     fin_rcvd: bool,
+}
+
+impl Default for Receiver {
+    fn default() -> Receiver {
+        Receiver {
+            rcv_nxt: 0,
+            ooo: BTreeMap::new(),
+            segs_since_ack: 0,
+            bytes_since_ack: 0,
+            delack_deadline: UNARMED,
+            need_ack_now: false,
+            ece_latched: false,
+            rcv_ce_state: false,
+            fin_seq: NO_FIN,
+            fin_rcvd: false,
+        }
+    }
 }
 
 impl Receiver {
@@ -102,8 +124,8 @@ impl Receiver {
         self.bytes_since_ack += delivered;
         if self.segs_since_ack >= ACK_EVERY_SEGS || self.bytes_since_ack >= ACK_EVERY_BYTES {
             self.need_ack_now = true;
-        } else if self.delack_deadline.is_none() {
-            self.delack_deadline = Some(now + cfg.delack);
+        } else if self.delack_deadline == UNARMED {
+            self.delack_deadline = now + cfg.delack;
         }
         delivered
     }
@@ -123,8 +145,10 @@ impl Receiver {
             self.need_ack_now |= fin.is_some();
             return false;
         }
-        self.fin_seq = fin.or(self.fin_seq);
-        let consumed = self.fin_seq == Some(self.rcv_nxt);
+        if let Some(seq) = fin {
+            self.fin_seq = seq;
+        }
+        let consumed = self.fin_seq == self.rcv_nxt;
         if consumed {
             self.fin_rcvd = true;
             self.rcv_nxt += 1;
@@ -178,7 +202,7 @@ impl Receiver {
         self.need_ack_now = false;
         self.segs_since_ack = 0;
         self.bytes_since_ack = 0;
-        self.delack_deadline = None;
+        self.delack_deadline = UNARMED;
     }
 }
 

@@ -19,9 +19,15 @@
 //! Invariants: `in_recovery` implies `snd_una < recover <= snd_nxt`; outside
 //! it, `snd_una < recover` only while an RTO's walk is unfinished, and
 //! then a third duplicate ACK is a duplicate of resent data and does not
-//! start fast recovery (RFC 6582 §3.2); the scoreboard exists exactly when
-//! SACK was configured; a queued range may be stale (already acknowledged)
-//! by the time it is popped — the emitter checks, the queue does not.
+//! start fast recovery (RFC 6582 §3.2); the scoreboard is consulted
+//! exactly when SACK was configured; a queued range may be stale (already
+//! acknowledged) by the time it is popped — the emitter checks, the queue
+//! does not.
+//!
+//! Most connections never lose a segment, so the retransmit queue and the
+//! scoreboard ([`LossState`]) are allocated on the first loss signal — a
+//! SACK block, or fast recovery — and freed by the RTO, which forgets them
+//! anyway. Until then both are empty, which is all their absence means.
 
 use std::collections::VecDeque;
 
@@ -67,15 +73,24 @@ pub(crate) enum DupAck {
 pub(crate) struct Recovery {
     dup_acks: u32,
     in_recovery: bool,
+    /// SACK was configured: ACKs' blocks feed the scoreboard.
+    sack: bool,
     /// `snd_nxt` when fast recovery was entered (the NewReno recovery
     /// point) or when the RTO last fired (the end of the go-back walk).
     recover: u64,
     /// The go-back walk's next byte; below `snd_una` it means `snd_una`.
     go_back: u64,
+    /// What a loss signal started; `None` means both parts are empty.
+    loss: Option<Box<LossState>>,
+}
+
+/// The loss-episode state a lossless connection never needs.
+#[derive(Debug, Clone, Default)]
+struct LossState {
     /// Ranges queued for retransmission: (seq, len).
     rtx_q: VecDeque<(u64, u32)>,
-    /// Present exactly when SACK is configured.
-    scoreboard: Option<Scoreboard>,
+    /// Fed and consulted only when SACK is configured.
+    scoreboard: Scoreboard,
 }
 
 impl Recovery {
@@ -83,17 +98,28 @@ impl Recovery {
         Recovery {
             dup_acks: 0,
             in_recovery: false,
+            sack,
             recover: 0,
             go_back: 0,
-            rtx_q: VecDeque::new(),
-            scoreboard: sack.then(Scoreboard::default),
+            loss: None,
         }
     }
 
-    /// Fold an acceptable ACK's SACK blocks into the scoreboard.
+    /// The same recovery, with nothing known about the flight.
+    pub fn reset(&mut self) {
+        *self = Recovery::new(self.sack);
+    }
+
+    /// The loss state, allocated on first use.
+    fn loss_mut(&mut self) -> &mut LossState {
+        self.loss.get_or_insert_with(Box::default)
+    }
+
+    /// Fold an acceptable ACK's SACK blocks into the scoreboard. An empty
+    /// list changes an empty scoreboard not at all, so it allocates nothing.
     pub fn on_sack(&mut self, cum_ack: u64, snd_nxt: u64, blocks: &SackBlocks) {
-        if let Some(sb) = &mut self.scoreboard {
-            sb.on_ack(cum_ack, snd_nxt, blocks);
+        if self.sack && (self.loss.is_some() || !blocks.is_empty()) {
+            self.loss_mut().scoreboard.on_ack(cum_ack, snd_nxt, blocks);
         }
     }
 
@@ -108,7 +134,7 @@ impl Recovery {
         } else {
             // Without a scoreboard the byte at the new `snd_una` is the
             // best guess; with one, only what it knows to be lost goes.
-            self.queue_next(s, self.scoreboard.is_none());
+            self.queue_next(s, !self.sack);
             NewAck::Partial
         }
     }
@@ -124,9 +150,7 @@ impl Recovery {
         } else if self.dup_acks == 3 && s.una >= self.recover {
             self.in_recovery = true;
             self.recover = s.nxt;
-            if let Some(sb) = &mut self.scoreboard {
-                sb.start_recovery(s.una);
-            }
+            self.loss_mut().scoreboard.start_recovery(s.una);
             self.queue_next(s, true);
             DupAck::Enter
         } else {
@@ -142,10 +166,7 @@ impl Recovery {
     pub fn on_rto(&mut self, s: SendSeq) {
         self.dup_acks = 0;
         self.in_recovery = false;
-        self.rtx_q.clear();
-        if let Some(sb) = &mut self.scoreboard {
-            sb.clear();
-        }
+        self.loss = None;
         self.recover = s.nxt;
         self.go_back = s.una;
     }
@@ -155,13 +176,14 @@ impl Recovery {
     /// lost, or has nothing better to go on — the NewReno guess, one MSS at
     /// `snd_una`.
     fn queue_next(&mut self, s: SendSeq, or_guess: bool) {
-        let hole = self
-            .scoreboard
-            .as_mut()
-            .and_then(|sb| sb.next_hole(s.una, s.data_nxt));
+        let sack = self.sack;
+        let loss = self.loss_mut();
+        let hole = sack
+            .then(|| loss.scoreboard.next_hole(s.una, s.data_nxt))
+            .flatten();
         let guess = (s.una, (s.nxt - s.una).min(MSS as u64) as u32);
         if let Some(range) = hole.or(or_guess.then_some(guess)) {
-            self.rtx_q.push_back(range);
+            loss.rtx_q.push_back(range);
         }
     }
 
@@ -170,7 +192,7 @@ impl Recovery {
     /// ahead of `snd_una`. A walked range stops at the end of sent data, so
     /// a sent FIN goes out alone.
     pub fn pop(&mut self, s: SendSeq, wnd: u64) -> Option<(u64, u32)> {
-        if let Some(range) = self.rtx_q.pop_front() {
+        if let Some(range) = self.loss.as_mut().and_then(|l| l.rtx_q.pop_front()) {
             return Some(range);
         }
         let at = self.go_back.max(s.una);
@@ -190,7 +212,13 @@ impl Recovery {
     /// Is anything queued? (The walk is not: whether it has a next step is
     /// a pure function of the send sequence and the window.)
     pub fn pending(&self) -> bool {
-        !self.rtx_q.is_empty()
+        self.loss.as_ref().is_some_and(|l| !l.rtx_q.is_empty())
+    }
+
+    /// Has a loss signal allocated the queue and scoreboard?
+    #[cfg(test)]
+    pub fn holds_loss_state(&self) -> bool {
+        self.loss.is_some()
     }
 }
 
@@ -215,7 +243,7 @@ mod tests {
     }
 
     fn drain(r: &mut Recovery) -> Vec<(u64, u32)> {
-        std::iter::from_fn(|| r.rtx_q.pop_front()).collect()
+        std::iter::from_fn(|| r.loss.as_mut()?.rtx_q.pop_front()).collect()
     }
 
     /// Everything [`Recovery::pop`] hands out at `s` with window `wnd`.

@@ -8,8 +8,8 @@
 //! retransmission in between (Karn's algorithm: a retransmitted segment's
 //! ACK is ambiguous, so the sample must be discarded). Samples feed the
 //! classic srtt/rttvar EWMAs; the RTO is `srtt + max(4·rttvar, 1µs)`
-//! clamped below by the configured minimum and, across backoffs, above by
-//! [`MAX_RTO`].
+//! clamped below by the configured minimum (the connection's config, passed
+//! with each ACK) and, across backoffs, above by [`MAX_RTO`].
 
 use fastrak_sim::time::{SimDuration, SimTime};
 
@@ -18,38 +18,49 @@ use fastrak_sim::time::{SimDuration, SimTime};
 /// experiments never get near either).
 pub const MAX_RTO: SimDuration = SimDuration::from_secs(60);
 
+/// `srtt` before the first sample (a sample is never negative).
+const NO_SAMPLE: f64 = -1.0;
+/// `probe_end` while no segment is timed (an ACK never reaches it).
+const NO_PROBE: u64 = u64::MAX;
+
 /// RFC 6298 smoothed-RTT estimator with Karn probe tracking and
-/// exponential RTO backoff.
+/// exponential RTO backoff. Absent values are sentinels, not `Option`s:
+/// one sits in every connection, and the tags would cost it 16 bytes.
 #[derive(Debug, Clone)]
 pub struct RttEstimator {
-    srtt: Option<f64>,
+    /// Smoothed RTT in seconds; [`NO_SAMPLE`] until the first sample.
+    srtt: f64,
     rttvar: f64,
     rto: SimDuration,
-    min_rto: SimDuration,
-    /// Karn: (seq end, sent at) of the segment currently timed.
-    probe: Option<(u64, SimTime)>,
+    /// Karn: end sequence of the segment currently timed, [`NO_PROBE`]
+    /// when none is, ...
+    probe_end: u64,
+    /// ... and when it was sent.
+    probe_at: SimTime,
     /// Retransmission invalidates outstanding probes.
     probe_invalid: bool,
 }
 
-impl RttEstimator {
+impl Default for RttEstimator {
     /// A fresh estimator. Before the first sample the RTO is 200 ms (the
     /// Linux initial value the experiments were calibrated against),
-    /// regardless of `min_rto`.
-    pub fn new(min_rto: SimDuration) -> RttEstimator {
+    /// whatever the minimum the samples are clamped to.
+    fn default() -> RttEstimator {
         RttEstimator {
-            srtt: None,
+            srtt: NO_SAMPLE,
             rttvar: 0.0,
             rto: SimDuration::from_millis(200),
-            min_rto,
-            probe: None,
+            probe_end: NO_PROBE,
+            probe_at: SimTime::ZERO,
             probe_invalid: false,
         }
     }
+}
 
+impl RttEstimator {
     /// Current smoothed RTT in seconds, if any sample has landed.
     pub fn srtt(&self) -> Option<f64> {
-        self.srtt
+        (self.srtt != NO_SAMPLE).then_some(self.srtt)
     }
 
     /// Current RTT variance estimate in seconds.
@@ -65,8 +76,9 @@ impl RttEstimator {
     /// Time a newly transmitted segment ending at `seq_end` (exclusive).
     /// No-op while another probe is outstanding — one sample per flight.
     pub fn arm_probe(&mut self, seq_end: u64, now: SimTime) {
-        if self.probe.is_none() {
-            self.probe = Some((seq_end, now));
+        if self.probe_end == NO_PROBE {
+            self.probe_end = seq_end;
+            self.probe_at = now;
             self.probe_invalid = false;
         }
     }
@@ -78,31 +90,25 @@ impl RttEstimator {
     }
 
     /// A cumulative ACK up to `ack` arrived at `now`; take the RTT sample
-    /// if it covers a valid probe.
-    pub fn on_ack(&mut self, now: SimTime, ack: u64) {
-        if let Some((seq_end, sent_at)) = self.probe {
-            if ack >= seq_end {
-                if !self.probe_invalid {
-                    let rtt = now.since(sent_at).as_secs_f64();
-                    match self.srtt {
-                        None => {
-                            self.srtt = Some(rtt);
-                            self.rttvar = rtt / 2.0;
-                        }
-                        Some(srtt) => {
-                            self.rttvar = 0.75 * self.rttvar + 0.25 * (srtt - rtt).abs();
-                            self.srtt = Some(0.875 * srtt + 0.125 * rtt);
-                        }
-                    }
-                    let rto = SimDuration::from_secs_f64(
-                        self.srtt.unwrap() + (4.0 * self.rttvar).max(0.000_001),
-                    );
-                    self.rto = rto.max(self.min_rto);
-                }
-                self.probe = None;
-                self.probe_invalid = false;
-            }
+    /// if it covers a valid probe. The RTO it sets is at least `min_rto`.
+    pub fn on_ack(&mut self, now: SimTime, ack: u64, min_rto: SimDuration) {
+        if self.probe_end == NO_PROBE || ack < self.probe_end {
+            return;
         }
+        if !self.probe_invalid {
+            let rtt = now.since(self.probe_at).as_secs_f64();
+            if self.srtt == NO_SAMPLE {
+                self.srtt = rtt;
+                self.rttvar = rtt / 2.0;
+            } else {
+                self.rttvar = 0.75 * self.rttvar + 0.25 * (self.srtt - rtt).abs();
+                self.srtt = 0.875 * self.srtt + 0.125 * rtt;
+            }
+            let rto = SimDuration::from_secs_f64(self.srtt + (4.0 * self.rttvar).max(0.000_001));
+            self.rto = rto.max(min_rto);
+        }
+        self.probe_end = NO_PROBE;
+        self.probe_invalid = false;
     }
 
     /// Exponential backoff on RTO expiry, clamped at [`MAX_RTO`].
@@ -115,6 +121,8 @@ impl RttEstimator {
 mod tests {
     use super::*;
 
+    const MIN_RTO: SimDuration = SimDuration::from_millis(200);
+
     fn t(us: u64) -> SimTime {
         SimTime::from_micros(us)
     }
@@ -122,11 +130,11 @@ mod tests {
     /// Feed `n` samples of constant round-trip `rtt_us`, one probe per
     /// flight, returning the estimator.
     fn fed_constant(n: u64, rtt_us: u64) -> RttEstimator {
-        let mut e = RttEstimator::new(SimDuration::from_millis(200));
+        let mut e = RttEstimator::default();
         for i in 0..n {
             let sent = t(i * 10_000);
             e.arm_probe(i + 1, sent);
-            e.on_ack(sent + SimDuration::from_micros(rtt_us), i + 1);
+            e.on_ack(sent + SimDuration::from_micros(rtt_us), i + 1, MIN_RTO);
         }
         e
     }
@@ -154,7 +162,7 @@ mod tests {
     /// [min, max] envelope of the samples (it is a convex combination).
     #[test]
     fn srtt_bounded_by_sample_envelope() {
-        let mut e = RttEstimator::new(SimDuration::from_micros(1));
+        let mut e = RttEstimator::default();
         let mut x = 0x9e3779b97f4a7c15u64; // deterministic LCG-ish stream
         let (mut lo, mut hi) = (u64::MAX, 0u64);
         for i in 0..200u64 {
@@ -166,7 +174,11 @@ mod tests {
             hi = hi.max(rtt_us);
             let sent = t(i * 20_000);
             e.arm_probe(i + 1, sent);
-            e.on_ack(sent + SimDuration::from_micros(rtt_us), i + 1);
+            e.on_ack(
+                sent + SimDuration::from_micros(rtt_us),
+                i + 1,
+                SimDuration::from_micros(1),
+            );
             let srtt = e.srtt().unwrap();
             assert!(
                 srtt >= lo as f64 / 1e6 - 1e-12 && srtt <= hi as f64 / 1e6 + 1e-12,
@@ -179,35 +191,35 @@ mod tests {
     /// estimate, and the probe slot must free up for the next flight.
     #[test]
     fn invalidated_probe_takes_no_sample() {
-        let mut e = RttEstimator::new(SimDuration::from_millis(200));
+        let mut e = RttEstimator::default();
         e.arm_probe(100, t(0));
         e.invalidate_probe();
-        e.on_ack(t(700), 100); // would be a 700 µs sample
+        e.on_ack(t(700), 100, MIN_RTO); // would be a 700 µs sample
         assert_eq!(e.srtt(), None);
         // The slot is free: the next, clean probe samples normally.
         e.arm_probe(200, t(1_000));
-        e.on_ack(t(1_400), 200);
+        e.on_ack(t(1_400), 200, MIN_RTO);
         assert_eq!(e.srtt(), Some(0.0004));
     }
 
     #[test]
     fn one_probe_per_flight() {
-        let mut e = RttEstimator::new(SimDuration::from_millis(200));
+        let mut e = RttEstimator::default();
         e.arm_probe(100, t(0));
         e.arm_probe(200, t(50)); // ignored: probe already armed
-        e.on_ack(t(300), 150); // covers the *first* probe's end
+        e.on_ack(t(300), 150, MIN_RTO); // covers the *first* probe's end
         assert_eq!(e.srtt(), Some(0.0003));
     }
 
     #[test]
     fn partial_ack_keeps_probe_armed() {
-        let mut e = RttEstimator::new(SimDuration::from_millis(200));
+        let mut e = RttEstimator::default();
         e.arm_probe(100, t(0));
-        e.on_ack(t(200), 50); // does not cover seq 100
+        e.on_ack(t(200), 50, MIN_RTO); // does not cover seq 100
         assert_eq!(e.srtt(), None);
         // The probe armed at t=0 is still the one the covering ACK samples.
         e.arm_probe(300, t(250));
-        e.on_ack(t(400), 100);
+        e.on_ack(t(400), 100, MIN_RTO);
         assert_eq!(e.srtt(), Some(0.0004));
     }
 
@@ -215,7 +227,7 @@ mod tests {
     /// the clamp is absorbing.
     #[test]
     fn backoff_doubles_and_clamps() {
-        let mut e = RttEstimator::new(SimDuration::from_millis(200));
+        let mut e = RttEstimator::default();
         let mut prev = e.rto();
         for _ in 0..16 {
             e.backoff();
@@ -234,10 +246,10 @@ mod tests {
     /// dominates.
     #[test]
     fn rto_tracks_variance() {
-        let mut e = RttEstimator::new(SimDuration::from_micros(1));
+        let mut e = RttEstimator::default();
         e.arm_probe(1, t(0));
-        e.on_ack(t(100_000), 1); // 100 ms sample
-                                 // rto = srtt + 4 * rttvar = 0.1 + 4 * 0.05 = 0.3 s
+        e.on_ack(t(100_000), 1, SimDuration::from_micros(1)); // 100 ms sample
+                                                              // rto = srtt + 4 * rttvar = 0.1 + 4 * 0.05 = 0.3 s
         assert_eq!(e.rto(), SimDuration::from_millis(300));
     }
 }

@@ -154,7 +154,7 @@ impl TcpStack {
             !self.by_flow.contains_key(&flow),
             "duplicate connection for {flow:?}"
         );
-        ConnId(self.push_conn(TcpConn::client(flow, self.cfg)) as u32)
+        ConnId(self.push_conn(TcpConn::client(flow, &self.cfg)) as u32)
     }
 
     /// Append a connection and index it.
@@ -284,7 +284,7 @@ impl TcpStack {
         let finished =
             |i: usize| matches!(self.conns[i].state(), TcpState::TimeWait | TcpState::Closed);
         if is_bare_syn && self.listeners.contains(&pkt.flow.dst_port) && slot.is_none_or(finished) {
-            let mut conn = TcpConn::server(ours, self.cfg);
+            let mut conn = TcpConn::server(ours, &self.cfg);
             conn.set_peer_ecn_request(flags & tcp_flags::ECE != 0 && flags & tcp_flags::CWR != 0);
             let idx = match slot {
                 Some(idx) => {
@@ -312,7 +312,7 @@ impl TcpStack {
             ce: pkt.ecn == ecn::CE,
             sack: pkt.sack,
         };
-        let out = self.conns[idx].on_segment(now, seg);
+        let out = self.conns[idx].on_segment(&self.cfg, now, seg);
         self.touch(idx);
         if out.connected {
             self.events
@@ -361,7 +361,7 @@ impl TcpStack {
         for (lo, hi) in [(start, n), (0, start)] {
             let mut from = lo;
             while let Some(idx) = self.next_ready(from).filter(|&i| i < hi) {
-                let plan = self.conns[idx].poll_transmit(now, seg_limit);
+                let plan = self.conns[idx].poll_transmit(&self.cfg, now, seg_limit);
                 if plan.is_none() && self.conns[idx].poll_is_settled() {
                     self.ready[idx / 64] &= !(1 << (idx % 64));
                 }
@@ -488,7 +488,7 @@ mod tests {
             deadlines.extend(deadline);
             if s.ready[idx / 64] & (1 << (idx % 64)) == 0 {
                 let mut polled = conn.clone();
-                assert_eq!(polled.poll_transmit(t(0), s.seg_limit), None);
+                assert_eq!(polled.poll_transmit(&s.cfg, t(0), s.seg_limit), None);
                 assert_eq!(format!("{polled:?}"), format!("{conn:?}"), "conn {idx}");
             }
         }

@@ -42,6 +42,10 @@ const MAX_CWND: u64 = 768 * 1024;
 /// Send-buffer cap: unsent + in-flight bytes the app may have queued.
 const SEND_BUF: u64 = 4 * 1024 * 1024;
 
+/// A timer deadline that is not armed. Deadlines are stored bare, not as
+/// `Option`s: every connection holds three, and the tags would cost 24 bytes.
+pub(crate) const UNARMED: SimTime = SimTime::MAX;
+
 /// Connection state (RFC 793 §3.2).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum TcpState {
@@ -291,13 +295,15 @@ pub struct RxOutcome {
     pub closed: bool,
 }
 
-/// A TCP connection (one direction pair).
+/// A TCP connection (one direction pair). It holds no copy of its
+/// [`TcpConfig`]: its stack owns the one config and passes it to
+/// [`TcpConn::on_segment`] and [`TcpConn::poll_transmit`], the calls that
+/// consult it.
 #[derive(Debug, Clone)]
 pub struct TcpConn {
     /// Our outgoing flow key.
     pub flow: FlowKey,
     state: TcpState,
-    cfg: TcpConfig,
 
     // --- send side ---
     snd_una: u64,
@@ -308,7 +314,7 @@ pub struct TcpConn {
     queued_bytes: u64,
     recovery: Recovery,
     rtt: RttEstimator,
-    rto_deadline: Option<SimTime>,
+    rto_deadline: SimTime,
     /// SYN / SYN|ACK emitted (reset by the RTO to re-emit it).
     syn_sent: bool,
 
@@ -320,7 +326,7 @@ pub struct TcpConn {
     fin_seq: u64,
     /// `abort()` was called; emit a RST.
     rst_pending: bool,
-    timewait_deadline: Option<SimTime>,
+    timewait_deadline: SimTime,
 
     // --- ECN ---
     /// The peer's SYN requested ECN (server side, pre-SYN|ACK).
@@ -336,12 +342,12 @@ pub struct TcpConn {
     pub stats: TcpStats,
 }
 
-/// Clear `*deadline` if it is due at `now`; a timer that fires before its
+/// Disarm `*deadline` if it is due at `now`; a timer that fires before its
 /// deadline is stale and leaves it armed.
-fn expire(deadline: &mut Option<SimTime>, now: SimTime) -> bool {
-    let due = deadline.is_some_and(|d| now >= d);
+fn expire(deadline: &mut SimTime, now: SimTime) -> bool {
+    let due = now >= *deadline;
     if due {
-        *deadline = None;
+        *deadline = UNARMED;
     }
     due
 }
@@ -349,14 +355,14 @@ fn expire(deadline: &mut Option<SimTime>, now: SimTime) -> bool {
 impl TcpConn {
     /// Create the client side; the first [`TcpConn::poll_transmit`] emits
     /// the SYN.
-    pub fn client(flow: FlowKey, cfg: TcpConfig) -> TcpConn {
+    pub fn client(flow: FlowKey, cfg: &TcpConfig) -> TcpConn {
         TcpConn::new(flow, cfg, TcpState::SynSent)
     }
 
     /// Create the server side in response to a received SYN; the first
     /// [`TcpConn::poll_transmit`] emits the SYN|ACK. Call
     /// [`TcpConn::set_peer_ecn_request`] first if the SYN carried ECE|CWR.
-    pub fn server(flow: FlowKey, cfg: TcpConfig) -> TcpConn {
+    pub fn server(flow: FlowKey, cfg: &TcpConfig) -> TcpConn {
         let mut c = TcpConn::new(flow, cfg, TcpState::SynRcvd);
         c.rx.rcv_nxt = 1; // peer's SYN consumed
         c.rx.need_ack_now = true;
@@ -365,29 +371,28 @@ impl TcpConn {
 
     /// Create a passive listener; it transitions to SynRcvd when a SYN is
     /// fed to [`TcpConn::on_segment`].
-    pub fn listen(flow: FlowKey, cfg: TcpConfig) -> TcpConn {
+    pub fn listen(flow: FlowKey, cfg: &TcpConfig) -> TcpConn {
         TcpConn::new(flow, cfg, TcpState::Listen)
     }
 
-    fn new(flow: FlowKey, cfg: TcpConfig, state: TcpState) -> TcpConn {
+    fn new(flow: FlowKey, cfg: &TcpConfig, state: TcpState) -> TcpConn {
         TcpConn {
             flow,
             state,
-            cfg,
             snd_una: 0,
             snd_nxt: 0,
             cc: Cc::new(cfg.cc, INITIAL_CWND as f64),
             write_q: VecDeque::new(),
             queued_bytes: 0,
             recovery: Recovery::new(cfg.sack),
-            rtt: RttEstimator::new(cfg.min_rto),
-            rto_deadline: None,
+            rtt: RttEstimator::default(),
+            rto_deadline: UNARMED,
             syn_sent: false,
             fin_pending: false,
             fin_sent: false,
             fin_seq: 0,
             rst_pending: false,
-            timewait_deadline: None,
+            timewait_deadline: UNARMED,
             peer_ecn: false,
             ecn_active: false,
             cwr_pending: false,
@@ -509,35 +514,30 @@ impl TcpConn {
 
     fn enter_closed(&mut self) {
         self.state = TcpState::Closed;
-        self.rto_deadline = None;
-        self.rx.delack_deadline = None;
-        self.timewait_deadline = None;
-        self.recovery = Recovery::new(self.cfg.sack);
+        self.rto_deadline = UNARMED;
+        self.rx.delack_deadline = UNARMED;
+        self.timewait_deadline = UNARMED;
+        self.recovery.reset();
         self.write_q.clear();
         self.queued_bytes = 0;
     }
 
-    fn enter_time_wait(&mut self, now: SimTime) {
+    fn enter_time_wait(&mut self, cfg: &TcpConfig, now: SimTime) {
         self.state = TcpState::TimeWait;
-        self.rto_deadline = None;
-        self.timewait_deadline = Some(now + self.cfg.msl * 2);
+        self.rto_deadline = UNARMED;
+        self.timewait_deadline = now + cfg.msl * 2;
     }
 
-    /// The earliest pending timer deadline.
+    /// The earliest pending timer deadline (the first listed on a tie).
     pub fn next_timer(&self) -> Option<(SimTime, TcpTimer)> {
-        let mut best: Option<(SimTime, TcpTimer)> = None;
-        for (deadline, which) in [
+        [
             (self.rto_deadline, TcpTimer::Rto),
             (self.rx.delack_deadline, TcpTimer::DelAck),
             (self.timewait_deadline, TcpTimer::TimeWait),
-        ] {
-            if let Some(t) = deadline {
-                if best.is_none_or(|(bt, _)| t < bt) {
-                    best = Some((t, which));
-                }
-            }
-        }
-        best
+        ]
+        .into_iter()
+        .filter(|&(t, _)| t != UNARMED)
+        .min_by_key(|&(t, _)| t)
     }
 
     /// Handle a timer expiry at `now`. Call [`TcpConn::poll_transmit`]
@@ -571,7 +571,7 @@ impl TcpConn {
     }
 
     /// Process an incoming segment. Returns what was delivered upward.
-    pub fn on_segment(&mut self, now: SimTime, seg: Segment) -> RxOutcome {
+    pub fn on_segment(&mut self, cfg: &TcpConfig, now: SimTime, seg: Segment) -> RxOutcome {
         let mut out = RxOutcome::default();
         if seg.flags & tcp_flags::RST != 0 {
             // Unconditional teardown (RFC 793 §3.4, simplified).
@@ -581,10 +581,10 @@ impl TcpConn {
             }
             return out;
         }
-        if !self.lifecycle(now, &seg, &mut out) {
+        if !self.lifecycle(cfg, now, &seg, &mut out) {
             return out;
         }
-        if seg.flags & tcp_flags::ACK != 0 && !self.on_ack(now, &seg, &mut out) {
+        if seg.flags & tcp_flags::ACK != 0 && !self.on_ack(cfg, now, &seg, &mut out) {
             return out;
         }
         if seg.flags & tcp_flags::CWR != 0 {
@@ -593,7 +593,7 @@ impl TcpConn {
         if seg.len > 0 {
             out.delivered = self
                 .rx
-                .on_data(now, &seg, &self.cfg, self.ecn_active, &mut self.stats);
+                .on_data(now, &seg, cfg, self.ecn_active, &mut self.stats);
         }
         let fin = (seg.flags & tcp_flags::FIN != 0).then_some(seg.seq + seg.len);
         if self.rx.on_fin(fin) {
@@ -601,7 +601,7 @@ impl TcpConn {
             match self.state {
                 TcpState::Established => self.state = TcpState::CloseWait,
                 TcpState::FinWait1 => self.state = TcpState::Closing,
-                TcpState::FinWait2 => self.enter_time_wait(now),
+                TcpState::FinWait2 => self.enter_time_wait(cfg, now),
                 _ => {}
             }
         }
@@ -612,7 +612,13 @@ impl TcpConn {
     /// transition. Returns whether the segment goes on to ACK, data and FIN
     /// processing: always in a data-carrying state, and for the ACK that
     /// completes a passive open (it may carry data).
-    fn lifecycle(&mut self, now: SimTime, seg: &Segment, out: &mut RxOutcome) -> bool {
+    fn lifecycle(
+        &mut self,
+        cfg: &TcpConfig,
+        now: SimTime,
+        seg: &Segment,
+        out: &mut RxOutcome,
+    ) -> bool {
         let has = |flag: u8| seg.flags & flag != 0;
         let syn = has(tcp_flags::SYN);
         let acks_syn = has(tcp_flags::ACK) && seg.ack >= 1;
@@ -622,11 +628,11 @@ impl TcpConn {
                 self.rx.rcv_nxt = 1;
                 self.snd_una = 1;
                 self.state = TcpState::Established;
-                self.rto_deadline = None;
+                self.rto_deadline = UNARMED;
                 self.rx.need_ack_now = true;
                 out.connected = true;
-                self.ecn_active = self.cfg.ecn && has(tcp_flags::ECE);
-                self.rtt.on_ack(now, seg.ack);
+                self.ecn_active = cfg.ecn && has(tcp_flags::ECE);
+                self.rtt.on_ack(now, seg.ack, cfg.min_rto);
             }
             // Simultaneous open: our SYN crossed the peer's; re-emit ours as
             // a SYN|ACK.
@@ -634,14 +640,14 @@ impl TcpConn {
             TcpState::SynRcvd if acks_syn => {
                 self.snd_una = self.snd_una.max(1);
                 self.state = TcpState::Established;
-                self.rto_deadline = None;
+                self.rto_deadline = UNARMED;
                 out.connected = true;
                 return true;
             }
             TcpState::TimeWait if has(tcp_flags::FIN) => {
                 // Peer retransmitted its FIN: re-ACK, restart 2·MSL.
                 self.rx.need_ack_now = true;
-                self.timewait_deadline = Some(now + self.cfg.msl * 2);
+                self.timewait_deadline = now + cfg.msl * 2;
             }
             state => return state.carries_data(),
         }
@@ -659,7 +665,13 @@ impl TcpConn {
 
     /// The ACK field of a segment, send side. Returns false when processing
     /// of the segment ends here.
-    fn on_ack(&mut self, now: SimTime, seg: &Segment, out: &mut RxOutcome) -> bool {
+    fn on_ack(
+        &mut self,
+        cfg: &TcpConfig,
+        now: SimTime,
+        seg: &Segment,
+        out: &mut RxOutcome,
+    ) -> bool {
         if seg.ack > self.snd_nxt {
             // An ACK for data never sent (another incarnation's
             // straggler): taking it would put `snd_una` past `snd_nxt`.
@@ -670,7 +682,7 @@ impl TcpConn {
         self.recovery
             .on_sack(seg.ack.max(self.snd_una), self.snd_nxt, &seg.sack);
         if seg.ack > self.snd_una {
-            return self.on_new_ack(now, seg, out);
+            return self.on_new_ack(cfg, now, seg, out);
         }
         if seg.ack == self.snd_una && seg.len == 0 && self.flight() > 0 {
             self.stats.dup_acks_rx += 1;
@@ -690,7 +702,13 @@ impl TcpConn {
 
     /// A cumulative ACK that advances `snd_una`. Returns false when it was
     /// the last thing this connection was waiting for.
-    fn on_new_ack(&mut self, now: SimTime, seg: &Segment, out: &mut RxOutcome) -> bool {
+    fn on_new_ack(
+        &mut self,
+        cfg: &TcpConfig,
+        now: SimTime,
+        seg: &Segment,
+        out: &mut RxOutcome,
+    ) -> bool {
         let acked = seg.ack - self.snd_una;
         // cwnd validation: only grow when we are actually using the window
         // (RFC 2861 spirit) and it is not already clamped by the receive
@@ -701,12 +719,12 @@ impl TcpConn {
             && (self.flight() as f64 >= 0.9 * self.cc.cwnd() || self.queued_bytes > 0);
         self.stats.bytes_acked += acked;
         self.snd_una = seg.ack;
-        self.rtt.on_ack(now, seg.ack);
+        self.rtt.on_ack(now, seg.ack, cfg.min_rto);
         // Our FIN is acknowledged once the ACK covers its sequence.
         if self.fin_sent && seg.ack > self.fin_seq {
             match self.state {
                 TcpState::FinWait1 => self.state = TcpState::FinWait2,
-                TcpState::Closing => self.enter_time_wait(now),
+                TcpState::Closing => self.enter_time_wait(cfg, now),
                 TcpState::LastAck => {
                     self.enter_closed();
                     out.closed = true;
@@ -727,44 +745,53 @@ impl TcpConn {
             let (flight, una, nxt) = (self.flight(), self.snd_una, self.snd_nxt);
             self.cwr_pending |= self.cc.on_ecn_ack(now, acked, ece, flight, una, nxt);
         }
-        self.rto_deadline = (self.flight() > 0).then(|| now + self.rtt.rto());
+        self.rto_deadline = if self.flight() > 0 {
+            now + self.rtt.rto()
+        } else {
+            UNARMED
+        };
         true
     }
 
     /// Produce the next segment to transmit, if any. `seg_limit` caps the
     /// payload (pass [`TSO_LIMIT`] on offload-capable paths, the MSS
     /// otherwise). Returns `None` when there is nothing to send.
-    pub fn poll_transmit(&mut self, now: SimTime, seg_limit: u32) -> Option<SegmentPlan> {
+    pub fn poll_transmit(
+        &mut self,
+        cfg: &TcpConfig,
+        now: SimTime,
+        seg_limit: u32,
+    ) -> Option<SegmentPlan> {
         // A pending RST preempts everything (abort() already closed us).
         if self.rst_pending {
             self.rst_pending = false;
             return Some(self.control(self.snd_nxt, tcp_flags::RST | tcp_flags::ACK));
         }
         if !self.state.carries_data() {
-            return self.emit_handshake(now);
+            return self.emit_handshake(cfg, now);
         }
-        self.emit_retransmit(now)
-            .or_else(|| self.emit_data(now, seg_limit))
-            .or_else(|| self.emit_fin(now))
-            .or_else(|| self.emit_ack())
+        self.emit_retransmit(cfg, now)
+            .or_else(|| self.emit_data(cfg, now, seg_limit))
+            .or_else(|| self.emit_fin(cfg, now))
+            .or_else(|| self.emit_ack(cfg))
     }
 
     /// SYN, SYN|ACK, and the one thing that leaves TIME_WAIT: the re-ACK of
     /// a retransmitted peer FIN.
-    fn emit_handshake(&mut self, now: SimTime) -> Option<SegmentPlan> {
+    fn emit_handshake(&mut self, cfg: &TcpConfig, now: SimTime) -> Option<SegmentPlan> {
         match self.state {
             TcpState::SynSent | TcpState::SynRcvd if !self.syn_sent => {
                 self.syn_sent = true;
                 self.snd_nxt = 1;
-                self.rto_deadline = Some(now + self.rtt.rto());
+                self.rto_deadline = now + self.rtt.rto();
                 let flags = if self.state == TcpState::SynSent {
                     // RFC 3168 §6.1.1: an ECN-setup SYN carries ECE|CWR.
                     let setup = tcp_flags::ECE | tcp_flags::CWR;
-                    tcp_flags::SYN | if self.cfg.ecn { setup } else { 0 }
+                    tcp_flags::SYN | if cfg.ecn { setup } else { 0 }
                 } else {
                     self.rx.clear_ack_state();
                     // ECN-setup SYN|ACK: agree with ECE alone.
-                    let agree = self.cfg.ecn && self.peer_ecn;
+                    let agree = cfg.ecn && self.peer_ecn;
                     self.ecn_active |= agree;
                     tcp_flags::SYN | tcp_flags::ACK | if agree { tcp_flags::ECE } else { 0 }
                 };
@@ -782,7 +809,7 @@ impl TcpConn {
     /// The retransmission [`Recovery::pop`] chooses, unless it went stale:
     /// each poll pops one queued range, and a range the cumulative ACK has
     /// since covered yields nothing.
-    fn emit_retransmit(&mut self, now: SimTime) -> Option<SegmentPlan> {
+    fn emit_retransmit(&mut self, cfg: &TcpConfig, now: SimTime) -> Option<SegmentPlan> {
         let s = self.send_seq();
         let (seq, len) = self.recovery.pop(s, self.effective_wnd())?;
         if seq < s.una && seq + len as u64 <= s.una {
@@ -793,16 +820,17 @@ impl TcpConn {
             return None;
         }
         self.stats.rtx_segs += 1;
-        self.rto_deadline = Some(now + self.rtt.rto());
+        self.rto_deadline = now + self.rtt.rto();
         self.rtt.invalidate_probe();
         if seq >= s.data_nxt {
             // Only the FIN remains outstanding: retransmit it.
-            return Some(self.segment(self.fin_seq, 0, tcp_flags::FIN | tcp_flags::ACK, true));
+            let flags = tcp_flags::FIN | tcp_flags::ACK;
+            return Some(self.segment(cfg, self.fin_seq, 0, flags, true));
         }
         self.stats.segs_tx += 1;
         let len = (len as u64).min(s.data_nxt - seq) as u32;
         let flags = self.data_flags();
-        Some(self.segment(seq, len, flags, true))
+        Some(self.segment(cfg, seq, len, flags, true))
     }
 
     /// New data within the effective window. To model TSO/GSO accumulation
@@ -811,7 +839,7 @@ impl TcpConn {
     /// nothing is in flight, where we send whatever fits to keep the
     /// connection moving. (CloseWait/FinWait1/Closing/LastAck still drain
     /// data queued before the close.)
-    fn emit_data(&mut self, now: SimTime, seg_limit: u32) -> Option<SegmentPlan> {
+    fn emit_data(&mut self, cfg: &TcpConfig, now: SimTime, seg_limit: u32) -> Option<SegmentPlan> {
         let front = *self.write_q.front()?;
         let budget = self.effective_wnd().saturating_sub(self.flight());
         let chunk = front.min(seg_limit as u64);
@@ -832,13 +860,13 @@ impl TcpConn {
         self.snd_nxt += take;
         self.stats.segs_tx += 1;
         self.rtt.arm_probe(self.snd_nxt, now);
-        self.rto_deadline.get_or_insert(now + self.rtt.rto());
+        self.arm_rto(now);
         let flags = self.data_flags();
-        Some(self.segment(seq, take as u32, flags, false))
+        Some(self.segment(cfg, seq, take as u32, flags, false))
     }
 
     /// Our FIN, once `close()` asked for it and the send queue has drained.
-    fn emit_fin(&mut self, now: SimTime) -> Option<SegmentPlan> {
+    fn emit_fin(&mut self, cfg: &TcpConfig, now: SimTime) -> Option<SegmentPlan> {
         use TcpState::*;
         let due = self.fin_pending
             && !self.fin_sent
@@ -850,18 +878,26 @@ impl TcpConn {
         self.fin_sent = true;
         self.fin_seq = self.snd_nxt;
         self.snd_nxt += 1; // the FIN occupies one sequence number
-        self.rto_deadline.get_or_insert(now + self.rtt.rto());
-        Some(self.segment(self.fin_seq, 0, tcp_flags::FIN | tcp_flags::ACK, false))
+        self.arm_rto(now);
+        let flags = tcp_flags::FIN | tcp_flags::ACK;
+        Some(self.segment(cfg, self.fin_seq, 0, flags, false))
+    }
+
+    /// Arm the RTO from `now` unless it is already armed.
+    fn arm_rto(&mut self, now: SimTime) {
+        if self.rto_deadline == UNARMED {
+            self.rto_deadline = now + self.rtt.rto();
+        }
     }
 
     /// A pure ACK, if one is owed.
-    fn emit_ack(&mut self) -> Option<SegmentPlan> {
+    fn emit_ack(&mut self, cfg: &TcpConfig) -> Option<SegmentPlan> {
         if !self.rx.need_ack_now {
             return None;
         }
         self.stats.acks_tx += 1;
         let flags = tcp_flags::ACK | self.echo();
-        Some(self.segment(self.snd_nxt, 0, flags, false))
+        Some(self.segment(cfg, self.snd_nxt, 0, flags, false))
     }
 
     /// The receiver's ECE echo for an outgoing segment, counted.
@@ -901,9 +937,16 @@ impl TcpConn {
     /// A segment of a data-carrying state. It carries the cumulative ACK,
     /// which pays whatever the receiver owed, the SACK blocks if
     /// advertised, and ECT(0) on payload of an ECN connection.
-    fn segment(&mut self, seq: u64, len: u32, flags: u8, is_rtx: bool) -> SegmentPlan {
+    fn segment(
+        &mut self,
+        cfg: &TcpConfig,
+        seq: u64,
+        len: u32,
+        flags: u8,
+        is_rtx: bool,
+    ) -> SegmentPlan {
         self.rx.clear_ack_state();
-        let sack = if self.cfg.sack {
+        let sack = if cfg.sack {
             self.rx.sack_blocks()
         } else {
             SackBlocks::EMPTY
@@ -956,6 +999,51 @@ mod tests {
         SimTime::from_micros(us)
     }
 
+    /// A connection with the config its stack would pass it.
+    #[derive(Debug, Clone)]
+    struct Endpoint {
+        conn: TcpConn,
+        cfg: TcpConfig,
+    }
+
+    impl std::ops::Deref for Endpoint {
+        type Target = TcpConn;
+        fn deref(&self) -> &TcpConn {
+            &self.conn
+        }
+    }
+
+    impl std::ops::DerefMut for Endpoint {
+        fn deref_mut(&mut self) -> &mut TcpConn {
+            &mut self.conn
+        }
+    }
+
+    impl Endpoint {
+        fn client(flow: FlowKey, cfg: TcpConfig) -> Endpoint {
+            let conn = TcpConn::client(flow, &cfg);
+            Endpoint { conn, cfg }
+        }
+
+        fn server(flow: FlowKey, cfg: TcpConfig) -> Endpoint {
+            let conn = TcpConn::server(flow, &cfg);
+            Endpoint { conn, cfg }
+        }
+
+        fn listen(flow: FlowKey, cfg: TcpConfig) -> Endpoint {
+            let conn = TcpConn::listen(flow, &cfg);
+            Endpoint { conn, cfg }
+        }
+
+        fn on_segment(&mut self, now: SimTime, seg: Segment) -> RxOutcome {
+            self.conn.on_segment(&self.cfg, now, seg)
+        }
+
+        fn poll_transmit(&mut self, now: SimTime, seg_limit: u32) -> Option<SegmentPlan> {
+            self.conn.poll_transmit(&self.cfg, now, seg_limit)
+        }
+    }
+
     #[test]
     fn the_state_and_counter_lists_cover_their_types() {
         for (i, s) in TcpState::ALL.into_iter().enumerate() {
@@ -966,6 +1054,10 @@ mod tests {
         let mut sum = TcpStats::default();
         let fields = sum.fields().len();
         assert_eq!(std::mem::size_of::<TcpStats>(), 8 * fields);
+        // A world holds a connection per flow, most of them idle: the
+        // connection keeps no config copy, no idle loss-recovery state and
+        // no `Option` tags on its deadlines.
+        assert!(std::mem::size_of::<TcpConn>() <= 480);
         // Field i holds i + 1, so a cross-wired sum shows.
         let addend = TcpStats {
             segs_tx: 1,
@@ -992,16 +1084,16 @@ mod tests {
     }
 
     /// Drive a full handshake between a client and server conn.
-    fn establish() -> (TcpConn, TcpConn) {
+    fn establish() -> (Endpoint, Endpoint) {
         establish_cfg(TcpConfig::default(), TcpConfig::default())
     }
 
     /// Drive a full handshake with per-side configs (ECN/SACK variants).
-    fn establish_cfg(ccfg: TcpConfig, scfg: TcpConfig) -> (TcpConn, TcpConn) {
-        let mut c = TcpConn::client(flow(), ccfg);
+    fn establish_cfg(ccfg: TcpConfig, scfg: TcpConfig) -> (Endpoint, Endpoint) {
+        let mut c = Endpoint::client(flow(), ccfg);
         let syn = c.poll_transmit(t(0), TSO_LIMIT).unwrap();
         assert_eq!(syn.flags & tcp_flags::SYN, tcp_flags::SYN);
-        let mut s = TcpConn::server(flow().reverse(), scfg);
+        let mut s = Endpoint::server(flow().reverse(), scfg);
         s.set_peer_ecn_request(syn.flags & tcp_flags::ECE != 0 && syn.flags & tcp_flags::CWR != 0);
         let synack = s.poll_transmit(t(10), TSO_LIMIT).unwrap();
         assert_eq!(
@@ -1030,12 +1122,12 @@ mod tests {
     }
 
     /// Deliver a plan from `from` to `to`, returning the outcome.
-    fn deliver(to: &mut TcpConn, now: SimTime, plan: SegmentPlan) -> RxOutcome {
+    fn deliver(to: &mut Endpoint, now: SimTime, plan: SegmentPlan) -> RxOutcome {
         deliver_full(to, now, plan, false)
     }
 
     /// Deliver a plan, CE-marked on the way or not.
-    fn deliver_full(to: &mut TcpConn, now: SimTime, plan: SegmentPlan, ce: bool) -> RxOutcome {
+    fn deliver_full(to: &mut Endpoint, now: SimTime, plan: SegmentPlan, ce: bool) -> RxOutcome {
         let arrived = Segment {
             ce,
             sack: plan.sack,
@@ -1265,7 +1357,7 @@ mod tests {
                 to_c.push_back((now + wire, p));
             }
             let due = |q: &VecDeque<(SimTime, SegmentPlan)>| q.front().map(|e| e.0);
-            let timer = |x: &TcpConn| x.next_timer().map(|e| e.0);
+            let timer = |x: &Endpoint| x.next_timer().map(|e| e.0);
             let Some(next) = [due(&to_s), due(&to_c), timer(&c), timer(&s)]
                 .into_iter()
                 .flatten()
@@ -1308,6 +1400,83 @@ mod tests {
                     assert!(stats.timeouts <= 1, "{case}");
                 }
             }
+        }
+    }
+
+    #[test]
+    fn loss_state_is_allocated_by_the_first_loss_signal_and_freed_by_the_rto() {
+        for sack in [false, true] {
+            let cfg = TcpConfig {
+                sack,
+                ..Default::default()
+            };
+            let (mut c, mut s) = establish_cfg(cfg, cfg);
+            c.app_send(10 * 1448);
+            let segs: Vec<_> = std::iter::from_fn(|| c.poll_transmit(t(100), 1448)).collect();
+            assert_eq!(segs.len(), 10);
+            // The first segment is lost. With SACK the first duplicate ACK's
+            // block is the first loss signal; without, the third duplicate
+            // ACK, which starts fast recovery.
+            let mut now = 200;
+            for (i, seg) in segs.iter().skip(1).enumerate() {
+                deliver(&mut s, t(now), *seg);
+                while let Some(ack) = s.poll_transmit(t(now), 1448) {
+                    deliver(&mut c, t(now), ack);
+                }
+                let dup_acks = i + 1;
+                let signalled = if sack { dup_acks >= 1 } else { dup_acks >= 3 };
+                assert_eq!(
+                    c.recovery.holds_loss_state(),
+                    signalled,
+                    "sack={sack} after {dup_acks} dup ACKs"
+                );
+                now += 1;
+            }
+            // Recovery runs as before: the hole goes out once and fills.
+            let rtx = c.poll_transmit(t(now), 1448).unwrap();
+            assert_eq!((rtx.seq, rtx.is_rtx), (1, true));
+            assert_eq!(deliver(&mut s, t(now + 1), rtx).delivered, 10 * 1448);
+            while let Some(ack) = s.poll_transmit(t(now + 1), 1448) {
+                deliver(&mut c, t(now + 2), ack);
+            }
+            assert_eq!((c.flight(), c.stats.fast_retransmits), (0, 1));
+            assert_eq!((c.stats.timeouts, c.stats.rtx_segs), (0, 1));
+            // The state outlives the episode; a timeout forgets it.
+            assert!(c.recovery.holds_loss_state());
+            c.app_send(1448);
+            c.poll_transmit(t(now + 3), 1448).unwrap();
+            let (deadline, which) = c.next_timer().unwrap();
+            assert_eq!(which, TcpTimer::Rto);
+            c.on_timer(deadline, which);
+            assert!(!c.recovery.holds_loss_state());
+            let rtx = c.poll_transmit(deadline, 1448).unwrap();
+            assert_eq!((rtx.seq, rtx.is_rtx), (1 + 10 * 1448, true));
+        }
+    }
+
+    #[test]
+    fn a_lossless_transfer_allocates_no_loss_state() {
+        for sack in [false, true] {
+            let cfg = TcpConfig {
+                sack,
+                ..Default::default()
+            };
+            let (mut c, mut s) = establish_cfg(cfg, cfg);
+            c.app_send(200 * 1448);
+            let mut now = 100;
+            while s.stats.bytes_delivered < 200 * 1448 {
+                let segs: Vec<_> = std::iter::from_fn(|| c.poll_transmit(t(now), 1448)).collect();
+                now += 10;
+                for seg in segs {
+                    deliver(&mut s, t(now), seg);
+                    while let Some(ack) = s.poll_transmit(t(now), 1448) {
+                        deliver(&mut c, t(now + 10), ack);
+                    }
+                }
+                now += 10;
+            }
+            assert!(!c.recovery.holds_loss_state(), "sack={sack}");
+            assert!(!s.recovery.holds_loss_state(), "sack={sack}");
         }
     }
 
@@ -1391,7 +1560,8 @@ mod tests {
         // start grows cwnd until one round's ACKs carry it past the clamp.
         while c.cwnd() <= MAX_CWND {
             assert!(now < 10_000, "cwnd stalled at {}", c.cwnd());
-            c.app_send(c.send_buf_space());
+            let room = c.send_buf_space();
+            c.app_send(room);
             let mut segs = Vec::new();
             while let Some(seg) = c.poll_transmit(t(now), 1448) {
                 segs.push(seg);
@@ -1440,7 +1610,7 @@ mod tests {
 
     #[test]
     fn send_buffer_rejects_overflow() {
-        let mut c = TcpConn::client(flow(), TcpConfig::default());
+        let mut c = Endpoint::client(flow(), TcpConfig::default());
         assert!(c.app_send(SEND_BUF - 200));
         assert!(!c.app_send(300));
         assert!(c.app_send(200));
@@ -1581,13 +1751,13 @@ mod tests {
         assert!(out.reset);
         assert_eq!(c.state(), TcpState::Closed);
         // SynSent.
-        let mut c = TcpConn::client(flow(), TcpConfig::default());
+        let mut c = Endpoint::client(flow(), TcpConfig::default());
         let _ = c.poll_transmit(t(0), TSO_LIMIT);
         let out = c.on_segment(t(10), bare(0, 1, tcp_flags::RST, 0));
         assert!(out.reset);
         assert_eq!(c.state(), TcpState::Closed);
         // SynRcvd.
-        let mut s = TcpConn::server(flow().reverse(), TcpConfig::default());
+        let mut s = Endpoint::server(flow().reverse(), TcpConfig::default());
         let _ = s.poll_transmit(t(0), TSO_LIMIT);
         let out = s.on_segment(t(10), bare(1, 1, tcp_flags::RST, 0));
         assert!(out.reset);
@@ -1626,8 +1796,8 @@ mod tests {
     #[test]
     fn simultaneous_open_establishes_both_sides() {
         let cfg = TcpConfig::default();
-        let mut a = TcpConn::client(flow(), cfg);
-        let mut b = TcpConn::client(flow().reverse(), cfg);
+        let mut a = Endpoint::client(flow(), cfg);
+        let mut b = Endpoint::client(flow().reverse(), cfg);
         let syn_a = a.poll_transmit(t(0), TSO_LIMIT).unwrap();
         let syn_b = b.poll_transmit(t(0), TSO_LIMIT).unwrap();
         // SYNs cross.
@@ -1645,10 +1815,10 @@ mod tests {
     #[test]
     fn listener_accepts_syn() {
         let cfg = TcpConfig::default();
-        let mut l = TcpConn::listen(flow().reverse(), cfg);
+        let mut l = Endpoint::listen(flow().reverse(), cfg);
         assert_eq!(l.state(), TcpState::Listen);
         assert_eq!(l.poll_transmit(t(0), TSO_LIMIT), None);
-        let mut c = TcpConn::client(flow(), cfg);
+        let mut c = Endpoint::client(flow(), cfg);
         let syn = c.poll_transmit(t(0), TSO_LIMIT).unwrap();
         deliver(&mut l, t(10), syn);
         assert_eq!(l.state(), TcpState::SynRcvd);

@@ -23,7 +23,8 @@ fn flow() -> FlowKey {
     }
 }
 
-/// Hand `p` to `to` as the wire would: no CE mark, no SACK blocks (off here).
+/// Hand `p` to `to` as the wire would: no CE mark, no SACK blocks (off here:
+/// every connection here runs the default config).
 fn deliver(to: &mut TcpConn, now: SimTime, p: SegmentPlan) {
     let seg = Segment {
         seq: p.seq,
@@ -32,7 +33,7 @@ fn deliver(to: &mut TcpConn, now: SimTime, p: SegmentPlan) {
         len: p.len as u64,
         ..Segment::default()
     };
-    to.on_segment(now, seg);
+    to.on_segment(&TcpConfig::default(), now, seg);
 }
 
 /// A lossy, optionally reordering channel driven by a script of events.
@@ -54,16 +55,16 @@ impl Channel {
 /// receiver.
 fn run_transfer(writes: &[u16], drops: &[u8], swaps: &[u8]) -> (u64, u64) {
     let cfg = TcpConfig::default();
-    let mut a = TcpConn::client(flow(), cfg);
-    let mut b = TcpConn::server(flow().reverse(), cfg);
+    let mut a = TcpConn::client(flow(), &cfg);
+    let mut b = TcpConn::server(flow().reverse(), &cfg);
 
     // Handshake.
     let mut now = SimTime::ZERO;
-    let syn = a.poll_transmit(now, 65_000).unwrap();
+    let syn = a.poll_transmit(&cfg, now, 65_000).unwrap();
     deliver(&mut b, now, syn);
-    let synack = b.poll_transmit(now, 65_000).unwrap();
+    let synack = b.poll_transmit(&cfg, now, 65_000).unwrap();
     deliver(&mut a, now, synack);
-    let ack = a.poll_transmit(now, 65_000).unwrap();
+    let ack = a.poll_transmit(&cfg, now, 65_000).unwrap();
     deliver(&mut b, now, ack);
 
     let total: u64 = writes.iter().map(|&w| w as u64 + 1).sum();
@@ -81,13 +82,13 @@ fn run_transfer(writes: &[u16], drops: &[u8], swaps: &[u8]) -> (u64, u64) {
     for _round in 0..400_000 {
         now += step;
         // Pump transmissions.
-        while let Some(p) = a.poll_transmit(now, 65_000) {
+        while let Some(p) = a.poll_transmit(&cfg, now, 65_000) {
             seg_count += 1;
             if !drops.iter().any(|&d| d as u64 == seg_count % 37) {
                 a2b.queue.push_back(p);
             }
         }
-        while let Some(p) = b.poll_transmit(now, 65_000) {
+        while let Some(p) = b.poll_transmit(&cfg, now, 65_000) {
             b2a.queue.push_back(p);
         }
         // Optional adjacent swap at the head of the a->b queue.
@@ -161,14 +162,14 @@ fn lossless_channel_needs_no_retransmits() {
             .map(|_| r.range(1, 2999) as u16)
             .collect();
         let cfg = TcpConfig::default();
-        let mut a = TcpConn::client(flow(), cfg);
-        let mut b = TcpConn::server(flow().reverse(), cfg);
+        let mut a = TcpConn::client(flow(), &cfg);
+        let mut b = TcpConn::server(flow().reverse(), &cfg);
         let mut now = SimTime::ZERO;
-        let syn = a.poll_transmit(now, 65_000).unwrap();
+        let syn = a.poll_transmit(&cfg, now, 65_000).unwrap();
         deliver(&mut b, now, syn);
-        let synack = b.poll_transmit(now, 65_000).unwrap();
+        let synack = b.poll_transmit(&cfg, now, 65_000).unwrap();
         deliver(&mut a, now, synack);
-        let ack = a.poll_transmit(now, 65_000).unwrap();
+        let ack = a.poll_transmit(&cfg, now, 65_000).unwrap();
         deliver(&mut b, now, ack);
 
         let total: u64 = writes.iter().map(|&w| w as u64).sum();
@@ -182,11 +183,11 @@ fn lossless_channel_needs_no_retransmits() {
         for _ in 0..50_000 {
             now += SimDuration::from_micros(20);
             let mut moved = false;
-            while let Some(p) = a.poll_transmit(now, 65_000) {
+            while let Some(p) = a.poll_transmit(&cfg, now, 65_000) {
                 deliver(&mut b, now, p);
                 moved = true;
             }
-            while let Some(p) = b.poll_transmit(now, 65_000) {
+            while let Some(p) = b.poll_transmit(&cfg, now, 65_000) {
                 deliver(&mut a, now, p);
                 moved = true;
             }

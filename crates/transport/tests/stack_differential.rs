@@ -61,7 +61,7 @@ impl ScanStack {
 
     fn connect(&mut self, flow: FlowKey) -> ConnId {
         let id = self.conns.len();
-        self.conns.push(TcpConn::client(flow, self.cfg));
+        self.conns.push(TcpConn::client(flow, &self.cfg));
         self.by_flow.insert(flow, id);
         ConnId(id as u32)
     }
@@ -74,7 +74,7 @@ impl ScanStack {
         let ecn_requested = flags & tcp_flags::ECE != 0 && flags & tcp_flags::CWR != 0;
         let ours = pkt.flow.reverse();
         let accepts = is_bare_syn && self.listeners.contains(&pkt.flow.dst_port);
-        let server = |cfg| {
+        let server = |cfg: &TcpConfig| {
             let mut conn = TcpConn::server(ours, cfg);
             conn.set_peer_ecn_request(ecn_requested);
             conn
@@ -82,7 +82,7 @@ impl ScanStack {
         let Some(&idx) = self.by_flow.get(&ours) else {
             if accepts {
                 let id = self.conns.len();
-                self.conns.push(server(self.cfg));
+                self.conns.push(server(&self.cfg));
                 self.by_flow.insert(ours, id);
                 self.events.push(SockEvent::Accepted {
                     conn: ConnId(id as u32),
@@ -98,7 +98,7 @@ impl ScanStack {
                 TcpState::TimeWait | TcpState::Closed
             )
         {
-            self.conns[idx] = server(self.cfg);
+            self.conns[idx] = server(&self.cfg);
             self.events.push(SockEvent::Accepted {
                 conn,
                 port: pkt.flow.dst_port,
@@ -113,7 +113,7 @@ impl ScanStack {
             ce: pkt.ecn == ecn::CE,
             sack: pkt.sack,
         };
-        let out = self.conns[idx].on_segment(now, seg);
+        let out = self.conns[idx].on_segment(&self.cfg, now, seg);
         if out.connected {
             self.events.push(SockEvent::Connected(conn));
         }
@@ -138,7 +138,7 @@ impl ScanStack {
         let n = self.conns.len();
         for off in 0..n {
             let idx = (self.rr_cursor + off) % n;
-            if let Some(plan) = self.conns[idx].poll_transmit(now, seg_limit) {
+            if let Some(plan) = self.conns[idx].poll_transmit(&self.cfg, now, seg_limit) {
                 self.rr_cursor = (idx + 1) % n;
                 return Some((ConnId(idx as u32), plan));
             }

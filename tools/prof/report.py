@@ -7,8 +7,11 @@ inclusive tables.
 Self time goes to the function holding the sampled RIP; inclusive time to
 every distinct function on the sampled stack. A heapsites.c dump weighs each
 stack by the bytes its allocations held at the heap's peak instead: self
-bytes go to the function that called the allocator, inclusive bytes to every
-function on the stack. `--under` keeps only samples
+bytes go to the allocation's owner, the first function on the stack outside
+the standard library and its containers (`alloc::`, `core::`, `std::`,
+`hashbrown::`; `Vec` growth is charged to whoever pushed, not to
+`RawVecInner::finish_grow`), inclusive bytes to every function on the stack.
+`--under` keeps only samples
 whose stack contains a function matching SUBSTR, and reports shares of those.
 Addresses outside the binary (libc, the preload itself) are "[other]".
 
@@ -22,6 +25,10 @@ import collections
 import os
 import subprocess
 import sys
+
+
+# Frames a heap dump's self table looks through to find an allocation's owner.
+LIBRARY = ("alloc::", "core::", "std::", "hashbrown::")
 
 
 def symbols(binary):
@@ -94,6 +101,11 @@ def main():
 
     # A heap stack starts at a return address, a sampled one at the RIP.
     heap = peak is not None
+
+    def owner(fns):
+        """The first frame outside the library, else the innermost one."""
+        return next((f for f in fns if not f.lstrip("<").startswith(LIBRARY)), fns[0])
+
     self_t, incl_t, kept = collections.Counter(), collections.Counter(), 0
     rips = collections.Counter()
     for weight, stack in stacks:
@@ -101,7 +113,7 @@ def main():
         if not fns or under and not any(under in f for f in fns):
             continue
         kept += weight
-        self_t[fns[0]] += weight
+        self_t[owner(fns) if heap else fns[0]] += weight
         for f in set(fns):
             incl_t[f] += weight
         if fns[0] != "[other]":
