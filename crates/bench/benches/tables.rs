@@ -96,12 +96,12 @@ fn main() {
         }
         // Warm the exact-match cache.
         for i in 0..4_096u32 {
-            p.place(&key(i), 1500);
+            p.place(&key(i));
         }
         let mut i = 0u32;
         s.bench("flow_placer_cached_place", || {
             i = (i + 1) % 4_096;
-            black_box(p.place(&key(i), 1500));
+            black_box(p.place(&key(i)));
         });
     }
 

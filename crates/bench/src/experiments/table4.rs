@@ -65,7 +65,6 @@ pub fn run(cx: &Cx) -> Vec<Artifact> {
             .map(|a| match a {
                 fastrak_net::flow::FlowAggregate::SrcApp { port, .. }
                 | fastrak_net::flow::FlowAggregate::DstApp { port, .. } => *port,
-                fastrak_net::flow::FlowAggregate::Exact(k) => k.dst_port,
             })
             .collect();
         let all_memcached =

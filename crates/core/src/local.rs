@@ -246,8 +246,7 @@ impl LocalController {
     ///
     /// * `SrcApp` — only the VM that *is* the source endpoint;
     /// * `DstApp` — every hosted VM of the tenant (any of them may send to
-    ///   the destination endpoint);
-    /// * `Exact` — the VM owning the source address.
+    ///   the destination endpoint).
     fn placer_targets(&self, agg: &FlowAggregate) -> Vec<(TenantId, Ip)> {
         match *agg {
             FlowAggregate::SrcApp { tenant, ip, .. } => self
@@ -263,13 +262,6 @@ impl LocalController {
                 .iter()
                 .copied()
                 .filter(|&(t, _)| t == tenant)
-                .collect(),
-            FlowAggregate::Exact(k) => self
-                .cfg
-                .vms
-                .iter()
-                .copied()
-                .filter(|&(t, vip)| t == k.tenant && vip == k.src_ip)
                 .collect(),
         }
     }
@@ -336,8 +328,6 @@ impl LocalController {
             (FlowAggregate::DstApp { tenant: t, ip, .. }, Dir::Ingress) => {
                 t == tenant && ip == vm_ip
             }
-            (FlowAggregate::Exact(k), Dir::Egress) => k.tenant == tenant && k.src_ip == vm_ip,
-            (FlowAggregate::Exact(k), Dir::Ingress) => k.tenant == tenant && k.dst_ip == vm_ip,
             _ => false,
         };
         for d in rows {

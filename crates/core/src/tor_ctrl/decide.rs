@@ -31,13 +31,12 @@ pub(super) enum Demote {
     Lost,
 }
 
-/// Does the aggregate have an endpoint VM satisfying `vm`?
-fn touches(agg: &FlowAggregate, vm: impl Fn(&(TenantId, Ip)) -> bool) -> bool {
+/// The VM whose application endpoint the aggregate is.
+fn endpoint(agg: &FlowAggregate) -> (TenantId, Ip) {
     match *agg {
         FlowAggregate::SrcApp { tenant, ip, .. } | FlowAggregate::DstApp { tenant, ip, .. } => {
-            vm(&(tenant, ip))
+            (tenant, ip)
         }
-        FlowAggregate::Exact(k) => vm(&(k.tenant, k.src_ip)) || vm(&(k.tenant, k.dst_ip)),
     }
 }
 
@@ -82,7 +81,7 @@ impl TorController {
             .offloaded()
             .iter()
             .copied()
-            .filter(|a| touches(a, &vm))
+            .filter(|a| vm(&endpoint(a)))
             .collect();
         v.sort();
         v
@@ -224,7 +223,7 @@ impl TorController {
             // on a server whose SR-IOV path is down.
             if self.ledger.rule_of(agg).is_some()
                 || self.blackhole_until.contains_key(agg)
-                || touches(agg, |vm| self.hw_down_vms.contains(vm))
+                || self.hw_down_vms.contains(&endpoint(agg))
             {
                 continue;
             }

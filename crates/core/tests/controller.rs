@@ -82,7 +82,6 @@ fn offloads_high_pps_memcached_not_scp() {
     for agg in offloaded {
         let port = match agg {
             FlowAggregate::SrcApp { port, .. } | FlowAggregate::DstApp { port, .. } => *port,
-            FlowAggregate::Exact(k) => k.dst_port,
         };
         assert_eq!(
             port, MEMCACHED_PORT,
@@ -131,7 +130,6 @@ fn migration_prepare_pulls_flows_back() {
         .iter()
         .filter(|a| match a {
             FlowAggregate::SrcApp { ip, .. } | FlowAggregate::DstApp { ip, .. } => *ip == mc.ip,
-            FlowAggregate::Exact(k) => k.src_ip == mc.ip || k.dst_ip == mc.ip,
         })
         .collect();
     assert!(
@@ -192,7 +190,7 @@ fn fps_splits_rate_limits_across_paths() {
 use fastrak::{CtrlPlaneConfig, TorController};
 use fastrak_net::ctrl::{Ctl, CtrlReply, CtrlRequest, TorRule};
 use fastrak_net::event::{ctl_fault_layer, duplicate_ctl_event, Event, NetCtx};
-use fastrak_net::flow::{FlowKey, FlowSpec, Proto};
+use fastrak_net::flow::{FlowSpec, Proto};
 use fastrak_net::rules::Action;
 use fastrak_sim::fault::{FaultConfig, FaultLayer, LinkFaults};
 use fastrak_sim::kernel::{Api, Kernel, Node, NodeId};
@@ -217,14 +215,14 @@ fn reply_only(ev: &Event) -> bool {
 fn exact_rule(tenant: TenantId, src_port: u16) -> TorRule {
     TorRule {
         tenant,
-        spec: FlowSpec::exact(FlowKey {
-            tenant,
-            src_ip: Ip::tenant_vm(200),
-            dst_ip: Ip::tenant_vm(201),
-            proto: Proto::Tcp,
-            src_port,
-            dst_port: 80,
-        }),
+        spec: FlowSpec {
+            tenant: Some(tenant),
+            src_ip: Some(Ip::tenant_vm(200)),
+            dst_ip: Some(Ip::tenant_vm(201)),
+            proto: Some(Proto::Tcp),
+            src_port: Some(src_port),
+            dst_port: Some(80),
+        },
         priority: 10,
         action: Action::Allow,
         tunnel: None,
@@ -712,7 +710,13 @@ fn stale_pre_reboot_rule_dump_is_discarded() {
     };
 
     // A pre-reboot (generation-0) dump arrives late, carrying a rule that
-    // was wiped — resurrection bait the controller must refuse.
+    // was wiped — resurrection bait the controller must refuse (an
+    // aggregate's spec, so a rebuild from the dump would adopt it).
+    let bait = FlowAggregate::SrcApp {
+        tenant: T,
+        ip: Ip::tenant_vm(200),
+        port: 99,
+    };
     let now = bed.now();
     bed.kernel.post(
         ft.tor_ctrl,
@@ -721,7 +725,7 @@ fn stale_pre_reboot_rule_dump_is_discarded() {
             bed.tor,
             Ctl::Reply(CtrlReply::TorRuleDump {
                 xid: 0xDEAD,
-                rules: vec![(T, exact_rule(T, 99).spec)],
+                rules: vec![(T, bait.to_spec())],
                 boot_generation: 0,
             }),
         ),
@@ -795,7 +799,6 @@ fn vf_failure_demotes_to_software_and_recovers() {
             FlowAggregate::SrcApp { ip, .. } | FlowAggregate::DstApp { ip, .. } => {
                 *ip == mc.ip || *ip == Ip::tenant_vm(2)
             }
-            FlowAggregate::Exact(k) => k.src_ip == mc.ip || k.dst_ip == mc.ip,
         })
         .map(|a| format!("{a:?}"))
         .collect();

@@ -13,7 +13,8 @@
 
 use fastrak_net::flow::{FlowKey, FlowSpec};
 use fastrak_net::packet::PathTag;
-use fastrak_net::tables::{ExactMatchTable, WildcardTable};
+use fastrak_net::tables::WildcardTable;
+use fastrak_sim::FxHashMap;
 
 /// Capacity of the placer's control-plane wildcard table. Generous: it
 /// lives in host memory, not switch TCAM.
@@ -26,7 +27,7 @@ const DEFAULT_PATH: PathTag = PathTag::Vif;
 #[derive(Debug, Clone)]
 pub struct FlowPlacer {
     control: WildcardTable<PathTag>,
-    data: ExactMatchTable<PathTag>,
+    data: FxHashMap<FlowKey, PathTag>,
 }
 
 impl Default for FlowPlacer {
@@ -40,22 +41,20 @@ impl FlowPlacer {
     pub fn new() -> FlowPlacer {
         FlowPlacer {
             control: WildcardTable::new(CONTROL_PLANE_CAPACITY),
-            data: ExactMatchTable::new(),
+            data: FxHashMap::default(),
         }
     }
 
     /// Place a packet: O(1) data-plane hit, or control-plane consult +
-    /// exact-rule install on miss (the "first packet" case, counted by the
-    /// data table's misses). Returns the chosen path.
-    pub fn place(&mut self, key: &FlowKey, bytes: u64) -> PathTag {
-        if let Some(&path) = self.data.lookup(key, bytes) {
+    /// exact-rule install on miss (the "first packet" case). Returns the
+    /// chosen path.
+    pub fn place(&mut self, key: &FlowKey) -> PathTag {
+        // `get` first: through `entry` (which takes the key by value) a hit
+        // timed several times slower (`flow_placer_cached_place` bench).
+        if let Some(&path) = self.data.get(key) {
             return path;
         }
-        let path = self
-            .control
-            .lookup(key, bytes)
-            .copied()
-            .unwrap_or(DEFAULT_PATH);
+        let path = resolve(&self.control, key);
         self.data.insert(*key, path);
         path
     }
@@ -84,19 +83,22 @@ impl FlowPlacer {
 
     /// Path currently cached/decided for a flow, without accounting.
     pub fn current_path(&self, key: &FlowKey) -> PathTag {
-        if let Some(&p) = self.data.get(key) {
-            return p;
+        match self.data.get(key) {
+            Some(&p) => p,
+            None => resolve(&self.control, key),
         }
-        self.control
-            .find(key)
-            .map(|e| e.value)
-            .unwrap_or(DEFAULT_PATH)
     }
 
     /// Number of control-plane rules installed.
     pub fn n_rules(&self) -> usize {
         self.control.len()
     }
+}
+
+/// The control plane's answer for a flow: its winning rule's path, or the
+/// default.
+fn resolve(control: &WildcardTable<PathTag>, key: &FlowKey) -> PathTag {
+    control.find(key).map_or(DEFAULT_PATH, |e| e.value)
 }
 
 #[cfg(test)]
@@ -125,21 +127,20 @@ mod tests {
     }
 
     /// Place `key` and report whether the control plane was consulted (the
-    /// data table missed).
-    fn place(p: &mut FlowPlacer, key: &FlowKey, bytes: u64) -> (PathTag, bool) {
-        let misses = p.data.misses();
-        let path = p.place(key, bytes);
-        (path, p.data.misses() > misses)
+    /// data plane held no entry for it).
+    fn place(p: &mut FlowPlacer, key: &FlowKey) -> (PathTag, bool) {
+        let miss = !p.data.contains_key(key);
+        (p.place(key), miss)
     }
 
     #[test]
     fn default_is_vif() {
         let mut p = FlowPlacer::new();
-        let (path, miss) = place(&mut p, &key(80), 100);
+        let (path, miss) = place(&mut p, &key(80));
         assert_eq!(path, PathTag::Vif);
         assert!(miss);
         // Cached now.
-        let (path, miss) = place(&mut p, &key(80), 100);
+        let (path, miss) = place(&mut p, &key(80));
         assert_eq!(path, PathTag::Vif);
         assert!(!miss);
     }
@@ -148,25 +149,25 @@ mod tests {
     fn rule_diverts_to_sriov() {
         let mut p = FlowPlacer::new();
         p.install_rule(port_spec(11211), 10, PathTag::SrIov);
-        assert_eq!(p.place(&key(11211), 100), PathTag::SrIov);
-        assert_eq!(p.place(&key(80), 100), PathTag::Vif);
+        assert_eq!(p.place(&key(11211)), PathTag::SrIov);
+        assert_eq!(p.place(&key(80)), PathTag::Vif);
     }
 
     #[test]
     fn install_invalidates_covered_cache() {
         let mut p = FlowPlacer::new();
         // Cache the flow on the VIF first.
-        assert_eq!(p.place(&key(11211), 100), PathTag::Vif);
+        assert_eq!(p.place(&key(11211)), PathTag::Vif);
         // Now offload it.
         p.install_rule(port_spec(11211), 10, PathTag::SrIov);
-        let (path, miss) = place(&mut p, &key(11211), 100);
+        let (path, miss) = place(&mut p, &key(11211));
         assert_eq!(path, PathTag::SrIov);
         assert!(miss, "cache entry must have been invalidated");
         // Unrelated cached flows survive.
-        let (_, miss80_before) = place(&mut p, &key(80), 1);
+        let (_, miss80_before) = place(&mut p, &key(80));
         assert!(miss80_before); // first time seen
         p.install_rule(port_spec(9999), 10, PathTag::SrIov);
-        let (_, miss80_after) = place(&mut p, &key(80), 1);
+        let (_, miss80_after) = place(&mut p, &key(80));
         assert!(!miss80_after, "unrelated cache entries must survive");
     }
 
@@ -175,9 +176,9 @@ mod tests {
         let mut p = FlowPlacer::new();
         let spec = port_spec(11211);
         p.install_rule(spec, 10, PathTag::SrIov);
-        assert_eq!(p.place(&key(11211), 1), PathTag::SrIov);
+        assert_eq!(p.place(&key(11211)), PathTag::SrIov);
         assert_eq!(p.remove_rule(&spec), 1);
-        let (path, miss) = place(&mut p, &key(11211), 1);
+        let (path, miss) = place(&mut p, &key(11211));
         assert_eq!(path, PathTag::Vif);
         assert!(miss);
         // Removing again is a no-op.

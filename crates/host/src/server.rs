@@ -721,8 +721,7 @@ impl Server {
         pkt: Packet,
     ) {
         self.vms[vm_idx].tx_inflight -= 1;
-        let wire = pkt.wire_bytes_total();
-        let path = self.vms[vm_idx].placer.place(&pkt.flow, wire);
+        let path = self.vms[vm_idx].placer.place(&pkt.flow);
         if api.ctx.telemetry.spans.enabled() {
             // Path-residency span per (vm, flow): same-path calls are no-ops,
             // a placement change closes the old span and opens the next one.
@@ -736,7 +735,7 @@ impl Server {
         }
         match path {
             PathTag::Vif => {
-                let r = self.vswitch.process_tx(&pkt.flow, wire);
+                let r = self.vswitch.process_tx(&pkt.flow, pkt.wire_bytes_total());
                 let tunneled = matches!(r.verdict, TxVerdict::UplinkTunneled(_));
                 let mut cost = self.vif_cost(vm_idx, Dir::Egress, &pkt, tunneled);
                 if r.slow_path {

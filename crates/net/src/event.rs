@@ -1,7 +1,7 @@
 //! The shared simulation event vocabulary.
 //!
-//! Every node in the testbed (servers, ToR switches, the fabric core, the
-//! FasTrak controllers) exchanges [`Event`]s through the DES kernel:
+//! Every node in the testbed (servers, ToR switches, the FasTrak
+//! controllers) exchanges [`Event`]s through the DES kernel:
 //!
 //! * [`Event::Frame`] — a packet arriving on one of the node's ports after
 //!   link serialization + propagation;

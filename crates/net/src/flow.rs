@@ -114,18 +114,6 @@ impl FlowSpec {
         dst_port: None,
     };
 
-    /// The exact-match spec for one flow.
-    pub fn exact(k: FlowKey) -> FlowSpec {
-        FlowSpec {
-            tenant: Some(k.tenant),
-            src_ip: Some(k.src_ip),
-            dst_ip: Some(k.dst_ip),
-            proto: Some(k.proto),
-            src_port: Some(k.src_port),
-            dst_port: Some(k.dst_port),
-        }
-    }
-
     /// All flows of one tenant.
     pub fn tenant(t: TenantId) -> FlowSpec {
         FlowSpec {
@@ -177,8 +165,6 @@ impl FlowSpec {
 /// A measurement/offload aggregate over flows (paper §4.3.1).
 #[derive(Clone, Copy, PartialEq, Eq, Hash, Debug, PartialOrd, Ord)]
 pub enum FlowAggregate {
-    /// A single exact flow.
-    Exact(FlowKey),
     /// All traffic *from* a VM application endpoint:
     /// `<src VM IP, src L4 port, tenant>`.
     SrcApp {
@@ -223,7 +209,6 @@ impl FlowAggregate {
     /// Does this aggregate cover the given flow?
     pub fn matches(&self, k: &FlowKey) -> bool {
         match *self {
-            FlowAggregate::Exact(e) => e == *k,
             FlowAggregate::SrcApp { tenant, ip, port } => {
                 k.tenant == tenant && k.src_ip == ip && k.src_port == port
             }
@@ -236,7 +221,6 @@ impl FlowAggregate {
     /// The wildcard spec equivalent (for rule installation).
     pub fn to_spec(&self) -> FlowSpec {
         match *self {
-            FlowAggregate::Exact(e) => FlowSpec::exact(e),
             FlowAggregate::SrcApp { tenant, ip, port } => FlowSpec {
                 tenant: Some(tenant),
                 src_ip: Some(ip),
@@ -255,7 +239,6 @@ impl FlowAggregate {
     /// Owning tenant.
     pub fn tenant(&self) -> TenantId {
         match *self {
-            FlowAggregate::Exact(e) => e.tenant,
             FlowAggregate::SrcApp { tenant, .. } | FlowAggregate::DstApp { tenant, .. } => tenant,
         }
     }
@@ -268,16 +251,6 @@ impl FlowAggregate {
     pub fn from_spec(spec: &FlowSpec) -> Option<FlowAggregate> {
         let tenant = spec.tenant?;
         match (spec.src_ip, spec.src_port, spec.dst_ip, spec.dst_port) {
-            (Some(src_ip), Some(src_port), Some(dst_ip), Some(dst_port)) => {
-                Some(FlowAggregate::Exact(FlowKey {
-                    tenant,
-                    src_ip,
-                    dst_ip,
-                    proto: spec.proto?,
-                    src_port,
-                    dst_port,
-                }))
-            }
             (Some(ip), Some(port), None, None) if spec.proto.is_none() => {
                 Some(FlowAggregate::SrcApp { tenant, ip, port })
             }
@@ -304,6 +277,18 @@ mod tests {
         }
     }
 
+    /// The spec that names every field of `k`.
+    fn exact(k: FlowKey) -> FlowSpec {
+        FlowSpec {
+            tenant: Some(k.tenant),
+            src_ip: Some(k.src_ip),
+            dst_ip: Some(k.dst_ip),
+            proto: Some(k.proto),
+            src_port: Some(k.src_port),
+            dst_port: Some(k.dst_port),
+        }
+    }
+
     #[test]
     fn reverse_is_involution() {
         let k = key();
@@ -315,7 +300,7 @@ mod tests {
     #[test]
     fn exact_spec_matches_only_its_key() {
         let k = key();
-        let s = FlowSpec::exact(k);
+        let s = exact(k);
         assert!(s.matches(&k));
         assert!(!s.matches(&k.reverse()));
         assert_eq!(s.specificity(), 6);
@@ -329,7 +314,7 @@ mod tests {
 
     #[test]
     fn wildcard_fields_ignored() {
-        let mut s = FlowSpec::exact(key());
+        let mut s = exact(key());
         s.src_port = None;
         let mut k2 = key();
         k2.src_port = 55555;
@@ -345,7 +330,7 @@ mod tests {
 
     #[test]
     fn covers_partial_order() {
-        let exact = FlowSpec::exact(key());
+        let exact = exact(key());
         let tenant = FlowSpec::tenant(TenantId(7));
         assert!(FlowSpec::ANY.covers(&exact));
         assert!(tenant.covers(&exact));
@@ -383,14 +368,11 @@ mod tests {
     #[test]
     fn from_spec_inverts_to_spec() {
         let k = key();
-        for agg in [
-            FlowAggregate::Exact(k),
-            FlowAggregate::src_of(&k),
-            FlowAggregate::dst_of(&k),
-        ] {
+        for agg in [FlowAggregate::src_of(&k), FlowAggregate::dst_of(&k)] {
             assert_eq!(FlowAggregate::from_spec(&agg.to_spec()), Some(agg));
         }
-        // Specs no aggregate produces map to None.
+        // Specs no aggregate produces map to None, a full 5-tuple among them.
+        assert_eq!(FlowAggregate::from_spec(&exact(k)), None);
         assert_eq!(FlowAggregate::from_spec(&FlowSpec::ANY), None);
         assert_eq!(
             FlowAggregate::from_spec(&FlowSpec::tenant(TenantId(7))),

@@ -6,10 +6,10 @@
 //! shares:
 //!
 //! * [`tables::ExactMatchTable`] — the O(1) hash table used by the OVS kernel
-//!   datapath and the bonding-driver flow placer (paper §2.2, §4.1.1);
+//!   datapath (paper §2.2);
 //! * [`tables::WildcardTable`] — priority-ordered wildcard matching with a
 //!   bounded capacity, modelling switch fast-path (TCAM/VRF) memory
-//!   (paper §4.1.3) and vswitch userspace rule sets;
+//!   (paper §4.1.3) and the flow placer's control plane (§4.1.1);
 //! * [`tunnel::TunnelTable`] — tenant-IP → (provider IP, tenant key) mappings
 //!   for GRE/VXLAN encapsulation (paper §2.1 C1, §4.2).
 //!

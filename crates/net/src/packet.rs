@@ -597,6 +597,12 @@ mod tests {
     }
 
     #[test]
+    fn an_aggregate_is_twelve_bytes() {
+        // The key of every measurement, decision and meter map entry.
+        assert_eq!(std::mem::size_of::<crate::flow::FlowAggregate>(), 12);
+    }
+
+    #[test]
     fn clone_is_deep_and_eq_and_debug_go_by_body() {
         let mut a = pkt(100);
         a.encap(Encap::Vlan(5));

@@ -4,8 +4,7 @@
 //!
 //! * [`ExactMatchTable`] — an O(1) hash table over exact [`FlowKey`]s with
 //!   per-entry hit counters. This is the OVS kernel datapath cache ("an O(1)
-//!   lookup hash table to speed up per packet processing", §2.2) and the
-//!   bonding-driver flow placer's data plane (§4.1.1).
+//!   lookup hash table to speed up per packet processing", §2.2).
 //! * [`WildcardTable`] — a priority-ordered list of [`FlowSpec`] patterns
 //!   with a **bounded capacity**, modelling switch fast-path memory (TCAM /
 //!   VRF entries). The capacity bound is the paper's central constraint:
@@ -23,8 +22,6 @@ use crate::flow::{FlowKey, FlowSpec};
 #[derive(Debug, Clone)]
 pub struct ExactMatchTable<V> {
     entries: FxHashMap<FlowKey, Entry<V>>,
-    lookups: u64,
-    misses: u64,
 }
 
 #[derive(Debug, Clone)]
@@ -37,8 +34,6 @@ impl<V> Default for ExactMatchTable<V> {
     fn default() -> Self {
         ExactMatchTable {
             entries: FxHashMap::default(),
-            lookups: 0,
-            misses: 0,
         }
     }
 }
@@ -60,35 +55,11 @@ impl<V> ExactMatchTable<V> {
         );
     }
 
-    /// Remove the entry for `key`, returning its value.
-    pub fn remove(&mut self, key: &FlowKey) -> Option<V> {
-        self.entries.remove(key).map(|e| e.value)
-    }
-
     /// Look up `key` *and* account a packet of `bytes` against the entry.
-    /// Returns `None` (counting a miss) when absent.
     pub fn lookup(&mut self, key: &FlowKey, bytes: u64) -> Option<&V> {
-        self.lookups += 1;
-        match self.entries.get_mut(key) {
-            Some(e) => {
-                e.stats.add(bytes);
-                Some(&e.value)
-            }
-            None => {
-                self.misses += 1;
-                None
-            }
-        }
-    }
-
-    /// Peek without stats accounting.
-    pub fn get(&self, key: &FlowKey) -> Option<&V> {
-        self.entries.get(key).map(|e| &e.value)
-    }
-
-    /// Per-entry traffic counter.
-    pub fn stats(&self, key: &FlowKey) -> Option<Counter> {
-        self.entries.get(key).map(|e| e.stats)
+        let e = self.entries.get_mut(key)?;
+        e.stats.add(bytes);
+        Some(&e.value)
     }
 
     /// Iterate `(key, value, stats)` over all entries (ME stats dump).
@@ -104,29 +75,6 @@ impl<V> ExactMatchTable<V> {
     /// True when no entries are installed.
     pub fn is_empty(&self) -> bool {
         self.entries.is_empty()
-    }
-
-    /// Total lookups performed.
-    pub fn lookups(&self) -> u64 {
-        self.lookups
-    }
-
-    /// Lookups that missed.
-    pub fn misses(&self) -> u64 {
-        self.misses
-    }
-
-    /// Remove entries not matching the predicate; returns removed keys.
-    pub fn retain(&mut self, mut pred: impl FnMut(&FlowKey, &V) -> bool) -> Vec<FlowKey> {
-        let mut removed = Vec::new();
-        self.entries.retain(|k, e| {
-            let keep = pred(k, &e.value);
-            if !keep {
-                removed.push(*k);
-            }
-            keep
-        });
-        removed
     }
 }
 
@@ -304,23 +252,12 @@ mod tests {
         t.insert(key(80), "a");
         assert_eq!(t.lookup(&key(80), 100), Some(&"a"));
         assert_eq!(t.lookup(&key(81), 100), None);
-        assert_eq!(t.lookups(), 2);
-        assert_eq!(t.misses(), 1);
-        let s = t.stats(&key(80)).unwrap();
-        assert_eq!(s.count, 1);
-        assert_eq!(s.bytes, 100);
-    }
-
-    #[test]
-    fn exact_remove_and_retain() {
-        let mut t = ExactMatchTable::new();
-        t.insert(key(1), 1);
-        t.insert(key(2), 2);
-        t.insert(key(3), 3);
-        assert_eq!(t.remove(&key(2)), Some(2));
-        let removed = t.retain(|_, v| *v != 3);
-        assert_eq!(removed, vec![key(3)]);
-        assert_eq!(t.len(), 1);
+        // Only the hit is accounted, and a miss installs nothing.
+        let dump: Vec<_> = t
+            .iter()
+            .map(|(k, v, s)| (*k, *v, s.count, s.bytes))
+            .collect();
+        assert_eq!(dump, [(key(80), "a", 1, 100)]);
     }
 
     #[test]
@@ -345,7 +282,16 @@ mod tests {
     fn wildcard_specificity_breaks_ties() {
         let mut t = WildcardTable::new(10);
         t.install(FlowSpec::tenant(TenantId(1)), 5, "wide").unwrap();
-        t.install(FlowSpec::exact(key(80)), 5, "narrow").unwrap();
+        let k = key(80);
+        let narrow = FlowSpec {
+            tenant: Some(k.tenant),
+            src_ip: Some(k.src_ip),
+            dst_ip: Some(k.dst_ip),
+            proto: Some(k.proto),
+            src_port: Some(k.src_port),
+            dst_port: Some(k.dst_port),
+        };
+        t.install(narrow, 5, "narrow").unwrap();
         assert_eq!(t.lookup(&key(80), 1), Some(&"narrow"));
     }
 

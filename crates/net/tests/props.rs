@@ -200,7 +200,14 @@ fn exact_spec_matches_only_its_key() {
     for _ in 0..CASES {
         let k = arb_key(&mut r);
         let other = arb_key(&mut r);
-        let s = FlowSpec::exact(k);
+        let s = FlowSpec {
+            tenant: Some(k.tenant),
+            src_ip: Some(k.src_ip),
+            dst_ip: Some(k.dst_ip),
+            proto: Some(k.proto),
+            src_port: Some(k.src_port),
+            dst_port: Some(k.dst_port),
+        };
         assert!(s.matches(&k));
         if other != k {
             assert!(!s.matches(&other));

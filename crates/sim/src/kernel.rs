@@ -1,10 +1,10 @@
 //! The discrete-event kernel: a time-ordered event queue plus a set of nodes.
 //!
 //! A **node** models one independently scheduled entity — in this repository a
-//! physical server (with its VMs, vswitch and NIC inside), a ToR switch, the
-//! fabric core, or a controller process. Nodes interact exclusively by
-//! sending each other timestamped events through [`Api::send`], which keeps
-//! the simulation deterministic and makes causality auditable in traces.
+//! physical server (with its VMs, vswitch and NIC inside), a ToR switch, or
+//! a controller process. Nodes interact exclusively by sending each other
+//! timestamped events through [`Api::send`], which keeps the simulation
+//! deterministic and makes causality auditable in traces.
 //!
 //! The kernel is generic over the event type `E` and a shared context `C`
 //! (topology, global configuration, metric registries). Event delivery order

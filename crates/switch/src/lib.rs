@@ -2,17 +2,15 @@
 //!
 //! The network substrate outside the servers: the L3 ToR switch with VRF
 //! tables, ACLs, GRE tunneling, QoS and bounded fast-path memory
-//! ([`tor::Tor`]), and the non-blocking fabric core ([`fabric::Fabric`]).
+//! ([`tor::Tor`]).
 //!
 //! Together with `fastrak-host` this reproduces the paper's testbed wiring
 //! (§5.1): each server has two 10 Gbps links to the ToR — one carrying the
 //! vswitch (VXLAN/plain) traffic, one carrying SR-IOV traffic VLAN-tagged
 //! per tenant.
 
-pub mod fabric;
 pub mod tor;
 
-pub use fabric::Fabric;
 pub use tor::{HwDest, Tor, TorConfig, TorStats, VrfAction};
 
 #[cfg(test)]
@@ -87,20 +85,8 @@ mod tests {
                 vlan: VlanId::new(101),
             },
         );
-        tor.remove_hw_dest(TenantId(1), Ip::tenant_vm(1));
         // No panic; routing correctness is covered by the end-to-end tests
         // in the workspace `tests/` directory.
-    }
-
-    #[test]
-    fn fabric_routes_by_prefix_and_host() {
-        use fastrak_sim::time::SimDuration;
-        let mut f = Fabric::new("core", SimDuration::from_micros(2));
-        f.add_route(Ip::provider_tor(1), 7, 0);
-        f.add_prefix_route(172, 16, 2, 9, 1);
-        // (Routing decisions are internal; exercised via the kernel in
-        // integration tests. Here we only check the tables accept entries.)
-        assert_eq!(f.stats.forwarded, 0);
     }
 
     /// End-to-end smoke: two servers on one ToR, a client VM sends a burst

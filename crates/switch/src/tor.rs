@@ -141,8 +141,6 @@ pub struct Tor {
     ip_ports: FxHashMap<Ip, usize>,
     /// L2 table for untunneled tenant traffic (baseline configs).
     l2_ports: FxHashMap<(TenantId, Ip), usize>,
-    /// Default route to the fabric core (port index), for remote ToRs.
-    fabric_port: Option<usize>,
     /// Hardware rate limiters: (tenant, vm ip, dir) → bucket.
     hw_rates: FxHashMap<(TenantId, Ip, Dir), TokenBucket>,
     /// GRE tunnel mappings held in the VRFs (paper §4.1.3): destination
@@ -170,7 +168,6 @@ impl Tor {
             hw_dests: FxHashMap::default(),
             ip_ports: FxHashMap::default(),
             l2_ports: FxHashMap::default(),
-            fabric_port: None,
             hw_rates: FxHashMap::default(),
             tunnel_dir: FxHashMap::default(),
             qos_counters: FxHashMap::default(),
@@ -210,11 +207,6 @@ impl Tor {
         self.wires[port] = Some(PortWire { peer, peer_port });
     }
 
-    /// Declare the port leading to the fabric core.
-    pub fn set_fabric_port(&mut self, port: usize) {
-        self.fabric_port = Some(port);
-    }
-
     /// Map a VLAN to its tenant (VRF selection).
     pub fn map_vlan(&mut self, vlan: VlanId, tenant: TenantId) {
         self.vlan_tenant.insert(vlan.0, tenant);
@@ -223,11 +215,6 @@ impl Tor {
     /// Register a locally attached VM's hardware destination.
     pub fn add_hw_dest(&mut self, tenant: TenantId, vm_ip: Ip, dest: HwDest) {
         self.hw_dests.insert((tenant, vm_ip), dest);
-    }
-
-    /// Remove a hardware destination (VM migrated away).
-    pub fn remove_hw_dest(&mut self, tenant: TenantId, vm_ip: Ip) {
-        self.hw_dests.remove(&(tenant, vm_ip));
     }
 
     /// Register a provider-IP route (server or remote ToR) out a port.
@@ -461,6 +448,15 @@ impl Tor {
         );
     }
 
+    /// Queue a frame on the port routed to provider IP `ip` (a server or a
+    /// remote ToR); no route is a forwarding drop.
+    fn route_ip(&mut self, api: &mut Api<'_, Event, NetCtx>, ip: Ip, at: SimTime, pkt: Packet) {
+        match self.ip_ports.get(&ip) {
+            Some(&p) => self.send_out(api, p, at, pkt),
+            None => self.stats.fwd_drops += 1,
+        }
+    }
+
     /// Frame from a server's SR-IOV port: VLAN → VRF, ACL, GRE encap or
     /// local hardware delivery (§4.2.1).
     fn on_hw_frame(&mut self, api: &mut Api<'_, Event, NetCtx>, mut pkt: Packet) {
@@ -520,11 +516,7 @@ impl Tor {
                     dst: m.tor_ip,
                 });
                 self.stats.gre_encaps += 1;
-                let port = self.ip_ports.get(&m.tor_ip).copied().or(self.fabric_port);
-                match port {
-                    Some(p) => self.send_out(api, p, at, pkt),
-                    None => self.stats.fwd_drops += 1,
-                }
+                self.route_ip(api, m.tor_ip, at, pkt);
             }
             _ => {
                 // No way to reach the destination on the hardware path.
@@ -552,7 +544,7 @@ impl Tor {
         self.send_out(api, dest.port, at, pkt);
     }
 
-    /// Frame on the software side or from the fabric: GRE termination,
+    /// Frame on the software side or from an uplink: GRE termination,
     /// VXLAN/IP routing, or L2 switching for untunneled tenant traffic.
     fn on_sw_frame(&mut self, api: &mut Api<'_, Event, NetCtx>, mut pkt: Packet) {
         match pkt.outer().copied() {
@@ -582,21 +574,13 @@ impl Tor {
                     self.deliver_hw_local(api, tenant, api.now, pkt);
                 } else {
                     // Transit GRE: forward toward the destination ToR.
-                    let port = self.ip_ports.get(&dst).copied().or(self.fabric_port);
-                    match port {
-                        Some(p) => self.send_out(api, p, api.now, pkt),
-                        None => self.stats.fwd_drops += 1,
-                    }
+                    self.route_ip(api, dst, api.now, pkt);
                 }
             }
             Some(Encap::Vxlan { dst, .. }) => {
                 // Software tunnel: route the outer provider IP.
                 self.stats.sw_frames += 1;
-                let port = self.ip_ports.get(&dst).copied().or(self.fabric_port);
-                match port {
-                    Some(p) => self.send_out(api, p, api.now, pkt),
-                    None => self.stats.fwd_drops += 1,
-                }
+                self.route_ip(api, dst, api.now, pkt);
             }
             _ => {
                 // Untunneled tenant traffic (baseline configs): L2 switch on
@@ -762,7 +746,7 @@ impl Node<Event, NetCtx> for Tor {
 mod tests {
     use super::*;
     use fastrak_net::ctrl::{DemandReport, HwPathReport, MigrationPrepare, OffloadDecision};
-    use fastrak_net::flow::{FlowKey, Proto};
+    use fastrak_net::flow::Proto;
     use fastrak_net::packet::PathTag;
     use fastrak_sim::kernel::Kernel;
 
@@ -771,14 +755,14 @@ mod tests {
     fn rule(src_port: u16) -> TorRule {
         TorRule {
             tenant: T,
-            spec: FlowSpec::exact(FlowKey {
-                tenant: T,
-                src_ip: Ip::tenant_vm(1),
-                dst_ip: Ip::tenant_vm(2),
-                proto: Proto::Tcp,
-                src_port,
-                dst_port: 80,
-            }),
+            spec: FlowSpec {
+                tenant: Some(T),
+                src_ip: Some(Ip::tenant_vm(1)),
+                dst_ip: Some(Ip::tenant_vm(2)),
+                proto: Some(Proto::Tcp),
+                src_port: Some(src_port),
+                dst_port: Some(80),
+            },
             priority: 10,
             action: Action::Allow,
             tunnel: None,

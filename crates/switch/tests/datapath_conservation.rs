@@ -1,8 +1,9 @@
-//! Component-level driver for the ToR and fabric frame paths: seeded
-//! same-instant frame waves covering every forwarding class go into a ToR
-//! feeding a fabric core, and every injected frame must be accounted for —
-//! recorded at a sink or counted as exactly one drop — with CE marks only
-//! ever on delivered frames, and the whole run a pure function of the seed.
+//! Component-level driver for the ToR's frame paths: seeded same-instant
+//! frame waves covering every forwarding class go into a ToR whose server
+//! links and uplink all end at one sink, and every injected frame must be
+//! accounted for — recorded at the sink or counted as exactly one drop —
+//! with CE marks only ever on delivered frames, and the whole run a pure
+//! function of the seed.
 
 use std::hash::{Hash, Hasher};
 
@@ -17,14 +18,14 @@ use fastrak_net::tunnel::TunnelMapping;
 use fastrak_sim::kernel::{Api, Kernel, Node};
 use fastrak_sim::time::{SimDuration, SimTime};
 use fastrak_sim::{FxHasher, Rng};
-use fastrak_switch::fabric::FabricStats;
-use fastrak_switch::{Fabric, HwDest, Tor, TorConfig, TorStats};
+use fastrak_switch::{HwDest, Tor, TorConfig, TorStats};
 
 const TENANT: TenantId = TenantId(1);
 const VLAN: u16 = 100;
 const LOCAL_VM: u16 = 2;
 const REMOTE_VM: u16 = 9;
-/// ToR ports: software-side server link, SR-IOV server link, fabric uplink.
+/// ToR ports: software-side server link, SR-IOV server link, uplink toward
+/// the other ToR.
 const PORT_SW: usize = 0;
 const PORT_HW: usize = 1;
 const PORT_UP: usize = 2;
@@ -66,7 +67,7 @@ fn frame(class: u64, id: u64, payload: u32, at: SimTime) -> Packet {
     let (flow, encap) = match class {
         // SR-IOV side, allowed, destination VM attached to this ToR.
         0 => (key(TENANT, LOCAL_VM, 5001), Some(Encap::Vlan(VLAN))),
-        // SR-IOV side, allowed, destination behind another ToR: GRE + fabric.
+        // SR-IOV side, allowed, destination behind another ToR: GRE + uplink.
         1 => (key(TENANT, REMOTE_VM, 5001), Some(Encap::Vlan(VLAN))),
         // SR-IOV side, no matching rule: default deny.
         2 => (key(TENANT, LOCAL_VM, 6000), Some(Encap::Vlan(VLAN))),
@@ -103,19 +104,14 @@ fn frame(class: u64, id: u64, payload: u32, at: SimTime) -> Packet {
 }
 
 const CLASSES: u64 = 11;
-/// Sink port of the core's route to the other ToR.
-const PORT_CORE: usize = 7;
 
-/// The sink port a frame of `class` must leave on when the ToR (or, for
-/// `at_core`, the fabric) receives it and no port overflows; `None` for the
-/// classes that must be dropped.
-fn exit_of(class: u64, at_core: bool) -> Option<usize> {
-    match (class, at_core) {
-        (7, true) => Some(PORT_CORE),
-        (_, true) => None,
-        (0 | 5, false) => Some(PORT_HW),
-        (1 | 7, false) => Some(PORT_CORE),
-        (8 | 9, false) => Some(PORT_SW),
+/// The sink port a frame of `class` must leave on when no port overflows;
+/// `None` for the classes that must be dropped.
+fn exit_of(class: u64) -> Option<usize> {
+    match class {
+        0 | 5 => Some(PORT_HW),
+        1 | 7 => Some(PORT_UP),
+        8 | 9 => Some(PORT_SW),
         _ => None,
     }
 }
@@ -125,15 +121,14 @@ fn exit_of(class: u64, at_core: bool) -> Option<usize> {
 struct Outcome {
     end_ns: u64,
     events: u64,
-    /// Expected exit ([`exit_of`]) of every frame the wave generator posted
-    /// to the ToR and to the fabric, indexed by packet id.
+    /// Expected exit ([`exit_of`]) of every frame the wave generator posted,
+    /// indexed by packet id.
     exits: Vec<Option<usize>>,
     frames: Vec<(u64, usize, Packet)>,
     /// ECT frames the ToR's ports CE-marked.
     ecn_marked: u64,
     tor_stats: String,
     rule_stats: String,
-    fabric_stats: String,
 }
 
 impl Outcome {
@@ -148,25 +143,24 @@ impl Outcome {
         (self.end_ns, self.events, self.ecn_marked).hash(&mut h);
         (tor.acl_drops, tor.fwd_drops, tor.hw_frames, tor.sw_frames).hash(&mut h);
         (tor.gre_encaps, tor.gre_decaps).hash(&mut h);
-        (&self.rule_stats, &self.fabric_stats).hash(&mut h);
+        self.rule_stats.hash(&mut h);
         h.finish()
     }
 }
 
-fn run(seed: u64) -> (Outcome, TorStats, FabricStats) {
+fn run(seed: u64) -> (Outcome, TorStats) {
     let mut kernel: Kernel<Event, NetCtx> = Kernel::new(NetCtx::new(), seed);
     let mut cfg = TorConfig::testbed("tor0", 0);
     // Low enough that the larger waves back a port up past it.
     cfg.ecn_mark_threshold = Some(SimDuration::from_micros(3));
     let tor = kernel.add_node(Tor::new(cfg));
-    let fabric = kernel.add_node(Fabric::new("core", SimDuration::from_micros(2)));
     let sink = kernel.add_node(Sink::default());
     {
         let t = kernel.node_mut::<Tor>(tor);
         t.wire_port(PORT_SW, sink, PORT_SW);
         t.wire_port(PORT_HW, sink, PORT_HW);
-        t.wire_port(PORT_UP, fabric, 0);
-        t.set_fabric_port(PORT_UP);
+        t.wire_port(PORT_UP, sink, PORT_UP);
+        t.add_ip_route(Ip::provider_tor(1), PORT_UP);
         t.map_vlan(VlanId::new(VLAN), TENANT);
         t.add_hw_dest(
             TENANT,
@@ -206,9 +200,6 @@ fn run(seed: u64) -> (Outcome, TorStats, FabricStats) {
         // A binding hardware limit: shaped frames leave late, not never.
         t.set_hw_rate(TENANT, Ip::tenant_vm(LOCAL_VM), Dir::Ingress, 2_000_000_000);
     }
-    kernel
-        .node_mut::<Fabric>(fabric)
-        .add_route(Ip::provider_tor(1), sink, PORT_CORE);
 
     let mut rng = Rng::new(seed);
     let mut exits = Vec::new();
@@ -222,16 +213,8 @@ fn run(seed: u64) -> (Outcome, TorStats, FabricStats) {
             }
             let id = exits.len() as u64;
             let pkt = frame(class, id, rng.range(64, 1400) as u32, at);
-            exits.push(exit_of(class, false));
+            exits.push(exit_of(class));
             kernel.post(tor, at, Event::Frame { port: 0, pkt });
-        }
-        // Straight into the core: routed transit GRE, and the two kinds it
-        // has no route for (VXLAN to a server, untunneled).
-        for _ in 0..rng.below(6) {
-            let class = 7 + rng.below(3);
-            let pkt = frame(class, exits.len() as u64, 200, at);
-            exits.push(exit_of(class, true));
-            kernel.post(fabric, at, Event::Frame { port: 0, pkt });
         }
     }
     // A port drops only past 12 ms of backlog: a last wave of TSO
@@ -240,13 +223,12 @@ fn run(seed: u64) -> (Outcome, TorStats, FabricStats) {
     let at = SimTime::from_micros(40 * 61);
     for _ in 0..260 {
         let pkt = frame(class, exits.len() as u64, 64_000, at);
-        exits.push(exit_of(class, false));
+        exits.push(exit_of(class));
         kernel.post(tor, at, Event::Frame { port: 0, pkt });
     }
     kernel.run_to_completion();
 
     let t = kernel.node::<Tor>(tor);
-    let f = kernel.node::<Fabric>(fabric);
     let outcome = Outcome {
         end_ns: kernel.now().as_nanos(),
         events: kernel.events_processed(),
@@ -255,22 +237,20 @@ fn run(seed: u64) -> (Outcome, TorStats, FabricStats) {
         ecn_marked: t.ecn_marked(),
         tor_stats: format!("{:?}", t.stats),
         rule_stats: format!("{:?}", t.dump_rule_stats()),
-        fabric_stats: format!("{:?}", f.stats),
     };
-    (outcome, t.stats, f.stats)
+    (outcome, t.stats)
 }
 
 #[test]
-fn tor_and_fabric_conserve_frames_and_replay_per_seed() {
-    // The arrival log of each seed as recorded on the ToR whose config still
-    // carried the link rate, drop bound and latencies. Re-record only with a
-    // change that is meant to move a simulated outcome, and say which.
-    for (seed, pinned) in [(1u64, 0x410255756d020fd1u64), (0xFA57, 0xd5ab11f31eb667d0)] {
-        let (out, tor, fabric) = run(seed);
+fn tor_conserves_frames_and_replays_per_seed() {
+    // The arrival log of each seed. Re-record only with a change that is
+    // meant to move a simulated outcome, and say which.
+    for (seed, pinned) in [(1u64, 0x47dbd4561069f213u64), (0xFA57, 0x7db102d3b3bb98b9)] {
+        let (out, tor) = run(seed);
 
         // Every forwarding class was taken: frames left on all three exits
         // and each drop/encap/mark counter moved.
-        for port in [PORT_SW, PORT_HW, PORT_CORE] {
+        for port in [PORT_SW, PORT_HW, PORT_UP] {
             assert!(
                 out.frames.iter().any(|&(_, p, _)| p == port),
                 "nothing reached sink port {port}"
@@ -282,7 +262,6 @@ fn tor_and_fabric_conserve_frames_and_replay_per_seed() {
             ("gre_encaps", tor.gre_encaps),
             ("gre_decaps", tor.gre_decaps),
             ("ecn_marked", out.ecn_marked),
-            ("fabric no_route", fabric.no_route),
         ] {
             assert!(n > 0, "{counter} never moved (seed {seed})");
         }
@@ -308,15 +287,12 @@ fn tor_and_fabric_conserve_frames_and_replay_per_seed() {
         // Conservation: a frame ends at a sink or in exactly one drop counter.
         assert_eq!(
             out.exits.len() as u64,
-            delivered + tor.acl_drops + tor.fwd_drops + fabric.no_route,
-            "frames lost or double-counted (seed {seed}): {tor:?} {fabric:?}"
+            delivered + tor.acl_drops + tor.fwd_drops,
+            "frames lost or double-counted (seed {seed}): {tor:?}"
         );
-        let via_core = out.frames.iter().filter(|f| f.1 == PORT_CORE).count() as u64;
-        assert_eq!(fabric.forwarded, via_core, "core forwards == core arrivals");
 
         // Every frame went in ECT(0), so CE at a sink is a ToR mark — and a
-        // marked frame is a delivered one (here every uplink frame the ToR
-        // can mark has a core route).
+        // marked frame is a delivered one.
         let ce = out
             .frames
             .iter()

@@ -148,7 +148,6 @@ fn deny_policy_blocks_hardware_offload_of_covered_flows() {
     for agg in ft.offloaded(&bed) {
         let port = match agg {
             FlowAggregate::SrcApp { port, .. } | FlowAggregate::DstApp { port, .. } => *port,
-            FlowAggregate::Exact(k) => k.dst_port,
         };
         assert_ne!(port, 11211, "deny-covered aggregate offloaded: {agg:?}");
     }

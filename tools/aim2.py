@@ -20,17 +20,20 @@ Prints, for the Rust outside `benchmark/` and `target/`:
     of the same name is no call; any other item, wherever its name occurs.
     `KEPT` names the ones kept on purpose, with the tests that use them; a
     `KEPT` name that is no public item of `crates/*/src` any more is
-    printed as stale;
+    printed as stale, and fails the run;
   * the fields of those configuration structs that only tests set: a
     literal of the struct in test code sets them, and no non-test code
     does, neither in a literal of the struct outside the struct's own file
     nor through `.field =` (non-test code: the same callers as above).
     `KEPT_KNOBS` names the ones kept on purpose, with the tests that set
-    them; an entry not listed any more is printed as stale.
-Nothing is gated: the numbers are for the tracker line and the CHANGES table.
+    them; an entry not listed any more is printed as stale, and fails the
+    run.
+The numbers are not gated: they are for the tracker line and the CHANGES
+table. The exit status is 1 when a `KEPT` or `KEPT_KNOBS` entry is stale.
 """
 import argparse
 import re
+import sys
 from pathlib import Path
 
 CONFIG = re.compile(r"^\s*pub struct (\w+Config|Timing|CostModel)\b.*\{\s*$")
@@ -59,14 +62,8 @@ KEPT = {
     "Vswitch::rules_mut": "setup: component-level vswitch rules",
     "RuleSet::add_security": "setup: tenant security rules",
     "RuleManager::set_policy": "setup: a tenant's rule set",
-    "Tor::install_tunnel": "tunnel directory: feeds tor.fastpath.tunnel_entries",
-    "Tor::remove_tunnel": "tunnel directory: feeds tor.fastpath.tunnel_entries",
-    "Tor::set_fabric_port": "multi-rack GRE path, with the tunnel directory",
-    "Tor::remove_hw_dest": "multi-rack GRE path, with the tunnel directory",
-    "Fabric": "multi-rack GRE path, with the tunnel directory",
-    "FabricStats": "multi-rack GRE path, with the tunnel directory",
-    "Fabric::add_route": "multi-rack GRE path, with the tunnel directory",
-    "Fabric::add_prefix_route": "multi-rack GRE path, with the tunnel directory",
+    "Tor::install_tunnel": "tunnel directory: benchmark/ reads tor.fastpath.tunnel_entries (item 4)",
+    "Tor::remove_tunnel": "tunnel directory: benchmark/ reads tor.fastpath.tunnel_entries (item 4)",
     "Buf": "wire codec, kept whole while benchmark/ probes call encode_wire",
     "verify": "wire codec, kept whole while benchmark/ probes call encode_wire",
     "ECT1": "ECN codepoints stay beside Packet",
@@ -336,6 +333,7 @@ def main():
     print(f"stale: kept names that are no public item of crates/*/src ({len(stale)})")
     for name in stale:
         print(f"  {name:32} {KEPT[name]}")
+    n_stale = len(stale)
 
     print("\n== configuration fields only tests set (no world sets them) ==")
     knobs = test_only_knobs(root, files, texts, tests, configs)
@@ -350,13 +348,15 @@ def main():
     print(f"stale: kept knobs that are no field only tests set ({len(stale)})")
     for name in stale:
         print(f"  {name:32} {KEPT_KNOBS[name]}")
+    n_stale += len(stale)
 
     for lit in args.count:
         hits = [(rel(p), no) for p in files if in_src(p) for no, l in code[p] if lit in l]
         print(f"\n== {lit!r} in code lines: {len(hits)} ==")
         for path, no in hits:
             print(f"  {path}:{no}")
+    return 1 if n_stale else 0
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main())
