@@ -56,7 +56,6 @@ pub struct MeasurementEngine {
     windows: FxHashMap<FlowAggregate, RateWindow>,
     /// Cumulative (packets, bytes) per aggregate at the epoch's sample A.
     baselines: FxHashMap<FlowAggregate, (u64, u64)>,
-    epochs_done: u64,
 }
 
 impl MeasurementEngine {
@@ -68,7 +67,6 @@ impl MeasurementEngine {
             history_len,
             windows: FxHashMap::default(),
             baselines: FxHashMap::default(),
-            epochs_done: 0,
         }
     }
 
@@ -99,7 +97,6 @@ impl MeasurementEngine {
     /// Δp/t and Δb/t per aggregate.
     pub fn epoch_sample_b(&mut self, entries: &[FlowStatEntry]) {
         let folded = Self::fold(entries);
-        self.epochs_done += 1;
         let (gap, cap) = (self.sample_gap_secs, self.history_len);
         // Aggregates present in this dump. An unmeasurable epoch (no
         // baseline, or the cumulative counters went backwards after a rule
@@ -129,11 +126,6 @@ impl MeasurementEngine {
         // Drop aggregates idle across the whole remembered history.
         self.windows.retain(|_, win| !win.idle());
         self.baselines = FxHashMap::default();
-    }
-
-    /// Number of closed epochs.
-    pub fn epochs_done(&self) -> u64 {
-        self.epochs_done
     }
 
     /// Produce the demand report (one row per active aggregate), highest
@@ -428,7 +420,6 @@ mod tests {
         me.epoch_sample_a(&[entry(k1, 100, 1_000), entry(k2, 0, 0)]);
         me.epoch_sample_b(&[entry(k1, 250, 2_500), entry(k2, 70, 700)]);
         me.epoch_sample_b(&[entry(k1, 400, 4_000)]);
-        assert_eq!(me.epochs_done(), 3);
         // k1: the unmeasurable epoch pushes nothing; window [100, 150].
         // k2: vanished, so a zero epoch; window [70, 0], upper median 70.
         let mut want = [

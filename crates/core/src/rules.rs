@@ -62,11 +62,6 @@ impl RuleManager {
         self.policies.insert(tenant, rules);
     }
 
-    /// Access a tenant's policy.
-    pub fn policy(&self, tenant: TenantId) -> Option<&RuleSet> {
-        self.policies.get(&tenant)
-    }
-
     /// Synthesize the ToR rule bundle for an offloaded aggregate.
     pub fn synthesize(
         &self,

@@ -5,8 +5,6 @@
 //! reinstalled (GC/reconciliation churn restarts its counters) re-baselines
 //! instead of reading as a zero-rate epoch.
 
-use std::collections::HashMap;
-
 use fastrak_net::ctrl::{CtrlRequest, TorStatEntry};
 use fastrak_net::flow::FlowAggregate;
 use fastrak_sim::{FxHashMap, FxHashSet};
@@ -47,7 +45,7 @@ pub(crate) struct HwMeter {
 
 fn fold(
     entries: &[TorStatEntry],
-    spec_to_agg: &HashMap<RuleId, FlowAggregate>,
+    spec_to_agg: &FxHashMap<RuleId, FlowAggregate>,
 ) -> FxHashMap<FlowAggregate, (u64, u64)> {
     let mut m: FxHashMap<FlowAggregate, (u64, u64)> = FxHashMap::default();
     for e in entries {
@@ -81,7 +79,7 @@ impl HwMeter {
         &mut self,
         xid: u64,
         entries: &[TorStatEntry],
-        spec_to_agg: &HashMap<RuleId, FlowAggregate>,
+        spec_to_agg: &FxHashMap<RuleId, FlowAggregate>,
         gap_secs: f64,
     ) -> bool {
         let Some(phase) = self.awaited.iter().position(|w| *w == Some(xid)) else {
@@ -172,7 +170,7 @@ mod tests {
 
     const GAP: f64 = 0.1;
 
-    fn map() -> HashMap<RuleId, FlowAggregate> {
+    fn map() -> FxHashMap<RuleId, FlowAggregate> {
         [agg(1), agg(2)].iter().map(|a| (rule(a), *a)).collect()
     }
 

@@ -14,10 +14,11 @@
 //! `entries_used`) so the reconciliation sweep has something independent to
 //! check them against.
 
-use std::collections::{HashMap, HashSet};
+use std::collections::HashSet;
 
 use fastrak_net::addr::TenantId;
 use fastrak_net::flow::{FlowAggregate, FlowSpec};
+use fastrak_sim::FxHashMap;
 use fastrak_telemetry::{Registry, Telemetry};
 
 /// Identity of a ToR ACL rule (tunnel mappings are shared and refcounted
@@ -30,10 +31,10 @@ pub(crate) struct RuleLedger {
     offloaded: HashSet<FlowAggregate>,
     /// Every aggregate holding an entry: offloaded, or reserved by an
     /// install still in flight.
-    installed_spec: HashMap<FlowAggregate, RuleId>,
-    spec_to_agg: HashMap<RuleId, FlowAggregate>,
+    installed_spec: FxHashMap<FlowAggregate, RuleId>,
+    spec_to_agg: FxHashMap<RuleId, FlowAggregate>,
     /// Released rules still in hardware for their grace period, by token.
-    gc_queue: HashMap<u64, Vec<RuleId>>,
+    gc_queue: FxHashMap<u64, Vec<RuleId>>,
     /// Monotone across controller restarts: a GC timer armed by a dead
     /// incarnation must never name a live batch.
     next_gc: u64,
@@ -64,7 +65,7 @@ impl RuleLedger {
     }
 
     /// Rule → aggregate, for folding per-rule hardware counters.
-    pub(crate) fn spec_to_agg(&self) -> &HashMap<RuleId, FlowAggregate> {
+    pub(crate) fn spec_to_agg(&self) -> &FxHashMap<RuleId, FlowAggregate> {
         &self.spec_to_agg
     }
 

@@ -21,9 +21,10 @@ use fastrak_net::ctrl::{Dir, FlowStatEntry};
 use fastrak_net::flow::FlowKey;
 use fastrak_net::rules::{Action, RuleSet};
 use fastrak_net::tables::ExactMatchTable;
-use fastrak_net::tunnel::{TunnelKey, TunnelMapping, TunnelTable};
+use fastrak_net::tunnel::{TunnelKey, TunnelMapping};
 use fastrak_sim::tbf::TokenBucket;
 use fastrak_sim::time::SimTime;
+use fastrak_sim::FxHashMap;
 
 /// Where a transmitted packet goes after vswitch processing.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -65,7 +66,7 @@ pub struct Vswitch {
     /// Userspace security rules (per tenant; scanned only on miss).
     rules: RuleSet,
     /// Tunnel mappings (userspace; resolved on miss, baked into the cache).
-    tunnels: TunnelTable,
+    tunnels: FxHashMap<TunnelKey, TunnelMapping>,
     /// Local VM directory: (tenant, vm tenant-IP) -> local VM index.
     local_vms: Vec<(TenantId, Ip)>,
     /// Per-local-VM software rate limiters (tc htb semantics), indexed like
@@ -82,7 +83,7 @@ impl Vswitch {
             cfg,
             datapath: ExactMatchTable::new(),
             rules: RuleSet::new(),
-            tunnels: TunnelTable::new(),
+            tunnels: FxHashMap::default(),
             local_vms: Vec::new(),
             vif_rates: Vec::new(),
             slow_path_hits: 0,
@@ -103,7 +104,7 @@ impl Vswitch {
     }
 
     /// Tunnel mappings (userspace).
-    pub fn tunnels_mut(&mut self) -> &mut TunnelTable {
+    pub fn tunnels_mut(&mut self) -> &mut FxHashMap<TunnelKey, TunnelMapping> {
         &mut self.tunnels
     }
 
@@ -188,11 +189,11 @@ impl Vswitch {
             return TxVerdict::Local(local);
         }
         if self.cfg.tunneling {
-            match self.tunnels.resolve(&TunnelKey {
+            match self.tunnels.get(&TunnelKey {
                 tenant: key.tenant,
                 vm_ip: key.dst_ip,
             }) {
-                Some(m) => TxVerdict::UplinkTunneled(m),
+                Some(&m) => TxVerdict::UplinkTunneled(m),
                 None => TxVerdict::NoRoute,
             }
         } else {
@@ -329,6 +330,24 @@ mod tests {
         // Unmapped destination: no route.
         let r2 = vs.process_tx(&key(1, vm(1), vm(6)), 10);
         assert_eq!(r2.verdict, TxVerdict::NoRoute);
+        // Tenant 2 reuses the VM IP: the tenant tells the mappings apart.
+        let r3 = vs.process_tx(&key(2, vm(1), vm(5)), 10);
+        assert_eq!(r3.verdict, TxVerdict::NoRoute);
+        let m2 = TunnelMapping {
+            server_ip: Ip::provider_server(1, 3),
+            tor_ip: Ip::provider_tor(1),
+        };
+        vs.tunnels_mut().insert(
+            TunnelKey {
+                tenant: TenantId(2),
+                vm_ip: vm(5),
+            },
+            m2,
+        );
+        let r4 = vs.process_tx(&key(2, vm(2), vm(5)), 10);
+        assert_eq!(r4.verdict, TxVerdict::UplinkTunneled(m2));
+        let r5 = vs.process_tx(&key(1, vm(2), vm(5)), 10);
+        assert_eq!(r5.verdict, TxVerdict::UplinkTunneled(m));
     }
 
     #[test]

@@ -9,9 +9,7 @@
 //!   datapath (paper §2.2);
 //! * [`tables::WildcardTable`] — priority-ordered wildcard matching with a
 //!   bounded capacity, modelling switch fast-path (TCAM/VRF) memory
-//!   (paper §4.1.3) and the flow placer's control plane (§4.1.1);
-//! * [`tunnel::TunnelTable`] — tenant-IP → (provider IP, tenant key) mappings
-//!   for GRE/VXLAN encapsulation (paper §2.1 C1, §4.2).
+//!   (paper §4.1.3) and the flow placer's control plane (§4.1.1).
 //!
 //! [`port::EgressPort`] is the one output-queue model (drop-tail bound, ECN
 //! marking, line-rate serialisation) that both the server NIC and the ToR use.
@@ -42,4 +40,4 @@ pub use flow::{FlowAggregate, FlowKey, FlowSpec, Proto};
 pub use packet::{Encap, EncapStack, L4Meta, Packet, PathTag, ENCAP_MAX_DEPTH};
 pub use rules::{Action, QosClass, RuleSet, SecurityRule};
 pub use tables::{ExactMatchTable, WildcardTable};
-pub use tunnel::{TunnelKey, TunnelMapping, TunnelTable};
+pub use tunnel::{TunnelKey, TunnelMapping};

@@ -120,8 +120,6 @@ pub struct WildcardTable<V> {
     entries: Vec<WildcardEntry<V>>,
     capacity: usize,
     next_seq: u64,
-    lookups: u64,
-    misses: u64,
 }
 
 impl<V> WildcardTable<V> {
@@ -132,8 +130,6 @@ impl<V> WildcardTable<V> {
             entries: Vec::new(),
             capacity,
             next_seq: 0,
-            lookups: 0,
-            misses: 0,
         }
     }
 
@@ -192,15 +188,9 @@ impl<V> WildcardTable<V> {
 
     /// Match `key`, accounting a packet of `bytes` on the winning rule.
     pub fn lookup(&mut self, key: &FlowKey, bytes: u64) -> Option<&V> {
-        self.lookups += 1;
-        for e in &mut self.entries {
-            if e.spec.matches(key) {
-                e.stats.add(bytes);
-                return Some(&e.value);
-            }
-        }
-        self.misses += 1;
-        None
+        let e = self.entries.iter_mut().find(|e| e.spec.matches(key))?;
+        e.stats.add(bytes);
+        Some(&e.value)
     }
 
     /// Match without stats accounting.
@@ -211,16 +201,6 @@ impl<V> WildcardTable<V> {
     /// Iterate entries in match order.
     pub fn iter(&self) -> impl Iterator<Item = &WildcardEntry<V>> {
         self.entries.iter()
-    }
-
-    /// Total lookups performed.
-    pub fn lookups(&self) -> u64 {
-        self.lookups
-    }
-
-    /// Lookups that matched no rule.
-    pub fn misses(&self) -> u64 {
-        self.misses
     }
 
     /// Does an entry with exactly this spec exist?
@@ -332,7 +312,8 @@ mod tests {
         let mut t: WildcardTable<u32> = WildcardTable::new(4);
         t.install(FlowSpec::tenant(TenantId(9)), 1, 0).unwrap();
         assert_eq!(t.lookup(&key(80), 1), None);
-        assert_eq!(t.misses(), 1);
+        let stats = t.iter().next().unwrap().stats;
+        assert_eq!((stats.count, stats.bytes), (0, 0));
     }
 
     #[test]

@@ -104,11 +104,6 @@ impl CpuPool {
         }
         self.window_busy.as_secs_f64() / elapsed.as_secs_f64()
     }
-
-    /// Windowed busy CPU time.
-    pub fn window_busy(&self) -> SimDuration {
-        self.window_busy
-    }
 }
 
 #[cfg(test)]

@@ -365,12 +365,6 @@ impl<E, C> Kernel<E, C> {
         self.sched.cancel(h);
     }
 
-    /// Total cancel requests (including no-op cancels of already-fired
-    /// events) — a telemetry counter, not scheduler state.
-    pub fn cancels_requested(&self) -> u64 {
-        self.cancels_requested
-    }
-
     /// Immutable typed access to a node (harness inspection between events).
     ///
     /// # Panics

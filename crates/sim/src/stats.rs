@@ -101,11 +101,6 @@ impl MeterRate {
         self.total.add(bytes);
     }
 
-    /// Cumulative counter since construction.
-    pub fn total(&self) -> Counter {
-        self.total
-    }
-
     /// Restart the measurement window at `now`.
     pub fn begin_window(&mut self, now: SimTime) {
         self.window_start = now;
@@ -146,7 +141,6 @@ mod tests {
             m.add(1250);
         }
         let now = SimTime::from_secs(1);
-        assert_eq!(m.total().count, 1000);
         assert!((m.bits_per_sec(now) - 10_000_000.0).abs() < 1e-6);
     }
 

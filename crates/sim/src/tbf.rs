@@ -21,8 +21,6 @@ pub struct TokenBucket {
     tokens: f64,
     last_refill: SimTime,
     fifo_free: SimTime,
-    conforming: u64,
-    delayed: u64,
 }
 
 impl TokenBucket {
@@ -37,8 +35,6 @@ impl TokenBucket {
             tokens: burst_bytes as f64,
             last_refill: SimTime::ZERO,
             fifo_free: SimTime::ZERO,
-            conforming: 0,
-            delayed: 0,
         }
     }
 
@@ -86,11 +82,6 @@ impl TokenBucket {
         self.tokens -= bytes as f64;
         // Even with a deep bucket, packets leave in order.
         self.fifo_free = self.fifo_free.max(at);
-        if self.tokens >= 0.0 && at <= self.last_refill {
-            self.conforming += 1;
-        } else {
-            self.delayed += 1;
-        }
     }
 
     /// Convenience: reserve a departure slot for `bytes` at/after `now`,
@@ -99,16 +90,6 @@ impl TokenBucket {
         let at = self.earliest_departure(now, bytes);
         self.commit(at, bytes);
         at
-    }
-
-    /// Packets that departed without waiting.
-    pub fn conforming(&self) -> u64 {
-        self.conforming
-    }
-
-    /// Packets that had to wait for tokens.
-    pub fn delayed(&self) -> u64 {
-        self.delayed
     }
 }
 

@@ -75,9 +75,30 @@ mod tests {
 
     #[test]
     fn vlan_mapping_and_hw_dests() {
-        let mut tor = Tor::new(TorConfig::testbed("tor0", 0));
-        tor.map_vlan(VlanId::new(101), TenantId(1));
-        tor.add_hw_dest(
+        use fastrak_net::event::{Event, NetCtx};
+        use fastrak_net::flow::{FlowKey, Proto};
+        use fastrak_net::packet::{Encap, L4Meta, Packet};
+        use fastrak_sim::kernel::{Api, Kernel, Node};
+        use fastrak_sim::time::SimTime;
+
+        /// Records the port and outer VLAN of every frame it receives.
+        #[derive(Default)]
+        struct Sink(Vec<(usize, Option<u16>)>);
+        impl Node<Event, NetCtx> for Sink {
+            fn on_event(&mut self, ev: Event, _api: &mut Api<'_, Event, NetCtx>) {
+                if let Event::Frame { port, pkt } = ev {
+                    self.0.push((port, pkt.outer_vlan()));
+                }
+            }
+        }
+
+        let mut kernel: Kernel<Event, NetCtx> = Kernel::new(NetCtx::new(), 1);
+        let tor = kernel.add_node(Tor::new(TorConfig::testbed("tor0", 0)));
+        let sink = kernel.add_node(Sink::default());
+        let t = kernel.node_mut::<Tor>(tor);
+        t.wire_port(3, sink, 3);
+        t.map_vlan(VlanId::new(101), TenantId(1));
+        t.add_hw_dest(
             TenantId(1),
             Ip::tenant_vm(1),
             HwDest {
@@ -85,8 +106,27 @@ mod tests {
                 vlan: VlanId::new(101),
             },
         );
-        // No panic; routing correctness is covered by the end-to-end tests
-        // in the workspace `tests/` directory.
+        t.install_rule(&rule(1, 2000)).unwrap();
+        let flow = FlowKey {
+            tenant: TenantId(1),
+            src_ip: Ip::tenant_vm(2),
+            dst_ip: Ip::tenant_vm(1),
+            proto: Proto::Udp,
+            src_port: 40_000,
+            dst_port: 2000,
+        };
+        for (id, vlan) in [(0, 101), (1, 202)] {
+            let mut pkt = Packet::new(id, flow, L4Meta::Udp, 100, SimTime::ZERO);
+            pkt.encap(Encap::Vlan(vlan));
+            kernel.post(tor, SimTime::ZERO, Event::Frame { port: 1, pkt });
+        }
+        kernel.run_to_completion();
+
+        // VLAN 101 selects tenant 1's VRF; the allowed frame leaves the VM's
+        // port re-tagged with its VLAN. The unmapped VLAN is an ACL drop.
+        assert_eq!(kernel.node::<Sink>(sink).0, [(3, Some(101))]);
+        let stats = kernel.node::<Tor>(tor).stats;
+        assert_eq!((stats.hw_frames, stats.acl_drops), (1, 1));
     }
 
     /// End-to-end smoke: two servers on one ToR, a client VM sends a burst

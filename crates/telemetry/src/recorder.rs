@@ -45,7 +45,6 @@ pub struct AuditLog {
     capacity: usize,
     interner: Interner,
     records: Vec<DecisionRecord>,
-    dropped: u64,
 }
 
 impl Default for AuditLog {
@@ -55,7 +54,6 @@ impl Default for AuditLog {
             capacity: 1 << 16,
             interner: Interner::default(),
             records: Vec::new(),
-            dropped: 0,
         }
     }
 }
@@ -84,11 +82,7 @@ impl AuditLog {
         entries_used: u64,
         capacity: u64,
     ) {
-        if !self.enabled {
-            return;
-        }
-        if self.records.len() >= self.capacity {
-            self.dropped += 1;
+        if !self.enabled || self.records.len() >= self.capacity {
             return;
         }
         let subject = self.interner.intern(subject);
@@ -106,11 +100,6 @@ impl AuditLog {
     /// All decisions, in record order.
     pub fn records(&self) -> &[DecisionRecord] {
         &self.records
-    }
-
-    /// Decisions rejected because the log was full.
-    pub fn dropped(&self) -> u64 {
-        self.dropped
     }
 }
 

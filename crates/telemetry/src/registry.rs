@@ -144,11 +144,6 @@ impl Registry {
         self.hists[id.0 as usize].record(v);
     }
 
-    /// Read access to a histogram.
-    pub fn hist(&self, id: HistId) -> &Histogram {
-        &self.hists[id.0 as usize]
-    }
-
     /// Look up a counter by rendered name (`name` or `name{k=v,...}` with
     /// keys sorted). For tests and experiment reporting.
     pub fn counter_by_name(&self, full: &str) -> Option<u64> {
@@ -235,7 +230,8 @@ mod tests {
         let h = r.histogram("tcp.cwnd", &[("server", "s1")]);
         r.observe(h, 10);
         r.observe(h, 20);
-        assert_eq!(r.hist(h).count(), 2);
+        let (name, hist) = r.hists().next().unwrap();
+        assert_eq!((name, hist.count()), ("tcp.cwnd{server=s1}", 2));
     }
 
     #[test]

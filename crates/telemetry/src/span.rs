@@ -63,7 +63,6 @@ pub struct SpanLog {
     spans: Vec<Span>,
     /// Open "path residency" span per (component, flow), with its name.
     open_path: FxHashMap<(u32, u64), u32>,
-    dropped: u64,
 }
 
 impl Default for SpanLog {
@@ -74,7 +73,6 @@ impl Default for SpanLog {
             interner: Interner::default(),
             spans: Vec::new(),
             open_path: FxHashMap::default(),
-            dropped: 0,
         }
     }
 }
@@ -102,12 +100,8 @@ impl SpanLog {
         self.interner.resolve(comp.0)
     }
 
-    fn room(&mut self) -> bool {
-        if self.spans.len() >= self.capacity {
-            self.dropped += 1;
-            return false;
-        }
-        true
+    fn room(&self) -> bool {
+        self.spans.len() < self.capacity
     }
 
     /// Open a span. Returns a handle valid until the log is cleared.
@@ -181,11 +175,6 @@ impl SpanLog {
     pub fn spans(&self) -> &[Span] {
         &self.spans
     }
-
-    /// Records rejected because the log was full.
-    pub fn dropped(&self) -> u64 {
-        self.dropped
-    }
 }
 
 #[cfg(test)]
@@ -257,6 +246,5 @@ mod tests {
             l.begin(0, c, "s", f);
         }
         assert_eq!(l.spans().len(), 2);
-        assert_eq!(l.dropped(), 3);
     }
 }

@@ -69,8 +69,6 @@ impl Default for TenantFleetConfig {
 pub struct FleetTenant {
     /// The tenant id (rank order: 1 is the heaviest).
     pub tenant: TenantId,
-    /// This tenant's normalized Zipf demand weight.
-    pub weight: f64,
     /// The per-connection burst its clients run with.
     pub burst: usize,
     /// The memcached server VM.
@@ -124,7 +122,6 @@ impl TenantFleet {
             }
             tenants.push(FleetTenant {
                 tenant,
-                weight,
                 burst,
                 server,
                 clients,

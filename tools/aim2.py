@@ -16,11 +16,13 @@ Prints, for the Rust outside `benchmark/` and `target/`:
     caller in non-test crate code, `src/`, `examples/`,
     `crates/bench/benches/` or `benchmark/src/`. A caller inside an item
     that is itself unreached does not count. A method (an item of an
-    `impl`) is reached only where its name follows `.` or `::`, so a local
-    of the same name is no call; any other item, wherever its name occurs.
-    `KEPT` names the ones kept on purpose, with the tests that use them; a
-    `KEPT` name that is no public item of `crates/*/src` any more is
-    printed as stale, and fails the run;
+    `impl`) is reached only where its name follows `::`, or follows `.`
+    with `(` or `::<` after it: a call, so neither a local nor a field of
+    the same name (`self.misses += 1`) is one; any other item, wherever
+    its name occurs. `KEPT` names the ones kept on purpose, with the tests
+    that use them; an item listed that is not on `KEPT` fails the run, and
+    so does a `KEPT` name that is no public item of `crates/*/src` any more
+    (printed as stale);
   * the fields of those configuration structs that only tests set: a
     literal of the struct in test code sets them, and no non-test code
     does, neither in a literal of the struct outside the struct's own file
@@ -29,7 +31,8 @@ Prints, for the Rust outside `benchmark/` and `target/`:
     them; an entry not listed any more is printed as stale, and fails the
     run.
 The numbers are not gated: they are for the tracker line and the CHANGES
-table. The exit status is 1 when a `KEPT` or `KEPT_KNOBS` entry is stale.
+table. The exit status is 1 when an item only tests reach is not on
+`KEPT`, or a `KEPT` or `KEPT_KNOBS` entry is stale.
 """
 import argparse
 import re
@@ -43,7 +46,7 @@ PUB_ITEM = re.compile(
 )
 IMPL = re.compile(r"^\s*impl\b(?:<[^>]*>)?\s+(?:(\w+)(?:<[^>]*>)?\s+for\s+)?(\w+)")
 WORD = re.compile(r"[A-Za-z_]\w*")
-PATH_WORD = re.compile(r"(?:(?<!\.)\.|::)\s*([A-Za-z_]\w*)")
+PATH_WORD = re.compile(r"(?<!\.)\.\s*([A-Za-z_]\w*)(?=\s*(?:\(|::<))|::\s*([A-Za-z_]\w*)")
 CALLERS = ("src/", "examples/", "crates/bench/benches/", "benchmark/src/")
 
 # Public items that only tests reach, kept on purpose: observation hooks
@@ -51,10 +54,15 @@ CALLERS = ("src/", "examples/", "crates/bench/benches/", "benchmark/src/")
 # (ROADMAP items 8 and 9), and paper model pieces no world runs yet.
 KEPT = {
     "Calendar::debug_audit": "hook: audits the calendar's bookkeeping",
+    "TraceRing::dropped": "hook: the trace ring did not overflow (datapath_conservation)",
     "Calendar::next_time": "hook: peeks at the next due time",
     "CpuPool::total_busy": "hook: work conservation",
     "SimTime::checked_sub": "hook: time arithmetic",
     "Server::stages_in_flight": "hook: a drained run holds no stage",
+    "Server::nic": "hook: per-VF rx counts (datapath_conservation, datapath_pinned)",
+    "DctcpCc::alpha": "hook: DCTCP's live marking estimate decays and converges",
+    "RttEstimator::rttvar": "hook: the live RTT variance behind the RTO",
+    "TcpConn::ecn_active": "hook: ECN negotiated on both ends, or on neither",
     "FlowPlacer::current_path": "hook: which path a flow rides",
     "Telemetry::enable_all": "hook: every series on, for the export schema",
     "TorController::tor_believed_down": "hook: ToR liveness belief",
@@ -178,7 +186,7 @@ def unreached(root, files, texts, tests):
                 name = f"{owner}::{m.group(2)}" if owner else m.group(2)
                 at = f"{rel(p)}:{kept[i][0]}"
                 items.append((m.group(2), int(owner is not None), name, {(p, j) for j in body}, at))
-            words[(p, i)] = (w, PATH_WORD.findall(b))
+            words[(p, i)] = (w, [a or b for a, b in PATH_WORD.findall(b)])
     total = [{}, {}]  # by kind: 0 any occurrence, 1 after `.` or `::`
     for ws in words.values():
         for kind, w in enumerate(ws):
@@ -319,6 +327,7 @@ def main():
             kept.append((name, at))
         else:
             print(f"  {name:40} {at}")
+    n_unlisted = len(found) - len(kept)
     print(f"kept on purpose ({len(kept)}), each with the tests that use it:")
     test_text = {
         p: t if p in tests or "tests" in p.relative_to(root).parts
@@ -355,7 +364,7 @@ def main():
         print(f"\n== {lit!r} in code lines: {len(hits)} ==")
         for path, no in hits:
             print(f"  {path}:{no}")
-    return 1 if n_stale else 0
+    return 1 if n_unlisted or n_stale else 0
 
 
 if __name__ == "__main__":
