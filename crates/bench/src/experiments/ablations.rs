@@ -17,9 +17,8 @@ use fastrak_workload::{
     memcached_server, MemslapClient, MemslapConfig, Testbed, TestbedConfig, VmRef,
 };
 
-use crate::cells;
-use crate::experiments::Cx;
-use crate::report::{Artifact, Row};
+use crate::experiments::{Cell, Cx, Decl, World};
+use crate::report::{Artifact, ArtifactSpec, Col};
 
 const T: TenantId = TenantId(1);
 
@@ -71,15 +70,15 @@ fn hw_fraction(bed: &Testbed) -> f64 {
     }
 }
 
-/// Run one configuration and report (hw traffic fraction, client tps). The
-/// cell `export` is given publishes into it.
-fn run_cfg(
+/// Run one configuration and read (hw traffic fraction, client tps) at each
+/// cell's horizon, in seconds, ascending. The exported cell publishes the
+/// world as it stands at its horizon.
+fn run_world(
     de: DeConfig,
     timing: Timing,
     budget: usize,
-    horizon_s: u64,
-    export: Option<&Cx>,
-) -> (f64, f64) {
+    cells: &[Cell<'_, u64>],
+) -> Vec<(f64, f64)> {
     let (mut bed, _servers, clients) = skewed_rack(8);
     let ft = attach(
         &mut bed,
@@ -92,109 +91,109 @@ fn run_cfg(
     );
     ft.start(&mut bed);
     bed.start();
-    bed.run_until(SimTime::from_secs(horizon_s));
-    let now = bed.now();
-    let tps: f64 = clients
-        .iter()
-        .map(|&c| bed.app::<MemslapClient>(c).completed() as f64 / now.as_secs_f64())
-        .sum();
-    let hw = hw_fraction(&bed);
-    if let Some(cx) = export {
-        cx.publish(&mut bed, Some(&ft));
+    let mut got = Vec::new();
+    for cell in cells {
+        bed.run_until(SimTime::from_secs(*cell.read));
+        let now = bed.now();
+        let tps: f64 = (clients.iter())
+            .map(|&c| bed.app::<MemslapClient>(c).completed() as f64 / now.as_secs_f64())
+            .sum();
+        got.push((hw_fraction(&bed), tps));
+        if let Some(cx) = cell.export {
+            cx.publish(&mut bed, Some(&ft));
+        }
     }
-    (hw, tps)
+    got
 }
 
-/// Regenerate the ablation report. `--telemetry` exports the paper's
-/// configuration: fine timing, budget 8, run for 12 s.
-pub fn run(cx: &Cx) -> Vec<Artifact> {
+/// The scoring ablation's two decision engines, by label.
+fn scoring() -> [(&'static str, DeConfig); 2] {
     // pps-only: ignore the frequency term by zeroing history influence —
     // approximated with hysteresis off and a one-epoch memory via fine
     // timing (the m_pps median over a short history is close to
     // instantaneous pps).
     let mut pps_only = DeConfig::paper();
     pps_only.hysteresis = 1.0;
-    let budgets = [1usize, 2, 4, 8, 16, 32];
-    let intervals = [
-        ("T=0.5s (fine)", Timing::fine()),
-        ("T=5s (coarse)", Timing::coarse()),
-    ];
-
-    // Every world of the three reports: (decision engine, timing, fast-path
-    // budget, horizon seconds). The two 12 s interval worlds go first: they
-    // are the longest cells, and started last they would be the tail no
-    // freed-up worker can share.
-    let scoring = [
+    [
         // Paper score: S = n × m_pps (`DeConfig::score`).
         ("S = n × m_pps (paper)", DeConfig::paper()),
         ("pps-only (no hysteresis)", pps_only),
-    ];
-    let mut grid = Vec::new();
-    grid.extend(intervals.map(|(_, timing)| (DeConfig::paper(), timing, 8, 12)));
-    grid.extend(scoring.clone().map(|(_, de)| (de, Timing::fine(), 6, 6)));
-    grid.extend(budgets.map(|budget| (DeConfig::paper(), Timing::fine(), budget, 6)));
-    let indexed: Vec<_> = grid.iter().enumerate().collect();
-    let measured = cells::map(&indexed, |&(i, (de, timing, budget, horizon_s))| {
-        // The first cell is the exported one: the fine-interval world.
-        let export = (i == 0).then_some(cx);
-        run_cfg(de.clone(), *timing, *budget, *horizon_s, export)
-    });
-    let (by_interval, rest) = measured.split_at(intervals.len());
-    let (by_scoring, by_budget) = rest.split_at(scoring.len());
+    ]
+}
 
-    let mut a = Artifact::new(
+const HW: Col<(f64, f64)> = Col::new("hw traffic fraction", "fraction", |c| c.0);
+const TPS: Col<(f64, f64)> = Col::new("aggregate TPS", "tps", |c| c.1);
+
+/// The three reports' worlds: (decision engine, timing, fast-path budget),
+/// each read at 6 s or 12 s. The two 12 s interval worlds go first: they
+/// are the longest, and started last they would be the tail no freed-up
+/// worker can share. The fine one (paper score, budget 8) read at 6 s is
+/// also the capacity sweep's 8-entry cell. `--telemetry` exports the
+/// paper's configuration: fine timing, budget 8, run for 12 s.
+pub(crate) fn declare(_full: bool) -> Decl<(DeConfig, Timing, usize), (f64, f64), u64> {
+    let scoring = scoring();
+    let budgets = [1usize, 2, 4, 8, 16, 32];
+    let entries = |budget| format!("{budget} entries");
+    let fine = "T=0.5s (fine)";
+
+    let paper = |timing, budget| (DeConfig::paper(), timing, budget);
+    let mut worlds = vec![
+        World {
+            params: paper(Timing::fine(), 8),
+            cells: vec![(entries(8), 6), (fine.into(), 12)],
+        },
+        World {
+            params: paper(Timing::coarse(), 8),
+            cells: vec![("T=5s (coarse)".into(), 12)],
+        },
+    ];
+    let one = |label: String, params| World {
+        params,
+        cells: vec![(label, 6)],
+    };
+    worlds.extend(
+        scoring
+            .clone()
+            .map(|(label, de)| one(label.into(), (de, Timing::fine(), 6))),
+    );
+    let unread = budgets.into_iter().filter(|&b| b != 8);
+    worlds.extend(unread.map(|budget| one(entries(budget), paper(Timing::fine(), budget))));
+
+    let mut a = ArtifactSpec::new(
         "ablation-scoring",
         "Scoring-function ablation (8 skewed services, budget = 6 rules)",
         "the paper's MFU×median-pps score should capture at least as much traffic as pps-only or frequency-only scoring",
     );
-    for (&(label, _), &(frac, tps)) in scoring.iter().zip(by_scoring) {
-        a.push(Row::new(
-            "hw traffic fraction",
-            label,
-            None,
-            frac,
-            "fraction",
-        ));
-        a.push(Row::new("aggregate TPS", label, None, tps, "tps"));
+    for (label, _) in scoring {
+        a.push(HW.at(label));
+        a.push(TPS.at(label));
     }
     a.note("ablation beyond the paper; both selectors converge on the hot services in steady state — the hysteresis/median terms matter under churn");
-
-    let mut b = Artifact::new(
+    let mut b = ArtifactSpec::new(
         "ablation-capacity",
         "Fast-path capacity sweep (8 skewed services)",
         "hardware-carried traffic grows with fast-path entries and saturates once the hot aggregates fit (§1: the hardware/server rule gap is inherent, so selection quality is what matters)",
     );
-    for (budget, &(frac, tps)) in budgets.iter().zip(by_budget) {
-        b.push(Row::new(
-            "hw traffic fraction",
-            format!("{budget} entries"),
-            None,
-            frac,
-            "fraction",
-        ));
-        b.push(Row::new(
-            "aggregate TPS",
-            format!("{budget} entries"),
-            None,
-            tps,
-            "tps",
-        ));
+    for budget in budgets {
+        b.push(HW.at(&entries(budget)));
+        b.push(TPS.at(&entries(budget)));
     }
-
-    let mut c = Artifact::new(
+    let mut c = ArtifactSpec::new(
         "ablation-interval",
         "Control-interval sensitivity",
         "finer control intervals react faster (the paper runs T = 5 s and T = 0.5 s, §5.2); steady-state selection is the same",
     );
-    for (&(label, _), &(frac, tps)) in intervals.iter().zip(by_interval) {
-        c.push(Row::new(
-            "hw traffic fraction @12s",
-            label,
-            None,
-            frac,
-            "fraction",
-        ));
-        c.push(Row::new("aggregate TPS", label, None, tps, "tps"));
+    let hw_at_12s = Col::new("hw traffic fraction @12s", "fraction", |c: &(f64, f64)| c.0);
+    for label in [fine, "T=5s (coarse)"] {
+        c.push(hw_at_12s.at(label));
+        c.push(TPS.at(label));
     }
-    vec![a, b, c]
+    Decl::new(worlds, fine, vec![a, b, c])
+}
+
+/// Regenerate the ablation report.
+pub fn run(cx: &Cx) -> Vec<Artifact> {
+    declare(cx.full).run(cx, |(de, timing, budget), cells| {
+        run_world(de.clone(), *timing, *budget, cells)
+    })
 }

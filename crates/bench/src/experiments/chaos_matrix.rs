@@ -46,15 +46,16 @@ use fastrak_telemetry::Registry;
 use fastrak_workload::{MemslapClient, Testbed, VmRef};
 
 use crate::cells;
-use crate::experiments::Cx;
-use crate::report::{Artifact, Row};
+use crate::experiments::fault_matrix::Converged;
+use crate::experiments::{Cx, Decl, World};
+use crate::report::{Artifact, ArtifactSpec, Col};
 use crate::scenarios::scp_rack;
 
 /// Failure scenarios scripted through the chaos plane. All faults open at
 /// [`fault_start`], after the controller has converged on the memcached
 /// aggregates.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum Scenario {
+pub(crate) enum Scenario {
     /// No chaos — the convergence target every other scenario must return to.
     Baseline,
     /// ToR dark + state wiped for 2.5 s – 2.9 s.
@@ -75,6 +76,33 @@ impl Scenario {
             Scenario::VfFailure => "vf_failure",
             Scenario::LinkFlap => "link_flap",
             Scenario::CtrlRestart => "ctrl_restart",
+        }
+    }
+}
+
+impl Scenario {
+    /// The rows only this scenario's cells report, after the ones every
+    /// scenario's cells do.
+    fn own_columns(self) -> Vec<Col<Outcome>> {
+        let count = |metric, read: fn(&Outcome) -> f64| Col::new(metric, "count", read);
+        match self {
+            Scenario::Baseline => vec![],
+            Scenario::TorReboot => vec![
+                count("tor reboots detected", |o| o.reboots_seen as f64),
+                Col::new("frames blackholed by dark ToR", "frames", |o| {
+                    o.frames_blocked as f64
+                }),
+            ],
+            Scenario::VfFailure => vec![
+                count("hw-path-down demotes", |o| o.hw_down_demotes as f64),
+                Col::new("frames eaten by dead VF", "frames", |o| {
+                    o.hw_path_drops as f64
+                }),
+            ],
+            Scenario::LinkFlap => vec![count("blackhole demotes", |o| o.blackhole_demotes as f64)],
+            Scenario::CtrlRestart => {
+                vec![count("controller restarts survived", |o| o.restarts as f64)]
+            }
         }
     }
 }
@@ -183,12 +211,8 @@ fn chaos_for(scenario: Scenario, tor: NodeId, server0: NodeId, tor_ctrl: NodeId)
 }
 
 /// End-of-run observables for one (scenario, policy) cell.
-struct Outcome {
-    /// Sorted debug strings of the offloaded aggregates.
-    offloaded: Vec<String>,
-    /// `entries_used` minus the ToR's actual installed rule count — the
-    /// bookkeeping-drift invariant, which must be zero after recovery.
-    drift: i64,
+pub(crate) struct Outcome {
+    conv: Converged,
     /// Victim (memslap) p99 transaction latency over the whole run.
     p99_ns: u64,
     /// First checkpoint (ms after the fault opens) where the offloaded set
@@ -203,6 +227,12 @@ struct Outcome {
     hw_down_demotes: u64,
     frames_blocked: u64,
     hw_path_drops: u64,
+}
+
+impl AsRef<Converged> for Outcome {
+    fn as_ref(&self) -> &Converged {
+        &self.conv
+    }
 }
 
 /// Run a scripted rack from wherever it stands (at most [`fork_at`]) to
@@ -242,25 +272,17 @@ fn finish(rack: Rack, horizon: SimTime) -> (Outcome, Registry) {
         }
     }
 
-    let mut offloaded: Vec<String> = ft
-        .offloaded(&bed)
-        .iter()
-        .map(|a| format!("{a:?}"))
-        .collect();
-    offloaded.sort();
+    let conv = Converged::read(&bed, &ft);
     let p99_ns = bed.app::<MemslapClient>(memslap).latency.quantile(0.99);
     let hw_path_drops = bed.server(0).stats.hw_path_drops + bed.server(1).stats.hw_path_drops;
     bed.publish_telemetry();
     ft.publish_telemetry(&mut bed);
-    let tc = bed.kernel.node::<TorController>(ft.tor_ctrl);
-    let drift = tc.entries_used as i64 - bed.tor().acl_rules() as i64;
     let reg = std::mem::take(&mut bed.kernel.ctx.telemetry.registry);
     let ctr = |name: &str| reg.counter_by_name(name).unwrap_or(0);
     let since_fault =
         |t: Option<SimTime>| t.map_or(-1.0, |t| (t - fault_start()).as_nanos() as f64 / 1e6);
     let got = Outcome {
-        offloaded,
-        drift,
+        conv,
         p99_ns,
         time_to_fallback_ms: since_fault(fell_at),
         time_to_reoffload_ms: since_fault(recovered_at),
@@ -311,17 +333,13 @@ fn policy_label(p: &FastPathPolicy) -> &'static str {
     }
 }
 
-/// Regenerate the chaos-matrix report. `--telemetry` exports the
-/// ToR-reboot cell under the unrestricted policy: the richest snapshot
-/// (chaos counters, probe/reconcile machinery, and blocked-frame accounting
-/// all non-trivial).
-pub fn run(cx: &Cx) -> Vec<Artifact> {
-    let full = cx.full;
-    let horizon = if full {
-        SimTime::from_millis(8_300)
-    } else {
-        SimTime::from_millis(6_300)
-    };
+/// One world per policy (both in `--full` mode, unrestricted only in quick
+/// mode), forked into the fault-free baseline cell and one cell per
+/// scenario. `--telemetry` exports the ToR-reboot cell under the
+/// unrestricted policy: the richest snapshot (chaos counters,
+/// probe/reconcile machinery, and blocked-frame accounting all
+/// non-trivial).
+pub(crate) fn declare(full: bool) -> Decl<FastPathPolicy, Outcome, Scenario> {
     let policies: Vec<FastPathPolicy> = if full {
         vec![
             FastPathPolicy::Unrestricted,
@@ -338,110 +356,59 @@ pub fn run(cx: &Cx) -> Vec<Artifact> {
         Scenario::LinkFlap,
         Scenario::CtrlRestart,
     ];
-
-    let mut a = Artifact::new(
+    let columns = [
+        Col::new("time to software fallback", "ms", |o: &Outcome| {
+            o.time_to_fallback_ms
+        }),
+        Col::new("time to re-offload", "ms", |o| o.time_to_reoffload_ms),
+        Col::new("victim p99 latency", "us", |o| o.p99_ns as f64 / 1_000.0),
+    ];
+    let mut a = ArtifactSpec::new(
         "chaos-matrix",
         "Express-lane degradation and recovery under component failures",
         "scripted ToR reboots, SR-IOV VF death, link flaps, and controller restarts: offloaded flows fall back to the software path (nothing is lost), bookkeeping drift stays zero, and the offloaded set re-converges to the fault-free one after recovery",
     );
-    // Per policy: the fault-free baseline world, then one world per
-    // scenario, all forked from one converged rack.
-    let cells: Vec<Scenario> = std::iter::once(Scenario::Baseline)
-        .chain(scenarios)
-        .collect();
-    // Only the exported cell's registry outlives its cell.
-    let mut outcomes = cells::map(&policies, |policy| {
-        run_policy(policy.clone(), &cells, horizon, |scenario, got, reg| {
-            if scenario == Scenario::TorReboot && policy.is_unrestricted() {
+    let mut worlds = Vec::new();
+    for policy in policies {
+        let label = |s: Scenario| format!("{}/{}", s.label(), policy_label(&policy));
+        let base = label(Scenario::Baseline);
+        Converged::base_row(&mut a, &base);
+        let mut cells = vec![(base.clone(), Scenario::Baseline)];
+        for scenario in scenarios {
+            let cell = label(scenario);
+            Converged::rows(&mut a, &cell, &base);
+            for col in columns.iter().chain(&scenario.own_columns()) {
+                a.push(col.at(&cell));
+            }
+            cells.push((cell, scenario));
+        }
+        worlds.push(World {
+            params: policy,
+            cells,
+        });
+    }
+    a.note("'paper' column is the recovery target (1 = same offloaded set as the fault-free run, 0 bookkeeping drift), not a published number — the paper's evaluation assumes every component stays up");
+    Decl::new(worlds, "tor_reboot/unrestricted", vec![a])
+}
+
+/// Regenerate the chaos-matrix report: each policy's shared history is
+/// simulated once and forked into its cells.
+pub fn run(cx: &Cx) -> Vec<Artifact> {
+    let horizon = if cx.full {
+        SimTime::from_millis(8_300)
+    } else {
+        SimTime::from_millis(6_300)
+    };
+    declare(cx.full).run(cx, |policy, cells| {
+        let scenarios: Vec<Scenario> = cells.iter().map(|c| *c.read).collect();
+        run_policy(policy.clone(), &scenarios, horizon, |scenario, got, reg| {
+            let cell = cells.iter().find(|c| *c.read == scenario);
+            if let Some(cx) = cell.and_then(|c| c.export) {
                 cx.keep(reg);
             }
             got
         })
     })
-    .into_iter()
-    .flatten();
-    let mut next = || outcomes.next().expect("one world per grid cell");
-    for policy in &policies {
-        let base = next();
-        a.push(Row::new(
-            "offloaded aggregates",
-            format!("baseline/{}", policy_label(policy)),
-            None,
-            base.offloaded.len() as f64,
-            "rules",
-        ));
-        for &scenario in &scenarios {
-            let got = next();
-            let cfg = format!("{}/{}", scenario.label(), policy_label(policy));
-            a.push(Row::new(
-                "matches fault-free offloaded set",
-                cfg.clone(),
-                Some(1.0),
-                if got.offloaded == base.offloaded {
-                    1.0
-                } else {
-                    0.0
-                },
-                "bool",
-            ));
-            a.push(Row::new(
-                "entries_used - installed ToR rules",
-                cfg.clone(),
-                Some(0.0),
-                got.drift as f64,
-                "rules",
-            ));
-            a.push(Row::new(
-                "time to software fallback",
-                cfg.clone(),
-                None,
-                got.time_to_fallback_ms,
-                "ms",
-            ));
-            a.push(Row::new(
-                "time to re-offload",
-                cfg.clone(),
-                None,
-                got.time_to_reoffload_ms,
-                "ms",
-            ));
-            a.push(Row::new(
-                "victim p99 latency",
-                cfg.clone(),
-                None,
-                got.p99_ns as f64 / 1_000.0,
-                "us",
-            ));
-            let (name, v) = match scenario {
-                Scenario::Baseline => unreachable!("not in the scenario grid"),
-                Scenario::TorReboot => ("tor reboots detected", got.reboots_seen),
-                Scenario::VfFailure => ("hw-path-down demotes", got.hw_down_demotes),
-                Scenario::LinkFlap => ("blackhole demotes", got.blackhole_demotes),
-                Scenario::CtrlRestart => ("controller restarts survived", got.restarts),
-            };
-            a.push(Row::new(name, cfg.clone(), None, v as f64, "count"));
-            if scenario == Scenario::VfFailure {
-                a.push(Row::new(
-                    "frames eaten by dead VF",
-                    cfg.clone(),
-                    None,
-                    got.hw_path_drops as f64,
-                    "frames",
-                ));
-            }
-            if scenario == Scenario::TorReboot {
-                a.push(Row::new(
-                    "frames blackholed by dark ToR",
-                    cfg,
-                    None,
-                    got.frames_blocked as f64,
-                    "frames",
-                ));
-            }
-        }
-    }
-    a.note("'paper' column is the recovery target (1 = same offloaded set as the fault-free run, 0 bookkeeping drift), not a published number — the paper's evaluation assumes every component stays up");
-    vec![a]
 }
 
 #[cfg(test)]
@@ -477,8 +444,8 @@ mod tests {
     /// metric outside host time.
     fn observed(got: &Outcome, reg: &Registry) -> Vec<String> {
         let head = vec![
-            format!("offloaded={:?}", got.offloaded),
-            format!("drift={} p99_ns={}", got.drift, got.p99_ns),
+            format!("offloaded={:?}", got.conv.offloaded),
+            format!("drift={} p99_ns={}", got.conv.drift, got.p99_ns),
             format!(
                 "fallback={} reoffload={}",
                 got.time_to_fallback_ms, got.time_to_reoffload_ms
@@ -513,8 +480,11 @@ mod tests {
             got.time_to_reoffload_ms,
             got.time_to_fallback_ms
         );
-        assert_eq!(got.offloaded, base.offloaded, "must re-form the same lane");
-        assert_eq!(got.drift, 0, "zero bookkeeping drift after recovery");
+        assert_eq!(
+            got.conv.offloaded, base.conv.offloaded,
+            "must re-form the same lane"
+        );
+        assert_eq!(got.conv.drift, 0, "zero bookkeeping drift after recovery");
         assert!(
             got.p99_ns < base.p99_ns * 10,
             "victim p99 must recover: {} vs baseline {}",
@@ -532,8 +502,11 @@ mod tests {
         let ((base, _), (got, _)) = base_and(Scenario::TorReboot);
         assert!(got.reboots_seen >= 1, "generation bump must be detected");
         assert!(got.frames_blocked > 0, "dark ports must blackhole frames");
-        assert_eq!(got.offloaded, base.offloaded, "must re-converge");
-        assert_eq!(got.drift, 0, "zero bookkeeping drift after re-baseline");
+        assert_eq!(got.conv.offloaded, base.conv.offloaded, "must re-converge");
+        assert_eq!(
+            got.conv.drift, 0,
+            "zero bookkeeping drift after re-baseline"
+        );
     }
 
     /// Acceptance (c): the controller-restart differential — a crashed-and-
@@ -546,10 +519,10 @@ mod tests {
         let ((base, _), (got, _)) = base_and(Scenario::CtrlRestart);
         assert_eq!(got.restarts, 1, "exactly one scripted restart");
         assert_eq!(
-            got.offloaded, base.offloaded,
+            got.conv.offloaded, base.conv.offloaded,
             "rebuilt state must match the never-crashed controller"
         );
-        assert_eq!(got.drift, 0, "rebuilt bookkeeping must match hardware");
+        assert_eq!(got.conv.drift, 0, "rebuilt bookkeeping must match hardware");
     }
 
     /// Same chaos script → bit-identical run, down to the full telemetry

@@ -14,29 +14,88 @@
 //!   rule install returns an Error — the controller must roll back, back
 //!   off, and recover once the window lifts.
 
-use fastrak::{attach, DeConfig, FasTrakConfig, TorController};
+use fastrak::{attach, DeConfig, FasTrak, FasTrakConfig, TorController};
 use fastrak_net::event::ctl_fault_layer;
 use fastrak_sim::fault::{FaultConfig, LinkFaults};
 use fastrak_sim::time::SimTime;
 use fastrak_telemetry::Registry;
+use fastrak_workload::Testbed;
 
-use crate::cells;
-use crate::experiments::Cx;
-use crate::report::{Artifact, Row};
+use crate::experiments::{Cx, Decl, World};
+use crate::report::{Artifact, ArtifactSpec, Col};
 use crate::scenarios::scp_rack;
 
-/// End-of-run observables for one configuration.
-struct Outcome {
+/// Where a managed rack's controller ended up: what both fault matrices
+/// compare against their fault-free cell.
+pub(crate) struct Converged {
     /// Sorted debug strings of the offloaded aggregates.
-    offloaded: Vec<String>,
-    /// `entries_used` minus the ToR's actual installed rule count.
-    bookkeeping_drift: i64,
+    pub offloaded: Vec<String>,
+    /// `entries_used` minus the ToR's actual installed rule count — the
+    /// bookkeeping-drift invariant, which must be zero after recovery.
+    pub drift: i64,
+}
+
+impl Converged {
+    /// Read the rack `bed` that `ft` manages.
+    pub(crate) fn read(bed: &Testbed, ft: &FasTrak) -> Converged {
+        let mut offloaded: Vec<String> = (ft.offloaded(bed).iter())
+            .map(|a| format!("{a:?}"))
+            .collect();
+        offloaded.sort();
+        let tc = bed.kernel.node::<TorController>(ft.tor_ctrl);
+        let drift = tc.entries_used as i64 - bed.tor().acl_rules() as i64;
+        Converged { offloaded, drift }
+    }
+
+    /// The row both fault matrices report for their fault-free cell `base`:
+    /// how many aggregates it offloaded.
+    pub(crate) fn base_row<O: AsRef<Converged> + 'static>(art: &mut ArtifactSpec<O>, base: &str) {
+        art.row("offloaded aggregates", base, None, "rules", [base], |c| {
+            c[0].as_ref().offloaded.len() as f64
+        });
+    }
+
+    /// The two rows both fault matrices report for the cell `label`: does
+    /// it match the fault-free cell `base`'s offloaded set, and its drift.
+    pub(crate) fn rows<O: AsRef<Converged> + 'static>(
+        art: &mut ArtifactSpec<O>,
+        label: &str,
+        base: &str,
+    ) {
+        art.row(
+            "matches fault-free offloaded set",
+            label,
+            Some(1.0),
+            "bool",
+            [label, base],
+            |c| (c[0].as_ref().offloaded == c[1].as_ref().offloaded) as u64 as f64,
+        );
+        art.row(
+            "entries_used - installed ToR rules",
+            label,
+            Some(0.0),
+            "rules",
+            [label],
+            |c| c[0].as_ref().drift as f64,
+        );
+    }
+}
+
+/// End-of-run observables for one configuration.
+pub(crate) struct Outcome {
+    conv: Converged,
     retries: u64,
     timeouts: u64,
     failures: u64,
     suspensions: u64,
     dropped: u64,
     forced: u64,
+}
+
+impl AsRef<Converged> for Outcome {
+    fn as_ref(&self) -> &Converged {
+        &self.conv
+    }
 }
 
 /// Run one configuration and read its outcome, with the end-of-run
@@ -67,23 +126,15 @@ fn run_one(faults: Option<FaultConfig>, horizon: SimTime) -> (Outcome, Registry)
     bed.start();
     bed.run_until(horizon);
 
-    let mut offloaded: Vec<String> = ft
-        .offloaded(&bed)
-        .iter()
-        .map(|a| format!("{a:?}"))
-        .collect();
-    offloaded.sort();
+    let conv = Converged::read(&bed, &ft);
     // Snapshot every layer into the telemetry registry; the controller's
     // fault/recovery counters live there (single source of truth), and the
     // same registry feeds the exported artifacts under `--telemetry`.
     bed.publish_telemetry();
-    let tc = bed.kernel.node::<TorController>(ft.tor_ctrl);
-    let drift = tc.entries_used as i64 - bed.tor().acl_rules() as i64;
     let reg = std::mem::take(&mut bed.kernel.ctx.telemetry.registry);
     let ctr = |name: &str| reg.counter_by_name(name).unwrap_or(0);
     let got = Outcome {
-        offloaded,
-        bookkeeping_drift: drift,
+        conv,
         retries: ctr("ctrl.install_retries"),
         timeouts: ctr("ctrl.install_timeouts"),
         failures: ctr("ctrl.install_failures"),
@@ -94,147 +145,77 @@ fn run_one(faults: Option<FaultConfig>, horizon: SimTime) -> (Outcome, Registry)
     (got, reg)
 }
 
-/// Regenerate the fault-matrix report. `--telemetry` exports the
-/// forced-failure run: the richest snapshot (fault-plane, controller, host,
-/// and ToR counters all non-trivial).
+/// Five worlds: fault-free, three control-loss rates, one scripted
+/// install-failure window. `--telemetry` exports the forced-failure run:
+/// the richest snapshot (fault-plane, controller, host, and ToR counters
+/// all non-trivial).
+pub(crate) fn declare(_full: bool) -> Decl<Option<FaultConfig>, Outcome> {
+    let (clean, forced) = ("loss=0% (baseline)", "fail window 0.4s-1.7s");
+    let mut worlds = vec![World::one(clean, None)];
+    let mut a = ArtifactSpec::new(
+        "fault-matrix-loss",
+        "Controller convergence vs control-message loss",
+        "with install retries and reconciliation the controller converges to the fault-free offloaded set and keeps entries_used == installed ToR rules despite seeded control loss",
+    );
+    Converged::base_row(&mut a, clean);
+    let loss_counts = [
+        Col::new("install retries", "count", |o: &Outcome| o.retries as f64),
+        Col::new("install timeouts", "count", |o| o.timeouts as f64),
+        Col::new("ctl messages dropped", "count", |o| o.dropped as f64),
+    ];
+    for loss_pct in [1u32, 5, 10] {
+        let label = format!("loss={loss_pct}%");
+        Converged::rows(&mut a, &label, clean);
+        for col in &loss_counts {
+            a.push(col.at(&label));
+        }
+        let faults = FaultConfig {
+            seed: 0xFA57 + loss_pct as u64,
+            default_link: LinkFaults::loss(loss_pct as f64 / 100.0),
+            ..Default::default()
+        };
+        worlds.push(World::one(label, Some(faults)));
+    }
+    a.note("'paper' column is the convergence target (1 = same offloaded set, 0 drift), not a published number — the paper assumes a reliable control channel");
+
+    let mut b = ArtifactSpec::new(
+        "fault-matrix-forced",
+        "Recovery from a scripted rule-install failure window (0.4s-1.7s)",
+        "every install inside the window fails; the controller rolls each batch back, suspends the hardware path after repeated failures, and re-converges once the window lifts",
+    );
+    Converged::rows(&mut b, forced, clean);
+    for col in [
+        Col::new("forced install failures", "count", |o: &Outcome| {
+            o.forced as f64
+        }),
+        Col::new("install errors observed", "count", |o| o.failures as f64),
+        Col::new("hardware-path suspensions", "count", |o| {
+            o.suspensions as f64
+        }),
+    ] {
+        b.push(col.at(forced));
+    }
+    let faults = FaultConfig {
+        seed: 0xFA11,
+        install_fail_windows: vec![(SimTime::from_millis(400), SimTime::from_millis(1_700))],
+        ..Default::default()
+    };
+    worlds.push(World::one(forced, Some(faults)));
+    Decl::new(worlds, forced, vec![a, b])
+}
+
+/// Regenerate the fault-matrix report.
 pub fn run(cx: &Cx) -> Vec<Artifact> {
     let horizon = if cx.full {
         SimTime::from_millis(8_300)
     } else {
         SimTime::from_millis(6_300)
     };
-    // Five worlds: fault-free, three control-loss rates, one scripted
-    // install-failure window.
-    let loss_pcts = [1u32, 5, 10];
-    let mut grid = vec![None];
-    grid.extend(loss_pcts.map(|loss_pct| {
-        Some(FaultConfig {
-            seed: 0xFA57 + loss_pct as u64,
-            default_link: LinkFaults::loss(loss_pct as f64 / 100.0),
-            ..Default::default()
-        })
-    }));
-    grid.push(Some(FaultConfig {
-        seed: 0xFA11,
-        install_fail_windows: vec![(SimTime::from_millis(400), SimTime::from_millis(1_700))],
-        ..Default::default()
-    }));
-    // Only the exported cell's registry outlives its cell.
-    let mut outcomes = cells::map(&grid, |faults| {
+    declare(cx.full).run(cx, |faults, cells| {
         let (got, reg) = run_one(faults.clone(), horizon);
-        if faults
-            .as_ref()
-            .is_some_and(|f| !f.install_fail_windows.is_empty())
-        {
+        if let Some(cx) = cells[0].export {
             cx.keep(reg);
         }
-        got
+        vec![got]
     })
-    .into_iter();
-    let mut next = || outcomes.next().expect("one world per configuration");
-    let clean = next();
-
-    let mut a = Artifact::new(
-        "fault-matrix-loss",
-        "Controller convergence vs control-message loss",
-        "with install retries and reconciliation the controller converges to the fault-free offloaded set and keeps entries_used == installed ToR rules despite seeded control loss",
-    );
-    a.push(Row::new(
-        "offloaded aggregates",
-        "loss=0% (baseline)",
-        None,
-        clean.offloaded.len() as f64,
-        "rules",
-    ));
-    for loss_pct in loss_pcts {
-        let got = next();
-        let cfg = format!("loss={loss_pct}%");
-        a.push(Row::new(
-            "matches fault-free offloaded set",
-            cfg.clone(),
-            Some(1.0),
-            if got.offloaded == clean.offloaded {
-                1.0
-            } else {
-                0.0
-            },
-            "bool",
-        ));
-        a.push(Row::new(
-            "entries_used - installed ToR rules",
-            cfg.clone(),
-            Some(0.0),
-            got.bookkeeping_drift as f64,
-            "rules",
-        ));
-        a.push(Row::new(
-            "install retries",
-            cfg.clone(),
-            None,
-            got.retries as f64,
-            "count",
-        ));
-        a.push(Row::new(
-            "install timeouts",
-            cfg.clone(),
-            None,
-            got.timeouts as f64,
-            "count",
-        ));
-        a.push(Row::new(
-            "ctl messages dropped",
-            cfg,
-            None,
-            got.dropped as f64,
-            "count",
-        ));
-    }
-    a.note("'paper' column is the convergence target (1 = same offloaded set, 0 drift), not a published number — the paper assumes a reliable control channel");
-
-    let mut b = Artifact::new(
-        "fault-matrix-forced",
-        "Recovery from a scripted rule-install failure window (0.4s-1.7s)",
-        "every install inside the window fails; the controller rolls each batch back, suspends the hardware path after repeated failures, and re-converges once the window lifts",
-    );
-    let got = next();
-    b.push(Row::new(
-        "matches fault-free offloaded set",
-        "fail window 0.4s-1.7s",
-        Some(1.0),
-        if got.offloaded == clean.offloaded {
-            1.0
-        } else {
-            0.0
-        },
-        "bool",
-    ));
-    b.push(Row::new(
-        "entries_used - installed ToR rules",
-        "fail window 0.4s-1.7s",
-        Some(0.0),
-        got.bookkeeping_drift as f64,
-        "rules",
-    ));
-    b.push(Row::new(
-        "forced install failures",
-        "fail window 0.4s-1.7s",
-        None,
-        got.forced as f64,
-        "count",
-    ));
-    b.push(Row::new(
-        "install errors observed",
-        "fail window 0.4s-1.7s",
-        None,
-        got.failures as f64,
-        "count",
-    ));
-    b.push(Row::new(
-        "hardware-path suspensions",
-        "fail window 0.4s-1.7s",
-        None,
-        got.suspensions as f64,
-        "count",
-    ));
-    vec![a, b]
 }

@@ -12,10 +12,11 @@
 use fastrak_net::flow::FlowSpec;
 use fastrak_net::packet::PathTag;
 use fastrak_sim::time::{SimDuration, SimTime};
+use fastrak_transport::tcp::TcpStats;
 use fastrak_workload::{StreamConfig, StreamSender, StreamSink, Testbed};
 
-use crate::experiments::Cx;
-use crate::report::{Artifact, Row};
+use crate::experiments::{Cx, Decl, World};
+use crate::report::{Artifact, ArtifactSpec, Col};
 use crate::scenarios::{micro_bed, MicroBed, PathSetup, SERVER_IP, TENANT};
 
 /// How much simulated time runs between two drains of the trace ring; the
@@ -25,8 +26,9 @@ const TRACE_SLICE: SimDuration = SimDuration::from_millis(10);
 /// Run the migration: one second on the VIF, then the sender's egress
 /// moves to SR-IOV, one more second. Returns the world and the
 /// receiver-side (seconds, TCP sequence number) trace: the first segment
-/// the receiver takes in each [`TRACE_SLICE`].
-fn migrate(cx: &Cx) -> (MicroBed, Vec<(f64, u64)>) {
+/// the receiver takes in each [`TRACE_SLICE`]. With an `export` handle,
+/// flow-lifecycle spans and the audit log record too.
+fn migrate(export: Option<&Cx>) -> (MicroBed, Vec<(f64, u64)>) {
     let mut cfg = StreamConfig::netperf(SERVER_IP, 5201, 32_000);
     cfg.threads = 1; // a single iperf flow
     let mut mb = micro_bed(
@@ -38,7 +40,7 @@ fn migrate(cx: &Cx) -> (MicroBed, Vec<(f64, u64)>) {
     // Authorize the hardware path but leave the placer on the VIF.
     mb.bed.authorize_hw_tenant(TENANT);
     mb.bed.kernel.ctx.trace.set_enabled(true);
-    if cx.telemetry {
+    if export.is_some() {
         mb.bed.kernel.ctx.telemetry.spans.set_enabled(true);
         mb.bed.kernel.ctx.telemetry.audit.set_enabled(true);
     }
@@ -83,97 +85,99 @@ fn migrate(cx: &Cx) -> (MicroBed, Vec<(f64, u64)>) {
     (mb, points)
 }
 
+/// What the run reports: the sender's transport counters and path
+/// frames, the receiver's delivered bytes, and whether the trace is
+/// monotone in time.
+pub(crate) struct Outcome {
+    stats: TcpStats,
+    sw_frames: u64,
+    hw_frames: u64,
+    delivered: u64,
+    progressing: bool,
+}
+
+/// One world, one cell, which `--telemetry` exports.
+pub(crate) fn declare(_full: bool) -> Decl<(), Outcome> {
+    let mut a = ArtifactSpec::new(
+        "fig12",
+        "TCP sequence progression across flow migration",
+        "the connection progresses normally through the shift: dup-ACKs and fast retransmits, recovery without a single RTO",
+    );
+    let mut row = |metric, config, paper, unit, read: fn(&Outcome) -> f64| {
+        a.push(Col::new(metric, unit, read).at_as("migration", config, paper));
+    };
+    let during = "during run";
+    row("fast retransmits", during, Some(30.0), "events", |o| {
+        o.stats.fast_retransmits as f64
+    });
+    row("RTO timeouts", during, Some(0.0), "events", |o| {
+        o.stats.timeouts as f64
+    });
+    row("dup ACKs received", during, None, "events", |o| {
+        o.stats.dup_acks_rx as f64
+    });
+    row("frames via VIF", "pre+post shift", None, "frames", |o| {
+        o.sw_frames as f64
+    });
+    row("frames via SR-IOV", "post shift", None, "frames", |o| {
+        o.hw_frames as f64
+    });
+    row("bytes delivered", "receiver", None, "bytes", |o| {
+        o.delivered as f64
+    });
+    row(
+        "trace monotone in time",
+        "receiver capture",
+        None,
+        "bool",
+        |o| o.progressing as u64 as f64,
+    );
+    a.note(
+        "sender egress shifts at t=1 s; ACK path stays on the VIF (asymmetric, as in the paper)",
+    );
+    a.note("seq-vs-time series available via `experiments fig12 --csv`");
+    Decl::new(vec![World::one("migration", ())], "migration", vec![a])
+}
+
 /// Regenerate Fig. 12. The receiver-side sequence trace goes back as the
 /// `--csv` series. Under `--telemetry`, flow-lifecycle spans are on, and
 /// the world's registry and its Chrome trace are exported: one track per
 /// component, the sender VM's path residency ("vif" → "sriov") as
 /// consecutive slices with the shift at the t=1 s migration instant.
 pub fn run(cx: &Cx) -> Vec<Artifact> {
-    let (mut mb, points) = migrate(cx);
-
-    // Transport counters at the sender.
-    let (client, server) = (mb.client, mb.server);
-    let sender = mb.bed.server(client.server);
-    let conn_id = sender.vm(client.vm).stack.conn_ids().next().unwrap();
-    let stats = sender.vm(client.vm).stack.conn(conn_id).stats;
-    let (hw_frames, sw_frames) = (sender.stats.tx_hw_frames, sender.stats.tx_sw_frames);
-    let receiver = mb.bed.server(server.server).vm(server.vm);
-    let delivered =
-        (receiver.stack.conn_ids().next()).map(|id| receiver.stack.conn(id).stats.bytes_delivered);
-    if cx.telemetry {
-        let now_ns = mb.bed.now().as_nanos();
-        let telemetry = &mut mb.bed.kernel.ctx.telemetry;
-        telemetry.spans.finish(now_ns);
-        let (spans, audit) = (&telemetry.spans, Some(&telemetry.audit));
-        cx.keep_trace(fastrak_telemetry::export::chrome_trace(spans, audit));
-        cx.publish(&mut mb.bed, None);
-    }
-
-    // Monotone progression check across the migration window.
-    let progressing = points.windows(2).all(|w| w[1].0 >= w[0].0);
-    cx.keep_series(points);
-
-    let mut a = Artifact::new(
-        "fig12",
-        "TCP sequence progression across flow migration",
-        "the connection progresses normally through the shift: dup-ACKs and fast retransmits, recovery without a single RTO",
-    );
-    a.push(Row::new(
-        "fast retransmits",
-        "during run",
-        Some(30.0),
-        stats.fast_retransmits as f64,
-        "events",
-    ));
-    a.push(Row::new(
-        "RTO timeouts",
-        "during run",
-        Some(0.0),
-        stats.timeouts as f64,
-        "events",
-    ));
-    a.push(Row::new(
-        "dup ACKs received",
-        "during run",
-        None,
-        stats.dup_acks_rx as f64,
-        "events",
-    ));
-    a.push(Row::new(
-        "frames via VIF",
-        "pre+post shift",
-        None,
-        sw_frames as f64,
-        "frames",
-    ));
-    a.push(Row::new(
-        "frames via SR-IOV",
-        "post shift",
-        None,
-        hw_frames as f64,
-        "frames",
-    ));
-    if let Some(d) = delivered {
-        a.push(Row::new(
-            "bytes delivered",
-            "receiver",
-            None,
-            d as f64,
-            "bytes",
-        ));
-    }
-    a.push(Row::new(
-        "trace monotone in time",
-        "receiver capture",
-        None,
-        progressing as u64 as f64,
-        "bool",
-    ));
-    a.note(
-        "sender egress shifts at t=1 s; ACK path stays on the VIF (asymmetric, as in the paper)",
-    );
-    a.note("seq-vs-time series available via `experiments fig12 --csv`");
-    vec![a]
+    declare(cx.full).run(cx, |(), cells| {
+        let export = cells[0].export;
+        let (mut mb, points) = migrate(export);
+        // Transport counters at the sender.
+        let (client, server) = (mb.client, mb.server);
+        let sender = mb.bed.server(client.server);
+        let conn_id = sender.vm(client.vm).stack.conn_ids().next().unwrap();
+        let stats = sender.vm(client.vm).stack.conn(conn_id).stats;
+        let receiver = mb.bed.server(server.server).vm(server.vm);
+        let conn_id = receiver
+            .stack
+            .conn_ids()
+            .next()
+            .expect("the receiver accepted the flow");
+        let got = Outcome {
+            stats,
+            sw_frames: sender.stats.tx_sw_frames,
+            hw_frames: sender.stats.tx_hw_frames,
+            delivered: receiver.stack.conn(conn_id).stats.bytes_delivered,
+            // Monotone progression check across the migration window.
+            progressing: points.windows(2).all(|w| w[1].0 >= w[0].0),
+        };
+        if let Some(cx) = export {
+            let now_ns = mb.bed.now().as_nanos();
+            let telemetry = &mut mb.bed.kernel.ctx.telemetry;
+            telemetry.spans.finish(now_ns);
+            let (spans, audit) = (&telemetry.spans, Some(&telemetry.audit));
+            cx.keep_trace(fastrak_telemetry::export::chrome_trace(spans, audit));
+            cx.publish(&mut mb.bed, None);
+        }
+        cx.keep_series(points);
+        vec![got]
+    })
 }
 
 #[cfg(test)]

@@ -9,16 +9,13 @@
 //! * (d,e) pipelined `TCP_RR` (3 threads × burst 32) transactions/sec and
 //!   average latency.
 
-use std::mem::discriminant;
-
 use fastrak_sim::time::SimDuration;
 use fastrak_workload::{
     RrClient, RrClientConfig, RrServer, RrServerConfig, StreamConfig, StreamSender, StreamSink,
 };
 
-use crate::cells;
-use crate::experiments::Cx;
-use crate::report::{Artifact, Row};
+use crate::experiments::{Cx, Decl, World};
+use crate::report::{Artifact, ArtifactSpec, Col};
 use crate::scenarios::{measure_window, micro_bed, PathSetup, SERVER_IP};
 
 /// The paper's application data sizes (§3.1).
@@ -36,7 +33,7 @@ fn configs() -> [PathSetup; 4] {
 
 /// Measured metrics for one (config, size) cell.
 #[derive(Debug, Clone, Copy)]
-pub(crate) struct Cell {
+pub(crate) struct Outcome {
     /// Stream throughput, bits/sec.
     pub throughput_bps: f64,
     /// Closed-loop mean RTT, µs.
@@ -51,7 +48,12 @@ pub(crate) struct Cell {
 
 /// Run the three §3.1.1 tests for one cell. The cell `export` is given
 /// publishes its throughput world into it.
-pub(crate) fn measure_cell(setup: PathSetup, size: u64, quick: bool, export: Option<&Cx>) -> Cell {
+pub(crate) fn measure_cell(
+    setup: PathSetup,
+    size: u64,
+    quick: bool,
+    export: Option<&Cx>,
+) -> Outcome {
     let (warm, window) = if quick { (200, 400) } else { (300, 900) };
     let rr_server = |port| {
         Box::new(RrServer::new(RrServerConfig {
@@ -95,7 +97,7 @@ pub(crate) fn measure_cell(setup: PathSetup, size: u64, quick: bool, export: Opt
     });
     let app = mb.bed.app::<RrClient>(cli);
 
-    Cell {
+    Outcome {
         throughput_bps,
         rr_mean_us,
         rr_p99_us,
@@ -104,134 +106,100 @@ pub(crate) fn measure_cell(setup: PathSetup, size: u64, quick: bool, export: Opt
     }
 }
 
-/// Regenerate Fig. 3(a-e). `--telemetry` exports the Baseline OVS
-/// throughput world at 1448 B (one MSS per write).
-pub fn run(cx: &Cx) -> Vec<Artifact> {
-    let full = cx.full;
-    let mut a = Artifact::new("fig3a", "Throughput (TCP_STREAM, 3 threads)",
-        "SR-IOV ≥ every OVS config at every size; OVS+Tunneling capped ≈2 Gbps; small sizes are CPU-bound, large sizes near line rate");
-    let mut b = Artifact::new(
-        "fig3b",
-        "Closed-loop TCP_RR average latency",
-        "SR-IOV delivers significantly lower average latency than every software path",
-    );
-    let mut c = Artifact::new(
-        "fig3c",
-        "Closed-loop TCP_RR 99th-percentile latency",
-        "software paths have a heavier tail than SR-IOV",
-    );
-    let mut d = Artifact::new("fig3d", "Pipelined (burst) transactions per second",
-        "avg TPS over 64-1448B: SR-IOV ≈60k, baseline ≈34k, +tunneling ≈25k, +rate limiting ≈30k (SR-IOV up to 2× baseline; RL at 85-88% of baseline)");
-    let mut e = Artifact::new("fig3e", "Pipelined (burst) average latency",
-        "latency improvement of SR-IOV over baseline grows as data size shrinks: 30% @32000B → 49% @64B (32%→56% vs rate limiting)");
+/// The five artifacts Figs. 3 and 5 write from an [`Outcome`], one column
+/// each: (a) throughput, (b, c) closed-loop latency, (d, e) pipelined.
+pub(crate) const COLUMNS: [Col<Outcome>; 5] = [
+    Col::new("throughput", "bps", |c| c.throughput_bps),
+    Col::new("rr avg", "us", |c| c.rr_mean_us),
+    Col::new("rr p99", "us", |c| c.rr_p99_us),
+    Col::new("burst tps", "tps", |c| c.burst_tps),
+    Col::new("burst avg", "us", |c| c.burst_mean_us),
+];
 
-    let grid: Vec<(PathSetup, u64)> = configs()
-        .into_iter()
-        .flat_map(|setup| SIZES.map(|size| (setup, size)))
-        .collect();
-    let cells: Vec<(PathSetup, u64, Cell)> = cells::map(&grid, |&(setup, size)| {
-        let export = (setup == PathSetup::BaselineOvs && size == 1448).then_some(cx);
-        (setup, size, measure_cell(setup, size, !full, export))
-    });
-    for &(setup, size, cell) in &cells {
-        let cfg = format!("{} @{}B", setup.label(), size);
-        a.push(Row::new(
-            "throughput",
-            &cfg,
-            None,
-            cell.throughput_bps,
-            "bps",
-        ));
-        b.push(Row::new("rr avg", &cfg, None, cell.rr_mean_us, "us"));
-        c.push(Row::new("rr p99", &cfg, None, cell.rr_p99_us, "us"));
-        d.push(Row::new("burst tps", &cfg, None, cell.burst_tps, "tps"));
-        e.push(Row::new("burst avg", &cfg, None, cell.burst_mean_us, "us"));
+/// A cell's label: its setup and size.
+pub(crate) fn label(setup: PathSetup, size: u64) -> String {
+    format!("{} @{}B", setup.label(), size)
+}
+
+/// Fig. 3's grid, setup-major, and its artifacts. `--telemetry` exports the
+/// Baseline OVS throughput world at 1448 B (one MSS per write).
+pub(crate) fn declare(full: bool) -> Decl<(PathSetup, u64), Outcome> {
+    let mut arts = [
+        ArtifactSpec::new("fig3a", "Throughput (TCP_STREAM, 3 threads)",
+            "SR-IOV ≥ every OVS config at every size; OVS+Tunneling capped ≈2 Gbps; small sizes are CPU-bound, large sizes near line rate"),
+        ArtifactSpec::new("fig3b", "Closed-loop TCP_RR average latency",
+            "SR-IOV delivers significantly lower average latency than every software path"),
+        ArtifactSpec::new("fig3c", "Closed-loop TCP_RR 99th-percentile latency",
+            "software paths have a heavier tail than SR-IOV"),
+        ArtifactSpec::new("fig3d", "Pipelined (burst) transactions per second",
+            "avg TPS over 64-1448B: SR-IOV ≈60k, baseline ≈34k, +tunneling ≈25k, +rate limiting ≈30k (SR-IOV up to 2× baseline; RL at 85-88% of baseline)"),
+        ArtifactSpec::new("fig3e", "Pipelined (burst) average latency",
+            "latency improvement of SR-IOV over baseline grows as data size shrinks: 30% @32000B → 49% @64B (32%→56% vs rate limiting)"),
+    ];
+    let mut worlds = Vec::new();
+    for setup in configs() {
+        for size in SIZES {
+            let label = label(setup, size);
+            for (art, col) in arts.iter_mut().zip(&COLUMNS) {
+                art.push(col.at(&label));
+            }
+            worlds.push(World::one(label, (setup, size)));
+        }
     }
 
-    // The quantitative anchors the paper's text states (§3.2.4, Fig. 3(d)):
-    // average burst TPS over the 64-1448B sizes.
-    let avg_small = |setup: PathSetup| -> f64 {
-        let v: Vec<f64> = cells
-            .iter()
-            .filter(|(s, size, _)| discriminant(s) == discriminant(&setup) && *size <= 1448)
-            .map(|(_, _, c)| c.burst_tps)
-            .collect();
-        v.iter().sum::<f64>() / v.len() as f64
-    };
-    d.push(Row::new(
-        "burst tps avg(64-1448)",
-        "SR-IOV",
-        Some(60_000.0),
-        avg_small(PathSetup::Sriov),
-        "tps",
-    ));
-    d.push(Row::new(
-        "burst tps avg(64-1448)",
-        "Baseline OVS",
-        Some(34_000.0),
-        avg_small(PathSetup::BaselineOvs),
-        "tps",
-    ));
-    d.push(Row::new(
-        "burst tps avg(64-1448)",
-        "OVS+Tunneling",
-        Some(25_000.0),
-        avg_small(PathSetup::OvsTunnel),
-        "tps",
-    ));
-    d.push(Row::new(
-        "burst tps avg(64-1448)",
-        "OVS+Rate limiting",
-        Some(30_000.0),
-        avg_small(PathSetup::OvsRateLimit(0)),
-        "tps",
-    ));
-
-    // Pipelined latency improvement of SR-IOV over baseline, small vs large.
-    let lat = |setup: PathSetup, size: u64| -> f64 {
-        cells
-            .iter()
-            .find(|(s, sz, _)| discriminant(s) == discriminant(&setup) && *sz == size)
-            .map(|(_, _, c)| c.burst_mean_us)
-            .unwrap()
-    };
-    let improvement = |base: PathSetup, size: u64| -> f64 {
-        100.0 * (lat(base, size) - lat(PathSetup::Sriov, size)) / lat(base, size)
-    };
-    e.push(Row::new(
-        "improvement vs baseline",
-        "@64B",
-        Some(49.0),
-        improvement(PathSetup::BaselineOvs, 64),
-        "%",
-    ));
-    e.push(Row::new(
-        "improvement vs baseline",
-        "@32000B",
-        Some(30.0),
-        improvement(PathSetup::BaselineOvs, 32_000),
-        "%",
-    ));
-    e.push(Row::new(
-        "improvement vs OVS+RL",
-        "@64B",
-        Some(56.0),
-        improvement(PathSetup::OvsRateLimit(0), 64),
-        "%",
-    ));
-    e.push(Row::new(
-        "improvement vs OVS+RL",
-        "@32000B",
-        Some(32.0),
-        improvement(PathSetup::OvsRateLimit(0), 32_000),
-        "%",
-    ));
-
-    for art in [&mut a, &mut b, &mut c, &mut d, &mut e] {
+    anchors(&mut arts);
+    for art in &mut arts {
         if !full {
             art.note("quick mode: shortened measurement windows (pass --full for longer ones)");
         }
         art.note("figure data points are not printed in the paper; the paper column holds only values the text states");
     }
-    vec![a, b, c, d, e]
+    Decl::new(worlds, label(PathSetup::BaselineOvs, 1448), arts)
+}
+
+/// The quantitative anchors the paper's text states (§3.2.4): Fig. 3(d)'s
+/// average burst TPS and Fig. 3(e)'s latency improvements.
+fn anchors(arts: &mut [ArtifactSpec<Outcome>; 5]) {
+    // Average burst TPS over the 64-1448B sizes.
+    let rate_limit = configs()[2];
+    for (setup, paper) in [
+        (PathSetup::Sriov, 60_000.0),
+        (PathSetup::BaselineOvs, 34_000.0),
+        (PathSetup::OvsTunnel, 25_000.0),
+        (rate_limit, 30_000.0),
+    ] {
+        let small = SIZES[..3].iter().map(|&size| label(setup, size));
+        arts[3].row(
+            "burst tps avg(64-1448)",
+            setup.label(),
+            Some(paper),
+            "tps",
+            small,
+            |c| c.iter().map(|c| c.burst_tps).sum::<f64>() / c.len() as f64,
+        );
+    }
+    // Pipelined latency improvement of SR-IOV over baseline, small vs large.
+    for (vs, base, papers) in [
+        ("baseline", PathSetup::BaselineOvs, [49.0, 30.0]),
+        ("OVS+RL", rate_limit, [56.0, 32.0]),
+    ] {
+        for (size, paper) in [64, 32_000].into_iter().zip(papers) {
+            let reads = [label(base, size), label(PathSetup::Sriov, size)];
+            arts[4].row(
+                format!("improvement vs {vs}"),
+                format!("@{size}B"),
+                Some(paper),
+                "%",
+                reads,
+                |c| 100.0 * (c[0].burst_mean_us - c[1].burst_mean_us) / c[0].burst_mean_us,
+            );
+        }
+    }
+}
+
+/// Regenerate Fig. 3(a-e).
+pub fn run(cx: &Cx) -> Vec<Artifact> {
+    declare(cx.full).run(cx, |&(setup, size), cells| {
+        vec![measure_cell(setup, size, !cx.full, cells[0].export)]
+    })
 }

@@ -15,9 +15,9 @@ use fastrak_host::vm::VmSpec;
 use fastrak_net::addr::Ip;
 use fastrak_workload::{StreamConfig, StreamSender, StreamSink, Testbed, TestbedConfig};
 
-use crate::cells;
-use crate::experiments::Cx;
-use crate::report::{Artifact, Row};
+use crate::experiments::fig3::{label, SIZES};
+use crate::experiments::{Cx, Decl, World};
+use crate::report::{Artifact, ArtifactSpec, Col};
 use crate::scenarios::{apply_setup, measure_window, PathSetup, TENANT};
 
 /// CPUs used on the sending server for 4 concurrent 1-thread streams, and
@@ -69,104 +69,84 @@ fn measure_cpu(setup: PathSetup, size: u64, quick: bool, export: Option<&Cx>) ->
     (cpus, goodput)
 }
 
-/// Regenerate Fig. 4(a) and 4(b). `--telemetry` exports the combined
-/// software world (tunnel and VIF limit) at 1448 B.
-pub fn run(cx: &Cx) -> Vec<Artifact> {
-    let full = cx.full;
-    let mut a = Artifact::new(
+/// A cell's (CPUs, goodput) columns.
+const CPUS: Col<(f64, f64)> = Col::new("cpus", "logical CPUs", |c| c.0);
+const GOODPUT: Col<(f64, f64)> = Col::new("goodput", "bps", |c| c.1);
+
+/// Both panels' grids in one list, (a) setup-major, then (b) size-major,
+/// and their artifacts. `--telemetry` exports the combined software world
+/// (tunnel and VIF limit) at 1448 B.
+pub(crate) fn declare(full: bool) -> Decl<(PathSetup, u64), (f64, f64)> {
+    let mut a = ArtifactSpec::new(
         "fig4a",
         "Baseline CPU overhead (4 VMs × 1-thread TCP_STREAM)",
         "CPU to sustain a given throughput grows as app data size shrinks; SR-IOV uses 0.4-0.7× the CPU of baseline OVS; rate limiting cannot reach line rate yet burns as much CPU as baseline",
     );
-    let sizes = [64u64, 600, 1448, 32_000];
-    let setups_a = [
-        PathSetup::BaselineOvs,
-        PathSetup::OvsTunnel,
-        PathSetup::OvsRateLimit(5_000_000_000),
-        PathSetup::Sriov,
-    ];
-    let setups_b = [
-        PathSetup::OvsTunnelRateLimit(1_000_000_000),
-        PathSetup::SriovHwLimit(1_000_000_000),
-    ];
-    // Every world of both panels in one list: (a) setup-major, then (b)
-    // size-major.
-    let grid: Vec<(PathSetup, u64)> = setups_a
-        .into_iter()
-        .flat_map(|setup| sizes.map(|size| (setup, size)))
-        .chain(
-            sizes
-                .into_iter()
-                .flat_map(|size| setups_b.map(|setup| (setup, size))),
-        )
-        .collect();
-    let measured = cells::map(&grid, |&(setup, size)| {
-        let export = (setup == setups_b[0] && size == 1448).then_some(cx);
-        measure_cpu(setup, size, !full, export)
-    });
-    let (measured_a, measured_b) = measured.split_at(setups_a.len() * sizes.len());
-
-    let mut base_cpu = std::collections::HashMap::new();
-    for (&(setup, size), &(cpus, goodput)) in grid.iter().zip(measured_a) {
-        let cfg = format!("{} @{}B", setup.label(), size);
-        a.push(Row::new("cpus", &cfg, None, cpus, "logical CPUs"));
-        a.push(Row::new("goodput", &cfg, None, goodput, "bps"));
-        if matches!(setup, PathSetup::BaselineOvs) {
-            base_cpu.insert(size, cpus);
-        }
-        if matches!(setup, PathSetup::Sriov) {
-            let ratio = cpus / base_cpu[&size];
-            a.push(Row::new(
-                "sriov/baseline cpu ratio",
-                format!("@{size}B"),
-                None,
-                ratio,
-                "x (paper: 0.4-0.7)",
-            ));
-        }
-    }
-
-    let mut b = Artifact::new(
+    let mut b = ArtifactSpec::new(
         "fig4b",
         "Combined CPU overhead (tunnel+rate limit @1G vs SR-IOV hw-limited)",
         "the combined software path consumes 1.6-3× the CPU of SR-IOV",
     );
-    for (&size, pair) in sizes.iter().zip(measured_b.chunks_exact(2)) {
-        let ((sw_cpu, sw_good), (hw_cpu, hw_good)) = (pair[0], pair[1]);
-        b.push(Row::new(
-            "cpus",
+    let mut worlds = Vec::new();
+    for setup in [
+        PathSetup::BaselineOvs,
+        PathSetup::OvsTunnel,
+        PathSetup::OvsRateLimit(5_000_000_000),
+        PathSetup::Sriov,
+    ] {
+        for size in SIZES {
+            let cell = label(setup, size);
+            a.push(CPUS.at(&cell));
+            a.push(GOODPUT.at(&cell));
+            if setup == PathSetup::Sriov {
+                let base = label(PathSetup::BaselineOvs, size);
+                a.row(
+                    "sriov/baseline cpu ratio",
+                    format!("@{size}B"),
+                    None,
+                    "x (paper: 0.4-0.7)",
+                    [&cell, &base],
+                    |c| c[0].0 / c[1].0,
+                );
+            }
+            worlds.push(World::one(cell, (setup, size)));
+        }
+    }
+    let limit = 1_000_000_000;
+    for size in SIZES {
+        let [sw, hw] = [
             format!("OVS+Tun+RL @{size}B"),
-            None,
-            sw_cpu,
-            "logical CPUs",
-        ));
-        b.push(Row::new(
-            "cpus",
             format!("SR-IOV(hw RL) @{size}B"),
-            None,
-            hw_cpu,
-            "logical CPUs",
-        ));
-        b.push(Row::new(
-            "goodput sw/hw",
-            format!("@{size}B"),
-            None,
-            sw_good / hw_good.max(1.0),
-            "x",
-        ));
-        b.push(Row::new(
+        ];
+        b.push(CPUS.at(&sw));
+        b.push(CPUS.at(&hw));
+        let cfg = format!("@{size}B");
+        b.row("goodput sw/hw", &cfg, None, "x", [&sw, &hw], |c| {
+            c[0].1 / c[1].1.max(1.0)
+        });
+        b.row(
             "sw/hw cpu ratio",
-            format!("@{size}B"),
+            &cfg,
             None,
-            sw_cpu / hw_cpu.max(1e-9),
             "x (paper: 1.6-3)",
-        ));
+            [&sw, &hw],
+            |c| c[0].0 / c[1].0.max(1e-9),
+        );
+        worlds.push(World::one(sw, (PathSetup::OvsTunnelRateLimit(limit), size)));
+        worlds.push(World::one(hw, (PathSetup::SriovHwLimit(limit), size)));
     }
     if !full {
         a.note("quick mode: shortened windows");
         b.note("quick mode: shortened windows");
     }
-    vec![a, b]
+    Decl::new(worlds, "OVS+Tun+RL @1448B", vec![a, b])
+}
+
+/// Regenerate Fig. 4(a) and 4(b).
+pub fn run(cx: &Cx) -> Vec<Artifact> {
+    declare(cx.full).run(cx, |&(setup, size), cells| {
+        vec![measure_cpu(setup, size, !cx.full, cells[0].export)]
+    })
 }
 
 #[cfg(test)]

@@ -6,84 +6,63 @@
 //! 1.8-2.1× SR-IOV, consistently better SR-IOV throughput, and combined
 //! performance close to OVS+Tunneling alone.
 
-use crate::cells;
-use crate::experiments::fig3::{measure_cell, SIZES};
-use crate::experiments::Cx;
-use crate::report::{Artifact, Row};
+use crate::experiments::fig3::{label, measure_cell, Outcome, COLUMNS, SIZES};
+use crate::experiments::{Cx, Decl, World};
+use crate::report::{Artifact, ArtifactSpec};
 use crate::scenarios::PathSetup;
 
-/// Regenerate Fig. 5(a-e). `--telemetry` exports the SR-IOV throughput
-/// world at 1448 B, its 1 Gbps limit enforced at the ToR.
-pub fn run(cx: &Cx) -> Vec<Artifact> {
-    let full = cx.full;
-    let mut a = Artifact::new("fig5a", "Combined throughput @1G limit",
-        "SR-IOV delivers consistently better throughput; software combination stays below the limit at small sizes (CPU-bound)");
-    let mut b = Artifact::new(
-        "fig5b",
-        "Combined closed-loop average latency",
-        "software combination tracks OVS+Tunneling; SR-IOV clearly lower",
-    );
-    let mut c = Artifact::new(
-        "fig5c",
-        "Combined closed-loop 99th-percentile latency",
-        "software tail markedly heavier than SR-IOV",
-    );
-    let mut d = Artifact::new(
-        "fig5d",
-        "Combined burst TPS",
-        "SR-IOV sustains roughly twice the transactions of the combined software path",
-    );
-    let mut e = Artifact::new(
-        "fig5e",
-        "Combined burst latency",
-        "combined software pipelined latency is 1.8-2.1× SR-IOV",
-    );
-
+/// Fig. 5's grid, size-major (software, then SR-IOV), and its artifacts.
+/// `--telemetry` exports the SR-IOV throughput world at 1448 B, its 1 Gbps
+/// limit enforced at the ToR.
+pub(crate) fn declare(full: bool) -> Decl<(PathSetup, u64), Outcome> {
+    let mut arts = [
+        ArtifactSpec::new("fig5a", "Combined throughput @1G limit",
+            "SR-IOV delivers consistently better throughput; software combination stays below the limit at small sizes (CPU-bound)"),
+        ArtifactSpec::new("fig5b", "Combined closed-loop average latency",
+            "software combination tracks OVS+Tunneling; SR-IOV clearly lower"),
+        ArtifactSpec::new("fig5c", "Combined closed-loop 99th-percentile latency",
+            "software tail markedly heavier than SR-IOV"),
+        ArtifactSpec::new("fig5d", "Combined burst TPS",
+            "SR-IOV sustains roughly twice the transactions of the combined software path"),
+        ArtifactSpec::new("fig5e", "Combined burst latency",
+            "combined software pipelined latency is 1.8-2.1× SR-IOV"),
+    ];
     let limit = 1_000_000_000u64;
-    let grid: Vec<(PathSetup, u64)> = SIZES
-        .into_iter()
-        .flat_map(|size| {
-            [
-                PathSetup::OvsTunnelRateLimit(limit),
-                PathSetup::SriovHwLimit(limit),
-            ]
-            .map(|setup| (setup, size))
-        })
-        .collect();
-    let cells = cells::map(&grid, |&(setup, size)| {
-        let export = (setup == PathSetup::SriovHwLimit(limit) && size == 1448).then_some(cx);
-        measure_cell(setup, size, !full, export)
-    });
-    for (&size, pair) in SIZES.iter().zip(cells.chunks_exact(2)) {
-        let (sw, hw) = (pair[0], pair[1]);
-        for (setup, cell) in [("OVS+Tun+RL", sw), ("SR-IOV (hw RL)", hw)] {
-            let cfg = format!("{setup} @{size}B");
-            a.push(Row::new(
-                "throughput",
-                &cfg,
-                None,
-                cell.throughput_bps,
-                "bps",
-            ));
-            b.push(Row::new("rr avg", &cfg, None, cell.rr_mean_us, "us"));
-            c.push(Row::new("rr p99", &cfg, None, cell.rr_p99_us, "us"));
-            d.push(Row::new("burst tps", &cfg, None, cell.burst_tps, "tps"));
-            e.push(Row::new("burst avg", &cfg, None, cell.burst_mean_us, "us"));
+    let mut worlds = Vec::new();
+    for size in SIZES {
+        let pair = [
+            PathSetup::OvsTunnelRateLimit(limit),
+            PathSetup::SriovHwLimit(limit),
+        ];
+        let [sw, hw] = pair.map(|setup| label(setup, size));
+        for (label, setup) in [&sw, &hw].into_iter().zip(pair) {
+            for (art, col) in arts.iter_mut().zip(&COLUMNS) {
+                art.push(col.at(label));
+            }
+            worlds.push(World::one(label.as_str(), (setup, size)));
         }
-        e.push(Row::new(
+        arts[4].row(
             "sw/hw burst latency ratio",
             format!("@{size}B"),
             None,
-            sw.burst_mean_us / hw.burst_mean_us.max(1e-9),
             "x (paper: 1.8-2.1)",
-        ));
+            [sw, hw],
+            |c| c[0].burst_mean_us / c[1].burst_mean_us.max(1e-9),
+        );
     }
     let note = "paper runs this comparison below 1.44 Gbps due to the tunneling implementation; both sides limited to 1 Gbps as in §3.2.3";
-    for art in [&mut a, &mut b, &mut c, &mut d, &mut e] {
+    for art in &mut arts {
         art.note(note);
         if !full {
             art.note("quick mode: shortened windows");
         }
     }
-    vec![a, b, c, d, e]
+    Decl::new(worlds, label(PathSetup::SriovHwLimit(limit), 1448), arts)
+}
+
+/// Regenerate Fig. 5(a-e).
+pub fn run(cx: &Cx) -> Vec<Artifact> {
+    declare(cx.full).run(cx, |&(setup, size), cells| {
+        vec![measure_cell(setup, size, !cx.full, cells[0].export)]
+    })
 }

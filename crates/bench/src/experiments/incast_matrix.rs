@@ -44,8 +44,8 @@ use fastrak_workload::{
 };
 
 use crate::cells;
-use crate::experiments::Cx;
-use crate::report::{Artifact, Row};
+use crate::experiments::{Cx, Decl, World};
+use crate::report::{Artifact, ArtifactSpec, Col};
 
 const TENANT: TenantId = TenantId(1);
 /// Response size per worker per round (~11 MSS: enough to burst).
@@ -55,7 +55,7 @@ const RESP_SIZE: u64 = 16_000;
 const ECN_K: SimDuration = SimDuration::from_micros(60);
 
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum Path {
+pub(crate) enum Path {
     /// Everything stays on the vswitch (VIF) path.
     Sw,
     /// Everything pinned to SR-IOV from the start.
@@ -84,7 +84,7 @@ fn cc_grid() -> [(&'static str, CcAlgo); 3] {
 }
 
 /// One grid cell's observables.
-struct Outcome {
+pub(crate) struct Outcome {
     fct_p50_ns: u64,
     fct_p99_ns: u64,
     rounds: u64,
@@ -262,125 +262,82 @@ fn run_world<R: Send>(
     })
 }
 
-/// The cell `--telemetry` exports: the most telling one (DCTCP + migration +
-/// widest fan-out — every `tcp.*` counter and the fabric mark counters
-/// live).
-const EXPORTED: (CcAlgo, Path, usize) = (CcAlgo::Dctcp, Path::Migrate, 12);
+fn label(cc_name: &str, path: Path, fanout: usize) -> String {
+    format!("cc={cc_name}, path={}, fanout={fanout}", path.name())
+}
 
-/// Regenerate the incast-matrix report. No row reads a registry, so only
-/// the [`EXPORTED`] cell publishes one, and only under `--telemetry`.
-pub fn run(cx: &Cx) -> Vec<Artifact> {
-    let horizon = if cx.full {
-        SimTime::from_millis(1_200)
-    } else {
-        SimTime::from_millis(500)
-    };
-    let fanouts: &[usize] = &[4, 12];
-    let mut a = Artifact::new(
+/// One world per (cc, `sw` or `hw`, fan-out), longest first: a software
+/// world carries two cells, `sw` and `migrate`. The rows go by cc, path
+/// and fan-out. `--telemetry` exports the most telling cell (DCTCP +
+/// migration + widest fan-out — every `tcp.*` counter and the fabric mark
+/// counters live).
+pub(crate) fn declare(_full: bool) -> Decl<(CcAlgo, Path, usize), Outcome, Path> {
+    let fanouts = [4, 12];
+    let mut worlds = Vec::new();
+    for world in [Path::Sw, Path::Hw] {
+        for (cc_name, cc) in cc_grid() {
+            for fanout in fanouts {
+                let cells = (cells_of(world).iter())
+                    .map(|&path| (label(cc_name, path, fanout), path))
+                    .collect();
+                worlds.push(World {
+                    params: (cc, world, fanout),
+                    cells,
+                });
+            }
+        }
+    }
+    let mut a = ArtifactSpec::new(
         "incast-matrix",
         "Incast fan-in: congestion control x path x fan-out grid",
         "partition-aggregate fan-in stresses the aggregator downlink; DCTCP's ECN feedback keeps queues short (marks instead of drops, lower FCT tails), SR-IOV placement cuts per-hop latency, and a mid-run response-path migration shows the Fig.-12 transient (retransmits, no collapse) under every variant",
     );
-    let mut grid: Vec<(&str, CcAlgo, Path, usize)> = Vec::new();
-    for (cc_name, cc) in cc_grid() {
+    let columns = [
+        Col::new("round FCT p50", "us", |o: &Outcome| {
+            o.fct_p50_ns as f64 / 1_000.0
+        }),
+        Col::new("round FCT p99", "us", |o| o.fct_p99_ns as f64 / 1_000.0),
+        Col::new("rounds completed", "count", |o| o.rounds as f64),
+        Col::new("retransmitted segments", "segs", |o| o.rtx_segs as f64),
+        Col::new("RTO timeouts", "events", |o| o.timeouts as f64),
+        Col::new("ECN CE marks (fabric)", "pkts", |o| o.ce_marks as f64),
+        Col::new("ECE echoes received", "acks", |o| o.ece_rx as f64),
+        Col::new("rtx after path shift", "segs", |o| o.rtx_after_shift as f64),
+    ];
+    for (cc_name, _) in cc_grid() {
         for path in [Path::Sw, Path::Hw, Path::Migrate] {
-            for &fanout in fanouts {
-                grid.push((cc_name, cc, path, fanout));
+            for fanout in fanouts {
+                for col in &columns {
+                    a.push(col.at(&label(cc_name, path, fanout)));
+                }
             }
         }
-    }
-    // Longest worlds first: a software world carries two cells.
-    let worlds: Vec<(CcAlgo, Path, usize)> = [Path::Sw, Path::Hw]
-        .into_iter()
-        .flat_map(|world| {
-            cc_grid()
-                .into_iter()
-                .flat_map(move |(_, cc)| fanouts.iter().map(move |&fanout| (cc, world, fanout)))
-        })
-        .collect();
-    let mut outcomes: Vec<((CcAlgo, Path, usize), Outcome)> =
-        cells::map(&worlds, |&(cc, world, fanout)| {
-            run_world(cc, world, fanout, horizon, |path, got, mut bed| {
-                let cell = (cc, path, fanout);
-                if cell == EXPORTED {
-                    cx.publish(&mut bed, None);
-                }
-                (cell, got)
-            })
-        })
-        .into_iter()
-        .flatten()
-        .collect();
-    for (cc_name, cc, path, fanout) in grid {
-        let i = outcomes
-            .iter()
-            .position(|(cell, _)| *cell == (cc, path, fanout))
-            .expect("every grid cell ran");
-        let got = outcomes.swap_remove(i).1;
-        let cfg = format!("cc={cc_name}, path={}, fanout={fanout}", path.name());
-        a.push(Row::new(
-            "round FCT p50",
-            cfg.clone(),
-            None,
-            got.fct_p50_ns as f64 / 1_000.0,
-            "us",
-        ));
-        a.push(Row::new(
-            "round FCT p99",
-            cfg.clone(),
-            None,
-            got.fct_p99_ns as f64 / 1_000.0,
-            "us",
-        ));
-        a.push(Row::new(
-            "rounds completed",
-            cfg.clone(),
-            None,
-            got.rounds as f64,
-            "count",
-        ));
-        a.push(Row::new(
-            "retransmitted segments",
-            cfg.clone(),
-            None,
-            got.rtx_segs as f64,
-            "segs",
-        ));
-        a.push(Row::new(
-            "RTO timeouts",
-            cfg.clone(),
-            None,
-            got.timeouts as f64,
-            "events",
-        ));
-        a.push(Row::new(
-            "ECN CE marks (fabric)",
-            cfg.clone(),
-            None,
-            got.ce_marks as f64,
-            "pkts",
-        ));
-        a.push(Row::new(
-            "ECE echoes received",
-            cfg.clone(),
-            None,
-            got.ece_rx as f64,
-            "acks",
-        ));
-        a.push(Row::new(
-            "rtx after path shift",
-            cfg,
-            None,
-            got.rtx_after_shift as f64,
-            "segs",
-        ));
     }
     a.note("no 'paper' column: the paper migrates one bulk flow (Fig. 12); the grid extends it with incast fan-in and the transport variants");
     a.note(format!(
         "resp={RESP_SIZE}B/worker/round, 2 long pipelined flows as background, ECN marking K={}us on ToR+NIC queues for the DCTCP cells; path shift at horizon/2",
         ECN_K.as_nanos() / 1_000
     ));
-    vec![a]
+    Decl::new(worlds, label("dctcp", Path::Migrate, 12), vec![a])
+}
+
+/// Regenerate the incast-matrix report. No row reads a registry, so only
+/// the exported cell publishes one, and only under `--telemetry`.
+pub fn run(cx: &Cx) -> Vec<Artifact> {
+    let horizon = if cx.full {
+        SimTime::from_millis(1_200)
+    } else {
+        SimTime::from_millis(500)
+    };
+    declare(cx.full).run(cx, |&(cc, world, fanout), cells| {
+        run_world(cc, world, fanout, horizon, |path, got, mut bed| {
+            let cell = cells.iter().find(|c| *c.read == path);
+            if let Some(cx) = cell.and_then(|c| c.export) {
+                cx.publish(&mut bed, None);
+            }
+            got
+        })
+    })
 }
 
 #[cfg(test)]

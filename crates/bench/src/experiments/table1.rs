@@ -13,9 +13,8 @@ use fastrak_host::vm::VmSpec;
 use fastrak_net::addr::Ip;
 use fastrak_workload::{memcached_server, IoZone, MemslapClient, MemslapConfig, VmRef};
 
-use crate::cells;
-use crate::experiments::Cx;
-use crate::report::{Artifact, Row};
+use crate::experiments::{Cx, Decl, World};
+use crate::report::{Artifact, ArtifactSpec, Col};
 use crate::scenarios::{apply_setup, measure_window, rack, PathSetup, TENANT};
 
 /// Measured cell: (aggregate TPS, mean latency µs, test-server CPUs). The
@@ -88,45 +87,48 @@ fn measure(sriov: bool, background: bool, quick: bool, export: Option<&Cx>) -> (
     (tps, mean_lat, cpus)
 }
 
-/// Regenerate Table 1(a) and 1(b). `--telemetry` exports the VIF world
-/// with IOzone in the background: the busiest test server.
-pub fn run(cx: &Cx) -> Vec<Artifact> {
-    let full = cx.full;
-    let mut a = Artifact::new(
-        "table1a",
-        "Memcached TPS, no background",
-        "the same two memcached servers serve ≈2× the requests at ≈½ the latency over SR-IOV, at comparable CPU",
-    );
-    let mut b = Artifact::new(
-        "table1b",
-        "Memcached TPS, with IOzone background",
-        "background load does not change the SR-IOV advantage",
-    );
-    // Four worlds: (background?, SR-IOV?) in the order the rows print.
-    let grid = [(false, false), (false, true), (true, false), (true, true)];
-    let mut measured = cells::map(&grid, |&(background, sriov)| {
-        let export = (background && !sriov).then_some(cx);
-        measure(sriov, background, !full, export)
-    })
-    .into_iter();
-    for (art, paper) in [
-        (&mut a, [(106_574.0, 373.0, 3.3), (215_288.0, 192.0, 3.2)]),
-        (&mut b, [(96_093.0, 414.0, 4.1), (177_559.0, 231.0, 4.1)]),
+/// Four worlds, (background?, SR-IOV?) in the order the rows print, and
+/// the two tables. `--telemetry` exports the VIF world with IOzone in the
+/// background: the busiest test server.
+pub(crate) fn declare(_full: bool) -> Decl<(bool, bool), (f64, f64, f64)> {
+    let columns = [
+        Col::new("TPS", "tps", |c: &(f64, f64, f64)| c.0),
+        Col::new("mean latency", "us", |c| c.1),
+        Col::new("# CPUs (test server)", "logical CPUs", |c| c.2),
+    ];
+    let mut worlds = Vec::new();
+    let mut arts = Vec::new();
+    for (background, mut art, paper) in [
+        (
+            false,
+            ArtifactSpec::new("table1a", "Memcached TPS, no background",
+                "the same two memcached servers serve ≈2× the requests at ≈½ the latency over SR-IOV, at comparable CPU"),
+            [[106_574.0, 373.0, 3.3], [215_288.0, 192.0, 3.2]],
+        ),
+        (
+            true,
+            ArtifactSpec::new("table1b", "Memcached TPS, with IOzone background",
+                "background load does not change the SR-IOV advantage"),
+            [[96_093.0, 414.0, 4.1], [177_559.0, 231.0, 4.1]],
+        ),
     ] {
-        for (sriov, (p_tps, p_lat, p_cpu)) in [(false, paper[0]), (true, paper[1])] {
-            let (tps, lat, cpus) = measured.next().expect("one world per row group");
-            let cfg = if sriov { "SR-IOV VF" } else { "VIF" };
-            art.push(Row::new("TPS", cfg, Some(p_tps), tps, "tps"));
-            art.push(Row::new("mean latency", cfg, Some(p_lat), lat, "us"));
-            art.push(Row::new(
-                "# CPUs (test server)",
-                cfg,
-                Some(p_cpu),
-                cpus,
-                "logical CPUs",
-            ));
+        for (sriov, paper) in [false, true].into_iter().zip(paper) {
+            let config = if sriov { "SR-IOV VF" } else { "VIF" };
+            let label = format!("{config}{}", if background { " + IOzone" } else { "" });
+            for (col, paper) in columns.iter().zip(paper) {
+                art.push(col.at_as(&label, config, Some(paper)));
+            }
+            worlds.push(World::one(label, (background, sriov)));
         }
         art.note("paper runs memslap for 90 s; this harness uses a shorter stationary window (rates are unaffected)");
+        arts.push(art);
     }
-    vec![a, b]
+    Decl::new(worlds, "VIF + IOzone", arts)
+}
+
+/// Regenerate Table 1(a) and 1(b).
+pub fn run(cx: &Cx) -> Vec<Artifact> {
+    declare(cx.full).run(cx, |&(background, sriov), cells| {
+        vec![measure(sriov, background, !cx.full, cells[0].export)]
+    })
 }

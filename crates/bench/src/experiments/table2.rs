@@ -18,14 +18,9 @@ use fastrak_net::flow::FlowSpec;
 use fastrak_net::packet::PathTag;
 use fastrak_workload::{memcached_server, MemslapClient, MemslapConfig, Testbed, VmRef};
 
-use crate::cells;
-use crate::experiments::Cx;
-use crate::report::{Artifact, Row};
+use crate::experiments::{Cx, Decl, World};
+use crate::report::{Artifact, ArtifactSpec, RowSpec};
 use crate::scenarios::{rack, run_memslap, TENANT};
-
-/// The row `--telemetry` exports: half the memcached servers on SR-IOV, so
-/// both paths carry memcached traffic.
-const EXPORT_N_FAST: usize = 2;
 
 /// The four memcached server IPs.
 pub fn mc_ips() -> [Ip; 4] {
@@ -92,54 +87,84 @@ pub fn offload_servers(bed: &mut Testbed, servers: &[VmRef], clients: &[VmRef], 
     }
 }
 
-/// Regenerate Table 2.
-pub fn run(cx: &Cx) -> Vec<Artifact> {
-    let full = cx.full;
-    let requests = if full { 2_000_000 } else { 150_000 };
-    let horizon = if full { 300 } else { 60 };
+/// A memslap run's (mean finish s, mean TPS per client, mean latency µs,
+/// CPUs), as [`run_memslap`] reads it.
+pub(crate) type Memslap = (f64, f64, f64, f64);
+
+/// The four rows Tables 2-4 report for the cell `label` (also their
+/// config) beside the paper's (finish, TPS, latency, CPUs); the finish time
+/// is scaled by `scale`. `memslap` reads the cell's outcome.
+pub(crate) fn memslap_rows<O: 'static>(
+    art: &mut ArtifactSpec<O>,
+    label: &str,
+    (p_fin, p_tps, p_lat, p_cpu): Memslap,
+    scale: f64,
+    memslap: fn(&O) -> Memslap,
+) {
+    let row = |metric, paper, unit, read: fn(Memslap) -> f64| {
+        RowSpec::new(metric, label, Some(paper), unit, [label], move |c| {
+            read(memslap(c[0]))
+        })
+    };
+    art.push(row("mean finish", p_fin * scale, "s (paper scaled)", |m| {
+        m.0
+    }));
+    art.push(row("mean TPS/client", p_tps, "tps", |m| m.1));
+    art.push(row("mean latency", p_lat, "us", |m| m.2));
+    art.push(row("# CPUs", p_cpu, "logical CPUs", |m| m.3));
+}
+
+/// (requests per client, horizon s) of a quick or full run.
+fn load(full: bool) -> (u64, u64) {
+    if full {
+        (2_000_000, 300)
+    } else {
+        (150_000, 60)
+    }
+}
+
+/// One world per row: row i has the first i memcached servers on SR-IOV.
+/// `--telemetry` exports half the servers on SR-IOV, so both paths carry
+/// memcached traffic.
+pub(crate) fn declare(full: bool) -> Decl<usize, Memslap> {
+    let requests = load(full).0;
     let scale = requests as f64 / 2_000_000.0;
-    let mut t = Artifact::new(
+    let mut t = ArtifactSpec::new(
         "table2",
         "Memcached finish times as servers shift to SR-IOV",
         "finish time barely moves at 75/50/25% VIF (slowest member dominates) and drops ~37% at 0% VIF; latency falls monotonically; TPS jumps ~1.6× at 0%",
     );
     let paper = [
-        (100, 86.6, 23_089.0, 331.0, 3.5),
-        (75, 82.2, 24_333.0, 306.0, 3.2),
-        (50, 82.3, 24_335.0, 297.0, 3.2),
-        (25, 82.1, 23_976.0, 275.0, 2.9),
-        (0, 54.9, 37_456.0, 190.0, 2.2),
+        (100, (86.6, 23_089.0, 331.0, 3.5)),
+        (75, (82.2, 24_333.0, 306.0, 3.2)),
+        (50, (82.3, 24_335.0, 297.0, 3.2)),
+        (25, (82.1, 23_976.0, 275.0, 2.9)),
+        (0, (54.9, 37_456.0, 190.0, 2.2)),
     ];
-    // Row i has the first i memcached servers on SR-IOV: one world each.
-    let n_fast: Vec<usize> = (0..paper.len()).collect();
-    let measured = cells::map(&n_fast, |&n| {
-        let (mut bed, servers, clients) = build(requests, 37);
-        offload_servers(&mut bed, &servers, &clients, n);
-        let measured = run_memslap(&mut bed, &clients, horizon);
-        if n == EXPORT_N_FAST {
-            cx.publish(&mut bed, None);
-        }
-        measured
-    });
-    for ((pct_vif, p_fin, p_tps, p_lat, p_cpu), (fin, tps, lat, cpus)) in
-        paper.into_iter().zip(measured)
-    {
-        let cfg = format!("{pct_vif}% via VIF");
-        t.push(Row::new(
-            "mean finish",
-            &cfg,
-            Some(p_fin * scale),
-            fin,
-            "s (paper scaled)",
-        ));
-        t.push(Row::new("mean TPS/client", &cfg, Some(p_tps), tps, "tps"));
-        t.push(Row::new("mean latency", &cfg, Some(p_lat), lat, "us"));
-        t.push(Row::new("# CPUs", &cfg, Some(p_cpu), cpus, "logical CPUs"));
+    let mut worlds = Vec::new();
+    for (n_fast, (pct_vif, paper)) in paper.into_iter().enumerate() {
+        let label = format!("{pct_vif}% via VIF");
+        memslap_rows(&mut t, &label, paper, scale, |m| *m);
+        worlds.push(World::one(label, n_fast));
     }
     if !full {
         t.note(format!(
             "quick mode: {requests} requests/client instead of 2M; finish-time paper values scaled by {scale:.3} (rates are stationary, ratios preserved)"
         ));
     }
-    vec![t]
+    Decl::new(worlds, "50% via VIF", vec![t])
+}
+
+/// Regenerate Table 2.
+pub fn run(cx: &Cx) -> Vec<Artifact> {
+    let (requests, horizon) = load(cx.full);
+    declare(cx.full).run(cx, |&n_fast, cells| {
+        let (mut bed, servers, clients) = build(requests, 37);
+        offload_servers(&mut bed, &servers, &clients, n_fast);
+        let measured = run_memslap(&mut bed, &clients, horizon);
+        if let Some(cx) = cells[0].export {
+            cx.publish(&mut bed, None);
+        }
+        vec![measured]
+    })
 }

@@ -17,10 +17,9 @@ use fastrak_workload::{
     VmRef,
 };
 
-use crate::cells;
-use crate::experiments::table2::{mc_ips, offload_servers};
-use crate::experiments::Cx;
-use crate::report::{Artifact, Row};
+use crate::experiments::table2::{mc_ips, memslap_rows, offload_servers, Memslap};
+use crate::experiments::{Cx, Decl, World};
+use crate::report::{Artifact, ArtifactSpec};
 use crate::scenarios::{rack, run_memslap, TENANT};
 
 /// Build the Table-3 rack: memcached VMs also run a file transfer to sinks
@@ -70,45 +69,34 @@ pub(crate) fn build(
     (bed, servers, clients)
 }
 
-/// Regenerate Table 3.
-pub fn run(cx: &Cx) -> Vec<Artifact> {
-    let full = cx.full;
-    let requests = if full { 2_000_000 } else { 150_000 };
-    let transfer = if full { 4u64 << 30 } else { 400 << 20 };
-    let horizon = if full { 400 } else { 90 };
+/// (requests per client, transfer bytes, horizon s) of a quick or full
+/// run; Table 4 runs the same.
+pub(crate) fn load(full: bool) -> (u64, u64, u64) {
+    if full {
+        (2_000_000, 4 << 30, 400)
+    } else {
+        (150_000, 400 << 20, 90)
+    }
+}
+
+/// Two worlds, memcached all on the VIF or all on SR-IOV (the servers
+/// moved). `--telemetry` exports the VIF world: memcached and the
+/// transfers share the VIF.
+pub(crate) fn declare(full: bool) -> Decl<usize, Memslap> {
+    let (requests, transfer, _) = load(full);
     let scale = requests as f64 / 2_000_000.0;
-    let mut t = Artifact::new(
+    let mut t = ArtifactSpec::new(
         "table3",
         "Memcached finish times with disk-bound background transfers",
         "with the background transfers on the VIF, moving memcached to SR-IOV roughly halves finish time and latency",
     );
-    let paper = [
-        ("VIF", 118.4, 16_896.2, 455.6, 7.6, 0usize),
-        ("SR-IOV VF", 69.0, 29_334.6, 249.0, 6.3, 4usize),
-    ];
-    let measured = cells::map(&paper, |&(.., n_fast)| {
-        let (mut bed, servers, clients) = build(requests, transfer, 41);
-        offload_servers(&mut bed, &servers, &clients, n_fast);
-        let measured = run_memslap(&mut bed, &clients, horizon);
-        // The exported row: memcached and the transfers share the VIF.
-        if n_fast == 0 {
-            cx.publish(&mut bed, None);
-        }
-        measured
-    });
-    for ((cfg, p_fin, p_tps, p_lat, p_cpu, _), (fin, tps, lat, cpus)) in
-        paper.into_iter().zip(measured)
-    {
-        t.push(Row::new(
-            "mean finish",
-            cfg,
-            Some(p_fin * scale),
-            fin,
-            "s (paper scaled)",
-        ));
-        t.push(Row::new("mean TPS/client", cfg, Some(p_tps), tps, "tps"));
-        t.push(Row::new("mean latency", cfg, Some(p_lat), lat, "us"));
-        t.push(Row::new("# CPUs", cfg, Some(p_cpu), cpus, "logical CPUs"));
+    let mut worlds = Vec::new();
+    for (label, paper, n_fast) in [
+        ("VIF", (118.4, 16_896.2, 455.6, 7.6), 0),
+        ("SR-IOV VF", (69.0, 29_334.6, 249.0, 6.3), 4),
+    ] {
+        memslap_rows(&mut t, label, paper, scale, |m| *m);
+        worlds.push(World::one(label, n_fast));
     }
     if !full {
         t.note(format!(
@@ -116,5 +104,19 @@ pub fn run(cx: &Cx) -> Vec<Artifact> {
             transfer >> 20
         ));
     }
-    vec![t]
+    Decl::new(worlds, "VIF", vec![t])
+}
+
+/// Regenerate Table 3.
+pub fn run(cx: &Cx) -> Vec<Artifact> {
+    let (requests, transfer, horizon) = load(cx.full);
+    declare(cx.full).run(cx, |&n_fast, cells| {
+        let (mut bed, servers, clients) = build(requests, transfer, 41);
+        offload_servers(&mut bed, &servers, &clients, n_fast);
+        let measured = run_memslap(&mut bed, &clients, horizon);
+        if let Some(cx) = cells[0].export {
+            cx.publish(&mut bed, None);
+        }
+        vec![measured]
+    })
 }

@@ -29,9 +29,8 @@ use fastrak_workload::{
     TestbedConfig,
 };
 
-use crate::cells;
-use crate::experiments::Cx;
-use crate::report::{Artifact, Row};
+use crate::experiments::{Cx, Decl, World};
+use crate::report::{Artifact, ArtifactSpec, Col};
 
 /// The adversary's tenant id (victims are 1..=N_VICTIMS).
 const CHURN_TENANT: TenantId = TenantId(4);
@@ -41,7 +40,7 @@ const N_VICTIMS: u32 = 3;
 const BUDGET: usize = 8;
 
 /// One grid cell's observables.
-struct Outcome {
+pub(crate) struct Outcome {
     /// Worst victim p99 transaction latency (ns).
     victim_p99_ns: u64,
     /// Worst victim p50 (ns) — the body, for contrast with the tail.
@@ -203,82 +202,66 @@ fn run_one(policy: FastPathPolicy, churner: bool, horizon: SimTime) -> (Outcome,
     (got, reg)
 }
 
-/// Regenerate the tenant-matrix report. `--telemetry` exports the most
-/// adversarial cell (unrestricted policy + churner — the baseline the
+/// Every policy with the churner off and on. `--telemetry` exports the
+/// most adversarial cell (unrestricted policy + churner — the baseline the
 /// fairness policies are judged against).
+pub(crate) fn declare(_full: bool) -> Decl<(FastPathPolicy, bool), Outcome> {
+    let mut a = ArtifactSpec::new(
+        "tenant-matrix",
+        "Noisy-neighbor fairness: policy x churner grid",
+        "an adversarial tenant that rotates hot aggregates monopolizes and thrashes the bounded fast path under the paper's unrestricted policy; per-tenant quota and weighted-share policies keep the victims' rules installed (fewer victim demotes, stable occupancy) and their tail latency flat",
+    );
+    let columns = [
+        Col::new("worst victim p99 latency", "us", |o: &Outcome| {
+            o.victim_p99_ns as f64 / 1_000.0
+        }),
+        Col::new("worst victim p50 latency", "us", |o| {
+            o.victim_p50_ns as f64 / 1_000.0
+        }),
+        Col::new("victim rule demotions", "count", |o| {
+            o.victim_demotes as f64
+        }),
+        Col::new("victim offload transitions", "count", |o| {
+            o.victim_offloads as f64
+        }),
+        Col::new("victim fast-path entries (end)", "rules", |o| {
+            o.victim_entries
+        }),
+        Col::new("churner fast-path entries (end)", "rules", |o| {
+            o.churner_entries
+        }),
+    ];
+    let mut worlds = Vec::new();
+    for (name, policy) in policy_grid() {
+        for churner in [false, true] {
+            let label = format!("{name}, churner={}", if churner { "on" } else { "off" });
+            for col in &columns {
+                a.push(col.at(&label));
+            }
+            worlds.push(World::one(label, (policy.clone(), churner)));
+        }
+    }
+    a.note("no 'paper' column: the paper evaluates cooperative tenants only (unrestricted, churner=off is its behaviour); the grid extends it with the adversarial profile and the fairness policies");
+    a.note(format!(
+        "budget={BUDGET} fast-path entries, {N_VICTIMS} victim tenants (Zipf-skewed memcached) + 1 churner tenant rotating hot dst-port aggregates"
+    ));
+    Decl::new(worlds, "unrestricted, churner=on", vec![a])
+}
+
+/// Regenerate the tenant-matrix report.
 pub fn run(cx: &Cx) -> Vec<Artifact> {
     let horizon = if cx.full {
         SimTime::from_millis(9_500)
     } else {
         SimTime::from_millis(6_500)
     };
-    let mut a = Artifact::new(
-        "tenant-matrix",
-        "Noisy-neighbor fairness: policy x churner grid",
-        "an adversarial tenant that rotates hot aggregates monopolizes and thrashes the bounded fast path under the paper's unrestricted policy; per-tenant quota and weighted-share policies keep the victims' rules installed (fewer victim demotes, stable occupancy) and their tail latency flat",
-    );
-    let grid: Vec<(&str, FastPathPolicy, bool)> = policy_grid()
-        .into_iter()
-        .flat_map(|(name, policy)| [false, true].map(|churner| (name, policy.clone(), churner)))
-        .collect();
-    // Only the exported cell's registry outlives its cell.
-    let outcomes = cells::map(&grid, |(name, policy, churner)| {
+    declare(cx.full).run(cx, |(policy, churner), cells| {
         let (got, reg) = run_one(policy.clone(), *churner, horizon);
-        if *name == "unrestricted" && *churner {
+        if let Some(cx) = cells[0].export {
             cx.keep(reg);
         }
-        got
-    });
-    for ((name, _, churner), got) in grid.into_iter().zip(outcomes) {
-        let cfg = format!("{name}, churner={}", if churner { "on" } else { "off" });
-        a.push(Row::new(
-            "worst victim p99 latency",
-            cfg.clone(),
-            None,
-            got.victim_p99_ns as f64 / 1_000.0,
-            "us",
-        ));
-        a.push(Row::new(
-            "worst victim p50 latency",
-            cfg.clone(),
-            None,
-            got.victim_p50_ns as f64 / 1_000.0,
-            "us",
-        ));
-        a.push(Row::new(
-            "victim rule demotions",
-            cfg.clone(),
-            None,
-            got.victim_demotes as f64,
-            "count",
-        ));
-        a.push(Row::new(
-            "victim offload transitions",
-            cfg.clone(),
-            None,
-            got.victim_offloads as f64,
-            "count",
-        ));
-        a.push(Row::new(
-            "victim fast-path entries (end)",
-            cfg.clone(),
-            None,
-            got.victim_entries,
-            "rules",
-        ));
-        a.push(Row::new(
-            "churner fast-path entries (end)",
-            cfg,
-            None,
-            got.churner_entries,
-            "rules",
-        ));
-    }
-    a.note("no 'paper' column: the paper evaluates cooperative tenants only (unrestricted, churner=off is its behaviour); the grid extends it with the adversarial profile and the fairness policies");
-    a.note(format!(
-        "budget={BUDGET} fast-path entries, {N_VICTIMS} victim tenants (Zipf-skewed memcached) + 1 churner tenant rotating hot dst-port aggregates"
-    ));
-    vec![a]
+        vec![got]
+    })
 }
 
 #[cfg(test)]

@@ -1,6 +1,8 @@
 //! Comparison-row machinery: each experiment emits [`Row`]s pairing the
 //! paper's published value with the value measured on the simulated
-//! testbed, grouped into an [`Artifact`] (one table or figure).
+//! testbed, grouped into an [`Artifact`] (one table or figure). An
+//! experiment declares them before any world runs, as an [`ArtifactSpec`]
+//! of [`RowSpec`]s that read cells' outcomes by label.
 
 use std::fmt::Write as _;
 
@@ -150,6 +152,138 @@ impl Artifact {
             let _ = writeln!(out, "note: {n}");
         }
         out
+    }
+}
+
+/// How a row's value is read from the outcomes of the cells it reads.
+type Reader<O> = Box<dyn Fn(&[&O]) -> f64>;
+
+/// A row as an experiment declares it, before any world runs: the row
+/// without its measured value, the cells it reads (by label) and how its
+/// value is read from their outcomes.
+pub(crate) struct RowSpec<O> {
+    head: Row,
+    /// The labels of the cells `read` takes, in order.
+    pub(crate) reads: Vec<String>,
+    read: Reader<O>,
+    /// A unit read from the outcomes, in place of `head`'s.
+    unit_of: Option<fn(&[&O]) -> &'static str>,
+}
+
+impl<O> RowSpec<O> {
+    /// A row read from the outcomes of the cells labelled `reads`.
+    pub(crate) fn new<S: Into<String>>(
+        metric: impl Into<String>,
+        config: impl Into<String>,
+        paper: Option<f64>,
+        unit: &'static str,
+        reads: impl IntoIterator<Item = S>,
+        read: impl Fn(&[&O]) -> f64 + 'static,
+    ) -> RowSpec<O> {
+        RowSpec {
+            head: Row::new(metric, config, paper, f64::NAN, unit),
+            reads: reads.into_iter().map(Into::into).collect(),
+            read: Box::new(read),
+            unit_of: None,
+        }
+    }
+
+    /// The same row, its unit read from the outcomes.
+    pub(crate) fn unit_of(self, unit_of: fn(&[&O]) -> &'static str) -> RowSpec<O> {
+        RowSpec {
+            unit_of: Some(unit_of),
+            ..self
+        }
+    }
+
+    fn row(&self, outcomes: &[(&str, O)]) -> Row {
+        let outcome = |label: &String| {
+            let (_, got) = (outcomes.iter().find(|(l, _)| l == label))
+                .unwrap_or_else(|| panic!("no cell is labelled '{label}'"));
+            got
+        };
+        let read: Vec<&O> = self.reads.iter().map(outcome).collect();
+        Row {
+            measured: (self.read)(&read),
+            unit: self.unit_of.map_or(self.head.unit, |f| f(&read)),
+            ..self.head.clone()
+        }
+    }
+}
+
+/// A metric read from one cell's outcome: one row per cell it is applied to.
+pub(crate) struct Col<O> {
+    metric: &'static str,
+    unit: &'static str,
+    read: fn(&O) -> f64,
+}
+
+impl<O: 'static> Col<O> {
+    pub(crate) const fn new(
+        metric: &'static str,
+        unit: &'static str,
+        read: fn(&O) -> f64,
+    ) -> Col<O> {
+        Col { metric, unit, read }
+    }
+
+    /// The row of the cell `label`, which is also its config; no paper value.
+    pub(crate) fn at(&self, label: &str) -> RowSpec<O> {
+        self.at_as(label, label, None)
+    }
+
+    /// The row of the cell `label`, reported as `config` beside `paper`.
+    pub(crate) fn at_as(&self, label: &str, config: &str, paper: Option<f64>) -> RowSpec<O> {
+        let read = self.read;
+        RowSpec::new(self.metric, config, paper, self.unit, [label], move |o| {
+            read(o[0])
+        })
+    }
+}
+
+/// An artifact as an experiment declares it: id, title, shape and notes,
+/// and its rows as [`RowSpec`]s.
+pub(crate) struct ArtifactSpec<O> {
+    pub(crate) head: Artifact,
+    pub(crate) rows: Vec<RowSpec<O>>,
+}
+
+impl<O> ArtifactSpec<O> {
+    pub(crate) fn new(id: &str, title: &str, shape: &str) -> ArtifactSpec<O> {
+        ArtifactSpec {
+            head: Artifact::new(id, title, shape),
+            rows: Vec::new(),
+        }
+    }
+
+    /// Add a row.
+    pub(crate) fn push(&mut self, row: RowSpec<O>) {
+        self.rows.push(row);
+    }
+
+    /// Add a row read from the cells labelled `reads` ([`RowSpec::new`]).
+    pub(crate) fn row<S: Into<String>>(
+        &mut self,
+        metric: impl Into<String>,
+        config: impl Into<String>,
+        paper: Option<f64>,
+        unit: &'static str,
+        reads: impl IntoIterator<Item = S>,
+        read: impl Fn(&[&O]) -> f64 + 'static,
+    ) {
+        self.push(RowSpec::new(metric, config, paper, unit, reads, read));
+    }
+
+    /// Add a note.
+    pub(crate) fn note(&mut self, s: impl Into<String>) {
+        self.head.note(s);
+    }
+
+    /// The artifact, its rows read from the cells' outcomes by label.
+    pub(crate) fn render(&self, outcomes: &[(&str, O)]) -> Artifact {
+        let mut art = self.head.clone();
+        art.rows = self.rows.iter().map(|r| r.row(outcomes)).collect();
+        art
     }
 }
 

@@ -76,11 +76,11 @@ pub struct DeEpochStats {
     /// previous decide. Unchanged-score rows cost a hash probe but are not
     /// deltas.
     pub deltas_ingested: u64,
-    /// Aggregates currently indexed (eligible set size).
-    pub entries_indexed: u64,
     /// Ordered-index entries visited by the selection walk (the "top-k
     /// fringe": ≈ budget plus any capped-tenant skips, independent of the
-    /// index size).
+    /// index size). No `ctrl.de.*` series exports it: it is the one
+    /// observable of that bound, which
+    /// `selection_walk_is_bounded_by_the_budget` checks.
     pub scanned: u64,
     /// Aggregates that crossed the offload boundary this epoch
     /// (offloads + demotions actually decided).
@@ -284,7 +284,6 @@ impl IncrementalDecisionEngine {
 
         self.stats = DeEpochStats {
             deltas_ingested: std::mem::take(&mut self.pending_deltas),
-            entries_indexed: self.scores.len() as u64,
             scanned,
             band_crossers: (offload.len() + demote.len()) as u64,
             churn_suppressed: suppressed,
@@ -373,7 +372,7 @@ mod tests {
         inc.ingest_snapshot(&demands);
         inc.decide(&HashSet::new(), 16);
         let st = inc.last_stats();
-        assert_eq!(st.entries_indexed, 10_000);
+        assert_eq!(inc.len(), 10_000);
         assert!(
             st.scanned <= 17,
             "walk must touch only the top-k fringe, scanned {}",

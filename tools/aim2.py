@@ -30,9 +30,14 @@ Prints, for the Rust outside `benchmark/` and `target/`:
     `KEPT_KNOBS` names the ones kept on purpose, with the tests that set
     them; an entry not listed any more is printed as stale, and fails the
     run.
+  * the public fields of `crates/*/src` that no non-test code reads (see
+    `unread_fields`). `KEPT_FIELDS` names the ones kept on purpose, with
+    the test that reads each; an entry not listed any more is printed as
+    stale, and fails the run. A listed field not on `KEPT_FIELDS` does not
+    fail it yet.
 The numbers are not gated: they are for the tracker line and the CHANGES
 table. The exit status is 1 when an item only tests reach is not on
-`KEPT`, or a `KEPT` or `KEPT_KNOBS` entry is stale.
+`KEPT`, or a `KEPT`, `KEPT_KNOBS` or `KEPT_FIELDS` entry is stale.
 """
 import argparse
 import re
@@ -83,6 +88,11 @@ KEPT_KNOBS = {
     "FasTrakConfig::rule_manager": "setup: a tenant's security rules, with RuleManager::set_policy",
     "TcpConfig::delack": "the 200 us delayed ACK the pinned stack scenarios run",
     "TcpConfig::msl": "a short TIME_WAIT the pinned and determinism scenarios watch expire",
+}
+# Public fields no non-test code reads, kept on purpose: observables a
+# test checks that no export carries.
+KEPT_FIELDS = {
+    "DeEpochStats::scanned": "the one observable of the selection walk's top-k bound (de_inc.rs selection_walk_is_bounded_by_the_budget)",
 }
 FN = re.compile(r"^\s*(?:pub(?:\([a-z]+\))?\s+)?(?:const\s+)?(?:unsafe\s+)?fn\s+(\w+)")
 LITERALS = re.compile(r'"(?:\\.|[^"\\])*"|\'(?:\\.|[^\'\\])\'')
@@ -206,6 +216,48 @@ def unreached(root, files, texts, tests):
             names = {name for _, _, name, _, _ in items}
             return sorted((items[k][2], at) for k, at in found.items()), names
         found.update(new)
+
+
+PUB_STRUCT = re.compile(r"^\s*pub\s+struct\s+(\w+)[^;(]*\{\s*$")
+PUB_FIELD = re.compile(r"^\s+pub\s+(\w+)\s*:")
+# `.name` not followed by a call, or by an assignment that only writes it.
+DESTRUCTURE = re.compile(r"\b[A-Z]\w*\s*\{([^{}]*)\}\s*(?:=(?!=)|=>)")
+FIELD_READ = re.compile(r"\.\s*([A-Za-z_]\w*)\b(?!\s*(?:\(|::<|[-+*/%|&^]?=(?!=)|<<=|>>=))")
+
+
+def unread_fields(root, files, texts, tests):
+    """(`Struct::field`, `path:line`) of each public field of a public
+    struct of `crates/*/src` that no non-test code reads as `.field`: a
+    `.field` followed by `(` or `::<` is a method call, and one followed by
+    `=` or a compound assignment (`+=`, ...) only writes it; a
+    destructuring pattern reads the fields it names. A read of any struct's
+    field of that name counts."""
+    rel = lambda p: p.relative_to(root).as_posix()
+    lib = lambda p: rel(p).startswith("crates/") and rel(p).split("/")[2] == "src"
+    callers = [p for p in files if p not in tests and (lib(p) or rel(p).startswith(CALLERS))]
+    callers += sorted((root / "benchmark" / "src").rglob("*.rs"))
+    read = set()
+    for p in callers:
+        code = [bare(l) for _, l in non_test(texts.get(p) or p.read_text())]
+        for line in code:
+            read.update(FIELD_READ.findall(line))
+        # A destructuring pattern (`let S { a, b: x, .. } = s`, a match arm)
+        # reads the fields it names.
+        for fields in DESTRUCTURE.findall("\n".join(code)):
+            read.update(re.findall(r"(?:^|,)\s*(?:ref\s+|mut\s+)*(\w+)", fields))
+    out = []
+    for p in filter(lambda p: lib(p) and p not in tests, files):
+        kept = non_test(texts[p])
+        lines = [l for _, l in kept]
+        for i, line in enumerate(lines):
+            m = PUB_STRUCT.match(bare(line))
+            if not m:
+                continue
+            for j in range(i + 1, block_end(lines, i)):
+                f = PUB_FIELD.match(lines[j])
+                if f and f.group(1) not in read:
+                    out.append((f"{m.group(1)}::{f.group(1)}", f"{rel(p)}:{kept[j][0]}"))
+    return sorted(out)
 
 
 def literals(text, names):
@@ -357,6 +409,21 @@ def main():
     print(f"stale: kept knobs that are no field only tests set ({len(stale)})")
     for name in stale:
         print(f"  {name:32} {KEPT_KNOBS[name]}")
+    n_stale += len(stale)
+
+    print("\n== public fields no non-test code reads (callers as above; not gated) ==")
+    fields = unread_fields(root, files, texts, tests)
+    for name, at in fields:
+        if name not in KEPT_FIELDS:
+            print(f"  {name:40} {at}")
+    kept = [(name, at) for name, at in fields if name in KEPT_FIELDS]
+    print(f"kept on purpose ({len(kept)}):")
+    for name, at in kept:
+        print(f"  {name:32} {KEPT_FIELDS[name]}")
+    stale = sorted(set(KEPT_FIELDS) - {name for name, _ in fields})
+    print(f"stale: kept fields that are no unread public field ({len(stale)})")
+    for name in stale:
+        print(f"  {name:32} {KEPT_FIELDS[name]}")
     n_stale += len(stale)
 
     for lit in args.count:
