@@ -13,16 +13,16 @@
 
 use fastrak_host::vm::VmSpec;
 use fastrak_net::addr::Ip;
-use fastrak_workload::{StreamConfig, StreamSender, StreamSink, Testbed, TestbedConfig};
+use fastrak_workload::{StreamConfig, StreamSender, StreamSink, Testbed, TestbedConfig, VmRef};
 
 use crate::experiments::fig3::{label, SIZES};
 use crate::experiments::{Cx, Decl, World};
 use crate::report::{Artifact, ArtifactSpec, Col};
 use crate::scenarios::{apply_setup, measure_window, PathSetup, TENANT};
 
-/// CPUs used on the sending server for 4 concurrent 1-thread streams, and
-/// their aggregate goodput. The cell `export` is given publishes into it.
-fn measure_cpu(setup: PathSetup, size: u64, quick: bool, export: Option<&Cx>) -> (f64, f64) {
+/// Four VMs on server 0, each with a 1-thread `size`-byte stream to its
+/// sink VM on server 1, under `setup`. Returns the world and the sinks.
+fn world(setup: PathSetup, size: u64) -> (Testbed, Vec<VmRef>) {
     let mut bed = Testbed::build(TestbedConfig {
         n_servers: 2,
         tunneling: setup.tunneling(),
@@ -51,7 +51,17 @@ fn measure_cpu(setup: PathSetup, size: u64, quick: bool, export: Option<&Cx>) ->
         sinks.push(s);
     }
     apply_setup(&mut bed, setup, &vms);
-    let (warm, window) = if quick { (200, 400) } else { (300, 1000) };
+    (bed, sinks)
+}
+
+/// The quick cells' warm-up and measured window (ms).
+const QUICK_MS: (u64, u64) = (200, 400);
+
+/// CPUs used on the sending server for 4 concurrent 1-thread streams, and
+/// their aggregate goodput. The cell `export` is given publishes into it.
+fn measure_cpu(setup: PathSetup, size: u64, quick: bool, export: Option<&Cx>) -> (f64, f64) {
+    let (mut bed, sinks) = world(setup, size);
+    let (warm, window) = if quick { QUICK_MS } else { (300, 1000) };
     // The sinks' goodput windows open with the CPU windows.
     let end = measure_window(&mut bed, warm, window, |bed, now| {
         for &s in &sinks {
@@ -152,6 +162,8 @@ pub fn run(cx: &Cx) -> Vec<Artifact> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::scenarios::sum_tcp;
+    use fastrak_transport::TcpStats;
 
     /// The quick Fig. 4a OVS+Tunneling cell at 600 B loses whole flights.
     /// When a timeout resent one segment and then waited for the next, its
@@ -163,5 +175,27 @@ mod tests {
     fn a_lost_flight_does_not_stall_the_tunneled_600b_streams() {
         let (_, goodput) = measure_cpu(PathSetup::OvsTunnel, 600, true, None);
         assert!(goodput > 100e6, "goodput {goodput} bps");
+    }
+
+    /// The quick Fig. 4a Baseline OVS cell at 64 B measures a stream, not a
+    /// recovery: most of its window's data segments carry new data. When a
+    /// receiver delayed the ACK of a segment that filled a hole, each
+    /// repair of a warm-up loss waited out a delayed ACK and every data
+    /// segment of the window was a retransmission. Release-only
+    /// (`--ignored`, run by CI).
+    #[test]
+    #[ignore = "slow: run with cargo test --release -p fastrak-bench -- --ignored"]
+    fn the_64b_baseline_window_carries_new_data() {
+        let (mut bed, _) = world(PathSetup::BaselineOvs, 64);
+        let (warm, window) = QUICK_MS;
+        let mut open = TcpStats::default();
+        measure_window(&mut bed, warm, window, |bed, _| open = sum_tcp(bed));
+        let close = sum_tcp(&bed);
+        let segs = close.segs_tx - open.segs_tx;
+        let rtx = close.rtx_segs - open.rtx_segs;
+        assert!(
+            2 * rtx < segs,
+            "{rtx} of {segs} data segments retransmitted"
+        );
     }
 }

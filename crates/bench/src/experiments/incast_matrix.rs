@@ -38,7 +38,7 @@ use fastrak_net::flow::FlowSpec;
 use fastrak_net::packet::PathTag;
 use fastrak_sim::time::{SimDuration, SimTime};
 use fastrak_transport::cc::CcAlgo;
-use fastrak_transport::tcp::{TcpConfig, TcpStats};
+use fastrak_transport::tcp::TcpConfig;
 use fastrak_workload::{
     incast_worker, IncastAggregator, IncastConfig, Testbed, TestbedConfig, VmRef,
 };
@@ -46,6 +46,7 @@ use fastrak_workload::{
 use crate::cells;
 use crate::experiments::{Cx, Decl, World};
 use crate::report::{Artifact, ArtifactSpec, Col};
+use crate::scenarios::sum_tcp;
 
 const TENANT: TenantId = TenantId(1);
 /// Response size per worker per round (~11 MSS: enough to burst).
@@ -97,18 +98,6 @@ pub(crate) struct Outcome {
     /// Retransmits in the second half of the run (after the migration
     /// instant — the transient for `migrate`, the baseline otherwise).
     rtx_after_shift: u64,
-}
-
-/// Sum transport counters over every VM in the rack.
-fn sum_tcp(bed: &Testbed) -> TcpStats {
-    let mut acc = TcpStats::default();
-    for v in bed.vms().to_vec() {
-        let stack = &bed.server(v.server).vm(v.vm).stack;
-        for id in stack.conn_ids() {
-            acc += &stack.conn(id).stats;
-        }
-    }
-    acc
 }
 
 /// One cell's world: the rack plus the VMs a cell reads or re-places.

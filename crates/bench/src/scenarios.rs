@@ -17,6 +17,7 @@ use fastrak_net::addr::{Ip, TenantId};
 use fastrak_net::ctrl::Dir;
 use fastrak_net::packet::PathTag;
 use fastrak_sim::time::{SimDuration, SimTime};
+use fastrak_transport::TcpStats;
 use fastrak_workload::{
     memcached_server, FileTransfer, MemslapClient, MemslapConfig, StreamSink, Testbed,
     TestbedConfig, VmRef,
@@ -152,6 +153,18 @@ pub fn measure_window(
     bed.now()
 }
 
+/// Sum transport counters over every VM in `bed`.
+pub fn sum_tcp(bed: &Testbed) -> TcpStats {
+    let mut acc = TcpStats::default();
+    for v in bed.vms() {
+        let stack = &bed.server(v.server).vm(v.vm).stack;
+        for id in stack.conn_ids() {
+            acc += &stack.conn(id).stats;
+        }
+    }
+    acc
+}
+
 /// Start `bed` and run it until every memslap client in `clients` has
 /// finished (looked at every 500 ms) or `horizon_s` has passed. Returns the
 /// means over the clients of finish time (s), TPS and latency (µs), and the
@@ -160,19 +173,13 @@ pub fn run_memslap(bed: &mut Testbed, clients: &[VmRef], horizon_s: u64) -> (f64
     bed.begin_cpu_windows();
     bed.start();
     let horizon = SimTime::from_secs(horizon_s);
-    let step = SimDuration::from_millis(500);
-    loop {
-        let now = bed.now();
-        if now >= horizon {
-            break;
-        }
-        bed.run_until(now + step);
-        let all_done = clients
+    let done = |bed: &Testbed| {
+        clients
             .iter()
-            .all(|&c| bed.app::<MemslapClient>(c).finished_at.is_some());
-        if all_done {
-            break;
-        }
+            .all(|&c| bed.app::<MemslapClient>(c).finished_at.is_some())
+    };
+    while bed.now() < horizon && !done(bed) {
+        bed.run_until(bed.now() + SimDuration::from_millis(500));
     }
     let now = bed.now();
     let mut finish = 0.0;
@@ -188,8 +195,9 @@ pub fn run_memslap(bed: &mut Testbed, clients: &[VmRef], horizon_s: u64) -> (f64
         lat += app.latency.mean() / 1e3;
     }
     let n = clients.len() as f64;
-    // The run ends right after the last client finishes, so this is the
-    // paper's "# of CPUs for test".
+    // The paper's "# of CPUs for test". The run stops at the first 500 ms
+    // check after the last client finishes, not at that finish, so this
+    // averages over the idle tail between them too.
     let cpus = bed.server(0).cpus_used(now);
     (finish / n, tps / n, lat / n, cpus)
 }

@@ -149,8 +149,6 @@ pub struct LocalController {
     /// each measurement epoch; reports to the TOR controller only on
     /// transitions, so a healthy path generates no control traffic).
     hw_path_down: bool,
-    /// Decisions applied.
-    pub decisions_applied: u64,
 }
 
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -175,7 +173,6 @@ impl LocalController {
             last_split: FxHashMap::default(),
             installed: FxHashMap::default(),
             hw_path_down: false,
-            decisions_applied: 0,
             cfg,
         }
     }
@@ -267,7 +264,6 @@ impl LocalController {
     }
 
     fn apply_decision(&mut self, api: &mut Api<'_, Event, NetCtx>, d: OffloadDecision) {
-        self.decisions_applied += 1;
         self.hw_rates = d.hw_agg_bps.iter().copied().collect();
         // Demotions first: pull traffic back into software.
         for agg in &d.demote {
@@ -597,10 +593,7 @@ mod tests {
         let l = k.node::<LocalController>(id);
         assert!(l.pending.is_empty() && l.hw_rates.is_empty());
         assert!(l.last_split.is_empty() && l.installed.is_empty());
-        assert_eq!(
-            (l.interval, l.epoch_in_interval, l.decisions_applied),
-            (0, 0, 0)
-        );
+        assert_eq!((l.interval, l.epoch_in_interval), (0, 0));
         assert!(l.me.report().is_empty());
     }
 

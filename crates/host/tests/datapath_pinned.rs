@@ -433,14 +433,12 @@ fn run(cell: Cell) -> Outcome {
 }
 
 /// The digests of the cells, in order, against the values recorded when the
-/// guests began drawing their write sizes from their own streams and the
-/// server began cancelling a superseded TCP timer instead of delivering it
-/// as a no-op. The second moves only the event count each digest folds: the
-/// previous code, run with this file's guests and folding its event count
-/// minus its stale timer deliveries, gives these same fourteen values. A
-/// mismatch prints the whole list; re-record only with a change that is
-/// meant to move a simulated outcome or the kernel's event count, and say
-/// which.
+/// receiver began ACKing a segment that fills a reassembly hole at once
+/// instead of arming the delayed ACK (RFC 5681 §4.2). That moved the two
+/// tunneled, rate-limited cells; in the other twelve no receiver fills a
+/// hole, and they kept theirs. A mismatch prints the whole list;
+/// re-record only with a change that is meant to move a simulated outcome
+/// or the kernel's event count, and say which.
 fn assert_pinned(got: &[u64], pinned: &[u64]) {
     assert!(got == pinned, "digests moved, now {got:#018x?}");
 }
@@ -520,8 +518,8 @@ fn server_conserves_emitted_segments_and_replays_the_pinned_run() {
             0xb0615b487aa4e8f6,
             0xe1a30802f193b418,
             0x6828e1441aeddfbb,
-            0xbe1a008522a35430,
-            0xe01ff352721f73b9,
+            0x0fcdd8480d6c22f7,
+            0x21b1dc5816d8f5f4,
             0xc09af84f4d24eda3,
             0xbde1711f18df8897,
             0x96cb2e383102ed37,

@@ -9,6 +9,11 @@
 //! segment that carries the cumulative ACK pays the whole debt
 //! ([`Receiver::clear_ack_state`]); the peer's FIN is consumed exactly once,
 //! when everything before it has arrived.
+//!
+//! The ACK rule: an out-of-order segment, an old one and one that fills all
+//! or part of a hole are ACKed at once; in-order data that arrives with
+//! nothing buffered behind it waits for the delayed ACK, up to
+//! [`ACK_EVERY_SEGS`] segments or [`ACK_EVERY_BYTES`].
 
 use std::collections::BTreeMap;
 
@@ -108,7 +113,10 @@ impl Receiver {
             return 0;
         }
         // In order (possibly partially old): take it and whatever buffered
-        // data is now contiguous.
+        // data is now contiguous. A segment that fills all or part of a hole
+        // is ACKed at once (RFC 5681 §4.2), so each repair of a recovery
+        // costs a round trip, not a delayed-ACK interval.
+        let fills_hole = !self.ooo.is_empty();
         self.rcv_nxt = seg_end;
         stats.segs_rx += 1;
         while let Some((&s, &l)) = self.ooo.first_key_value() {
@@ -122,7 +130,8 @@ impl Receiver {
         stats.bytes_delivered += delivered;
         self.segs_since_ack += 1;
         self.bytes_since_ack += delivered;
-        if self.segs_since_ack >= ACK_EVERY_SEGS || self.bytes_since_ack >= ACK_EVERY_BYTES {
+        let due = self.segs_since_ack >= ACK_EVERY_SEGS || self.bytes_since_ack >= ACK_EVERY_BYTES;
+        if fills_hole || due {
             self.need_ack_now = true;
         } else if self.delack_deadline == UNARMED {
             self.delack_deadline = now + cfg.delack;
@@ -248,5 +257,32 @@ mod tests {
         let blocks: Vec<_> = rx.sack_blocks().iter().collect();
         assert_eq!(blocks, [(4_001, 5_001), (6_001, 8_001)]);
         assert_eq!((stats.ooo_segs_rx, stats.segs_rx), (5, 1));
+    }
+
+    #[test]
+    fn a_hole_fill_is_acked_at_once_and_in_order_data_alone_waits() {
+        let (mut rx, cfg, mut stats) = receiver();
+        let now = SimTime::ZERO;
+        // One small in-order segment, nothing buffered: under both
+        // thresholds, so it arms the delayed ACK.
+        assert_eq!(rx.on_data(now, &data(1, 64), &cfg, false, &mut stats), 64);
+        assert!(!rx.need_ack_now);
+        assert_eq!(rx.delack_deadline, now + cfg.delack);
+        rx.clear_ack_state();
+        // 65 and 129 are lost and 193 arrives: buffered and dup-ACKed.
+        rx.on_data(now, &data(193, 64), &cfg, false, &mut stats);
+        assert!(rx.need_ack_now);
+        rx.clear_ack_state();
+        // The retransmissions fill the hole, each one segment under both
+        // thresholds, and each is ACKed at once.
+        assert_eq!(rx.on_data(now, &data(65, 64), &cfg, false, &mut stats), 64);
+        assert!(rx.need_ack_now, "a partial fill is ACKed at once");
+        rx.clear_ack_state();
+        assert_eq!(
+            rx.on_data(now, &data(129, 64), &cfg, false, &mut stats),
+            128
+        );
+        assert!(rx.need_ack_now, "the fill that closes the hole too");
+        assert_eq!(rx.delack_deadline, UNARMED);
     }
 }

@@ -1333,22 +1333,27 @@ mod tests {
         assert!(d3.since(d2) > d2.since(deadline), "RTO must back off");
     }
 
-    /// A client streams 200 one-MSS writes to a server over a 50 µs
-    /// one-way wire, default timers. The first transmissions of the data
-    /// segments numbered `lost` are dropped until the client's first
-    /// retransmission. Returns the client's counters and the bytes the
-    /// server delivered.
-    fn stream_losing(cfg: TcpConfig, lost: std::ops::Range<usize>) -> (TcpStats, u64) {
+    /// A client streams `writes` writes of `size` bytes to a server over a
+    /// 50 µs one-way wire, default timers. The first transmissions of the
+    /// data segments `lost` picks are dropped until the client's first
+    /// retransmission. Returns the client's counters, the bytes the server
+    /// delivered and when it had delivered them all.
+    fn stream_losing(
+        cfg: TcpConfig,
+        writes: usize,
+        size: u64,
+        lost: impl Fn(usize) -> bool,
+    ) -> (TcpStats, u64, SimTime) {
         let (mut c, mut s) = establish_cfg(cfg, cfg);
-        (0..200).for_each(|_| assert!(c.app_send(MSS as u64)));
+        (0..writes).for_each(|_| assert!(c.app_send(size)));
         let wire = SimDuration::from_micros(50);
         let (mut to_s, mut to_c) = (VecDeque::new(), VecDeque::new());
-        let (mut now, mut sent, mut dropping) = (t(100), 0, true);
+        let (mut now, mut sent, mut dropping, mut done) = (t(100), 0, true, UNARMED);
         loop {
             while let Some(p) = c.poll_transmit(now, MSS) {
                 dropping &= !p.is_rtx;
                 let first = p.len > 0 && !p.is_rtx;
-                if !(first && dropping && lost.contains(&sent)) {
+                if !(first && dropping && lost(sent)) {
                     to_s.push_back((now + wire, p));
                 }
                 sent += first as usize;
@@ -1368,6 +1373,9 @@ mod tests {
             now = next;
             if due(&to_s) == Some(now) {
                 deliver(&mut s, now, to_s.pop_front().unwrap().1);
+                if s.stats.bytes_delivered == writes as u64 * size {
+                    done = done.min(now);
+                }
             } else if due(&to_c) == Some(now) {
                 deliver(&mut c, now, to_c.pop_front().unwrap().1);
             } else {
@@ -1378,7 +1386,7 @@ mod tests {
                 }
             }
         }
-        (c.stats, s.stats.bytes_delivered)
+        (c.stats, s.stats.bytes_delivered, done)
     }
 
     #[test]
@@ -1394,12 +1402,36 @@ mod tests {
                 // duplicate ACKs; 64 is the whole flight, which only the
                 // timer can detect — once, however many segments it held.
                 for k in [1, 2, 4, 8, 16, 32, 64] {
-                    let (stats, delivered) = stream_losing(cfg, 40..40 + k);
+                    let lost = |i| (40..40 + k).contains(&i);
+                    let (stats, delivered, _) = stream_losing(cfg, 200, MSS as u64, lost);
                     let case = format!("{cc:?} sack={sack} k={k}: {stats:?}");
                     assert_eq!(delivered, 200 * MSS as u64, "{case}");
                     assert!(stats.timeouts <= 1, "{case}");
                 }
             }
+        }
+    }
+
+    #[test]
+    fn scattered_losses_in_a_small_write_stream_repair_at_round_trip_pace() {
+        // 1 000 writes of 64 B, every 30th of the first flight lost. A
+        // repair resends one MSS from the hole, and with the writes up to
+        // the next hole it delivers 1 920 bytes in one segment, under both
+        // delayed-ACK thresholds. Each NewReno repair waits for the ACK of
+        // the one before, so a receiver that delays a hole's fill spends a
+        // delayed-ACK interval per hole.
+        let cfg = TcpConfig::default();
+        let (_, _, lossless) = stream_losing(cfg, 1_000, 64, |_| false);
+        for k in [3, 5, 7] {
+            let lost = |i: usize| (30..=30 * k as usize).contains(&i) && i.is_multiple_of(30);
+            let (stats, delivered, done) = stream_losing(cfg, 1_000, 64, lost);
+            let case = format!("k={k}: {stats:?}");
+            assert_eq!(delivered, 64_000, "{case}");
+            assert_eq!((stats.rtx_segs, stats.timeouts), (k, 0), "{case}");
+            // Beyond the lossless run, the k repairs take less than one
+            // delayed-ACK interval in all.
+            let repair = done.since(lossless);
+            assert!(repair < cfg.delack, "{case}: repair took {repair:?}");
         }
     }
 

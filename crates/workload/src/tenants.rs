@@ -205,8 +205,6 @@ pub struct Churner {
     offset: usize,
     /// Completed transactions (progress sanity, not a metric).
     pub completed: u64,
-    /// Phases elapsed.
-    pub rotations: u64,
 }
 
 impl Churner {
@@ -218,7 +216,6 @@ impl Churner {
             client: Client::new(MemslapConfig::REQ_SIZE, MemslapConfig::RESP_SIZE),
             offset: 0,
             completed: 0,
-            rotations: 0,
         }
     }
 
@@ -258,7 +255,6 @@ impl GuestApp for Churner {
             TIMER_PHASE => {
                 let n = self.cfg.n_ports as usize;
                 self.offset = (self.offset + self.cfg.hot_ports as usize) % n;
-                self.rotations += 1;
                 for ci in 0..self.client.len() {
                     self.fill(ci, api);
                 }
@@ -433,10 +429,35 @@ mod tests {
             ..ChurnerConfig::aggressive(Ip::tenant_vm(90))
         };
         let setup = add_churner(&mut bed, TenantId(9), 0, 1, cfg);
+        // Bytes each churn port has received at the echo server.
+        let per_port = |bed: &Testbed| {
+            let stack = &bed.server(setup.server.server).vm(setup.server.vm).stack;
+            let mut bytes = [0u64; 16];
+            for id in stack.conn_ids() {
+                let c = stack.conn(id);
+                bytes[(c.flow.src_port - CHURN_PORT_BASE) as usize] += c.stats.bytes_delivered;
+            }
+            bytes
+        };
         bed.start();
+        // Inside each 100 ms phase, exactly the four hot ports carry
+        // requests, and each phase heats the next four.
+        let mut heated = [false; 16];
+        let mut first_hot = Vec::new();
+        for phase in 1..10 {
+            bed.run_until(SimTime::from_millis(100 * phase + 10));
+            let before = per_port(&bed);
+            bed.run_until(SimTime::from_millis(100 * phase + 90));
+            let after = per_port(&bed);
+            let hot: Vec<usize> = (0..16).filter(|&p| after[p] > before[p]).collect();
+            assert_eq!(hot.len(), 4, "phase {phase}: {hot:?}");
+            hot.iter().for_each(|&p| heated[p] = true);
+            first_hot.push(hot[0]);
+        }
+        assert!(first_hot.windows(2).all(|w| w[0] != w[1]), "{first_hot:?}");
+        assert!(heated.iter().all(|&h| h), "every aggregate ran hot");
         bed.run_until(SimTime::from_secs(1));
         let cli = bed.app::<Churner>(setup.client);
-        assert!(cli.rotations >= 8, "phases must rotate: {}", cli.rotations);
         assert!(cli.completed > 1_000, "churn must carry real traffic");
         let srv = bed.app::<EchoRangeServer>(setup.server);
         assert!(srv.served > 1_000);

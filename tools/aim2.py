@@ -33,11 +33,11 @@ Prints, for the Rust outside `benchmark/` and `target/`:
   * the public fields of `crates/*/src` that no non-test code reads (see
     `unread_fields`). `KEPT_FIELDS` names the ones kept on purpose, with
     the test that reads each; an entry not listed any more is printed as
-    stale, and fails the run. A listed field not on `KEPT_FIELDS` does not
-    fail it yet.
+    stale, and fails the run, as does a listed field not on `KEPT_FIELDS`.
 The numbers are not gated: they are for the tracker line and the CHANGES
 table. The exit status is 1 when an item only tests reach is not on
-`KEPT`, or a `KEPT`, `KEPT_KNOBS` or `KEPT_FIELDS` entry is stale.
+`KEPT`, a field no non-test code reads is not on `KEPT_FIELDS`, or a
+`KEPT`, `KEPT_KNOBS` or `KEPT_FIELDS` entry is stale.
 """
 import argparse
 import re
@@ -90,9 +90,11 @@ KEPT_KNOBS = {
     "TcpConfig::msl": "a short TIME_WAIT the pinned and determinism scenarios watch expire",
 }
 # Public fields no non-test code reads, kept on purpose: observables a
-# test checks that no export carries.
+# test checks that no export carries, and fields a kept surface feeds.
 KEPT_FIELDS = {
     "DeEpochStats::scanned": "the one observable of the selection walk's top-k bound (de_inc.rs selection_walk_is_bounded_by_the_budget)",
+    "SegmentPlan::is_rtx": "the retransmit mark tcp.rs's tests and stack_differential's digest tail read",
+    "PacketBody::sent_at": "Packet::new feeds it, and benchmark/src/probes.rs calls Packet::new (item 4)",
 }
 FN = re.compile(r"^\s*(?:pub(?:\([a-z]+\))?\s+)?(?:const\s+)?(?:unsafe\s+)?fn\s+(\w+)")
 LITERALS = re.compile(r'"(?:\\.|[^"\\])*"|\'(?:\\.|[^\'\\])\'')
@@ -411,11 +413,12 @@ def main():
         print(f"  {name:32} {KEPT_KNOBS[name]}")
     n_stale += len(stale)
 
-    print("\n== public fields no non-test code reads (callers as above; not gated) ==")
+    print("\n== public fields no non-test code reads (callers as above) ==")
     fields = unread_fields(root, files, texts, tests)
-    for name, at in fields:
-        if name not in KEPT_FIELDS:
-            print(f"  {name:40} {at}")
+    unkept = [(name, at) for name, at in fields if name not in KEPT_FIELDS]
+    for name, at in unkept:
+        print(f"  {name:40} {at}")
+    n_unlisted += len(unkept)
     kept = [(name, at) for name, at in fields if name in KEPT_FIELDS]
     print(f"kept on purpose ({len(kept)}):")
     for name, at in kept:
